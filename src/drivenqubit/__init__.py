@@ -2,16 +2,14 @@
 quantumness and memory diagnostics (Leggett-Garg, quantum witness, coherence,
 geometric phase, BLP backflow measure, effective decay rate).
 
-The numerical core (amplitude evaluation on dense grids) runs on a compiled
-extension when available and transparently falls back to numpy; see
-``drivenqubit.backend.backend_name()``.
+Everything rests on the closed-form amplitude in ``drivenqubit.amplitude``:
+``cmath`` for single times and one numpy kernel for time grids.
 """
 
 from .amplitude import (AmplitudePole, AmplitudeTrajectory, IntegrationError,
                         amplitude_closed_form, amplitude_derivative,
                         amplitude_grid, amplitude_oracle_ode,
                         amplitude_trajectory, decay_rate, decay_rate_grid)
-from .backend import backend_name
 from .nonmarkov import (BackflowIntervals, BlpResult, antipodal_pair,
                         backflow_intervals, blp_measure, info_flux)
 from .params import (DerivedParams, SpectralDensity, SystemParams,
@@ -23,11 +21,16 @@ from .states import (BlochVector, QubitState, apply_channel, coherence_l1,
 from .sweeps import (PRESET_NAMES, SweepAxis, SweepSpec, figure_preset,
                      run_sweep)
 from .temporal import (LgiResult, WitnessResult, coherence_monotone, lgi_c3,
-                       lgi_c4, propagator, quantum_witness,
-                       two_time_correlation, witness_probabilities,
-                       witness_series)
+                       propagator, quantum_witness, two_time_correlation,
+                       witness_probabilities, witness_series)
 
 __version__ = "0.1.0"
+
+
+def backend_name() -> str:
+    """Name of the amplitude kernel: always "python", the numpy one."""
+    return "python"
+
 
 __all__ = [
     "__version__",
@@ -59,7 +62,6 @@ __all__ = [
     "WitnessResult",
     "two_time_correlation",
     "lgi_c3",
-    "lgi_c4",
     "propagator",
     "quantum_witness",
     "witness_probabilities",

@@ -12,6 +12,11 @@ analytically,
     dA/dt = -(gamma*lam*(1+cos eta)^2 / (2F)) * exp(-M t/2) * sinh(F t/4),
 
 so no finite differencing appears in any production path.
+
+Single times go through ``cmath``, which is about 20x cheaper per call than a
+one-point numpy call (adaptive quadrature makes ~10^5 such calls per sweep);
+time grids go through numpy.  Both paths switch to the critically damped
+series at the same ``_SERIES_THRESHOLD``.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from . import backend
 from .params import DerivedParams, SystemParams, ValidationError, derive
 
 __all__ = [
@@ -36,7 +40,7 @@ __all__ = [
     "decay_rate",
 ]
 
-# must match the kernel backends' switch to the critically damped series
+# |F| t below which A and dA/dt use the critically damped series
 _SERIES_THRESHOLD = 1e-6
 POLE_EPS = 1e-14
 
@@ -102,11 +106,33 @@ def amplitude_derivative(dp: DerivedParams, t: float) -> complex:
 
 
 def amplitude_grid(dp: DerivedParams, times) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized (A, dA/dt) over an array of times via the kernel backend."""
+    """Vectorized (A, dA/dt) over an array of times, shaped like ``times``.
+
+    Mode form A = c+ exp(s+ t) + c- exp(s- t) with s+- = -M/2 +- F/4, which
+    never overflows (Re s+- <= 0 for physical parameters), and the series
+    limit wherever |F t| is below the switch.
+    """
     times = np.asarray(times, dtype=float)
     if np.any(times < 0):
         raise ValidationError("times must be >= 0")
-    return backend.amp_damp(dp.m_const, dp.f_const, dp.coupling_prefactor, times)
+    M, F, pref = dp.m_const, dp.f_const, dp.coupling_prefactor
+    tt = np.atleast_1d(times).ravel()
+    small = np.abs(F) * tt < _SERIES_THRESHOLD
+    if abs(F) == 0.0 or np.all(small):
+        e = np.exp(-0.5 * M * tt)
+        A = e * (1.0 + 0.5 * M * tt)
+        dA = pref * 0.25 * tt * e
+        return A.reshape(times.shape), dA.reshape(times.shape)
+    ep = np.exp((-0.5 * M + 0.25 * F) * tt)
+    em = np.exp((-0.5 * M - 0.25 * F) * tt)
+    ratio = 2.0 * M / F
+    A = 0.5 * (1.0 + ratio) * ep + 0.5 * (1.0 - ratio) * em
+    dA = (pref / (2.0 * F)) * (ep - em)
+    if np.any(small):
+        e = np.exp(-0.5 * M * tt[small])
+        A[small] = e * (1.0 + 0.5 * M * tt[small])
+        dA[small] = pref * 0.25 * tt[small] * e
+    return A.reshape(times.shape), dA.reshape(times.shape)
 
 
 def amplitude_trajectory(dp: DerivedParams, times) -> AmplitudeTrajectory:

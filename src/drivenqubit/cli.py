@@ -17,7 +17,6 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .backend import backend_name
 from .params import SystemParams, ValidationError, derive
 from .selfcheck import run_all
 from .sweeps import (PRESET_NAMES, SweepAxis, SweepSpec, figure_preset,
@@ -217,8 +216,7 @@ def _cmd_check(args) -> int:
         tag = "PASS" if r.passed else "FAIL"
         print(f"[{tag}] {r.name}: {r.detail}")
         failed += 0 if r.passed else 1
-    print(f"{len(results) - failed}/{len(results)} checks passed "
-          f"(backend: {backend_name()})")
+    print(f"{len(results) - failed}/{len(results)} checks passed")
     return NUMERIC_EXIT if failed else 0
 
 

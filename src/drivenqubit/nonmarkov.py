@@ -17,7 +17,6 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .amplitude import amplitude_closed_form, amplitude_derivative, amplitude_grid
-from .backend import amp_damp
 from .params import DerivedParams, SystemParams, ValidationError, derive
 from .states import BlochVector
 
@@ -130,10 +129,9 @@ def _amp_extrema(dp: DerivedParams, t_max: float, points: int | None = None):
     hi = ts[change + 2]
     h_lo = h[change + 1]
 
-    M, F, pref = dp.m_const, dp.f_const, dp.coupling_prefactor
     for _ in range(64):
         mid = 0.5 * (lo + hi)
-        Am, dAm = amp_damp(M, F, pref, mid)
+        Am, dAm = amplitude_grid(dp, mid)
         hm = (dAm * np.conj(Am)).real
         same = (hm > 0) == (h_lo > 0)
         lo = np.where(same, mid, lo)
@@ -169,7 +167,7 @@ def _interval_data(dp: DerivedParams, t_max: float, points: int | None = None):
             k += 1
     if spans:
         ends = np.array([list(p) for p in spans]).ravel()
-        x = np.abs(amp_damp(dp.m_const, dp.f_const, dp.coupling_prefactor, ends)[0])
+        x = np.abs(amplitude_grid(dp, ends)[0])
         amps = tuple((float(x[2 * i]), float(x[2 * i + 1])) for i in range(len(spans)))
     else:
         amps = ()

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 __all__ = [
     "ValidationError",
@@ -55,6 +55,10 @@ class SystemParams:
     gamma: float = 1.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValidationError(f"{f.name} must be finite, got {value}")
         if not (self.gamma > 0):
             raise ValidationError(f"gamma must be > 0, got {self.gamma}")
         if not (self.lam > 0):

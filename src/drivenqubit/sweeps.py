@@ -12,7 +12,7 @@ import csv
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +21,7 @@ from .amplitude import AmplitudePole, amplitude_grid, decay_rate_grid
 from .nonmarkov import blp_measure
 from .params import SystemParams, ValidationError, derive
 from .phase import geometric_phase_detailed
-from .temporal import lgi_c3, lgi_c4, witness_series
+from .temporal import lgi_c3, witness_series
 
 __all__ = ["SweepAxis", "SweepSpec", "SweepSummary", "run_sweep",
            "write_rows", "figure_preset", "PRESET_NAMES"]
@@ -107,28 +107,7 @@ class SweepSpec:
                                   "(the envelope needs the full history)")
 
     def to_dict(self) -> dict:
-        return {
-            "quantity": self.quantity,
-            "fixed": {
-                "gamma": self.fixed.gamma,
-                "lam": self.fixed.lam,
-                "omega_rabi": self.fixed.omega_rabi,
-                "delta_qc": self.fixed.delta_qc,
-                "delta_cav": self.fixed.delta_cav,
-                "theta": self.fixed.theta,
-            },
-            "axis": {
-                "name": self.axis.name,
-                "start": self.axis.start,
-                "stop": self.axis.stop,
-                "count": self.axis.count,
-                "scale": self.axis.scale,
-            },
-            "output_path": self.output_path,
-            "t_max": self.t_max,
-            "quad_tol": self.quad_tol,
-            "alpha_grid": self.alpha_grid,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SweepSpec":
@@ -165,18 +144,11 @@ def _params_at(fixed: SystemParams, axis_name: str, value: float) -> SystemParam
     return fixed
 
 
-def _param_cells(p: SystemParams) -> dict:
-    return {
-        "gamma": p.gamma, "lam": p.lam, "omega_rabi": p.omega_rabi,
-        "delta_qc": p.delta_qc, "delta_cav": p.delta_cav, "theta": p.theta,
-    }
-
-
 def _time_series_rows(spec: SweepSpec) -> list[dict]:
     dp = derive(spec.fixed)
     ts = spec.axis.values()
     rows = []
-    base = _param_cells(spec.fixed)
+    base = asdict(spec.fixed)
     if spec.quantity == "amplitude":
         A, _ = amplitude_grid(dp, ts)
         for t, a in zip(ts, A):
@@ -204,9 +176,8 @@ def _time_series_rows(spec: SweepSpec) -> list[dict]:
             rows.append(base | {spec.axis.name: t, "d_trace": abs(a),
                                 "status": "ok"})
     elif spec.quantity in ("lgi3", "lgi4"):
-        fn = lgi_c3 if spec.quantity == "lgi3" else lgi_c4
         for t in ts:
-            r = fn(dp, spec.fixed.theta, float(t))
+            r = lgi_c3(dp, spec.fixed.theta, float(t))
             if spec.quantity == "lgi3":
                 rows.append(base | {spec.axis.name: t, "c3": r.c3,
                                     "violated3": int(r.violated3), "status": "ok"})
@@ -225,7 +196,7 @@ def _time_series_rows(spec: SweepSpec) -> list[dict]:
 
 def _scalar_row(spec: SweepSpec, value: float) -> dict:
     p = _params_at(spec.fixed, spec.axis.name, float(value))
-    base = _param_cells(p) | {spec.axis.name: float(value)}
+    base = asdict(p) | {spec.axis.name: float(value)}
     try:
         if spec.quantity == "gp":
             dp = derive(p)

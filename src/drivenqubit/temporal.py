@@ -23,7 +23,6 @@ __all__ = [
     "WitnessResult",
     "two_time_correlation",
     "lgi_c3",
-    "lgi_c4",
     "propagator",
     "quantum_witness",
     "witness_probabilities",
@@ -73,7 +72,12 @@ def two_time_correlation(dp: DerivedParams, theta: float, t_i: float,
     return val.real
 
 
-def _lgi(dp: DerivedParams, theta: float, tau: float) -> LgiResult:
+def lgi_c3(dp: DerivedParams, theta: float, tau: float) -> LgiResult:
+    """Three- and four-time Leggett-Garg combinations at step tau.
+
+    c3 = C(0,t) + C(t,2t) - C(0,2t) and c4 = C(0,t) + C(t,2t) + C(2t,3t)
+    - C(0,3t) share their correlators, so one LgiResult carries both.
+    """
     if tau < 0:
         raise ValidationError(f"tau must be >= 0, got {tau}")
     c01 = two_time_correlation(dp, theta, 0.0, tau)
@@ -84,16 +88,6 @@ def _lgi(dp: DerivedParams, theta: float, tau: float) -> LgiResult:
     c3 = c01 + c12 - c02
     c4 = c01 + c12 + c23 - c03
     return LgiResult(tau=tau, c3=c3, c4=c4, violated3=c3 > 1.0, violated4=c4 > 2.0)
-
-
-def lgi_c3(dp: DerivedParams, theta: float, tau: float) -> LgiResult:
-    """Three-time Leggett-Garg combination C(0,t)+C(t,2t)-C(0,2t)."""
-    return _lgi(dp, theta, tau)
-
-
-def lgi_c4(dp: DerivedParams, theta: float, tau: float) -> LgiResult:
-    """Four-time Leggett-Garg combination C(0,t)+C(t,2t)+C(2t,3t)-C(0,3t)."""
-    return _lgi(dp, theta, tau)
 
 
 def propagator(dp: DerivedParams, t: float) -> np.ndarray:

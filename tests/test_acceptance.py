@@ -24,7 +24,7 @@ import pytest
 
 from drivenqubit import (SystemParams, apply_channel, blp_measure, derive,
                          eigensystem, evolve_superposition, geometric_phase,
-                         geometric_phase_detailed, info_flux, lgi_c3, lgi_c4,
+                         geometric_phase_detailed, info_flux, lgi_c3,
                          quantum_witness, witness_probabilities,
                          witness_series)
 from drivenqubit.amplitude import (amplitude_oracle_ode,
@@ -91,10 +91,10 @@ def test_criterion_2_state_sanity():
 def test_criterion_3_lgi_boundary_and_violation():
     taus = np.linspace(1e-3, 4.0, 2000)
     dp_strong = derive(SystemParams(lam=0.01, omega_rabi=2.0))
-    r3, r4 = lgi_c3(dp_strong, 0.0, 0.0), lgi_c4(dp_strong, 0.0, 0.0)
+    r3, r4 = lgi_c3(dp_strong, 0.0, 0.0), lgi_c3(dp_strong, 0.0, 0.0)
     boundary = abs(r3.c3 - 1.0) <= 1e-12 and abs(r4.c4 - 2.0) <= 1e-12
     max3 = max(lgi_c3(dp_strong, 0.0, float(t)).c3 for t in taus)
-    max4 = max(lgi_c4(dp_strong, 0.0, float(t)).c4 for t in taus)
+    max4 = max(lgi_c3(dp_strong, 0.0, float(t)).c4 for t in taus)
     dp_off = derive(SystemParams(lam=0.01, omega_rabi=0.0))
     max3_off = max(lgi_c3(dp_off, 0.0, float(t)).c3 for t in taus)
     ok = boundary and max3 > 1.0 and max4 > 2.0 and max3_off <= 1.02

@@ -108,6 +108,29 @@ def test_series_switch_is_continuous():
     assert abs(series - modes) < 1e-12
 
 
+@pytest.mark.parametrize("params", [
+    SystemParams(lam=0.07, omega_rabi=0.9, delta_qc=1.7),
+    SystemParams(lam=0.01, omega_rabi=0.0),
+    SystemParams(lam=0.01, omega_rabi=2.0),
+    SystemParams(lam=2.0, omega_rabi=0.0),              # critically damped, F = 0
+    SystemParams(lam=2.0 + 1e-9, omega_rabi=0.0),       # series switch at t ~ 0.01
+    SystemParams(lam=100.0, omega_rabi=0.0),            # wide cavity, stiff decay
+    SystemParams(lam=0.3, omega_rabi=1.3, delta_qc=-4.0, delta_cav=0.5),
+], ids=["detuned", "undriven", "driven", "critical", "near-critical", "wide",
+        "cavity-detuned"])
+def test_scalar_path_matches_array_path(params):
+    # cmath and numpy paths must share one series threshold; the log-spaced
+    # times put near-critical points on both sides of it
+    dp = derive(params)
+    ts = np.concatenate(([0.0], np.geomspace(1e-4, 25.0, 100)))
+    A, dA = amplitude_grid(dp, ts)
+    for t, a, da in zip(ts, A, dA):
+        assert amplitude_closed_form(dp, float(t)) == pytest.approx(
+            complex(a), abs=1e-14)
+        assert amplitude_derivative(dp, float(t)) == pytest.approx(
+            complex(da), abs=1e-14)
+
+
 def test_derivative_matches_finite_difference():
     rng = np.random.default_rng(17)
     for _ in range(15):

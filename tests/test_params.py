@@ -38,6 +38,10 @@ def test_derive_rejects_bad_rates():
         SystemParams(lam=0.1, omega_rabi=-0.5)
     with pytest.raises(ValidationError):
         SystemParams(lam=0.1, theta=2.0)
+    for name in ("lam", "omega_rabi", "delta_qc", "delta_cav", "theta", "gamma"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValidationError, match="finite"):
+                SystemParams(**{"lam": 0.1, name: bad})
 
 
 def test_re_m_equals_lam_everywhere():

@@ -165,6 +165,16 @@ def test_cli_rejects_bad_quantity(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("flag", [("--omega", "nan"), ("--lambda", "inf")])
+def test_cli_rejects_non_finite_parameter(tmp_path, capsys, flag):
+    out = tmp_path / "a.csv"
+    rc = main(["sweep", "--quantity", "amplitude", "--axis", "time",
+               "--axis-max", "1", "--points", "3", *flag, "--out", str(out)])
+    assert rc == 1
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_numerical_failure_exit_code(tmp_path):
     out = tmp_path / "gp.csv"
     rc = main(["sweep", "--quantity", "gp", "--axis", "omega",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from drivenqubit import (SystemParams, ValidationError, coherence_monotone,
-                         derive, lgi_c3, lgi_c4, propagator, quantum_witness,
+                         derive, lgi_c3, propagator, quantum_witness,
                          two_time_correlation, witness_probabilities,
                          witness_series)
 from drivenqubit.amplitude import amplitude_closed_form, amplitude_grid
@@ -46,7 +46,7 @@ def test_correlation_rejects_bad_times():
 def test_lgi_classical_boundary_at_zero_step():
     dp = derive(SystemParams(lam=0.01, omega_rabi=2.0))
     r3 = lgi_c3(dp, 0.0, 0.0)
-    r4 = lgi_c4(dp, 0.0, 0.0)
+    r4 = lgi_c3(dp, 0.0, 0.0)
     assert abs(r3.c3 - 1.0) <= 1e-12 and not r3.violated3
     assert abs(r4.c4 - 2.0) <= 1e-12 and not r4.violated4
 
@@ -65,7 +65,7 @@ def test_lgi_violation_with_strong_drive():
     dp = derive(SystemParams(lam=0.01, omega_rabi=2.0))
     taus = np.linspace(1e-3, 4, 1600)
     c3 = np.array([lgi_c3(dp, 0.0, float(t)).c3 for t in taus])
-    c4 = np.array([lgi_c4(dp, 0.0, float(t)).c4 for t in taus])
+    c4 = np.array([lgi_c3(dp, 0.0, float(t)).c4 for t in taus])
     assert c3.max() > 1.0
     assert c4.max() > 2.0
 
@@ -83,7 +83,7 @@ def test_lgi_four_time_respects_algebraic_quantum_bound():
     taus = np.linspace(1e-3, 4, 800)
     for om, dq in ((0.1, 0.0), (0.1, 10.0), (2.0, 0.0), (0.0, 3.0)):
         dp = derive(SystemParams(lam=0.01, omega_rabi=om, delta_qc=dq))
-        c4 = max(lgi_c4(dp, 0.0, float(t)).c4 for t in taus)
+        c4 = max(lgi_c3(dp, 0.0, float(t)).c4 for t in taus)
         assert c4 <= 2 * math.sqrt(2) + 1e-9
 
 
