@@ -197,26 +197,29 @@ def _time_series_rows(spec: SweepSpec) -> list[dict]:
 def _scalar_row(spec: SweepSpec, value: float) -> dict:
     p = _params_at(spec.fixed, spec.axis.name, float(value))
     base = asdict(p) | {spec.axis.name: float(value)}
+    empty = {c: None for c in OBSERVABLE_COLUMNS[spec.quantity]}
     try:
         if spec.quantity == "gp":
             dp = derive(p)
             phi, err, _ = geometric_phase_detailed(dp, p.theta, spec.quad_tol)
-            return base | {"phi_g": phi, "quad_err": err, "status": "ok"}
-        # extend the horizon until the backflow gains (which die off with the
-        # amplitude envelope exp(-lam t / 2)) are converged, within a cap
-        t_eff = max(spec.t_max, min(5000.0, 2.0 * math.log(1e4) / p.lam))
-        result = blp_measure(p, t_max=t_eff, alpha_grid=spec.alpha_grid)
-        return base | {
-            "n_measure": result.n_measure,
-            "alpha_best": result.alpha,
-            "residual_bound": result.residual_bound,
-            "truncated": int(result.truncated),
-            "status": "ok",
-        }
+            cells = {"phi_g": phi, "quad_err": err}
+        else:
+            # extend the horizon until the backflow gains (which die off with
+            # the amplitude envelope exp(-lam t / 2)) are converged, within a cap
+            t_eff = max(spec.t_max, min(5000.0, 2.0 * math.log(1e4) / p.lam))
+            result = blp_measure(p, t_max=t_eff, alpha_grid=spec.alpha_grid)
+            cells = {
+                "n_measure": result.n_measure,
+                "alpha_best": result.alpha,
+                "residual_bound": result.residual_bound,
+                "truncated": int(result.truncated),
+            }
     except (ValidationError, AmplitudePole) as exc:
         label = "undefined-period" if "period" in str(exc) else "invalid"
-        cols = {c: None for c in OBSERVABLE_COLUMNS[spec.quantity]}
-        return base | cols | {"status": label}
+        return base | empty | {"status": label}
+    if not all(math.isfinite(v) for v in cells.values()):
+        return base | empty | {"status": "invalid"}
+    return base | cells | {"status": "ok"}
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1):

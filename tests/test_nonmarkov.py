@@ -2,13 +2,60 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from drivenqubit import (BlochVector, QubitState, SystemParams,
                          ValidationError, antipodal_pair, apply_channel,
                          backflow_intervals, blp_measure, derive, info_flux,
                          trace_distance)
-from drivenqubit.amplitude import amplitude_closed_form
+from drivenqubit import nonmarkov
+from drivenqubit.amplitude import amplitude_closed_form, amplitude_grid
+from drivenqubit.nonmarkov import (_amp_extrema, _flux_brackets,
+                                   _flux_coefficients, _flux_form)
+
+
+def _dense_extrema(dp, t_max, per_cycle=1024, chunk=1_000_000):
+    """Reference extrema of |A|: a uniform scan for sign changes of
+    h = Re(dA/dt conj A) at ``per_cycle`` points per cycle of the fastest
+    mode frequency, uncapped and evaluated ``chunk`` points at a time, each
+    bracket bisected below 1e-10.  Returns (times, kinds) like _amp_extrema.
+    """
+    rate = max(dp.params.gamma, dp.params.lam,
+               abs(dp.m_const.imag) / 2.0 + abs(dp.f_const.imag) / 4.0)
+    n = max(10_000, math.ceil(per_cycle * rate * t_max / (2.0 * math.pi)))
+
+    def h(t):
+        A, dA = amplitude_grid(dp, t)
+        return (dA * np.conj(A)).real
+
+    los, his, h_los = [], [], []
+    # the t = 0 node is skipped: h vanishes there identically
+    for start in range(1, n - 1, chunk - 1):  # chunks share their end nodes
+        ts = t_max * np.arange(start, min(n, start + chunk)) / (n - 1)
+        hs = h(ts)
+        c = np.flatnonzero((hs[:-1] > 0) != (hs[1:] > 0))
+        los.append(ts[c])
+        his.append(ts[c + 1])
+        h_los.append(hs[c])
+    lo, hi, h_lo = np.concatenate(los), np.concatenate(his), np.concatenate(h_los)
+    while lo.size and np.max(hi - lo) >= 1e-10:
+        mid = 0.5 * (lo + hi)
+        hm = h(mid)
+        same = (hm > 0) == (h_lo > 0)
+        lo, h_lo, hi = (np.where(same, mid, lo), np.where(same, hm, h_lo),
+                        np.where(same, hi, mid))
+    return 0.5 * (lo + hi), np.where(h_lo > 0, -1, 1)
+
+
+def _assert_same_extrema(dp, t_max):
+    times, kinds = _amp_extrema(dp, t_max)
+    ref_times, ref_kinds = _dense_extrema(dp, t_max)
+    assert np.array_equal(kinds, ref_kinds)
+    assert np.all(kinds[1:] != kinds[:-1])
+    np.testing.assert_allclose(times, ref_times, rtol=0, atol=1e-10)
+    return times, kinds
 
 
 def test_flux_vanishes_at_origin():
@@ -48,9 +95,14 @@ def test_flux_validates_pair():
 
 
 def test_backflow_intervals_empty_when_overdamped():
-    dp = derive(SystemParams(lam=2.5, omega_rabi=0.0))
-    flows = backflow_intervals(dp, antipodal_pair(math.pi / 2), 50.0)
-    assert flows.intervals == ()
+    # lam = 2 is the critical point of the undriven resonant cavity: F = 0
+    # there, real F above it, and F = 1e-4 i just below it, where the first
+    # extremum lies beyond t ~ 4 pi / |F|
+    for lam in (2.5, 2.0 + 1e-9, 2.0, 2.0 - 1e-9):
+        dp = derive(SystemParams(lam=lam, omega_rabi=0.0))
+        flows = backflow_intervals(dp, antipodal_pair(math.pi / 2), 50.0)
+        assert flows.intervals == ()
+        assert blp_measure(dp.params, t_max=50.0).n_measure == 0.0
 
 
 def test_backflow_intervals_structure():
@@ -170,3 +222,88 @@ def test_blp_best_pair_is_equatorial_for_undriven_decay():
     # driven ripple case prefers the polar pair instead
     res2 = blp_measure(SystemParams(lam=0.01, omega_rabi=1.0), t_max=100.0)
     assert res2.alpha < math.pi / 4
+
+
+@pytest.mark.parametrize("lam,omega,delta_qc,t_max,coarse_misses", [
+    # a root pair 0.016 apart near t = 574.6 that a 16-per-cycle scan misses
+    (0.01, 2.0, 1.0, 600.0, True),
+    # the horizon of a sweep row at lam = 0.01; the former dense scan hit its
+    # 4M-point cap here
+    (0.01, 2.0, -10.0, 2.0 * math.log(1e4) / 0.01, False),
+])
+def test_extrema_match_dense_scan(lam, omega, delta_qc, t_max, coarse_misses):
+    dp = derive(SystemParams(lam=lam, omega_rabi=omega, delta_qc=delta_qc))
+    times, _ = _assert_same_extrema(dp, t_max)
+    coarse, _ = _dense_extrema(dp, t_max, per_cycle=16)
+    assert (coarse.size < times.size) == coarse_misses
+
+
+@pytest.mark.parametrize("name,value", [
+    ("_NEWTON_STEPS", 0),  # every bracket goes to the bisection fallback
+    ("_CHUNK", 64),  # the grid is searched in many passes
+])
+def test_refinement_paths_match_dense_scan(monkeypatch, name, value):
+    monkeypatch.setattr(nonmarkov, name, value)
+    dp = derive(SystemParams(lam=0.01, omega_rabi=2.0, delta_qc=1.0))
+    _assert_same_extrema(dp, 600.0)
+
+
+def test_formerly_capped_row_keeps_its_measure():
+    t_max = 2.0 * math.log(1e4) / 0.01
+    dp = derive(SystemParams(lam=0.01, omega_rabi=2.0, delta_qc=-10.0))
+    assert _amp_extrema(dp, t_max)[0].size == 5050
+    res = blp_measure(dp.params, t_max=t_max)
+    assert res.n_measure == pytest.approx(1.9466768722e-05, abs=1e-15)
+
+
+def test_decoupled_qubit_has_no_extrema():
+    # omega = 0 with delta_qc < 0 puts the qubit in the dark dressed state:
+    # the coupling (1 + cos eta)^2 vanishes and h = 0 identically
+    dp = derive(SystemParams(lam=0.01, omega_rabi=0.0, delta_qc=-100.0))
+    times, kinds = _amp_extrema(dp, 100.0)
+    assert times.size == 0 and kinds.size == 0
+    assert blp_measure(dp.params, t_max=100.0).n_measure == 0.0
+    # the finder itself stops on a flux that is zero everywhere
+    lo, hi = _flux_brackets((0.0, 0.0, 0j, 0.01, 200.0), np.linspace(0, 100, 101))
+    assert lo.size == 0 and hi.size == 0
+
+
+def test_bracket_signs_agree_with_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    p = SystemParams(lam=0.01, omega_rabi=0.5, delta_qc=-100.0)
+    dp = derive(p)
+    coef = _flux_coefficients(dp)
+    # the horizon of a sweep row at lam = 0.01; with the textbook forms of c-
+    # and s+, 13% of the brackets found here are wrong, all beyond t ~ 800
+    t_max = 2.0 * math.log(1e4) / p.lam
+    lo, hi = _flux_brackets(coef, np.linspace(0.0, t_max, 400_001))
+    assert lo.size == 63_048
+    with mpmath.workdps(50):
+        mpf = mpmath.mpf
+        eta = mpmath.atan2(2 * mpf(p.omega_rabi), mpf(p.delta_qc))
+        omega_d = mpmath.hypot(mpf(p.delta_qc), 2 * mpf(p.omega_rabi))
+        M = mpmath.mpc(p.lam, -(omega_d + mpf(p.delta_cav) - mpf(p.delta_qc)))
+        q = mpf(p.gamma) * mpf(p.lam) * (1 + mpmath.cos(eta)) ** 2
+        F = mpmath.sqrt(4 * M * M - 2 * q)
+
+        def h_sign(t):
+            t = mpf(float(t))
+            e = mpmath.exp(-M * t / 2)
+            A = e * (mpmath.cosh(F * t / 4) + 2 * M / F * mpmath.sinh(F * t / 4))
+            dA = -q / (2 * F) * e * mpmath.sinh(F * t / 4)
+            return mpmath.sign(mpmath.re(dA * mpmath.conj(A)))
+
+        for i in np.random.default_rng(7).choice(lo.size, 60, replace=False):
+            s_lo, s_hi = h_sign(lo[i]), h_sign(hi[i])
+            assert s_lo == -s_hi != 0
+            assert s_lo == np.sign(_flux_form(coef, np.array([lo[i]]))[0][0])
+
+
+@settings(max_examples=50)
+@given(log_lam=st.floats(-2.0, 0.0), omega=st.floats(0.0, 2.0),
+       delta_qc=st.floats(-10.0, 10.0), delta_cav=st.floats(-5.0, 5.0))
+def test_extrema_match_dense_scan_over_parameter_box(log_lam, omega, delta_qc,
+                                                     delta_cav):
+    dp = derive(SystemParams(lam=10.0 ** log_lam, omega_rabi=omega,
+                             delta_qc=delta_qc, delta_cav=delta_cav))
+    _assert_same_extrema(dp, 150.0)

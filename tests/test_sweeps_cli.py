@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -183,6 +184,27 @@ def test_cli_numerical_failure_exit_code(tmp_path):
     assert rc == 2  # omega = 0 row has no dressed period
     rows = read_csv(out)
     assert rows[0]["status"] == "undefined-period"
+
+
+@pytest.mark.parametrize("field,value", [("n_measure", math.nan),
+                                         ("alpha", math.inf)])
+def test_cli_non_finite_blp_row_is_invalid(tmp_path, monkeypatch, field, value):
+    import drivenqubit.sweeps as sweeps
+
+    measure = sweeps.blp_measure
+
+    def broken(params, **kwargs):
+        return dataclasses.replace(measure(params, **kwargs), **{field: value})
+
+    monkeypatch.setattr(sweeps, "blp_measure", broken)
+    out = tmp_path / "blp.csv"
+    rc = main(["sweep", "--quantity", "blp", "--axis", "lambda_ratio",
+               "--axis-min", "0.5", "--axis-max", "1", "--points", "2",
+               "--out", str(out)])
+    assert rc == 2
+    for row in read_csv(out):
+        assert row["status"] == "invalid"
+        assert row["n_measure"] == row["alpha_best"] == row["residual_bound"] == ""
 
 
 def test_cli_config_file_with_flag_override(tmp_path, capsys):
