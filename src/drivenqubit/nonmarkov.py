@@ -13,6 +13,8 @@ Re(C e^{iwt}), whose derivatives have closed-form bounds.  A bracket finder
 uses them to certify every gap of its grid (no root, at most one root, or
 split it), so no sign change can hide between grid points whatever their
 spacing; each bracket is then refined on the amplitude kernel to 1e-10.
+A bracket the kernel does not confirm, or extrema that do not alternate,
+raise ValidationError rather than pass a wrong interval list on.
 """
 
 from __future__ import annotations
@@ -226,14 +228,15 @@ def _bisect(dp: DerivedParams, lo, hi, h_lo):
 def _refine(dp: DerivedParams, coef, lo: np.ndarray, hi: np.ndarray):
     """Times of the sign changes of h in the brackets, and their kinds.
 
-    A bracket whose ends show no sign change of h is dropped.  Newton steps
+    Every bracket must show a sign change of h at its ends; one that does
+    not means G and the amplitude kernel disagree, and raises.  Newton steps
     on G, held inside each bracket, estimate the root; where h changes sign
     across the estimate +-0.45 _ROOT_TOL, that narrow bracket is the result,
     and every other bracket is bisected on h.
     """
     h_lo = _h_grid(dp, lo)
-    keep = (h_lo > 0) != (_h_grid(dp, hi) > 0)
-    lo, hi, h_lo = lo[keep], hi[keep], h_lo[keep]
+    if np.any((h_lo > 0) == (_h_grid(dp, hi) > 0)):
+        raise ValidationError("extremum bracket shows no sign change of d|A|/dt")
     rising = h_lo <= 0  # h rising through 0: minimum of |A|
     left, right, x = lo, hi, 0.5 * (lo + hi)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -259,6 +262,8 @@ def _amp_extrema(dp: DerivedParams, t_max: float):
     two-mode form, starting from gaps of an eighth of the beat period
     pi/(4|w|), and refines each bracket on the amplitude kernel; returns
     (times, kinds) with kind +1 for a minimum of |A| and -1 for a maximum.
+    |A| falls from t = 0, so the kinds must alternate starting with a
+    minimum; any other sequence raises.
     """
     none = np.empty(0), np.empty(0, dtype=int)
     if dp.f_const.imag == 0.0:
@@ -275,7 +280,10 @@ def _amp_extrema(dp: DerivedParams, t_max: float):
         tt, kk = _refine(dp, coef, *_flux_brackets(coef, nodes))
         times.append(tt)
         kinds.append(kk)
-    return np.concatenate(times), np.concatenate(kinds)
+    kinds = np.concatenate(kinds)
+    if kinds.size and (kinds[0] != 1 or np.any(kinds[1:] == kinds[:-1])):
+        raise ValidationError("extrema of |A| do not alternate")
+    return np.concatenate(times), kinds
 
 
 def _interval_data(dp: DerivedParams, t_max: float):
@@ -286,24 +294,12 @@ def _interval_data(dp: DerivedParams, t_max: float):
     """
     if t_max <= 0:
         raise ValidationError(f"t_max must be > 0, got {t_max}")
-    times, kinds = _amp_extrema(dp, t_max)
-    spans = []
-    k = 0
-    while k < len(times):
-        if kinds[k] == 1:
-            start = times[k]
-            end = times[k + 1] if k + 1 < len(times) else t_max
-            spans.append((float(start), float(end)))
-            k += 2
-        else:
-            k += 1
-    if spans:
-        ends = np.array([list(p) for p in spans]).ravel()
-        x = np.abs(amplitude_grid(dp, ends)[0])
-        amps = tuple((float(x[2 * i]), float(x[2 * i + 1])) for i in range(len(spans)))
-    else:
-        amps = ()
-    return tuple(spans), amps
+    times, _ = _amp_extrema(dp, t_max)  # minimum, maximum, minimum, ...
+    starts = times[0::2]
+    ends = np.append(times[1::2], t_max)[:starts.size]
+    x = np.abs(amplitude_grid(dp, np.concatenate([starts, ends]))[0])
+    return (tuple(zip(starts.tolist(), ends.tolist())),
+            tuple(zip(x[:starts.size].tolist(), x[starts.size:].tolist())))
 
 
 def backflow_intervals(dp: DerivedParams, pair, t_max: float) -> BackflowIntervals:

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.integrate import quad
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # only the property test needs hypothesis (the `test` extra)
+    given = None
 
 from drivenqubit import (BlochVector, QubitState, SystemParams,
                          ValidationError, antipodal_pair, apply_channel,
@@ -13,7 +17,7 @@ from drivenqubit import (BlochVector, QubitState, SystemParams,
 from drivenqubit import nonmarkov
 from drivenqubit.amplitude import amplitude_closed_form, amplitude_grid
 from drivenqubit.nonmarkov import (_amp_extrema, _flux_brackets,
-                                   _flux_coefficients, _flux_form)
+                                   _flux_coefficients, _flux_form, _refine)
 
 
 def _dense_extrema(dp, t_max, per_cycle=1024, chunk=1_000_000):
@@ -299,11 +303,29 @@ def test_bracket_signs_agree_with_mpmath():
             assert s_lo == np.sign(_flux_form(coef, np.array([lo[i]]))[0][0])
 
 
-@settings(max_examples=50)
-@given(log_lam=st.floats(-2.0, 0.0), omega=st.floats(0.0, 2.0),
-       delta_qc=st.floats(-10.0, 10.0), delta_cav=st.floats(-5.0, 5.0))
-def test_extrema_match_dense_scan_over_parameter_box(log_lam, omega, delta_qc,
-                                                     delta_cav):
-    dp = derive(SystemParams(lam=10.0 ** log_lam, omega_rabi=omega,
-                             delta_qc=delta_qc, delta_cav=delta_cav))
-    _assert_same_extrema(dp, 150.0)
+def test_inconsistent_brackets_raise(monkeypatch):
+    dp = derive(SystemParams(lam=0.01, omega_rabi=2.0, delta_qc=1.0))
+    coef = _flux_coefficients(dp)
+    lo, hi = _flux_brackets(coef, np.linspace(0.0, 100.0, 1001))
+    # a bracket whose ends straddle no sign change of h
+    with pytest.raises(ValidationError, match="no sign change"):
+        _refine(dp, coef, np.append(lo, hi[0]), np.append(hi, lo[1]))
+    # every other bracket lost: two minima in a row
+    monkeypatch.setattr(nonmarkov, "_flux_brackets",
+                        lambda c, t: (lo[::2], hi[::2]))
+    with pytest.raises(ValidationError, match="do not alternate"):
+        _amp_extrema(dp, 100.0)
+
+
+if given is None:
+    def test_extrema_match_dense_scan_over_parameter_box():
+        pytest.skip("needs hypothesis (the test extra)")
+else:
+    @settings(max_examples=50)
+    @given(log_lam=st.floats(-2.0, 0.0), omega=st.floats(0.0, 2.0),
+           delta_qc=st.floats(-10.0, 10.0), delta_cav=st.floats(-5.0, 5.0))
+    def test_extrema_match_dense_scan_over_parameter_box(log_lam, omega,
+                                                         delta_qc, delta_cav):
+        dp = derive(SystemParams(lam=10.0 ** log_lam, omega_rabi=omega,
+                                 delta_qc=delta_qc, delta_cav=delta_cav))
+        _assert_same_extrema(dp, 150.0)
