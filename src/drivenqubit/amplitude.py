@@ -14,9 +14,9 @@ analytically,
 so no finite differencing appears in any production path.
 
 Single times go through ``cmath``, which is about 20x cheaper per call than a
-one-point numpy call (adaptive quadrature makes ~10^5 such calls per sweep);
-time grids go through numpy.  Both paths switch to the critically damped
-series at the same ``_SERIES_THRESHOLD``.
+one-point numpy call; arrays of times (time grids, each level of the
+geometric-phase quadrature) go through numpy.  Both paths switch to the
+critically damped series at the same ``_SERIES_THRESHOLD``.
 """
 
 from __future__ import annotations

@@ -8,6 +8,12 @@ reduces, for a pure initial superposition, to
 where cos(Theta) parametrizes the instantaneous dominant eigenvector of the
 density matrix.  The integrand lies in [0, 1], so the raw value lies in
 [0, 2 pi] and no phase unwrapping is needed.
+
+The spectral formulas are written once, elementwise in x = |A|^2
+(``_spectrum``).  ``eigensystem`` applies them to one time through the
+scalar amplitude; the integrand applies them to a whole level of the
+adaptive Simpson rule at once through ``amplitude_grid``.  A tolerance below
+the rounding floor of the integral raises ``QuadratureError`` at once.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitude import amplitude_closed_form
+from .amplitude import amplitude_closed_form, amplitude_grid
 from .params import DerivedParams, ValidationError
 from .quadrature import adaptive_simpson
 
@@ -62,47 +68,54 @@ class EigenSystem:
         )
 
 
-def eigensystem(dp: DerivedParams, theta: float, t: float) -> EigenSystem:
-    """Eigendecomposition of the evolved superposition state at time t.
+def _spectrum(x, theta: float):
+    """(gap, cos_theta_big) of the evolved state for x = |A|^2, elementwise.
 
-    With x = |A(t)|^2:
+    With p = x cos^2(theta), d = 2p - 1 and the coherence
+    r = |sin(2 theta)| sqrt(x) / 2:
 
-        eps_+- = (1 +- sqrt(x sin^2(2 theta) + (2 x cos^2(theta) - 1)^2)) / 2,
-        cos(Theta) = 2(x cos^2(theta) - eps_-)
-                     / sqrt(x sin^2(2 theta) + 4 (x cos^2(theta) - eps_-)^2);
+        eps_+- = (1 +- gap) / 2,   gap = sqrt(4 r^2 + d^2),
+        cos(Theta) = q / sqrt(r^2 + q^2),   q = p - eps_- = (d + gap) / 2.
 
-    the 0/0 cases (vanishing coherence) are resolved by continuity of the
-    eigenprojector: the dominant eigenvector becomes |A> or |B> according to
-    which population dominates.
+    For d < 0, q is evaluated as 2 r^2 / (gap - d), free of the cancellation
+    in d + gap, so it vanishes exactly with the coherence.  That 0/0 case
+    (r = q = 0, p <= 1/2: theta = 0 below |A|^2 = 1/2, zeros of A) is
+    resolved by continuity of the eigenprojector: the dominant eigenvector
+    is |B>, cos(Theta) = 0.  For d > 0, q >= d > 0 and no 0/0 arises.
     """
-    a = amplitude_closed_form(dp, t)
-    x = abs(a) ** 2
+    x = np.asarray(x, dtype=float)
     s2 = math.sin(2.0 * theta)
-    p = x * math.cos(theta) ** 2
-    gap = math.sqrt(x * s2 * s2 + (2.0 * p - 1.0) ** 2)
-    eps_minus = 0.5 * (1.0 - gap)
-    q = p - eps_minus
-    r = 0.5 * abs(s2) * math.sqrt(x)
-    den = math.hypot(r, q)
-    if den > 1e-150:
-        cos_big = q / den
-    elif p > 1.0 - p:
-        cos_big = 1.0
-    else:
-        # dominant eigenvector is |B>, including theta = pi/2 and zeros of A
-        cos_big = 0.0
+    d = 2.0 * math.cos(theta) ** 2 * x - 1.0
+    r = 0.5 * abs(s2) * np.sqrt(x)
+    gap = np.sqrt(x * s2 * s2 + d * d)
+    below = d < 0.0
+    q = np.where(below, 2.0 * r * r / np.where(below, gap - d, 1.0), 0.5 * (d + gap))
+    den = np.hypot(r, q)
+    live = den > 1e-150
+    cos_big = np.where(live, q / np.where(live, den, 1.0), 0.0)
+    return gap, cos_big
+
+
+def eigensystem(dp: DerivedParams, theta: float, t: float) -> EigenSystem:
+    """Eigendecomposition of the evolved superposition state at time t
+    (formulas in ``_spectrum``)."""
+    a = amplitude_closed_form(dp, t)
+    gap, cos_big = (float(v) for v in _spectrum(abs(a) ** 2, theta))
     return EigenSystem(
         eps_plus=0.5 * (1.0 + gap),
-        eps_minus=eps_minus,
+        eps_minus=0.5 * (1.0 - gap),
         cos_theta_big=cos_big,
-        offdiag_phase=math.atan2(a.imag, a.real) if s2 >= 0 else math.atan2(-a.imag, -a.real),
+        offdiag_phase=(math.atan2(a.imag, a.real) if math.sin(2.0 * theta) >= 0
+                       else math.atan2(-a.imag, -a.real)),
         degenerate=gap < DEGENERACY_GAP,
     )
 
 
 def _cos2_integrand(dp: DerivedParams, theta: float):
-    def f(t: float) -> float:
-        return eigensystem(dp, theta, t).cos_theta_big ** 2
+    """cos^2(Theta(t)) over an array of times, one kernel call per array."""
+    def f(t):
+        A, _ = amplitude_grid(dp, t)
+        return _spectrum(np.abs(A) ** 2, theta)[1] ** 2
 
     return f
 
@@ -125,4 +138,4 @@ def geometric_phase_detailed(dp: DerivedParams, theta: float,
     period = 2.0 * math.pi / dp.omega_d
     f = _cos2_integrand(dp, theta)
     val, err, nodes = adaptive_simpson(f, 0.0, period, tol=quad_tol / dp.omega_d)
-    return dp.omega_d * val, dp.omega_d * err, np.asarray(nodes)
+    return dp.omega_d * val, dp.omega_d * err, nodes

@@ -21,6 +21,7 @@ from .amplitude import AmplitudePole, amplitude_grid, decay_rate_grid
 from .nonmarkov import blp_measure
 from .params import SystemParams, ValidationError, derive
 from .phase import geometric_phase_detailed
+from .quadrature import QuadratureError
 from .temporal import lgi_c3, witness_series
 
 __all__ = ["SweepAxis", "SweepSpec", "SweepSummary", "run_sweep",
@@ -105,6 +106,10 @@ class SweepSpec:
         if self.quantity == "witness" and self.axis.start != 0.0:
             raise ValidationError("witness sweeps must start at tau = 0 "
                                   "(the envelope needs the full history)")
+        for name in ("t_max", "quad_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValidationError(f"{name} must be finite and > 0, got {value}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -214,7 +219,7 @@ def _scalar_row(spec: SweepSpec, value: float) -> dict:
                 "residual_bound": result.residual_bound,
                 "truncated": int(result.truncated),
             }
-    except (ValidationError, AmplitudePole) as exc:
+    except (ValidationError, AmplitudePole, QuadratureError) as exc:
         label = "undefined-period" if "period" in str(exc) else "invalid"
         return base | empty | {"status": label}
     if not all(math.isfinite(v) for v in cells.values()):

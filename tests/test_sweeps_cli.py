@@ -166,7 +166,10 @@ def test_cli_rejects_bad_quantity(tmp_path):
     assert rc == 1
 
 
-@pytest.mark.parametrize("flag", [("--omega", "nan"), ("--lambda", "inf")])
+@pytest.mark.parametrize("flag", [("--omega", "nan"), ("--lambda", "inf"),
+                                  ("--tmax", "nan"), ("--tmax", "inf"),
+                                  ("--tmax", "-1"), ("--tol", "0"),
+                                  ("--tol", "-1"), ("--tol", "nan")])
 def test_cli_rejects_non_finite_parameter(tmp_path, capsys, flag):
     out = tmp_path / "a.csv"
     rc = main(["sweep", "--quantity", "amplitude", "--axis", "time",
@@ -184,6 +187,22 @@ def test_cli_numerical_failure_exit_code(tmp_path):
     assert rc == 2  # omega = 0 row has no dressed period
     rows = read_csv(out)
     assert rows[0]["status"] == "undefined-period"
+
+
+def test_cli_gp_row_below_rounding_floor_is_invalid(tmp_path):
+    # no tolerance this far below the rounding of the integral can be met;
+    # each row fails on its own and the sweep still writes its file
+    out = tmp_path / "gp.csv"
+    rc = main(["sweep", "--quantity", "gp", "--axis", "omega",
+               "--axis-min", "0.1", "--axis-max", "1", "--points", "3",
+               "--lambda", "0.1", "--theta", "0.5", "--tol", "1e-300",
+               "--out", str(out)])
+    assert rc == 2
+    rows = read_csv(out)
+    assert len(rows) == 3
+    for row in rows:
+        assert row["status"] == "invalid"
+        assert row["phi_g"] == row["quad_err"] == ""
 
 
 @pytest.mark.parametrize("field,value", [("n_measure", math.nan),
