@@ -21,8 +21,9 @@ from .states import (BlochVector, QubitState, apply_channel, coherence_l1,
 from .sweeps import (PRESET_NAMES, SweepAxis, SweepSpec, figure_preset,
                      run_sweep)
 from .temporal import (LgiResult, WitnessResult, coherence_monotone, lgi_c3,
-                       propagator, quantum_witness, two_time_correlation,
-                       witness_probabilities, witness_series)
+                       lgi_series, propagator, quantum_witness,
+                       two_time_correlation, witness_probabilities,
+                       witness_series)
 
 __version__ = "0.1.0"
 
@@ -62,6 +63,7 @@ __all__ = [
     "WitnessResult",
     "two_time_correlation",
     "lgi_c3",
+    "lgi_series",
     "propagator",
     "quantum_witness",
     "witness_probabilities",

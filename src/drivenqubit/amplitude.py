@@ -14,9 +14,14 @@ analytically,
 so no finite differencing appears in any production path.
 
 Single times go through ``cmath``, which is about 20x cheaper per call than a
-one-point numpy call; arrays of times (time grids, each level of the
-geometric-phase quadrature) go through numpy.  Both paths switch to the
-critically damped series at the same ``_SERIES_THRESHOLD``.
+one-point numpy call; arrays of times (time grids, the Leggett-Garg series,
+each level of the geometric-phase quadrature) go through numpy.  Both paths
+switch to the critically damped series at the same ``_SERIES_THRESHOLD``.
+The ``cmath`` path serves the single-time functions: ``two_time_correlation``
+(the independent route the tests hold ``lgi_series`` to), ``propagator`` and
+``quantum_witness`` (with the witness self-check), ``evolve_superposition``
+and ``apply_channel``, ``phase.eigensystem``, ``nonmarkov.info_flux``, the
+tail bound |A(t_max)| of ``blp_measure``, and ``decay_rate``.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -22,7 +23,7 @@ from .nonmarkov import blp_measure
 from .params import SystemParams, ValidationError, derive
 from .phase import geometric_phase_detailed
 from .quadrature import QuadratureError
-from .temporal import lgi_c3, witness_series
+from .temporal import lgi_series, witness_series
 
 __all__ = ["SweepAxis", "SweepSpec", "SweepSummary", "run_sweep",
            "write_rows", "figure_preset", "PRESET_NAMES"]
@@ -69,6 +70,9 @@ class SweepAxis:
     def __post_init__(self):
         if self.name not in {"time", "tau", "lambda_ratio", "omega", "delta", "theta"}:
             raise ValidationError(f"unknown axis {self.name!r}")
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ValidationError(f"axis bounds must be finite, got "
+                                  f"{self.start}, {self.stop}")
         if self.count < 2:
             raise ValidationError("axis count must be >= 2")
         if not self.start < self.stop:
@@ -152,50 +156,41 @@ def _params_at(fixed: SystemParams, axis_name: str, value: float) -> SystemParam
 def _time_series_rows(spec: SweepSpec) -> list[dict]:
     dp = derive(spec.fixed)
     ts = spec.axis.values()
-    rows = []
-    base = asdict(spec.fixed)
+    theta = spec.fixed.theta
+    if spec.quantity in ("amplitude", "coherence", "trace_distance"):
+        A, _ = amplitude_grid(dp, ts)
+        # |A| by libm hypot, as abs() of a single complex; np.abs rounds otherwise
+        abs_a = np.hypot(A.real, A.imag)
     if spec.quantity == "amplitude":
-        A, _ = amplitude_grid(dp, ts)
-        for t, a in zip(ts, A):
-            rows.append(base | {spec.axis.name: t, "re_a": a.real, "im_a": a.imag,
-                                "abs_a": abs(a), "status": "ok"})
+        cols = {"re_a": A.real, "im_a": A.imag, "abs_a": abs_a}
     elif spec.quantity == "decay_rate":
-        g = decay_rate_grid(dp, ts)
-        for t, v in zip(ts, g):
-            if math.isnan(v):
-                rows.append(base | {spec.axis.name: t, "decay_rate": None,
-                                    "status": "pole"})
-            else:
-                rows.append(base | {spec.axis.name: t, "decay_rate": v,
-                                    "status": "ok"})
+        cols = {"decay_rate": decay_rate_grid(dp, ts)}
     elif spec.quantity == "coherence":
-        A, _ = amplitude_grid(dp, ts)
-        scale = abs(math.sin(2.0 * spec.fixed.theta))
-        for t, a in zip(ts, A):
-            rows.append(base | {spec.axis.name: t, "c_l1": scale * abs(a),
-                                "status": "ok"})
+        cols = {"c_l1": abs(math.sin(2.0 * theta)) * abs_a}
     elif spec.quantity == "trace_distance":
         # evolved distance of the equatorial antipodal pair: |A(t)|
-        A, _ = amplitude_grid(dp, ts)
-        for t, a in zip(ts, A):
-            rows.append(base | {spec.axis.name: t, "d_trace": abs(a),
-                                "status": "ok"})
-    elif spec.quantity in ("lgi3", "lgi4"):
-        for t in ts:
-            r = lgi_c3(dp, spec.fixed.theta, float(t))
-            if spec.quantity == "lgi3":
-                rows.append(base | {spec.axis.name: t, "c3": r.c3,
-                                    "violated3": int(r.violated3), "status": "ok"})
-            else:
-                rows.append(base | {spec.axis.name: t, "c4": r.c4,
-                                    "violated4": int(r.violated4), "status": "ok"})
+        cols = {"d_trace": abs_a}
+    elif spec.quantity == "lgi3":
+        c3, _ = lgi_series(dp, theta, ts)
+        cols = {"c3": c3, "violated3": (c3 > 1.0).astype(int)}
+    elif spec.quantity == "lgi4":
+        _, c4 = lgi_series(dp, theta, ts)
+        cols = {"c4": c4, "violated4": (c4 > 2.0).astype(int)}
     elif spec.quantity == "witness":
-        w, env = witness_series(dp, spec.fixed.theta, ts)
-        for t, wv, ev in zip(ts, w, env):
-            rows.append(base | {spec.axis.name: t, "w_q": wv, "envelope": ev,
-                                "status": "ok"})
+        w, env = witness_series(dp, theta, ts)
+        cols = {"w_q": w, "envelope": env}
     else:  # pragma: no cover
         raise ValidationError(f"not a time-series quantity: {spec.quantity}")
+    finite = np.logical_and.reduce([np.isfinite(c) for c in cols.values()])
+    base = asdict(spec.fixed) | {"status": "ok"}
+    keys = (spec.axis.name, *cols)
+    rows = [base | dict(zip(keys, vals))
+            for vals in zip(ts.tolist(), *(c.tolist() for c in cols.values()))]
+    empty = dict.fromkeys(cols)
+    for i in np.flatnonzero(~finite).tolist():
+        # decay_rate_grid marks the zeros of A with NaN
+        pole = spec.quantity == "decay_rate" and math.isnan(rows[i]["decay_rate"])
+        rows[i] |= empty | {"status": "pole" if pole else "invalid"}
     return rows
 
 
@@ -262,15 +257,36 @@ def _fmt(v) -> str:
     return format(float(v), ".17g")
 
 
+# %-format of each column in a row with no empty cell; floats by default
+_CELL_FORMATS = {"violated3": "%d", "violated4": "%d", "truncated": "%d",
+                 "status": "%s"}
+
+
 def write_rows(path, rows: list[dict], columns: list[str]) -> None:
+    """Write rows as CSV after the schema line.
+
+    A row whose cells are all filled goes out through one %-format line, the
+    bytes ``csv.writer`` would write for it; rows with an empty (None or
+    missing) cell take the per-cell path.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    line = ",".join(_CELL_FORMATS.get(c, "%.17g") for c in columns) + "\r\n"
+    get = operator.itemgetter(*columns)
+    cells_of = get if len(columns) > 1 else lambda row: (get(row),)
     with open(path, "w", newline="") as fh:
         fh.write(SCHEMA_TAG + "\n")
         writer = csv.writer(fh)
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([_fmt(row.get(c)) for c in columns])
+            try:
+                cells = cells_of(row)
+            except KeyError:
+                cells = (None,)
+            if None in cells:
+                writer.writerow([_fmt(row.get(c)) for c in columns])
+            else:
+                fh.write(line % cells)
 
 
 def sweep_columns(spec: SweepSpec, extra: tuple[str, ...] = ()) -> list[str]:
@@ -385,7 +401,8 @@ def figure_preset(name: str, outdir, workers: int = 1) -> dict:
             rows, summary = run_sweep(spec, workers=workers)
             curve_value = getattr(spec.fixed, curve_key)
             for r in rows:
-                rows_all.append({"curve": curve_value} | r)
+                r["curve"] = curve_value
+            rows_all += rows
             n_failed += summary.n_failed
             manifest_entries.append({
                 "panel": panel,

@@ -23,6 +23,7 @@ __all__ = [
     "WitnessResult",
     "two_time_correlation",
     "lgi_c3",
+    "lgi_series",
     "propagator",
     "quantum_witness",
     "witness_probabilities",
@@ -72,21 +73,39 @@ def two_time_correlation(dp: DerivedParams, theta: float, t_i: float,
     return val.real
 
 
-def lgi_c3(dp: DerivedParams, theta: float, tau: float) -> LgiResult:
-    """Three- and four-time Leggett-Garg combinations at step tau.
+def lgi_series(dp: DerivedParams, theta: float, taus) -> tuple[np.ndarray, np.ndarray]:
+    """Three- and four-time Leggett-Garg combinations over an array of steps.
 
     c3 = C(0,t) + C(t,2t) - C(0,2t) and c4 = C(0,t) + C(t,2t) + C(2t,3t)
-    - C(0,3t) share their correlators, so one LgiResult carries both.
+    - C(0,3t) share their correlators, which need A only at tau, 2 tau,
+    3 tau and 3 tau - 2 tau (A(0) = 1): one kernel call for the whole
+    array.  Each correlator is the formula of ``two_time_correlation``,
+    elementwise.  Returns (c3, c4), shaped like ``taus``.
     """
-    if tau < 0:
-        raise ValidationError(f"tau must be >= 0, got {tau}")
-    c01 = two_time_correlation(dp, theta, 0.0, tau)
-    c12 = two_time_correlation(dp, theta, tau, 2 * tau)
-    c02 = two_time_correlation(dp, theta, 0.0, 2 * tau)
-    c23 = two_time_correlation(dp, theta, 2 * tau, 3 * tau)
-    c03 = two_time_correlation(dp, theta, 0.0, 3 * tau)
-    c3 = c01 + c12 - c02
-    c4 = c01 + c12 + c23 - c03
+    taus = np.asarray(taus, dtype=float)
+    if np.any(taus < 0):
+        raise ValidationError("tau must be >= 0")
+    cos2, sin2 = math.cos(theta) ** 2, math.sin(theta) ** 2
+    # 3 tau - 2 tau rounds away from tau; C(2t, 3t) is taken at that step
+    t3 = 3 * taus
+    times = np.stack([taus, 2 * taus, t3, t3 - 2 * taus])
+    (A1, A2, A3, A23), _ = amplitude_grid(dp, times)
+    P1, P2, P3, P23 = np.exp(-1j * dp.omega_d * times)
+
+    def corr(a_j, a_i, a_s, phase):
+        return ((cos2 * a_j * np.conj(a_i) + sin2 * a_s) * phase).real
+
+    c01 = corr(A1, 1.0, A1, P1)
+    c12 = corr(A2, A1, A1, P1)
+    c02 = corr(A2, 1.0, A2, P2)
+    c23 = corr(A3, A2, A23, P23)
+    c03 = corr(A3, 1.0, A3, P3)
+    return c01 + c12 - c02, c01 + c12 + c23 - c03
+
+
+def lgi_c3(dp: DerivedParams, theta: float, tau: float) -> LgiResult:
+    """Both Leggett-Garg combinations at one step tau (see ``lgi_series``)."""
+    c3, c4 = (float(c[0]) for c in lgi_series(dp, theta, [tau]))
     return LgiResult(tau=tau, c3=c3, c4=c4, violated3=c3 > 1.0, violated4=c4 > 2.0)
 
 

@@ -4,12 +4,13 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from drivenqubit import SweepAxis, SweepSpec, SystemParams, ValidationError
 from drivenqubit.cli import main
-from drivenqubit.sweeps import (figure_preset, run_sweep, sweep_columns,
-                                write_rows)
+from drivenqubit.sweeps import (PARAM_COLUMNS, figure_preset, run_sweep,
+                                sweep_columns, write_rows)
 
 
 def read_csv(path):
@@ -85,6 +86,72 @@ def test_csv_format_17_digits(tmp_path):
     text = out.read_text().splitlines()
     assert text[0] == "# drivenqubit-csv 1"
     assert "0.33333333333333331" in text[2]
+
+
+def _reference_cell(v):
+    if v is None:
+        return ""
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, str):
+        return v
+    return format(float(v), ".17g")
+
+
+def _reference_write_rows(path, rows, columns):
+    """Per-cell writer: every cell formatted alone, every row via csv.writer."""
+    with open(path, "w", newline="") as fh:
+        fh.write("# drivenqubit-csv 1\n")
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([_reference_cell(row.get(c)) for c in columns])
+
+
+def test_write_rows_matches_per_cell_writer(tmp_path):
+    rng = np.random.default_rng(5)
+    floats = [0.0, -0.0, 1.0, 1e-300, 5e-324, 1.7976931348623157e308, 0.1,
+              1.0 / 3.0, -2.0 / 3.0, math.pi, 123456789.12345678, 6.02214076e23,
+              2.0 ** 53 + 2]
+    flags = [True, False, 0, 1, np.int64(0), np.int64(1), np.True_, np.False_]
+    statuses = ["ok", "pole", "undefined-period", "invalid"]
+    columns = ["curve", *PARAM_COLUMNS, "tau", "c3", "violated3", "n_measure",
+               "truncated", "violated4", "status"]
+    rows = []
+    for k in range(400):
+        row = {}
+        for c in columns:
+            if c == "status":
+                row[c] = statuses[k % 4]
+            elif c in ("violated3", "violated4", "truncated"):
+                row[c] = flags[rng.integers(len(flags))]
+            else:
+                v = floats[rng.integers(len(floats))] * float(rng.choice([1, -1]))
+                row[c] = np.float64(v) if rng.random() < 0.5 else v
+        if k % 7 == 0:
+            row["c3"] = row["violated3"] = None  # a failed row
+        if k % 29 == 0:
+            del row["n_measure"]  # a row without the column
+        rows.append(row)
+    for cols in (columns, ["tau"], ["status"]):
+        got, ref = tmp_path / "got.csv", tmp_path / "ref.csv"
+        write_rows(got, rows, cols)
+        _reference_write_rows(ref, rows, cols)
+        assert got.read_bytes() == ref.read_bytes()
+
+
+def test_write_rows_matches_per_cell_writer_on_sweeps(tmp_path):
+    specs = [SweepSpec("decay_rate", SystemParams(lam=0.01, omega_rabi=0.5),
+                       SweepAxis("time", 0.0, 30.0, 301)),
+             SweepSpec("lgi4", SystemParams(lam=0.01, omega_rabi=2.0),
+                       SweepAxis("tau", 0.0, 4.0, 101)),
+             SweepSpec("gp", SystemParams(lam=0.1), SweepAxis("omega", 0.0, 1.0, 3))]
+    for spec in specs:
+        rows, _ = run_sweep(spec)
+        got, ref = tmp_path / "got.csv", tmp_path / "ref.csv"
+        write_rows(got, rows, sweep_columns(spec))
+        _reference_write_rows(ref, rows, sweep_columns(spec))
+        assert got.read_bytes() == ref.read_bytes()
 
 
 def test_sweep_rows_deterministic():
@@ -169,7 +236,8 @@ def test_cli_rejects_bad_quantity(tmp_path):
 @pytest.mark.parametrize("flag", [("--omega", "nan"), ("--lambda", "inf"),
                                   ("--tmax", "nan"), ("--tmax", "inf"),
                                   ("--tmax", "-1"), ("--tol", "0"),
-                                  ("--tol", "-1"), ("--tol", "nan")])
+                                  ("--tol", "-1"), ("--tol", "nan"),
+                                  ("--axis-max", "inf"), ("--axis-min", "nan")])
 def test_cli_rejects_non_finite_parameter(tmp_path, capsys, flag):
     out = tmp_path / "a.csv"
     rc = main(["sweep", "--quantity", "amplitude", "--axis", "time",
@@ -187,6 +255,19 @@ def test_cli_numerical_failure_exit_code(tmp_path):
     assert rc == 2  # omega = 0 row has no dressed period
     rows = read_csv(out)
     assert rows[0]["status"] == "undefined-period"
+
+
+def test_cli_non_finite_lgi_row_is_invalid(tmp_path):
+    # at tau = 1e308 the step 2 tau overflows and c3 comes out NaN
+    out = tmp_path / "c3.csv"
+    rc = main(["sweep", "--quantity", "lgi3", "--axis", "tau",
+               "--axis-min", "0", "--axis-max", "1e308", "--points", "3",
+               "--lambda", "0.1", "--omega", "0.5", "--out", str(out)])
+    assert rc == 2
+    rows = read_csv(out)
+    assert [r["status"] for r in rows] == ["ok", "ok", "invalid"]
+    assert rows[-1]["c3"] == rows[-1]["violated3"] == ""
+    assert float(rows[-1]["tau"]) == 1e308
 
 
 def test_cli_gp_row_below_rounding_floor_is_invalid(tmp_path):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from drivenqubit import (SystemParams, ValidationError, coherence_monotone,
-                         derive, lgi_c3, propagator, quantum_witness,
-                         two_time_correlation, witness_probabilities,
-                         witness_series)
+                         derive, lgi_c3, lgi_series, propagator,
+                         quantum_witness, two_time_correlation,
+                         witness_probabilities, witness_series)
 from drivenqubit.amplitude import amplitude_closed_form, amplitude_grid
 
 
@@ -64,8 +64,7 @@ def test_lgi_bounded_correlators_on_standard_grid():
 def test_lgi_violation_with_strong_drive():
     dp = derive(SystemParams(lam=0.01, omega_rabi=2.0))
     taus = np.linspace(1e-3, 4, 1600)
-    c3 = np.array([lgi_c3(dp, 0.0, float(t)).c3 for t in taus])
-    c4 = np.array([lgi_c3(dp, 0.0, float(t)).c4 for t in taus])
+    c3, c4 = lgi_series(dp, 0.0, taus)
     assert c3.max() > 1.0
     assert c4.max() > 2.0
 
@@ -73,7 +72,7 @@ def test_lgi_violation_with_strong_drive():
 def test_lgi_negligible_without_drive():
     dp = derive(SystemParams(lam=0.01, omega_rabi=0.0))
     taus = np.linspace(1e-3, 4, 1600)
-    c3 = np.array([lgi_c3(dp, 0.0, float(t)).c3 for t in taus])
+    c3, _ = lgi_series(dp, 0.0, taus)
     assert c3.max() <= 1.02
 
 
@@ -83,8 +82,63 @@ def test_lgi_four_time_respects_algebraic_quantum_bound():
     taus = np.linspace(1e-3, 4, 800)
     for om, dq in ((0.1, 0.0), (0.1, 10.0), (2.0, 0.0), (0.0, 3.0)):
         dp = derive(SystemParams(lam=0.01, omega_rabi=om, delta_qc=dq))
-        c4 = max(lgi_c3(dp, 0.0, float(t)).c4 for t in taus)
-        assert c4 <= 2 * math.sqrt(2) + 1e-9
+        _, c4 = lgi_series(dp, 0.0, taus)
+        assert c4.max() <= 2 * math.sqrt(2) + 1e-9
+
+
+def _lgi_by_composition(dp, theta, tau):
+    """(c3, c4) composed from the scalar two-time correlator."""
+    def corr(t_i, t_j):
+        return two_time_correlation(dp, theta, t_i, t_j)
+
+    c01, c12, c02 = corr(0.0, tau), corr(tau, 2 * tau), corr(0.0, 2 * tau)
+    c23, c03 = corr(2 * tau, 3 * tau), corr(0.0, 3 * tau)
+    return c01 + c12 - c02, c01 + c12 + c23 - c03
+
+
+def _assert_lgi_series_matches_composition(dp, theta, taus):
+    c3, c4 = lgi_series(dp, theta, taus)
+    ref = np.array([_lgi_by_composition(dp, theta, float(t)) for t in taus])
+    assert np.max(np.abs(c3 - ref[:, 0])) <= 1e-13
+    assert np.max(np.abs(c4 - ref[:, 1])) <= 1e-13
+
+
+@pytest.mark.parametrize("omega,delta", [(0.0, 0.0), (0.5, 0.0), (1.0, 0.0),
+                                         (2.0, 0.0), (0.1, 0.1), (0.1, 1.0),
+                                         (0.1, 10.0)])
+def test_lgi_series_matches_composition_on_figure_families(omega, delta):
+    dp = derive(SystemParams(lam=0.01, omega_rabi=omega, delta_qc=delta))
+    _assert_lgi_series_matches_composition(dp, 0.0, np.linspace(0.0, 4.0, 401))
+
+
+def test_lgi_series_matches_composition_on_random_parameters():
+    rng = np.random.default_rng(61)
+    for _ in range(30):
+        dp = derive(SystemParams(lam=float(10 ** rng.uniform(-2, 0)),
+                                 omega_rabi=float(rng.uniform(0, 2)),
+                                 delta_qc=float(rng.uniform(-10, 10)),
+                                 delta_cav=float(rng.uniform(-5, 5))))
+        theta = float(rng.uniform(0, math.pi / 2))
+        taus = np.concatenate([[0.0], rng.uniform(0, 4, 30), rng.uniform(0, 50, 30)])
+        _assert_lgi_series_matches_composition(dp, theta, taus)
+
+
+def test_lgi_series_at_zero_step_is_exact():
+    dp = derive(SystemParams(lam=0.3, omega_rabi=1.2, delta_qc=-4.0))
+    for theta in (0.0, 0.3, math.pi / 4, 1.1, math.pi / 2):
+        c3, c4 = lgi_series(dp, theta, [0.0, 1.0])
+        assert c3[0] == math.cos(theta) ** 2 + math.sin(theta) ** 2
+        assert c4[0] == _lgi_by_composition(dp, theta, 0.0)[1]
+        r = lgi_c3(dp, theta, 0.0)
+        assert (r.c3, r.c4) == (c3[0], c4[0])
+
+
+def test_lgi_rejects_negative_step():
+    dp = derive(SystemParams(lam=0.1))
+    with pytest.raises(ValidationError):
+        lgi_series(dp, 0.0, [0.0, -1e-3])
+    with pytest.raises(ValidationError):
+        lgi_c3(dp, 0.0, -1.0)
 
 
 def test_propagator_properties():
