@@ -15,13 +15,18 @@ so no finite differencing appears in any production path.
 
 Single times go through ``cmath``, which is about 20x cheaper per call than a
 one-point numpy call; arrays of times (time grids, the Leggett-Garg series,
-each level of the geometric-phase quadrature) go through numpy.  Both paths
-switch to the critically damped series at the same ``_SERIES_THRESHOLD``.
-The ``cmath`` path serves the single-time functions: ``two_time_correlation``
-(the independent route the tests hold ``lgi_series`` to), ``propagator`` and
-``quantum_witness`` (with the witness self-check), ``evolve_superposition``
-and ``apply_channel``, ``phase.eigensystem``, ``nonmarkov.info_flux``, the
-tail bound |A(t_max)| of ``blp_measure``, and ``decay_rate``.
+each level of the geometric-phase quadrature, the BLP extrema) go through
+numpy.  Both paths switch to the critically damped series at the same
+``_SERIES_THRESHOLD``.  The ``cmath`` path serves the single-time functions:
+``two_time_correlation`` (the independent route the tests hold
+``lgi_series`` to), ``propagator`` and ``quantum_witness`` (with the witness
+self-check), ``evolve_superposition`` and ``apply_channel``,
+``phase.eigensystem``, ``nonmarkov.info_flux``, |A(t_max)| in
+``blp_measure``, and ``decay_rate``.
+
+scipy is imported only inside ``amplitude_oracle_ode``, the independent
+reference that ``drivenqubit check`` and the tests run, so the rest of the
+package loads without it.
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ import cmath
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .params import DerivedParams, SystemParams, ValidationError, derive
 
@@ -159,6 +163,8 @@ def amplitude_oracle_ode(params: SystemParams, t_max: float, tol: float = 1e-10,
     where B is the running convolution of the kernel with A.  This routine
     is the test oracle for the closed form and must stay independent of it.
     """
+    from scipy.integrate import solve_ivp
+
     if tol <= 0:
         raise ValidationError(f"tol must be > 0, got {tol}")
     dp = derive(params)
@@ -178,23 +184,46 @@ def amplitude_oracle_ode(params: SystemParams, t_max: float, tol: float = 1e-10,
     return AmplitudeTrajectory(sol.t, sol.y[0], params)
 
 
+def mode_rates(dp: DerivedParams) -> tuple[complex, complex]:
+    """Rates (s+, s-) of the modes of A = c+ exp(s+ t) + c- exp(s- t).
+
+    s+- = -M/2 +- F/4, F the principal root, so Re s+ >= Re s-: s+ is the
+    slow mode.  With q = gamma*lam*(1+cos eta)^2 and D = F + 2M (Re D >= 2
+    lam, so D never cancels), s+ = -q/(2D) is the cancellation-free form of
+    -M/2 + F/4, which loses every digit when the coupling q is tiny.
+    """
+    q = -2.0 * dp.coupling_prefactor
+    D = dp.f_const + 2.0 * dp.m_const
+    return -q / (2.0 * D), -0.25 * D
+
+
+def _is_pole(dp: DerivedParams, t, abs_a):
+    """Zeros of A: |A| <= POLE_EPS times the slow mode's envelope exp(Re s+ t).
+
+    Relative to the envelope, so late-time decay is not mistaken for a zero;
+    |A| = 0 is a pole even where the envelope underflows.
+    """
+    return np.logical_not(abs_a > POLE_EPS * np.exp(mode_rates(dp)[0].real * t))
+
+
 def decay_rate(dp: DerivedParams, t: float) -> float:
     """Effective instantaneous decay rate -2 Re(dA/dt / A) at time t.
 
-    Diverges at zeros of A; those are reported as AmplitudePole rather than
-    returned as huge numbers.
+    Diverges at zeros of A (``_is_pole``); those are reported as
+    AmplitudePole rather than returned as huge numbers.  The complex
+    division does not underflow where |A|^2 would.
     """
     a = amplitude_closed_form(dp, t)
-    if abs(a) < POLE_EPS:
+    if _is_pole(dp, t, abs(a)):
         raise AmplitudePole(f"A(t) vanishes at t={t}; decay rate diverges")
     return -2.0 * (amplitude_derivative(dp, t) / a).real
 
 
 def decay_rate_grid(dp: DerivedParams, times) -> np.ndarray:
-    """Vectorized decay rate; NaN marks pole points (|A| < POLE_EPS)."""
+    """Vectorized decay rate; NaN marks pole points (``_is_pole``)."""
+    times = np.asarray(times, dtype=float)
     A, dA = amplitude_grid(dp, times)
-    absA2 = np.abs(A) ** 2
-    out = np.full(np.shape(times), np.nan, dtype=float)
-    ok = np.abs(A) >= POLE_EPS
-    out[ok] = -2.0 * (dA[ok] * np.conj(A[ok])).real / absA2[ok]
+    out = np.full(times.shape, np.nan, dtype=float)
+    ok = ~_is_pole(dp, times, np.abs(A))
+    out[ok] = -2.0 * (dA[ok] / A[ok]).real
     return out

@@ -1,18 +1,24 @@
 """Trace-distance information flux and the BLP memory measure.
 
-For any antipodal pure pair with polar angle alpha the evolved trace
-distance is D(t) = sqrt(cos^2(alpha) |A|^4 + sin^2(alpha) |A|^2), strictly
-increasing in |A|; hence the sign of the flux is pair-independent and the
-backflow intervals are exactly the intervals where |A| grows.  Only the
-magnitude of the accumulated backflow depends on alpha, which reduces the
-pair maximization to a one-dimensional search.
+For an antipodal pure pair at polar angle alpha, with u = cos^2(alpha), the
+evolved trace distance is D = f(|A|, u), f(x, u) = x sqrt(1 - u(1 - x^2)),
+strictly increasing in |A|; hence the sign of the flux is pair-independent
+and the backflow intervals are exactly the intervals where |A| grows.  Only
+the magnitude of the accumulated backflow depends on the pair, and only
+through u (the azimuth never enters), so the pair maximization is a search
+over u in [0, 1].  Each f is concave in u, so a branch and bound with
+closed-form bounds certifies the maximum to rounding, with no grid and no
+local optimizer (the measure: Breuer, Laine, Piilo, PRL 103, 210401 (2009);
+optimal pairs are antipodal and pure: Wissmann et al., PRA 86, 062108
+(2012)).
 
 The extrema of |A| are the sign changes of d|A|^2/dt.  In the two-mode form
 of A that slope is a positive envelope times a e^{kt} + b e^{-kt} +
 Re(C e^{iwt}), whose derivatives have closed-form bounds.  A bracket finder
 uses them to certify every gap of its grid (no root, at most one root, or
 split it), so no sign change can hide between grid points whatever their
-spacing; each bracket is then refined on the amplitude kernel to 1e-10.
+spacing; each bracket is then refined to 1e-10 and confirmed on the
+amplitude kernel, in one kernel call that also gives |A| at the extrema.
 A bracket the kernel does not confirm, or extrema that do not alternate,
 raise ValidationError rather than pass a wrong interval list on.
 """
@@ -23,9 +29,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
-from .amplitude import amplitude_closed_form, amplitude_derivative, amplitude_grid
+from .amplitude import (amplitude_closed_form, amplitude_derivative, amplitude_grid,
+                        mode_rates)
 from .params import DerivedParams, SystemParams, ValidationError, derive
 from .states import BlochVector
 
@@ -75,21 +81,20 @@ def antipodal_pair(alpha: float, azimuth: float = 0.0):
     return v, v.antipode()
 
 
-def _pair_coefficients(pair) -> tuple[float, float]:
+def _pair_u(pair) -> float:
+    """u = cos^2(alpha) of an antipodal pure pair, alpha its polar angle."""
     v1, v2 = pair
     if abs(v1.x + v2.x) > _PAIR_ATOL or abs(v1.y + v2.y) > _PAIR_ATOL \
             or abs(v1.z + v2.z) > _PAIR_ATOL:
         raise ValidationError("pair must be antipodal")
     if abs(v1.norm() - 1.0) > _PAIR_ATOL:
         raise ValidationError("pair must be pure (unit Bloch vectors)")
-    a = v1.z
-    b = math.hypot(v1.x, v1.y)
-    return a, b
+    return min(v1.z * v1.z, 1.0)
 
 
-def _distance(x, a: float, b: float):
-    """Trace distance as a function of x = |A| for pair coefficients (a, b)."""
-    return np.sqrt(a * a * x**4 + b * b * x * x)
+def _distance(x, u):
+    """Trace distance f(x, u) = x sqrt(1 - u(1 - x^2)) at x = |A|, u = cos^2(alpha)."""
+    return x * np.sqrt((1.0 - u) + u * (x * x))
 
 
 def info_flux(dp: DerivedParams, pair, t: float) -> float:
@@ -100,14 +105,14 @@ def info_flux(dp: DerivedParams, pair, t: float) -> float:
     """
     if t < 0:
         raise ValidationError(f"t must be >= 0, got {t}")
-    a, b = _pair_coefficients(pair)
+    u = _pair_u(pair)
     amp = amplitude_closed_form(dp, t)
     x = abs(amp)
-    d = _distance(x, a, b)
+    d = _distance(x, u)
     if d < 1e-150:
         return math.nan
     h = (amplitude_derivative(dp, t) * amp.conjugate()).real  # = x * dx/dt
-    return float((2.0 * a * a * x * x + b * b) * h / d)
+    return float(((1.0 - u) + 2.0 * u * x * x) * h / d)
 
 
 def _flux_coefficients(dp: DerivedParams):
@@ -121,14 +126,15 @@ def _flux_coefficients(dp: DerivedParams):
     a = |c+|^2 Re s+, b = |c-|^2 Re s-, C = c+ conj(c-) (s+ + conj s-),
     k = Re F/2, w = Im F/2.  With q = gamma*lam*(1+cos eta)^2 and
     D = F + 2M (Re D >= 2 lam, so D never cancels), c- = -q/(F D) and
-    s+ = -q/(2D) are the cancellation-free forms of (1 - 2M/F)/2 and
-    -M/2 + F/4, which lose every digit when the coupling q is tiny.
+    s+ = -q/(2D) (``mode_rates``) are the cancellation-free forms of
+    (1 - 2M/F)/2 and -M/2 + F/4, which lose every digit when the coupling q
+    is tiny.
     """
     M, F = dp.m_const, dp.f_const
     q = -2.0 * dp.coupling_prefactor
     D = F + 2.0 * M
     c_plus, c_minus = D / (2.0 * F), -q / (F * D)
-    s_plus, s_minus = -q / (2.0 * D), -0.25 * D
+    s_plus, s_minus = mode_rates(dp)
     a = abs(c_plus) ** 2 * s_plus.real
     b = abs(c_minus) ** 2 * s_minus.real
     C = c_plus * c_minus.conjugate() * (s_plus + s_minus.conjugate())
@@ -226,18 +232,21 @@ def _bisect(dp: DerivedParams, lo, hi, h_lo):
 
 
 def _refine(dp: DerivedParams, coef, lo: np.ndarray, hi: np.ndarray):
-    """Times of the sign changes of h in the brackets, and their kinds.
+    """Times of the sign changes of h in the brackets, their kinds and |A| there.
 
-    Every bracket must show a sign change of h at its ends; one that does
-    not means G and the amplitude kernel disagree, and raises.  Newton steps
-    on G, held inside each bracket, estimate the root; where h changes sign
-    across the estimate +-0.45 _ROOT_TOL, that narrow bracket is the result,
-    and every other bracket is bisected on h.
+    G at each bracket's right end gives the direction of its sign change.
+    Newton steps on G, held inside the bracket, estimate the root.  One
+    kernel call then gives h at both ends of every bracket and at the
+    estimate +-0.45 _ROOT_TOL, and |A| at the estimate.  A bracket whose
+    ends show no sign change of h, or one against G's direction, means G and
+    the kernel disagree, and raises.  Where h changes sign across the
+    estimate, that narrow bracket is the result; every other bracket is
+    bisected on h.
     """
-    h_lo = _h_grid(dp, lo)
-    if np.any((h_lo > 0) == (_h_grid(dp, hi) > 0)):
-        raise ValidationError("extremum bracket shows no sign change of d|A|/dt")
-    rising = h_lo <= 0  # h rising through 0: minimum of |A|
+    n = lo.size
+    if n == 0:
+        return np.empty(0), np.empty(0, dtype=int), np.empty(0)
+    rising = _flux_form(coef, hi)[0] > 0  # h rising through 0: minimum of |A|
     left, right, x = lo, hi, 0.5 * (lo + hi)
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(_NEWTON_STEPS):
@@ -248,24 +257,34 @@ def _refine(dp: DerivedParams, coef, lo: np.ndarray, hi: np.ndarray):
             x = np.where((x >= left) & (x <= right), x, 0.5 * (left + right))
     left = np.maximum(x - 0.45 * _ROOT_TOL, lo)
     right = np.minimum(x + 0.45 * _ROOT_TOL, hi)
-    pos = _h_grid(dp, np.concatenate([left, right])) > 0
-    ok = (pos[:x.size] != rising) & (pos[x.size:] == rising)
     times = 0.5 * (left + right)
-    times[~ok] = _bisect(dp, lo[~ok], hi[~ok], h_lo[~ok])
-    return times, np.where(rising, 1, -1)
+    A, dA = amplitude_grid(dp, np.concatenate([lo, hi, left, right, times]))
+    h = (dA[:4 * n] * np.conj(A[:4 * n])).real.reshape(4, n)
+    pos = h > 0
+    if np.any(pos[0] == pos[1]):
+        raise ValidationError("extremum bracket shows no sign change of d|A|/dt")
+    if np.any(pos[1] != rising):
+        raise ValidationError("extremum bracket: the kernel and the two-mode form "
+                              "disagree on the direction of d|A|/dt")
+    amp = np.abs(A[4 * n:])
+    bad = (pos[2] == rising) | (pos[3] != rising)
+    if np.any(bad):
+        times[bad] = _bisect(dp, lo[bad], hi[bad], h[0, bad])
+        amp[bad] = np.abs(amplitude_grid(dp, times[bad])[0])
+    return times, np.where(rising, 1, -1), amp
 
 
 def _amp_extrema(dp: DerivedParams, t_max: float):
-    """Refined times of the extrema of |A| on (0, t_max).
+    """Refined times of the extrema of |A| on (0, t_max), their kinds and |A|.
 
     Brackets the sign changes of d|A|^2/dt with the certified finder on its
     two-mode form, starting from gaps of an eighth of the beat period
     pi/(4|w|), and refines each bracket on the amplitude kernel; returns
-    (times, kinds) with kind +1 for a minimum of |A| and -1 for a maximum.
-    |A| falls from t = 0, so the kinds must alternate starting with a
-    minimum; any other sequence raises.
+    (times, kinds, |A| there) with kind +1 for a minimum of |A| and -1 for a
+    maximum.  |A| falls from t = 0, so the kinds must alternate starting
+    with a minimum; any other sequence raises.
     """
-    none = np.empty(0), np.empty(0, dtype=int)
+    none = np.empty(0), np.empty(0, dtype=int), np.empty(0)
     if dp.f_const.imag == 0.0:
         # critical or overdamped: M is real, A real, positive and decreasing
         return none
@@ -274,57 +293,130 @@ def _amp_extrema(dp: DerivedParams, t_max: float):
     if a == 0.0 and b == 0.0 and C == 0.0:
         return none  # decoupled qubit: |A| = 1 throughout
     n = max(1, math.ceil(4.0 * abs(w) * t_max / math.pi))
-    times, kinds = [], []
+    parts = []
     for start in range(0, n, _CHUNK):
         nodes = t_max * (np.arange(start, min(n, start + _CHUNK) + 1) / n)
-        tt, kk = _refine(dp, coef, *_flux_brackets(coef, nodes))
-        times.append(tt)
-        kinds.append(kk)
-    kinds = np.concatenate(kinds)
+        parts.append(_refine(dp, coef, *_flux_brackets(coef, nodes)))
+    times, kinds, amps = (np.concatenate(p) for p in zip(*parts))
     if kinds.size and (kinds[0] != 1 or np.any(kinds[1:] == kinds[:-1])):
         raise ValidationError("extrema of |A| do not alternate")
-    return np.concatenate(times), kinds
+    return times, kinds, amps
 
 
 def _interval_data(dp: DerivedParams, t_max: float):
-    """Pair-independent interval skeleton: (t_start, t_end) and |A| there.
+    """Pair-independent interval skeleton: starts, ends and |A| at both.
 
     An interval still open at the horizon is truncated at t_max; the missed
     tail is covered by the truncation bound of the measure.
     """
     if t_max <= 0:
         raise ValidationError(f"t_max must be > 0, got {t_max}")
-    times, _ = _amp_extrema(dp, t_max)  # minimum, maximum, minimum, ...
-    starts = times[0::2]
-    ends = np.append(times[1::2], t_max)[:starts.size]
-    x = np.abs(amplitude_grid(dp, np.concatenate([starts, ends]))[0])
-    return (tuple(zip(starts.tolist(), ends.tolist())),
-            tuple(zip(x[:starts.size].tolist(), x[starts.size:].tolist())))
+    times, _, x = _amp_extrema(dp, t_max)  # minimum, maximum, minimum, ...
+    starts, ends, xs, xe = times[0::2], times[1::2], x[0::2], x[1::2]
+    if ends.size < starts.size:
+        ends = np.append(ends, t_max)
+        xe = np.append(xe, abs(amplitude_closed_form(dp, t_max)))
+    return starts, ends, xs, xe
+
+
+def _intervals(data, u: float, t_max: float) -> BackflowIntervals:
+    """Backflow intervals of the pair with u = cos^2(alpha)."""
+    starts, ends, xs, xe = data
+    return BackflowIntervals(
+        intervals=tuple(zip(starts.tolist(), ends.tolist())),
+        d_values=tuple(zip(_distance(xs, u).tolist(), _distance(xe, u).tolist())),
+        amp_values=tuple(zip(xs.tolist(), xe.tolist())),
+        t_max=t_max,
+    )
 
 
 def backflow_intervals(dp: DerivedParams, pair, t_max: float) -> BackflowIntervals:
     """Intervals of growing trace distance for the given antipodal pair."""
-    a, b = _pair_coefficients(pair)
-    spans, amps = _interval_data(dp, t_max)
-    dvals = tuple(
-        (float(_distance(xs, a, b)), float(_distance(xe, a, b))) for xs, xe in amps
-    )
-    return BackflowIntervals(intervals=spans, d_values=dvals, amp_values=amps,
-                             t_max=t_max)
+    return _intervals(_interval_data(dp, t_max), _pair_u(pair), t_max)
 
 
-def blp_measure(params: SystemParams, t_max: float = 100.0, alpha_grid: int = 91,
+def _gain_nodes(xs: np.ndarray, xe: np.ndarray, u: np.ndarray):
+    """Gain, P' and s(xs, u) at each node u; see ``_max_gain``.
+
+    Each interval's term is written without cancellation,
+    f(xe, u) - f(xs, u) = (xe - xs)(xe + xs)(1 - u(1 - xe^2 - xs^2))
+    / (f(xe, u) + f(xs, u)).  f(x, u) = x s(x, u) with
+    s = sqrt(1 - u(1 - x^2)), and P' = -sum xe (1 - xe^2) / (2 s(xe, u)).
+    Where a denominator vanishes (x = 0 at u = 1) the term is 0.
+    """
+    u = u[:, None]
+    v = 1.0 - u
+    se = np.sqrt(v + u * (xe * xe))
+    ss = np.sqrt(v + u * (xs * xs))
+    den = xe * se + xs * ss
+    num = (xe - xs) * (xe + xs) * (v + u * (xe * xe + xs * xs))
+    term = np.divide(num, den, out=np.zeros_like(den), where=den > 0)
+    slope = np.divide(xe * (1.0 - xe * xe), se, out=np.zeros_like(se), where=se > 0)
+    return term.sum(axis=1), -0.5 * slope.sum(axis=1), ss
+
+
+def _max_gain(xs: np.ndarray, xe: np.ndarray) -> tuple[float, float]:
+    """Certified maximum of gain(u) = sum_i f(xe_i, u) - f(xs_i, u) on [0, 1].
+
+    Returns (gain, u) with u = cos^2(alpha) of the best pair.  Both ends are
+    evaluated first; a tie keeps u = 1, the polar pair.  Then branch and
+    bound: P = sum f(xe, u) and Q = sum f(xs, u) are concave in u, so on a
+    sub-interval P lies below its tangent at either end and Q above its
+    chord, whose slope -sum xs(1 - xs^2) / (s(xs, u0) + s(xs, u1)) needs no
+    difference of Q values.  The gain therefore lies below the lower
+    envelope of two lines through the end values; a sub-interval whose
+    bound does not exceed the best gain found by more than a rounding
+    allowance scaled to it is dropped, every other one is halved and its
+    midpoint evaluated, and only a midpoint that beats the best by more
+    than the allowance replaces it.  A sub-interval with no representable
+    midpoint is judged by its ends, so the halving always stops.
+    """
+    if xs.size == 0:
+        return 0.0, 1.0
+    cs = xs * (1.0 - xs * xs)
+    g, p, s = _gain_nodes(xs, xe, np.array([0.0, 1.0]))
+    k = int(g[1] >= g[0])
+    best, best_u = float(g[k]), float(k)
+    lo, hi = np.zeros(1), np.ones(1)
+    left, right = (g[:1], p[:1], s[:1]), (g[1:], p[1:], s[1:])
+    while True:
+        (g0, p0, s0), (g1, p1, s1) = left, right
+        width = hi - lo
+        chord = -(cs / (s0 + s1)).sum(axis=1)
+        a0, a1 = p0 - chord, p1 - chord  # slopes of the two bounding lines
+        inner = (a0 > 0.0) & (a1 < 0.0)
+        cross = np.divide(g1 - g0 - a1 * width, a0 - a1, out=np.zeros_like(width),
+                          where=inner)
+        bound = np.where(a0 <= 0.0, g0,
+                         np.where(a1 >= 0.0, g1, g0 + a0 * np.clip(cross, 0.0, width)))
+        allowance = _ROUNDING * abs(best)
+        mid = 0.5 * (lo + hi)
+        live = (bound > best + allowance) & (lo < mid) & (mid < hi)
+        if not live.any():
+            return best, best_u
+        lo, hi, mid = lo[live], hi[live], mid[live]
+        left = tuple(a[live] for a in left)
+        right = tuple(a[live] for a in right)
+        at_mid = _gain_nodes(xs, xe, mid)
+        j = int(np.argmax(at_mid[0]))
+        if at_mid[0][j] > best + allowance:
+            best, best_u = float(at_mid[0][j]), float(mid[j])
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        left = tuple(np.concatenate(pair) for pair in zip(left, at_mid))
+        right = tuple(np.concatenate(pair) for pair in zip(at_mid, right))
+
+
+def blp_measure(params: SystemParams, t_max: float = 100.0,
                 azimuth: float = 0.0) -> BlpResult:
     """Backflow measure maximized over antipodal pure pairs.
 
-    The azimuth never enters the distance, so the search runs over the polar
-    angle alpha in [0, pi/2]: a coarse grid of ``alpha_grid`` points followed
-    by a bounded scalar refinement to 1e-4.  The measure integrates to the
-    horizon t_max; the residual beyond it is bounded by 2|A(t_max)| and
-    reported, with ``truncated`` set when |A(t_max)| >= 1e-4.
+    The azimuth never enters the distance; the polar angle alpha of the
+    best pair comes from the certified maximum over u = cos^2(alpha) in
+    [0, 1] (``_max_gain``), exact at the ends alpha = 0 and pi/2.  The
+    measure integrates to the horizon t_max; the residual beyond it is
+    bounded by 2|A(t_max)| and reported, with ``truncated`` set when
+    |A(t_max)| >= 1e-4.
     """
-    if alpha_grid < 2:
-        raise ValidationError("alpha_grid must be >= 2")
     dp = derive(params)
     tail = abs(amplitude_closed_form(dp, t_max))
     truncated = tail >= TRUNCATION_EPS
@@ -332,38 +424,15 @@ def blp_measure(params: SystemParams, t_max: float = 100.0, alpha_grid: int = 91
         raise ValidationError(
             "t_max too small: require |A(t_max)| < 1e-4 or t_max >= 100/gamma"
         )
-    spans, amps = _interval_data(dp, t_max)
-    xs = np.array([p[0] for p in amps])
-    xe = np.array([p[1] for p in amps])
-
-    def gain(a, b):
-        """Accumulated backflow for pair coefficients (a, b); broadcasts."""
-        return np.sum(_distance(xe, a, b) - _distance(xs, a, b), axis=-1)
-
-    alphas = np.linspace(0.0, math.pi / 2, alpha_grid)
-    gains = gain(np.cos(alphas)[:, None], np.sin(alphas)[:, None])
-    k = int(np.argmax(gains))
-    best_alpha, best_gain = float(alphas[k]), float(gains[k])
-    if xs.size:
-        lo = alphas[max(0, k - 1)]
-        hi = alphas[min(alpha_grid - 1, k + 1)]
-        res = minimize_scalar(lambda al: -float(gain(math.cos(al), math.sin(al))),
-                              bounds=(lo, hi), method="bounded",
-                              options={"xatol": 1e-4})
-        if res.success and -res.fun > best_gain:
-            best_alpha, best_gain = float(res.x), float(-res.fun)
-    pair = antipodal_pair(best_alpha, azimuth)
-    ca, sa = math.cos(best_alpha), math.sin(best_alpha)
-    dvals = tuple(
-        (float(_distance(x0, ca, sa)), float(_distance(x1, ca, sa)))
-        for x0, x1 in amps
-    )
+    data = _interval_data(dp, t_max)  # starts, ends, |A| at both
+    n_measure, u = _max_gain(*data[2:])
+    alpha = math.atan2(math.sqrt(1.0 - u), math.sqrt(u))
     return BlpResult(
-        n_measure=best_gain,
-        best_pair=pair,
+        n_measure=n_measure,
+        best_pair=antipodal_pair(alpha, azimuth),
         t_max=t_max,
-        alpha=best_alpha,
+        alpha=alpha,
         residual_bound=2.0 * tail,
         truncated=truncated,
-        intervals=BackflowIntervals(spans, dvals, amps, t_max),
+        intervals=_intervals(data, u, t_max),
     )

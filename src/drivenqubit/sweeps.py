@@ -98,7 +98,6 @@ class SweepSpec:
     output_path: str | None = None
     t_max: float = 100.0
     quad_tol: float = 1e-9
-    alpha_grid: int = 91
 
     def __post_init__(self):
         if self.quantity not in QUANTITY_AXES:
@@ -127,7 +126,6 @@ class SweepSpec:
             output_path=d.get("output_path"),
             t_max=d.get("t_max", 100.0),
             quad_tol=d.get("quad_tol", 1e-9),
-            alpha_grid=d.get("alpha_grid", 91),
         )
 
 
@@ -157,30 +155,33 @@ def _time_series_rows(spec: SweepSpec) -> list[dict]:
     dp = derive(spec.fixed)
     ts = spec.axis.values()
     theta = spec.fixed.theta
-    if spec.quantity in ("amplitude", "coherence", "trace_distance"):
-        A, _ = amplitude_grid(dp, ts)
-        # |A| by libm hypot, as abs() of a single complex; np.abs rounds otherwise
-        abs_a = np.hypot(A.real, A.imag)
-    if spec.quantity == "amplitude":
-        cols = {"re_a": A.real, "im_a": A.imag, "abs_a": abs_a}
-    elif spec.quantity == "decay_rate":
-        cols = {"decay_rate": decay_rate_grid(dp, ts)}
-    elif spec.quantity == "coherence":
-        cols = {"c_l1": abs(math.sin(2.0 * theta)) * abs_a}
-    elif spec.quantity == "trace_distance":
-        # evolved distance of the equatorial antipodal pair: |A(t)|
-        cols = {"d_trace": abs_a}
-    elif spec.quantity == "lgi3":
-        c3, _ = lgi_series(dp, theta, ts)
-        cols = {"c3": c3, "violated3": (c3 > 1.0).astype(int)}
-    elif spec.quantity == "lgi4":
-        _, c4 = lgi_series(dp, theta, ts)
-        cols = {"c4": c4, "violated4": (c4 > 2.0).astype(int)}
-    elif spec.quantity == "witness":
-        w, env = witness_series(dp, theta, ts)
-        cols = {"w_q": w, "envelope": env}
-    else:  # pragma: no cover
-        raise ValidationError(f"not a time-series quantity: {spec.quantity}")
+    # steps large enough to overflow give non-finite cells, which the guard
+    # below turns into invalid rows; numpy's warnings about them are noise
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if spec.quantity in ("amplitude", "coherence", "trace_distance"):
+            A, _ = amplitude_grid(dp, ts)
+            # |A| by libm hypot, as abs() of a single complex; np.abs rounds otherwise
+            abs_a = np.hypot(A.real, A.imag)
+        if spec.quantity == "amplitude":
+            cols = {"re_a": A.real, "im_a": A.imag, "abs_a": abs_a}
+        elif spec.quantity == "decay_rate":
+            cols = {"decay_rate": decay_rate_grid(dp, ts)}
+        elif spec.quantity == "coherence":
+            cols = {"c_l1": abs(math.sin(2.0 * theta)) * abs_a}
+        elif spec.quantity == "trace_distance":
+            # evolved distance of the equatorial antipodal pair: |A(t)|
+            cols = {"d_trace": abs_a}
+        elif spec.quantity == "lgi3":
+            c3, _ = lgi_series(dp, theta, ts)
+            cols = {"c3": c3, "violated3": (c3 > 1.0).astype(int)}
+        elif spec.quantity == "lgi4":
+            _, c4 = lgi_series(dp, theta, ts)
+            cols = {"c4": c4, "violated4": (c4 > 2.0).astype(int)}
+        elif spec.quantity == "witness":
+            w, env = witness_series(dp, theta, ts)
+            cols = {"w_q": w, "envelope": env}
+        else:  # pragma: no cover
+            raise ValidationError(f"not a time-series quantity: {spec.quantity}")
     finite = np.logical_and.reduce([np.isfinite(c) for c in cols.values()])
     base = asdict(spec.fixed) | {"status": "ok"}
     keys = (spec.axis.name, *cols)
@@ -207,7 +208,7 @@ def _scalar_row(spec: SweepSpec, value: float) -> dict:
             # extend the horizon until the backflow gains (which die off with
             # the amplitude envelope exp(-lam t / 2)) are converged, within a cap
             t_eff = max(spec.t_max, min(5000.0, 2.0 * math.log(1e4) / p.lam))
-            result = blp_measure(p, t_max=t_eff, alpha_grid=spec.alpha_grid)
+            result = blp_measure(p, t_max=t_eff)
             cells = {
                 "n_measure": result.n_measure,
                 "alpha_best": result.alpha,

@@ -190,6 +190,23 @@ def test_decay_rate_pole_is_reported():
         decay_rate(dp, t_zero)
 
 
+def test_decay_rate_where_abs_a_squared_underflows():
+    # |A| ~ 1e-174 at t = 800 (lam = 1, F = 2i): |A|^2 underflows, the
+    # complex division does not, and a relative pole test sees no zero
+    mpmath = pytest.importorskip("mpmath")
+    dp = derive(SystemParams(lam=1.0))
+    t = 800.0
+    assert 0.0 < abs(amplitude_closed_form(dp, t)) < 1e-170
+    with mpmath.workdps(50):
+        M, F = mpmath.mpc(dp.m_const), mpmath.mpc(dp.f_const)
+        ch, sh = mpmath.cosh(F * t / 4), mpmath.sinh(F * t / 4)
+        # dA/A, the common factor exp(-M t / 2) cancelled
+        ratio = dp.coupling_prefactor / F * sh / (ch + 2 * M / F * sh)
+        ref = float(-2 * mpmath.re(ratio))
+    assert decay_rate(dp, t) == pytest.approx(ref, rel=1e-9)
+    assert decay_rate_grid(dp, np.array([t]))[0] == pytest.approx(ref, rel=1e-9)
+
+
 def test_negative_time_rejected():
     dp = derive(SystemParams(lam=0.1))
     with pytest.raises(ValidationError):

@@ -17,7 +17,8 @@ from drivenqubit import (BlochVector, QubitState, SystemParams,
 from drivenqubit import nonmarkov
 from drivenqubit.amplitude import amplitude_closed_form, amplitude_grid
 from drivenqubit.nonmarkov import (_amp_extrema, _flux_brackets,
-                                   _flux_coefficients, _flux_form, _refine)
+                                   _flux_coefficients, _flux_form, _max_gain,
+                                   _refine)
 
 
 def _dense_extrema(dp, t_max, per_cycle=1024, chunk=1_000_000):
@@ -54,11 +55,13 @@ def _dense_extrema(dp, t_max, per_cycle=1024, chunk=1_000_000):
 
 
 def _assert_same_extrema(dp, t_max):
-    times, kinds = _amp_extrema(dp, t_max)
+    times, kinds, amps = _amp_extrema(dp, t_max)
     ref_times, ref_kinds = _dense_extrema(dp, t_max)
     assert np.array_equal(kinds, ref_kinds)
     assert np.all(kinds[1:] != kinds[:-1])
     np.testing.assert_allclose(times, ref_times, rtol=0, atol=1e-10)
+    # |A| at the extrema comes from the same kernel call that confirms them
+    np.testing.assert_array_equal(amps, np.abs(amplitude_grid(dp, times)[0]))
     return times, kinds
 
 
@@ -149,6 +152,25 @@ def test_azimuth_invariance_via_channel():
             assert np.max(np.abs(traj - base)) <= 1e-12
 
 
+def test_blp_measure_does_not_depend_on_the_azimuth():
+    for params in (SystemParams(lam=0.01, omega_rabi=0.0),
+                   SystemParams(lam=0.05, omega_rabi=0.3, delta_qc=0.5)):
+        dp = derive(params)
+        base = blp_measure(params, t_max=150.0)
+        for az in (0.7, 2.0, 4.5):
+            res = blp_measure(params, t_max=150.0, azimuth=az)
+            assert (res.n_measure, res.alpha) == (base.n_measure, base.alpha)
+            # the reported pair at this azimuth, evolved by the channel,
+            # accumulates the measure over the intervals
+            s1, s2 = (QubitState.from_bloch(v) for v in res.best_pair)
+
+            def d(t):
+                return trace_distance(apply_channel(dp, s1, t), apply_channel(dp, s2, t))
+
+            total = sum(d(e) - d(s) for s, e in res.intervals.intervals)
+            assert total == pytest.approx(base.n_measure, abs=1e-12)
+
+
 def test_flux_matches_channel_distance_derivative():
     dp = derive(SystemParams(lam=0.05, omega_rabi=0.4))
     v1, v2 = antipodal_pair(0.8, 0.3)
@@ -205,11 +227,96 @@ def test_blp_detuning_restores_memory():
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
 
-def test_blp_grid_vs_refined_alpha():
-    params = SystemParams(lam=0.01, omega_rabi=0.0)
-    coarse = blp_measure(params, t_max=100.0, alpha_grid=91)
-    fine = blp_measure(params, t_max=100.0, alpha_grid=721)
-    assert abs(coarse.n_measure - fine.n_measure) < 1e-3
+def _plain_gains(xs, xe, u):
+    """Accumulated backflow at each u = cos^2(alpha), summed the plain way
+    from D = sqrt(u |A|^4 + (1 - u) |A|^2), and the rounding allowance of
+    that sum of differences."""
+    u = np.asarray(u, dtype=float)[:, None]
+    gains = np.sum(np.sqrt(u * xe**4 + (1 - u) * xe**2)
+                   - np.sqrt(u * xs**4 + (1 - u) * xs**2), axis=1)
+    return gains, 64 * np.finfo(float).eps * np.sum(xe + xs)
+
+
+def _amp_arrays(res):
+    xs, xe = np.array(res.intervals.amp_values).reshape(-1, 2).T
+    return xs, xe
+
+
+def _assert_no_pair_beats(res, alphas):
+    """No point of a dense 4001-point u scan and no polar angle in alphas
+    beats n_measure by more than rounding; the reported pair reaches it."""
+    xs, xe = _amp_arrays(res)
+    assert res.n_measure >= 0.0
+    assert 0.0 <= res.alpha <= math.pi / 2
+    best, slack = _plain_gains(xs, xe, [math.cos(res.alpha) ** 2])
+    assert best[0] == pytest.approx(res.n_measure, abs=slack)
+    ds, de = np.array(res.intervals.d_values).reshape(-1, 2).T
+    assert np.sum(de - ds) == pytest.approx(res.n_measure, abs=slack)
+    for u in np.array_split(np.linspace(0.0, 1.0, 4001), 8):
+        assert np.max(_plain_gains(xs, xe, u)[0], initial=0.0) <= res.n_measure + slack
+    gains, _ = _plain_gains(xs, xe, np.cos(np.asarray(alphas)) ** 2)
+    assert np.max(gains, initial=0.0) <= res.n_measure + slack
+
+
+def test_no_pair_beats_the_certified_maximum_on_figure_rows():
+    rng = np.random.default_rng(9)
+    for lam, omega, delta_qc in [(0.01, 0.0, 0.0), (0.01, 1.0, 0.0), (0.1, 0.5, 1.0),
+                                 (0.01, 0.1, 10.0), (1.0, 2.0, 0.0)]:
+        res = blp_measure(SystemParams(lam=lam, omega_rabi=omega, delta_qc=delta_qc),
+                          t_max=200.0)
+        _assert_no_pair_beats(res, rng.uniform(0.0, math.pi / 2, 64))
+
+
+def test_max_gain_certifies_an_interior_maximum():
+    # three intervals whose accumulated backflow peaks inside (0, 1), above
+    # both ends; the search must find the peak, not an end
+    xs = np.array([0.73447385, 0.00406078, 0.66030563])
+    xe = np.array([0.77836815, 0.16222838, 0.96809998])
+    best, u = _max_gain(xs, xe)
+    ends, slack = _plain_gains(xs, xe, [0.0, 1.0])
+    assert 0.9 < u < 1.0 and best > ends.max() + 1e-3
+    assert _plain_gains(xs, xe, [u])[0][0] == pytest.approx(best, abs=slack)
+    fine = np.linspace(u - 1e-3, u + 1e-3, 20001)
+    assert _plain_gains(xs, xe, fine)[0].max() <= best + slack
+    assert _plain_gains(xs, xe, np.linspace(0.0, 1.0, 4001))[0].max() <= best + slack
+
+
+def test_max_gain_at_zero_amplitude():
+    # |A| = 0 at both ends of an interval, or at its start only: the terms
+    # and slopes with a vanishing denominator are 0, and nothing warns
+    xs = np.array([0.0, 0.0, 1e-200, 0.2])
+    xe = np.array([0.0, 0.3, 1e-100, 0.25])
+    best, u = _max_gain(xs, xe)
+    assert u == 0.0 and best == pytest.approx(np.sum(xe - xs), rel=1e-15)
+    assert _max_gain(xs[:1], xe[:1]) == (0.0, 1.0)
+    assert _max_gain(np.empty(0), np.empty(0)) == (0.0, 1.0)
+
+
+@pytest.mark.parametrize("lam,omega,delta_qc,t_max", [
+    (0.01, 0.0, 0.0, 100.0),  # equatorial pair
+    (0.01, 1.0, 0.0, 100.0),  # polar pair
+    (0.3, 0.5, 1.0, 100.0),
+    (0.01, 2.0, -10.0, 2.0 * math.log(1e4) / 0.01),  # 2525 intervals
+])
+def test_winning_end_agrees_with_mpmath(lam, omega, delta_qc, t_max):
+    mpmath = pytest.importorskip("mpmath")
+    res = blp_measure(SystemParams(lam=lam, omega_rabi=omega, delta_qc=delta_qc),
+                      t_max=t_max)
+    xs, xe = _amp_arrays(res)
+    with mpmath.workdps(40):
+        def gain(u):
+            u = mpmath.mpf(u)
+            return mpmath.fsum(
+                mpmath.mpf(e) * mpmath.sqrt(1 - u * (1 - mpmath.mpf(e) ** 2))
+                - mpmath.mpf(s) * mpmath.sqrt(1 - u * (1 - mpmath.mpf(s) ** 2))
+                for s, e in zip(xs.tolist(), xe.tolist()))
+
+        polar, equatorial = gain(1), gain(0)
+        winner = max(polar, equatorial)
+        assert res.alpha == (0.0 if polar >= equatorial else math.pi / 2)
+        assert abs(res.n_measure - winner) <= 8 * np.finfo(float).eps * winner
+        for u in (0.25, 0.5, 0.75, 0.999):
+            assert gain(u) <= winner
 
 
 def test_blp_truncation_rule():
@@ -264,8 +371,8 @@ def test_decoupled_qubit_has_no_extrema():
     # omega = 0 with delta_qc < 0 puts the qubit in the dark dressed state:
     # the coupling (1 + cos eta)^2 vanishes and h = 0 identically
     dp = derive(SystemParams(lam=0.01, omega_rabi=0.0, delta_qc=-100.0))
-    times, kinds = _amp_extrema(dp, 100.0)
-    assert times.size == 0 and kinds.size == 0
+    times, kinds, amps = _amp_extrema(dp, 100.0)
+    assert times.size == 0 and kinds.size == 0 and amps.size == 0
     assert blp_measure(dp.params, t_max=100.0).n_measure == 0.0
     # the finder itself stops on a flux that is zero everywhere
     lo, hi = _flux_brackets((0.0, 0.0, 0j, 0.01, 200.0), np.linspace(0, 100, 101))
@@ -310,6 +417,10 @@ def test_inconsistent_brackets_raise(monkeypatch):
     # a bracket whose ends straddle no sign change of h
     with pytest.raises(ValidationError, match="no sign change"):
         _refine(dp, coef, np.append(lo, hi[0]), np.append(hi, lo[1]))
+    # a two-mode form of the opposite sign: same roots, every direction wrong
+    flipped = (-coef[0], -coef[1], -coef[2], coef[3], coef[4])
+    with pytest.raises(ValidationError, match="disagree on the direction"):
+        _refine(dp, flipped, lo, hi)
     # every other bracket lost: two minima in a row
     monkeypatch.setattr(nonmarkov, "_flux_brackets",
                         lambda c, t: (lo[::2], hi[::2]))
@@ -329,3 +440,19 @@ else:
         dp = derive(SystemParams(lam=10.0 ** log_lam, omega_rabi=omega,
                                  delta_qc=delta_qc, delta_cav=delta_cav))
         _assert_same_extrema(dp, 150.0)
+
+
+if given is None:
+    def test_no_pair_beats_the_certified_maximum_over_parameter_box():
+        pytest.skip("needs hypothesis (the test extra)")
+else:
+    @settings(max_examples=100)
+    @given(log_lam=st.floats(-2.0, 0.0), omega=st.floats(0.0, 2.0),
+           delta_qc=st.floats(-10.0, 10.0), delta_cav=st.floats(-5.0, 5.0),
+           alphas=st.lists(st.floats(0.0, math.pi / 2), min_size=1, max_size=32))
+    def test_no_pair_beats_the_certified_maximum_over_parameter_box(
+            log_lam, omega, delta_qc, delta_cav, alphas):
+        res = blp_measure(SystemParams(lam=10.0 ** log_lam, omega_rabi=omega,
+                                       delta_qc=delta_qc, delta_cav=delta_cav),
+                          t_max=200.0)
+        _assert_no_pair_beats(res, alphas)

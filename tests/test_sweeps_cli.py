@@ -165,9 +165,15 @@ def test_sweep_rows_deterministic():
 def test_spec_round_trip():
     spec = SweepSpec("blp", SystemParams(lam=0.05, omega_rabi=0.3, theta=0.1),
                      SweepAxis("delta", 0.0, 10.0, 21), output_path="x.csv",
-                     t_max=120.0, quad_tol=1e-8, alpha_grid=61)
+                     t_max=120.0, quad_tol=1e-8)
     assert SweepSpec.from_dict(spec.to_dict()) == spec
     assert SweepSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
+    assert "alpha_grid" not in spec.to_dict()
+    # manifests written before the certified pair search carry alpha_grid;
+    # they still load, to the same spec
+    for old in (spec.to_dict() | {"alpha_grid": 61},
+                json.loads(json.dumps(spec.to_dict() | {"alpha_grid": 91}))):
+        assert SweepSpec.from_dict(old) == spec
 
 
 def test_figure_preset_unknown_name(tmp_path):
@@ -340,3 +346,44 @@ def test_cli_entry_point_runs():
                          capture_output=True, text=True)
     assert out.returncode == 0
     assert out.stdout.strip() == "0.1.0"
+
+
+def test_cli_late_decay_is_not_a_pole(tmp_path):
+    # |A| falls below 1e-14 from t ~ 65 on, but A has no zero at these
+    # times: the rate stays finite (19.06 at t = 80, -0.747 at t = 100, by
+    # 50-digit evaluation of the closed form)
+    out = tmp_path / "rate.csv"
+    rc = main(["sweep", "--quantity", "decay_rate", "--axis", "time",
+               "--axis-min", "0", "--axis-max", "200", "--points", "11",
+               "--lambda", "1", "--out", str(out)])
+    assert rc == 0
+    rows = read_csv(out)
+    assert [r["status"] for r in rows] == ["ok"] * 11
+    assert float(rows[4]["decay_rate"]) == pytest.approx(19.0626726837261, rel=1e-12)
+    assert float(rows[5]["decay_rate"]) == pytest.approx(-0.746877738061623, rel=1e-12)
+
+
+def test_cli_imports_no_scipy(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    out = tmp_path / "blp.csv"
+    code = "\n".join([
+        "import sys",
+        "from drivenqubit.cli import main",
+        "def loaded():",
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')",
+        "assert main(['params', '--lambda', '0.1']) == 0",
+        "print('scipy:', loaded())",
+        "assert main(['sweep', '--quantity', 'blp', '--axis', 'omega', '--axis-min', '0',",
+        f"             '--axis-max', '1', '--points', '2', '--out', {str(out)!r}]) == 0",
+        "print('scipy:', loaded())",
+    ])
+    env = os.environ | {"PYTHONPATH": os.pathsep.join(sys.path)}
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    loaded = [line for line in res.stdout.splitlines() if line.startswith("scipy:")]
+    assert loaded == ["scipy: []", "scipy: []"]
+    assert len(read_csv(out)) == 2
