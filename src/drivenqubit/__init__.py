@@ -15,7 +15,7 @@ from .nonmarkov import (BackflowIntervals, BlpResult, antipodal_pair,
 from .params import (DerivedParams, SpectralDensity, SystemParams,
                      ValidationError, derive, kernel, spectral_density)
 from .phase import (EigenSystem, eigensystem, geometric_phase,
-                    geometric_phase_detailed)
+                    geometric_phase_detailed, geometric_phases)
 from .states import (BlochVector, QubitState, apply_channel, coherence_l1,
                      evolve_superposition, trace_distance)
 from .sweeps import (PRESET_NAMES, SweepAxis, SweepSpec, figure_preset,
@@ -73,6 +73,7 @@ __all__ = [
     "eigensystem",
     "geometric_phase",
     "geometric_phase_detailed",
+    "geometric_phases",
     "BackflowIntervals",
     "BlpResult",
     "antipodal_pair",

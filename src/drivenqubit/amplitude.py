@@ -14,9 +14,13 @@ analytically,
 so no finite differencing appears in any production path.
 
 Single times go through ``cmath``, which is about 20x cheaper per call than a
-one-point numpy call; arrays of times (time grids, the Leggett-Garg series,
-each level of the geometric-phase quadrature, the BLP extrema) go through
-numpy.  Both paths switch to the critically damped series at the same
+one-point numpy call; arrays of times go through numpy.  The numpy formula,
+``_mode_form``, is written once, elementwise in (M, F, t).
+``amplitude_grid`` gives it the constants of one parameter set: time grids,
+the Leggett-Garg series, the witness, the decay-rate grid and the BLP
+extrema.  The geometric-phase quadrature gives it the constants of each
+node's own row, so one call covers one Simpson level of a whole sweep.
+Both paths switch to the critically damped series at the same
 ``_SERIES_THRESHOLD``.  The ``cmath`` path serves the single-time functions:
 ``two_time_correlation`` (the independent route the tests hold
 ``lgi_series`` to), ``propagator`` and ``quantum_witness`` (with the witness
@@ -114,33 +118,44 @@ def amplitude_derivative(dp: DerivedParams, t: float) -> complex:
     return pref / (2.0 * F) * (ep - em)
 
 
-def amplitude_grid(dp: DerivedParams, times) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized (A, dA/dt) over an array of times, shaped like ``times``.
+def _mode_form(M, F, t, pref=None):
+    """A(t), and dA/dt when ``pref`` is given, elementwise in (M, F, t).
 
-    Mode form A = c+ exp(s+ t) + c- exp(s- t) with s+- = -M/2 +- F/4, which
-    never overflows (Re s+- <= 0 for physical parameters), and the series
-    limit wherever |F t| is below the switch.
+    t is an array of times; M and F (complex) are scalars for one parameter
+    set or arrays of t's shape, one value per time.  Mode form
+    A = c+ exp(s+ t) + c- exp(s- t) with s+- = -M/2 +- F/4, which never
+    overflows (Re s+- <= 0 for physical parameters), and the critically
+    damped series wherever |F| t is below ``_SERIES_THRESHOLD`` (everywhere
+    when F = 0); ``pref`` is the scalar ``coupling_prefactor``.
     """
+    small = ~(np.abs(F) * t >= _SERIES_THRESHOLD)  # |F| t is NaN at F = 0, t = inf
+    if small.all():
+        e = np.exp(-0.5 * M * t)
+        A = e * (1.0 + 0.5 * M * t)
+        return A if pref is None else (A, pref * 0.25 * t * e)
+    ep = np.exp((-0.5 * M + 0.25 * F) * t)
+    em = np.exp((-0.5 * M - 0.25 * F) * t)
+    with np.errstate(divide="ignore", invalid="ignore"):  # F = 0 only where small
+        ratio = 2.0 * M / F
+        A = 0.5 * (1.0 + ratio) * ep + 0.5 * (1.0 - ratio) * em
+        dA = None if pref is None else (pref / (2.0 * F)) * (ep - em)
+    if small.any():
+        Ms, ts = M[small] if np.ndim(M) else M, t[small]
+        e = np.exp(-0.5 * Ms * ts)
+        A[small] = e * (1.0 + 0.5 * Ms * ts)
+        if dA is not None:
+            dA[small] = pref * 0.25 * ts * e
+    return A if pref is None else (A, dA)
+
+
+def amplitude_grid(dp: DerivedParams, times) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized (A, dA/dt) over an array of times, shaped like ``times``
+    (formulas in ``_mode_form``)."""
     times = np.asarray(times, dtype=float)
     if np.any(times < 0):
         raise ValidationError("times must be >= 0")
-    M, F, pref = dp.m_const, dp.f_const, dp.coupling_prefactor
-    tt = np.atleast_1d(times).ravel()
-    small = np.abs(F) * tt < _SERIES_THRESHOLD
-    if abs(F) == 0.0 or np.all(small):
-        e = np.exp(-0.5 * M * tt)
-        A = e * (1.0 + 0.5 * M * tt)
-        dA = pref * 0.25 * tt * e
-        return A.reshape(times.shape), dA.reshape(times.shape)
-    ep = np.exp((-0.5 * M + 0.25 * F) * tt)
-    em = np.exp((-0.5 * M - 0.25 * F) * tt)
-    ratio = 2.0 * M / F
-    A = 0.5 * (1.0 + ratio) * ep + 0.5 * (1.0 - ratio) * em
-    dA = (pref / (2.0 * F)) * (ep - em)
-    if np.any(small):
-        e = np.exp(-0.5 * M * tt[small])
-        A[small] = e * (1.0 + 0.5 * M * tt[small])
-        dA[small] = pref * 0.25 * tt[small] * e
+    A, dA = _mode_form(dp.m_const, dp.f_const, np.atleast_1d(times),
+                       dp.coupling_prefactor)
     return A.reshape(times.shape), dA.reshape(times.shape)
 
 

@@ -185,7 +185,8 @@ def _cmd_sweep(args, parser) -> int:
         t_max=args.tmax if args.tmax is not None else 100.0,
         quad_tol=args.tol if args.tol is not None else 1e-9,
     )
-    rows, summary = run_sweep(spec, workers=args.workers or 1)
+    workers = args.workers if args.workers is not None else 1
+    rows, summary = run_sweep(spec, workers=workers)
     write_rows(args.out, rows, sweep_columns(spec))
     print(f"wrote {args.out}: {summary.n_rows} rows, {summary.n_failed} failed")
     if summary.minimum is not None:
@@ -199,7 +200,8 @@ def _cmd_figure(args, parser) -> int:
         parser.error("--preset is required")
     if args.out is None:
         parser.error("--out is required")
-    result = figure_preset(args.preset, args.out, workers=args.workers or 1)
+    workers = args.workers if args.workers is not None else 1
+    result = figure_preset(args.preset, args.out, workers=workers)
     for path in result["files"]:
         print(f"wrote {path}")
     print(f"wrote {result['manifest']}")

@@ -50,6 +50,7 @@ _ROOT_TOL = 1e-10  # width of a refined extremum bracket
 _ROUNDING = 16 * np.finfo(float).eps
 _CHUNK = 1 << 18  # initial gaps of the bracket finder per pass
 _NEWTON_STEPS = 6
+_NEWTON_MORE = 24  # for the brackets the first steps leave unconfirmed
 
 
 @dataclass(frozen=True)
@@ -231,6 +232,34 @@ def _bisect(dp: DerivedParams, lo, hi, h_lo):
     return 0.5 * (lo + hi)
 
 
+def _newton(coef, left, right, x, rising, steps: int):
+    """Newton steps on G from x, held inside the brackets [left, right] of
+    its sign change; each step also narrows the bracket to x's side."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(steps):
+            g, dg, _ = _flux_form(coef, x)
+            past = (g > 0) == rising
+            left, right = np.where(past, left, x), np.where(past, x, right)
+            x = x - g / dg
+            x = np.where((x >= left) & (x <= right), x, 0.5 * (left + right))
+    return left, right, x
+
+
+def _confirm(dp: DerivedParams, lo, hi, x, rising):
+    """One kernel call: h at the bracket ends and at x +- 0.45 _ROOT_TOL, |A| at x.
+
+    Returns (h at the ends, the narrow bracket's midpoints, |A| there, and
+    where h fails to change sign across the narrow bracket).
+    """
+    n = lo.size
+    left = np.maximum(x - 0.45 * _ROOT_TOL, lo)
+    right = np.minimum(x + 0.45 * _ROOT_TOL, hi)
+    times = 0.5 * (left + right)
+    A, dA = amplitude_grid(dp, np.concatenate([lo, hi, left, right, times]))
+    pos = (dA[:4 * n] * np.conj(A[:4 * n])).real.reshape(4, n) > 0
+    return pos[:2], times, np.abs(A[4 * n:]), (pos[2] == rising) | (pos[3] != rising)
+
+
 def _refine(dp: DerivedParams, coef, lo: np.ndarray, hi: np.ndarray):
     """Times of the sign changes of h in the brackets, their kinds and |A| there.
 
@@ -240,37 +269,31 @@ def _refine(dp: DerivedParams, coef, lo: np.ndarray, hi: np.ndarray):
     estimate +-0.45 _ROOT_TOL, and |A| at the estimate.  A bracket whose
     ends show no sign change of h, or one against G's direction, means G and
     the kernel disagree, and raises.  Where h changes sign across the
-    estimate, that narrow bracket is the result; every other bracket is
-    bisected on h.
+    estimate, that narrow bracket is the result.  The other brackets, whose
+    Newton steps had not yet converged, go on with up to _NEWTON_MORE steps
+    on G and are confirmed again in one kernel call; only a bracket that
+    still fails is bisected on h.
     """
     n = lo.size
     if n == 0:
         return np.empty(0), np.empty(0, dtype=int), np.empty(0)
     rising = _flux_form(coef, hi)[0] > 0  # h rising through 0: minimum of |A|
-    left, right, x = lo, hi, 0.5 * (lo + hi)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(_NEWTON_STEPS):
-            g, dg, _ = _flux_form(coef, x)
-            past = (g > 0) == rising
-            left, right = np.where(past, left, x), np.where(past, x, right)
-            x = x - g / dg
-            x = np.where((x >= left) & (x <= right), x, 0.5 * (left + right))
-    left = np.maximum(x - 0.45 * _ROOT_TOL, lo)
-    right = np.minimum(x + 0.45 * _ROOT_TOL, hi)
-    times = 0.5 * (left + right)
-    A, dA = amplitude_grid(dp, np.concatenate([lo, hi, left, right, times]))
-    h = (dA[:4 * n] * np.conj(A[:4 * n])).real.reshape(4, n)
-    pos = h > 0
-    if np.any(pos[0] == pos[1]):
+    left, right, x = _newton(coef, lo, hi, 0.5 * (lo + hi), rising, _NEWTON_STEPS)
+    ends, times, amp, bad = _confirm(dp, lo, hi, x, rising)
+    if np.any(ends[0] == ends[1]):
         raise ValidationError("extremum bracket shows no sign change of d|A|/dt")
-    if np.any(pos[1] != rising):
+    if np.any(ends[1] != rising):
         raise ValidationError("extremum bracket: the kernel and the two-mode form "
                               "disagree on the direction of d|A|/dt")
-    amp = np.abs(A[4 * n:])
-    bad = (pos[2] == rising) | (pos[3] != rising)
     if np.any(bad):
-        times[bad] = _bisect(dp, lo[bad], hi[bad], h[0, bad])
-        amp[bad] = np.abs(amplitude_grid(dp, times[bad])[0])
+        b_lo, b_hi, b_rising = lo[bad], hi[bad], rising[bad]
+        x = _newton(coef, left[bad], right[bad], x[bad], b_rising, _NEWTON_MORE)[2]
+        _, b_times, b_amp, still = _confirm(dp, b_lo, b_hi, x, b_rising)
+        if np.any(still):
+            h_lo = np.where(b_rising[still], -1.0, 1.0)  # the sign of h at lo
+            b_times[still] = _bisect(dp, b_lo[still], b_hi[still], h_lo)
+            b_amp[still] = np.abs(amplitude_grid(dp, b_times[still])[0])
+        times[bad], amp[bad] = b_times, b_amp
     return times, np.where(rising, 1, -1), amp
 
 

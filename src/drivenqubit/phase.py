@@ -7,13 +7,20 @@ reduces, for a pure initial superposition, to
 
 where cos(Theta) parametrizes the instantaneous dominant eigenvector of the
 density matrix.  The integrand lies in [0, 1], so the raw value lies in
-[0, 2 pi] and no phase unwrapping is needed.
+[0, 2 pi], up to the quadrature tolerance, and no phase unwrapping is
+needed.
 
-The spectral formulas are written once, elementwise in x = |A|^2
+The spectral formulas are written once, elementwise in x = |A|^2 and theta
 (``_spectrum``).  ``eigensystem`` applies them to one time through the
-scalar amplitude; the integrand applies them to a whole level of the
-adaptive Simpson rule at once through ``amplitude_grid``.  A tolerance below
-the rounding floor of the integral raises ``QuadratureError`` at once.
+scalar amplitude.  ``geometric_phases`` integrates the rows of a whole sweep
+in one adaptive Simpson run: each level of every row goes to the integrand
+in one array call, where each node carries the constants (M, F, theta) of
+its own row into ``amplitude._mode_form`` and ``_spectrum``.  Each row is
+still accepted or split on its own data, so its nodes and phase do not
+depend on the other rows; ``geometric_phase_detailed`` is the one-row view.
+A row without a dressed period gets a ``ValidationError``, and a row whose
+tolerance lies below the rounding floor of its integral a
+``QuadratureError``; neither stops the other rows.
 """
 
 from __future__ import annotations
@@ -23,11 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitude import amplitude_closed_form, amplitude_grid
+from .amplitude import _mode_form, amplitude_closed_form
 from .params import DerivedParams, ValidationError
-from .quadrature import adaptive_simpson
+from .quadrature import adaptive_simpson_many
 
-__all__ = ["EigenSystem", "eigensystem", "geometric_phase", "geometric_phase_detailed"]
+__all__ = ["EigenSystem", "eigensystem", "geometric_phase", "geometric_phase_detailed",
+           "geometric_phases"]
 
 DEGENERACY_GAP = 1e-10
 
@@ -68,8 +76,9 @@ class EigenSystem:
         )
 
 
-def _spectrum(x, theta: float):
-    """(gap, cos_theta_big) of the evolved state for x = |A|^2, elementwise.
+def _spectrum(x, theta):
+    """(gap, cos_theta_big) of the evolved state for x = |A|^2, elementwise
+    in (x, theta).
 
     With p = x cos^2(theta), d = 2p - 1 and the coherence
     r = |sin(2 theta)| sqrt(x) / 2:
@@ -84,9 +93,9 @@ def _spectrum(x, theta: float):
     is |B>, cos(Theta) = 0.  For d > 0, q >= d > 0 and no 0/0 arises.
     """
     x = np.asarray(x, dtype=float)
-    s2 = math.sin(2.0 * theta)
-    d = 2.0 * math.cos(theta) ** 2 * x - 1.0
-    r = 0.5 * abs(s2) * np.sqrt(x)
+    s2 = np.sin(2.0 * theta)
+    d = 2.0 * np.cos(theta) ** 2 * x - 1.0
+    r = 0.5 * np.abs(s2) * np.sqrt(x)
     gap = np.sqrt(x * s2 * s2 + d * d)
     below = d < 0.0
     q = np.where(below, 2.0 * r * r / np.where(below, gap - d, 1.0), 0.5 * (d + gap))
@@ -111,31 +120,62 @@ def eigensystem(dp: DerivedParams, theta: float, t: float) -> EigenSystem:
     )
 
 
-def _cos2_integrand(dp: DerivedParams, theta: float):
-    """cos^2(Theta(t)) over an array of times, one kernel call per array."""
-    def f(t):
-        A, _ = amplitude_grid(dp, t)
-        return _spectrum(np.abs(A) ** 2, theta)[1] ** 2
+def _cos2_rows(dps, thetas):
+    """cos^2(Theta(t)) of many rows as f(t, row): one kernel call per array,
+    each time with the constants of its own row."""
+    M = np.array([dp.m_const for dp in dps], dtype=complex)
+    F = np.array([dp.f_const for dp in dps], dtype=complex)
+    theta = np.array(thetas, dtype=float)
+
+    def f(t, row):
+        A = _mode_form(M[row], F[row], t)
+        return _spectrum(np.abs(A) ** 2, theta[row])[1] ** 2
 
     return f
 
 
+def _cos2_integrand(dp: DerivedParams, theta: float):
+    """cos^2(Theta(t)) of one row over an array of times."""
+    f = _cos2_rows([dp], [theta])
+    return lambda t: f(np.asarray(t, dtype=float), np.zeros(np.shape(t), dtype=int))
+
+
 def geometric_phase(dp: DerivedParams, theta: float, quad_tol: float = 1e-9) -> float:
-    """Kinematic phase over one dressed period, in radians (raw, in [0, 2 pi])."""
+    """Kinematic phase over one dressed period, in radians (raw, in [0, 2 pi]
+    up to quad_tol)."""
     value, _, _ = geometric_phase_detailed(dp, theta, quad_tol)
     return value
 
 
+def geometric_phases(dps, thetas, quad_tol: float = 1e-9):
+    """Phases of many rows in one quadrature, one integrand call per level.
+
+    Returns (phi_g, quad_err, nodes, errors): per row the phase and its
+    error estimate (NaN for a failed row), the quadrature nodes, and the
+    error that stopped the row or None.  A row without a dressed period
+    (omega_d = 0) gets a ``ValidationError`` and no quadrature; a row whose
+    quadrature fails gets its ``QuadratureError``.  Every other row is
+    integrated over [0, 2 pi / omega_d] to the tolerance quad_tol / omega_d,
+    and its result does not depend on the other rows.
+    """
+    omega_d = np.array([dp.omega_d for dp in dps], dtype=float)
+    # a row without a dressed period gets tolerance 0: no quadrature, no nodes
+    w = np.where(omega_d > 0.0, omega_d, np.inf)
+    val, err, nodes, errors = adaptive_simpson_many(
+        _cos2_rows(dps, thetas), np.zeros_like(w), 2.0 * math.pi / w, quad_tol / w)
+    for i in np.flatnonzero(omega_d <= 0.0).tolist():
+        errors[i] = ValidationError(
+            "omega_d = 0 (undriven, resonant): the dressed period is undefined")
+    return omega_d * val, omega_d * err, nodes, errors
+
+
 def geometric_phase_detailed(dp: DerivedParams, theta: float,
                              quad_tol: float = 1e-9):
-    """(value, error_estimate, nodes): the quadrature nodes are exposed so the
-    spectral decomposition can be re-verified at every point the integral
-    actually touched."""
-    if dp.omega_d <= 0.0:
-        raise ValidationError(
-            "omega_d = 0 (undriven, resonant): the dressed period is undefined"
-        )
-    period = 2.0 * math.pi / dp.omega_d
-    f = _cos2_integrand(dp, theta)
-    val, err, nodes = adaptive_simpson(f, 0.0, period, tol=quad_tol / dp.omega_d)
-    return dp.omega_d * val, dp.omega_d * err, nodes
+    """(value, error_estimate, nodes): the one-row view of
+    ``geometric_phases``, raising the row's error.  The quadrature nodes are
+    exposed so the spectral decomposition can be re-verified at every point
+    the integral actually touched."""
+    phi, err, nodes, errors = geometric_phases([dp], [theta], quad_tol)
+    if errors[0] is not None:
+        raise errors[0]
+    return float(phi[0]), float(err[0]), nodes[0]

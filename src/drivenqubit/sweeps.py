@@ -18,11 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .amplitude import AmplitudePole, amplitude_grid, decay_rate_grid
+from .amplitude import amplitude_grid, decay_rate_grid
 from .nonmarkov import blp_measure
 from .params import SystemParams, ValidationError, derive
-from .phase import geometric_phase_detailed
-from .quadrature import QuadratureError
+from .phase import geometric_phases
 from .temporal import lgi_series, witness_series
 
 __all__ = ["SweepAxis", "SweepSpec", "SweepSummary", "run_sweep",
@@ -195,43 +194,80 @@ def _time_series_rows(spec: SweepSpec) -> list[dict]:
     return rows
 
 
-def _scalar_row(spec: SweepSpec, value: float) -> dict:
+def _failed_row(base: dict, quantity: str, status: str = "invalid") -> dict:
+    return base | dict.fromkeys(OBSERVABLE_COLUMNS[quantity]) | {"status": status}
+
+
+def _gp_rows(spec: SweepSpec, values) -> list[dict]:
+    """Rows of a geometric-phase sweep, all integrated in one quadrature."""
+    values = values.tolist()
+    params = [_params_at(spec.fixed, spec.axis.name, v) for v in values]
+    phi, err, _, errors = geometric_phases([derive(p) for p in params],
+                                           [p.theta for p in params], spec.quad_tol)
+    rows = []
+    for p, v, phi_i, err_i, exc in zip(params, values, phi.tolist(), err.tolist(),
+                                       errors):
+        base = asdict(p) | {spec.axis.name: v}
+        if exc is None and math.isfinite(phi_i) and math.isfinite(err_i):
+            rows.append(base | {"phi_g": phi_i, "quad_err": err_i, "status": "ok"})
+        else:
+            # geometric_phases gives a ValidationError only to a row without a period
+            status = "undefined-period" if isinstance(exc, ValidationError) else "invalid"
+            rows.append(_failed_row(base, "gp", status))
+    return rows
+
+
+def _blp_row(spec: SweepSpec, value: float) -> dict:
     p = _params_at(spec.fixed, spec.axis.name, float(value))
     base = asdict(p) | {spec.axis.name: float(value)}
-    empty = {c: None for c in OBSERVABLE_COLUMNS[spec.quantity]}
     try:
-        if spec.quantity == "gp":
-            dp = derive(p)
-            phi, err, _ = geometric_phase_detailed(dp, p.theta, spec.quad_tol)
-            cells = {"phi_g": phi, "quad_err": err}
-        else:
-            # extend the horizon until the backflow gains (which die off with
-            # the amplitude envelope exp(-lam t / 2)) are converged, within a cap
-            t_eff = max(spec.t_max, min(5000.0, 2.0 * math.log(1e4) / p.lam))
-            result = blp_measure(p, t_max=t_eff)
-            cells = {
-                "n_measure": result.n_measure,
-                "alpha_best": result.alpha,
-                "residual_bound": result.residual_bound,
-                "truncated": int(result.truncated),
-            }
-    except (ValidationError, AmplitudePole, QuadratureError) as exc:
-        label = "undefined-period" if "period" in str(exc) else "invalid"
-        return base | empty | {"status": label}
+        # extend the horizon until the backflow gains (which die off with
+        # the amplitude envelope exp(-lam t / 2)) are converged, within a cap
+        t_eff = max(spec.t_max, min(5000.0, 2.0 * math.log(1e4) / p.lam))
+        result = blp_measure(p, t_max=t_eff)
+        cells = {
+            "n_measure": result.n_measure,
+            "alpha_best": result.alpha,
+            "residual_bound": result.residual_bound,
+            "truncated": int(result.truncated),
+        }
+    except ValidationError:
+        return _failed_row(base, "blp")
     if not all(math.isfinite(v) for v in cells.values()):
-        return base | empty | {"status": "invalid"}
+        return _failed_row(base, "blp")
     return base | cells | {"status": "ok"}
 
 
+def _check_workers(workers: int) -> None:
+    if not workers >= 1:
+        raise ValidationError(f"workers must be >= 1, got {workers}")
+
+
 def run_sweep(spec: SweepSpec, workers: int = 1):
-    """Evaluate the sweep; returns (rows, summary), rows in axis order."""
-    if spec.quantity in ("gp", "blp"):
+    """Evaluate the sweep; returns (rows, summary), rows in axis order.
+
+    A ``gp`` sweep integrates its rows together; with workers > 1 its rows
+    are split into at most ``workers`` contiguous chunks, one process and
+    one quadrature each, and the rows come out as a serial run gives them.
+    A ``blp`` sweep sends its rows to the pool one at a time.
+    """
+    _check_workers(workers)
+    if spec.quantity == "gp":
+        values = spec.axis.values()
+        chunks = np.array_split(values, min(workers, values.size))
+        if len(chunks) > 1:
+            with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+                rows = [r for part in pool.map(_gp_rows, [spec] * len(chunks), chunks)
+                        for r in part]
+        else:
+            rows = _gp_rows(spec, values)
+    elif spec.quantity == "blp":
         values = spec.axis.values()
         if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(_scalar_row, [spec] * len(values), values))
+            with ProcessPoolExecutor(max_workers=min(workers, values.size)) as pool:
+                rows = list(pool.map(_blp_row, [spec] * len(values), values))
         else:
-            rows = [_scalar_row(spec, v) for v in values]
+            rows = [_blp_row(spec, v) for v in values]
     else:
         rows = _time_series_rows(spec)
     key = OBSERVABLE_COLUMNS[spec.quantity][0]
@@ -388,6 +424,7 @@ def figure_preset(name: str, outdir, workers: int = 1) -> dict:
 
     Returns {"files": [paths...], "manifest": path, "n_failed": int}.
     """
+    _check_workers(workers)
     table = _preset_table()
     if name not in table:
         raise ValidationError(f"unknown preset {name!r}; known: {', '.join(PRESET_NAMES)}")

@@ -350,13 +350,46 @@ def test_extrema_match_dense_scan(lam, omega, delta_qc, t_max, coarse_misses):
 
 
 @pytest.mark.parametrize("name,value", [
-    ("_NEWTON_STEPS", 0),  # every bracket goes to the bisection fallback
+    ("_NEWTON_STEPS", 0),  # every bracket goes to the continued Newton steps
     ("_CHUNK", 64),  # the grid is searched in many passes
 ])
 def test_refinement_paths_match_dense_scan(monkeypatch, name, value):
     monkeypatch.setattr(nonmarkov, name, value)
     dp = derive(SystemParams(lam=0.01, omega_rabi=2.0, delta_qc=1.0))
     _assert_same_extrema(dp, 600.0)
+
+
+def test_bisection_fallback_matches_dense_scan(monkeypatch):
+    # no Newton step at all: every bracket is bisected on the kernel
+    monkeypatch.setattr(nonmarkov, "_NEWTON_STEPS", 0)
+    monkeypatch.setattr(nonmarkov, "_NEWTON_MORE", 0)
+    dp = derive(SystemParams(lam=0.01, omega_rabi=2.0, delta_qc=1.0))
+    _assert_same_extrema(dp, 600.0)
+
+
+def test_unconfirmed_bracket_costs_one_more_kernel_call(monkeypatch):
+    # a fig9 row with a bracket 5.6 wide that six Newton steps leave
+    # unconfirmed: the continued steps and one more kernel call settle it,
+    # within the refinement tolerance of bisection on the kernel
+    dp = derive(SystemParams(lam=0.01, omega_rabi=1.0, delta_qc=1.0))
+    t_max = 2.0 * math.log(1e4) / 0.01
+    calls = []
+    grid = nonmarkov.amplitude_grid
+
+    def counted(dp, t):
+        calls.append(t.size)
+        return grid(dp, t)
+
+    monkeypatch.setattr(nonmarkov, "amplitude_grid", counted)
+    times, kinds, amps = _amp_extrema(dp, t_max)
+    assert len(calls) == 2
+    monkeypatch.setattr(nonmarkov, "_NEWTON_MORE", 0)
+    calls.clear()
+    ref_times, ref_kinds, ref_amps = _amp_extrema(dp, t_max)
+    assert len(calls) > 10
+    assert np.array_equal(kinds, ref_kinds)
+    assert np.max(np.abs(times - ref_times)) < 1e-10
+    assert np.max(np.abs(amps - ref_amps)) < 1e-12
 
 
 def test_formerly_capped_row_keeps_its_measure():

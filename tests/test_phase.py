@@ -5,12 +5,21 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from drivenqubit import (SystemParams, ValidationError, derive, eigensystem,
-                         evolve_superposition, geometric_phase,
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # only the property test needs hypothesis (the `test` extra)
+    given = None
+
+from drivenqubit import (SweepAxis, SystemParams, ValidationError, derive,
+                         eigensystem, evolve_superposition, geometric_phase,
                          geometric_phase_detailed)
+from drivenqubit import phase
 from drivenqubit.amplitude import amplitude_closed_form
-from drivenqubit.phase import _cos2_integrand
-from drivenqubit.quadrature import QuadratureError, adaptive_simpson
+from drivenqubit.phase import _cos2_integrand, geometric_phases
+from drivenqubit.quadrature import (QuadratureError, adaptive_simpson,
+                                    adaptive_simpson_many)
+from drivenqubit.sweeps import SweepSpec, _params_at, run_sweep
 
 
 def _depth_first_simpson(f, a, b, tol, max_depth=60):
@@ -280,3 +289,146 @@ def test_quadrature_max_depth_still_raises():
     # the same step converges once the depth budget allows it
     val, _, _ = adaptive_simpson(step, 0.0, 1.0, tol=1e-9)
     assert val == pytest.approx(2.0 / 3.0, abs=1e-8)
+
+
+def _step(x):
+    return (x > 1.0 / 3.0).astype(float)
+
+
+def test_many_integrals_keep_failures_to_their_own_integral():
+    # smooth integrals that converge within the depth budget of 8, next to
+    # one below the rounding floor, one that needs more than 8 halvings, one
+    # with no valid tolerance and one of zero width
+    gp = _cos2_integrand(derive(SystemParams(lam=0.1, omega_rabi=0.3)), 0.5)
+    cases = [(np.sin, 0.0, math.pi, 1e-6),
+             (gp, 0.0, 10.0, 1e-300),
+             (lambda x: np.exp(-x * x), -8.0, 8.0, 1e-4),
+             (_step, 0.0, 1.0, 1e-9),
+             (gp, 0.0, 10.0, 1e-5),
+             (np.sin, 0.0, 1.0, 0.0),
+             (np.cos, 2.0, 2.0, 1e-9)]
+    expected = [None, "below the rounding floor", None, "max depth 8", None,
+                "tol must be > 0", None]
+
+    def f(x, owner):
+        return np.choose(owner, [g(x) for g, *_ in cases])
+
+    a, b, tol = (np.array([c[k] for c in cases]) for k in (1, 2, 3))
+    values, errors, nodes, failures = adaptive_simpson_many(f, a, b, tol, max_depth=8)
+    for (g, lo, hi, eps), want, value, error, x, failure in zip(
+            cases, expected, values, errors, nodes, failures):
+        if want is not None:
+            assert isinstance(failure, QuadratureError)
+            assert want in str(failure)
+            assert math.isnan(value) and math.isnan(error)
+            with pytest.raises(QuadratureError, match=want):
+                adaptive_simpson(g, lo, hi, tol=eps, max_depth=8)
+            continue
+        assert failure is None
+        ref_value, ref_error, ref_nodes = adaptive_simpson(g, lo, hi, tol=eps,
+                                                           max_depth=8)
+        assert (value, error) == (ref_value, ref_error)
+        assert np.array_equal(x, ref_nodes)
+
+
+def _sweep_cases():
+    """(rows, quad_tol): the fig7 and fig8 corner sweeps (the outermost
+    curves of each family, over the presets' lambda axis), then random
+    sweeps over the validated box, the first along theta."""
+    lam_axis = SweepAxis("lambda_ratio", 0.01, 1.0, 41, "log").values()
+    cases = [([SystemParams(lam=lam, omega_rabi=om, theta=math.pi / 6)
+               for lam in lam_axis], 1e-9) for om in (0.01, 1.0)]
+    cases += [([SystemParams(lam=lam, omega_rabi=0.1, delta_qc=d, theta=math.pi / 6)
+                for lam in lam_axis], 1e-9) for d in (0.0, 10.0)]
+    rng = np.random.default_rng(8)
+    box = {"theta": (0.0, math.pi / 2), "lambda_ratio": (0.01, 1.0),
+           "omega": (0.0, 2.0), "delta": (0.0, 10.0)}
+    for name in ("theta", "theta", "lambda_ratio", "omega", "delta"):
+        fixed = SystemParams(lam=float(10 ** rng.uniform(-2, 0)),
+                             omega_rabi=float(rng.uniform(0, 2)),
+                             delta_qc=float(rng.uniform(0, 10)),
+                             theta=float(rng.uniform(0, math.pi / 2)))
+        axis = SweepAxis(name, *box[name], 7, "log" if name == "lambda_ratio" else "linear")
+        cases.append(([_params_at(fixed, name, float(v)) for v in axis.values()],
+                      float(10 ** rng.uniform(-12, -7))))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(len(_sweep_cases())))
+def test_batched_rows_match_depth_first_and_one_row_view(case):
+    rows, quad_tol = _sweep_cases()[case]
+    dps = [derive(p) for p in rows]
+    phi, err, nodes, errors = geometric_phases(dps, [p.theta for p in rows], quad_tol)
+    for p, dp, phi_i, err_i, x, error in zip(rows, dps, phi, err, nodes, errors):
+        assert error is None
+        one_phi, one_err, one_nodes = geometric_phase_detailed(dp, p.theta, quad_tol)
+        assert abs(phi_i - one_phi) <= 1e-14 and abs(err_i - one_err) <= 1e-14
+        assert np.array_equal(np.sort(x), np.sort(one_nodes))
+        f = _cos2_integrand(dp, p.theta)
+        period = 2 * math.pi / dp.omega_d
+        _, _, ref_nodes = _depth_first_simpson(f, 0.0, period, quad_tol / dp.omega_d)
+        assert np.array_equal(np.sort(x), np.sort(ref_nodes))
+
+
+def test_batched_rows_keep_undefined_period_and_failed_rows_apart():
+    rows = [SystemParams(lam=0.1, omega_rabi=om, theta=0.5) for om in (0.0, 0.2, 0.7)]
+    dps = [derive(p) for p in rows]
+    phi, err, nodes, errors = geometric_phases(dps, [0.5] * 3)
+    assert isinstance(errors[0], ValidationError) and "period" in str(errors[0])
+    assert math.isnan(phi[0]) and math.isnan(err[0]) and nodes[0].size == 0
+    for i in (1, 2):
+        assert errors[i] is None
+        assert (phi[i], err[i]) == geometric_phase_detailed(dps[i], 0.5)[:2]
+    _, _, _, errors = geometric_phases(dps[1:], [0.5] * 2, quad_tol=1e-300)
+    assert all("rounding floor" in str(e) for e in errors)
+
+
+def test_gp_sweep_calls_the_integrand_once_per_level(monkeypatch):
+    # one array call per Simpson level for the whole sweep: as many calls as
+    # its deepest row needs alone, where per-row integration makes their sum
+    calls = []
+    mode_form = phase._mode_form
+
+    def counted(M, F, t):
+        calls.append(np.size(t))
+        return mode_form(M, F, t)
+
+    monkeypatch.setattr(phase, "_mode_form", counted)
+    spec = SweepSpec("gp", SystemParams(lam=0.01, omega_rabi=0.3, theta=math.pi / 6),
+                     SweepAxis("lambda_ratio", 0.01, 1.0, 41, "log"))
+    per_row, n_nodes = [], 0
+    for lam in spec.axis.values():
+        calls.clear()
+        dp = derive(SystemParams(lam=lam, omega_rabi=0.3))
+        n_nodes += geometric_phase_detailed(dp, math.pi / 6)[2].size
+        per_row.append(len(calls))
+    calls.clear()
+    rows, summary = run_sweep(spec)
+    assert summary.n_failed == 0
+    assert len(calls) == max(per_row) < 20
+    assert sum(calls) == n_nodes
+
+
+if given is None:
+    def test_batched_phase_over_parameter_box():
+        pytest.skip("needs hypothesis (the test extra)")
+else:
+    @settings(max_examples=40)
+    @given(log_lam=st.floats(-2.0, 0.0), omega=st.floats(0.0, 2.0),
+           delta_qc=st.floats(0.0, 10.0),
+           thetas=st.lists(st.floats(0.0, math.pi / 2), min_size=1, max_size=4))
+    def test_batched_phase_over_parameter_box(log_lam, omega, delta_qc, thetas):
+        dp = derive(SystemParams(lam=10.0 ** log_lam, omega_rabi=omega,
+                                 delta_qc=delta_qc))
+        phi, err, nodes, errors = geometric_phases([dp] * len(thetas), thetas)
+        for theta, phi_i, x, error in zip(thetas, phi, nodes, errors):
+            if dp.omega_d <= 0.0:
+                assert isinstance(error, ValidationError)
+                continue
+            assert error is None
+            # the integral lies in [0, 2 pi]; its estimate within the
+            # tolerance 1e-9 (with cos^2 = 1 throughout it is 2 pi + 1 ulp)
+            assert -1e-9 <= phi_i <= 2 * math.pi + 1e-9
+            one_phi, _, one_nodes = geometric_phase_detailed(dp, theta)
+            assert abs(phi_i - one_phi) <= 1e-14
+            assert np.array_equal(np.sort(x), np.sort(one_nodes))

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from drivenqubit import SweepAxis, SweepSpec, SystemParams, ValidationError
+from drivenqubit import (SweepAxis, SweepSpec, SystemParams, ValidationError,
+                         derive, geometric_phase_detailed)
 from drivenqubit.cli import main
 from drivenqubit.sweeps import (PARAM_COLUMNS, figure_preset, run_sweep,
                                 sweep_columns, write_rows)
@@ -65,6 +66,32 @@ def test_worker_pool_matches_serial():
     serial, _ = run_sweep(spec, workers=1)
     pooled, _ = run_sweep(spec, workers=2)
     assert serial == pooled
+
+
+def test_gp_worker_chunks_match_serial():
+    # the rows go to two processes in contiguous chunks, one quadrature each
+    spec = SweepSpec("gp", SystemParams(lam=0.1, theta=0.5),
+                     SweepAxis("omega", 0.0, 1.0, 5))
+    serial, serial_summary = run_sweep(spec, workers=1)
+    pooled, pooled_summary = run_sweep(spec, workers=2)
+    assert serial[0]["status"] == "undefined-period"
+    assert [r["status"] for r in serial[1:]] == ["ok"] * 4
+    assert serial == pooled
+    assert serial_summary == pooled_summary
+
+
+def test_gp_failed_row_leaves_its_neighbours_untouched():
+    # at theta = 0 the integrand is 1 throughout, so even tol 1e-300 is met;
+    # the other rows fall below the rounding floor of their integrals
+    spec = SweepSpec("gp", SystemParams(lam=0.1, omega_rabi=0.3),
+                     SweepAxis("theta", 0.0, math.pi / 2, 3), quad_tol=1e-300)
+    rows, summary = run_sweep(spec)
+    assert [r["status"] for r in rows] == ["ok", "invalid", "invalid"]
+    dp = derive(SystemParams(lam=0.1, omega_rabi=0.3))
+    phi, err, _ = geometric_phase_detailed(dp, 0.0, 1e-300)
+    assert (rows[0]["phi_g"], rows[0]["quad_err"]) == (phi, err)
+    assert all(r["phi_g"] is r["quad_err"] is None for r in rows[1:])
+    assert summary.n_failed == 2
 
 
 def test_gp_sweep_undefined_period_becomes_error_row():
@@ -250,6 +277,32 @@ def test_cli_rejects_non_finite_parameter(tmp_path, capsys, flag):
                "--axis-max", "1", "--points", "3", *flag, "--out", str(out)])
     assert rc == 1
     assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "figure", "config"])
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_cli_rejects_workers_below_one(tmp_path, monkeypatch, capsys, command,
+                                       workers):
+    import drivenqubit.sweeps as sweeps
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a rejected --workers must start no pool")
+
+    monkeypatch.setattr(sweeps, "ProcessPoolExecutor", no_pool)
+    out = tmp_path / "out"
+    flags = ["--workers", workers]
+    if command == "config":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"workers = {workers}\n")
+        flags = ["--config", str(cfg)]
+    if command == "figure":
+        argv = ["figure", "--preset", "fig7", *flags, "--out", str(out)]
+    else:
+        argv = ["sweep", "--quantity", "gp", "--axis", "omega", "--points", "3",
+                "--lambda", "0.1", *flags, "--out", str(out)]
+    assert main(argv) == 1
+    assert "workers must be >= 1" in capsys.readouterr().err
     assert not out.exists()
 
 
