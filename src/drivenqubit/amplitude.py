@@ -17,16 +17,18 @@ Single times go through ``cmath``, which is about 20x cheaper per call than a
 one-point numpy call; arrays of times go through numpy.  The numpy formula,
 ``_mode_form``, is written once, elementwise in (M, F, t).
 ``amplitude_grid`` gives it the constants of one parameter set: time grids,
-the Leggett-Garg series, the witness, the decay-rate grid and the BLP
-extrema.  The geometric-phase quadrature gives it the constants of each
-node's own row, so one call covers one Simpson level of a whole sweep.
+the Leggett-Garg series, the witness and the decay-rate grid.  The
+geometric-phase quadrature and the BLP refinement give it the constants of
+each time's own row (the latter with the row quotients of
+``mode_constants``, rounded as ``amplitude_grid`` rounds them), so one call
+covers one Simpson level, or one slice of brackets, of a whole sweep.
 Both paths switch to the critically damped series at the same
 ``_SERIES_THRESHOLD``.  The ``cmath`` path serves the single-time functions:
 ``two_time_correlation`` (the independent route the tests hold
 ``lgi_series`` to), ``propagator`` and ``quantum_witness`` (with the witness
 self-check), ``evolve_superposition`` and ``apply_channel``,
-``phase.eigensystem``, ``nonmarkov.info_flux``, |A(t_max)| in
-``blp_measure``, and ``decay_rate``.
+``phase.eigensystem``, ``nonmarkov.info_flux``, |A(t_max)| in the BLP
+measure, and ``decay_rate``.
 
 scipy is imported only inside ``amplitude_oracle_ode``, the independent
 reference that ``drivenqubit check`` and the tests run, so the rest of the
@@ -118,15 +120,18 @@ def amplitude_derivative(dp: DerivedParams, t: float) -> complex:
     return pref / (2.0 * F) * (ep - em)
 
 
-def _mode_form(M, F, t, pref=None):
-    """A(t), and dA/dt when ``pref`` is given, elementwise in (M, F, t).
+def _mode_form(M, F, t, pref=None, quotients=None):
+    """A(t), and dA/dt when ``pref`` is given, elementwise in (M, F, pref, t).
 
-    t is an array of times; M and F (complex) are scalars for one parameter
-    set or arrays of t's shape, one value per time.  Mode form
-    A = c+ exp(s+ t) + c- exp(s- t) with s+- = -M/2 +- F/4, which never
-    overflows (Re s+- <= 0 for physical parameters), and the critically
-    damped series wherever |F| t is below ``_SERIES_THRESHOLD`` (everywhere
-    when F = 0); ``pref`` is the scalar ``coupling_prefactor``.
+    t is an array of times; M, F (complex) and ``pref`` (the
+    ``coupling_prefactor``) are scalars for one parameter set or arrays of
+    t's shape, one value per time.  Mode form A = c+ exp(s+ t) + c- exp(s- t)
+    with s+- = -M/2 +- F/4, which never overflows (Re s+- <= 0 for physical
+    parameters), and the critically damped series wherever |F| t is below
+    ``_SERIES_THRESHOLD`` (everywhere when F = 0).  ``quotients``, shaped
+    like M, are (2M/F, pref/(2F)) rounded once per parameter set by
+    ``mode_constants``; without them the quotients are taken here, by numpy
+    for arrays, whose complex division rounds differently from Python's.
     """
     small = ~(np.abs(F) * t >= _SERIES_THRESHOLD)  # |F| t is NaN at F = 0, t = inf
     if small.all():
@@ -136,16 +141,37 @@ def _mode_form(M, F, t, pref=None):
     ep = np.exp((-0.5 * M + 0.25 * F) * t)
     em = np.exp((-0.5 * M - 0.25 * F) * t)
     with np.errstate(divide="ignore", invalid="ignore"):  # F = 0 only where small
-        ratio = 2.0 * M / F
+        if quotients is None:
+            quotients = 2.0 * M / F, None if pref is None else pref / (2.0 * F)
+        ratio, dA_coef = quotients
         A = 0.5 * (1.0 + ratio) * ep + 0.5 * (1.0 - ratio) * em
-        dA = None if pref is None else (pref / (2.0 * F)) * (ep - em)
+        dA = None if pref is None else dA_coef * (ep - em)
     if small.any():
         Ms, ts = M[small] if np.ndim(M) else M, t[small]
         e = np.exp(-0.5 * Ms * ts)
         A[small] = e * (1.0 + 0.5 * Ms * ts)
         if dA is not None:
-            dA[small] = pref * 0.25 * ts * e
+            dA[small] = (pref[small] if np.ndim(pref) else pref) * 0.25 * ts * e
     return A if pref is None else (A, dA)
+
+
+def mode_constants(dps) -> tuple[np.ndarray, ...]:
+    """Arrays (M, F, pref, 2M/F, pref/(2F)), one value per parameter set.
+
+    Indexed per time, they give ``_mode_form`` the constants of each time's
+    own parameter set, with the quotients rounded by Python complex
+    division, as ``amplitude_grid`` rounds them; so a batched evaluation
+    matches ``amplitude_grid`` bit for bit.  The quotients of a set with
+    F = 0 are never used (every time is in the series there) and read 0.
+    """
+    M = np.array([dp.m_const for dp in dps], dtype=complex)
+    F = np.array([dp.f_const for dp in dps], dtype=complex)
+    pref = np.array([dp.coupling_prefactor for dp in dps], dtype=float)
+    ratio = np.array([2.0 * dp.m_const / dp.f_const if dp.f_const else 0j
+                      for dp in dps], dtype=complex)
+    dA_coef = np.array([dp.coupling_prefactor / (2.0 * dp.f_const) if dp.f_const else 0j
+                        for dp in dps], dtype=complex)
+    return M, F, pref, ratio, dA_coef
 
 
 def amplitude_grid(dp: DerivedParams, times) -> tuple[np.ndarray, np.ndarray]:

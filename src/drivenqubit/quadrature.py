@@ -40,6 +40,55 @@ class QuadratureError(RuntimeError):
     """Requested tolerance not reached within the subdivision budget."""
 
 
+def _settle(level, owner, mids, f_mids, depth: int, max_depth: int, values, errors,
+            failures):
+    """Accept or split every pending interval of one depth.
+
+    ``level`` holds one column per interval (x0, xm, x1, f0, fm, f1, whole,
+    s_tol), ``mids`` and ``f_mids`` the midpoints of the left halves, then
+    of the right halves, and f there.  Adds the accepted intervals to
+    ``values`` and ``errors``, records the failures of this depth, and
+    returns the next level and its owners.
+    """
+    n = values.size
+    x0, xm, x1, f0, fm, f1, whole, s_tol = level
+    lm, rm = mids.reshape(2, -1)
+    flm, frm = f_mids.reshape(2, -1)
+    # each half keeps its own width: a shared one is off by an ulp of x
+    s_left = (xm - x0) / 6.0 * (f0 + 4.0 * flm + fm)
+    s_right = (x1 - xm) / 6.0 * (fm + 4.0 * frm + f1)
+    delta = s_left + s_right - whole
+    done = np.abs(delta) <= 15.0 * s_tol
+    values += np.bincount(owner[done], s_left[done] + s_right[done]
+                          + delta[done] / 15.0, n)
+    errors += np.bincount(owner[done], np.abs(delta[done]), n) / 15.0
+    split = ~done
+    if depth >= max_depth:
+        bad = split
+    else:
+        floor = 16.0 * _EPS * (np.abs(s_left) + np.abs(s_right))
+        bad = split & (15.0 * s_tol < floor)
+    if bad.any():
+        # the first offending interval of each integral names its failure
+        culprits, first_bad = np.unique(owner[bad], return_index=True)
+        for k, i in zip(culprits.tolist(), np.flatnonzero(bad)[first_bad].tolist()):
+            if depth >= max_depth:
+                msg = (f"max depth {max_depth} reached on [{x0[i]}, {x1[i]}] "
+                       f"with residual {abs(delta[i]):.3e}")
+            else:
+                msg = (f"tolerance {s_tol[i]:.3e} on [{x0[i]}, {x1[i]}] is below "
+                       f"the rounding floor {floor[i] / 15.0:.3e} of its "
+                       f"Simpson sums")
+            failures[k] = QuadratureError(msg)
+        split &= ~np.isin(owner, culprits)
+    # the left halves of the split intervals, then their right halves
+    keep = np.flatnonzero(split)
+    level = np.array([np.concatenate([u[keep], v[keep]]) for u, v in (
+        (x0, xm), (lm, rm), (xm, x1), (f0, fm), (flm, frm), (fm, f1),
+        (s_left, s_right), (0.5 * s_tol, 0.5 * s_tol))])
+    return level, np.concatenate([owner[keep], owner[keep]])
+
+
 def adaptive_simpson_many(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
                           a, b, tol, max_depth: int = 60):
     """Integrate f over [a_i, b_i] to absolute tolerance tol_i for every i.
@@ -73,46 +122,14 @@ def adaptive_simpson_many(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
 
     depth = 0
     while owner.size:
-        x0, xm, x1, f0, fm, f1, whole, s_tol = level
-        lm = 0.5 * (x0 + xm)
-        rm = 0.5 * (xm + x1)
-        mids, both = np.concatenate([lm, rm]), np.concatenate([owner, owner])
-        flm, frm = np.asarray(f(mids, both), dtype=float).reshape(2, -1)
+        x0, xm, x1 = level[:3]
+        mids = np.concatenate([0.5 * (x0 + xm), 0.5 * (xm + x1)])
+        both = np.concatenate([owner, owner])
         node_x.append(mids)
         node_owner.append(both)
-        # each half keeps its own width: a shared one is off by an ulp of x
-        s_left = (xm - x0) / 6.0 * (f0 + 4.0 * flm + fm)
-        s_right = (x1 - xm) / 6.0 * (fm + 4.0 * frm + f1)
-        delta = s_left + s_right - whole
-        done = np.abs(delta) <= 15.0 * s_tol
-        values += np.bincount(owner[done], s_left[done] + s_right[done]
-                              + delta[done] / 15.0, n)
-        errors += np.bincount(owner[done], np.abs(delta[done]), n) / 15.0
-        split = ~done
-        if depth >= max_depth:
-            bad = split
-        else:
-            floor = 16.0 * _EPS * (np.abs(s_left) + np.abs(s_right))
-            bad = split & (15.0 * s_tol < floor)
-        if bad.any():
-            # the first offending interval of each integral names its failure
-            culprits, first_bad = np.unique(owner[bad], return_index=True)
-            for k, i in zip(culprits.tolist(), np.flatnonzero(bad)[first_bad].tolist()):
-                if depth >= max_depth:
-                    msg = (f"max depth {max_depth} reached on [{x0[i]}, {x1[i]}] "
-                           f"with residual {abs(delta[i]):.3e}")
-                else:
-                    msg = (f"tolerance {s_tol[i]:.3e} on [{x0[i]}, {x1[i]}] is below "
-                           f"the rounding floor {floor[i] / 15.0:.3e} of its "
-                           f"Simpson sums")
-                failures[k] = QuadratureError(msg)
-            split &= ~np.isin(owner, culprits)
-        # the left halves of the split intervals, then their right halves
-        keep = np.flatnonzero(split)
-        level = np.array([np.concatenate([u[keep], v[keep]]) for u, v in (
-            (x0, xm), (lm, rm), (xm, x1), (f0, fm), (flm, frm), (fm, f1),
-            (s_left, s_right), (0.5 * s_tol, 0.5 * s_tol))])
-        owner = np.concatenate([owner[keep], owner[keep]])
+        # only the pending level is held while the integrand runs
+        level, owner = _settle(level, owner, mids, np.asarray(f(mids, both), dtype=float),
+                               depth, max_depth, values, errors, failures)
         depth += 1
 
     node_x, node_owner = np.concatenate(node_x), np.concatenate(node_owner)

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .amplitude import amplitude_grid, decay_rate_grid
-from .nonmarkov import blp_measure
+from .nonmarkov import blp_measures
 from .params import SystemParams, ValidationError, derive
 from .phase import geometric_phases
 from .temporal import lgi_series, witness_series
@@ -217,25 +217,26 @@ def _gp_rows(spec: SweepSpec, values) -> list[dict]:
     return rows
 
 
-def _blp_row(spec: SweepSpec, value: float) -> dict:
-    p = _params_at(spec.fixed, spec.axis.name, float(value))
-    base = asdict(p) | {spec.axis.name: float(value)}
-    try:
-        # extend the horizon until the backflow gains (which die off with
-        # the amplitude envelope exp(-lam t / 2)) are converged, within a cap
-        t_eff = max(spec.t_max, min(5000.0, 2.0 * math.log(1e4) / p.lam))
-        result = blp_measure(p, t_max=t_eff)
-        cells = {
-            "n_measure": result.n_measure,
-            "alpha_best": result.alpha,
-            "residual_bound": result.residual_bound,
-            "truncated": int(result.truncated),
-        }
-    except ValidationError:
-        return _failed_row(base, "blp")
-    if not all(math.isfinite(v) for v in cells.values()):
-        return _failed_row(base, "blp")
-    return base | cells | {"status": "ok"}
+def _blp_rows(spec: SweepSpec, values) -> list[dict]:
+    """Rows of a BLP sweep, all evaluated in one batched pass."""
+    values = values.tolist()
+    params = [_params_at(spec.fixed, spec.axis.name, v) for v in values]
+    # extend the horizon until the backflow gains (which die off with the
+    # amplitude envelope exp(-lam t / 2)) are converged, within a cap
+    t_eff = [max(spec.t_max, min(5000.0, 2.0 * math.log(1e4) / p.lam)) for p in params]
+    n_measure, alpha, residual, truncated, errors = blp_measures(params, t_eff)
+    rows = []
+    for p, v, exc, n_i, alpha_i, residual_i, truncated_i in zip(
+            params, values, errors, n_measure.tolist(), alpha.tolist(),
+            residual.tolist(), truncated.tolist()):
+        base = asdict(p) | {spec.axis.name: v}
+        cells = {"n_measure": n_i, "alpha_best": alpha_i,
+                 "residual_bound": residual_i, "truncated": int(truncated_i)}
+        if exc is None and all(math.isfinite(c) for c in cells.values()):
+            rows.append(base | cells | {"status": "ok"})
+        else:
+            rows.append(_failed_row(base, "blp"))
+    return rows
 
 
 def _check_workers(workers: int) -> None:
@@ -246,28 +247,22 @@ def _check_workers(workers: int) -> None:
 def run_sweep(spec: SweepSpec, workers: int = 1):
     """Evaluate the sweep; returns (rows, summary), rows in axis order.
 
-    A ``gp`` sweep integrates its rows together; with workers > 1 its rows
-    are split into at most ``workers`` contiguous chunks, one process and
-    one quadrature each, and the rows come out as a serial run gives them.
-    A ``blp`` sweep sends its rows to the pool one at a time.
+    A ``gp`` or ``blp`` sweep evaluates its rows together, in one batched
+    pass; with workers > 1 its rows are split into at most ``workers``
+    contiguous chunks, one process and one batched pass each, and the rows
+    come out as a serial run gives them.
     """
     _check_workers(workers)
-    if spec.quantity == "gp":
+    if spec.quantity in ("gp", "blp"):
+        rows_of = _gp_rows if spec.quantity == "gp" else _blp_rows
         values = spec.axis.values()
         chunks = np.array_split(values, min(workers, values.size))
         if len(chunks) > 1:
             with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-                rows = [r for part in pool.map(_gp_rows, [spec] * len(chunks), chunks)
+                rows = [r for part in pool.map(rows_of, [spec] * len(chunks), chunks)
                         for r in part]
         else:
-            rows = _gp_rows(spec, values)
-    elif spec.quantity == "blp":
-        values = spec.axis.values()
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=min(workers, values.size)) as pool:
-                rows = list(pool.map(_blp_row, [spec] * len(values), values))
-        else:
-            rows = [_blp_row(spec, v) for v in values]
+            rows = rows_of(spec, values)
     else:
         rows = _time_series_rows(spec)
     key = OBSERVABLE_COLUMNS[spec.quantity][0]

@@ -3,6 +3,12 @@ import math
 import numpy as np
 import pytest
 
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # only the property test needs hypothesis (the `test` extra)
+    given = None
+
 from drivenqubit import (AmplitudePole, SystemParams, ValidationError,
                          amplitude_closed_form, amplitude_derivative,
                          amplitude_grid, amplitude_oracle_ode,
@@ -213,3 +219,21 @@ def test_negative_time_rejected():
         amplitude_closed_form(dp, -1.0)
     with pytest.raises(ValidationError):
         amplitude_grid(dp, np.array([0.0, -0.5]))
+
+
+if given is None:
+    def test_amplitude_stays_in_unit_disc_over_parameter_box():
+        pytest.skip("needs hypothesis (the test extra)")
+else:
+    # the validated parameter box: lambda in [0.01, 1] (log scale), omega in
+    # [0, 2], delta in [0, 10]; times up to 50
+    @settings(max_examples=100)
+    @given(log_lam=st.floats(-2.0, 0.0), omega=st.floats(0.0, 2.0),
+           delta_qc=st.floats(0.0, 10.0),
+           times=st.lists(st.floats(0.0, 50.0), min_size=1, max_size=16))
+    def test_amplitude_stays_in_unit_disc_over_parameter_box(log_lam, omega, delta_qc,
+                                                             times):
+        dp = derive(SystemParams(lam=10.0 ** log_lam, omega_rabi=omega,
+                                 delta_qc=delta_qc))
+        A, _ = amplitude_grid(dp, np.array(times))
+        assert np.all(np.abs(A) <= 1.0 + 1e-12)

@@ -15,10 +15,37 @@ from drivenqubit import (BlochVector, QubitState, SystemParams,
                          backflow_intervals, blp_measure, derive, info_flux,
                          trace_distance)
 from drivenqubit import nonmarkov
-from drivenqubit.amplitude import amplitude_closed_form, amplitude_grid
-from drivenqubit.nonmarkov import (_amp_extrema, _flux_brackets,
+from drivenqubit.amplitude import (amplitude_closed_form, amplitude_grid,
+                                   mode_constants)
+from drivenqubit.nonmarkov import (_amp_extrema, _Flux, _flux_brackets,
                                    _flux_coefficients, _flux_form, _max_gain,
-                                   _refine)
+                                   _refine, blp_measures)
+from drivenqubit.sweeps import (SweepAxis, SweepSpec, _params_at, _preset_table,
+                                run_sweep)
+
+
+def _extrema(dp, t_max):
+    """(times, kinds, |A|) of one row from the batched finder; raises the
+    row's error."""
+    times, kinds, amps, _, errors = _amp_extrema([dp], [t_max])
+    if errors[0] is not None:
+        raise errors[0]
+    return times, kinds, amps
+
+
+def _refine_row(dp, coef, lo, hi):
+    """The batched refinement of brackets of one row; raises the row's error."""
+    times, kinds, amps, failures = _refine(_Flux.of([coef]), mode_constants([dp]),
+                                           lo, hi, np.zeros(lo.size, dtype=int))
+    if failures:
+        raise failures[0]
+    return times, kinds, amps
+
+
+def _gain(xs, xe):
+    """(gain, u) of one row from the batched pair search."""
+    best, u = _max_gain(xs, xe, np.zeros(xs.size, dtype=int), 1)
+    return float(best[0]), float(u[0])
 
 
 def _dense_extrema(dp, t_max, per_cycle=1024, chunk=1_000_000):
@@ -55,7 +82,7 @@ def _dense_extrema(dp, t_max, per_cycle=1024, chunk=1_000_000):
 
 
 def _assert_same_extrema(dp, t_max):
-    times, kinds, amps = _amp_extrema(dp, t_max)
+    times, kinds, amps = _extrema(dp, t_max)
     ref_times, ref_kinds = _dense_extrema(dp, t_max)
     assert np.array_equal(kinds, ref_kinds)
     assert np.all(kinds[1:] != kinds[:-1])
@@ -272,7 +299,7 @@ def test_max_gain_certifies_an_interior_maximum():
     # both ends; the search must find the peak, not an end
     xs = np.array([0.73447385, 0.00406078, 0.66030563])
     xe = np.array([0.77836815, 0.16222838, 0.96809998])
-    best, u = _max_gain(xs, xe)
+    best, u = _gain(xs, xe)
     ends, slack = _plain_gains(xs, xe, [0.0, 1.0])
     assert 0.9 < u < 1.0 and best > ends.max() + 1e-3
     assert _plain_gains(xs, xe, [u])[0][0] == pytest.approx(best, abs=slack)
@@ -286,10 +313,10 @@ def test_max_gain_at_zero_amplitude():
     # and slopes with a vanishing denominator are 0, and nothing warns
     xs = np.array([0.0, 0.0, 1e-200, 0.2])
     xe = np.array([0.0, 0.3, 1e-100, 0.25])
-    best, u = _max_gain(xs, xe)
+    best, u = _gain(xs, xe)
     assert u == 0.0 and best == pytest.approx(np.sum(xe - xs), rel=1e-15)
-    assert _max_gain(xs[:1], xe[:1]) == (0.0, 1.0)
-    assert _max_gain(np.empty(0), np.empty(0)) == (0.0, 1.0)
+    assert _gain(xs[:1], xe[:1]) == (0.0, 1.0)
+    assert _gain(np.empty(0), np.empty(0)) == (0.0, 1.0)
 
 
 @pytest.mark.parametrize("lam,omega,delta_qc,t_max", [
@@ -374,28 +401,128 @@ def test_unconfirmed_bracket_costs_one_more_kernel_call(monkeypatch):
     dp = derive(SystemParams(lam=0.01, omega_rabi=1.0, delta_qc=1.0))
     t_max = 2.0 * math.log(1e4) / 0.01
     calls = []
-    grid = nonmarkov.amplitude_grid
+    mode_form = nonmarkov._mode_form
 
-    def counted(dp, t):
+    def counted(M, F, t, *args):
         calls.append(t.size)
-        return grid(dp, t)
+        return mode_form(M, F, t, *args)
 
-    monkeypatch.setattr(nonmarkov, "amplitude_grid", counted)
-    times, kinds, amps = _amp_extrema(dp, t_max)
+    monkeypatch.setattr(nonmarkov, "_mode_form", counted)
+    times, kinds, amps = _extrema(dp, t_max)
     assert len(calls) == 2
     monkeypatch.setattr(nonmarkov, "_NEWTON_MORE", 0)
     calls.clear()
-    ref_times, ref_kinds, ref_amps = _amp_extrema(dp, t_max)
+    ref_times, ref_kinds, ref_amps = _extrema(dp, t_max)
     assert len(calls) > 10
     assert np.array_equal(kinds, ref_kinds)
     assert np.max(np.abs(times - ref_times)) < 1e-10
     assert np.max(np.abs(amps - ref_amps)) < 1e-12
 
 
+def _sweep_inputs(spec):
+    """Parameter sets and horizons of the rows of a blp sweep, as the sweep
+    builds them."""
+    params = [_params_at(spec.fixed, spec.axis.name, v)
+              for v in spec.axis.values().tolist()]
+    return params, [max(spec.t_max, min(5000.0, 2.0 * math.log(1e4) / p.lam))
+                    for p in params]
+
+
+def _assert_rows_match_one_row_view(params, t_maxes, result, skip=()):
+    n_measure, alpha, residual, truncated, errors = result
+    for i, (p, t_max) in enumerate(zip(params, t_maxes)):
+        if i in skip:
+            continue
+        one = blp_measure(p, t_max=t_max)
+        assert errors[i] is None
+        assert (n_measure[i], alpha[i], residual[i], truncated[i]) == (
+            one.n_measure, one.alpha, one.residual_bound, one.truncated)
+
+
+def _corner_and_random_sweeps():
+    table = _preset_table()
+    fig9, fig10 = table["fig9"], table["fig10"][0][2]
+    # drive 0 and 2 at detuning 0 and 10; the weakest and strongest drive of fig10
+    specs = [fig9[panel][2][k] for panel in (0, 3) for k in (0, 4)] + [fig10[0], fig10[3]]
+    rng = np.random.default_rng(29)
+    ranges = {"lambda_ratio": (0.01, 1.0, "log"), "omega": (0.0, 2.0, "linear"),
+              "delta": (0.0, 10.0, "linear")}
+    for _ in range(5):
+        name = str(rng.choice(sorted(ranges)))
+        lo, hi, scale = ranges[name]
+        fixed = SystemParams(lam=10.0 ** rng.uniform(-2.0, 0.0),
+                             omega_rabi=rng.uniform(0.0, 2.0),
+                             delta_qc=rng.uniform(0.0, 10.0))
+        specs.append(SweepSpec("blp", fixed, SweepAxis(name, lo, hi, 6, scale)))
+    return specs
+
+
+def test_batched_rows_match_the_one_row_view():
+    for spec in _corner_and_random_sweeps():
+        params, t_maxes = _sweep_inputs(spec)
+        _assert_rows_match_one_row_view(params, t_maxes, blp_measures(params, t_maxes))
+
+
+def test_failed_row_leaves_its_neighbours_untouched(monkeypatch):
+    spec = _preset_table()["fig9"][1][2][2]  # omega 0.5, delta 0.1
+    params, t_maxes = _sweep_inputs(spec)
+    params, t_maxes = params[:5], t_maxes[:5]
+    # a horizon too short for the envelope of row 1
+    short = [*t_maxes[:1], 50.0, *t_maxes[2:]]
+    result = blp_measures(params, short)
+    assert "t_max too small" in str(result[4][1])
+    assert all(math.isnan(v[1]) for v in result[:3]) and not result[3][1]
+    _assert_rows_match_one_row_view(params, short, result, skip={1})
+    # a bracket of row 2 that straddles no sign change of h, from one
+    # bracket's right end to the next one's left end
+    real = nonmarkov._flux_brackets
+
+    def injected(flux, t, owner):
+        lo, hi, own = real(flux, t, owner)
+        k = np.flatnonzero(own == 2)[:2]
+        if k.size == 2:
+            lo, hi, own = (np.append(lo, hi[k[0]]), np.append(hi, lo[k[1]]),
+                           np.append(own, 2))
+        return lo, hi, own
+
+    monkeypatch.setattr(nonmarkov, "_flux_brackets", injected)
+    result = blp_measures(params, t_maxes)
+    assert "no sign change" in str(result[4][2])
+    assert all(math.isnan(v[2]) for v in result[:3]) and not result[3][2]
+    monkeypatch.undo()
+    _assert_rows_match_one_row_view(params, t_maxes, result, skip={2})
+
+
+def test_blp_sweep_kernel_calls_follow_its_slices(monkeypatch):
+    # the initial gaps of all rows go to the finder in full slices of
+    # _CHUNK, and each slice confirms its brackets in one kernel call, plus
+    # one for brackets whose Newton steps had not converged; rows evaluated
+    # one at a time would make a slice and a kernel call per row
+    gaps, calls = [], []
+    brackets, mode_form = nonmarkov._flux_brackets, nonmarkov._mode_form
+
+    def counted_brackets(flux, t, owner):
+        gaps.append(np.count_nonzero(owner[1:] == owner[:-1]))
+        return brackets(flux, t, owner)
+
+    def counted_kernel(M, F, t, *args):
+        calls.append(t.size)
+        return mode_form(M, F, t, *args)
+
+    monkeypatch.setattr(nonmarkov, "_flux_brackets", counted_brackets)
+    monkeypatch.setattr(nonmarkov, "_mode_form", counted_kernel)
+    spec = _preset_table()["fig9"][1][2][3]  # 21 rows: omega 1, delta 0.1
+    rows, summary = run_sweep(spec)
+    assert len(rows) == 21 and summary.n_failed == 0
+    assert max(gaps) <= nonmarkov._CHUNK
+    assert len(gaps) == math.ceil(sum(gaps) / nonmarkov._CHUNK) < 21
+    assert len(calls) <= 2 * len(gaps)
+
+
 def test_formerly_capped_row_keeps_its_measure():
     t_max = 2.0 * math.log(1e4) / 0.01
     dp = derive(SystemParams(lam=0.01, omega_rabi=2.0, delta_qc=-10.0))
-    assert _amp_extrema(dp, t_max)[0].size == 5050
+    assert _extrema(dp, t_max)[0].size == 5050
     res = blp_measure(dp.params, t_max=t_max)
     assert res.n_measure == pytest.approx(1.9466768722e-05, abs=1e-15)
 
@@ -404,11 +531,12 @@ def test_decoupled_qubit_has_no_extrema():
     # omega = 0 with delta_qc < 0 puts the qubit in the dark dressed state:
     # the coupling (1 + cos eta)^2 vanishes and h = 0 identically
     dp = derive(SystemParams(lam=0.01, omega_rabi=0.0, delta_qc=-100.0))
-    times, kinds, amps = _amp_extrema(dp, 100.0)
+    times, kinds, amps = _extrema(dp, 100.0)
     assert times.size == 0 and kinds.size == 0 and amps.size == 0
     assert blp_measure(dp.params, t_max=100.0).n_measure == 0.0
     # the finder itself stops on a flux that is zero everywhere
-    lo, hi = _flux_brackets((0.0, 0.0, 0j, 0.01, 200.0), np.linspace(0, 100, 101))
+    lo, hi, _ = _flux_brackets(_Flux.of([(0.0, 0.0, 0j, 0.01, 200.0)]),
+                               np.linspace(0, 100, 101), np.zeros(101, dtype=int))
     assert lo.size == 0 and hi.size == 0
 
 
@@ -416,11 +544,12 @@ def test_bracket_signs_agree_with_mpmath():
     mpmath = pytest.importorskip("mpmath")
     p = SystemParams(lam=0.01, omega_rabi=0.5, delta_qc=-100.0)
     dp = derive(p)
-    coef = _flux_coefficients(dp)
+    flux = _Flux.of([_flux_coefficients(dp)])
     # the horizon of a sweep row at lam = 0.01; with the textbook forms of c-
     # and s+, 13% of the brackets found here are wrong, all beyond t ~ 800
     t_max = 2.0 * math.log(1e4) / p.lam
-    lo, hi = _flux_brackets(coef, np.linspace(0.0, t_max, 400_001))
+    lo, hi, _ = _flux_brackets(flux, np.linspace(0.0, t_max, 400_001),
+                               np.zeros(400_001, dtype=int))
     assert lo.size == 63_048
     with mpmath.workdps(50):
         mpf = mpmath.mpf
@@ -440,25 +569,26 @@ def test_bracket_signs_agree_with_mpmath():
         for i in np.random.default_rng(7).choice(lo.size, 60, replace=False):
             s_lo, s_hi = h_sign(lo[i]), h_sign(hi[i])
             assert s_lo == -s_hi != 0
-            assert s_lo == np.sign(_flux_form(coef, np.array([lo[i]]))[0][0])
+            assert s_lo == np.sign(_flux_form(flux, np.array([lo[i]]))[0][0])
 
 
 def test_inconsistent_brackets_raise(monkeypatch):
     dp = derive(SystemParams(lam=0.01, omega_rabi=2.0, delta_qc=1.0))
     coef = _flux_coefficients(dp)
-    lo, hi = _flux_brackets(coef, np.linspace(0.0, 100.0, 1001))
+    lo, hi, _ = _flux_brackets(_Flux.of([coef]), np.linspace(0.0, 100.0, 1001),
+                               np.zeros(1001, dtype=int))
     # a bracket whose ends straddle no sign change of h
     with pytest.raises(ValidationError, match="no sign change"):
-        _refine(dp, coef, np.append(lo, hi[0]), np.append(hi, lo[1]))
+        _refine_row(dp, coef, np.append(lo, hi[0]), np.append(hi, lo[1]))
     # a two-mode form of the opposite sign: same roots, every direction wrong
     flipped = (-coef[0], -coef[1], -coef[2], coef[3], coef[4])
     with pytest.raises(ValidationError, match="disagree on the direction"):
-        _refine(dp, flipped, lo, hi)
+        _refine_row(dp, flipped, lo, hi)
     # every other bracket lost: two minima in a row
     monkeypatch.setattr(nonmarkov, "_flux_brackets",
-                        lambda c, t: (lo[::2], hi[::2]))
+                        lambda f, t, owner: (lo[::2], hi[::2], np.zeros(lo[::2].size, int)))
     with pytest.raises(ValidationError, match="do not alternate"):
-        _amp_extrema(dp, 100.0)
+        _extrema(dp, 100.0)
 
 
 if given is None:

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import json
 import math
 from pathlib import Path
@@ -66,6 +65,18 @@ def test_worker_pool_matches_serial():
     serial, _ = run_sweep(spec, workers=1)
     pooled, _ = run_sweep(spec, workers=2)
     assert serial == pooled
+
+
+def test_blp_worker_chunks_match_serial():
+    # five rows over two processes: contiguous chunks of three and two rows,
+    # one batched pass each
+    spec = SweepSpec("blp", SystemParams(lam=0.05, omega_rabi=0.4),
+                     SweepAxis("delta", 0.0, 10.0, 5))
+    serial, serial_summary = run_sweep(spec, workers=1)
+    pooled, pooled_summary = run_sweep(spec, workers=2)
+    assert [r["status"] for r in serial] == ["ok"] * 5
+    assert serial == pooled
+    assert serial_summary == pooled_summary
 
 
 def test_gp_worker_chunks_match_serial():
@@ -350,12 +361,15 @@ def test_cli_gp_row_below_rounding_floor_is_invalid(tmp_path):
 def test_cli_non_finite_blp_row_is_invalid(tmp_path, monkeypatch, field, value):
     import drivenqubit.sweeps as sweeps
 
-    measure = sweeps.blp_measure
+    measures = sweeps.blp_measures
+    position = {"n_measure": 0, "alpha": 1}[field]
 
-    def broken(params, **kwargs):
-        return dataclasses.replace(measure(params, **kwargs), **{field: value})
+    def broken(params_seq, t_maxes):
+        result = list(measures(params_seq, t_maxes))
+        result[position] = np.full(len(params_seq), value)
+        return tuple(result)
 
-    monkeypatch.setattr(sweeps, "blp_measure", broken)
+    monkeypatch.setattr(sweeps, "blp_measures", broken)
     out = tmp_path / "blp.csv"
     rc = main(["sweep", "--quantity", "blp", "--axis", "lambda_ratio",
                "--axis-min", "0.5", "--axis-max", "1", "--points", "2",

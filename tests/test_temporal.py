@@ -3,6 +3,12 @@ import math
 import numpy as np
 import pytest
 
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # only the property tests need hypothesis (the `test` extra)
+    given = None
+
 from drivenqubit import (SystemParams, ValidationError, coherence_monotone,
                          derive, lgi_c3, lgi_series, propagator,
                          quantum_witness, two_time_correlation,
@@ -225,3 +231,47 @@ def test_coherence_monotone_rejects_tiny_or_shifted_grids():
         coherence_monotone(dp, np.array([0.0, 1.0]))
     with pytest.raises(ValidationError):
         coherence_monotone(dp, np.array([0.5, 1.0, 1.5]))
+
+
+# the validated parameter box: lambda in [0.01, 1] (log scale), omega in
+# [0, 2], delta in [0, 10], theta in [0, pi/2]; steps tau up to 50
+if given is None:
+    def test_lgi_quantum_bounds_over_parameter_box():
+        pytest.skip("needs hypothesis (the test extra)")
+
+    def test_witness_routes_agree_over_parameter_box():
+        pytest.skip("needs hypothesis (the test extra)")
+else:
+    _box = dict(log_lam=st.floats(-2.0, 0.0), omega=st.floats(0.0, 2.0),
+                delta_qc=st.floats(0.0, 10.0), theta=st.floats(0.0, math.pi / 2),
+                taus=st.lists(st.floats(0.0, 50.0, exclude_min=True), min_size=2,
+                              max_size=16, unique=True))
+
+    @settings(max_examples=100)
+    @given(**_box)
+    def test_lgi_quantum_bounds_over_parameter_box(log_lam, omega, delta_qc, theta,
+                                                   taus):
+        # the quantum bounds of the three- and four-time combinations (Emary,
+        # Lambert, Nori, Rep. Prog. Phys. 77, 016001 (2014))
+        dp = derive(SystemParams(lam=10.0 ** log_lam, omega_rabi=omega,
+                                 delta_qc=delta_qc))
+        c3, c4 = lgi_series(dp, theta, taus)
+        assert np.all(c3 <= 1.5 + 1e-12)
+        assert np.all(c4 <= 2.0 * math.sqrt(2.0) + 1e-12)
+
+    @settings(max_examples=100)
+    @given(**_box)
+    def test_witness_routes_agree_over_parameter_box(log_lam, omega, delta_qc, theta,
+                                                     taus):
+        # the closed form against the propagator route (Li et al., Sci. Rep.
+        # 2, 885 (2012)), and the series against the closed form: the same
+        # formula, on the grid kernel rather than cmath, so equal to rounding
+        dp = derive(SystemParams(lam=10.0 ** log_lam, omega_rabi=omega,
+                                 delta_qc=delta_qc))
+        taus = [0.0, *sorted(taus)]
+        w = [quantum_witness(dp, theta, tau).w_q for tau in taus]
+        for tau, w_q in zip(taus, w):
+            p_free, p_blind = witness_probabilities(dp, theta, tau)
+            assert abs(abs(p_free - p_blind) - w_q) <= 1e-12
+        np.testing.assert_allclose(witness_series(dp, theta, taus)[0], w,
+                                   rtol=0, atol=1e-14)
