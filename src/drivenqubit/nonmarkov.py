@@ -314,7 +314,7 @@ def _confirm(modes, lo, hi, x, rising, owner):
 
 def _fail(failures: dict, rows, message: str) -> None:
     """Record the error of each row in ``rows`` that has none yet."""
-    for r in np.unique(rows).tolist():
+    for r in set(rows.tolist()):
         failures.setdefault(r, ValidationError(message))
 
 

@@ -248,19 +248,24 @@ def run_sweep(spec: SweepSpec, workers: int = 1):
     """Evaluate the sweep; returns (rows, summary), rows in axis order.
 
     A ``gp`` or ``blp`` sweep evaluates its rows together, in one batched
-    pass; with workers > 1 its rows are split into at most ``workers``
-    contiguous chunks, one process and one batched pass each, and the rows
-    come out as a serial run gives them.
+    pass; with workers > 1 its rows are dealt out to at most ``workers``
+    processes in turn, one batched pass each, and the rows come out as a
+    serial run gives them.
     """
     _check_workers(workers)
     if spec.quantity in ("gp", "blp"):
         rows_of = _gp_rows if spec.quantity == "gp" else _blp_rows
         values = spec.axis.values()
-        chunks = np.array_split(values, min(workers, values.size))
-        if len(chunks) > 1:
-            with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-                rows = [r for part in pool.map(rows_of, [spec] * len(chunks), chunks)
-                        for r in part]
+        n = min(workers, values.size)
+        if n > 1:
+            # process k takes rows k, k + n, ...: the cost of a row changes
+            # steadily along an axis (a blp row's grows as 1/lam), so
+            # interleaved shares are even where contiguous ones are not
+            rows = [None] * values.size
+            with ProcessPoolExecutor(max_workers=n) as pool:
+                parts = pool.map(rows_of, [spec] * n, [values[k::n] for k in range(n)])
+                for k, part in enumerate(parts):
+                    rows[k::n] = part
         else:
             rows = rows_of(spec, values)
     else:

@@ -68,8 +68,8 @@ def test_worker_pool_matches_serial():
 
 
 def test_blp_worker_chunks_match_serial():
-    # five rows over two processes: contiguous chunks of three and two rows,
-    # one batched pass each
+    # five rows over two processes: rows 0, 2, 4 and rows 1, 3, one batched
+    # pass each
     spec = SweepSpec("blp", SystemParams(lam=0.05, omega_rabi=0.4),
                      SweepAxis("delta", 0.0, 10.0, 5))
     serial, serial_summary = run_sweep(spec, workers=1)
@@ -80,7 +80,7 @@ def test_blp_worker_chunks_match_serial():
 
 
 def test_gp_worker_chunks_match_serial():
-    # the rows go to two processes in contiguous chunks, one quadrature each
+    # the rows are dealt out to two processes in turn, one quadrature each
     spec = SweepSpec("gp", SystemParams(lam=0.1, theta=0.5),
                      SweepAxis("omega", 0.0, 1.0, 5))
     serial, serial_summary = run_sweep(spec, workers=1)
