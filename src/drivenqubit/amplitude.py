@@ -19,9 +19,9 @@ one-point numpy call; arrays of times go through numpy.  The numpy formula,
 ``amplitude_grid`` gives it the constants of one parameter set: time grids,
 the Leggett-Garg series, the witness and the decay-rate grid.  The
 geometric-phase quadrature and the BLP refinement give it the constants of
-each time's own row (the latter with the row quotients of
-``mode_constants``, rounded as ``amplitude_grid`` rounds them), so one call
-covers one Simpson level, or one slice of brackets, of a whole sweep.
+each time's own row, with the row quotients of ``mode_constants`` (rounded
+as ``amplitude_grid`` rounds them), so one call covers one Simpson level,
+or one slice of brackets, of a whole sweep.
 Both paths switch to the critically damped series at the same
 ``_SERIES_THRESHOLD``.  The ``cmath`` path serves the single-time functions:
 ``two_time_correlation`` (the independent route the tests hold
@@ -130,8 +130,8 @@ def _mode_form(M, F, t, pref=None, quotients=None):
     parameters), and the critically damped series wherever |F| t is below
     ``_SERIES_THRESHOLD`` (everywhere when F = 0).  ``quotients``, shaped
     like M, are (2M/F, pref/(2F)) rounded once per parameter set by
-    ``mode_constants``; without them the quotients are taken here, by numpy
-    for arrays, whose complex division rounds differently from Python's.
+    ``mode_constants``; a scalar M, F (one parameter set) may leave them
+    out, and they are taken here by the same Python division.
     """
     small = ~(np.abs(F) * t >= _SERIES_THRESHOLD)  # |F| t is NaN at F = 0, t = inf
     if small.all():

@@ -20,7 +20,7 @@ from . import __version__
 from .params import SystemParams, ValidationError, derive
 from .selfcheck import run_all
 from .sweeps import (PRESET_NAMES, SweepAxis, SweepSpec, figure_preset,
-                     run_sweep, sweep_columns, write_rows)
+                     make_outdir, run_sweep, sweep_columns, write_rows)
 
 USAGE_EXIT = 1
 NUMERIC_EXIT = 2
@@ -33,8 +33,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_config(path: str) -> dict[str, str]:
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ValidationError(f"cannot read config {path!r}: {exc.strerror}") from None
     out = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -62,12 +66,12 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
             raise ValidationError(f"config key {key!r} does not mirror any flag")
         if getattr(args, key) is not None:
             continue  # explicit flag wins
-        if key in _FLOAT_KEYS:
-            setattr(args, key, float(raw))
-        elif key in _INT_KEYS:
-            setattr(args, key, int(raw))
-        else:
-            setattr(args, key, raw)
+        convert = float if key in _FLOAT_KEYS else int if key in _INT_KEYS else str
+        try:
+            setattr(args, key, convert(raw))
+        except ValueError:
+            raise ValidationError(f"{args.config}: {key} = {raw!r} is not a valid "
+                                  f"{convert.__name__}") from None
     return args
 
 
@@ -186,8 +190,13 @@ def _cmd_sweep(args, parser) -> int:
         quad_tol=args.tol if args.tol is not None else 1e-9,
     )
     workers = args.workers if args.workers is not None else 1
-    rows, summary = run_sweep(spec, workers=workers)
-    write_rows(args.out, rows, sweep_columns(spec))
+    out = Path(args.out)
+    # an unwritable --out fails before any row is computed
+    if out.is_dir():
+        raise ValidationError(f"--out {args.out!r} is a directory")
+    make_outdir(out.parent)
+    table, summary = run_sweep(spec, workers=workers)
+    write_rows(args.out, table, sweep_columns(spec))
     print(f"wrote {args.out}: {summary.n_rows} rows, {summary.n_failed} failed")
     if summary.minimum is not None:
         print(f"{spec.quantity}: min={summary.minimum:.17g} "

@@ -14,8 +14,8 @@ The spectral formulas are written once, elementwise in x = |A|^2 and theta
 (``_spectrum``).  ``eigensystem`` applies them to one time through the
 scalar amplitude.  ``geometric_phases`` integrates the rows of a whole sweep
 in one adaptive Simpson run: each level of every row goes to the integrand
-in one array call, where each node carries the constants (M, F, theta) of
-its own row into ``amplitude._mode_form`` and ``_spectrum``.  Each row is
+in one array call, where each node carries the constants (M, F, 2M/F,
+theta) of its own row into ``amplitude._mode_form`` and ``_spectrum``.  Each row is
 still accepted or split on its own data, so its nodes and phase do not
 depend on the other rows; ``geometric_phase_detailed`` is the one-row view.
 A row without a dressed period gets a ``ValidationError``, and a row whose
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitude import _mode_form, amplitude_closed_form
+from .amplitude import _mode_form, amplitude_closed_form, mode_constants
 from .params import DerivedParams, ValidationError
 from .quadrature import adaptive_simpson_many
 
@@ -122,13 +122,13 @@ def eigensystem(dp: DerivedParams, theta: float, t: float) -> EigenSystem:
 
 def _cos2_rows(dps, thetas):
     """cos^2(Theta(t)) of many rows as f(t, row): one kernel call per array,
-    each time with the constants of its own row."""
-    M = np.array([dp.m_const for dp in dps], dtype=complex)
-    F = np.array([dp.f_const for dp in dps], dtype=complex)
+    each time with the constants of its own row (2M/F rounded as
+    ``amplitude_grid`` rounds it, so |A| matches it bit for bit)."""
+    M, F, _, ratio, _ = mode_constants(dps)
     theta = np.array(thetas, dtype=float)
 
     def f(t, row):
-        A = _mode_form(M[row], F[row], t)
+        A = _mode_form(M[row], F[row], t, None, (ratio[row], None))
         return _spectrum(np.abs(A) ** 2, theta[row])[1] ** 2
 
     return f

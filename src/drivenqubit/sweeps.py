@@ -1,5 +1,12 @@
 """Parameter/time sweeps with CSV emission and figure presets.
 
+Results stay columnar from the kernels to the file.  ``run_sweep`` returns
+a ``SweepTable`` of ``SweepBlock``s: a block holds the cells its rows share
+once (the parameters not swept and, in a figure panel, ``curve``), its
+varying columns as arrays and a status column.  ``write_rows`` formats the
+shared cells once per block and only the varying cells per row;
+``SweepTable.rows()`` is the row view, one dict per row.
+
 Output files are plain CSV: one leading comment line with the schema tag,
 a header row, then data rows with floats printed at 17 significant digits.
 Failed rows are never silent NaNs; they carry a status label and empty
@@ -9,9 +16,9 @@ observable cells.  See FORMATS.md for the column layout per quantity.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
-import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -24,8 +31,8 @@ from .params import SystemParams, ValidationError, derive
 from .phase import geometric_phases
 from .temporal import lgi_series, witness_series
 
-__all__ = ["SweepAxis", "SweepSpec", "SweepSummary", "run_sweep",
-           "write_rows", "figure_preset", "PRESET_NAMES"]
+__all__ = ["SweepAxis", "SweepSpec", "SweepSummary", "SweepBlock", "SweepTable",
+           "run_sweep", "write_rows", "figure_preset", "PRESET_NAMES"]
 
 SCHEMA_TAG = "# drivenqubit-csv 1"
 
@@ -138,6 +145,62 @@ class SweepSummary:
     argmax: float | None
 
 
+@dataclass(eq=False)
+class SweepBlock:
+    """Rows of one sweep, held by column.
+
+    ``const`` holds the cells that every row shares (the parameters not
+    swept and, in a figure panel, ``curve``).  ``coords`` holds the per-row
+    coordinates (the axis and, for a parameter axis, the swept parameter's
+    column), ``values`` the per-row observables and ``status`` the per-row
+    label.  Columns are arrays (any sequence will do), all as long as
+    ``status``.  The observables of a row whose status is not ``ok`` are
+    never read: such a row has empty observable cells.
+    """
+
+    const: dict
+    coords: dict
+    values: dict
+    status: np.ndarray
+
+    def __post_init__(self):
+        self.status = np.asarray(self.status, dtype=str)
+        for name, col in (self.coords | self.values).items():
+            if len(col) != len(self.status):
+                raise ValueError(f"column {name!r} has {len(col)} rows, "
+                                 f"status has {len(self.status)}")
+
+    def __len__(self) -> int:
+        return len(self.status)
+
+    def row(self, i: int) -> dict:
+        """Row i as a dict of Python scalars, observables None unless its
+        status is ok."""
+        status = str(self.status[i])
+        values = {c: _item(col[i]) if status == "ok" else None
+                  for c, col in self.values.items()}
+        return (self.const | {c: _item(col[i]) for c, col in self.coords.items()}
+                | values | {"status": status})
+
+
+def _item(v):
+    return v.item() if isinstance(v, np.generic) else v
+
+
+class SweepTable:
+    """Sweep results as a sequence of blocks; ``len`` counts their rows."""
+
+    def __init__(self, blocks):
+        self.blocks = list(blocks)
+
+    def __len__(self) -> int:
+        return sum(len(b) for b in self.blocks)
+
+    def rows(self) -> list[dict]:
+        """Row view: one dict per row, in order (see ``SweepBlock.row``)."""
+        return [b.row(i) for b in self.blocks for i in range(len(b))]
+
+
 def _params_at(fixed: SystemParams, axis_name: str, value: float) -> SystemParams:
     if axis_name == "lambda_ratio":
         return replace(fixed, lam=value * fixed.gamma)
@@ -150,7 +213,12 @@ def _params_at(fixed: SystemParams, axis_name: str, value: float) -> SystemParam
     return fixed
 
 
-def _time_series_rows(spec: SweepSpec) -> list[dict]:
+# parameter column of each parameter axis
+_SWEPT = {"lambda_ratio": "lam", "omega": "omega_rabi", "delta": "delta_qc",
+          "theta": "theta"}
+
+
+def _time_series_block(spec: SweepSpec) -> SweepBlock:
     dp = derive(spec.fixed)
     ts = spec.axis.values()
     theta = spec.fixed.theta
@@ -182,61 +250,79 @@ def _time_series_rows(spec: SweepSpec) -> list[dict]:
         else:  # pragma: no cover
             raise ValidationError(f"not a time-series quantity: {spec.quantity}")
     finite = np.logical_and.reduce([np.isfinite(c) for c in cols.values()])
-    base = asdict(spec.fixed) | {"status": "ok"}
-    keys = (spec.axis.name, *cols)
-    rows = [base | dict(zip(keys, vals))
-            for vals in zip(ts.tolist(), *(c.tolist() for c in cols.values()))]
-    empty = dict.fromkeys(cols)
-    for i in np.flatnonzero(~finite).tolist():
+    status = np.where(finite, "ok", "invalid")
+    if spec.quantity == "decay_rate":
         # decay_rate_grid marks the zeros of A with NaN
-        pole = spec.quantity == "decay_rate" and math.isnan(rows[i]["decay_rate"])
-        rows[i] |= empty | {"status": "pole" if pole else "invalid"}
-    return rows
+        status[np.isnan(cols["decay_rate"])] = "pole"
+    return SweepBlock(asdict(spec.fixed), {spec.axis.name: ts}, cols, status)
 
 
-def _failed_row(base: dict, quantity: str, status: str = "invalid") -> dict:
-    return base | dict.fromkeys(OBSERVABLE_COLUMNS[quantity]) | {"status": status}
+def _param_block(spec: SweepSpec, values, params, cols, status) -> SweepBlock:
+    """Block of a parameter sweep: the swept parameter and the axis vary."""
+    name = _SWEPT[spec.axis.name]
+    const = {k: v for k, v in asdict(spec.fixed).items() if k != name}
+    coords = {name: np.array([getattr(p, name) for p in params]),
+              spec.axis.name: values}
+    return SweepBlock(const, coords, cols, status)
 
 
-def _gp_rows(spec: SweepSpec, values) -> list[dict]:
+def _gp_block(spec: SweepSpec, values) -> SweepBlock:
     """Rows of a geometric-phase sweep, all integrated in one quadrature."""
-    values = values.tolist()
-    params = [_params_at(spec.fixed, spec.axis.name, v) for v in values]
+    params = [_params_at(spec.fixed, spec.axis.name, v) for v in values.tolist()]
     phi, err, _, errors = geometric_phases([derive(p) for p in params],
                                            [p.theta for p in params], spec.quad_tol)
-    rows = []
-    for p, v, phi_i, err_i, exc in zip(params, values, phi.tolist(), err.tolist(),
-                                       errors):
-        base = asdict(p) | {spec.axis.name: v}
-        if exc is None and math.isfinite(phi_i) and math.isfinite(err_i):
-            rows.append(base | {"phi_g": phi_i, "quad_err": err_i, "status": "ok"})
-        else:
-            # geometric_phases gives a ValidationError only to a row without a period
-            status = "undefined-period" if isinstance(exc, ValidationError) else "invalid"
-            rows.append(_failed_row(base, "gp", status))
-    return rows
+    finite = (np.isfinite(phi) & np.isfinite(err)).tolist()
+    # geometric_phases gives a ValidationError only to a row without a period
+    status = ["ok" if exc is None and ok else
+              "undefined-period" if isinstance(exc, ValidationError) else "invalid"
+              for exc, ok in zip(errors, finite)]
+    return _param_block(spec, values, params, {"phi_g": phi, "quad_err": err}, status)
 
 
-def _blp_rows(spec: SweepSpec, values) -> list[dict]:
+def _blp_block(spec: SweepSpec, values) -> SweepBlock:
     """Rows of a BLP sweep, all evaluated in one batched pass."""
-    values = values.tolist()
-    params = [_params_at(spec.fixed, spec.axis.name, v) for v in values]
+    params = [_params_at(spec.fixed, spec.axis.name, v) for v in values.tolist()]
     # extend the horizon until the backflow gains (which die off with the
     # amplitude envelope exp(-lam t / 2)) are converged, within a cap
     t_eff = [max(spec.t_max, min(5000.0, 2.0 * math.log(1e4) / p.lam)) for p in params]
     n_measure, alpha, residual, truncated, errors = blp_measures(params, t_eff)
-    rows = []
-    for p, v, exc, n_i, alpha_i, residual_i, truncated_i in zip(
-            params, values, errors, n_measure.tolist(), alpha.tolist(),
-            residual.tolist(), truncated.tolist()):
-        base = asdict(p) | {spec.axis.name: v}
-        cells = {"n_measure": n_i, "alpha_best": alpha_i,
-                 "residual_bound": residual_i, "truncated": int(truncated_i)}
-        if exc is None and all(math.isfinite(c) for c in cells.values()):
-            rows.append(base | cells | {"status": "ok"})
-        else:
-            rows.append(_failed_row(base, "blp"))
-    return rows
+    cols = {"n_measure": n_measure, "alpha_best": alpha,
+            "residual_bound": residual, "truncated": truncated.astype(int)}
+    finite = np.logical_and.reduce([np.isfinite(c) for c in cols.values()]).tolist()
+    status = ["ok" if exc is None and ok else "invalid"
+              for exc, ok in zip(errors, finite)]
+    return _param_block(spec, values, params, cols, status)
+
+
+def _interleave(parts: list[SweepBlock]) -> SweepBlock:
+    """The block whose row i is row i // n of part i % n, n = len(parts)."""
+    n = len(parts)
+
+    def weave(cols):
+        out = np.empty(sum(len(c) for c in cols), dtype=np.result_type(*cols))
+        for k, col in enumerate(cols):
+            out[k::n] = col
+        return out
+
+    first = parts[0]
+    return SweepBlock(first.const,
+                      {c: weave([p.coords[c] for p in parts]) for c in first.coords},
+                      {c: weave([p.values[c] for p in parts]) for c in first.values},
+                      weave([p.status for p in parts]))
+
+
+def _summary(spec: SweepSpec, block: SweepBlock) -> SweepSummary:
+    """Row counts, and min, max and first argmax of the first observable
+    over the ok rows."""
+    ok = block.status == "ok"
+    n_failed = len(block) - int(np.count_nonzero(ok))
+    if n_failed == len(block):
+        return SweepSummary(spec.quantity, len(block), n_failed, None, None, None)
+    vals = np.asarray(block.values[OBSERVABLE_COLUMNS[spec.quantity][0]],
+                      dtype=float)[ok]
+    at = np.asarray(block.coords[spec.axis.name])[ok]
+    return SweepSummary(spec.quantity, len(block), n_failed, float(vals.min()),
+                        float(vals.max()), float(at[vals.argmax()]))
 
 
 def _check_workers(workers: int) -> None:
@@ -245,43 +331,32 @@ def _check_workers(workers: int) -> None:
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1):
-    """Evaluate the sweep; returns (rows, summary), rows in axis order.
+    """Evaluate the sweep; returns (table, summary).
 
-    A ``gp`` or ``blp`` sweep evaluates its rows together, in one batched
-    pass; with workers > 1 its rows are dealt out to at most ``workers``
-    processes in turn, one batched pass each, and the rows come out as a
-    serial run gives them.
+    The table holds one ``SweepBlock``, its rows in axis order: the fixed
+    parameters as constant cells, the axis (and the swept parameter) and
+    the observables as columns.  A ``gp`` or ``blp`` sweep evaluates its
+    rows together, in one batched pass; with workers > 1 its rows are dealt
+    out to at most ``workers`` processes in turn, one batched pass each,
+    and the columns are woven back into the order a serial run gives.
     """
     _check_workers(workers)
     if spec.quantity in ("gp", "blp"):
-        rows_of = _gp_rows if spec.quantity == "gp" else _blp_rows
+        block_of = _gp_block if spec.quantity == "gp" else _blp_block
         values = spec.axis.values()
         n = min(workers, values.size)
         if n > 1:
             # process k takes rows k, k + n, ...: the cost of a row changes
             # steadily along an axis (a blp row's grows as 1/lam), so
             # interleaved shares are even where contiguous ones are not
-            rows = [None] * values.size
             with ProcessPoolExecutor(max_workers=n) as pool:
-                parts = pool.map(rows_of, [spec] * n, [values[k::n] for k in range(n)])
-                for k, part in enumerate(parts):
-                    rows[k::n] = part
+                block = _interleave(list(pool.map(
+                    block_of, [spec] * n, [values[k::n] for k in range(n)])))
         else:
-            rows = rows_of(spec, values)
+            block = block_of(spec, values)
     else:
-        rows = _time_series_rows(spec)
-    key = OBSERVABLE_COLUMNS[spec.quantity][0]
-    good = [(r[spec.axis.name], r[key]) for r in rows
-            if r["status"] == "ok" and r[key] is not None]
-    n_failed = sum(1 for r in rows if r["status"] != "ok")
-    if good:
-        vals = np.array([v for _, v in good], dtype=float)
-        summary = SweepSummary(spec.quantity, len(rows), n_failed,
-                               float(vals.min()), float(vals.max()),
-                               float(good[int(vals.argmax())][0]))
-    else:
-        summary = SweepSummary(spec.quantity, len(rows), n_failed, None, None, None)
-    return rows, summary
+        block = _time_series_block(spec)
+    return SweepTable([block]), _summary(spec, block)
 
 
 def _fmt(v) -> str:
@@ -294,36 +369,73 @@ def _fmt(v) -> str:
     return format(float(v), ".17g")
 
 
-# %-format of each column in a row with no empty cell; floats by default
-_CELL_FORMATS = {"violated3": "%d", "violated4": "%d", "truncated": "%d",
-                 "status": "%s"}
+# %-format of each varying column; floats by default
+_CELL_FORMATS = {"violated3": "%d", "violated4": "%d", "truncated": "%d"}
 
 
-def write_rows(path, rows: list[dict], columns: list[str]) -> None:
-    """Write rows as CSV after the schema line.
+def _csv_line(cells) -> str:
+    out = io.StringIO()
+    csv.writer(out).writerow(cells)
+    return out.getvalue()
 
-    A row whose cells are all filled goes out through one %-format line, the
-    bytes ``csv.writer`` would write for it; rows with an empty (None or
-    missing) cell take the per-cell path.
+
+def _write_block(fh, writer, block: SweepBlock, columns: list[str]) -> None:
+    """Rows of one block.  An ok row goes out through one %-format line
+    holding the constant cells, formatted once per block; a row whose status
+    is not ok, or with an empty (None) cell, takes the per-cell path."""
+    varying = [c for c in columns if c in block.coords or c in block.values]
+    cells = []
+    for c in columns:
+        if c in varying:
+            cells.append(_CELL_FORMATS.get(c, "%.17g"))
+        elif c == "status":
+            cells.append("ok")
+        else:  # constant, or empty where the block lacks the column
+            cells.append(_fmt(block.const.get(c)).replace("%", "%%"))
+    line = _csv_line(cells)
+    cols = [block.coords[c] if c in block.coords else block.values[c] for c in varying]
+    # only a column that is not a numeric array can hold an empty (None) cell
+    filled = all(isinstance(c, np.ndarray) and c.dtype != object for c in cols)
+    cols = [c.tolist() if isinstance(c, np.ndarray) else c for c in cols]
+    rows = zip(*cols) if cols else [()] * len(block)
+    status = block.status.tolist()
+    if filled and status.count("ok") == len(status):
+        fh.writelines(map(line.__mod__, rows))
+        return
+    for i, (st, row) in enumerate(zip(status, rows)):
+        if st == "ok" and None not in row:
+            fh.write(line % row)
+        else:
+            cells_i = block.row(i)
+            writer.writerow([_fmt(cells_i.get(c)) for c in columns])
+
+
+def make_outdir(path: Path) -> None:
+    """Create directory ``path`` and its parents; a path that cannot be a
+    directory (it or a parent is a file, say) is a ValidationError."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot create directory {str(path)!r}: "
+                              f"{exc.strerror}") from None
+
+
+def write_rows(path, table: SweepTable, columns: list[str]) -> None:
+    """Write a table's rows as CSV after the schema line, block by block.
+
+    The bytes are those of ``csv.writer`` given every cell formatted alone
+    (``%.17g`` floats, integers, strings, empty for None or a column the
+    block lacks); each block builds one line template with its constant
+    cells already in it and formats only its varying cells per row.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    line = ",".join(_CELL_FORMATS.get(c, "%.17g") for c in columns) + "\r\n"
-    get = operator.itemgetter(*columns)
-    cells_of = get if len(columns) > 1 else lambda row: (get(row),)
     with open(path, "w", newline="") as fh:
         fh.write(SCHEMA_TAG + "\n")
         writer = csv.writer(fh)
         writer.writerow(columns)
-        for row in rows:
-            try:
-                cells = cells_of(row)
-            except KeyError:
-                cells = (None,)
-            if None in cells:
-                writer.writerow([_fmt(row.get(c)) for c in columns])
-            else:
-                fh.write(line % cells)
+        for block in table.blocks:
+            _write_block(fh, writer, block, columns)
 
 
 def sweep_columns(spec: SweepSpec, extra: tuple[str, ...] = ()) -> list[str]:
@@ -425,22 +537,21 @@ def figure_preset(name: str, outdir, workers: int = 1) -> dict:
     Returns {"files": [paths...], "manifest": path, "n_failed": int}.
     """
     _check_workers(workers)
-    table = _preset_table()
-    if name not in table:
+    presets = _preset_table()
+    if name not in presets:
         raise ValidationError(f"unknown preset {name!r}; known: {', '.join(PRESET_NAMES)}")
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    make_outdir(outdir)
     files = []
     manifest_entries = []
     n_failed = 0
-    for panel, curve_key, specs in table[name]:
-        rows_all = []
+    for panel, curve_key, specs in presets[name]:
+        blocks = []
         for spec in specs:
-            rows, summary = run_sweep(spec, workers=workers)
+            sweep, summary = run_sweep(spec, workers=workers)
             curve_value = getattr(spec.fixed, curve_key)
-            for r in rows:
-                r["curve"] = curve_value
-            rows_all += rows
+            blocks += [replace(b, const=b.const | {"curve": curve_value})
+                       for b in sweep.blocks]
             n_failed += summary.n_failed
             manifest_entries.append({
                 "panel": panel,
@@ -449,7 +560,7 @@ def figure_preset(name: str, outdir, workers: int = 1) -> dict:
                 "spec": spec.to_dict(),
             })
         path = outdir / f"{name}_{panel}.csv"
-        write_rows(path, rows_all, sweep_columns(specs[0], extra=("curve",)))
+        write_rows(path, SweepTable(blocks), sweep_columns(specs[0], extra=("curve",)))
         files.append(str(path))
     manifest_path = outdir / f"{name}_manifest.json"
     with open(manifest_path, "w") as fh:

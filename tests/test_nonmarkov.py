@@ -512,8 +512,8 @@ def test_blp_sweep_kernel_calls_follow_its_slices(monkeypatch):
     monkeypatch.setattr(nonmarkov, "_flux_brackets", counted_brackets)
     monkeypatch.setattr(nonmarkov, "_mode_form", counted_kernel)
     spec = _preset_table()["fig9"][1][2][3]  # 21 rows: omega 1, delta 0.1
-    rows, summary = run_sweep(spec)
-    assert len(rows) == 21 and summary.n_failed == 0
+    table, summary = run_sweep(spec)
+    assert len(table) == 21 and summary.n_failed == 0
     assert max(gaps) <= nonmarkov._CHUNK
     assert len(gaps) == math.ceil(sum(gaps) / nonmarkov._CHUNK) < 21
     assert len(calls) <= 2 * len(gaps)

@@ -15,7 +15,7 @@ from drivenqubit import (SweepAxis, SystemParams, ValidationError, derive,
                          eigensystem, evolve_superposition, geometric_phase,
                          geometric_phase_detailed)
 from drivenqubit import phase
-from drivenqubit.amplitude import amplitude_closed_form
+from drivenqubit.amplitude import amplitude_closed_form, amplitude_grid
 from drivenqubit.phase import _cos2_integrand, geometric_phases
 from drivenqubit.quadrature import (QuadratureError, adaptive_simpson,
                                     adaptive_simpson_many)
@@ -383,15 +383,39 @@ def test_batched_rows_keep_undefined_period_and_failed_rows_apart():
     assert all("rounding floor" in str(e) for e in errors)
 
 
+def test_integrand_amplitude_matches_amplitude_grid(monkeypatch):
+    # the integrand rounds 2M/F once per row, by the Python division of
+    # amplitude_grid, so its |A| at (row, t) is amplitude_grid's bit for bit
+    rng = np.random.default_rng(41)
+    dps = [derive(SystemParams(lam=10 ** rng.uniform(-2, 0), omega_rabi=rng.uniform(0, 2),
+                               delta_qc=rng.uniform(0, 10)))
+           for _ in range(300)]
+    seen = []
+    mode_form = phase._mode_form
+
+    def recorded(*args):
+        seen.append(mode_form(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(phase, "_mode_form", recorded)
+    row = np.repeat(np.arange(len(dps)), 200)
+    t = rng.uniform(0.0, 50.0, row.size)
+    phase._cos2_rows(dps, rng.uniform(0, math.pi / 2, len(dps)))(t, row)
+    (A,) = seen
+    for i, dp in enumerate(dps):
+        at = row == i
+        assert np.array_equal(np.abs(A[at]), np.abs(amplitude_grid(dp, t[at])[0]))
+
+
 def test_gp_sweep_calls_the_integrand_once_per_level(monkeypatch):
     # one array call per Simpson level for the whole sweep: as many calls as
     # its deepest row needs alone, where per-row integration makes their sum
     calls = []
     mode_form = phase._mode_form
 
-    def counted(M, F, t):
+    def counted(M, F, t, *args):
         calls.append(np.size(t))
-        return mode_form(M, F, t)
+        return mode_form(M, F, t, *args)
 
     monkeypatch.setattr(phase, "_mode_form", counted)
     spec = SweepSpec("gp", SystemParams(lam=0.01, omega_rabi=0.3, theta=math.pi / 6),
@@ -403,7 +427,7 @@ def test_gp_sweep_calls_the_integrand_once_per_level(monkeypatch):
         n_nodes += geometric_phase_detailed(dp, math.pi / 6)[2].size
         per_row.append(len(calls))
     calls.clear()
-    rows, summary = run_sweep(spec)
+    _, summary = run_sweep(spec)
     assert summary.n_failed == 0
     assert len(calls) == max(per_row) < 20
     assert sum(calls) == n_nodes

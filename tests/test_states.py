@@ -3,6 +3,12 @@ import math
 import numpy as np
 import pytest
 
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # only the property tests need hypothesis (the `test` extra)
+    given = None
+
 from drivenqubit import (BlochVector, QubitState, SystemParams,
                          ValidationError, apply_channel, coherence_l1,
                          derive, evolve_superposition, trace_distance,
@@ -153,3 +159,47 @@ def test_bloch_round_trip():
         assert (back.x, back.y, back.z) == pytest.approx((bv.x, bv.y, bv.z), abs=1e-14)
     with pytest.raises(ValidationError):
         BlochVector(1.0, 1.0, 1.0)
+
+
+if given is None:
+    def test_channel_outputs_are_states_over_parameter_box():
+        pytest.skip("needs hypothesis (the test extra)")
+
+    def test_trace_distance_lies_in_unit_interval_over_parameter_box():
+        pytest.skip("needs hypothesis (the test extra)")
+else:
+    # the validated parameter box: lambda in [0.01, 1] (log scale), omega in
+    # [0, 2], delta in [0, 10], theta in [0, pi/2]; times up to 50
+    box = dict(log_lam=st.floats(-2.0, 0.0), omega=st.floats(0.0, 2.0),
+               delta_qc=st.floats(0.0, 10.0), theta=st.floats(0.0, math.pi / 2),
+               t=st.floats(0.0, 50.0))
+    # initial states anywhere in the Bloch ball
+    bloch = st.builds(lambda r, polar, azimuth: QubitState.from_bloch(BlochVector(
+        *(r * c for c in (math.sin(polar) * math.cos(azimuth),
+                          math.sin(polar) * math.sin(azimuth), math.cos(polar))))),
+        st.floats(0.0, 1.0), st.floats(0.0, math.pi), st.floats(0.0, 2 * math.pi))
+
+    def _dp(log_lam, omega, delta_qc, theta):
+        return derive(SystemParams(lam=10.0 ** log_lam, omega_rabi=omega,
+                                   delta_qc=delta_qc, theta=theta))
+
+    @settings(max_examples=100)
+    @given(state=bloch, **box)
+    def test_channel_outputs_are_states_over_parameter_box(state, log_lam, omega,
+                                                           delta_qc, theta, t):
+        dp = _dp(log_lam, omega, delta_qc, theta)
+        for initial in (state, QubitState.from_superposition(theta)):
+            rho = apply_channel(dp, initial, t).rho
+            assert np.allclose(rho, rho.conj().T, rtol=0, atol=1e-12)
+            assert abs(np.trace(rho) - 1.0) <= 1e-12
+            assert np.linalg.eigvalsh(rho).min() >= -1e-12
+
+    @settings(max_examples=100)
+    @given(s1=bloch, s2=bloch, **box)
+    def test_trace_distance_lies_in_unit_interval_over_parameter_box(
+            s1, s2, log_lam, omega, delta_qc, theta, t):
+        dp = _dp(log_lam, omega, delta_qc, theta)
+        antipode = QubitState.from_bloch(s1.to_bloch().antipode())
+        for a, b in ((s1, s2), (s1, antipode),
+                     (apply_channel(dp, s1, t), apply_channel(dp, s2, t))):
+            assert 0.0 <= trace_distance(a, b) <= 1.0

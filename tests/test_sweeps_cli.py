@@ -1,16 +1,17 @@
 import csv
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from drivenqubit import (SweepAxis, SweepSpec, SystemParams, ValidationError,
-                         derive, geometric_phase_detailed)
+                         amplitude_closed_form, derive, geometric_phase_detailed)
 from drivenqubit.cli import main
-from drivenqubit.sweeps import (PARAM_COLUMNS, figure_preset, run_sweep,
-                                sweep_columns, write_rows)
+from drivenqubit.sweeps import (PARAM_COLUMNS, SweepBlock, SweepTable, figure_preset,
+                                run_sweep, sweep_columns, write_rows)
 
 
 def read_csv(path):
@@ -36,8 +37,9 @@ def test_axis_validation():
 def test_amplitude_sweep_first_row_is_unity():
     spec = SweepSpec("amplitude", SystemParams(lam=0.3, omega_rabi=0.7),
                      SweepAxis("time", 0.0, 10.0, 11))
-    rows, summary = run_sweep(spec)
-    assert rows[0]["abs_a"] == pytest.approx(1.0, abs=1e-15)
+    table, summary = run_sweep(spec)
+    assert len(table) == 11
+    assert table.rows()[0]["abs_a"] == pytest.approx(1.0, abs=1e-15)
     assert summary.n_failed == 0
     assert summary.maximum <= 1.0 + 1e-12
 
@@ -45,16 +47,16 @@ def test_amplitude_sweep_first_row_is_unity():
 def test_lgi_sweep_summary_reports_violation():
     spec = SweepSpec("lgi3", SystemParams(lam=0.01, omega_rabi=2.0),
                      SweepAxis("tau", 0.0, 4.0, 401))
-    rows, summary = run_sweep(spec)
+    table, summary = run_sweep(spec)
     assert summary.maximum > 1.0
-    assert any(r["violated3"] for r in rows)
+    assert any(r["violated3"] for r in table.rows())
 
 
 def test_blp_sweep_monotone_in_width():
     spec = SweepSpec("blp", SystemParams(lam=0.01, omega_rabi=0.0),
                      SweepAxis("lambda_ratio", 0.01, 1.0, 5, "log"))
-    rows, summary = run_sweep(spec)
-    vals = [r["n_measure"] for r in rows]
+    table, summary = run_sweep(spec)
+    vals = [r["n_measure"] for r in table.rows()]
     assert all(b <= a + 1e-9 for a, b in zip(vals, vals[1:]))
     assert summary.n_failed == 0
 
@@ -64,7 +66,7 @@ def test_worker_pool_matches_serial():
                      SweepAxis("lambda_ratio", 0.05, 0.5, 4, "log"))
     serial, _ = run_sweep(spec, workers=1)
     pooled, _ = run_sweep(spec, workers=2)
-    assert serial == pooled
+    assert serial.rows() == pooled.rows()
 
 
 def test_blp_worker_chunks_match_serial():
@@ -74,6 +76,7 @@ def test_blp_worker_chunks_match_serial():
                      SweepAxis("delta", 0.0, 10.0, 5))
     serial, serial_summary = run_sweep(spec, workers=1)
     pooled, pooled_summary = run_sweep(spec, workers=2)
+    serial, pooled = serial.rows(), pooled.rows()
     assert [r["status"] for r in serial] == ["ok"] * 5
     assert serial == pooled
     assert serial_summary == pooled_summary
@@ -85,6 +88,7 @@ def test_gp_worker_chunks_match_serial():
                      SweepAxis("omega", 0.0, 1.0, 5))
     serial, serial_summary = run_sweep(spec, workers=1)
     pooled, pooled_summary = run_sweep(spec, workers=2)
+    serial, pooled = serial.rows(), pooled.rows()
     assert serial[0]["status"] == "undefined-period"
     assert [r["status"] for r in serial[1:]] == ["ok"] * 4
     assert serial == pooled
@@ -96,7 +100,8 @@ def test_gp_failed_row_leaves_its_neighbours_untouched():
     # the other rows fall below the rounding floor of their integrals
     spec = SweepSpec("gp", SystemParams(lam=0.1, omega_rabi=0.3),
                      SweepAxis("theta", 0.0, math.pi / 2, 3), quad_tol=1e-300)
-    rows, summary = run_sweep(spec)
+    table, summary = run_sweep(spec)
+    rows = table.rows()
     assert [r["status"] for r in rows] == ["ok", "invalid", "invalid"]
     dp = derive(SystemParams(lam=0.1, omega_rabi=0.3))
     phi, err, _ = geometric_phase_detailed(dp, 0.0, 1e-300)
@@ -108,7 +113,8 @@ def test_gp_failed_row_leaves_its_neighbours_untouched():
 def test_gp_sweep_undefined_period_becomes_error_row():
     spec = SweepSpec("gp", SystemParams(lam=0.1, omega_rabi=0.0),
                      SweepAxis("omega", 0.0, 1.0, 3))
-    rows, summary = run_sweep(spec)
+    table, summary = run_sweep(spec)
+    rows = table.rows()
     assert rows[0]["status"] == "undefined-period"
     assert rows[0]["phi_g"] is None
     assert rows[1]["status"] == "ok"
@@ -118,9 +124,9 @@ def test_gp_sweep_undefined_period_becomes_error_row():
 def test_csv_format_17_digits(tmp_path):
     spec = SweepSpec("amplitude", SystemParams(lam=1.0 / 3.0),
                      SweepAxis("time", 0.0, 1.0, 3))
-    rows, _ = run_sweep(spec)
+    table, _ = run_sweep(spec)
     out = tmp_path / "amp.csv"
-    write_rows(out, rows, sweep_columns(spec))
+    write_rows(out, table, sweep_columns(spec))
     text = out.read_text().splitlines()
     assert text[0] == "# drivenqubit-csv 1"
     assert "0.33333333333333331" in text[2]
@@ -146,6 +152,13 @@ def _reference_write_rows(path, rows, columns):
             writer.writerow([_reference_cell(row.get(c)) for c in columns])
 
 
+def _assert_writes_as_reference(tmp_path, table, columns):
+    got, ref = tmp_path / "got.csv", tmp_path / "ref.csv"
+    write_rows(got, table, columns)
+    _reference_write_rows(ref, table.rows(), columns)
+    assert got.read_bytes() == ref.read_bytes()
+
+
 def test_write_rows_matches_per_cell_writer(tmp_path):
     rng = np.random.default_rng(5)
     floats = [0.0, -0.0, 1.0, 1e-300, 5e-324, 1.7976931348623157e308, 0.1,
@@ -153,51 +166,97 @@ def test_write_rows_matches_per_cell_writer(tmp_path):
               2.0 ** 53 + 2]
     flags = [True, False, 0, 1, np.int64(0), np.int64(1), np.True_, np.False_]
     statuses = ["ok", "pole", "undefined-period", "invalid"]
-    columns = ["curve", *PARAM_COLUMNS, "tau", "c3", "violated3", "n_measure",
-               "truncated", "violated4", "status"]
-    rows = []
-    for k in range(400):
-        row = {}
-        for c in columns:
-            if c == "status":
-                row[c] = statuses[k % 4]
-            elif c in ("violated3", "violated4", "truncated"):
-                row[c] = flags[rng.integers(len(flags))]
-            else:
-                v = floats[rng.integers(len(floats))] * float(rng.choice([1, -1]))
-                row[c] = np.float64(v) if rng.random() < 0.5 else v
-        if k % 7 == 0:
-            row["c3"] = row["violated3"] = None  # a failed row
-        if k % 29 == 0:
-            del row["n_measure"]  # a row without the column
-        rows.append(row)
-    for cols in (columns, ["tau"], ["status"]):
-        got, ref = tmp_path / "got.csv", tmp_path / "ref.csv"
-        write_rows(got, rows, cols)
-        _reference_write_rows(ref, rows, cols)
-        assert got.read_bytes() == ref.read_bytes()
+    coordinates = ["curve", *PARAM_COLUMNS, "tau"]
+    observables = ["c3", "violated3", "n_measure", "truncated", "violated4"]
+    columns = [*coordinates, *observables, "status"]
+
+    def cell(c):
+        if c in ("violated3", "violated4", "truncated"):
+            return flags[rng.integers(len(flags))]
+        v = floats[rng.integers(len(floats))] * float(rng.choice([1, -1]))
+        return np.float64(v) if rng.random() < 0.5 else v
+
+    blocks, k = [], 0
+    for j, size in enumerate([0, 1, 37, 2, 120, 90, 150]):
+        rows = range(k, k + size)
+        k += size
+        # each coordinate is constant in some blocks and varies in others
+        const = {c: cell(c) for c in coordinates if rng.random() < 0.5}
+        if j == 4:
+            const["curve"] = 'a,b"%s%%'  # quoted by csv, % kept literally
+        coords = {c: [cell(c) for _ in rows] for c in coordinates if c not in const}
+        # a block without n_measure writes it empty
+        values = {c: [cell(c) for _ in rows] for c in observables
+                  if not (c == "n_measure" and j % 3 == 2)}
+        for i, r in enumerate(rows):
+            if r % 7 == 0:
+                values["c3"][i] = values["violated3"][i] = None  # empty cells
+        status = [statuses[r % 4] if j % 2 else "ok" for r in rows]
+        blocks.append(SweepBlock(const, coords, values, status))
+    table = SweepTable(blocks)
+    assert len(table) == 400
+    for cols in (columns, ["tau"], ["curve"], ["n_measure"], ["status"]):
+        _assert_writes_as_reference(tmp_path, table, cols)
+
+
+def _zero_of_a(dp):
+    """First zero of the real oscillatory amplitude, by bisection."""
+    lo, hi = 20.0, 30.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if amplitude_closed_form(dp, mid).real > 0 else (lo, mid)
+    return 0.5 * (lo + hi)
 
 
 def test_write_rows_matches_per_cell_writer_on_sweeps(tmp_path):
-    specs = [SweepSpec("decay_rate", SystemParams(lam=0.01, omega_rabi=0.5),
-                       SweepAxis("time", 0.0, 30.0, 301)),
-             SweepSpec("lgi4", SystemParams(lam=0.01, omega_rabi=2.0),
-                       SweepAxis("tau", 0.0, 4.0, 101)),
-             SweepSpec("gp", SystemParams(lam=0.1), SweepAxis("omega", 0.0, 1.0, 3))]
+    pole = _zero_of_a(derive(SystemParams(lam=0.01)))
+    specs = [
+        # the swept parameter sits between constant cells
+        SweepSpec("blp", SystemParams(lam=0.05, omega_rabi=0.4),
+                  SweepAxis("delta", 0.0, 10.0, 5)),
+        SweepSpec("gp", SystemParams(lam=0.1), SweepAxis("omega", 0.0, 1.0, 3)),
+        SweepSpec("decay_rate", SystemParams(lam=0.01), SweepAxis("time", 0.0, pole, 5)),
+        SweepSpec("lgi3", SystemParams(lam=0.1, omega_rabi=0.5),
+                  SweepAxis("tau", 0.0, 1e308, 3)),
+        SweepSpec("lgi4", SystemParams(lam=0.01, omega_rabi=2.0),
+                  SweepAxis("tau", 0.0, 4.0, 101)),
+    ]
+    statuses = []
     for spec in specs:
-        rows, _ = run_sweep(spec)
-        got, ref = tmp_path / "got.csv", tmp_path / "ref.csv"
-        write_rows(got, rows, sweep_columns(spec))
-        _reference_write_rows(ref, rows, sweep_columns(spec))
-        assert got.read_bytes() == ref.read_bytes()
+        table, _ = run_sweep(spec)
+        statuses.append([r["status"] for r in table.rows()])
+        _assert_writes_as_reference(tmp_path, table, sweep_columns(spec))
+    assert statuses[1][0] == "undefined-period"
+    assert statuses[2][-1] == "pole" and statuses[3][-1] == "invalid"
+
+
+def test_write_rows_matches_per_cell_writer_on_a_panel(tmp_path):
+    # one block per curve, each with its curve value as a constant cell
+    specs = [SweepSpec("lgi3", SystemParams(lam=0.1, omega_rabi=om),
+                       SweepAxis("tau", 0.0, 1e308, 3)) for om in (0.5, 2.0)]
+    specs.append(SweepSpec("lgi3", SystemParams(lam=0.1, omega_rabi=1.0),
+                           SweepAxis("tau", 0.0, 4.0, 41)))
+    blocks = []
+    for spec in specs:
+        table, _ = run_sweep(spec)
+        blocks += [replace(b, const=b.const | {"curve": spec.fixed.omega_rabi})
+                   for b in table.blocks]
+    panel = SweepTable(blocks)
+    assert len(panel) == 47
+    _assert_writes_as_reference(tmp_path, panel, sweep_columns(specs[0], ("curve",)))
+
+
+def test_block_columns_must_match_status_length():
+    with pytest.raises(ValueError):
+        SweepBlock({}, {"tau": np.zeros(3)}, {"c3": np.zeros(2)}, ["ok"] * 3)
 
 
 def test_sweep_rows_deterministic():
     spec = SweepSpec("witness", SystemParams(lam=0.01, theta=math.pi / 4),
                      SweepAxis("tau", 0.0, 20.0, 201))
-    rows1, _ = run_sweep(spec)
-    rows2, _ = run_sweep(spec)
-    assert rows1 == rows2
+    table1, _ = run_sweep(spec)
+    table2, _ = run_sweep(spec)
+    assert table1.rows() == table2.rows()
 
 
 def test_spec_round_trip():
@@ -393,6 +452,43 @@ def test_cli_config_rejects_unknown_key(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("nonsense = 1\n")
     assert main(["params", "--config", str(cfg)]) == 1
+
+
+def test_cli_config_missing_file_is_usage_error(tmp_path, capsys):
+    assert main(["params", "--config", str(tmp_path / "missing.cfg")]) == 1
+    assert "drivenqubit: cannot read config" in capsys.readouterr().err
+
+
+def test_cli_config_value_that_does_not_parse_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("points = abc\n")
+    out = tmp_path / "c3.csv"
+    rc = main(["sweep", "--quantity", "lgi3", "--axis", "tau", "--config", str(cfg),
+               "--out", str(out)])
+    assert rc == 1
+    assert "points = 'abc' is not a valid int" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "figure", "sweep-to-dir"])
+def test_cli_unwritable_out_is_usage_error(tmp_path, monkeypatch, capsys, command):
+    import drivenqubit.sweeps as sweeps
+
+    def no_rows(*args, **kwargs):
+        raise AssertionError("no row is computed for an unwritable --out")
+
+    monkeypatch.setattr(sweeps, "_time_series_block", no_rows)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    sweep = ["sweep", "--quantity", "lgi3", "--axis", "tau", "--out"]
+    argv = {"sweep": [*sweep, str(blocker / "c3.csv")],
+            "figure": ["figure", "--preset", "fig2", "--out", str(blocker)],
+            "sweep-to-dir": [*sweep, str(tmp_path)]}[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("drivenqubit: ")
+    assert ("is a directory" if command == "sweep-to-dir" else "cannot create directory") in err
+    assert blocker.read_text() == ""
 
 
 def test_cli_figure_unknown_preset(tmp_path):
