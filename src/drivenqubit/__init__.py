@@ -3,7 +3,7 @@ quantumness and memory diagnostics (Leggett-Garg, quantum witness, coherence,
 geometric phase, BLP backflow measure, effective decay rate).
 
 Everything rests on the closed-form amplitude in ``drivenqubit.amplitude``:
-``cmath`` for single times and one numpy kernel for time grids.
+one bounded numpy formula for time grids, single times and batched sweeps.
 """
 
 from .amplitude import (AmplitudePole, AmplitudeTrajectory, IntegrationError,

@@ -13,22 +13,23 @@ analytically,
 
 so no finite differencing appears in any production path.
 
-Single times go through ``cmath``, which is about 20x cheaper per call than a
-one-point numpy call; arrays of times go through numpy.  The numpy formula,
-``_mode_form``, is written once, elementwise in (M, F, t).
+Both are written once, in ``_mode_form``: with z = F t/2 (Re F >= 0),
+s+ = -M/2 + F/4 and phi = -expm1(-z)/z,
+
+    A = exp(s+ t) (1 + expm1(-z)/2 + (M/2) t phi),
+    dA/dt = (pref/4) t phi exp(s+ t).
+
+exp(s+ t), 1 + expm1(-z)/2 and phi lie in the unit disc (Re s+ <= 0,
+Re z >= 0) and nothing large cancels, so one form holds from t = 0 through
+critical damping (F = 0, where phi = 1) to late times: no series switch.
+``_mode_form`` is elementwise in its constants and times.
 ``amplitude_grid`` gives it the constants of one parameter set: time grids,
-the Leggett-Garg series, the witness and the decay-rate grid.  The
-geometric-phase quadrature and the BLP refinement give it the constants of
-each time's own row, with the row quotients of ``mode_constants`` (rounded
-as ``amplitude_grid`` rounds them), so one call covers one Simpson level,
-or one slice of brackets, of a whole sweep.
-Both paths switch to the critically damped series at the same
-``_SERIES_THRESHOLD``.  The ``cmath`` path serves the single-time functions:
-``two_time_correlation`` (the independent route the tests hold
-``lgi_series`` to), ``propagator`` and ``quantum_witness`` (with the witness
-self-check), ``evolve_superposition`` and ``apply_channel``,
-``phase.eigensystem``, ``nonmarkov.info_flux``, |A(t_max)| in the BLP
-measure, and ``decay_rate``.
+the Leggett-Garg series, the witness and the decay-rate grid;
+``amplitude_closed_form``, ``amplitude_derivative`` and ``decay_rate`` are
+its one-point views.  The geometric-phase quadrature and the BLP measure
+give it the constants of each time's own row (``mode_constants``), so one
+call covers one Simpson level, or one slice of brackets, of a whole sweep,
+bit for bit as ``amplitude_grid`` would give each row.
 
 scipy is imported only inside ``amplitude_oracle_ode``, the independent
 reference that ``drivenqubit check`` and the tests run, so the rest of the
@@ -37,7 +38,7 @@ package loads without it.
 
 from __future__ import annotations
 
-import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,8 +56,7 @@ __all__ = [
     "decay_rate",
 ]
 
-# |F| t below which A and dA/dt use the critically damped series
-_SERIES_THRESHOLD = 1e-6
+_EPS = np.finfo(float).eps
 POLE_EPS = 1e-14
 
 
@@ -94,95 +94,95 @@ class AmplitudeTrajectory:
             raise ValidationError("trajectory escapes the unit disc")
 
 
-def amplitude_closed_form(dp: DerivedParams, t: float) -> complex:
-    """Closed-form A(t) for a single time t >= 0."""
-    if t < 0:
-        raise ValidationError(f"t must be >= 0, got {t}")
-    M, F = dp.m_const, dp.f_const
-    if abs(F) * t < _SERIES_THRESHOLD:
-        return cmath.exp(-0.5 * M * t) * (1.0 + 0.5 * M * t)
-    ratio = 2.0 * M / F
-    ep = cmath.exp((-0.5 * M + 0.25 * F) * t)
-    em = cmath.exp((-0.5 * M - 0.25 * F) * t)
-    return 0.5 * (1.0 + ratio) * ep + 0.5 * (1.0 - ratio) * em
+def _mode_form(M, F, t, s_plus, pref=None):
+    """A(t), and dA/dt when ``pref`` is given, elementwise in (M, F, t, s+, pref).
 
-
-def amplitude_derivative(dp: DerivedParams, t: float) -> complex:
-    """Analytic dA/dt for a single time t >= 0."""
-    if t < 0:
-        raise ValidationError(f"t must be >= 0, got {t}")
-    M, F = dp.m_const, dp.f_const
-    pref = dp.coupling_prefactor
-    if abs(F) * t < _SERIES_THRESHOLD:
-        return pref * 0.25 * t * cmath.exp(-0.5 * M * t)
-    ep = cmath.exp((-0.5 * M + 0.25 * F) * t)
-    em = cmath.exp((-0.5 * M - 0.25 * F) * t)
-    return pref / (2.0 * F) * (ep - em)
-
-
-def _mode_form(M, F, t, pref=None, quotients=None):
-    """A(t), and dA/dt when ``pref`` is given, elementwise in (M, F, pref, t).
-
-    t is an array of times; M, F (complex) and ``pref`` (the
+    t is an array of times; M, F, s+ (complex) and ``pref`` (the
     ``coupling_prefactor``) are scalars for one parameter set or arrays of
-    t's shape, one value per time.  Mode form A = c+ exp(s+ t) + c- exp(s- t)
-    with s+- = -M/2 +- F/4, which never overflows (Re s+- <= 0 for physical
-    parameters), and the critically damped series wherever |F| t is below
-    ``_SERIES_THRESHOLD`` (everywhere when F = 0).  ``quotients``, shaped
-    like M, are (2M/F, pref/(2F)) rounded once per parameter set by
-    ``mode_constants``; a scalar M, F (one parameter set) may leave them
-    out, and they are taken here by the same Python division.
+    t's shape, one value per time; F is the root with Re F >= 0 and s+ the
+    slow rate, both from ``mode_rates``.  With z = F t / 2, em1 = expm1(-z)
+    and phi = -em1 / z,
+
+        A = exp(s+ t) (1 + em1/2 + (M/2) t phi),
+        dA/dt = (pref/4) t phi exp(s+ t).
+
+    em1 is built from real functions of -z = a + 2ih (a <= 0):
+    expm1(a) - 2 sin^2(h) e^a + 2i sin(h) cos(h) e^a, whose real part adds
+    two terms <= 0, so no digit cancels.  t phi is taken as em1 / (-F/2),
+    so |t phi| <= 4/|F| and no product overflows at large t; where
+    |z| < eps, phi rounds to 1 and t phi is set to t, which covers F = 0
+    (critical damping) and t = 0.  Complex products keep any temporary on
+    the left and are never taken in place on a named array: numpy may swap
+    operands to reuse a large temporary, and rounds an in-place complex
+    product of one element differently.  So batched and one-row calls agree
+    bit for bit.
     """
-    small = ~(np.abs(F) * t >= _SERIES_THRESHOLD)  # |F| t is NaN at F = 0, t = inf
-    if small.all():
-        e = np.exp(-0.5 * M * t)
-        A = e * (1.0 + 0.5 * M * t)
-        return A if pref is None else (A, pref * 0.25 * t * e)
-    ep = np.exp((-0.5 * M + 0.25 * F) * t)
-    em = np.exp((-0.5 * M - 0.25 * F) * t)
-    with np.errstate(divide="ignore", invalid="ignore"):  # F = 0 only where small
-        if quotients is None:
-            quotients = 2.0 * M / F, None if pref is None else pref / (2.0 * F)
-        ratio, dA_coef = quotients
-        A = 0.5 * (1.0 + ratio) * ep + 0.5 * (1.0 - ratio) * em
-        dA = None if pref is None else dA_coef * (ep - em)
-    if small.any():
-        Ms, ts = M[small] if np.ndim(M) else M, t[small]
-        e = np.exp(-0.5 * Ms * ts)
-        A[small] = e * (1.0 + 0.5 * Ms * ts)
-        if dA is not None:
-            dA[small] = (pref[small] if np.ndim(pref) else pref) * 0.25 * ts * e
-    return A if pref is None else (A, dA)
+    a, h = (-0.5 * F.real) * t, (-0.25 * F.imag) * t
+    sin_h = np.sin(h)
+    u = 2.0 * sin_h * np.exp(a)
+    em1 = np.empty(a.shape, dtype=complex)
+    em1.real, em1.imag = np.expm1(a) - sin_h * u, np.cos(h) * u
+    tiny = np.abs(F) * t < 2.0 * _EPS  # |z| < eps
+    t_phi = np.where(tiny, t, em1 / np.where(tiny, 1.0, -0.5 * F))
+    e = np.exp(s_plus * t)
+    A = (1.0 + 0.5 * (em1 + t_phi * M)) * e
+    return A if pref is None else (A, 0.25 * pref * (t_phi * e))
+
+
+def mode_rates(dp: DerivedParams) -> tuple[complex, complex, complex]:
+    """Rates (s+, s-) of the modes of A = c+ exp(s+ t) + c- exp(s- t), and
+    the root F they are taken with.
+
+    A is even in F; F is the root with Re F >= 0, so s+- = -M/2 +- F/4 has
+    Re s+ >= Re s-: s+ is the slow mode.  With q = gamma*lam*(1+cos eta)^2
+    and D = F + 2M (Re D >= 2 lam, so D never cancels), s+ = -q/(2D) is the
+    cancellation-free form of -M/2 + F/4, which loses every digit when the
+    coupling q is tiny.  The weights follow as c+ = -2 s-/F and
+    c- = 2 s+/F.
+    """
+    F = dp.f_const if dp.f_const.real >= 0.0 else -dp.f_const
+    q = -2.0 * dp.coupling_prefactor
+    D = F + 2.0 * dp.m_const
+    return -q / (2.0 * D), -0.25 * D, F
+
+
+def _row_constants(dp: DerivedParams):
+    """(M, F, pref, s+) of one parameter set, as ``_mode_form`` takes them."""
+    s_plus, _, F = mode_rates(dp)
+    return dp.m_const, F, dp.coupling_prefactor, s_plus
 
 
 def mode_constants(dps) -> tuple[np.ndarray, ...]:
-    """Arrays (M, F, pref, 2M/F, pref/(2F)), one value per parameter set.
+    """Arrays (M, F, pref, s+), one value per parameter set.
 
     Indexed per time, they give ``_mode_form`` the constants of each time's
-    own parameter set, with the quotients rounded by Python complex
-    division, as ``amplitude_grid`` rounds them; so a batched evaluation
-    matches ``amplitude_grid`` bit for bit.  The quotients of a set with
-    F = 0 are never used (every time is in the series there) and read 0.
+    own parameter set, the numbers ``amplitude_grid`` gives it, so a batched
+    evaluation matches ``amplitude_grid`` bit for bit.
     """
-    M = np.array([dp.m_const for dp in dps], dtype=complex)
-    F = np.array([dp.f_const for dp in dps], dtype=complex)
-    pref = np.array([dp.coupling_prefactor for dp in dps], dtype=float)
-    ratio = np.array([2.0 * dp.m_const / dp.f_const if dp.f_const else 0j
-                      for dp in dps], dtype=complex)
-    dA_coef = np.array([dp.coupling_prefactor / (2.0 * dp.f_const) if dp.f_const else 0j
-                        for dp in dps], dtype=complex)
-    return M, F, pref, ratio, dA_coef
+    M, F, pref, s_plus = np.array([_row_constants(dp) for dp in dps],
+                                  dtype=complex).reshape(-1, 4).T
+    return M, F, pref.real, s_plus
 
 
 def amplitude_grid(dp: DerivedParams, times) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized (A, dA/dt) over an array of times, shaped like ``times``
     (formulas in ``_mode_form``)."""
     times = np.asarray(times, dtype=float)
-    if np.any(times < 0):
+    if (times < 0).any():
         raise ValidationError("times must be >= 0")
-    A, dA = _mode_form(dp.m_const, dp.f_const, np.atleast_1d(times),
-                       dp.coupling_prefactor)
+    M, F, pref, s_plus = _row_constants(dp)
+    A, dA = _mode_form(M, F, np.atleast_1d(times), s_plus, pref)
     return A.reshape(times.shape), dA.reshape(times.shape)
+
+
+def amplitude_closed_form(dp: DerivedParams, t: float) -> complex:
+    """A(t) at one time t >= 0: the one-point view of ``amplitude_grid``."""
+    return complex(amplitude_grid(dp, t)[0])
+
+
+def amplitude_derivative(dp: DerivedParams, t: float) -> complex:
+    """dA/dt at one time t >= 0: the one-point view of ``amplitude_grid``."""
+    return complex(amplitude_grid(dp, t)[1])
 
 
 def amplitude_trajectory(dp: DerivedParams, times) -> AmplitudeTrajectory:
@@ -225,19 +225,6 @@ def amplitude_oracle_ode(params: SystemParams, t_max: float, tol: float = 1e-10,
     return AmplitudeTrajectory(sol.t, sol.y[0], params)
 
 
-def mode_rates(dp: DerivedParams) -> tuple[complex, complex]:
-    """Rates (s+, s-) of the modes of A = c+ exp(s+ t) + c- exp(s- t).
-
-    s+- = -M/2 +- F/4, F the principal root, so Re s+ >= Re s-: s+ is the
-    slow mode.  With q = gamma*lam*(1+cos eta)^2 and D = F + 2M (Re D >= 2
-    lam, so D never cancels), s+ = -q/(2D) is the cancellation-free form of
-    -M/2 + F/4, which loses every digit when the coupling q is tiny.
-    """
-    q = -2.0 * dp.coupling_prefactor
-    D = dp.f_const + 2.0 * dp.m_const
-    return -q / (2.0 * D), -0.25 * D
-
-
 def _is_pole(dp: DerivedParams, t, abs_a):
     """Zeros of A: |A| <= POLE_EPS times the slow mode's envelope exp(Re s+ t).
 
@@ -248,20 +235,19 @@ def _is_pole(dp: DerivedParams, t, abs_a):
 
 
 def decay_rate(dp: DerivedParams, t: float) -> float:
-    """Effective instantaneous decay rate -2 Re(dA/dt / A) at time t.
-
-    Diverges at zeros of A (``_is_pole``); those are reported as
-    AmplitudePole rather than returned as huge numbers.  The complex
-    division does not underflow where |A|^2 would.
-    """
-    a = amplitude_closed_form(dp, t)
-    if _is_pole(dp, t, abs(a)):
+    """Effective instantaneous decay rate -2 Re(dA/dt / A) at one time t: the
+    one-point view of ``decay_rate_grid``, raising AmplitudePole at a zero
+    of A (``_is_pole``), where the rate diverges."""
+    rate = float(decay_rate_grid(dp, t))
+    if math.isnan(rate):
         raise AmplitudePole(f"A(t) vanishes at t={t}; decay rate diverges")
-    return -2.0 * (amplitude_derivative(dp, t) / a).real
+    return rate
 
 
 def decay_rate_grid(dp: DerivedParams, times) -> np.ndarray:
-    """Vectorized decay rate; NaN marks pole points (``_is_pole``)."""
+    """Vectorized decay rate -2 Re(dA/dt / A); NaN marks pole points
+    (``_is_pole``).  The complex division does not underflow where |A|^2
+    would."""
     times = np.asarray(times, dtype=float)
     A, dA = amplitude_grid(dp, times)
     out = np.full(times.shape, np.nan, dtype=float)

@@ -138,17 +138,13 @@ def _flux_coefficients(dp: DerivedParams):
         g(t) = a exp(kt) + b exp(-kt) + Re(C exp(iwt)),
 
     a = |c+|^2 Re s+, b = |c-|^2 Re s-, C = c+ conj(c-) (s+ + conj s-),
-    k = Re F/2, w = Im F/2.  With q = gamma*lam*(1+cos eta)^2 and
-    D = F + 2M (Re D >= 2 lam, so D never cancels), c- = -q/(F D) and
-    s+ = -q/(2D) (``mode_rates``) are the cancellation-free forms of
-    (1 - 2M/F)/2 and -M/2 + F/4, which lose every digit when the coupling q
-    is tiny.
+    k = Re F/2, w = Im F/2.  The rates, the root F (Re F >= 0) and the
+    weights c+ = -2 s-/F, c- = 2 s+/F come from ``mode_rates``, whose s+
+    is free of the cancellation in -M/2 + F/4 (and so c- of that in
+    (1 - 2M/F)/2) when the coupling is tiny.
     """
-    M, F = dp.m_const, dp.f_const
-    q = -2.0 * dp.coupling_prefactor
-    D = F + 2.0 * M
-    c_plus, c_minus = D / (2.0 * F), -q / (F * D)
-    s_plus, s_minus = mode_rates(dp)
+    s_plus, s_minus, F = mode_rates(dp)
+    c_plus, c_minus = -2.0 * s_minus / F, 2.0 * s_plus / F
     a = abs(c_plus) ** 2 * s_plus.real
     b = abs(c_minus) ** 2 * s_minus.real
     C = c_plus * c_minus.conjugate() * (s_plus + s_minus.conjugate())
@@ -260,8 +256,8 @@ def _flux_brackets(flux: _Flux, t: np.ndarray, owner: np.ndarray):
 def _amplitude(modes, t: np.ndarray, owner: np.ndarray):
     """(A, dA/dt) at times t, each with the constants of its own row
     (``modes`` from ``mode_constants``)."""
-    M, F, pref, ratio, dA_coef = (col[owner] for col in modes)
-    return _mode_form(M, F, t, pref, (ratio, dA_coef))
+    M, F, pref, s_plus = (col[owner] for col in modes)
+    return _mode_form(M, F, t, s_plus, pref)
 
 
 def _bisect(modes, lo, hi, rising, owner):
@@ -439,10 +435,11 @@ def _interval_data(dps, t_maxes):
     starts, ends, xs, xe = (np.empty(n_iv.sum()) for _ in range(4))
     starts[iv[is_min]], xs[iv[is_min]] = times[is_min], x[is_min]
     ends[iv[~is_min]], xe[iv[~is_min]] = times[~is_min], x[~is_min]
-    for r in np.flatnonzero(n_ext % 2).tolist():
-        last = iv_start[r] + n_iv[r] - 1
-        ends[last] = t_maxes[r]
-        xe[last] = abs(amplitude_closed_form(dps[r], t_maxes[r]))
+    open_rows = np.flatnonzero(n_ext % 2)
+    last = iv_start[open_rows] + n_iv[open_rows] - 1
+    ends[last] = [t_maxes[r] for r in open_rows.tolist()]
+    xe[last] = np.abs(_amplitude(mode_constants([dps[r] for r in open_rows.tolist()]),
+                                 ends[last], np.arange(open_rows.size))[0])
     return (starts, ends, xs, xe, np.repeat(np.arange(len(dps)), n_iv)), errors
 
 
@@ -577,25 +574,22 @@ def _measures(params_seq, t_maxes):
     """(gain, u, |A(t_max)|, interval skeleton, errors) of every row; see
     ``blp_measures``."""
     n = len(params_seq)
+    dps = [derive(params) for params in params_seq]
+    t = np.array(t_maxes, dtype=float)
+    positive = t > 0
+    tails = np.abs(_amplitude(mode_constants(dps), np.where(positive, t, 0.0),
+                              np.arange(n))[0])
+    bad = ~positive | ((tails >= TRUNCATION_EPS)
+                       & (t < [100.0 / dp.params.gamma for dp in dps]))
     errors: list = [None] * n
-    tails = np.full(n, np.nan)
-    live, dps = [], []
-    for i, (params, t_max) in enumerate(zip(params_seq, t_maxes)):
-        try:
-            dp = derive(params)
-            tails[i] = abs(amplitude_closed_form(dp, t_max))
-            if tails[i] >= TRUNCATION_EPS and t_max < 100.0 / params.gamma:
-                raise ValidationError(
-                    "t_max too small: require |A(t_max)| < 1e-4 or t_max >= 100/gamma")
-        except ValidationError as exc:
-            errors[i] = exc
-            tails[i] = np.nan
-            continue
-        live.append(i)
-        dps.append(dp)
-    live = np.array(live, dtype=int)
+    for i in np.flatnonzero(bad).tolist():
+        errors[i] = ValidationError(
+            "t_max too small: require |A(t_max)| < 1e-4 or t_max >= 100/gamma"
+            if positive[i] else f"t_max must be > 0, got {t_maxes[i]}")
+    tails[bad] = np.nan
+    live = np.flatnonzero(~bad)
     (starts, ends, xs, xe, owner), live_errors = _interval_data(
-        dps, [t_maxes[i] for i in live.tolist()])
+        [dps[i] for i in live.tolist()], t[live].tolist())
     gain, u = np.full(n, np.nan), np.full(n, np.nan)
     gain[live], u[live] = _max_gain(xs, xe, owner, live.size)
     for i, exc in zip(live.tolist(), live_errors):

@@ -121,7 +121,11 @@ class DerivedParams:
 
 @dataclass(frozen=True)
 class SpectralDensity:
-    """Lorentzian reservoir profile in offset coordinates (omega0 - omega_k)."""
+    """Lorentzian reservoir profile in offset coordinates (omega0 - omega_k).
+
+    Documents the model: the package computes only with the exponential
+    memory ``kernel`` it implies, through M; the tests check they agree.
+    """
 
     center_offset: float
     width: float
@@ -176,7 +180,8 @@ def spectral_density(sd: SpectralDensity, omega_offset: float) -> float:
     """Spectral weight at a mode offset omega_offset = omega0 - omega_k.
 
     J = gamma*lam^2 / (2*pi*((omega_offset - delta)^2 + lam^2)); the peak
-    value gamma/(2*pi) sits at omega_offset = delta.
+    value gamma/(2*pi) sits at omega_offset = delta.  Documents the model
+    (see ``SpectralDensity``).
     """
     d = omega_offset - sd.center_offset
     return sd.strength * sd.width**2 / (2.0 * math.pi * (d * d + sd.width**2))
@@ -186,7 +191,8 @@ def kernel(dp: DerivedParams, dt: float) -> complex:
     """Two-time reservoir correlation function at delay dt >= 0.
 
     Exponential form (gamma*lam/2) * exp(-m_const*dt); its dt = 0 value
-    equals the total spectral weight gamma*lam/2.
+    equals the total spectral weight gamma*lam/2.  Documents the memory
+    kernel that the closed form and the ODE oracle solve; nothing calls it.
     """
     if dt < 0:
         raise ValidationError(f"kernel delay must be >= 0, got {dt}")

@@ -12,12 +12,13 @@ needed.
 
 The spectral formulas are written once, elementwise in x = |A|^2 and theta
 (``_spectrum``).  ``eigensystem`` applies them to one time through the
-scalar amplitude.  ``geometric_phases`` integrates the rows of a whole sweep
-in one adaptive Simpson run: each level of every row goes to the integrand
-in one array call, where each node carries the constants (M, F, 2M/F,
-theta) of its own row into ``amplitude._mode_form`` and ``_spectrum``.  Each row is
-still accepted or split on its own data, so its nodes and phase do not
-depend on the other rows; ``geometric_phase_detailed`` is the one-row view.
+one-point amplitude.  ``geometric_phases`` integrates the rows of a whole
+sweep in one adaptive Simpson run: each level of every row goes to the
+integrand in one array call, where each node carries the constants
+(M, F, s+, theta) of its own row into ``amplitude._mode_form`` and
+``_spectrum``.  Each row is still accepted or split on its own data, so its
+nodes and phase do not depend on the other rows;
+``geometric_phase_detailed`` is the one-row view, and keeps the nodes.
 A row without a dressed period gets a ``ValidationError``, and a row whose
 tolerance lies below the rounding floor of its integral a
 ``QuadratureError``; neither stops the other rows.
@@ -122,13 +123,13 @@ def eigensystem(dp: DerivedParams, theta: float, t: float) -> EigenSystem:
 
 def _cos2_rows(dps, thetas):
     """cos^2(Theta(t)) of many rows as f(t, row): one kernel call per array,
-    each time with the constants of its own row (2M/F rounded as
-    ``amplitude_grid`` rounds it, so |A| matches it bit for bit)."""
-    M, F, _, ratio, _ = mode_constants(dps)
+    each time with the constants of its own row (``mode_constants``, so |A|
+    matches ``amplitude_grid`` bit for bit)."""
+    M, F, _, s_plus = mode_constants(dps)
     theta = np.array(thetas, dtype=float)
 
     def f(t, row):
-        A = _mode_form(M[row], F[row], t, None, (ratio[row], None))
+        A = _mode_form(M[row], F[row], t, s_plus[row])
         return _spectrum(np.abs(A) ** 2, theta[row])[1] ** 2
 
     return f
@@ -147,22 +148,24 @@ def geometric_phase(dp: DerivedParams, theta: float, quad_tol: float = 1e-9) -> 
     return value
 
 
-def geometric_phases(dps, thetas, quad_tol: float = 1e-9):
+def geometric_phases(dps, thetas, quad_tol: float = 1e-9, keep_nodes: bool = True):
     """Phases of many rows in one quadrature, one integrand call per level.
 
     Returns (phi_g, quad_err, nodes, errors): per row the phase and its
-    error estimate (NaN for a failed row), the quadrature nodes, and the
-    error that stopped the row or None.  A row without a dressed period
-    (omega_d = 0) gets a ``ValidationError`` and no quadrature; a row whose
-    quadrature fails gets its ``QuadratureError``.  Every other row is
-    integrated over [0, 2 pi / omega_d] to the tolerance quad_tol / omega_d,
-    and its result does not depend on the other rows.
+    error estimate (NaN for a failed row), the quadrature nodes (None
+    unless ``keep_nodes``), and the error that stopped the row or None.  A
+    row without a dressed period (omega_d = 0) gets a ``ValidationError``
+    and no quadrature; a row whose quadrature fails gets its
+    ``QuadratureError``.  Every other row is integrated over
+    [0, 2 pi / omega_d] to the tolerance quad_tol / omega_d, and its result
+    does not depend on the other rows.
     """
     omega_d = np.array([dp.omega_d for dp in dps], dtype=float)
     # a row without a dressed period gets tolerance 0: no quadrature, no nodes
     w = np.where(omega_d > 0.0, omega_d, np.inf)
     val, err, nodes, errors = adaptive_simpson_many(
-        _cos2_rows(dps, thetas), np.zeros_like(w), 2.0 * math.pi / w, quad_tol / w)
+        _cos2_rows(dps, thetas), np.zeros_like(w), 2.0 * math.pi / w, quad_tol / w,
+        keep_nodes=keep_nodes)
     for i in np.flatnonzero(omega_d <= 0.0).tolist():
         errors[i] = ValidationError(
             "omega_d = 0 (undriven, resonant): the dressed period is undefined")

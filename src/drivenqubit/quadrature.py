@@ -1,8 +1,8 @@
 """Adaptive Simpson quadrature of many integrals at once, with node recording.
 
-Used for the geometric phase, where the evaluation nodes must be available
-afterwards (the eigendecomposition is re-verified at every node by the test
-suite), and where a whole sweep of rows is integrated together.
+Used for the geometric phase, where a whole sweep of rows is integrated
+together, and where the evaluation nodes can be kept on request (the test
+suite re-verifies the eigendecomposition at every node; sweeps keep none).
 Cross-checked against scipy.integrate.quad in the tests.
 
 ``adaptive_simpson_many`` integrates f over [a_i, b_i] to tol_i for every i.
@@ -21,7 +21,8 @@ integral at once.  Both sides of that test halve with each split, so its
 children would meet the same test, and the differences they are accepted
 on would be rounding noise.  Without the floor, a tolerance below it splits
 each level in two until ``max_depth``: unbounded time depth first,
-unbounded memory level by level.  A failed integral records its
+unbounded memory level by level; so an interval whose Simpson sums are
+not finite fails its integral at once too.  A failed integral records its
 ``QuadratureError`` and stops splitting; the others go on.
 """
 
@@ -67,7 +68,7 @@ def _settle(level, owner, mids, f_mids, depth: int, max_depth: int, values, erro
         bad = split
     else:
         floor = 16.0 * _EPS * (np.abs(s_left) + np.abs(s_right))
-        bad = split & (15.0 * s_tol < floor)
+        bad = split & ((15.0 * s_tol < floor) | ~np.isfinite(delta))
     if bad.any():
         # the first offending interval of each integral names its failure
         culprits, first_bad = np.unique(owner[bad], return_index=True)
@@ -75,6 +76,8 @@ def _settle(level, owner, mids, f_mids, depth: int, max_depth: int, values, erro
             if depth >= max_depth:
                 msg = (f"max depth {max_depth} reached on [{x0[i]}, {x1[i]}] "
                        f"with residual {abs(delta[i]):.3e}")
+            elif not np.isfinite(delta[i]):
+                msg = f"Simpson sums on [{x0[i]}, {x1[i]}] are not finite"
             else:
                 msg = (f"tolerance {s_tol[i]:.3e} on [{x0[i]}, {x1[i]}] is below "
                        f"the rounding floor {floor[i] / 15.0:.3e} of its "
@@ -90,14 +93,15 @@ def _settle(level, owner, mids, f_mids, depth: int, max_depth: int, values, erro
 
 
 def adaptive_simpson_many(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                          a, b, tol, max_depth: int = 60):
+                          a, b, tol, max_depth: int = 60, keep_nodes: bool = False):
     """Integrate f over [a_i, b_i] to absolute tolerance tol_i for every i.
 
     f takes an array of abscissae and the array of their integral indices
     and returns the array of its values.  Returns (values, error_estimates,
-    nodes, failures): float arrays with NaN for a failed integral, one array
-    of abscissae per integral in evaluation order, and per integral the
-    ``QuadratureError`` that stopped it, or None.
+    nodes, failures): float arrays with NaN for a failed integral, with
+    ``keep_nodes`` one array of abscissae per integral in evaluation order
+    (else None), and per integral the ``QuadratureError`` that stopped it,
+    or None.
     """
     a, b, tol = (np.array(v, dtype=float, ndmin=1) for v in (a, b, tol))
     n = a.size
@@ -108,7 +112,9 @@ def adaptive_simpson_many(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     owner = np.flatnonzero((tol > 0) & (a != b))
     point = np.flatnonzero((tol > 0) & (a == b))
 
-    node_x, node_owner = [a[point]], [point]
+    kept: list = []  # (abscissae, their integrals) of each integrand call
+    keep = kept.append if keep_nodes else (lambda _: None)
+    keep((a[point], point))
     if owner.size:
         x0, x1 = a[owner], b[owner]
         xm = 0.5 * (x0 + x1)
@@ -117,24 +123,24 @@ def adaptive_simpson_many(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
         # one column per pending interval: x0, xm, x1, f0, fm, f1, whole, s_tol
         level = np.array([x0, xm, x1, f0, fm, f1,
                           (x1 - x0) / 6.0 * (f0 + 4.0 * fm + f1), tol[owner]])
-        node_x.append(first)
-        node_owner.append(thrice)
+        keep((first, thrice))
 
     depth = 0
     while owner.size:
         x0, xm, x1 = level[:3]
         mids = np.concatenate([0.5 * (x0 + xm), 0.5 * (xm + x1)])
         both = np.concatenate([owner, owner])
-        node_x.append(mids)
-        node_owner.append(both)
+        keep((mids, both))
         # only the pending level is held while the integrand runs
         level, owner = _settle(level, owner, mids, np.asarray(f(mids, both), dtype=float),
                                depth, max_depth, values, errors, failures)
         depth += 1
 
-    node_x, node_owner = np.concatenate(node_x), np.concatenate(node_owner)
-    order = np.argsort(node_owner, kind="stable")
-    nodes = np.split(node_x[order], np.cumsum(np.bincount(node_owner, minlength=n))[:-1])
+    nodes = None
+    if keep_nodes:
+        x, own = (np.concatenate(col) for col in zip(*kept))
+        nodes = np.split(x[np.argsort(own, kind="stable")],
+                         np.cumsum(np.bincount(own, minlength=n))[:-1])
     failed = np.array([e is not None for e in failures], dtype=bool)
     values[failed] = errors[failed] = np.nan
     return values, errors, nodes, failures
@@ -150,7 +156,7 @@ def adaptive_simpson(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     ``QuadratureError`` where ``adaptive_simpson_many`` records one.
     """
     values, errors, nodes, failures = adaptive_simpson_many(
-        lambda x, _: f(x), a, b, tol, max_depth)
+        lambda x, _: f(x), a, b, tol, max_depth, keep_nodes=True)
     if failures[0] is not None:
         raise failures[0]
     return float(values[0]), float(errors[0]), nodes[0]

@@ -128,6 +128,7 @@ def coherence_l1(state: QubitState) -> float:
 
 
 def trace_distance(s1: QubitState, s2: QubitState) -> float:
-    """Half the trace norm of the difference; in [0, 1] for states."""
+    """Half the trace norm of the difference, capped at 1: for states it
+    lies in [0, 1], but a pure state and its antipode can round above."""
     w = np.linalg.eigvalsh(s1.rho - s2.rho)
-    return 0.5 * float(np.sum(np.abs(w)))
+    return min(1.0, 0.5 * float(np.sum(np.abs(w))))

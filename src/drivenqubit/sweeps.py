@@ -270,7 +270,8 @@ def _gp_block(spec: SweepSpec, values) -> SweepBlock:
     """Rows of a geometric-phase sweep, all integrated in one quadrature."""
     params = [_params_at(spec.fixed, spec.axis.name, v) for v in values.tolist()]
     phi, err, _, errors = geometric_phases([derive(p) for p in params],
-                                           [p.theta for p in params], spec.quad_tol)
+                                           [p.theta for p in params], spec.quad_tol,
+                                           keep_nodes=False)
     finite = (np.isfinite(phi) & np.isfinite(err)).tolist()
     # geometric_phases gives a ValidationError only to a row without a period
     status = ["ok" if exc is None and ok else

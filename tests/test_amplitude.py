@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -100,18 +101,44 @@ def test_critical_damping_series_limit():
     assert np.max(np.abs(closed.values - ode.values)) <= 1e-8
 
 
-def test_series_switch_is_continuous():
-    # at the same instant the series path and the mode form must agree
-    import cmath
+def _mpmath_mode_form(dp, times):
+    """(A, dA/dt) at 40 digits from M and the coupling q, F = sqrt(4M^2 - 2q)
+    taken in mpmath, so the rounding of dp.f_const does not enter."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        M = mpmath.mpc(dp.m_const)
+        pref = mpmath.mpf(dp.coupling_prefactor)
+        F = mpmath.sqrt(4 * M * M + 4 * pref)
+        out = []
+        for t in times:
+            t = mpmath.mpf(float(t))
+            e = mpmath.exp(-M * t / 2)
+            if F == 0:
+                out.append((e * (1 + M * t / 2), pref * t / 4 * e))
+            else:
+                ch, sh = mpmath.cosh(F * t / 4), mpmath.sinh(F * t / 4)
+                out.append((e * (ch + 2 * M / F * sh), pref / F * e * sh))
+        return np.array(out, dtype=complex).T
 
-    dp = derive(SystemParams(lam=2.0 + 1e-7, omega_rabi=0.0))
-    M, F = dp.m_const, dp.f_const
-    t = 0.999e-6 / abs(F)  # just below the switch: production path uses the series
-    series = amplitude_closed_form(dp, t)
-    ratio = 2 * M / F
-    modes = (0.5 * (1 + ratio) * cmath.exp((-M / 2 + F / 4) * t)
-             + 0.5 * (1 - ratio) * cmath.exp((-M / 2 - F / 4) * t))
-    assert abs(series - modes) < 1e-12
+
+def _abs_f(lam):
+    return abs(derive(SystemParams(lam=lam, omega_rabi=0.0)).f_const)
+
+
+@pytest.mark.parametrize("lam,times", [
+    (2.0 + 1e-12, np.linspace(0.0, 10.0, 201)),
+    (2.0 - 1e-12, np.linspace(0.0, 10.0, 201)),
+    (2.0 + 1e-9, np.linspace(0.0, 10.0, 201)),
+    (2.0, np.linspace(0.0, 10.0, 201)),         # critically damped, F = 0
+    # |F| t around 1e-6, where a series once took over from the mode form
+    (2.0 + 1e-7, np.array([0.5e-6, 0.999e-6, 1e-6, 1.001e-6, 2e-6]) / _abs_f(2.0 + 1e-7)),
+], ids=["above", "below", "above-1e-9", "critical", "former-series-switch"])
+def test_near_critical_amplitude_matches_mpmath(lam, times):
+    dp = derive(SystemParams(lam=lam, omega_rabi=0.0))
+    A, dA = amplitude_grid(dp, times)
+    ref_A, ref_dA = _mpmath_mode_form(dp, times)
+    assert np.max(np.abs(A - ref_A)) <= 1e-12
+    assert np.max(np.abs(dA - ref_dA)) <= 1e-12
 
 
 @pytest.mark.parametrize("params", [
@@ -119,14 +146,13 @@ def test_series_switch_is_continuous():
     SystemParams(lam=0.01, omega_rabi=0.0),
     SystemParams(lam=0.01, omega_rabi=2.0),
     SystemParams(lam=2.0, omega_rabi=0.0),              # critically damped, F = 0
-    SystemParams(lam=2.0 + 1e-9, omega_rabi=0.0),       # series switch at t ~ 0.01
+    SystemParams(lam=2.0 + 1e-9, omega_rabi=0.0),       # |F| t ~ 1e-6 at t ~ 0.01
     SystemParams(lam=100.0, omega_rabi=0.0),            # wide cavity, stiff decay
     SystemParams(lam=0.3, omega_rabi=1.3, delta_qc=-4.0, delta_cav=0.5),
 ], ids=["detuned", "undriven", "driven", "critical", "near-critical", "wide",
         "cavity-detuned"])
 def test_scalar_path_matches_array_path(params):
-    # cmath and numpy paths must share one series threshold; the log-spaced
-    # times put near-critical points on both sides of it
+    # the single-time functions are one-point views of the grid
     dp = derive(params)
     ts = np.concatenate(([0.0], np.geomspace(1e-4, 25.0, 100)))
     A, dA = amplitude_grid(dp, ts)
@@ -224,6 +250,9 @@ def test_negative_time_rejected():
 if given is None:
     def test_amplitude_stays_in_unit_disc_over_parameter_box():
         pytest.skip("needs hypothesis (the test extra)")
+
+    def test_amplitude_stays_in_unit_disc_near_critical_damping():
+        pytest.skip("needs hypothesis (the test extra)")
 else:
     # the validated parameter box: lambda in [0.01, 1] (log scale), omega in
     # [0, 2], delta in [0, 10]; times up to 50
@@ -236,4 +265,18 @@ else:
         dp = derive(SystemParams(lam=10.0 ** log_lam, omega_rabi=omega,
                                  delta_qc=delta_qc))
         A, _ = amplitude_grid(dp, np.array(times))
+        assert np.all(np.abs(A) <= 1.0 + 1e-12)
+
+    # lambda within 1e-6 of critical damping (omega = 0), where the mode
+    # weights 2M/F grow like 1/|F|; times from subnormal to 5000
+    @settings(max_examples=100)
+    @given(offset=st.floats(-1e-6, 1e-6),
+           times=st.lists(st.floats(0.0, 5000.0), min_size=1, max_size=16))
+    def test_amplitude_stays_in_unit_disc_near_critical_damping(offset, times):
+        dp = derive(SystemParams(lam=2.0 + offset, omega_rabi=0.0))
+        ts = np.array(times + [0.0, 5e-324, 2.2e-311, 1e-300, 5000.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            A, dA = amplitude_grid(dp, ts)
+        assert np.all(np.isfinite(A)) and np.all(np.isfinite(dA))
         assert np.all(np.abs(A) <= 1.0 + 1e-12)

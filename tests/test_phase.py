@@ -278,6 +278,20 @@ def test_quadrature_rounding_floor_raises_at_once(tol):
     assert time.perf_counter() - start < 1.0
 
 
+def test_quadrature_non_finite_values_raise_at_once():
+    # NaN sums never pass the acceptance test; split on, they would double
+    # the pending level up to max_depth
+    start = time.perf_counter()
+    with pytest.raises(QuadratureError, match="not finite"):
+        adaptive_simpson(lambda x: np.where(x > 0.7, np.nan, x), 0.0, 1.0, tol=1e-9)
+    values, _, _, failures = adaptive_simpson_many(
+        lambda x, owner: np.where(owner == 1, np.nan, np.sin(x)), [0.0, 0.0],
+        [math.pi, 1.0], [1e-9, 1e-9])
+    assert values[0] == pytest.approx(2.0, abs=1e-9) and failures[0] is None
+    assert "not finite" in str(failures[1]) and math.isnan(values[1])
+    assert time.perf_counter() - start < 1.0
+
+
 def test_quadrature_max_depth_still_raises():
     def step(x):
         return (x > 1.0 / 3.0).astype(float)
@@ -314,7 +328,8 @@ def test_many_integrals_keep_failures_to_their_own_integral():
         return np.choose(owner, [g(x) for g, *_ in cases])
 
     a, b, tol = (np.array([c[k] for c in cases]) for k in (1, 2, 3))
-    values, errors, nodes, failures = adaptive_simpson_many(f, a, b, tol, max_depth=8)
+    values, errors, nodes, failures = adaptive_simpson_many(f, a, b, tol, max_depth=8,
+                                                        keep_nodes=True)
     for (g, lo, hi, eps), want, value, error, x, failure in zip(
             cases, expected, values, errors, nodes, failures):
         if want is not None:
@@ -359,6 +374,10 @@ def test_batched_rows_match_depth_first_and_one_row_view(case):
     rows, quad_tol = _sweep_cases()[case]
     dps = [derive(p) for p in rows]
     phi, err, nodes, errors = geometric_phases(dps, [p.theta for p in rows], quad_tol)
+    # without nodes (as sweeps call it) the same quadrature, nothing recorded
+    bare = geometric_phases(dps, [p.theta for p in rows], quad_tol, keep_nodes=False)
+    assert np.array_equal(bare[0], phi) and np.array_equal(bare[1], err)
+    assert bare[2] is None and bare[3] == errors
     for p, dp, phi_i, err_i, x, error in zip(rows, dps, phi, err, nodes, errors):
         assert error is None
         one_phi, one_err, one_nodes = geometric_phase_detailed(dp, p.theta, quad_tol)

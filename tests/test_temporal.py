@@ -265,7 +265,7 @@ else:
                                                      taus):
         # the closed form against the propagator route (Li et al., Sci. Rep.
         # 2, 885 (2012)), and the series against the closed form: the same
-        # formula, on the grid kernel rather than cmath, so equal to rounding
+        # formula, array-wise rather than per point, so equal to rounding
         dp = derive(SystemParams(lam=10.0 ** log_lam, omega_rabi=omega,
                                  delta_qc=delta_qc))
         taus = [0.0, *sorted(taus)]
