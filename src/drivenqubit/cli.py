@@ -125,14 +125,16 @@ def build_parser() -> _Parser:
                          help="integration horizon for blp rows")
     p_sweep.add_argument("--tol", type=float, default=None,
                          help="quadrature tolerance for gp rows")
-    p_sweep.add_argument("--workers", type=int, default=None)
+    p_sweep.add_argument("--workers", type=int, default=None,
+                         help="accepted for compatibility; no effect (must be >= 1)")
     p_sweep.add_argument("--out", default=None, help="output CSV path")
 
     p_fig = sub.add_parser("figure", help="emit preset figure CSV families")
     p_fig.add_argument("--preset", default=None,
                        help=f"one of: {', '.join(PRESET_NAMES)}")
     p_fig.add_argument("--out", default=None, help="output directory")
-    p_fig.add_argument("--workers", type=int, default=None)
+    p_fig.add_argument("--workers", type=int, default=None,
+                       help="accepted for compatibility; no effect (must be >= 1)")
     p_fig.add_argument("--config", default=None)
 
     p_check = sub.add_parser("check", help="run the dual-route consistency suite")
@@ -189,13 +191,12 @@ def _cmd_sweep(args, parser) -> int:
         t_max=args.tmax if args.tmax is not None else 100.0,
         quad_tol=args.tol if args.tol is not None else 1e-9,
     )
-    workers = args.workers if args.workers is not None else 1
     out = Path(args.out)
     # an unwritable --out fails before any row is computed
     if out.is_dir():
         raise ValidationError(f"--out {args.out!r} is a directory")
     make_outdir(out.parent)
-    table, summary = run_sweep(spec, workers=workers)
+    table, summary = run_sweep(spec)
     write_rows(args.out, table, sweep_columns(spec))
     print(f"wrote {args.out}: {summary.n_rows} rows, {summary.n_failed} failed")
     if summary.minimum is not None:
@@ -209,8 +210,7 @@ def _cmd_figure(args, parser) -> int:
         parser.error("--preset is required")
     if args.out is None:
         parser.error("--out is required")
-    workers = args.workers if args.workers is not None else 1
-    result = figure_preset(args.preset, args.out, workers=workers)
+    result = figure_preset(args.preset, args.out)
     for path in result["files"]:
         print(f"wrote {path}")
     print(f"wrote {result['manifest']}")
@@ -236,6 +236,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args = _merge_config(args)
+        # --workers has no effect; it stays accepted for older command lines
+        # and config files, and is checked before any file or row is made
+        if getattr(args, "workers", None) is not None and args.workers < 1:
+            raise ValidationError(f"workers must be >= 1, got {args.workers}")
         if args.command == "params":
             return _cmd_params(args)
         if args.command == "sweep":

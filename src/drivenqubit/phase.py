@@ -19,8 +19,8 @@ integrand in one array call, where each node carries the constants
 ``_spectrum``.  Each row is still accepted or split on its own data, so its
 nodes and phase do not depend on the other rows;
 ``geometric_phase_detailed`` is the one-row view, and keeps the nodes.
-A row without a dressed period gets a ``ValidationError``, and a row whose
-tolerance lies below the rounding floor of its integral a
+A row without a finite dressed period gets a ``ValidationError``, and a
+row whose tolerance lies below the rounding floor of its integral a
 ``QuadratureError``; neither stops the other rows.
 """
 
@@ -154,21 +154,25 @@ def geometric_phases(dps, thetas, quad_tol: float = 1e-9, keep_nodes: bool = Tru
     Returns (phi_g, quad_err, nodes, errors): per row the phase and its
     error estimate (NaN for a failed row), the quadrature nodes (None
     unless ``keep_nodes``), and the error that stopped the row or None.  A
-    row without a dressed period (omega_d = 0) gets a ``ValidationError``
-    and no quadrature; a row whose quadrature fails gets its
-    ``QuadratureError``.  Every other row is integrated over
-    [0, 2 pi / omega_d] to the tolerance quad_tol / omega_d, and its result
-    does not depend on the other rows.
+    row without a finite dressed period (omega_d = 0, or omega_d so small
+    that 2 pi / omega_d overflows) gets a ``ValidationError`` and no
+    quadrature; a row whose quadrature fails gets its ``QuadratureError``.
+    Every other row is integrated over [0, 2 pi / omega_d] to the tolerance
+    quad_tol / omega_d, and its result does not depend on the other rows.
     """
     omega_d = np.array([dp.omega_d for dp in dps], dtype=float)
-    # a row without a dressed period gets tolerance 0: no quadrature, no nodes
-    w = np.where(omega_d > 0.0, omega_d, np.inf)
+    with np.errstate(divide="ignore", over="ignore"):
+        no_period = ~np.isfinite(2.0 * math.pi / omega_d)
+    # a row without a period gets tolerance 0: no quadrature, no nodes
+    w = np.where(no_period, np.inf, omega_d)
     val, err, nodes, errors = adaptive_simpson_many(
         _cos2_rows(dps, thetas), np.zeros_like(w), 2.0 * math.pi / w, quad_tol / w,
         keep_nodes=keep_nodes)
-    for i in np.flatnonzero(omega_d <= 0.0).tolist():
+    for i in np.flatnonzero(no_period).tolist():
         errors[i] = ValidationError(
-            "omega_d = 0 (undriven, resonant): the dressed period is undefined")
+            "omega_d = 0 (undriven, resonant): the dressed period is undefined"
+            if omega_d[i] == 0.0 else
+            f"omega_d = {omega_d[i]:.3g}: the dressed period 2 pi / omega_d overflows")
     return omega_d * val, omega_d * err, nodes, errors
 
 

@@ -5,7 +5,9 @@ a ``SweepTable`` of ``SweepBlock``s: a block holds the cells its rows share
 once (the parameters not swept and, in a figure panel, ``curve``), its
 varying columns as arrays and a status column.  ``write_rows`` formats the
 shared cells once per block and only the varying cells per row;
-``SweepTable.rows()`` is the row view, one dict per row.
+``SweepTable.rows()`` is the row view, one dict per row.  A time or tau
+series takes one kernel call over its axis, and a ``gp`` or ``blp`` sweep
+evaluates all its rows in one batched pass, in the calling process.
 
 Output files are plain CSV: one leading comment line with the schema tag,
 a header row, then data rows with floats printed at 17 significant digits.
@@ -19,7 +21,6 @@ import csv
 import io
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -266,8 +267,9 @@ def _param_block(spec: SweepSpec, values, params, cols, status) -> SweepBlock:
     return SweepBlock(const, coords, cols, status)
 
 
-def _gp_block(spec: SweepSpec, values) -> SweepBlock:
+def _gp_block(spec: SweepSpec) -> SweepBlock:
     """Rows of a geometric-phase sweep, all integrated in one quadrature."""
+    values = spec.axis.values()
     params = [_params_at(spec.fixed, spec.axis.name, v) for v in values.tolist()]
     phi, err, _, errors = geometric_phases([derive(p) for p in params],
                                            [p.theta for p in params], spec.quad_tol,
@@ -280,8 +282,9 @@ def _gp_block(spec: SweepSpec, values) -> SweepBlock:
     return _param_block(spec, values, params, {"phi_g": phi, "quad_err": err}, status)
 
 
-def _blp_block(spec: SweepSpec, values) -> SweepBlock:
+def _blp_block(spec: SweepSpec) -> SweepBlock:
     """Rows of a BLP sweep, all evaluated in one batched pass."""
+    values = spec.axis.values()
     params = [_params_at(spec.fixed, spec.axis.name, v) for v in values.tolist()]
     # extend the horizon until the backflow gains (which die off with the
     # amplitude envelope exp(-lam t / 2)) are converged, within a cap
@@ -293,23 +296,6 @@ def _blp_block(spec: SweepSpec, values) -> SweepBlock:
     status = ["ok" if exc is None and ok else "invalid"
               for exc, ok in zip(errors, finite)]
     return _param_block(spec, values, params, cols, status)
-
-
-def _interleave(parts: list[SweepBlock]) -> SweepBlock:
-    """The block whose row i is row i // n of part i % n, n = len(parts)."""
-    n = len(parts)
-
-    def weave(cols):
-        out = np.empty(sum(len(c) for c in cols), dtype=np.result_type(*cols))
-        for k, col in enumerate(cols):
-            out[k::n] = col
-        return out
-
-    first = parts[0]
-    return SweepBlock(first.const,
-                      {c: weave([p.coords[c] for p in parts]) for c in first.coords},
-                      {c: weave([p.values[c] for p in parts]) for c in first.values},
-                      weave([p.status for p in parts]))
 
 
 def _summary(spec: SweepSpec, block: SweepBlock) -> SweepSummary:
@@ -326,37 +312,18 @@ def _summary(spec: SweepSpec, block: SweepBlock) -> SweepSummary:
                         float(vals.max()), float(at[vals.argmax()]))
 
 
-def _check_workers(workers: int) -> None:
-    if not workers >= 1:
-        raise ValidationError(f"workers must be >= 1, got {workers}")
-
-
-def run_sweep(spec: SweepSpec, workers: int = 1):
+def run_sweep(spec: SweepSpec):
     """Evaluate the sweep; returns (table, summary).
 
     The table holds one ``SweepBlock``, its rows in axis order: the fixed
     parameters as constant cells, the axis (and the swept parameter) and
-    the observables as columns.  A ``gp`` or ``blp`` sweep evaluates its
-    rows together, in one batched pass; with workers > 1 its rows are dealt
-    out to at most ``workers`` processes in turn, one batched pass each,
-    and the columns are woven back into the order a serial run gives.
+    the observables as columns.  The block is built by the quantity's one
+    builder, in the calling process: ``_gp_block`` and ``_blp_block``
+    evaluate all rows in one batched pass, ``_time_series_block`` takes one
+    kernel call over the axis.
     """
-    _check_workers(workers)
-    if spec.quantity in ("gp", "blp"):
-        block_of = _gp_block if spec.quantity == "gp" else _blp_block
-        values = spec.axis.values()
-        n = min(workers, values.size)
-        if n > 1:
-            # process k takes rows k, k + n, ...: the cost of a row changes
-            # steadily along an axis (a blp row's grows as 1/lam), so
-            # interleaved shares are even where contiguous ones are not
-            with ProcessPoolExecutor(max_workers=n) as pool:
-                block = _interleave(list(pool.map(
-                    block_of, [spec] * n, [values[k::n] for k in range(n)])))
-        else:
-            block = block_of(spec, values)
-    else:
-        block = _time_series_block(spec)
+    build = {"gp": _gp_block, "blp": _blp_block}.get(spec.quantity, _time_series_block)
+    block = build(spec)
     return SweepTable([block]), _summary(spec, block)
 
 
@@ -532,12 +499,13 @@ def _preset_table() -> dict:
 PRESET_NAMES = tuple(sorted(_preset_table().keys(), key=lambda s: int(s[3:])))
 
 
-def figure_preset(name: str, outdir, workers: int = 1) -> dict:
+def figure_preset(name: str, outdir) -> dict:
     """Emit the CSV files and manifest for one figure preset.
 
-    Returns {"files": [paths...], "manifest": path, "n_failed": int}.
+    Each curve is one ``run_sweep`` in this process; the panel's curves go
+    to one CSV file.  Returns {"files": [paths...], "manifest": path,
+    "n_failed": int}.
     """
-    _check_workers(workers)
     presets = _preset_table()
     if name not in presets:
         raise ValidationError(f"unknown preset {name!r}; known: {', '.join(PRESET_NAMES)}")
@@ -549,7 +517,7 @@ def figure_preset(name: str, outdir, workers: int = 1) -> dict:
     for panel, curve_key, specs in presets[name]:
         blocks = []
         for spec in specs:
-            sweep, summary = run_sweep(spec, workers=workers)
+            sweep, summary = run_sweep(spec)
             curve_value = getattr(spec.fixed, curve_key)
             blocks += [replace(b, const=b.const | {"curve": curve_value})
                        for b in sweep.blocks]

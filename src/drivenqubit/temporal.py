@@ -146,8 +146,7 @@ def quantum_witness(dp: DerivedParams, theta: float, tau: float) -> WitnessResul
     """
     if tau < 0:
         raise ValidationError(f"tau must be >= 0, got {tau}")
-    a1 = amplitude_closed_form(dp, tau)
-    ah = amplitude_closed_form(dp, tau / 2.0)
+    a1, ah = map(complex, amplitude_grid(dp, [tau, tau / 2.0])[0])
     w = abs(math.sin(2 * theta) * (a1 + a1.conjugate() - 0.5 * (ah + ah.conjugate()) ** 2)) / 4.0
     return WitnessResult(tau=tau, w_q=w)
 

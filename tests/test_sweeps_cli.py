@@ -61,40 +61,6 @@ def test_blp_sweep_monotone_in_width():
     assert summary.n_failed == 0
 
 
-def test_worker_pool_matches_serial():
-    spec = SweepSpec("blp", SystemParams(lam=0.05, omega_rabi=0.2),
-                     SweepAxis("lambda_ratio", 0.05, 0.5, 4, "log"))
-    serial, _ = run_sweep(spec, workers=1)
-    pooled, _ = run_sweep(spec, workers=2)
-    assert serial.rows() == pooled.rows()
-
-
-def test_blp_worker_chunks_match_serial():
-    # five rows over two processes: rows 0, 2, 4 and rows 1, 3, one batched
-    # pass each
-    spec = SweepSpec("blp", SystemParams(lam=0.05, omega_rabi=0.4),
-                     SweepAxis("delta", 0.0, 10.0, 5))
-    serial, serial_summary = run_sweep(spec, workers=1)
-    pooled, pooled_summary = run_sweep(spec, workers=2)
-    serial, pooled = serial.rows(), pooled.rows()
-    assert [r["status"] for r in serial] == ["ok"] * 5
-    assert serial == pooled
-    assert serial_summary == pooled_summary
-
-
-def test_gp_worker_chunks_match_serial():
-    # the rows are dealt out to two processes in turn, one quadrature each
-    spec = SweepSpec("gp", SystemParams(lam=0.1, theta=0.5),
-                     SweepAxis("omega", 0.0, 1.0, 5))
-    serial, serial_summary = run_sweep(spec, workers=1)
-    pooled, pooled_summary = run_sweep(spec, workers=2)
-    serial, pooled = serial.rows(), pooled.rows()
-    assert serial[0]["status"] == "undefined-period"
-    assert [r["status"] for r in serial[1:]] == ["ok"] * 4
-    assert serial == pooled
-    assert serial_summary == pooled_summary
-
-
 def test_gp_failed_row_leaves_its_neighbours_untouched():
     # at theta = 0 the integrand is 1 throughout, so even tol 1e-300 is met;
     # the other rows fall below the rounding floor of their integrals
@@ -118,6 +84,11 @@ def test_gp_sweep_undefined_period_becomes_error_row():
     assert rows[0]["status"] == "undefined-period"
     assert rows[0]["phi_g"] is None
     assert rows[1]["status"] == "ok"
+    assert summary.n_failed == 1
+    spec = SweepSpec("gp", SystemParams(lam=0.1, theta=0.5),
+                     SweepAxis("omega", 0.0, 1.0, 5))
+    table, summary = run_sweep(spec)
+    assert [r["status"] for r in table.rows()] == ["undefined-period"] + ["ok"] * 4
     assert summary.n_failed == 1
 
 
@@ -226,6 +197,7 @@ def test_write_rows_matches_per_cell_writer_on_sweeps(tmp_path):
         table, _ = run_sweep(spec)
         statuses.append([r["status"] for r in table.rows()])
         _assert_writes_as_reference(tmp_path, table, sweep_columns(spec))
+    assert statuses[0] == ["ok"] * 5
     assert statuses[1][0] == "undefined-period"
     assert statuses[2][-1] == "pole" and statuses[3][-1] == "invalid"
 
@@ -352,14 +324,7 @@ def test_cli_rejects_non_finite_parameter(tmp_path, capsys, flag):
 
 @pytest.mark.parametrize("command", ["sweep", "figure", "config"])
 @pytest.mark.parametrize("workers", ["0", "-1"])
-def test_cli_rejects_workers_below_one(tmp_path, monkeypatch, capsys, command,
-                                       workers):
-    import drivenqubit.sweeps as sweeps
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a rejected --workers must start no pool")
-
-    monkeypatch.setattr(sweeps, "ProcessPoolExecutor", no_pool)
+def test_cli_rejects_workers_below_one(tmp_path, capsys, command, workers):
     out = tmp_path / "out"
     flags = ["--workers", workers]
     if command == "config":
@@ -376,6 +341,31 @@ def test_cli_rejects_workers_below_one(tmp_path, monkeypatch, capsys, command,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_cli_workers_has_no_effect(tmp_path, how):
+    # --workers stays accepted, flag or config key, and changes no byte
+    def run(argv, name, with_workers):
+        out = tmp_path / name
+        if with_workers and how == "flag":
+            argv = [*argv, "--workers", "2"]
+        elif with_workers:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("workers = 2\n")
+            argv = [*argv, "--config", str(cfg)]
+        assert main([*argv, "--out", str(out)]) == 0
+        return out
+
+    sweep = ["sweep", "--quantity", "gp", "--axis", "lambda_ratio", "--scale", "log",
+             "--points", "5", "--omega", "0.3", "--theta", "0.5"]
+    assert (run(sweep, "plain.csv", False).read_bytes()
+            == run(sweep, "workers.csv", True).read_bytes())
+    plain = run(["figure", "--preset", "fig8"], "plain", False)
+    given = run(["figure", "--preset", "fig8"], "workers", True)
+    names = sorted(f.name for f in plain.iterdir())
+    assert names == sorted(f.name for f in given.iterdir())
+    assert all((plain / n).read_bytes() == (given / n).read_bytes() for n in names)
+
+
 def test_cli_numerical_failure_exit_code(tmp_path):
     out = tmp_path / "gp.csv"
     rc = main(["sweep", "--quantity", "gp", "--axis", "omega",
@@ -384,6 +374,17 @@ def test_cli_numerical_failure_exit_code(tmp_path):
     assert rc == 2  # omega = 0 row has no dressed period
     rows = read_csv(out)
     assert rows[0]["status"] == "undefined-period"
+
+
+@pytest.mark.parametrize("delta", ["1e-310", "5e-324"])
+def test_cli_gp_subnormal_dressed_frequency_has_no_period(tmp_path, delta):
+    # omega_d = delta: its period 2 pi / omega_d overflows, so no quadrature
+    # runs and numpy warns of nothing (pytest turns RuntimeWarnings into errors)
+    out = tmp_path / "gp.csv"
+    rc = main(["sweep", "--quantity", "gp", "--axis", "theta", "--points", "3",
+               "--omega", "0", "--delta", delta, "--lambda", "0.1", "--out", str(out)])
+    assert rc == 2
+    assert [r["status"] for r in read_csv(out)] == ["undefined-period"] * 3
 
 
 def test_cli_non_finite_lgi_row_is_invalid(tmp_path):
@@ -536,17 +537,18 @@ def test_cli_imports_no_scipy(tmp_path):
         "import sys",
         "from drivenqubit.cli import main",
         "def loaded():",
-        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')",
+        "    return sorted(m for m in sys.modules",
+        "                  if m.split('.')[0] in ('scipy', 'multiprocessing', 'concurrent'))",
         "assert main(['params', '--lambda', '0.1']) == 0",
-        "print('scipy:', loaded())",
+        "print('loaded:', loaded())",
         "assert main(['sweep', '--quantity', 'blp', '--axis', 'omega', '--axis-min', '0',",
         f"             '--axis-max', '1', '--points', '2', '--out', {str(out)!r}]) == 0",
-        "print('scipy:', loaded())",
+        "print('loaded:', loaded())",
     ])
     env = os.environ | {"PYTHONPATH": os.pathsep.join(sys.path)}
     res = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    loaded = [line for line in res.stdout.splitlines() if line.startswith("scipy:")]
-    assert loaded == ["scipy: []", "scipy: []"]
+    loaded = [line for line in res.stdout.splitlines() if line.startswith("loaded:")]
+    assert loaded == ["loaded: []", "loaded: []"]
     assert len(read_csv(out)) == 2
