@@ -49,8 +49,10 @@ def _read_config(path: str) -> dict[str, str]:
     return out
 
 
-_PARAM_KEYS = ("lam", "omega", "delta", "delta_cav", "theta")
-_FLOAT_KEYS = _PARAM_KEYS + ("tmax", "tol", "axis_min", "axis_max")
+# SystemParams field of each parameter flag
+_PARAM_KEYS = {"lam": "lam", "omega": "omega_rabi", "delta": "delta_qc",
+               "delta_cav": "delta_cav", "theta": "theta"}
+_FLOAT_KEYS = (*_PARAM_KEYS, "tmax", "tol", "axis_min", "axis_max")
 _INT_KEYS = ("points", "workers")
 _STR_KEYS = ("quantity", "axis", "scale", "out", "preset")
 
@@ -90,14 +92,16 @@ def _add_param_flags(p: argparse.ArgumentParser):
                    help="key = value file mirroring the flags; flags override")
 
 
+def _given(args, keys) -> dict:
+    """{name: flag value} of the flags that were given, flag or config."""
+    return {name: getattr(args, key) for key, name in keys.items()
+            if getattr(args, key) is not None}
+
+
 def _params_from(args) -> SystemParams:
-    return SystemParams(
-        lam=args.lam if args.lam is not None else 0.01,
-        omega_rabi=args.omega if args.omega is not None else 0.0,
-        delta_qc=args.delta if args.delta is not None else 0.0,
-        delta_cav=args.delta_cav if args.delta_cav is not None else 0.0,
-        theta=args.theta if args.theta is not None else 0.0,
-    )
+    """Parameters from the flags given; the others take SystemParams'
+    defaults, and lam, which has none, 0.01."""
+    return SystemParams(**{"lam": 0.01} | _given(args, _PARAM_KEYS))
 
 
 def build_parser() -> _Parser:
@@ -158,7 +162,7 @@ def _cmd_params(args) -> int:
     print(f"f_const    = {dp.f_const.real:.17g}{dp.f_const.imag:+.17g}j")
     print(f"tau_r      = {dp.tau_r:.17g}")
     print(f"tau_q      = {dp.tau_q:.17g}")
-    if dp.omega_d > 0:
+    if dp.no_period() is None:
         print(f"period     = {2 * math.pi / dp.omega_d:.17g}")
     for w in dp.flags():
         print(f"warning: {w}")
@@ -188,8 +192,7 @@ def _cmd_sweep(args, parser) -> int:
         fixed=_params_from(args),
         axis=axis,
         output_path=args.out,
-        t_max=args.tmax if args.tmax is not None else 100.0,
-        quad_tol=args.tol if args.tol is not None else 1e-9,
+        **_given(args, {"tmax": "t_max", "tol": "quad_tol"}),
     )
     out = Path(args.out)
     # an unwritable --out fails before any row is computed

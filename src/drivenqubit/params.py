@@ -111,11 +111,20 @@ class DerivedParams:
         p = self.params
         return -p.gamma * p.lam * (1.0 + math.cos(self.eta)) ** 2 / 2.0
 
+    def no_period(self) -> str | None:
+        """Why there is no finite dressed period 2 pi / omega_d (omega_d = 0,
+        or so small that the period overflows), or None when there is one."""
+        if self.omega_d == 0.0:
+            return "omega_d = 0 (undriven, resonant): the dressed period is undefined"
+        if math.isinf(2.0 * math.pi / self.omega_d):
+            return (f"omega_d = {self.omega_d:.3g}: the dressed period "
+                    "2 pi / omega_d overflows")
+        return None
+
     def flags(self) -> tuple[str, ...]:
         out = list(self.params.warnings())
-        if self.omega_d == 0.0:
-            out.append("omega_d = 0 (no drive, no detuning): geometric-phase "
-                       "period undefined")
+        if (reason := self.no_period()) is not None:
+            out.append(reason)
         return tuple(out)
 
 

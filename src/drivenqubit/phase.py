@@ -161,18 +161,15 @@ def geometric_phases(dps, thetas, quad_tol: float = 1e-9, keep_nodes: bool = Tru
     quad_tol / omega_d, and its result does not depend on the other rows.
     """
     omega_d = np.array([dp.omega_d for dp in dps], dtype=float)
-    with np.errstate(divide="ignore", over="ignore"):
-        no_period = ~np.isfinite(2.0 * math.pi / omega_d)
+    no_period = [dp.no_period() for dp in dps]
     # a row without a period gets tolerance 0: no quadrature, no nodes
-    w = np.where(no_period, np.inf, omega_d)
+    w = np.where([r is not None for r in no_period], np.inf, omega_d)
     val, err, nodes, errors = adaptive_simpson_many(
         _cos2_rows(dps, thetas), np.zeros_like(w), 2.0 * math.pi / w, quad_tol / w,
         keep_nodes=keep_nodes)
-    for i in np.flatnonzero(no_period).tolist():
-        errors[i] = ValidationError(
-            "omega_d = 0 (undriven, resonant): the dressed period is undefined"
-            if omega_d[i] == 0.0 else
-            f"omega_d = {omega_d[i]:.3g}: the dressed period 2 pi / omega_d overflows")
+    for i, reason in enumerate(no_period):
+        if reason is not None:
+            errors[i] = ValidationError(reason)
     return omega_d * val, omega_d * err, nodes, errors
 
 

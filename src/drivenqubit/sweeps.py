@@ -3,11 +3,12 @@
 Results stay columnar from the kernels to the file.  ``run_sweep`` returns
 a ``SweepTable`` of ``SweepBlock``s: a block holds the cells its rows share
 once (the parameters not swept and, in a figure panel, ``curve``), its
-varying columns as arrays and a status column.  ``write_rows`` formats the
-shared cells once per block and only the varying cells per row;
-``SweepTable.rows()`` is the row view, one dict per row.  A time or tau
-series takes one kernel call over its axis, and a ``gp`` or ``blp`` sweep
-evaluates all its rows in one batched pass, in the calling process.
+varying columns as numeric arrays and a status column.  ``write_rows``
+formats the shared cells once per block, each coordinate column once per
+file and the observables per row; ``SweepTable.rows()`` is the row view,
+one dict per row.  A time or tau series takes one kernel call over its
+axis, and a ``gp`` or ``blp`` sweep evaluates all its rows in one batched
+pass, in the calling process.
 
 Output files are plain CSV: one leading comment line with the schema tag,
 a header row, then data rows with floats printed at 17 significant digits.
@@ -126,14 +127,10 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SweepSpec":
-        return cls(
-            quantity=d["quantity"],
-            fixed=SystemParams(**d["fixed"]),
-            axis=SweepAxis(**d["axis"]),
-            output_path=d.get("output_path"),
-            t_max=d.get("t_max", 100.0),
-            quad_tol=d.get("quad_tol", 1e-9),
-        )
+        """The spec of ``to_dict``; a key left out takes the field's default."""
+        given = {k: d[k] for k in ("output_path", "t_max", "quad_tol") if k in d}
+        return cls(quantity=d["quantity"], fixed=SystemParams(**d["fixed"]),
+                   axis=SweepAxis(**d["axis"]), **given)
 
 
 @dataclass
@@ -154,9 +151,10 @@ class SweepBlock:
     swept and, in a figure panel, ``curve``).  ``coords`` holds the per-row
     coordinates (the axis and, for a parameter axis, the swept parameter's
     column), ``values`` the per-row observables and ``status`` the per-row
-    label.  Columns are arrays (any sequence will do), all as long as
-    ``status``.  The observables of a row whose status is not ``ok`` are
-    never read: such a row has empty observable cells.
+    label.  Columns are numeric arrays (int, uint, float or bool), all as
+    long as ``status``; anything else is a ValueError.  The observables of a
+    row whose status is not ``ok`` are never read: such a row has empty
+    observable cells.
     """
 
     const: dict
@@ -166,10 +164,14 @@ class SweepBlock:
 
     def __post_init__(self):
         self.status = np.asarray(self.status, dtype=str)
+        self.coords = {c: np.asarray(col) for c, col in self.coords.items()}
+        self.values = {c: np.asarray(col) for c, col in self.values.items()}
         for name, col in (self.coords | self.values).items():
-            if len(col) != len(self.status):
-                raise ValueError(f"column {name!r} has {len(col)} rows, "
-                                 f"status has {len(self.status)}")
+            if col.dtype.kind not in "biuf":
+                raise ValueError(f"column {name!r} is not numeric ({col.dtype})")
+            if col.shape != self.status.shape:
+                raise ValueError(f"column {name!r} has shape {col.shape}, "
+                                 f"status has {self.status.shape}")
 
     def __len__(self) -> int:
         return len(self.status)
@@ -178,14 +180,10 @@ class SweepBlock:
         """Row i as a dict of Python scalars, observables None unless its
         status is ok."""
         status = str(self.status[i])
-        values = {c: _item(col[i]) if status == "ok" else None
+        values = {c: col[i].item() if status == "ok" else None
                   for c, col in self.values.items()}
-        return (self.const | {c: _item(col[i]) for c, col in self.coords.items()}
+        return (self.const | {c: col[i].item() for c, col in self.coords.items()}
                 | values | {"status": status})
-
-
-def _item(v):
-    return v.item() if isinstance(v, np.generic) else v
 
 
 class SweepTable:
@@ -202,21 +200,17 @@ class SweepTable:
         return [b.row(i) for b in self.blocks for i in range(len(b))]
 
 
-def _params_at(fixed: SystemParams, axis_name: str, value: float) -> SystemParams:
-    if axis_name == "lambda_ratio":
-        return replace(fixed, lam=value * fixed.gamma)
-    if axis_name == "omega":
-        return replace(fixed, omega_rabi=value)
-    if axis_name == "delta":
-        return replace(fixed, delta_qc=value)
-    if axis_name == "theta":
-        return replace(fixed, theta=value)
-    return fixed
-
-
 # parameter column of each parameter axis
 _SWEPT = {"lambda_ratio": "lam", "omega": "omega_rabi", "delta": "delta_qc",
           "theta": "theta"}
+
+
+def _params_at(fixed: SystemParams, axis_name: str, value: float) -> SystemParams:
+    """The fixed parameters with the axis's parameter set to ``value``
+    (lambda_ratio in units of gamma)."""
+    if axis_name == "lambda_ratio":
+        value *= fixed.gamma
+    return replace(fixed, **{_SWEPT[axis_name]: value})
 
 
 def _time_series_block(spec: SweepSpec) -> SweepBlock:
@@ -305,9 +299,8 @@ def _summary(spec: SweepSpec, block: SweepBlock) -> SweepSummary:
     n_failed = len(block) - int(np.count_nonzero(ok))
     if n_failed == len(block):
         return SweepSummary(spec.quantity, len(block), n_failed, None, None, None)
-    vals = np.asarray(block.values[OBSERVABLE_COLUMNS[spec.quantity][0]],
-                      dtype=float)[ok]
-    at = np.asarray(block.coords[spec.axis.name])[ok]
+    vals = block.values[OBSERVABLE_COLUMNS[spec.quantity][0]][ok]
+    at = block.coords[spec.axis.name][ok]
     return SweepSummary(spec.quantity, len(block), n_failed, float(vals.min()),
                         float(vals.max()), float(at[vals.argmax()]))
 
@@ -328,6 +321,8 @@ def run_sweep(spec: SweepSpec):
 
 
 def _fmt(v) -> str:
+    """A constant cell: empty for None, integers as such, floats at 17
+    significant digits."""
     if v is None:
         return ""
     if isinstance(v, (int, np.integer)):
@@ -337,8 +332,11 @@ def _fmt(v) -> str:
     return format(float(v), ".17g")
 
 
-# %-format of each varying column; floats by default
-_CELL_FORMATS = {"violated3": "%d", "violated4": "%d", "truncated": "%d"}
+def _cells(col: np.ndarray) -> list[str]:
+    """The cells of a numeric column: integers and bools by %d, floats by
+    %.17g, all in one format call."""
+    fmt = "%d\n" if col.dtype.kind in "biu" else "%.17g\n"
+    return (fmt * len(col) % tuple(col.tolist())).split("\n")[:-1]
 
 
 def _csv_line(cells) -> str:
@@ -347,35 +345,36 @@ def _csv_line(cells) -> str:
     return out.getvalue()
 
 
-def _write_block(fh, writer, block: SweepBlock, columns: list[str]) -> None:
-    """Rows of one block.  An ok row goes out through one %-format line
-    holding the constant cells, formatted once per block; a row whose status
-    is not ok, or with an empty (None) cell, takes the per-cell path."""
-    varying = [c for c in columns if c in block.coords or c in block.values]
-    cells = []
-    for c in columns:
-        if c in varying:
-            cells.append(_CELL_FORMATS.get(c, "%.17g"))
-        elif c == "status":
-            cells.append("ok")
-        else:  # constant, or empty where the block lacks the column
-            cells.append(_fmt(block.const.get(c)).replace("%", "%%"))
-    line = _csv_line(cells)
-    cols = [block.coords[c] if c in block.coords else block.values[c] for c in varying]
-    # only a column that is not a numeric array can hold an empty (None) cell
-    filled = all(isinstance(c, np.ndarray) and c.dtype != object for c in cols)
-    cols = [c.tolist() if isinstance(c, np.ndarray) else c for c in cols]
-    rows = zip(*cols) if cols else [()] * len(block)
+def _write_block(fh, block: SweepBlock, columns: list[str], axes: dict) -> None:
+    """Rows of one block, each through the block's one line template: its
+    constant cells are formatted into the template once, its varying cells
+    fill the %s slots.  ``axes`` holds the coordinate columns already
+    formatted for this file, by dtype and bytes."""
     status = block.status.tolist()
-    if filled and status.count("ok") == len(status):
-        fh.writelines(map(line.__mod__, rows))
-        return
-    for i, (st, row) in enumerate(zip(status, rows)):
-        if st == "ok" and None not in row:
-            fh.write(line % row)
-        else:
-            cells_i = block.row(i)
-            writer.writerow([_fmt(cells_i.get(c)) for c in columns])
+    failed = [i for i, st in enumerate(status) if st != "ok"]
+    # csv quotes a lone empty cell: an empty line would read as no row
+    empty = '""' if len(columns) == 1 else ""
+    template, cols = [], []
+    for c in columns:
+        if c in block.coords:
+            col = block.coords[c]
+            key = (col.dtype.str, col.tobytes())
+            if key not in axes:
+                axes[key] = _cells(col)
+            cols.append(axes[key])
+        elif c in block.values:
+            cells = _cells(block.values[c])
+            for i in failed:
+                cells[i] = empty
+            cols.append(cells)
+        elif c == "status":
+            cols.append(status)  # status labels are plain words: nothing to quote
+        else:  # constant, or empty where the block lacks the column
+            template.append(_fmt(block.const.get(c)).replace("%", "%%"))
+            continue
+        template.append("%s")
+    line = _csv_line(template)
+    fh.writelines(map(line.__mod__, zip(*cols) if cols else [()] * len(block)))
 
 
 def make_outdir(path: Path) -> None:
@@ -392,18 +391,18 @@ def write_rows(path, table: SweepTable, columns: list[str]) -> None:
     """Write a table's rows as CSV after the schema line, block by block.
 
     The bytes are those of ``csv.writer`` given every cell formatted alone
-    (``%.17g`` floats, integers, strings, empty for None or a column the
-    block lacks); each block builds one line template with its constant
-    cells already in it and formats only its varying cells per row.
+    (``%.17g`` floats, integers and bools as integers, strings, empty for
+    the observables of a row that is not ok or a column the block lacks).
+    Each coordinate column is formatted once per file, so the curves of a
+    panel share their formatted axis.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    axes: dict = {}
     with open(path, "w", newline="") as fh:
-        fh.write(SCHEMA_TAG + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(columns)
+        fh.write(SCHEMA_TAG + "\n" + _csv_line(columns))
         for block in table.blocks:
-            _write_block(fh, writer, block, columns)
+            _write_block(fh, block, columns, axes)
 
 
 def sweep_columns(spec: SweepSpec, extra: tuple[str, ...] = ()) -> list[str]:

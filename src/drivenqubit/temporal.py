@@ -138,17 +138,24 @@ def witness_probabilities(dp: DerivedParams, theta: float,
     return float(p_free[0]), float(p_blind[0])
 
 
+def _witness(dp: DerivedParams, theta: float, taus: np.ndarray):
+    """(w_q, A(tau)) over an array of delays, A(tau) and A(tau/2) from one
+    kernel call (formula in ``quantum_witness``)."""
+    (a1, ah), _ = amplitude_grid(dp, np.stack([taus, taus / 2.0]))
+    return np.abs(math.sin(2 * theta) * (2.0 * a1.real - 2.0 * ah.real**2)) / 4.0, a1
+
+
 def quantum_witness(dp: DerivedParams, theta: float, tau: float) -> WitnessResult:
     """Blind-measurement witness |p_plus - p_plus_blind| in closed form.
 
     w_q = (1/4)|sin(2 theta) (A(tau) + A*(tau) - (A(tau/2) + A*(tau/2))^2 / 2)|;
-    positive values certify coherence at the intermediate time.
+    positive values certify coherence at the intermediate time.  The
+    one-point view of ``witness_series``.
     """
     if tau < 0:
         raise ValidationError(f"tau must be >= 0, got {tau}")
-    a1, ah = map(complex, amplitude_grid(dp, [tau, tau / 2.0])[0])
-    w = abs(math.sin(2 * theta) * (a1 + a1.conjugate() - 0.5 * (ah + ah.conjugate()) ** 2)) / 4.0
-    return WitnessResult(tau=tau, w_q=w)
+    w, _ = _witness(dp, theta, np.array([tau], dtype=float))
+    return WitnessResult(tau=tau, w_q=float(w[0]))
 
 
 def coherence_monotone(dp: DerivedParams, taus) -> np.ndarray:
@@ -160,12 +167,18 @@ def coherence_monotone(dp: DerivedParams, taus) -> np.ndarray:
     maxima (monotone decay) the envelope degenerates to the curve.
     """
     taus = np.asarray(taus, dtype=float)
+    return _monotone(taus, np.abs(amplitude_grid(dp, taus)[0]))
+
+
+def _monotone(taus: np.ndarray, abs_a: np.ndarray) -> np.ndarray:
+    """Upper envelope of abs_a / 2 on the grid taus (see
+    ``coherence_monotone``), which must rise strictly from 0 over at least
+    3 points."""
     if taus.ndim != 1 or taus.size < 3:
         raise ValidationError("need a grid of at least 3 points")
     if taus[0] != 0.0 or np.any(np.diff(taus) <= 0):
         raise ValidationError("grid must be strictly increasing from 0")
-    A, _ = amplitude_grid(dp, taus)
-    half = 0.5 * np.abs(A)
+    half = 0.5 * abs_a
     interior = 1 + np.flatnonzero(
         (half[1:-1] > half[:-2]) & (half[1:-1] >= half[2:])
     )
@@ -177,10 +190,8 @@ def coherence_monotone(dp: DerivedParams, taus) -> np.ndarray:
 
 
 def witness_series(dp: DerivedParams, theta: float, taus):
-    """(w_q, envelope) arrays over a tau grid; the envelope is the
-    coherence monotone computed on the same grid."""
+    """(w_q, envelope) arrays over a tau grid, from one kernel call; the
+    envelope is the coherence monotone on the same grid."""
     taus = np.asarray(taus, dtype=float)
-    A1, _ = amplitude_grid(dp, taus)
-    Ah, _ = amplitude_grid(dp, taus / 2.0)
-    w = np.abs(math.sin(2 * theta) * (2.0 * A1.real - 2.0 * Ah.real**2)) / 4.0
-    return w, coherence_monotone(dp, taus)
+    w, a1 = _witness(dp, theta, taus)
+    return w, _monotone(taus, np.abs(a1))

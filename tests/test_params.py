@@ -58,7 +58,7 @@ def test_re_m_equals_lam_everywhere():
 
 def test_omega_d_zero_iff_undriven_resonant():
     assert derive(SystemParams(lam=0.1)).omega_d == 0.0
-    assert "period undefined" in " ".join(derive(SystemParams(lam=0.1)).flags())
+    assert "the dressed period is undefined" in " ".join(derive(SystemParams(lam=0.1)).flags())
     assert derive(SystemParams(lam=0.1, omega_rabi=1e-9)).omega_d > 0
     assert derive(SystemParams(lam=0.1, delta_qc=1e-9)).omega_d > 0
 

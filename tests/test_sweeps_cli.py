@@ -132,40 +132,41 @@ def _assert_writes_as_reference(tmp_path, table, columns):
 
 def test_write_rows_matches_per_cell_writer(tmp_path):
     rng = np.random.default_rng(5)
-    floats = [0.0, -0.0, 1.0, 1e-300, 5e-324, 1.7976931348623157e308, 0.1,
-              1.0 / 3.0, -2.0 / 3.0, math.pi, 123456789.12345678, 6.02214076e23,
-              2.0 ** 53 + 2]
-    flags = [True, False, 0, 1, np.int64(0), np.int64(1), np.True_, np.False_]
+    floats = np.array([0.0, -0.0, 1.0, 1e-300, 5e-324, 1.7976931348623157e308, 0.1,
+                       1.0 / 3.0, -2.0 / 3.0, math.pi, 123456789.12345678,
+                       6.02214076e23, 2.0 ** 53 + 2])
+    flag_dtypes = [np.int64, np.int8, np.uint8, bool]
     statuses = ["ok", "pole", "undefined-period", "invalid"]
     coordinates = ["curve", *PARAM_COLUMNS, "tau"]
     observables = ["c3", "violated3", "n_measure", "truncated", "violated4"]
     columns = [*coordinates, *observables, "status"]
 
-    def cell(c):
+    def column(c, n):
         if c in ("violated3", "violated4", "truncated"):
-            return flags[rng.integers(len(flags))]
-        v = floats[rng.integers(len(floats))] * float(rng.choice([1, -1]))
-        return np.float64(v) if rng.random() < 0.5 else v
+            return rng.integers(0, 2, n).astype(flag_dtypes[rng.integers(len(flag_dtypes))])
+        return rng.choice(floats, n) * rng.choice([1.0, -1.0], n)
 
     blocks, k = [], 0
     for j, size in enumerate([0, 1, 37, 2, 120, 90, 150]):
         rows = range(k, k + size)
         k += size
-        # each coordinate is constant in some blocks and varies in others
-        const = {c: cell(c) for c in coordinates if rng.random() < 0.5}
+        # each coordinate is constant in some blocks and varies in others;
+        # a constant cell is a numpy or a Python scalar
+        const = {c: column(c, 1)[0] for c in coordinates if rng.random() < 0.5}
+        const = {c: v.item() if rng.random() < 0.5 else v for c, v in const.items()}
         if j == 4:
             const["curve"] = 'a,b"%s%%'  # quoted by csv, % kept literally
-        coords = {c: [cell(c) for _ in rows] for c in coordinates if c not in const}
+        coords = {c: column(c, size) for c in coordinates if c not in const}
         # a block without n_measure writes it empty
-        values = {c: [cell(c) for _ in rows] for c in observables
+        values = {c: column(c, size) for c in observables
                   if not (c == "n_measure" and j % 3 == 2)}
-        for i, r in enumerate(rows):
-            if r % 7 == 0:
-                values["c3"][i] = values["violated3"][i] = None  # empty cells
-        status = [statuses[r % 4] if j % 2 else "ok" for r in rows]
+        # a row that is not ok writes its observables empty
+        status = [statuses[r % 4] if j % 2 else "invalid" if r % 7 == 0 else "ok"
+                  for r in rows]
         blocks.append(SweepBlock(const, coords, values, status))
     table = SweepTable(blocks)
     assert len(table) == 400
+    # ["n_measure"] alone: csv.writer writes a lone empty cell as ""
     for cols in (columns, ["tau"], ["curve"], ["n_measure"], ["status"]):
         _assert_writes_as_reference(tmp_path, table, cols)
 
@@ -221,6 +222,11 @@ def test_write_rows_matches_per_cell_writer_on_a_panel(tmp_path):
 def test_block_columns_must_match_status_length():
     with pytest.raises(ValueError):
         SweepBlock({}, {"tau": np.zeros(3)}, {"c3": np.zeros(2)}, ["ok"] * 3)
+    # columns are numeric arrays: no empty (None) cells, no strings
+    with pytest.raises(ValueError, match="not numeric"):
+        SweepBlock({}, {"tau": np.zeros(3)}, {"c3": [0.5, None, 1.0]}, ["ok"] * 3)
+    with pytest.raises(ValueError, match="not numeric"):
+        SweepBlock({}, {"tau": np.array(["0", "1", "2"])}, {}, ["ok"] * 3)
 
 
 def test_sweep_rows_deterministic():
@@ -243,6 +249,10 @@ def test_spec_round_trip():
     for old in (spec.to_dict() | {"alpha_grid": 61},
                 json.loads(json.dumps(spec.to_dict() | {"alpha_grid": 91}))):
         assert SweepSpec.from_dict(old) == spec
+    # a key left out takes the field's default
+    bare = {k: v for k, v in spec.to_dict().items()
+            if k not in ("output_path", "t_max", "quad_tol")}
+    assert SweepSpec.from_dict(bare) == SweepSpec(spec.quantity, spec.fixed, spec.axis)
 
 
 def test_figure_preset_unknown_name(tmp_path):
@@ -278,11 +288,25 @@ def test_cli_params(capsys):
     out = capsys.readouterr().out
     assert "omega_d    = 0.2" in out
     assert "eta        = 1.57" in out
+    assert "period     = 31.41592653589793" in out
 
 
 def test_cli_params_warns_outside_regime(capsys):
     assert main(["params", "--lambda", "2.0"]) == 0
     assert "warning" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("delta,warning", [
+    ("0", "omega_d = 0 (undriven, resonant): the dressed period is undefined"),
+    ("1e-310", "omega_d = 1e-310: the dressed period 2 pi / omega_d overflows"),
+    ("5e-324", "omega_d = 4.94e-324: the dressed period 2 pi / omega_d overflows")],
+    ids=["0", "1e-310", "5e-324"])
+def test_cli_params_without_period_warns(capsys, delta, warning):
+    # omega_d = delta: 0 has no period, and below ~3.5e-308 2 pi / omega_d overflows
+    assert main(["params", "--delta", delta]) == 0
+    out = capsys.readouterr().out
+    assert "period     =" not in out
+    assert f"warning: {warning}\n" in out
 
 
 def test_cli_sweep_writes_csv(tmp_path, capsys):
@@ -503,11 +527,13 @@ def test_cli_check_quick(capsys):
 
 
 def test_cli_entry_point_runs():
+    import os
     import subprocess
     import sys
 
+    env = os.environ | {"PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-m", "drivenqubit.cli", "--version"],
-                         capture_output=True, text=True)
+                         env=env, capture_output=True, text=True)
     assert out.returncode == 0
     assert out.stdout.strip() == "0.1.0"
 

@@ -264,8 +264,9 @@ else:
     def test_witness_routes_agree_over_parameter_box(log_lam, omega, delta_qc, theta,
                                                      taus):
         # the closed form against the propagator route (Li et al., Sci. Rep.
-        # 2, 885 (2012)), and the series against the closed form: the same
-        # formula, array-wise rather than per point, so equal to rounding
+        # 2, 885 (2012)), and the series against the closed form: one
+        # formula, of which a single delay is the one-point view, so equal
+        # bit for bit
         dp = derive(SystemParams(lam=10.0 ** log_lam, omega_rabi=omega,
                                  delta_qc=delta_qc))
         taus = [0.0, *sorted(taus)]
@@ -273,5 +274,4 @@ else:
         for tau, w_q in zip(taus, w):
             p_free, p_blind = witness_probabilities(dp, theta, tau)
             assert abs(abs(p_free - p_blind) - w_q) <= 1e-12
-        np.testing.assert_allclose(witness_series(dp, theta, taus)[0], w,
-                                   rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(witness_series(dp, theta, taus)[0], w)
