@@ -4,8 +4,10 @@ Subcommands: ``params`` (derived constants), ``sweep`` (one observable over
 one axis, CSV out), ``figure`` (preset reproduction of the standard figure
 families), ``check`` (dual-route consistency suite).
 
-All rate flags are in units of gamma and times in units of 1/gamma.  An
-optional key=value config file mirrors the flags; explicit flags win.
+All rate flags are in units of gamma and times in units of 1/gamma.  A
+``--config`` file of ``key = value`` lines means the flags ``--key=value``,
+placed before the command line: argparse checks both alike, a later value
+wins, so command-line flags beat the file.
 Exit codes: 0 success, 1 usage error, 2 numerical failure.
 """
 
@@ -19,25 +21,28 @@ from pathlib import Path
 from . import __version__
 from .params import SystemParams, ValidationError, derive
 from .selfcheck import run_all
-from .sweeps import (PRESET_NAMES, SweepAxis, SweepSpec, figure_preset,
-                     make_outdir, run_sweep, sweep_columns, write_rows)
+from .sweeps import (PRESET_NAMES, QUANTITY_AXES, SweepAxis, SweepSpec,
+                     figure_preset, make_outdir, run_sweep, sweep_columns,
+                     write_rows)
 
 USAGE_EXIT = 1
 NUMERIC_EXIT = 2
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse defaults to exit code 2
+    def error(self, message):  # argparse would exit with code 2
         self.print_usage(sys.stderr)
-        self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
+        raise ValidationError(message)
 
 
-def _read_config(path: str) -> dict[str, str]:
+def _config_argv(path: str) -> list[str]:
+    """The flags ``--key=value`` of a config file's ``key = value`` lines,
+    in file order; ``_`` in a key reads as ``-``."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ValidationError(f"cannot read config {path!r}: {exc.strerror}") from None
-    out = {}
+    out = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -45,63 +50,53 @@ def _read_config(path: str) -> dict[str, str]:
         if "=" not in line:
             raise ValidationError(f"{path}:{lineno}: expected key = value")
         key, value = line.split("=", 1)
-        out[key.strip().replace("-", "_")] = value.strip()
+        out.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
     return out
 
 
-# SystemParams field of each parameter flag
-_PARAM_KEYS = {"lam": "lam", "omega": "omega_rabi", "delta": "delta_qc",
-               "delta_cav": "delta_cav", "theta": "theta"}
-_FLOAT_KEYS = (*_PARAM_KEYS, "tmax", "tol", "axis_min", "axis_max")
-_INT_KEYS = ("points", "workers")
-_STR_KEYS = ("quantity", "axis", "scale", "out", "preset")
+def _workers(text: str) -> int:
+    """--workers: an int >= 1 (it has no effect)."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"workers must be >= 1, got {n}")
+    return n
 
 
-def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    if not getattr(args, "config", None):
-        return args
-    cfg = _read_config(args.config)
-    for key, raw in cfg.items():
-        if key == "lambda":
-            key = "lam"
-        if not hasattr(args, key):
-            raise ValidationError(f"config key {key!r} does not mirror any flag")
-        if getattr(args, key) is not None:
-            continue  # explicit flag wins
-        convert = float if key in _FLOAT_KEYS else int if key in _INT_KEYS else str
-        try:
-            setattr(args, key, convert(raw))
-        except ValueError:
-            raise ValidationError(f"{args.config}: {key} = {raw!r} is not a valid "
-                                  f"{convert.__name__}") from None
-    return args
+# default (axis-min, axis-max) of each sweep axis
+_AXIS_DEFAULTS = {
+    "time": (0.0, 30.0), "tau": (0.0, 4.0), "lambda_ratio": (0.01, 1.0),
+    "omega": (0.0, 2.0), "delta": (0.0, 10.0), "theta": (0.0, math.pi / 2),
+}
 
 
 def _add_param_flags(p: argparse.ArgumentParser):
-    p.add_argument("--lambda", dest="lam", type=float, default=None,
+    # defaults are SystemParams' own, but lam has none there
+    p.add_argument("--lambda", dest="lam", type=float, default=0.01,
                    help="cavity spectral width (units of gamma)")
-    p.add_argument("--omega", type=float, default=None,
+    p.add_argument("--omega", type=float, default=SystemParams.omega_rabi,
                    help="qubit/classical-field coupling (units of gamma)")
-    p.add_argument("--delta", type=float, default=None,
+    p.add_argument("--delta", type=float, default=SystemParams.delta_qc,
                    help="qubit/classical-field detuning (units of gamma)")
-    p.add_argument("--delta-cav", dest="delta_cav", type=float, default=None,
+    p.add_argument("--delta-cav", dest="delta_cav", type=float,
+                   default=SystemParams.delta_cav,
                    help="qubit/cavity-center detuning (units of gamma)")
-    p.add_argument("--theta", type=float, default=None,
+    p.add_argument("--theta", type=float, default=SystemParams.theta,
                    help="initial superposition angle (radians)")
-    p.add_argument("--config", default=None,
-                   help="key = value file mirroring the flags; flags override")
+    _add_config_flag(p)
 
 
-def _given(args, keys) -> dict:
-    """{name: flag value} of the flags that were given, flag or config."""
-    return {name: getattr(args, key) for key, name in keys.items()
-            if getattr(args, key) is not None}
+def _add_config_flag(p: argparse.ArgumentParser):
+    # every value is kept, so a config file that sets config shows
+    p.add_argument("--config", action="append",
+                   help="key = value file of flags; command-line flags win")
 
 
 def _params_from(args) -> SystemParams:
-    """Parameters from the flags given; the others take SystemParams'
-    defaults, and lam, which has none, 0.01."""
-    return SystemParams(**{"lam": 0.01} | _given(args, _PARAM_KEYS))
+    return SystemParams(lam=args.lam, omega_rabi=args.omega, delta_qc=args.delta,
+                        delta_cav=args.delta_cav, theta=args.theta)
 
 
 def build_parser() -> _Parser:
@@ -116,30 +111,26 @@ def build_parser() -> _Parser:
 
     p_sweep = sub.add_parser("sweep", help="sweep one observable, write CSV")
     _add_param_flags(p_sweep)
-    p_sweep.add_argument("--quantity", default=None,
-                         help="amplitude|decay_rate|coherence|trace_distance|"
-                              "lgi3|lgi4|witness|gp|blp")
-    p_sweep.add_argument("--axis", default=None,
-                         help="time|tau|lambda_ratio|omega|delta|theta")
+    p_sweep.add_argument("--quantity", choices=QUANTITY_AXES)
+    p_sweep.add_argument("--axis", choices=_AXIS_DEFAULTS)
     p_sweep.add_argument("--axis-min", dest="axis_min", type=float, default=None)
     p_sweep.add_argument("--axis-max", dest="axis_max", type=float, default=None)
-    p_sweep.add_argument("--points", type=int, default=None)
-    p_sweep.add_argument("--scale", default=None, choices=["linear", "log"])
-    p_sweep.add_argument("--tmax", type=float, default=None,
+    p_sweep.add_argument("--points", type=int, default=201)
+    p_sweep.add_argument("--scale", default="linear", choices=["linear", "log"])
+    p_sweep.add_argument("--tmax", type=float, default=SweepSpec.t_max,
                          help="integration horizon for blp rows")
-    p_sweep.add_argument("--tol", type=float, default=None,
+    p_sweep.add_argument("--tol", type=float, default=SweepSpec.quad_tol,
                          help="quadrature tolerance for gp rows")
-    p_sweep.add_argument("--workers", type=int, default=None,
+    p_sweep.add_argument("--workers", type=_workers, default=1,
                          help="accepted for compatibility; no effect (must be >= 1)")
-    p_sweep.add_argument("--out", default=None, help="output CSV path")
+    p_sweep.add_argument("--out", help="output CSV path")
 
     p_fig = sub.add_parser("figure", help="emit preset figure CSV families")
-    p_fig.add_argument("--preset", default=None,
-                       help=f"one of: {', '.join(PRESET_NAMES)}")
-    p_fig.add_argument("--out", default=None, help="output directory")
-    p_fig.add_argument("--workers", type=int, default=None,
+    p_fig.add_argument("--preset", help=f"one of: {', '.join(PRESET_NAMES)}")
+    p_fig.add_argument("--out", help="output directory")
+    p_fig.add_argument("--workers", type=_workers, default=1,
                        help="accepted for compatibility; no effect (must be >= 1)")
-    p_fig.add_argument("--config", default=None)
+    _add_config_flag(p_fig)
 
     p_check = sub.add_parser("check", help="run the dual-route consistency suite")
     p_check.add_argument("--quick", action="store_true",
@@ -173,27 +164,16 @@ def _cmd_sweep(args, parser) -> int:
     for flag in ("quantity", "axis", "out"):
         if getattr(args, flag) is None:
             parser.error(f"--{flag} is required (flag or config)")
-    axis_defaults = {
-        "time": (0.0, 30.0), "tau": (0.0, 4.0), "lambda_ratio": (0.01, 1.0),
-        "omega": (0.0, 2.0), "delta": (0.0, 10.0), "theta": (0.0, math.pi / 2),
-    }
-    if args.axis not in axis_defaults:
-        parser.error(f"unknown axis {args.axis!r}")
-    lo, hi = axis_defaults[args.axis]
+    lo, hi = _AXIS_DEFAULTS[args.axis]
     axis = SweepAxis(
         name=args.axis,
         start=args.axis_min if args.axis_min is not None else lo,
         stop=args.axis_max if args.axis_max is not None else hi,
-        count=args.points if args.points is not None else 201,
-        scale=args.scale or "linear",
+        count=args.points,
+        scale=args.scale,
     )
-    spec = SweepSpec(
-        quantity=args.quantity,
-        fixed=_params_from(args),
-        axis=axis,
-        output_path=args.out,
-        **_given(args, {"tmax": "t_max", "tol": "quad_tol"}),
-    )
+    spec = SweepSpec(quantity=args.quantity, fixed=_params_from(args), axis=axis,
+                     t_max=args.tmax, quad_tol=args.tol)
     out = Path(args.out)
     # an unwritable --out fails before any row is computed
     if out.is_dir():
@@ -235,14 +215,15 @@ def _cmd_check(args) -> int:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        args = _merge_config(args)
-        # --workers has no effect; it stays accepted for older command lines
-        # and config files, and is checked before any file or row is made
-        if getattr(args, "workers", None) is not None and args.workers < 1:
-            raise ValidationError(f"workers must be >= 1, got {args.workers}")
+        args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            given = args.config
+            args = parser.parse_args([argv[0], *_config_argv(given[-1]), *argv[1:]])
+            if args.config != given:
+                raise ValidationError(f"{given[-1]}: a config file cannot set config")
         if args.command == "params":
             return _cmd_params(args)
         if args.command == "sweep":

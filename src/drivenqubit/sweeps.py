@@ -103,7 +103,6 @@ class SweepSpec:
     quantity: str
     fixed: SystemParams
     axis: SweepAxis
-    output_path: str | None = None
     t_max: float = 100.0
     quad_tol: float = 1e-9
 
@@ -127,8 +126,10 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SweepSpec":
-        """The spec of ``to_dict``; a key left out takes the field's default."""
-        given = {k: d[k] for k in ("output_path", "t_max", "quad_tol") if k in d}
+        """The spec of ``to_dict``; a key left out takes the field's default,
+        and a key of older manifests (``alpha_grid``, ``output_path``) is
+        ignored."""
+        given = {k: d[k] for k in ("t_max", "quad_tol") if k in d}
         return cls(quantity=d["quantity"], fixed=SystemParams(**d["fixed"]),
                    axis=SweepAxis(**d["axis"]), **given)
 
@@ -394,10 +395,11 @@ def write_rows(path, table: SweepTable, columns: list[str]) -> None:
     (``%.17g`` floats, integers and bools as integers, strings, empty for
     the observables of a row that is not ok or a column the block lacks).
     Each coordinate column is formatted once per file, so the curves of a
-    panel share their formatted axis.
+    panel share their formatted axis.  The parent directory is made with
+    ``make_outdir``, so a parent that cannot be one is a ValidationError.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    make_outdir(path.parent)
     axes: dict = {}
     with open(path, "w", newline="") as fh:
         fh.write(SCHEMA_TAG + "\n" + _csv_line(columns))

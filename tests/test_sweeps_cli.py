@@ -239,19 +239,19 @@ def test_sweep_rows_deterministic():
 
 def test_spec_round_trip():
     spec = SweepSpec("blp", SystemParams(lam=0.05, omega_rabi=0.3, theta=0.1),
-                     SweepAxis("delta", 0.0, 10.0, 21), output_path="x.csv",
-                     t_max=120.0, quad_tol=1e-8)
+                     SweepAxis("delta", 0.0, 10.0, 21), t_max=120.0, quad_tol=1e-8)
     assert SweepSpec.from_dict(spec.to_dict()) == spec
     assert SweepSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
-    assert "alpha_grid" not in spec.to_dict()
-    # manifests written before the certified pair search carry alpha_grid;
-    # they still load, to the same spec
+    assert not {"alpha_grid", "output_path"} & set(spec.to_dict())
+    # older manifests carry alpha_grid (before the certified pair search) or
+    # output_path (always null from the CLI); they still load, to the same spec
     for old in (spec.to_dict() | {"alpha_grid": 61},
-                json.loads(json.dumps(spec.to_dict() | {"alpha_grid": 91}))):
+                json.loads(json.dumps(spec.to_dict() | {"alpha_grid": 91})),
+                spec.to_dict() | {"output_path": None},
+                json.loads(json.dumps(spec.to_dict() | {"output_path": "x.csv"}))):
         assert SweepSpec.from_dict(old) == spec
     # a key left out takes the field's default
-    bare = {k: v for k, v in spec.to_dict().items()
-            if k not in ("output_path", "t_max", "quad_tol")}
+    bare = {k: v for k, v in spec.to_dict().items() if k not in ("t_max", "quad_tol")}
     assert SweepSpec.from_dict(bare) == SweepSpec(spec.quantity, spec.fixed, spec.axis)
 
 
@@ -321,9 +321,7 @@ def test_cli_sweep_writes_csv(tmp_path, capsys):
 
 
 def test_cli_sweep_missing_required_flag_is_usage_error(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        main(["sweep", "--quantity", "lgi3", "--axis", "tau"])
-    assert exc.value.code == 1
+    assert main(["sweep", "--quantity", "lgi3", "--axis", "tau"]) == 1
 
 
 def test_cli_rejects_bad_quantity(tmp_path):
@@ -469,14 +467,33 @@ def test_cli_config_file_with_flag_override(tmp_path, capsys):
     cfg.write_text("# defaults\nlambda = 0.5\nomega = 1.0\n")
     assert main(["params", "--config", str(cfg)]) == 0
     assert "omega_d    = 2" in capsys.readouterr().out
+    # a command-line flag wins wherever --config stands
     assert main(["params", "--config", str(cfg), "--omega", "2.0"]) == 0
     assert "omega_d    = 4" in capsys.readouterr().out
+    assert main(["params", "--omega", "2.0", "--config", str(cfg)]) == 0
+    assert "omega_d    = 4" in capsys.readouterr().out
+    # keys are long flag names, with - or _; a later line wins
+    for text, line in [
+        ("lambda = 0.2\nlam = 0.3\n", "lambda     = 0.29999999999999999"),
+        ("lam = 0.3\nlambda = 0.2\n", "lambda     = 0.20000000000000001"),
+        ("delta_cav = 0.5\n", "delta_cav  = 0.5"),
+        ("delta-cav = 0.5\n", "delta_cav  = 0.5"),
+    ]:
+        cfg.write_text(text)
+        assert main(["params", "--config", str(cfg)]) == 0
+        assert line in capsys.readouterr().out.splitlines()
 
 
-def test_cli_config_rejects_unknown_key(tmp_path):
+def test_cli_config_rejects_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("nonsense = 1\n")
-    assert main(["params", "--config", str(cfg)]) == 1
+    for text, message in [
+        ("nonsense = 1\n", "unrecognized arguments: --nonsense=1"),
+        ("command = check\n", "unrecognized arguments: --command=check"),
+        ("config = other.cfg\n", "a config file cannot set config"),
+    ]:
+        cfg.write_text(text)
+        assert main(["params", "--config", str(cfg)]) == 1
+        assert message in capsys.readouterr().err
 
 
 def test_cli_config_missing_file_is_usage_error(tmp_path, capsys):
@@ -486,13 +503,19 @@ def test_cli_config_missing_file_is_usage_error(tmp_path, capsys):
 
 def test_cli_config_value_that_does_not_parse_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("points = abc\n")
     out = tmp_path / "c3.csv"
-    rc = main(["sweep", "--quantity", "lgi3", "--axis", "tau", "--config", str(cfg),
-               "--out", str(out)])
-    assert rc == 1
-    assert "points = 'abc' is not a valid int" in capsys.readouterr().err
-    assert not out.exists()
+    # config values are checked as flags are, choices included
+    for text, message in [
+        ("points = abc\n", "argument --points: invalid int value: 'abc'"),
+        ("scale =\n", "argument --scale: invalid choice: ''"),
+        ("scale = LOG\n", "argument --scale: invalid choice: 'LOG'"),
+    ]:
+        cfg.write_text(text)
+        rc = main(["sweep", "--quantity", "lgi3", "--axis", "tau",
+                   "--config", str(cfg), "--out", str(out)])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["sweep", "figure", "sweep-to-dir"])
@@ -513,6 +536,9 @@ def test_cli_unwritable_out_is_usage_error(tmp_path, monkeypatch, capsys, comman
     err = capsys.readouterr().err
     assert err.startswith("drivenqubit: ")
     assert ("is a directory" if command == "sweep-to-dir" else "cannot create directory") in err
+    if command == "sweep":  # the library writer fails the same way
+        with pytest.raises(ValidationError, match="cannot create directory"):
+            write_rows(blocker / "c3.csv", SweepTable([]), ["status"])
     assert blocker.read_text() == ""
 
 
@@ -526,7 +552,7 @@ def test_cli_check_quick(capsys):
     assert "[PASS]" in out and "[FAIL]" not in out
 
 
-def test_cli_entry_point_runs():
+def test_cli_entry_point_runs(tmp_path):
     import os
     import subprocess
     import sys
@@ -536,6 +562,16 @@ def test_cli_entry_point_runs():
                          env=env, capture_output=True, text=True)
     assert out.returncode == 0
     assert out.stdout.strip() == "0.1.0"
+    # a usage error exits 1 with a message, not a traceback
+    csv_out = tmp_path / "a.csv"
+    out = subprocess.run([sys.executable, "-m", "drivenqubit.cli", "sweep",
+                          "--quantity", "amplitude", "--axis", "time",
+                          "--scale", "bogus", "--out", str(csv_out)],
+                         env=env, capture_output=True, text=True)
+    assert out.returncode == 1
+    assert "invalid choice: 'bogus'" in out.stderr
+    assert "Traceback" not in out.stderr
+    assert not csv_out.exists()
 
 
 def test_cli_late_decay_is_not_a_pole(tmp_path):
