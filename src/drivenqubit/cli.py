@@ -21,7 +21,7 @@ from pathlib import Path
 from . import __version__
 from .params import SystemParams, ValidationError, derive
 from .selfcheck import run_all
-from .sweeps import (PRESET_NAMES, QUANTITY_AXES, SweepAxis, SweepSpec,
+from .sweeps import (AXES, PRESET_NAMES, QUANTITIES, SweepAxis, SweepSpec,
                      figure_preset, make_outdir, run_sweep, sweep_columns,
                      write_rows)
 
@@ -65,13 +65,6 @@ def _workers(text: str) -> int:
     return n
 
 
-# default (axis-min, axis-max) of each sweep axis
-_AXIS_DEFAULTS = {
-    "time": (0.0, 30.0), "tau": (0.0, 4.0), "lambda_ratio": (0.01, 1.0),
-    "omega": (0.0, 2.0), "delta": (0.0, 10.0), "theta": (0.0, math.pi / 2),
-}
-
-
 def _add_param_flags(p: argparse.ArgumentParser):
     # defaults are SystemParams' own, but lam has none there
     p.add_argument("--lambda", dest="lam", type=float, default=0.01,
@@ -110,9 +103,11 @@ def build_parser() -> _Parser:
     _add_param_flags(p_params)
 
     p_sweep = sub.add_parser("sweep", help="sweep one observable, write CSV")
+    # a subcommand reports its own usage errors
+    p_sweep.set_defaults(parser=p_sweep)
     _add_param_flags(p_sweep)
-    p_sweep.add_argument("--quantity", choices=QUANTITY_AXES)
-    p_sweep.add_argument("--axis", choices=_AXIS_DEFAULTS)
+    p_sweep.add_argument("--quantity", choices=QUANTITIES)
+    p_sweep.add_argument("--axis", choices=AXES)
     p_sweep.add_argument("--axis-min", dest="axis_min", type=float, default=None)
     p_sweep.add_argument("--axis-max", dest="axis_max", type=float, default=None)
     p_sweep.add_argument("--points", type=int, default=201)
@@ -126,6 +121,7 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--out", help="output CSV path")
 
     p_fig = sub.add_parser("figure", help="emit preset figure CSV families")
+    p_fig.set_defaults(parser=p_fig)
     p_fig.add_argument("--preset", help=f"one of: {', '.join(PRESET_NAMES)}")
     p_fig.add_argument("--out", help="output directory")
     p_fig.add_argument("--workers", type=_workers, default=1,
@@ -160,11 +156,16 @@ def _cmd_params(args) -> int:
     return 0
 
 
-def _cmd_sweep(args, parser) -> int:
-    for flag in ("quantity", "axis", "out"):
+def _require(args, *flags) -> None:
+    """A usage error, on the subcommand's parser, for the first flag not set."""
+    for flag in flags:
         if getattr(args, flag) is None:
-            parser.error(f"--{flag} is required (flag or config)")
-    lo, hi = _AXIS_DEFAULTS[args.axis]
+            args.parser.error(f"--{flag} is required (flag or config)")
+
+
+def _cmd_sweep(args) -> int:
+    _require(args, "quantity", "axis", "out")
+    _, (lo, hi) = AXES[args.axis]
     axis = SweepAxis(
         name=args.axis,
         start=args.axis_min if args.axis_min is not None else lo,
@@ -188,11 +189,8 @@ def _cmd_sweep(args, parser) -> int:
     return NUMERIC_EXIT if summary.n_failed else 0
 
 
-def _cmd_figure(args, parser) -> int:
-    if args.preset is None:
-        parser.error("--preset is required")
-    if args.out is None:
-        parser.error("--out is required")
+def _cmd_figure(args) -> int:
+    _require(args, "preset", "out")
     result = figure_preset(args.preset, args.out)
     for path in result["files"]:
         print(f"wrote {path}")
@@ -227,9 +225,9 @@ def main(argv=None) -> int:
         if args.command == "params":
             return _cmd_params(args)
         if args.command == "sweep":
-            return _cmd_sweep(args, parser)
+            return _cmd_sweep(args)
         if args.command == "figure":
-            return _cmd_figure(args, parser)
+            return _cmd_figure(args)
         return _cmd_check(args)
     except ValidationError as exc:
         print(f"drivenqubit: {exc}", file=sys.stderr)

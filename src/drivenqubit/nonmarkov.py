@@ -42,8 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .amplitude import (_mode_form, amplitude_closed_form, amplitude_derivative,
-                        mode_constants, mode_rates)
+from .amplitude import _mode_form, amplitude_grid, mode_constants, mode_rates
 from .params import DerivedParams, SystemParams, ValidationError, derive
 from .states import BlochVector
 
@@ -120,12 +119,13 @@ def info_flux(dp: DerivedParams, pair, t: float) -> float:
     if t < 0:
         raise ValidationError(f"t must be >= 0, got {t}")
     u = _pair_u(pair)
-    amp = amplitude_closed_form(dp, t)
+    A, dA = amplitude_grid(dp, t)
+    amp = complex(A)
     x = abs(amp)
     d = _distance(x, u)
     if d < 1e-150:
         return math.nan
-    h = (amplitude_derivative(dp, t) * amp.conjugate()).real  # = x * dx/dt
+    h = (complex(dA) * amp.conjugate()).real  # = x * dx/dt
     return float(((1.0 - u) + 2.0 * u * x * x) * h / d)
 
 

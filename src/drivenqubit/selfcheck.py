@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitude import amplitude_oracle_ode, amplitude_trajectory
+from . import amplitude
+from .amplitude import amplitude_oracle_ode
 from .params import SystemParams, derive
 from .temporal import quantum_witness, witness_probabilities
 
@@ -31,7 +32,12 @@ class CheckResult:
 
 def oracle_grid_check(tol: float = 1e-8, t_max: float = 30.0,
                       quick: bool = False) -> list[CheckResult]:
-    """Closed form vs ODE integration over the standard parameter grid."""
+    """Closed form vs ODE integration over the standard parameter grid.
+
+    The closed-form values are taken from ``amplitude.amplitude_grid`` as
+    they are, unvalidated, so a drifting closed form fails these checks'
+    own gates instead of raising.
+    """
     lams = ORACLE_LAMBDAS[:1] if quick else ORACLE_LAMBDAS
     omegas = ORACLE_OMEGAS[:2] if quick else ORACLE_OMEGAS
     deltas = ORACLE_DELTAS[:2] if quick else ORACLE_DELTAS
@@ -41,9 +47,11 @@ def oracle_grid_check(tol: float = 1e-8, t_max: float = 30.0,
             for dq in deltas:
                 params = SystemParams(lam=lam, omega_rabi=om, delta_qc=dq)
                 ode = amplitude_oracle_ode(params, t_max, tol=1e-11)
-                closed = amplitude_trajectory(derive(params), ode.times)
-                err = float(np.max(np.abs(closed.values - ode.values)))
-                contraction = float(np.max(np.abs(closed.values)))
+                # looked up on the module, so that a wrapper of it (the
+                # perfbench tracer) counts these grid points too
+                closed, _ = amplitude.amplitude_grid(derive(params), ode.times)
+                err = float(np.max(np.abs(closed - ode.values)))
+                contraction = float(np.max(np.abs(closed)))
                 ok = err <= tol and contraction <= 1.0 + 1e-12
                 results.append(CheckResult(
                     name=f"amplitude lam={lam} omega={om} delta={dq}",

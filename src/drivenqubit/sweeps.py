@@ -38,28 +38,29 @@ __all__ = ["SweepAxis", "SweepSpec", "SweepSummary", "SweepBlock", "SweepTable",
 
 SCHEMA_TAG = "# drivenqubit-csv 1"
 
-QUANTITY_AXES = {
-    "amplitude": {"time"},
-    "decay_rate": {"time"},
-    "coherence": {"time"},
-    "trace_distance": {"time"},
-    "lgi3": {"tau"},
-    "lgi4": {"tau"},
-    "witness": {"tau"},
-    "gp": {"lambda_ratio", "omega", "delta", "theta"},
-    "blp": {"lambda_ratio", "omega", "delta", "theta"},
+# axis -> (the parameter column it sets, None for time and tau;
+#          its default (axis-min, axis-max) on the command line)
+AXES = {
+    "time": (None, (0.0, 30.0)),
+    "tau": (None, (0.0, 4.0)),
+    "lambda_ratio": ("lam", (0.01, 1.0)),
+    "omega": ("omega_rabi", (0.0, 2.0)),
+    "delta": ("delta_qc", (0.0, 10.0)),
+    "theta": ("theta", (0.0, math.pi / 2)),
 }
+_PARAM_AXES = tuple(name for name, (column, _) in AXES.items() if column)
 
-OBSERVABLE_COLUMNS = {
-    "amplitude": ("re_a", "im_a", "abs_a"),
-    "decay_rate": ("decay_rate",),
-    "coherence": ("c_l1",),
-    "trace_distance": ("d_trace",),
-    "lgi3": ("c3", "violated3"),
-    "lgi4": ("c4", "violated4"),
-    "witness": ("w_q", "envelope"),
-    "gp": ("phi_g", "quad_err"),
-    "blp": ("n_measure", "alpha_best", "residual_bound", "truncated"),
+# quantity -> (the axes it sweeps, its observable columns)
+QUANTITIES = {
+    "amplitude": (("time",), ("re_a", "im_a", "abs_a")),
+    "decay_rate": (("time",), ("decay_rate",)),
+    "coherence": (("time",), ("c_l1",)),
+    "trace_distance": (("time",), ("d_trace",)),
+    "lgi3": (("tau",), ("c3", "violated3")),
+    "lgi4": (("tau",), ("c4", "violated4")),
+    "witness": (("tau",), ("w_q", "envelope")),
+    "gp": (_PARAM_AXES, ("phi_g", "quad_err")),
+    "blp": (_PARAM_AXES, ("n_measure", "alpha_best", "residual_bound", "truncated")),
 }
 
 PARAM_COLUMNS = ("gamma", "lam", "omega_rabi", "delta_qc", "delta_cav", "theta")
@@ -76,7 +77,7 @@ class SweepAxis:
     scale: str = "linear"
 
     def __post_init__(self):
-        if self.name not in {"time", "tau", "lambda_ratio", "omega", "delta", "theta"}:
+        if self.name not in AXES:
             raise ValidationError(f"unknown axis {self.name!r}")
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise ValidationError(f"axis bounds must be finite, got "
@@ -107,9 +108,9 @@ class SweepSpec:
     quad_tol: float = 1e-9
 
     def __post_init__(self):
-        if self.quantity not in QUANTITY_AXES:
+        if self.quantity not in QUANTITIES:
             raise ValidationError(f"unknown quantity {self.quantity!r}")
-        if self.axis.name not in QUANTITY_AXES[self.quantity]:
+        if self.axis.name not in QUANTITIES[self.quantity][0]:
             raise ValidationError(
                 f"quantity {self.quantity!r} cannot sweep axis {self.axis.name!r}"
             )
@@ -153,9 +154,13 @@ class SweepBlock:
     coordinates (the axis and, for a parameter axis, the swept parameter's
     column), ``values`` the per-row observables and ``status`` the per-row
     label.  Columns are numeric arrays (int, uint, float or bool), all as
-    long as ``status``; anything else is a ValueError.  The observables of a
-    row whose status is not ``ok`` are never read: such a row has empty
-    observable cells.
+    long as ``status``; anything else is a ValueError.
+
+    The row-status rule is the block's own: a row given ``ok`` with a
+    non-finite observable becomes ``invalid``, and every other label
+    (``pole``, ``undefined-period``, ``invalid``) stands.  So a builder
+    reports only its failures.  The observables of a row whose status is
+    not ``ok`` are never read: such a row has empty observable cells.
     """
 
     const: dict
@@ -173,6 +178,9 @@ class SweepBlock:
             if col.shape != self.status.shape:
                 raise ValueError(f"column {name!r} has shape {col.shape}, "
                                  f"status has {self.status.shape}")
+        finite = np.logical_and.reduce([np.isfinite(c) for c in self.values.values()])
+        if not np.all(finite):  # labels are compared only where a cell is not finite
+            self.status = np.where((self.status == "ok") & ~finite, "invalid", self.status)
 
     def __len__(self) -> int:
         return len(self.status)
@@ -201,25 +209,20 @@ class SweepTable:
         return [b.row(i) for b in self.blocks for i in range(len(b))]
 
 
-# parameter column of each parameter axis
-_SWEPT = {"lambda_ratio": "lam", "omega": "omega_rabi", "delta": "delta_qc",
-          "theta": "theta"}
-
-
 def _params_at(fixed: SystemParams, axis_name: str, value: float) -> SystemParams:
     """The fixed parameters with the axis's parameter set to ``value``
     (lambda_ratio in units of gamma)."""
     if axis_name == "lambda_ratio":
         value *= fixed.gamma
-    return replace(fixed, **{_SWEPT[axis_name]: value})
+    return replace(fixed, **{AXES[axis_name][0]: value})
 
 
 def _time_series_block(spec: SweepSpec) -> SweepBlock:
     dp = derive(spec.fixed)
     ts = spec.axis.values()
     theta = spec.fixed.theta
-    # steps large enough to overflow give non-finite cells, which the guard
-    # below turns into invalid rows; numpy's warnings about them are noise
+    # steps large enough to overflow give non-finite cells, which the block
+    # turns into invalid rows; numpy's warnings about them are noise
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if spec.quantity in ("amplitude", "coherence", "trace_distance"):
             A, _ = amplitude_grid(dp, ts)
@@ -245,52 +248,51 @@ def _time_series_block(spec: SweepSpec) -> SweepBlock:
             cols = {"w_q": w, "envelope": env}
         else:  # pragma: no cover
             raise ValidationError(f"not a time-series quantity: {spec.quantity}")
-    finite = np.logical_and.reduce([np.isfinite(c) for c in cols.values()])
-    status = np.where(finite, "ok", "invalid")
+    status = np.full(len(ts), "ok")
     if spec.quantity == "decay_rate":
         # decay_rate_grid marks the zeros of A with NaN
-        status[np.isnan(cols["decay_rate"])] = "pole"
+        status = np.where(np.isnan(cols["decay_rate"]), "pole", status)
     return SweepBlock(asdict(spec.fixed), {spec.axis.name: ts}, cols, status)
 
 
-def _param_block(spec: SweepSpec, values, params, cols, status) -> SweepBlock:
-    """Block of a parameter sweep: the swept parameter and the axis vary."""
-    name = _SWEPT[spec.axis.name]
-    const = {k: v for k, v in asdict(spec.fixed).items() if k != name}
-    coords = {name: np.array([getattr(p, name) for p in params]),
-              spec.axis.name: values}
-    return SweepBlock(const, coords, cols, status)
-
-
-def _gp_block(spec: SweepSpec) -> SweepBlock:
-    """Rows of a geometric-phase sweep, all integrated in one quadrature."""
-    values = spec.axis.values()
-    params = [_params_at(spec.fixed, spec.axis.name, v) for v in values.tolist()]
+def _gp_rows(spec: SweepSpec, params: list) -> tuple[dict, list]:
+    """Geometric phases of all rows, integrated in one quadrature."""
     phi, err, _, errors = geometric_phases([derive(p) for p in params],
                                            [p.theta for p in params], spec.quad_tol,
                                            keep_nodes=False)
-    finite = (np.isfinite(phi) & np.isfinite(err)).tolist()
     # geometric_phases gives a ValidationError only to a row without a period
-    status = ["ok" if exc is None and ok else
+    status = ["ok" if exc is None else
               "undefined-period" if isinstance(exc, ValidationError) else "invalid"
-              for exc, ok in zip(errors, finite)]
-    return _param_block(spec, values, params, {"phi_g": phi, "quad_err": err}, status)
+              for exc in errors]
+    return {"phi_g": phi, "quad_err": err}, status
 
 
-def _blp_block(spec: SweepSpec) -> SweepBlock:
-    """Rows of a BLP sweep, all evaluated in one batched pass."""
-    values = spec.axis.values()
-    params = [_params_at(spec.fixed, spec.axis.name, v) for v in values.tolist()]
+def _blp_rows(spec: SweepSpec, params: list) -> tuple[dict, list]:
+    """BLP measures of all rows, evaluated in one batched pass."""
     # extend the horizon until the backflow gains (which die off with the
     # amplitude envelope exp(-lam t / 2)) are converged, within a cap
     t_eff = [max(spec.t_max, min(5000.0, 2.0 * math.log(1e4) / p.lam)) for p in params]
     n_measure, alpha, residual, truncated, errors = blp_measures(params, t_eff)
     cols = {"n_measure": n_measure, "alpha_best": alpha,
             "residual_bound": residual, "truncated": truncated.astype(int)}
-    finite = np.logical_and.reduce([np.isfinite(c) for c in cols.values()]).tolist()
-    status = ["ok" if exc is None and ok else "invalid"
-              for exc, ok in zip(errors, finite)]
-    return _param_block(spec, values, params, cols, status)
+    return cols, ["ok" if exc is None else "invalid" for exc in errors]
+
+
+_ROWS = {"gp": _gp_rows, "blp": _blp_rows}
+
+
+def _param_block(spec: SweepSpec) -> SweepBlock:
+    """Block of a parameter sweep: the swept parameter and the axis vary,
+    and the quantity's row function evaluates all rows at once, giving
+    (columns, status)."""
+    values = spec.axis.values()
+    params = [_params_at(spec.fixed, spec.axis.name, v) for v in values.tolist()]
+    cols, status = _ROWS[spec.quantity](spec, params)
+    name = AXES[spec.axis.name][0]
+    const = {k: v for k, v in asdict(spec.fixed).items() if k != name}
+    coords = {name: np.array([getattr(p, name) for p in params]),
+              spec.axis.name: values}
+    return SweepBlock(const, coords, cols, status)
 
 
 def _summary(spec: SweepSpec, block: SweepBlock) -> SweepSummary:
@@ -300,7 +302,7 @@ def _summary(spec: SweepSpec, block: SweepBlock) -> SweepSummary:
     n_failed = len(block) - int(np.count_nonzero(ok))
     if n_failed == len(block):
         return SweepSummary(spec.quantity, len(block), n_failed, None, None, None)
-    vals = block.values[OBSERVABLE_COLUMNS[spec.quantity][0]][ok]
+    vals = block.values[QUANTITIES[spec.quantity][1][0]][ok]
     at = block.coords[spec.axis.name][ok]
     return SweepSummary(spec.quantity, len(block), n_failed, float(vals.min()),
                         float(vals.max()), float(at[vals.argmax()]))
@@ -311,12 +313,12 @@ def run_sweep(spec: SweepSpec):
 
     The table holds one ``SweepBlock``, its rows in axis order: the fixed
     parameters as constant cells, the axis (and the swept parameter) and
-    the observables as columns.  The block is built by the quantity's one
-    builder, in the calling process: ``_gp_block`` and ``_blp_block``
-    evaluate all rows in one batched pass, ``_time_series_block`` takes one
-    kernel call over the axis.
+    the observables as columns, built in the calling process: a parameter
+    axis by ``_param_block``, which evaluates all rows in one batched pass,
+    a time or tau axis by ``_time_series_block``, which takes one kernel
+    call over the axis.
     """
-    build = {"gp": _gp_block, "blp": _blp_block}.get(spec.quantity, _time_series_block)
+    build = _param_block if AXES[spec.axis.name][0] else _time_series_block
     block = build(spec)
     return SweepTable([block]), _summary(spec, block)
 
@@ -409,7 +411,7 @@ def write_rows(path, table: SweepTable, columns: list[str]) -> None:
 
 def sweep_columns(spec: SweepSpec, extra: tuple[str, ...] = ()) -> list[str]:
     return (list(extra) + list(PARAM_COLUMNS) + [spec.axis.name]
-            + list(OBSERVABLE_COLUMNS[spec.quantity]) + ["status"])
+            + list(QUANTITIES[spec.quantity][1]) + ["status"])
 
 
 # ---------------------------------------------------------------------------

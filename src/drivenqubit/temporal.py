@@ -45,11 +45,10 @@ class LgiResult:
 
 @dataclass(frozen=True)
 class WitnessResult:
-    """Quantum witness at delay tau; envelope is filled by grid evaluations."""
+    """Quantum witness at delay tau."""
 
     tau: float
     w_q: float
-    envelope: float = math.nan
 
 
 def two_time_correlation(dp: DerivedParams, theta: float, t_i: float,

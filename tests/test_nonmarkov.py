@@ -15,8 +15,9 @@ from drivenqubit import (BlochVector, QubitState, SystemParams,
                          backflow_intervals, blp_measure, derive, info_flux,
                          trace_distance)
 from drivenqubit import nonmarkov
-from drivenqubit.amplitude import (amplitude_closed_form, amplitude_grid,
-                                   mode_constants)
+from drivenqubit import amplitude
+from drivenqubit.amplitude import (amplitude_closed_form, amplitude_derivative,
+                                   amplitude_grid, mode_constants)
 from drivenqubit.nonmarkov import (_amp_extrema, _Flux, _flux_brackets,
                                    _flux_coefficients, _flux_form, _max_gain,
                                    _refine, blp_measures)
@@ -126,6 +127,29 @@ def test_flux_validates_pair():
         info_flux(dp, (BlochVector(1, 0, 0), BlochVector(0, 1, 0)), 1.0)
     with pytest.raises(ValidationError):
         info_flux(dp, (BlochVector(0.5, 0, 0), BlochVector(-0.5, 0, 0)), 1.0)
+
+
+def test_flux_takes_one_kernel_call(monkeypatch):
+    # A and dA/dt come from one amplitude_grid call, bit for bit the values
+    # of the one-point views
+    dp = derive(SystemParams(lam=0.05, omega_rabi=0.5, delta_qc=1.0))
+    pair = antipodal_pair(0.7)
+    t = 3.7
+    amp, damp = amplitude_closed_form(dp, t), amplitude_derivative(dp, t)
+    u = nonmarkov._pair_u(pair)
+    x = abs(amp)
+    d = x * np.sqrt((1.0 - u) + u * (x * x))
+    expected = float(((1.0 - u) + 2.0 * u * x * x) * (damp * amp.conjugate()).real / d)
+    calls = []
+    mode_form = amplitude._mode_form
+
+    def counted(*args):
+        calls.append(1)
+        return mode_form(*args)
+
+    monkeypatch.setattr(amplitude, "_mode_form", counted)
+    assert info_flux(dp, pair, t) == expected
+    assert len(calls) == 1
 
 
 def test_backflow_intervals_empty_when_overdamped():

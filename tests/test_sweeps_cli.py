@@ -10,8 +10,8 @@ import pytest
 from drivenqubit import (SweepAxis, SweepSpec, SystemParams, ValidationError,
                          amplitude_closed_form, derive, geometric_phase_detailed)
 from drivenqubit.cli import main
-from drivenqubit.sweeps import (PARAM_COLUMNS, SweepBlock, SweepTable, figure_preset,
-                                run_sweep, sweep_columns, write_rows)
+from drivenqubit.sweeps import (AXES, PARAM_COLUMNS, QUANTITIES, SweepBlock, SweepTable,
+                                figure_preset, run_sweep, sweep_columns, write_rows)
 
 
 def read_csv(path):
@@ -22,6 +22,8 @@ def read_csv(path):
 
 
 def test_axis_validation():
+    for name in AXES:
+        SweepAxis(name, 0.5, 1.0, 2)
     with pytest.raises(ValidationError):
         SweepAxis("tau", 0.0, 4.0, 1)
     with pytest.raises(ValidationError):
@@ -229,6 +231,28 @@ def test_block_columns_must_match_status_length():
         SweepBlock({}, {"tau": np.array(["0", "1", "2"])}, {}, ["ok"] * 3)
 
 
+def test_block_turns_ok_rows_with_non_finite_observables_invalid(tmp_path):
+    # the block's one row-status rule: an ok row with a NaN or inf observable
+    # is invalid and writes empty observable cells; every other label stands
+    status = ["ok", "ok", "ok", "ok", "pole", "undefined-period", "invalid", "ok"]
+    n_measure = np.array([0.5, np.nan, np.inf, 0.25, np.nan, np.inf, 1.0, 2.0])
+    alpha = np.array([0.1, 0.1, 0.1, -np.inf, 0.1, 0.1, 0.1, 0.2])
+    truncated = np.array([0, 0, 1, 0, 0, 0, 0, 1])
+    block = SweepBlock({"gamma": 1.0}, {"delta": np.arange(8.0)},
+                       {"n_measure": n_measure, "alpha_best": alpha,
+                        "truncated": truncated}, status)
+    assert block.status.tolist() == ["ok", "invalid", "invalid", "invalid", "pole",
+                                     "undefined-period", "invalid", "ok"]
+    assert block.row(1)["n_measure"] is None and block.row(7)["n_measure"] == 2.0
+    out = tmp_path / "blp.csv"
+    write_rows(out, SweepTable([block]),
+               ["gamma", "delta", "n_measure", "alpha_best", "truncated", "status"])
+    rows = read_csv(out)
+    assert [r["n_measure"] for r in rows] == ["0.5", "", "", "", "", "", "", "2"]
+    assert [r["truncated"] for r in rows] == ["0", "", "", "", "", "", "", "1"]
+    assert [r["status"] for r in rows] == block.status.tolist()
+
+
 def test_sweep_rows_deterministic():
     spec = SweepSpec("witness", SystemParams(lam=0.01, theta=math.pi / 4),
                      SweepAxis("tau", 0.0, 20.0, 201))
@@ -320,8 +344,43 @@ def test_cli_sweep_writes_csv(tmp_path, capsys):
     assert float(rows[0]["c3"]) == 1.0
 
 
-def test_cli_sweep_missing_required_flag_is_usage_error(tmp_path):
-    assert main(["sweep", "--quantity", "lgi3", "--axis", "tau"]) == 1
+def test_cli_sweep_missing_required_flag_is_usage_error(tmp_path, capsys):
+    # reported with the usage line of the subcommand's own parser
+    out = str(tmp_path / "out")
+    for argv, message in [
+        (["sweep", "--quantity", "lgi3", "--axis", "tau"], "--out"),
+        (["sweep", "--axis", "tau", "--out", out], "--quantity"),
+        (["sweep", "--quantity", "lgi3", "--out", out], "--axis"),
+        (["figure", "--out", out], "--preset"),
+        (["figure", "--preset", "fig2"], "--out"),
+    ]:
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: drivenqubit {argv[0]} [-h]")
+        assert err.endswith(f"drivenqubit: {message} is required (flag or config)\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("axis,span", [
+    ("time", (0.0, 30.0)), ("tau", (0.0, 4.0)), ("lambda_ratio", (0.01, 1.0)),
+    ("omega", (0.0, 2.0)), ("delta", (0.0, 10.0)), ("theta", (0.0, math.pi / 2))])
+def test_cli_axis_without_bounds_spans_its_default_range(tmp_path, axis, span):
+    quantity = next(q for q, (axes, _) in QUANTITIES.items() if axis in axes)
+    out = tmp_path / "out.csv"
+    # gp rows at the default parameters have no dressed period: exit 2
+    assert main(["sweep", "--quantity", quantity, "--axis", axis, "--points", "2",
+                 "--out", str(out)]) in (0, 2)
+    assert tuple(float(r[axis]) for r in read_csv(out)) == span
+
+
+def test_cli_axis_choices_are_the_axes_table(tmp_path, capsys):
+    assert list(AXES) == ["time", "tau", "lambda_ratio", "omega", "delta", "theta"]
+    assert main(["sweep", "--quantity", "amplitude", "--axis", "bogus",
+                 "--out", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert "argument --axis: invalid choice: 'bogus'" in err
+    choices = err.split("(choose from ")[1].split(")")[0]
+    assert choices.replace("'", "").split(", ") == list(AXES)
 
 
 def test_cli_rejects_bad_quantity(tmp_path):
@@ -550,6 +609,25 @@ def test_cli_check_quick(capsys):
     assert main(["check", "--quick"]) == 0
     out = capsys.readouterr().out
     assert "[PASS]" in out and "[FAIL]" not in out
+
+
+def test_cli_check_reports_a_drifting_closed_form_as_failed_checks(monkeypatch, capsys):
+    # the oracle checks gate the closed form themselves: a drift fails them
+    # (exit 2, one line per check), it is not a usage error
+    from drivenqubit import amplitude
+
+    assert main(["check", "--quick"]) == 0
+    names = [line.split(": ")[0][7:] for line in capsys.readouterr().out.splitlines()[:-1]]
+    grid = amplitude.amplitude_grid
+    monkeypatch.setattr(amplitude, "amplitude_grid",
+                        lambda dp, times: tuple(v * (1 + 1e-6) for v in grid(dp, times)))
+    assert main(["check", "--quick"]) == 2
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert [line.split(": ")[0][7:] for line in lines[:-1]] == names
+    oracle = [line for line in lines if line.startswith("[FAIL] amplitude ")]
+    assert len(oracle) == 4 and "max|A|=1.0000010" in oracle[0]
+    assert captured.err == ""
 
 
 def test_cli_entry_point_runs(tmp_path):
