@@ -58,6 +58,7 @@ __all__ = [
 
 _EPS = np.finfo(float).eps
 POLE_EPS = 1e-14
+ORACLE_POINTS = 301  # evenly spaced times of an oracle trajectory, from 0 to t_max
 
 
 class AmplitudePole(ArithmeticError):
@@ -191,8 +192,8 @@ def amplitude_trajectory(dp: DerivedParams, times) -> AmplitudeTrajectory:
     return AmplitudeTrajectory(np.asarray(times, float), A, dp.params)
 
 
-def amplitude_oracle_ode(params: SystemParams, t_max: float, tol: float = 1e-10,
-                         n_eval: int = 301) -> AmplitudeTrajectory:
+def amplitude_oracle_ode(params: SystemParams, t_max: float,
+                         tol: float = 1e-10) -> AmplitudeTrajectory:
     """Independent A(t) by adaptive integration of the memory dynamics.
 
     The integro-differential equation with exponential kernel is equivalent
@@ -217,7 +218,7 @@ def amplitude_oracle_ode(params: SystemParams, t_max: float, tol: float = 1e-10,
         a, b = y
         return [-c4 * b, half_gl * a - M * b]
 
-    t_eval = np.linspace(0.0, t_max, n_eval)
+    t_eval = np.linspace(0.0, t_max, ORACLE_POINTS)
     sol = solve_ivp(rhs, (0.0, t_max), [1.0 + 0.0j, 0.0 + 0.0j], method="DOP853",
                     t_eval=t_eval, rtol=tol, atol=tol * 1e-2)
     if not sol.success:

@@ -31,7 +31,9 @@ the kernel confirmation and the bisection fallback run on slices of at
 most ``_CHUNK`` initial gaps, a cap across rows that bounds the peak
 memory, and one branch and bound searches the pairs of all rows.  A row's
 result depends on its own data alone, and a row that fails records its
-error while the others go on.
+error while the others go on: so does a row whose search would need more
+than ``_MAX_GAPS`` initial gaps, before any is made, and a row whose model
+constants overflow, before any kernel call.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ _PAIR_ATOL = 1e-9
 _ROOT_TOL = 1e-10  # width of a refined extremum bracket
 _ROUNDING = 16 * np.finfo(float).eps
 _CHUNK = 4096  # initial gaps of the bracket finder per pass, across rows
+_MAX_GAPS = 2 ** 23  # initial gaps of one row: its work budget
 _NEWTON_STEPS = 6
 _NEWTON_MORE = 24  # for the brackets the first steps leave unconfirmed
 
@@ -356,38 +359,43 @@ def _refine(flux: _Flux, modes, lo, hi, owner):
     return times, np.where(rising, 1, -1), amp, failures
 
 
-def _amp_extrema(dps, t_maxes):
+def _amp_extrema(dps, t_max: np.ndarray, modes):
     """Refined times of the extrema of |A| on (0, t_max) of every row, their
-    kinds and |A| there.
+    kinds and |A| there; ``modes`` holds the rows' ``mode_constants``.
 
     Brackets the sign changes of d|A|^2/dt with the certified finder on its
     two-mode form, starting from gaps of an eighth of the beat period
     pi/(4|w|), and refines each bracket on the amplitude kernel; kind +1
-    marks a minimum of |A| and -1 a maximum.  The initial gaps of all rows
-    are taken in (row, time) order, ``_CHUNK`` at a time.  |A| falls from
-    t = 0, so the kinds of a row must alternate starting with a minimum;
-    any other sequence fails the row.  Returns (times, kinds, amps, owner,
-    errors): the extrema of the rows that did not fail, in (row, time)
-    order, the row of each, and per row its ValidationError or None.
+    marks a minimum of |A| and -1 a maximum.  A row that needs more than
+    ``_MAX_GAPS`` initial gaps fails before any of them is made.  The
+    initial gaps of all rows are taken in (row, time) order, ``_CHUNK`` at
+    a time.  |A| falls from t = 0, so the kinds of a row must alternate
+    starting with a minimum; any other sequence fails the row.  Returns
+    (times, kinds, amps, owner, errors): the extrema of the rows that did
+    not fail, in (row, time) order, the row of each, and per row its
+    ValidationError or None.
     """
     n_rows = len(dps)
     failures: dict = {}
     counts = np.zeros(n_rows, dtype=int)  # initial gaps per row
     coefs = []
-    for i, (dp, t_max) in enumerate(zip(dps, t_maxes)):
+    for i, dp in enumerate(dps):
         coef = (0.0, 0.0, 0j, 0.0, 0.0)
-        if not t_max > 0:
-            failures[i] = ValidationError(f"t_max must be > 0, got {t_max}")
-        elif dp.f_const.imag != 0.0:
+        if dp.f_const.imag != 0.0:
             # (else critical or overdamped: M is real, A real, positive and
             # decreasing)
             coef = _flux_coefficients(dp)
             a, b, C, _, w = coef
             if a != 0.0 or b != 0.0 or C != 0.0:  # else decoupled: |A| = 1
-                counts[i] = max(1, math.ceil(4.0 * abs(w) * t_max / math.pi))
+                gaps = 4.0 * abs(w) * float(t_max[i]) / math.pi
+                if gaps > _MAX_GAPS:
+                    failures[i] = ValidationError(
+                        f"the extrema search needs {math.ceil(gaps)} initial gaps, "
+                        f"over the budget of {_MAX_GAPS} per row")
+                else:
+                    counts[i] = max(1, math.ceil(gaps))
         coefs.append(coef)
-    flux, modes = _Flux.of(coefs), mode_constants(dps)
-    t_max = np.array(t_maxes, dtype=float)
+    flux = _Flux.of(coefs)
     stop = np.cumsum(counts)
     start = stop - counts
     parts = [(np.empty(0), np.empty(0, dtype=int), np.empty(0), np.empty(0, dtype=int))]
@@ -417,8 +425,9 @@ def _amp_extrema(dps, t_maxes):
     return times[keep], kinds[keep], amps[keep], owner[keep], errors
 
 
-def _interval_data(dps, t_maxes):
-    """Pair-independent interval skeleton of every row.
+def _interval_data(dps, t_max: np.ndarray, modes, tails: np.ndarray):
+    """Pair-independent interval skeleton of every row, from the rows'
+    ``mode_constants`` and tails |A(t_max)| (``_row_setup``).
 
     Returns ((starts, ends, xs, xe, owner), errors): the intervals of all
     rows in (row, time) order with |A| at both ends and the row of each,
@@ -426,7 +435,7 @@ def _interval_data(dps, t_maxes):
     horizon is truncated at t_max; the missed tail is covered by the
     truncation bound of the measure.
     """
-    times, _, x, owner, errors = _amp_extrema(dps, t_maxes)  # min, max, min, ...
+    times, _, x, owner, errors = _amp_extrema(dps, t_max, modes)  # min, max, min, ...
     n_ext = np.bincount(owner, minlength=len(dps))
     n_iv = (n_ext + 1) // 2
     iv_start = np.cumsum(n_iv) - n_iv
@@ -437,9 +446,7 @@ def _interval_data(dps, t_maxes):
     ends[iv[~is_min]], xe[iv[~is_min]] = times[~is_min], x[~is_min]
     open_rows = np.flatnonzero(n_ext % 2)
     last = iv_start[open_rows] + n_iv[open_rows] - 1
-    ends[last] = [t_maxes[r] for r in open_rows.tolist()]
-    xe[last] = np.abs(_amplitude(mode_constants([dps[r] for r in open_rows.tolist()]),
-                                 ends[last], np.arange(open_rows.size))[0])
+    ends[last], xe[last] = t_max[open_rows], tails[open_rows]
     return (starts, ends, xs, xe, np.repeat(np.arange(len(dps)), n_iv)), errors
 
 
@@ -456,7 +463,10 @@ def _intervals(data, u: float, t_max: float) -> BackflowIntervals:
 
 def backflow_intervals(dp: DerivedParams, pair, t_max: float) -> BackflowIntervals:
     """Intervals of growing trace distance for the given antipodal pair."""
-    data, errors = _interval_data([dp], [t_max])
+    t = np.array([t_max], dtype=float)
+    modes, tails, errors = _row_setup([dp], t)
+    if errors[0] is None:
+        data, errors = _interval_data([dp], t, modes, tails)
     if errors[0] is not None:
         raise errors[0]
     return _intervals(data[:4], _pair_u(pair), t_max)
@@ -570,26 +580,44 @@ def _alpha(u: float) -> float:
     return math.atan2(math.sqrt(1.0 - u), math.sqrt(u))
 
 
+def _row_setup(dps, t_max: np.ndarray):
+    """(modes, tails, errors): the rows' ``mode_constants``, their tails
+    |A(t_max)| and per row a first error or None, computed once per pass.
+
+    A row whose model constants overflow (``DerivedParams.overflow``) gets
+    an ``OverflowError``, and one whose t_max is not > 0 a
+    ``ValidationError``; neither goes to the kernel, and its tail is NaN.
+    """
+    errors: list = [None] * len(dps)
+    for i, dp in enumerate(dps):
+        if (reason := dp.overflow()) is not None:
+            errors[i] = OverflowError(reason)
+        elif not t_max[i] > 0:
+            errors[i] = ValidationError(f"t_max must be > 0, got {t_max[i]}")
+    modes = mode_constants(dps)
+    live = np.flatnonzero([e is None for e in errors])
+    tails = np.full(len(dps), np.nan)
+    tails[live] = np.abs(_amplitude(modes, t_max[live], live)[0])
+    return modes, tails, errors
+
+
 def _measures(params_seq, t_maxes):
     """(gain, u, |A(t_max)|, interval skeleton, errors) of every row; see
     ``blp_measures``."""
     n = len(params_seq)
     dps = [derive(params) for params in params_seq]
     t = np.array(t_maxes, dtype=float)
-    positive = t > 0
-    tails = np.abs(_amplitude(mode_constants(dps), np.where(positive, t, 0.0),
-                              np.arange(n))[0])
-    bad = ~positive | ((tails >= TRUNCATION_EPS)
-                       & (t < [100.0 / dp.params.gamma for dp in dps]))
-    errors: list = [None] * n
-    for i in np.flatnonzero(bad).tolist():
+    modes, tails, errors = _row_setup(dps, t)
+    short = (tails >= TRUNCATION_EPS) & (t < [100.0 / dp.params.gamma for dp in dps])
+    for i in np.flatnonzero(short).tolist():
         errors[i] = ValidationError(
-            "t_max too small: require |A(t_max)| < 1e-4 or t_max >= 100/gamma"
-            if positive[i] else f"t_max must be > 0, got {t_maxes[i]}")
+            "t_max too small: require |A(t_max)| < 1e-4 or t_max >= 100/gamma")
+    bad = np.array([e is not None for e in errors], dtype=bool)
     tails[bad] = np.nan
     live = np.flatnonzero(~bad)
     (starts, ends, xs, xe, owner), live_errors = _interval_data(
-        [dps[i] for i in live.tolist()], t[live].tolist())
+        [dps[i] for i in live.tolist()], t[live], tuple(col[live] for col in modes),
+        tails[live])
     gain, u = np.full(n, np.nan), np.full(n, np.nan)
     gain[live], u[live] = _max_gain(xs, xe, owner, live.size)
     for i, exc in zip(live.tolist(), live_errors):
@@ -605,27 +633,30 @@ def blp_measures(params_seq, t_maxes):
     Row i integrates to the horizon t_maxes[i].  Returns (n_measure, alpha,
     residual_bound, truncated, errors): per row the measure, the polar
     angle of the best pair, the residual bound 2|A(t_max)|, whether
-    |A(t_max)| >= 1e-4 (see ``blp_measure``), and the ValidationError that
-    stopped the row or None; a failed row reads NaN and not truncated.
-    Each row's result depends on its own data alone.
+    |A(t_max)| >= 1e-4 (see ``blp_measure``), and the error that stopped
+    the row or None; a failed row reads NaN and not truncated.  The error
+    is an ``OverflowError`` for a row whose model constants overflow
+    (``DerivedParams.overflow``), else a ValidationError: a bad horizon, a
+    search over its work budget of ``_MAX_GAPS`` initial gaps, or extrema
+    that fail their checks.  Each row's result depends on its own data
+    alone.
     """
     gain, u, tails, _, errors = _measures(params_seq, t_maxes)
     alpha = np.array([_alpha(v) for v in u.tolist()])
     return gain, alpha, 2.0 * tails, tails >= TRUNCATION_EPS, errors
 
 
-def blp_measure(params: SystemParams, t_max: float = 100.0,
-                azimuth: float = 0.0) -> BlpResult:
+def blp_measure(params: SystemParams, t_max: float = 100.0) -> BlpResult:
     """Backflow measure maximized over antipodal pure pairs; the one-row view
     of ``blp_measures``, raising the row's error.
 
-    The azimuth never enters the distance; the polar angle alpha of the
-    best pair comes from the certified maximum over u = cos^2(alpha) in
-    [0, 1] (``_max_gain``), exact at the ends alpha = 0 and pi/2.  The
-    measure integrates to the horizon t_max; the residual beyond it is
-    bounded by 2|A(t_max)| and reported, with ``truncated`` set when
-    |A(t_max)| >= 1e-4.  A horizon that leaves |A(t_max)| >= 1e-4 must
-    reach 100/gamma.
+    The azimuth never enters the distance, so the best pair is reported at
+    azimuth 0; its polar angle alpha comes from the certified maximum over
+    u = cos^2(alpha) in [0, 1] (``_max_gain``), exact at the ends alpha = 0
+    and pi/2.  The measure integrates to the horizon t_max; the residual
+    beyond it is bounded by 2|A(t_max)| and reported, with ``truncated``
+    set when |A(t_max)| >= 1e-4.  A horizon that leaves |A(t_max)| >= 1e-4
+    must reach 100/gamma.
     """
     gain, u, tails, data, errors = _measures([params], [t_max])
     if errors[0] is not None:
@@ -634,7 +665,7 @@ def blp_measure(params: SystemParams, t_max: float = 100.0,
     alpha = _alpha(u)
     return BlpResult(
         n_measure=float(gain[0]),
-        best_pair=antipodal_pair(alpha, azimuth),
+        best_pair=antipodal_pair(alpha),
         t_max=t_max,
         alpha=alpha,
         residual_bound=2.0 * tail,

@@ -121,10 +121,24 @@ class DerivedParams:
                     "2 pi / omega_d overflows")
         return None
 
+    def overflow(self) -> str | None:
+        """Why the model constants are not finite, or None when they are.
+
+        F = sqrt(4 M^2 - ...) overflows once |M| exceeds about 6.7e153
+        (at resonance, omega_rabi above about 3.35e153), and a non-finite M
+        makes F non-finite too.  Nothing is computed from such constants:
+        their rows are invalid.
+        """
+        if cmath.isfinite(self.f_const):
+            return None
+        return (f"the model constants overflow (m_const = {self.m_const:.3g}, "
+                f"f_const = {self.f_const:.3g})")
+
     def flags(self) -> tuple[str, ...]:
         out = list(self.params.warnings())
-        if (reason := self.no_period()) is not None:
-            out.append(reason)
+        for reason in (self.overflow(), self.no_period()):
+            if reason is not None:
+                out.append(reason)
         return tuple(out)
 
 
@@ -165,8 +179,6 @@ def derive(params: SystemParams) -> DerivedParams:
     eta = pi/2 whenever the drive is on.  f_const takes the principal square
     root; the amplitude is even in it, so the branch never matters.
     """
-    if not isinstance(params, SystemParams):
-        params = SystemParams(**params) if isinstance(params, dict) else params
     eta = math.atan2(2.0 * params.omega_rabi, params.delta_qc)
     omega_d = math.hypot(params.delta_qc, 2.0 * params.omega_rabi)
     m_const = complex(params.lam, -(omega_d + params.delta_cav - params.delta_qc))

@@ -17,11 +17,13 @@ sweep in one adaptive Simpson run: each level of every row goes to the
 integrand in one array call, where each node carries the constants
 (M, F, s+, theta) of its own row into ``amplitude._mode_form`` and
 ``_spectrum``.  Each row is still accepted or split on its own data, so its
-nodes and phase do not depend on the other rows;
-``geometric_phase_detailed`` is the one-row view, and keeps the nodes.
-A row without a finite dressed period gets a ``ValidationError``, and a
-row whose tolerance lies below the rounding floor of its integral a
-``QuadratureError``; neither stops the other rows.
+nodes and phase do not depend on the other rows; ``geometric_phase`` is
+its one-row view.  ``geometric_phase_detailed`` integrates one row alone
+with ``adaptive_simpson`` and also returns the nodes, the same ones.
+A row whose model constants overflow gets an ``OverflowError`` and one
+without a finite dressed period a ``ValidationError``, both before any
+integrand call; a row whose tolerance lies below the rounding floor of its
+integral gets a ``QuadratureError``.  None of them stops the other rows.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 
 from .amplitude import _mode_form, amplitude_closed_form, mode_constants
 from .params import DerivedParams, ValidationError
-from .quadrature import adaptive_simpson_many
+from .quadrature import adaptive_simpson, adaptive_simpson_many
 
 __all__ = ["EigenSystem", "eigensystem", "geometric_phase", "geometric_phase_detailed",
            "geometric_phases"]
@@ -91,7 +93,8 @@ def _spectrum(x, theta):
     in d + gap, so it vanishes exactly with the coherence.  That 0/0 case
     (r = q = 0, p <= 1/2: theta = 0 below |A|^2 = 1/2, zeros of A) is
     resolved by continuity of the eigenprojector: the dominant eigenvector
-    is |B>, cos(Theta) = 0.  For d > 0, q >= d > 0 and no 0/0 arises.
+    is |B>, cos(Theta) = 0.  For d > 0, q >= d > 0 and no 0/0 arises.  A
+    NaN x (an amplitude that overflowed) gives NaN, not that limit.
     """
     x = np.asarray(x, dtype=float)
     s2 = np.sin(2.0 * theta)
@@ -101,7 +104,7 @@ def _spectrum(x, theta):
     below = d < 0.0
     q = np.where(below, 2.0 * r * r / np.where(below, gap - d, 1.0), 0.5 * (d + gap))
     den = np.hypot(r, q)
-    live = den > 1e-150
+    live = ~(den <= 1e-150)
     cos_big = np.where(live, q / np.where(live, den, 1.0), 0.0)
     return gap, cos_big
 
@@ -141,45 +144,57 @@ def _cos2_integrand(dp: DerivedParams, theta: float):
     return lambda t: f(np.asarray(t, dtype=float), np.zeros(np.shape(t), dtype=int))
 
 
-def geometric_phase(dp: DerivedParams, theta: float, quad_tol: float = 1e-9) -> float:
-    """Kinematic phase over one dressed period, in radians (raw, in [0, 2 pi]
-    up to quad_tol)."""
-    value, _, _ = geometric_phase_detailed(dp, theta, quad_tol)
-    return value
+def _no_phase(dp: DerivedParams):
+    """The error of a row that has no phase to integrate, or None: an
+    ``OverflowError`` where its model constants overflow
+    (``DerivedParams.overflow``), else a ``ValidationError`` where it has no
+    finite dressed period (``DerivedParams.no_period``)."""
+    if (reason := dp.overflow()) is not None:
+        return OverflowError(reason)
+    if (reason := dp.no_period()) is not None:
+        return ValidationError(reason)
+    return None
 
 
-def geometric_phases(dps, thetas, quad_tol: float = 1e-9, keep_nodes: bool = True):
+def geometric_phases(dps, thetas, quad_tol: float = 1e-9):
     """Phases of many rows in one quadrature, one integrand call per level.
 
-    Returns (phi_g, quad_err, nodes, errors): per row the phase and its
-    error estimate (NaN for a failed row), the quadrature nodes (None
-    unless ``keep_nodes``), and the error that stopped the row or None.  A
-    row without a finite dressed period (omega_d = 0, or omega_d so small
-    that 2 pi / omega_d overflows) gets a ``ValidationError`` and no
-    quadrature; a row whose quadrature fails gets its ``QuadratureError``.
-    Every other row is integrated over [0, 2 pi / omega_d] to the tolerance
-    quad_tol / omega_d, and its result does not depend on the other rows.
+    Returns (phi_g, quad_err, errors): per row the phase and its error
+    estimate (NaN for a failed row), and the error that stopped the row or
+    None.  A row of ``_no_phase`` gets its error and no quadrature; a row
+    whose quadrature fails gets its ``QuadratureError``.  Every other row is
+    integrated over [0, 2 pi / omega_d] to the tolerance quad_tol / omega_d,
+    and its result does not depend on the other rows.
     """
     omega_d = np.array([dp.omega_d for dp in dps], dtype=float)
-    no_period = [dp.no_period() for dp in dps]
-    # a row without a period gets tolerance 0: no quadrature, no nodes
-    w = np.where([r is not None for r in no_period], np.inf, omega_d)
-    val, err, nodes, errors = adaptive_simpson_many(
-        _cos2_rows(dps, thetas), np.zeros_like(w), 2.0 * math.pi / w, quad_tol / w,
-        keep_nodes=keep_nodes)
-    for i, reason in enumerate(no_period):
-        if reason is not None:
-            errors[i] = ValidationError(reason)
-    return omega_d * val, omega_d * err, nodes, errors
+    errors = [_no_phase(dp) for dp in dps]
+    # a row without a phase gets tolerance 0: no quadrature, no integrand call
+    w = np.where([e is not None for e in errors], np.inf, omega_d)
+    val, err, failures = adaptive_simpson_many(
+        _cos2_rows(dps, thetas), np.zeros_like(w), 2.0 * math.pi / w, quad_tol / w)
+    errors = [e or failure for e, failure in zip(errors, failures)]
+    return omega_d * val, omega_d * err, errors
+
+
+def geometric_phase(dp: DerivedParams, theta: float, quad_tol: float = 1e-9) -> float:
+    """Kinematic phase over one dressed period, in radians (raw, in [0, 2 pi]
+    up to quad_tol): the one-row view of ``geometric_phases``, raising the
+    row's error."""
+    phi, _, errors = geometric_phases([dp], [theta], quad_tol)
+    if errors[0] is not None:
+        raise errors[0]
+    return float(phi[0])
 
 
 def geometric_phase_detailed(dp: DerivedParams, theta: float,
                              quad_tol: float = 1e-9):
-    """(value, error_estimate, nodes): the one-row view of
-    ``geometric_phases``, raising the row's error.  The quadrature nodes are
-    exposed so the spectral decomposition can be re-verified at every point
-    the integral actually touched."""
-    phi, err, nodes, errors = geometric_phases([dp], [theta], quad_tol)
-    if errors[0] is not None:
-        raise errors[0]
-    return float(phi[0]), float(err[0]), nodes[0]
+    """(value, error_estimate, nodes): the phase of one row by
+    ``adaptive_simpson``, equal to ``geometric_phase``'s bit for bit.  The
+    quadrature nodes are exposed so the spectral decomposition can be
+    re-verified at every point the integral actually touched."""
+    if (exc := _no_phase(dp)) is not None:
+        raise exc
+    value, err, nodes = adaptive_simpson(_cos2_integrand(dp, theta), 0.0,
+                                         2.0 * math.pi / dp.omega_d,
+                                         quad_tol / dp.omega_d)
+    return dp.omega_d * value, dp.omega_d * err, nodes

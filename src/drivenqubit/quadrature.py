@@ -1,9 +1,7 @@
-"""Adaptive Simpson quadrature of many integrals at once, with node recording.
+"""Adaptive Simpson quadrature of many integrals at once.
 
 Used for the geometric phase, where a whole sweep of rows is integrated
-together, and where the evaluation nodes can be kept on request (the test
-suite re-verifies the eigendecomposition at every node; sweeps keep none).
-Cross-checked against scipy.integrate.quad in the tests.
+together.  Cross-checked against scipy.integrate.quad in the tests.
 
 ``adaptive_simpson_many`` integrates f over [a_i, b_i] to tol_i for every i.
 The intervals are processed level by level: every interval pending at one
@@ -13,7 +11,9 @@ abscissa belongs to.  An interval at depth k of integral i has the
 tolerance ``tol_i / 2^k``, and each interval is accepted or split on its
 own data alone, so every integral's nodes are those of the classic
 depth-first recursion; only the order of summation differs.
-``adaptive_simpson`` is the one-integral view.
+``adaptive_simpson`` is the one-integral view; it also returns the
+abscissae its integrand was called with, so a caller can re-verify the
+integrand at every node (the tests do, for the geometric phase).
 
 A rejected interval whose tolerance lies below the rounding of its own
 Simpson sums, ``15 s_tol < 16 eps (|S_left| + |S_right|)``, fails its
@@ -93,15 +93,13 @@ def _settle(level, owner, mids, f_mids, depth: int, max_depth: int, values, erro
 
 
 def adaptive_simpson_many(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                          a, b, tol, max_depth: int = 60, keep_nodes: bool = False):
+                          a, b, tol, max_depth: int = 60):
     """Integrate f over [a_i, b_i] to absolute tolerance tol_i for every i.
 
     f takes an array of abscissae and the array of their integral indices
     and returns the array of its values.  Returns (values, error_estimates,
-    nodes, failures): float arrays with NaN for a failed integral, with
-    ``keep_nodes`` one array of abscissae per integral in evaluation order
-    (else None), and per integral the ``QuadratureError`` that stopped it,
-    or None.
+    failures): float arrays with NaN for a failed integral, and per
+    integral the ``QuadratureError`` that stopped it, or None.
     """
     a, b, tol = (np.array(v, dtype=float, ndmin=1) for v in (a, b, tol))
     n = a.size
@@ -110,40 +108,28 @@ def adaptive_simpson_many(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     for i in np.flatnonzero(~(tol > 0)).tolist():
         failures[i] = QuadratureError(f"tol must be > 0, got {tol[i]}")
     owner = np.flatnonzero((tol > 0) & (a != b))
-    point = np.flatnonzero((tol > 0) & (a == b))
-
-    kept: list = []  # (abscissae, their integrals) of each integrand call
-    keep = kept.append if keep_nodes else (lambda _: None)
-    keep((a[point], point))
     if owner.size:
         x0, x1 = a[owner], b[owner]
         xm = 0.5 * (x0 + x1)
-        first, thrice = np.concatenate([x0, xm, x1]), np.tile(owner, 3)
-        f0, fm, f1 = np.asarray(f(first, thrice), dtype=float).reshape(3, -1)
+        f0, fm, f1 = np.asarray(f(np.concatenate([x0, xm, x1]), np.tile(owner, 3)),
+                                dtype=float).reshape(3, -1)
         # one column per pending interval: x0, xm, x1, f0, fm, f1, whole, s_tol
         level = np.array([x0, xm, x1, f0, fm, f1,
                           (x1 - x0) / 6.0 * (f0 + 4.0 * fm + f1), tol[owner]])
-        keep((first, thrice))
 
     depth = 0
     while owner.size:
         x0, xm, x1 = level[:3]
         mids = np.concatenate([0.5 * (x0 + xm), 0.5 * (xm + x1)])
         both = np.concatenate([owner, owner])
-        keep((mids, both))
         # only the pending level is held while the integrand runs
         level, owner = _settle(level, owner, mids, np.asarray(f(mids, both), dtype=float),
                                depth, max_depth, values, errors, failures)
         depth += 1
 
-    nodes = None
-    if keep_nodes:
-        x, own = (np.concatenate(col) for col in zip(*kept))
-        nodes = np.split(x[np.argsort(own, kind="stable")],
-                         np.cumsum(np.bincount(own, minlength=n))[:-1])
     failed = np.array([e is not None for e in failures], dtype=bool)
     values[failed] = errors[failed] = np.nan
-    return values, errors, nodes, failures
+    return values, errors, failures
 
 
 def adaptive_simpson(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
@@ -155,8 +141,13 @@ def adaptive_simpson(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     abscissae at which f was evaluated, in evaluation order.  Raises
     ``QuadratureError`` where ``adaptive_simpson_many`` records one.
     """
-    values, errors, nodes, failures = adaptive_simpson_many(
-        lambda x, _: f(x), a, b, tol, max_depth, keep_nodes=True)
+    calls = [np.empty(0)]
+
+    def recorded(x, _):
+        calls.append(x)
+        return f(x)
+
+    values, errors, failures = adaptive_simpson_many(recorded, a, b, tol, max_depth)
     if failures[0] is not None:
         raise failures[0]
-    return float(values[0]), float(errors[0]), nodes[0]
+    return float(values[0]), float(errors[0]), np.concatenate(calls)

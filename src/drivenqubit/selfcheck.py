@@ -21,6 +21,9 @@ from .temporal import quantum_witness, witness_probabilities
 ORACLE_LAMBDAS = (0.01, 0.1, 1.0)
 ORACLE_OMEGAS = (0.0, 0.5, 2.0)
 ORACLE_DELTAS = (0.0, 1.0, 10.0)
+ORACLE_TOL = 1e-8  # largest |closed - ode| an oracle check passes with
+ORACLE_T_MAX = 30.0  # horizon of each oracle trajectory
+WITNESS_SEED = 20260810  # seed of the random cases of the witness check
 
 
 @dataclass(frozen=True)
@@ -30,8 +33,7 @@ class CheckResult:
     detail: str
 
 
-def oracle_grid_check(tol: float = 1e-8, t_max: float = 30.0,
-                      quick: bool = False) -> list[CheckResult]:
+def oracle_grid_check(quick: bool = False) -> list[CheckResult]:
     """Closed form vs ODE integration over the standard parameter grid.
 
     The closed-form values are taken from ``amplitude.amplitude_grid`` as
@@ -46,13 +48,13 @@ def oracle_grid_check(tol: float = 1e-8, t_max: float = 30.0,
         for om in omegas:
             for dq in deltas:
                 params = SystemParams(lam=lam, omega_rabi=om, delta_qc=dq)
-                ode = amplitude_oracle_ode(params, t_max, tol=1e-11)
+                ode = amplitude_oracle_ode(params, ORACLE_T_MAX, tol=1e-11)
                 # looked up on the module, so that a wrapper of it (the
                 # perfbench tracer) counts these grid points too
                 closed, _ = amplitude.amplitude_grid(derive(params), ode.times)
                 err = float(np.max(np.abs(closed - ode.values)))
                 contraction = float(np.max(np.abs(closed)))
-                ok = err <= tol and contraction <= 1.0 + 1e-12
+                ok = err <= ORACLE_TOL and contraction <= 1.0 + 1e-12
                 results.append(CheckResult(
                     name=f"amplitude lam={lam} omega={om} delta={dq}",
                     passed=ok,
@@ -61,9 +63,9 @@ def oracle_grid_check(tol: float = 1e-8, t_max: float = 30.0,
     return results
 
 
-def witness_consistency_check(n: int = 200, seed: int = 20260810) -> list[CheckResult]:
-    """Closed-form witness vs the propagator composition on random cases."""
-    rng = np.random.default_rng(seed)
+def witness_consistency_check(n: int = 200) -> list[CheckResult]:
+    """Closed-form witness vs the propagator composition on n random cases."""
+    rng = np.random.default_rng(WITNESS_SEED)
     worst = 0.0
     for _ in range(n):
         params = SystemParams(

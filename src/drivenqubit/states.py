@@ -67,11 +67,6 @@ class QubitState:
             x=2.0 * r[0, 1].real, y=-2.0 * r[0, 1].imag, z=(r[0, 0] - r[1, 1]).real
         )
 
-    def eigenvalues(self) -> np.ndarray:
-        """Ascending eigenvalues with sub-tolerance negatives clamped to 0."""
-        w = np.linalg.eigvalsh(self.rho)
-        return np.clip(w, 0.0, None)
-
 
 @dataclass(frozen=True)
 class BlochVector:

@@ -243,23 +243,22 @@ def _time_series_block(spec: SweepSpec) -> SweepBlock:
         elif spec.quantity == "lgi4":
             _, c4 = lgi_series(dp, theta, ts)
             cols = {"c4": c4, "violated4": (c4 > 2.0).astype(int)}
-        elif spec.quantity == "witness":
+        else:  # witness
             w, env = witness_series(dp, theta, ts)
             cols = {"w_q": w, "envelope": env}
-        else:  # pragma: no cover
-            raise ValidationError(f"not a time-series quantity: {spec.quantity}")
-    status = np.full(len(ts), "ok")
+    # constants that overflow make every row invalid (DerivedParams.overflow)
+    status = np.full(len(ts), "ok" if dp.overflow() is None else "invalid")
     if spec.quantity == "decay_rate":
         # decay_rate_grid marks the zeros of A with NaN
-        status = np.where(np.isnan(cols["decay_rate"]), "pole", status)
+        status = np.where(np.isnan(cols["decay_rate"]) & (status == "ok"), "pole",
+                          status)
     return SweepBlock(asdict(spec.fixed), {spec.axis.name: ts}, cols, status)
 
 
 def _gp_rows(spec: SweepSpec, params: list) -> tuple[dict, list]:
     """Geometric phases of all rows, integrated in one quadrature."""
-    phi, err, _, errors = geometric_phases([derive(p) for p in params],
-                                           [p.theta for p in params], spec.quad_tol,
-                                           keep_nodes=False)
+    phi, err, errors = geometric_phases([derive(p) for p in params],
+                                        [p.theta for p in params], spec.quad_tol)
     # geometric_phases gives a ValidationError only to a row without a period
     status = ["ok" if exc is None else
               "undefined-period" if isinstance(exc, ValidationError) else "invalid"
@@ -438,8 +437,8 @@ def _preset_table() -> dict:
     """Panel layout per figure preset.
 
     Families not fully enumerated in the source material use the values
-    named in its discussion; the emitted manifest records every parameter
-    set so callers can override.
+    named in its discussion; the emitted manifest records the full
+    specification of every curve.
     """
     presets: dict[str, list] = {}
     # LGI vs drive strength (four curves) and vs detuning

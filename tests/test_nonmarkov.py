@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -28,7 +29,8 @@ from drivenqubit.sweeps import (SweepAxis, SweepSpec, _params_at, _preset_table,
 def _extrema(dp, t_max):
     """(times, kinds, |A|) of one row from the batched finder; raises the
     row's error."""
-    times, kinds, amps, _, errors = _amp_extrema([dp], [t_max])
+    times, kinds, amps, _, errors = _amp_extrema([dp], np.array([t_max]),
+                                                 mode_constants([dp]))
     if errors[0] is not None:
         raise errors[0]
     return times, kinds, amps
@@ -207,19 +209,17 @@ def test_blp_measure_does_not_depend_on_the_azimuth():
     for params in (SystemParams(lam=0.01, omega_rabi=0.0),
                    SystemParams(lam=0.05, omega_rabi=0.3, delta_qc=0.5)):
         dp = derive(params)
-        base = blp_measure(params, t_max=150.0)
-        for az in (0.7, 2.0, 4.5):
-            res = blp_measure(params, t_max=150.0, azimuth=az)
-            assert (res.n_measure, res.alpha) == (base.n_measure, base.alpha)
-            # the reported pair at this azimuth, evolved by the channel,
+        res = blp_measure(params, t_max=150.0)
+        for az in (0.0, 0.7, 2.0, 4.5):
+            # the best pair turned to this azimuth, evolved by the channel,
             # accumulates the measure over the intervals
-            s1, s2 = (QubitState.from_bloch(v) for v in res.best_pair)
+            s1, s2 = (QubitState.from_bloch(v) for v in antipodal_pair(res.alpha, az))
 
             def d(t):
                 return trace_distance(apply_channel(dp, s1, t), apply_channel(dp, s2, t))
 
             total = sum(d(e) - d(s) for s, e in res.intervals.intervals)
-            assert total == pytest.approx(base.n_measure, abs=1e-12)
+            assert total == pytest.approx(res.n_measure, abs=1e-12)
 
 
 def test_flux_matches_channel_distance_derivative():
@@ -541,6 +541,31 @@ def test_blp_sweep_kernel_calls_follow_its_slices(monkeypatch):
     assert max(gaps) <= nonmarkov._CHUNK
     assert len(gaps) == math.ceil(sum(gaps) / nonmarkov._CHUNK) < 21
     assert len(calls) <= 2 * len(gaps)
+
+
+def test_row_over_the_work_budget_fails_fast():
+    # omega 1e6 at lam 0.1 would need 469,078,784 initial gaps: the row fails
+    # before any is made, and its neighbour reads as that row alone
+    params = [SystemParams(lam=0.1, omega_rabi=om) for om in (1e6, 0.5)]
+    t_maxes = [2.0 * math.log(1e4) / 0.1] * 2
+    start = time.perf_counter()
+    result = blp_measures(params, t_maxes)
+    assert time.perf_counter() - start < 1.0
+    assert "needs 469078784 initial gaps" in str(result[4][0])
+    assert math.isnan(result[0][0]) and not result[3][0]
+    _assert_rows_match_one_row_view(params, t_maxes, result, skip={0})
+
+
+def test_rows_whose_constants_overflow_fail_before_the_kernel():
+    params = [SystemParams(lam=0.1, omega_rabi=om) for om in (1e160, 0.5, 1e300)]
+    t_maxes = [2.0 * math.log(1e4) / 0.1] * 3
+    result = blp_measures(params, t_maxes)
+    for i in (0, 2):
+        assert isinstance(result[4][i], OverflowError)
+        assert math.isnan(result[0][i]) and math.isnan(result[2][i])
+        with pytest.raises(OverflowError, match="model constants overflow"):
+            backflow_intervals(derive(params[i]), antipodal_pair(0.5), t_maxes[i])
+    _assert_rows_match_one_row_view(params, t_maxes, result, skip={0, 2})
 
 
 def test_formerly_capped_row_keeps_its_measure():

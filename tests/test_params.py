@@ -63,6 +63,15 @@ def test_omega_d_zero_iff_undriven_resonant():
     assert derive(SystemParams(lam=0.1, delta_qc=1e-9)).omega_d > 0
 
 
+def test_overflow_rule_at_resonance():
+    # F = sqrt(4 M^2 - ...) with |M| ~ 2 omega: 4 M^2 overflows near 3.35e153
+    assert derive(SystemParams(lam=0.1, omega_rabi=3.3e153)).overflow() is None
+    for omega in (3.4e153, 1e160, 1e308):
+        dp = derive(SystemParams(lam=0.1, omega_rabi=omega))
+        assert dp.overflow().startswith("the model constants overflow")
+        assert dp.overflow() in dp.flags()
+
+
 def test_regime_warnings():
     assert SystemParams(lam=0.01).warnings() == ()
     assert any("lam" in w for w in SystemParams(lam=2.0).warnings())

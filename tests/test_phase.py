@@ -16,7 +16,7 @@ from drivenqubit import (SweepAxis, SystemParams, ValidationError, derive,
                          geometric_phase_detailed)
 from drivenqubit import phase
 from drivenqubit.amplitude import amplitude_closed_form, amplitude_grid
-from drivenqubit.phase import _cos2_integrand, geometric_phases
+from drivenqubit.phase import _cos2_integrand
 from drivenqubit.quadrature import (QuadratureError, adaptive_simpson,
                                     adaptive_simpson_many)
 from drivenqubit.sweeps import SweepSpec, _params_at, run_sweep
@@ -56,6 +56,37 @@ def _depth_first_simpson(f, a, b, tol, max_depth=60):
             stack.append((x0, lm, xm, f0, flm, fmid, s_left, s_tol / 2.0, depth + 1))
             stack.append((xm, rm, x1, fmid, frm, f1, s_right, s_tol / 2.0, depth + 1))
     return total, err_total, np.array(nodes)
+
+
+def _nodes_of(calls, n):
+    """Per integral i < n, the abscissae of the recorded calls (x, owner) of
+    a batched integrand that belong to it, in call order."""
+    x, owner = (np.concatenate(col) for col in zip((np.empty(0), np.empty(0, int)),
+                                                   *calls))
+    return [x[owner == i] for i in range(n)]
+
+
+def geometric_phases(dps, thetas, quad_tol=1e-9):
+    """``phase.geometric_phases`` with each row's nodes: (phi_g, quad_err,
+    nodes, errors), the nodes recorded from the integrand calls of the
+    batched pass."""
+    calls, rows = [], phase._cos2_rows
+
+    def recording(dps, thetas):
+        f = rows(dps, thetas)
+
+        def g(t, row):
+            calls.append((t, row))
+            return f(t, row)
+
+        return g
+
+    phase._cos2_rows = recording
+    try:
+        phi, err, errors = phase.geometric_phases(dps, thetas, quad_tol)
+    finally:
+        phase._cos2_rows = rows
+    return phi, err, _nodes_of(calls, len(dps)), errors
 
 
 def _gp_cases():
@@ -284,7 +315,7 @@ def test_quadrature_non_finite_values_raise_at_once():
     start = time.perf_counter()
     with pytest.raises(QuadratureError, match="not finite"):
         adaptive_simpson(lambda x: np.where(x > 0.7, np.nan, x), 0.0, 1.0, tol=1e-9)
-    values, _, _, failures = adaptive_simpson_many(
+    values, _, failures = adaptive_simpson_many(
         lambda x, owner: np.where(owner == 1, np.nan, np.sin(x)), [0.0, 0.0],
         [math.pi, 1.0], [1e-9, 1e-9])
     assert values[0] == pytest.approx(2.0, abs=1e-9) and failures[0] is None
@@ -324,12 +355,15 @@ def test_many_integrals_keep_failures_to_their_own_integral():
     expected = [None, "below the rounding floor", None, "max depth 8", None,
                 "tol must be > 0", None]
 
+    calls = []
+
     def f(x, owner):
+        calls.append((x, owner))
         return np.choose(owner, [g(x) for g, *_ in cases])
 
     a, b, tol = (np.array([c[k] for c in cases]) for k in (1, 2, 3))
-    values, errors, nodes, failures = adaptive_simpson_many(f, a, b, tol, max_depth=8,
-                                                        keep_nodes=True)
+    values, errors, failures = adaptive_simpson_many(f, a, b, tol, max_depth=8)
+    nodes = _nodes_of(calls, len(cases))
     for (g, lo, hi, eps), want, value, error, x, failure in zip(
             cases, expected, values, errors, nodes, failures):
         if want is not None:
@@ -374,14 +408,16 @@ def test_batched_rows_match_depth_first_and_one_row_view(case):
     rows, quad_tol = _sweep_cases()[case]
     dps = [derive(p) for p in rows]
     phi, err, nodes, errors = geometric_phases(dps, [p.theta for p in rows], quad_tol)
-    # without nodes (as sweeps call it) the same quadrature, nothing recorded
-    bare = geometric_phases(dps, [p.theta for p in rows], quad_tol, keep_nodes=False)
+    # recording the nodes leaves the quadrature as sweeps call it
+    bare = phase.geometric_phases(dps, [p.theta for p in rows], quad_tol)
     assert np.array_equal(bare[0], phi) and np.array_equal(bare[1], err)
-    assert bare[2] is None and bare[3] == errors
+    assert bare[2] == errors
     for p, dp, phi_i, err_i, x, error in zip(rows, dps, phi, err, nodes, errors):
         assert error is None
+        # the three entry points agree bit for bit
         one_phi, one_err, one_nodes = geometric_phase_detailed(dp, p.theta, quad_tol)
-        assert abs(phi_i - one_phi) <= 1e-14 and abs(err_i - one_err) <= 1e-14
+        assert (phi_i, err_i) == (one_phi, one_err)
+        assert geometric_phase(dp, p.theta, quad_tol) == one_phi
         assert np.array_equal(np.sort(x), np.sort(one_nodes))
         f = _cos2_integrand(dp, p.theta)
         period = 2 * math.pi / dp.omega_d
@@ -398,8 +434,24 @@ def test_batched_rows_keep_undefined_period_and_failed_rows_apart():
     for i in (1, 2):
         assert errors[i] is None
         assert (phi[i], err[i]) == geometric_phase_detailed(dps[i], 0.5)[:2]
-    _, _, _, errors = geometric_phases(dps[1:], [0.5] * 2, quad_tol=1e-300)
+    _, _, errors = phase.geometric_phases(dps[1:], [0.5] * 2, quad_tol=1e-300)
     assert all("rounding floor" in str(e) for e in errors)
+
+
+def test_rows_whose_constants_overflow_fail_before_the_integrand():
+    rows = [SystemParams(lam=0.1, omega_rabi=om, theta=0.5) for om in (0.3, 1e160, 1e300)]
+    dps = [derive(p) for p in rows]
+    phi, err, nodes, errors = geometric_phases(dps, [0.5] * 3)
+    assert errors[0] is None
+    assert (phi[0], err[0]) == geometric_phase_detailed(dps[0], 0.5)[:2]
+    for i in (1, 2):
+        assert isinstance(errors[i], OverflowError)
+        assert math.isnan(phi[i]) and nodes[i].size == 0
+        for entry in (geometric_phase, geometric_phase_detailed):
+            with pytest.raises(OverflowError, match="model constants overflow"):
+                entry(dps[i], 0.5)
+    # a NaN |A|^2 stays NaN, not the theta = 0 limit cos(Theta) = 0
+    assert math.isnan(phase._spectrum(np.nan, 0.5)[1])
 
 
 @pytest.mark.xfail(strict=True, reason="at theta = 0, cos^2(Theta) steps where |A|^2 "

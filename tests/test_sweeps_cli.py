@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from drivenqubit import (SweepAxis, SweepSpec, SystemParams, ValidationError,
-                         amplitude_closed_form, derive, geometric_phase_detailed)
+                         amplitude_closed_form, blp_measure, derive,
+                         geometric_phase_detailed)
 from drivenqubit.cli import main
 from drivenqubit.sweeps import (AXES, PARAM_COLUMNS, QUANTITIES, SweepBlock, SweepTable,
                                 figure_preset, run_sweep, sweep_columns, write_rows)
@@ -466,6 +467,56 @@ def test_cli_gp_subnormal_dressed_frequency_has_no_period(tmp_path, delta):
                "--omega", "0", "--delta", delta, "--lambda", "0.1", "--out", str(out)])
     assert rc == 2
     assert [r["status"] for r in read_csv(out)] == ["undefined-period"] * 3
+
+
+def test_cli_params_warns_when_the_model_constants_overflow(capsys):
+    # at resonance 4 M^2 overflows above omega ~ 3.35e153, and F with it
+    assert main(["params", "--omega", "1e160", "--lambda", "0.1"]) == 0
+    out = capsys.readouterr().out
+    assert "f_const    = 0-infj" in out
+    assert ("warning: the model constants overflow (m_const = 0.1-2e+160j, "
+            "f_const = 0-infj)\n") in out
+
+
+def test_cli_gp_rows_whose_constants_overflow_are_invalid(tmp_path):
+    # rows 2 and 3 overflow and fail before any kernel call, so numpy warns
+    # of nothing (pytest turns RuntimeWarnings into errors); row 1 is the
+    # phase of that row alone
+    out = tmp_path / "gp.csv"
+    rc = main(["sweep", "--quantity", "gp", "--axis", "omega", "--axis-min", "1e150",
+               "--axis-max", "1e160", "--points", "3", "--lambda", "0.1",
+               "--theta", "0.5", "--out", str(out)])
+    assert rc == 2
+    rows = read_csv(out)
+    assert [r["status"] for r in rows] == ["ok", "invalid", "invalid"]
+    assert rows[1]["phi_g"] == rows[2]["quad_err"] == ""
+    alone = geometric_phase_detailed(
+        derive(SystemParams(lam=0.1, omega_rabi=1e150, theta=0.5)), 0.5)
+    assert (float(rows[0]["phi_g"]), float(rows[0]["quad_err"])) == alone[:2]
+
+
+def test_cli_blp_rows_whose_constants_overflow_are_invalid(tmp_path):
+    # the gap count of rows 2 and 3 was infinite and aborted the whole sweep
+    out = tmp_path / "blp.csv"
+    rc = main(["sweep", "--quantity", "blp", "--axis", "omega", "--axis-max", "1e300",
+               "--points", "3", "--lambda", "0.1", "--out", str(out)])
+    assert rc == 2
+    rows = read_csv(out)
+    assert [r["status"] for r in rows] == ["ok", "invalid", "invalid"]
+    assert rows[1]["n_measure"] == rows[2]["alpha_best"] == ""
+    alone = blp_measure(SystemParams(lam=0.1), t_max=2.0 * math.log(1e4) / 0.1)
+    assert float(rows[0]["n_measure"]) == alone.n_measure
+
+
+def test_cli_time_series_whose_constants_overflow_is_invalid(tmp_path):
+    # every time of the row reads invalid, not pole
+    out = tmp_path / "rate.csv"
+    rc = main(["sweep", "--quantity", "decay_rate", "--axis", "time", "--points", "5",
+               "--omega", "1e160", "--out", str(out)])
+    assert rc == 2
+    rows = read_csv(out)
+    assert [r["status"] for r in rows] == ["invalid"] * 5
+    assert all(r["decay_rate"] == "" for r in rows)
 
 
 def test_cli_non_finite_lgi_row_is_invalid(tmp_path):
