@@ -6,7 +6,7 @@ Everything rests on the closed-form amplitude in ``drivenqubit.amplitude``:
 one bounded numpy formula for time grids, single times and batched sweeps.
 """
 
-from .amplitude import (AmplitudePole, AmplitudeTrajectory, IntegrationError,
+from .amplitude import (AmplitudePole, AmplitudeTrajectory,
                         amplitude_closed_form, amplitude_derivative,
                         amplitude_grid, amplitude_oracle_ode,
                         amplitude_trajectory, decay_rate, decay_rate_grid)
@@ -45,7 +45,6 @@ __all__ = [
     "kernel",
     "AmplitudeTrajectory",
     "AmplitudePole",
-    "IntegrationError",
     "amplitude_closed_form",
     "amplitude_derivative",
     "amplitude_grid",

@@ -436,18 +436,14 @@ def _interval_data(dps, t_max: np.ndarray, modes, tails: np.ndarray):
     truncation bound of the measure.
     """
     times, _, x, owner, errors = _amp_extrema(dps, t_max, modes)  # min, max, min, ...
-    n_ext = np.bincount(owner, minlength=len(dps))
-    n_iv = (n_ext + 1) // 2
-    iv_start = np.cumsum(n_iv) - n_iv
-    pos = np.arange(owner.size) - np.repeat(np.cumsum(n_ext) - n_ext, n_ext)
-    iv, is_min = iv_start[owner] + pos // 2, pos % 2 == 0
-    starts, ends, xs, xe = (np.empty(n_iv.sum()) for _ in range(4))
-    starts[iv[is_min]], xs[iv[is_min]] = times[is_min], x[is_min]
-    ends[iv[~is_min]], xe[iv[~is_min]] = times[~is_min], x[~is_min]
-    open_rows = np.flatnonzero(n_ext % 2)
-    last = iv_start[open_rows] + n_iv[open_rows] - 1
-    ends[last], xe[last] = t_max[open_rows], tails[open_rows]
-    return (starts, ends, xs, xe, np.repeat(np.arange(len(dps)), n_iv)), errors
+    # a row left rising at the horizon ends at (t_max, |A(t_max)|); sorted
+    # stably by row, every row then holds (min, max) pairs
+    open_rows = np.flatnonzero(np.bincount(owner, minlength=len(dps)) % 2)
+    owner = np.concatenate([owner, open_rows])
+    order = np.argsort(owner, kind="stable")
+    times = np.concatenate([times, t_max[open_rows]])[order]
+    x = np.concatenate([x, tails[open_rows]])[order]
+    return (times[0::2], times[1::2], x[0::2], x[1::2], owner[order][0::2]), errors
 
 
 def _intervals(data, u: float, t_max: float) -> BackflowIntervals:

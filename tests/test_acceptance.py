@@ -47,7 +47,7 @@ def test_criterion_1_oracle_equivalence():
         for om in (0.0, 0.5, 2.0):
             for dq in (0.0, 1.0, 10.0):
                 params = SystemParams(lam=lam, omega_rabi=om, delta_qc=dq)
-                ode = amplitude_oracle_ode(params, 30.0, tol=1e-11)
+                ode = amplitude_oracle_ode(params, 30.0)
                 closed = amplitude_trajectory(derive(params), ode.times)
                 worst = max(worst, float(np.max(np.abs(closed.values - ode.values))))
     elapsed = time.perf_counter() - t0

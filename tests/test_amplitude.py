@@ -1,4 +1,5 @@
 import math
+import time
 import warnings
 
 import numpy as np
@@ -15,7 +16,10 @@ from drivenqubit import (AmplitudePole, SystemParams, ValidationError,
                          amplitude_grid, amplitude_oracle_ode,
                          amplitude_trajectory, decay_rate, decay_rate_grid,
                          derive)
+from drivenqubit.amplitude import ORACLE_POINTS
 from drivenqubit.params import DerivedParams
+from drivenqubit.selfcheck import (ORACLE_DELTAS, ORACLE_LAMBDAS, ORACLE_OMEGAS,
+                                   ORACLE_T_MAX)
 
 
 def _flip_branch(dp: DerivedParams) -> DerivedParams:
@@ -46,7 +50,7 @@ def test_decoupled_cavity_is_frozen():
 ])
 def test_closed_form_matches_ode_oracle(lam, om, dq):
     params = SystemParams(lam=lam, omega_rabi=om, delta_qc=dq)
-    ode = amplitude_oracle_ode(params, 30.0, tol=1e-11)
+    ode = amplitude_oracle_ode(params, 30.0)
     closed = amplitude_trajectory(derive(params), ode.times)
     assert np.max(np.abs(closed.values - ode.values)) <= 1e-8
 
@@ -54,6 +58,48 @@ def test_closed_form_matches_ode_oracle(lam, om, dq):
 def test_oracle_initial_conditions():
     traj = amplitude_oracle_ode(SystemParams(lam=0.5, omega_rabi=0.3), 1.0)
     assert traj.values[0] == pytest.approx(1.0 + 0j, abs=1e-14)
+
+
+def test_oracle_matches_mpmath_propagator():
+    # the oracle against its own recipe at 40 digits: G from the same eta and
+    # M, mpmath.expm(G dt) and 300 mat-vec steps; this pins how rounding
+    # grows in P^k, with no reference to the closed form
+    mpmath = pytest.importorskip("mpmath")
+    sets = [(lam, om, dq) for lam in ORACLE_LAMBDAS for om in ORACLE_OMEGAS
+            for dq in ORACLE_DELTAS] + [(2.0, 0.0, 0.0)]  # nearly defective G
+    worst = 0.0
+    for lam, om, dq in sets:
+        params = SystemParams(lam=lam, omega_rabi=om, delta_qc=dq)
+        dp = derive(params)
+        traj = amplitude_oracle_ode(params, ORACLE_T_MAX)
+        with mpmath.workdps(40):
+            G = mpmath.matrix([[0, -mpmath.cos(mpmath.mpf(dp.eta) / 2) ** 4],
+                               [mpmath.mpf(params.gamma) * params.lam / 2,
+                                -mpmath.mpc(dp.m_const)]])
+            P = mpmath.expm(G * (mpmath.mpf(ORACLE_T_MAX) / (ORACLE_POINTS - 1)))
+            y, ref = mpmath.matrix([1, 0]), [1]
+            for _ in range(ORACLE_POINTS - 1):
+                y = P * y
+                ref.append(y[0])
+        worst = max(worst, max(abs(complex(r) - v) for r, v in zip(ref, traj.values)))
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("t_max", [0.0, -1.0, math.inf, -math.inf, math.nan, 5e-324])
+def test_oracle_rejects_horizons_without_a_grid(t_max):
+    with pytest.raises(ValidationError):
+        amplitude_oracle_ode(SystemParams(lam=0.1), t_max)
+
+
+def test_oracle_at_extreme_horizons():
+    t0 = time.perf_counter()
+    traj = amplitude_oracle_ode(SystemParams(lam=0.1), 1e300)
+    assert time.perf_counter() - t0 < 2.0
+    assert traj.times[-1] == 1e300 and traj.values[0] == 1.0
+    assert np.all(np.abs(traj.values[1:]) == 0.0)  # decayed long before dt
+    # G dt overflows: a ValidationError, never an OverflowError or a warning
+    with pytest.raises(ValidationError):
+        amplitude_oracle_ode(SystemParams(lam=0.1, omega_rabi=1e3), 1.7e308)
 
 
 def test_overdamped_amplitude_is_monotone():
@@ -96,7 +142,7 @@ def test_critical_damping_series_limit():
     for t in (0.5, 1.0, 3.0):
         expected = math.exp(-t) * (1 + t)
         assert amplitude_closed_form(dp, t) == pytest.approx(expected + 0j, rel=1e-12)
-    ode = amplitude_oracle_ode(dp.params, 10.0, tol=1e-11)
+    ode = amplitude_oracle_ode(dp.params, 10.0)
     closed = amplitude_trajectory(dp, ode.times)
     assert np.max(np.abs(closed.values - ode.values)) <= 1e-8
 

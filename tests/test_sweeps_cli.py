@@ -735,11 +735,13 @@ def test_cli_imports_no_scipy(tmp_path):
         "assert main(['sweep', '--quantity', 'blp', '--axis', 'omega', '--axis-min', '0',",
         f"             '--axis-max', '1', '--points', '2', '--out', {str(out)!r}]) == 0",
         "print('loaded:', loaded())",
+        "assert main(['check', '--quick']) == 0",
+        "print('loaded:', loaded())",
     ])
     env = os.environ | {"PYTHONPATH": os.pathsep.join(sys.path)}
     res = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     loaded = [line for line in res.stdout.splitlines() if line.startswith("loaded:")]
-    assert loaded == ["loaded: []", "loaded: []"]
+    assert loaded == ["loaded: []"] * 3
     assert len(read_csv(out)) == 2
