@@ -21,7 +21,11 @@ spacing; each bracket is then refined to 1e-10 and confirmed on the
 amplitude kernel, in one kernel call that also gives |A| at the extrema.
 A bracket the kernel does not confirm, or extrema that do not alternate,
 fail the row with a ValidationError rather than pass a wrong interval list
-on.
+on.  Divided by e^{kt}, the slope's sign is G = a + b e^{-2kt} +
+Re(C e^{(iw-k)t}), and |G - a| <= (|b| + |C|) e^{-kt}: from t_h =
+ln(2 (|b| + |C|)/|a|)/k on (k > 0, a != 0), G keeps the sign of a with
+|G| >= |a|/2, a margin far above its rounding error.  So no extremum lies
+past t_h, and the search stops there.
 
 The rows of a sweep are evaluated together (``blp_measures``;
 ``blp_measure`` is its one-row view).  The initial gaps of all rows are
@@ -359,6 +363,15 @@ def _refine(flux: _Flux, modes, lo, hi, owner):
     return times, np.where(rising, 1, -1), amp, failures
 
 
+def _search_horizon(a: float, b: float, C: complex, k: float) -> float:
+    """Time t_h = ln(2 (|b| + |C|)/|a|)/k from which G keeps the sign of a,
+    with |G| >= |a|/2 (module docstring); 0 where that log is negative, and
+    inf where k = 0 or a = 0."""
+    if k > 0.0 and a != 0.0:
+        return math.log(max(2.0 * (abs(b) + abs(C)) / abs(a), 1.0)) / k
+    return math.inf
+
+
 def _amp_extrema(dps, t_max: np.ndarray, modes):
     """Refined times of the extrema of |A| on (0, t_max) of every row, their
     kinds and |A| there; ``modes`` holds the rows' ``mode_constants``.
@@ -367,17 +380,22 @@ def _amp_extrema(dps, t_max: np.ndarray, modes):
     two-mode form, starting from gaps of an eighth of the beat period
     pi/(4|w|), and refines each bracket on the amplitude kernel; kind +1
     marks a minimum of |A| and -1 a maximum.  A row that needs more than
-    ``_MAX_GAPS`` initial gaps fails before any of them is made.  The
-    initial gaps of all rows are taken in (row, time) order, ``_CHUNK`` at
-    a time.  |A| falls from t = 0, so the kinds of a row must alternate
-    starting with a minimum; any other sequence fails the row.  Returns
-    (times, kinds, amps, owner, errors): the extrema of the rows that did
-    not fail, in (row, time) order, the row of each, and per row its
-    ValidationError or None.
+    ``_MAX_GAPS`` initial gaps to t_max fails before any of them is made.
+    Only the gaps up to the horizon t_h of ``_search_horizon`` are searched
+    (plus one; all of them where t_h >= t_max): past t_h, G keeps the sign
+    of a with |G| >= |a|/2, so no extremum lies there.  The grid is still
+    the one to t_max, so every searched node and bracket is that of a
+    search to t_max.  The initial gaps of all rows are taken in (row, time)
+    order, ``_CHUNK`` at a time.  |A| falls from t = 0, so the kinds of a
+    row must alternate starting with a minimum; any other sequence fails
+    the row.  Returns (times, kinds, amps, owner, errors): the extrema of
+    the rows that did not fail, in (row, time) order, the row of each, and
+    per row its ValidationError or None.
     """
     n_rows = len(dps)
     failures: dict = {}
-    counts = np.zeros(n_rows, dtype=int)  # initial gaps per row
+    counts = np.zeros(n_rows, dtype=int)  # initial gaps per row to t_max
+    search = np.zeros(n_rows, dtype=int)  # the first of them, searched
     coefs = []
     for i, dp in enumerate(dps):
         coef = (0.0, 0.0, 0j, 0.0, 0.0)
@@ -385,7 +403,7 @@ def _amp_extrema(dps, t_max: np.ndarray, modes):
             # (else critical or overdamped: M is real, A real, positive and
             # decreasing)
             coef = _flux_coefficients(dp)
-            a, b, C, _, w = coef
+            a, b, C, k, w = coef
             if a != 0.0 or b != 0.0 or C != 0.0:  # else decoupled: |A| = 1
                 gaps = 4.0 * abs(w) * float(t_max[i]) / math.pi
                 if gaps > _MAX_GAPS:
@@ -394,17 +412,19 @@ def _amp_extrema(dps, t_max: np.ndarray, modes):
                         f"over the budget of {_MAX_GAPS} per row")
                 else:
                     counts[i] = max(1, math.ceil(gaps))
+                    reach = min(_search_horizon(a, b, C, k) / float(t_max[i]), 1.0)
+                    search[i] = min(counts[i], math.ceil(counts[i] * reach) + 1)
         coefs.append(coef)
     flux = _Flux.of(coefs)
-    stop = np.cumsum(counts)
-    start = stop - counts
+    stop = np.cumsum(search)
+    start = stop - search
     parts = [(np.empty(0), np.empty(0, dtype=int), np.empty(0), np.empty(0, dtype=int))]
     for g0 in range(0, int(stop[-1]) if n_rows else 0, _CHUNK):
         g1 = g0 + _CHUNK
-        rows = np.flatnonzero((start < g1) & (stop > g0) & (counts > 0))
+        rows = np.flatnonzero((start < g1) & (stop > g0) & (search > 0))
         # each row's first gap in the slice, and its nodes there: gaps + 1
         first = np.maximum(g0 - start[rows], 0)
-        size = np.minimum(g1 - start[rows], counts[rows]) - first + 1
+        size = np.minimum(g1 - start[rows], search[rows]) - first + 1
         owner = np.repeat(rows, size)
         index = (np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
                  + np.repeat(first, size))
@@ -414,7 +434,7 @@ def _amp_extrema(dps, t_max: np.ndarray, modes):
         parts.append((times, kinds, amps, owner))
         for r, exc in failed.items():
             failures.setdefault(r, exc)
-            counts[r] = 0  # a failed row's later gaps are not searched
+            search[r] = 0  # a failed row's later gaps are not searched
     times, kinds, amps, owner = (np.concatenate(col) for col in zip(*parts))
     first = np.ones(owner.size, dtype=bool)
     first[1:] = owner[1:] != owner[:-1]

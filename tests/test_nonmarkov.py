@@ -21,7 +21,7 @@ from drivenqubit.amplitude import (amplitude_closed_form, amplitude_derivative,
                                    amplitude_grid, mode_constants)
 from drivenqubit.nonmarkov import (_amp_extrema, _Flux, _flux_brackets,
                                    _flux_coefficients, _flux_form, _max_gain,
-                                   _refine, blp_measures)
+                                   _refine, _search_horizon, blp_measures)
 from drivenqubit.sweeps import (SweepAxis, SweepSpec, _params_at, _preset_table,
                                 run_sweep)
 
@@ -541,6 +541,73 @@ def test_blp_sweep_kernel_calls_follow_its_slices(monkeypatch):
     assert max(gaps) <= nonmarkov._CHUNK
     assert len(gaps) == math.ceil(sum(gaps) / nonmarkov._CHUNK) < 21
     assert len(calls) <= 2 * len(gaps)
+
+
+def _figure_rows():
+    """Parameter sets and horizons of the 584 rows of fig9 and fig10."""
+    table = _preset_table()
+    params, t_maxes = [], []
+    for _, _, specs in table["fig9"] + table["fig10"]:
+        for spec in specs:
+            p, t = _sweep_inputs(spec)
+            params += p
+            t_maxes += t
+    return params, t_maxes
+
+
+def test_flux_keeps_the_sign_of_a_past_the_search_horizon():
+    # the bound the search horizon rests on: from t_h on, G = a + b e^{-2kt}
+    # + Re(C e^{(iw-k)t}) stays within |a|/2 of a, on the figure rows and on
+    # strongly driven rows, at twice the density of the finder's initial grid
+    params, t_maxes = _figure_rows()
+    rng = np.random.default_rng(18)
+    for _ in range(16):
+        lam = 10.0 ** rng.uniform(-2.0, 0.0)
+        params.append(SystemParams(lam=lam, omega_rabi=rng.uniform(0.0, 1e3),
+                                   delta_qc=rng.uniform(0.0, 10.0)))
+        t_maxes.append(max(100.0, min(5000.0, 2.0 * math.log(1e4) / lam)))
+    cut = []
+    for p, t_max in zip(params, t_maxes):
+        coef = a, b, C, k, w = _flux_coefficients(derive(p))
+        t_h = _search_horizon(a, b, C, k)
+        cut.append(t_h < t_max)
+        if not cut[-1]:
+            continue
+        t = np.linspace(t_h, t_max, max(1000, math.ceil(8.0 * abs(w) * (t_max - t_h)
+                                                        / math.pi)))
+        g = _flux_form(_Flux.of([coef]), t)[0]
+        assert np.all(np.sign(g) == np.sign(a))
+        assert np.all(np.abs(g - a) <= 0.5 * abs(a))
+    assert sum(cut[:584]) == 371 and all(cut[584:])  # rows whose search is cut
+
+
+def test_figure_search_stops_at_the_closed_form_horizon(monkeypatch):
+    # one fig9 + fig10 pass sends 139,147 initial gaps to the finder, where a
+    # search of every row to its horizon sent 371,491
+    gaps = []
+    brackets = nonmarkov._flux_brackets
+
+    def counted(flux, t, owner):
+        gaps.append(np.count_nonzero(owner[1:] == owner[:-1]))
+        return brackets(flux, t, owner)
+
+    monkeypatch.setattr(nonmarkov, "_flux_brackets", counted)
+    params, t_maxes = _figure_rows()
+    errors = blp_measures(params, t_maxes)[4]
+    assert len(errors) == errors.count(None) == 584
+    assert sum(gaps) == 139_147 <= 0.4 * 371_491
+
+
+def test_strong_drive_backflow_falls_as_one_over_omega():
+    # at lam 0.1 and the horizon of a sweep row, N omega rises toward ~0.0398
+    # as the drive grows; |A| stays near 1, so both rows read truncated
+    omegas = np.array([1e2, 3e2])
+    n, _, _, truncated, errors = blp_measures(
+        [SystemParams(lam=0.1, omega_rabi=om) for om in omegas],
+        [2.0 * math.log(1e4) / 0.1] * 2)
+    assert errors == [None, None] and truncated.all()
+    scaled = n * omegas
+    assert 0.0395 <= scaled[0] < scaled[1] <= 0.0400
 
 
 def test_row_over_the_work_budget_fails_fast():
