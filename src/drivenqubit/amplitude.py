@@ -171,13 +171,21 @@ def amplitude_grid(dp: DerivedParams, times) -> tuple[np.ndarray, np.ndarray]:
     return A.reshape(times.shape), dA.reshape(times.shape)
 
 
+def _check_time(t: float) -> None:
+    """Raise ValidationError unless the single time t is finite and >= 0."""
+    if not 0.0 <= t < math.inf:
+        raise ValidationError(f"time must be finite and >= 0, got {t}")
+
+
 def amplitude_closed_form(dp: DerivedParams, t: float) -> complex:
-    """A(t) at one time t >= 0: the one-point view of ``amplitude_grid``."""
+    """A(t) at one finite time t >= 0: the one-point view of ``amplitude_grid``."""
+    _check_time(t)
     return complex(amplitude_grid(dp, t)[0])
 
 
 def amplitude_derivative(dp: DerivedParams, t: float) -> complex:
-    """dA/dt at one time t >= 0: the one-point view of ``amplitude_grid``."""
+    """dA/dt at one finite time t >= 0: the one-point view of ``amplitude_grid``."""
+    _check_time(t)
     return complex(amplitude_grid(dp, t)[1])
 
 
@@ -242,6 +250,7 @@ def decay_rate(dp: DerivedParams, t: float) -> float:
     """Effective instantaneous decay rate -2 Re(dA/dt / A) at one time t: the
     one-point view of ``decay_rate_grid``, raising AmplitudePole at a zero
     of A (``_is_pole``), where the rate diverges."""
+    _check_time(t)
     rate = float(decay_rate_grid(dp, t))
     if math.isnan(rate):
         raise AmplitudePole(f"A(t) vanishes at t={t}; decay rate diverges")

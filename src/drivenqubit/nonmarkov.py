@@ -34,10 +34,12 @@ array carries the constants of its own rows: the finder, the Newton steps,
 the kernel confirmation and the bisection fallback run on slices of at
 most ``_CHUNK`` initial gaps, a cap across rows that bounds the peak
 memory, and one branch and bound searches the pairs of all rows.  A row's
-result depends on its own data alone, and a row that fails records its
-error while the others go on: so does a row whose search would need more
-than ``_MAX_GAPS`` initial gaps, before any is made, and a row whose model
-constants overflow, before any kernel call.
+result depends on its own data alone.  One list, made by ``_row_setup``,
+holds each row's first error: every stage records a failure there and
+skips the rows that have one, so a failed row stops while the others go
+on.  A row whose model constants overflow, or whose horizon is not finite
+and > 0, fails before any kernel call, and one whose search would need
+more than ``_MAX_GAPS`` initial gaps before any gap is made.
 """
 
 from __future__ import annotations
@@ -48,7 +50,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .amplitude import _mode_form, amplitude_grid, mode_constants, mode_rates
+from .amplitude import (_check_time, _mode_form, amplitude_grid, mode_constants,
+                        mode_rates)
 from .params import DerivedParams, SystemParams, ValidationError, derive
 from .states import BlochVector
 
@@ -123,8 +126,7 @@ def info_flux(dp: DerivedParams, pair, t: float) -> float:
     Positive values mark information flowing back from the cavity.  At
     isolated zeros of A the distance has a kink; NaN is returned there.
     """
-    if t < 0:
-        raise ValidationError(f"t must be >= 0, got {t}")
+    _check_time(t)
     u = _pair_u(pair)
     A, dA = amplitude_grid(dp, t)
     amp = complex(A)
@@ -315,13 +317,19 @@ def _confirm(modes, lo, hi, x, rising, owner):
     return pos[:2], times, np.abs(A[4 * n:]), (pos[2] == rising) | (pos[3] != rising)
 
 
-def _fail(failures: dict, rows, message: str) -> None:
-    """Record the error of each row in ``rows`` that has none yet."""
+def _failed(errors: list) -> np.ndarray:
+    """Where the per-row ``errors`` list holds an error."""
+    return np.array([e is not None for e in errors], dtype=bool)
+
+
+def _fail(errors: list, rows, message: str) -> None:
+    """Record a ValidationError for each row in ``rows`` that has no error yet."""
     for r in set(rows.tolist()):
-        failures.setdefault(r, ValidationError(message))
+        if errors[r] is None:
+            errors[r] = ValidationError(message)
 
 
-def _refine(flux: _Flux, modes, lo, hi, owner):
+def _refine(flux: _Flux, modes, lo, hi, owner, errors: list):
     """Times of the sign changes of h in the brackets, their kinds and |A| there.
 
     G at each bracket's right end gives the direction of its sign change.
@@ -333,22 +341,19 @@ def _refine(flux: _Flux, modes, lo, hi, owner):
     estimate, that narrow bracket is the result.  The other brackets, whose
     Newton steps had not yet converged, go on with up to _NEWTON_MORE steps
     on G and are confirmed again in one kernel call; only a bracket that
-    still fails is bisected on h.  Returns (times, kinds, |A|, failures),
-    failures mapping a row to its ValidationError.
+    still fails is bisected on h.  A failed bracket records its row's error
+    in ``errors``.  Returns (times, kinds, |A|).
     """
-    failures: dict = {}
-    if lo.size == 0:
-        return lo, np.empty(0, dtype=int), lo, failures
     c = flux.at(owner)
     rising = _flux_form(c, hi)[0] > 0  # h rising through 0: minimum of |A|
     left, right, x = _newton(c, lo, hi, 0.5 * (lo + hi), rising, _NEWTON_STEPS)
     ends, times, amp, bad = _confirm(modes, lo, hi, x, rising, owner)
-    _fail(failures, owner[ends[0] == ends[1]],
+    _fail(errors, owner[ends[0] == ends[1]],
           "extremum bracket shows no sign change of d|A|/dt")
-    _fail(failures, owner[ends[1] != rising],
+    _fail(errors, owner[ends[1] != rising],
           "extremum bracket: the kernel and the two-mode form disagree on the "
           "direction of d|A|/dt")
-    bad &= ~np.isin(owner, list(failures))
+    bad &= ~_failed(errors)[owner]
     if bad.any():
         b_own, b_lo, b_hi, b_rising = owner[bad], lo[bad], hi[bad], rising[bad]
         x = _newton(c.at(bad), left[bad], right[bad], x[bad], b_rising, _NEWTON_MORE)[2]
@@ -357,10 +362,10 @@ def _refine(flux: _Flux, modes, lo, hi, owner):
             s_own = b_own[still]
             b_times[still], stuck = _bisect(modes, b_lo[still], b_hi[still],
                                             b_rising[still], s_own)
-            _fail(failures, s_own[stuck], "bracket refinement failed to converge")
+            _fail(errors, s_own[stuck], "bracket refinement failed to converge")
             b_amp[still] = np.abs(_amplitude(modes, b_times[still], s_own)[0])
         times[bad], amp[bad] = b_times, b_amp
-    return times, np.where(rising, 1, -1), amp, failures
+    return times, np.where(rising, 1, -1), amp
 
 
 def _search_horizon(a: float, b: float, C: complex, k: float) -> float:
@@ -372,9 +377,9 @@ def _search_horizon(a: float, b: float, C: complex, k: float) -> float:
     return math.inf
 
 
-def _amp_extrema(dps, t_max: np.ndarray, modes):
+def _amp_extrema(dps, t_max: np.ndarray, modes, errors: list):
     """Refined times of the extrema of |A| on (0, t_max) of every row, their
-    kinds and |A| there; ``modes`` holds the rows' ``mode_constants``.
+    kinds and |A| there, from the rows' ``mode_constants`` and ``errors``.
 
     Brackets the sign changes of d|A|^2/dt with the certified finder on its
     two-mode form, starting from gaps of an eighth of the beat period
@@ -388,26 +393,25 @@ def _amp_extrema(dps, t_max: np.ndarray, modes):
     search to t_max.  The initial gaps of all rows are taken in (row, time)
     order, ``_CHUNK`` at a time.  |A| falls from t = 0, so the kinds of a
     row must alternate starting with a minimum; any other sequence fails
-    the row.  Returns (times, kinds, amps, owner, errors): the extrema of
-    the rows that did not fail, in (row, time) order, the row of each, and
-    per row its ValidationError or None.
+    the row.  Rows with an error are not searched.  Returns (times, kinds,
+    amps, owner): the extrema of the other rows in (row, time) order, and
+    the row of each.
     """
     n_rows = len(dps)
-    failures: dict = {}
     counts = np.zeros(n_rows, dtype=int)  # initial gaps per row to t_max
     search = np.zeros(n_rows, dtype=int)  # the first of them, searched
     coefs = []
     for i, dp in enumerate(dps):
         coef = (0.0, 0.0, 0j, 0.0, 0.0)
-        if dp.f_const.imag != 0.0:
-            # (else critical or overdamped: M is real, A real, positive and
-            # decreasing)
+        if errors[i] is None and dp.f_const.imag != 0.0:
+            # (else failed, or critical or overdamped: M is real, A real,
+            # positive and decreasing)
             coef = _flux_coefficients(dp)
             a, b, C, k, w = coef
             if a != 0.0 or b != 0.0 or C != 0.0:  # else decoupled: |A| = 1
                 gaps = 4.0 * abs(w) * float(t_max[i]) / math.pi
                 if gaps > _MAX_GAPS:
-                    failures[i] = ValidationError(
+                    errors[i] = ValidationError(
                         f"the extrema search needs {math.ceil(gaps)} initial gaps, "
                         f"over the budget of {_MAX_GAPS} per row")
                 else:
@@ -430,32 +434,27 @@ def _amp_extrema(dps, t_max: np.ndarray, modes):
                  + np.repeat(first, size))
         lo, hi, owner = _flux_brackets(flux, t_max[owner] * (index / counts[owner]),
                                        owner)
-        times, kinds, amps, failed = _refine(flux, modes, lo, hi, owner)
-        parts.append((times, kinds, amps, owner))
-        for r, exc in failed.items():
-            failures.setdefault(r, exc)
-            search[r] = 0  # a failed row's later gaps are not searched
+        parts.append((*_refine(flux, modes, lo, hi, owner, errors), owner))
+        search[_failed(errors)] = 0  # a failed row's later gaps are not searched
     times, kinds, amps, owner = (np.concatenate(col) for col in zip(*parts))
     first = np.ones(owner.size, dtype=bool)
     first[1:] = owner[1:] != owner[:-1]
-    _fail(failures, owner[np.where(first, kinds != 1, kinds == np.roll(kinds, 1))],
+    _fail(errors, owner[np.where(first, kinds != 1, kinds == np.roll(kinds, 1))],
           "extrema of |A| do not alternate")
-    keep = ~np.isin(owner, list(failures))
-    errors = [failures.get(i) for i in range(n_rows)]
-    return times[keep], kinds[keep], amps[keep], owner[keep], errors
+    keep = ~_failed(errors)[owner]
+    return times[keep], kinds[keep], amps[keep], owner[keep]
 
 
-def _interval_data(dps, t_max: np.ndarray, modes, tails: np.ndarray):
+def _interval_data(dps, t_max: np.ndarray, modes, tails: np.ndarray, errors: list):
     """Pair-independent interval skeleton of every row, from the rows'
-    ``mode_constants`` and tails |A(t_max)| (``_row_setup``).
+    ``mode_constants``, tails |A(t_max)| and errors (``_row_setup``).
 
-    Returns ((starts, ends, xs, xe, owner), errors): the intervals of all
-    rows in (row, time) order with |A| at both ends and the row of each,
-    and per row its ValidationError or None.  An interval still open at the
-    horizon is truncated at t_max; the missed tail is covered by the
-    truncation bound of the measure.
+    Returns (starts, ends, xs, xe, owner): the intervals of the rows
+    without an error in (row, time) order, with |A| at both ends and the
+    row of each.  An interval still open at the horizon is truncated at
+    t_max; the missed tail is covered by the truncation bound of the measure.
     """
-    times, _, x, owner, errors = _amp_extrema(dps, t_max, modes)  # min, max, min, ...
+    times, _, x, owner = _amp_extrema(dps, t_max, modes, errors)  # min, max, min, ...
     # a row left rising at the horizon ends at (t_max, |A(t_max)|); sorted
     # stably by row, every row then holds (min, max) pairs
     open_rows = np.flatnonzero(np.bincount(owner, minlength=len(dps)) % 2)
@@ -463,7 +462,7 @@ def _interval_data(dps, t_max: np.ndarray, modes, tails: np.ndarray):
     order = np.argsort(owner, kind="stable")
     times = np.concatenate([times, t_max[open_rows]])[order]
     x = np.concatenate([x, tails[open_rows]])[order]
-    return (times[0::2], times[1::2], x[0::2], x[1::2], owner[order][0::2]), errors
+    return times[0::2], times[1::2], x[0::2], x[1::2], owner[order][0::2]
 
 
 def _intervals(data, u: float, t_max: float) -> BackflowIntervals:
@@ -481,8 +480,7 @@ def backflow_intervals(dp: DerivedParams, pair, t_max: float) -> BackflowInterva
     """Intervals of growing trace distance for the given antipodal pair."""
     t = np.array([t_max], dtype=float)
     modes, tails, errors = _row_setup([dp], t)
-    if errors[0] is None:
-        data, errors = _interval_data([dp], t, modes, tails)
+    data = _interval_data([dp], t, modes, tails, errors)
     if errors[0] is not None:
         raise errors[0]
     return _intervals(data[:4], _pair_u(pair), t_max)
@@ -598,20 +596,21 @@ def _alpha(u: float) -> float:
 
 def _row_setup(dps, t_max: np.ndarray):
     """(modes, tails, errors): the rows' ``mode_constants``, their tails
-    |A(t_max)| and per row a first error or None, computed once per pass.
+    |A(t_max)| and the pass's one list of row errors (None where a row has
+    none yet), computed once per pass.
 
     A row whose model constants overflow (``DerivedParams.overflow``) gets
-    an ``OverflowError``, and one whose t_max is not > 0 a
+    an ``OverflowError``, and one whose t_max is not finite and > 0 a
     ``ValidationError``; neither goes to the kernel, and its tail is NaN.
     """
     errors: list = [None] * len(dps)
     for i, dp in enumerate(dps):
         if (reason := dp.overflow()) is not None:
             errors[i] = OverflowError(reason)
-        elif not t_max[i] > 0:
-            errors[i] = ValidationError(f"t_max must be > 0, got {t_max[i]}")
+        elif not 0.0 < t_max[i] < math.inf:
+            errors[i] = ValidationError(f"t_max must be finite and > 0, got {t_max[i]}")
     modes = mode_constants(dps)
-    live = np.flatnonzero([e is None for e in errors])
+    live = np.flatnonzero(~_failed(errors))
     tails = np.full(len(dps), np.nan)
     tails[live] = np.abs(_amplitude(modes, t_max[live], live)[0])
     return modes, tails, errors
@@ -620,27 +619,17 @@ def _row_setup(dps, t_max: np.ndarray):
 def _measures(params_seq, t_maxes):
     """(gain, u, |A(t_max)|, interval skeleton, errors) of every row; see
     ``blp_measures``."""
-    n = len(params_seq)
     dps = [derive(params) for params in params_seq]
     t = np.array(t_maxes, dtype=float)
     modes, tails, errors = _row_setup(dps, t)
     short = (tails >= TRUNCATION_EPS) & (t < [100.0 / dp.params.gamma for dp in dps])
-    for i in np.flatnonzero(short).tolist():
-        errors[i] = ValidationError(
-            "t_max too small: require |A(t_max)| < 1e-4 or t_max >= 100/gamma")
-    bad = np.array([e is not None for e in errors], dtype=bool)
-    tails[bad] = np.nan
-    live = np.flatnonzero(~bad)
-    (starts, ends, xs, xe, owner), live_errors = _interval_data(
-        [dps[i] for i in live.tolist()], t[live], tuple(col[live] for col in modes),
-        tails[live])
-    gain, u = np.full(n, np.nan), np.full(n, np.nan)
-    gain[live], u[live] = _max_gain(xs, xe, owner, live.size)
-    for i, exc in zip(live.tolist(), live_errors):
-        if exc is not None:
-            errors[i] = exc
-            gain[i] = u[i] = tails[i] = np.nan
-    return gain, u, tails, (starts, ends, xs, xe, live[owner]), errors
+    _fail(errors, np.flatnonzero(short),
+          "t_max too small: require |A(t_max)| < 1e-4 or t_max >= 100/gamma")
+    starts, ends, xs, xe, owner = _interval_data(dps, t, modes, tails, errors)
+    gain, u = _max_gain(xs, xe, owner, len(dps))
+    failed = _failed(errors)
+    gain[failed] = u[failed] = tails[failed] = np.nan
+    return gain, u, tails, (starts, ends, xs, xe, owner), errors
 
 
 def blp_measures(params_seq, t_maxes):
@@ -652,10 +641,10 @@ def blp_measures(params_seq, t_maxes):
     |A(t_max)| >= 1e-4 (see ``blp_measure``), and the error that stopped
     the row or None; a failed row reads NaN and not truncated.  The error
     is an ``OverflowError`` for a row whose model constants overflow
-    (``DerivedParams.overflow``), else a ValidationError: a bad horizon, a
-    search over its work budget of ``_MAX_GAPS`` initial gaps, or extrema
-    that fail their checks.  Each row's result depends on its own data
-    alone.
+    (``DerivedParams.overflow``), else a ValidationError: a horizon that is
+    not finite and > 0 or too short, a search over its work budget of
+    ``_MAX_GAPS`` initial gaps, or extrema that fail their checks; a row
+    keeps its first error.  Each row's result depends on its own data alone.
     """
     gain, u, tails, _, errors = _measures(params_seq, t_maxes)
     alpha = np.array([_alpha(v) for v in u.tolist()])

@@ -77,8 +77,8 @@ class BlochVector:
     z: float
 
     def __post_init__(self):
-        if self.norm() > 1.0 + _ATOL:
-            raise ValidationError(f"Bloch vector norm {self.norm()} exceeds 1")
+        if not self.norm() <= 1.0 + _ATOL:
+            raise ValidationError(f"Bloch vector norm must be <= 1, got {self.norm()}")
 
     def norm(self) -> float:
         return math.sqrt(self.x**2 + self.y**2 + self.z**2)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitude import amplitude_closed_form, amplitude_grid
+from .amplitude import _check_time, amplitude_closed_form, amplitude_grid
 from .params import DerivedParams, ValidationError
 
 __all__ = [
@@ -57,8 +57,8 @@ def two_time_correlation(dp: DerivedParams, theta: float, t_i: float,
 
     Re[(cos^2(theta) A(t_j)A*(t_i) + sin^2(theta) A(t_j - t_i)) e^{-i w_D (t_j - t_i)}].
     """
-    if t_i < 0 or t_j < 0:
-        raise ValidationError("measurement times must be >= 0")
+    _check_time(t_i)
+    _check_time(t_j)
     if t_j < t_i:
         raise ValidationError("require t_i <= t_j (earlier measurement first)")
     s = t_j - t_i
@@ -104,6 +104,7 @@ def lgi_series(dp: DerivedParams, theta: float, taus) -> tuple[np.ndarray, np.nd
 
 def lgi_c3(dp: DerivedParams, theta: float, tau: float) -> LgiResult:
     """Both Leggett-Garg combinations at one step tau (see ``lgi_series``)."""
+    _check_time(tau)
     c3, c4 = (float(c[0]) for c in lgi_series(dp, theta, [tau]))
     return LgiResult(tau=tau, c3=c3, c4=c4, violated3=c3 > 1.0, violated4=c4 > 2.0)
 
@@ -114,8 +115,6 @@ def propagator(dp: DerivedParams, t: float) -> np.ndarray:
     Columns are stochastic: entries in [0, 1], each column summing to 1;
     mixing is controlled by Re A(t).
     """
-    if t < 0:
-        raise ValidationError(f"t must be >= 0, got {t}")
     re_a = amplitude_closed_form(dp, t).real
     return 0.5 * np.array([[1.0 + re_a, 1.0 - re_a], [1.0 - re_a, 1.0 + re_a]])
 
@@ -128,8 +127,6 @@ def witness_probabilities(dp: DerivedParams, theta: float,
     inserts a nonselective +/- measurement at tau/2, composing the two
     half-interval propagators.
     """
-    if tau < 0:
-        raise ValidationError(f"tau must be >= 0, got {tau}")
     p0 = 0.5 * np.array([1.0 + math.sin(2 * theta), 1.0 - math.sin(2 * theta)])
     p_free = propagator(dp, tau) @ p0
     half = propagator(dp, tau / 2.0)
@@ -151,8 +148,7 @@ def quantum_witness(dp: DerivedParams, theta: float, tau: float) -> WitnessResul
     positive values certify coherence at the intermediate time.  The
     one-point view of ``witness_series``.
     """
-    if tau < 0:
-        raise ValidationError(f"tau must be >= 0, got {tau}")
+    _check_time(tau)
     w, _ = _witness(dp, theta, np.array([tau], dtype=float))
     return WitnessResult(tau=tau, w_q=float(w[0]))
 

@@ -291,6 +291,11 @@ def test_negative_time_rejected():
         amplitude_closed_form(dp, -1.0)
     with pytest.raises(ValidationError):
         amplitude_grid(dp, np.array([0.0, -0.5]))
+    # a single time must also be finite: no NaN value, pole or warning
+    for t in (math.nan, math.inf, -math.inf):
+        for one_point in (amplitude_closed_form, amplitude_derivative, decay_rate):
+            with pytest.raises(ValidationError, match="finite and >= 0"):
+                one_point(dp, t)
 
 
 if given is None:

@@ -29,8 +29,9 @@ from drivenqubit.sweeps import (SweepAxis, SweepSpec, _params_at, _preset_table,
 def _extrema(dp, t_max):
     """(times, kinds, |A|) of one row from the batched finder; raises the
     row's error."""
-    times, kinds, amps, _, errors = _amp_extrema([dp], np.array([t_max]),
-                                                 mode_constants([dp]))
+    errors = [None]
+    times, kinds, amps, _ = _amp_extrema([dp], np.array([t_max]),
+                                         mode_constants([dp]), errors)
     if errors[0] is not None:
         raise errors[0]
     return times, kinds, amps
@@ -38,10 +39,11 @@ def _extrema(dp, t_max):
 
 def _refine_row(dp, coef, lo, hi):
     """The batched refinement of brackets of one row; raises the row's error."""
-    times, kinds, amps, failures = _refine(_Flux.of([coef]), mode_constants([dp]),
-                                           lo, hi, np.zeros(lo.size, dtype=int))
-    if failures:
-        raise failures[0]
+    errors = [None]
+    times, kinds, amps = _refine(_Flux.of([coef]), mode_constants([dp]),
+                                 lo, hi, np.zeros(lo.size, dtype=int), errors)
+    if errors[0] is not None:
+        raise errors[0]
     return times, kinds, amps
 
 
@@ -488,33 +490,47 @@ def test_batched_rows_match_the_one_row_view():
 
 
 def test_failed_row_leaves_its_neighbours_untouched(monkeypatch):
+    # one batch with a row failing at every stage: model constants that
+    # overflow, a horizon that is not finite, a horizon too short for the
+    # envelope, a search over the work budget and a refinement failure
     spec = _preset_table()["fig9"][1][2][2]  # omega 0.5, delta 0.1
-    params, t_maxes = _sweep_inputs(spec)
-    params, t_maxes = params[:5], t_maxes[:5]
-    # a horizon too short for the envelope of row 1
-    short = [*t_maxes[:1], 50.0, *t_maxes[2:]]
-    result = blp_measures(params, short)
-    assert "t_max too small" in str(result[4][1])
-    assert all(math.isnan(v[1]) for v in result[:3]) and not result[3][1]
-    _assert_rows_match_one_row_view(params, short, result, skip={1})
-    # a bracket of row 2 that straddles no sign change of h, from one
-    # bracket's right end to the next one's left end
+    sweep, sweep_t = _sweep_inputs(spec)
+    rows = [(sweep[0], sweep_t[0]), (SystemParams(lam=0.1, omega_rabi=1e160), 184.2),
+            (sweep[1], sweep_t[1]), (sweep[2], math.inf), (sweep[2], math.nan),
+            (sweep[1], 50.0), (SystemParams(lam=0.1, omega_rabi=1e6), 184.2),
+            (sweep[3], sweep_t[3]), (sweep[4], sweep_t[4])]
+    params, t_maxes = [p for p, _ in rows], [t for _, t in rows]
+    expected = {1: (OverflowError, "model constants overflow"),
+                3: (ValidationError, "t_max must be finite and > 0, got inf"),
+                4: (ValidationError, "t_max must be finite and > 0, got nan"),
+                5: (ValidationError, "t_max too small"),
+                6: (ValidationError, "initial gaps, over the budget"),
+                7: (ValidationError, "no sign change")}
+    # a bracket of row 7 that straddles no sign change of h, from one
+    # bracket's right end to the next one's left end; the row is found by
+    # its constants, so its one-row view fails the same way
     real = nonmarkov._flux_brackets
+    target = _flux_coefficients(derive(sweep[3]))[0]
 
     def injected(flux, t, owner):
         lo, hi, own = real(flux, t, owner)
-        k = np.flatnonzero(own == 2)[:2]
+        k = np.flatnonzero(flux.a[own] == target)[:2]
         if k.size == 2:
             lo, hi, own = (np.append(lo, hi[k[0]]), np.append(hi, lo[k[1]]),
-                           np.append(own, 2))
+                           np.append(own, own[k[0]]))
         return lo, hi, own
 
     monkeypatch.setattr(nonmarkov, "_flux_brackets", injected)
     result = blp_measures(params, t_maxes)
-    assert "no sign change" in str(result[4][2])
-    assert all(math.isnan(v[2]) for v in result[:3]) and not result[3][2]
-    monkeypatch.undo()
-    _assert_rows_match_one_row_view(params, t_maxes, result, skip={2})
+    for i, (kind, message) in expected.items():
+        assert type(result[4][i]) is kind and message in str(result[4][i])
+        assert all(math.isnan(v[i]) for v in result[:3]) and not result[3][i]
+        with pytest.raises(kind, match=message):
+            blp_measure(params[i], t_max=t_maxes[i])
+        if i != 5:  # the short-horizon rule is the measure's, not the intervals'
+            with pytest.raises(kind, match=message):
+                backflow_intervals(derive(params[i]), antipodal_pair(0.5), t_maxes[i])
+    _assert_rows_match_one_row_view(params, t_maxes, result, skip=set(expected))
 
 
 def test_blp_sweep_kernel_calls_follow_its_slices(monkeypatch):

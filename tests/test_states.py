@@ -10,7 +10,7 @@ except ImportError:  # only the property tests need hypothesis (the `test` extra
     given = None
 
 from drivenqubit import (BlochVector, QubitState, SystemParams,
-                         ValidationError, apply_channel, coherence_l1,
+                         ValidationError, antipodal_pair, apply_channel, coherence_l1,
                          derive, evolve_superposition, trace_distance,
                          amplitude_closed_form)
 
@@ -159,6 +159,14 @@ def test_bloch_round_trip():
         assert (back.x, back.y, back.z) == pytest.approx((bv.x, bv.y, bv.z), abs=1e-14)
     with pytest.raises(ValidationError):
         BlochVector(1.0, 1.0, 1.0)
+    for bad in ((math.nan, 0.0, 0.0), (0.0, math.inf, 0.0)):
+        with pytest.raises(ValidationError):
+            BlochVector(*bad)
+    with pytest.raises(ValidationError):
+        antipodal_pair(math.nan)
+    dp = derive(SystemParams(lam=0.1))
+    with pytest.raises(ValidationError, match="finite and >= 0"):
+        evolve_superposition(dp, 0.3, math.nan)
 
 
 if given is None:

@@ -47,6 +47,14 @@ def test_correlation_rejects_bad_times():
         two_time_correlation(dp, 0.0, -1.0, 2.0)
     with pytest.raises(ValidationError):
         two_time_correlation(dp, 0.0, 3.0, 2.0)
+    for t in (math.nan, math.inf):
+        for t_i, t_j in ((t, 2.0), (0.0, t)):
+            with pytest.raises(ValidationError, match="finite and >= 0"):
+                two_time_correlation(dp, 0.0, t_i, t_j)
+        for one_point in (propagator, lambda dp, t: quantum_witness(dp, 0.3, t),
+                          lambda dp, t: witness_probabilities(dp, 0.3, t)):
+            with pytest.raises(ValidationError, match="finite and >= 0"):
+                one_point(dp, t)
 
 
 def test_lgi_classical_boundary_at_zero_step():
@@ -145,6 +153,9 @@ def test_lgi_rejects_negative_step():
         lgi_series(dp, 0.0, [0.0, -1e-3])
     with pytest.raises(ValidationError):
         lgi_c3(dp, 0.0, -1.0)
+    for tau in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match="finite and >= 0"):
+            lgi_c3(dp, 0.0, tau)
 
 
 def test_propagator_properties():
