@@ -79,8 +79,7 @@ class AmplitudeTrajectory:
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
-        if t.ndim != 1 or t[0] != 0.0 or np.any(np.diff(t) <= 0):
-            raise ValidationError("times must be strictly increasing from 0")
+        _check_grid(t, "times")
         v = np.asarray(self.values)
         if v.shape != t.shape:
             raise ValidationError("values must match the time grid")
@@ -88,6 +87,14 @@ class AmplitudeTrajectory:
             raise ValidationError(f"trajectory must start at 1, got {v[0]}")
         if not np.max(np.abs(v)) <= 1.0 + 1e-9:
             raise ValidationError("trajectory escapes the unit disc or is not finite")
+
+
+def _check_grid(t: np.ndarray, name: str) -> None:
+    """Raise ValidationError unless t is a 1-D grid, finite and strictly
+    increasing from 0; a NaN anywhere fails."""
+    if not (t.ndim == 1 and t.size > 0 and t[0] == 0.0 and np.all(np.diff(t) > 0)
+            and t[-1] < math.inf):
+        raise ValidationError(f"{name} must be finite and strictly increasing from 0")
 
 
 def _mode_form(M, F, t, s_plus, pref=None):
@@ -125,26 +132,24 @@ def _mode_form(M, F, t, s_plus, pref=None):
     return A if pref is None else (A, 0.25 * pref * (t_phi * e))
 
 
-def mode_rates(dp: DerivedParams) -> tuple[complex, complex, complex]:
-    """Rates (s+, s-) of the modes of A = c+ exp(s+ t) + c- exp(s- t), and
-    the root F they are taken with.
+def mode_rates(dp: DerivedParams) -> tuple[complex, complex]:
+    """Rate s+ of the slow mode of A = c+ exp(s+ t) + c- exp(s- t), and the
+    root F it is taken with.
 
     A is even in F; F is the root with Re F >= 0, so s+- = -M/2 +- F/4 has
     Re s+ >= Re s-: s+ is the slow mode.  With q = gamma*lam*(1+cos eta)^2
     and D = F + 2M (Re D >= 2 lam, so D never cancels), s+ = -q/(2D) is the
     cancellation-free form of -M/2 + F/4, which loses every digit when the
-    coupling q is tiny.  The weights follow as c+ = -2 s-/F and
-    c- = 2 s+/F.
+    coupling q is tiny; s- = -D/4.
     """
     F = dp.f_const if dp.f_const.real >= 0.0 else -dp.f_const
     q = -2.0 * dp.coupling_prefactor
-    D = F + 2.0 * dp.m_const
-    return -q / (2.0 * D), -0.25 * D, F
+    return -q / (2.0 * (F + 2.0 * dp.m_const)), F
 
 
 def _row_constants(dp: DerivedParams):
     """(M, F, pref, s+) of one parameter set, as ``_mode_form`` takes them."""
-    s_plus, _, F = mode_rates(dp)
+    s_plus, F = mode_rates(dp)
     return dp.m_const, F, dp.coupling_prefactor, s_plus
 
 

@@ -8,7 +8,7 @@ All rate flags are in units of gamma and times in units of 1/gamma.  A
 ``--config`` file of ``key = value`` lines means the flags ``--key=value``,
 placed before the command line: argparse checks both alike, a later value
 wins, so command-line flags beat the file.
-Exit codes: 0 success, 1 usage error, 2 numerical failure.
+Exit codes: 0 success, 1 usage error, 2 numerical failure or out of memory.
 """
 
 from __future__ import annotations
@@ -232,8 +232,9 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"drivenqubit: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except (ArithmeticError, RuntimeError) as exc:
-        print(f"drivenqubit: numerical failure: {exc}", file=sys.stderr)
+    except (ArithmeticError, RuntimeError, MemoryError) as exc:
+        kind = "out of memory" if isinstance(exc, MemoryError) else "numerical failure"
+        print(f"drivenqubit: {kind}: {exc}", file=sys.stderr)
         return NUMERIC_EXIT
 
 

@@ -28,18 +28,20 @@ ln(2 (|b| + |C|)/|a|)/k on (k > 0, a != 0), G keeps the sign of a with
 past t_h, and the search stops there.
 
 The rows of a sweep are evaluated together (``blp_measures``;
-``blp_measure`` is its one-row view).  The initial gaps of all rows are
-taken in (row, time) order, each with the index of its row, and every
-array carries the constants of its own rows: the finder, the Newton steps,
-the kernel confirmation and the bisection fallback run on slices of at
-most ``_CHUNK`` initial gaps, a cap across rows that bounds the peak
-memory, and one branch and bound searches the pairs of all rows.  A row's
-result depends on its own data alone.  One list, made by ``_row_setup``,
-holds each row's first error: every stage records a failure there and
-skips the rows that have one, so a failed row stops while the others go
-on.  A row whose model constants overflow, or whose horizon is not finite
-and > 0, fails before any kernel call, and one whose search would need
-more than ``_MAX_GAPS`` initial gaps before any gap is made.
+``blp_measure`` is its one-row view).  Every array carries the constants of
+its own rows: the kernel's ``mode_constants``, and the finder's two-mode
+table, work budgets and search horizons, derived from them elementwise.
+The initial gaps of all rows are taken in (row, time) order, each with the
+index of its row: the finder, the Newton steps, the kernel confirmation and
+the bisection fallback run on slices of at most ``_CHUNK`` initial gaps, a
+cap across rows that bounds the peak memory, and one branch and bound
+searches the pairs of all rows.  A row's result depends on its own data
+alone.  One list, made by ``_row_setup``, holds each row's first error:
+every stage records a failure there and skips the rows that have one, so a
+failed row stops while the others go on.  A row whose model constants
+overflow, or whose horizon is not finite and > 0, fails before any kernel
+call, and one whose search would need more than ``_MAX_GAPS`` initial gaps
+before any gap is made.
 """
 
 from __future__ import annotations
@@ -50,8 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .amplitude import (_check_time, _mode_form, amplitude_grid, mode_constants,
-                        mode_rates)
+from .amplitude import _check_time, _mode_form, amplitude_grid, mode_constants
 from .params import DerivedParams, SystemParams, ValidationError, derive
 from .states import BlochVector
 
@@ -138,8 +139,29 @@ def info_flux(dp: DerivedParams, pair, t: float) -> float:
     return float(((1.0 - u) + 2.0 * u * x * x) * h / d)
 
 
-def _flux_coefficients(dp: DerivedParams):
-    """Constants (a, b, C, k, w) of the two-mode form of the |A|^2 slope.
+# The two-mode table's complex products and quotients are written out in
+# real arithmetic, rounded as Python rounds them: numpy's complex loops fuse
+# multiply-adds where the CPU has FMA and divide by another method, and a
+# constant one ulp off moves the refined extrema, and so the measure.
+def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x y elementwise, as Python rounds a complex product."""
+    return (x.real * y.real - x.imag * y.imag) + 1j * (x.real * y.imag + x.imag * y.real)
+
+
+def _quotient(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x / y elementwise (y != 0), by Smith's method as Python rounds it."""
+    flip = np.abs(y.real) < np.abs(y.imag)  # divide through by Im y, else Re y
+    big, small = np.where(flip, y.imag, y.real), np.where(flip, y.real, y.imag)
+    ratio = small / big
+    denom = big + small * ratio
+    return (np.where(flip, x.real * ratio + x.imag, x.real + x.imag * ratio) / denom
+            + 1j * (np.where(flip, x.imag * ratio - x.real, x.imag - x.real * ratio) / denom))
+
+
+class _Flux(NamedTuple):
+    """Constants of the two-mode form of the |A|^2 slope, with |C|,
+    hypot(k, w) and z = -k + iw; one entry per row of a table (``of``), or
+    per point once gathered with ``at``.
 
     With A = c+ exp(s+ t) + c- exp(s- t) and s+- = -M/2 +- F/4,
 
@@ -147,23 +169,8 @@ def _flux_coefficients(dp: DerivedParams):
         g(t) = a exp(kt) + b exp(-kt) + Re(C exp(iwt)),
 
     a = |c+|^2 Re s+, b = |c-|^2 Re s-, C = c+ conj(c-) (s+ + conj s-),
-    k = Re F/2, w = Im F/2.  The rates, the root F (Re F >= 0) and the
-    weights c+ = -2 s-/F, c- = 2 s+/F come from ``mode_rates``, whose s+
-    is free of the cancellation in -M/2 + F/4 (and so c- of that in
-    (1 - 2M/F)/2) when the coupling is tiny.
+    k = Re F/2, w = Im F/2.
     """
-    s_plus, s_minus, F = mode_rates(dp)
-    c_plus, c_minus = -2.0 * s_minus / F, 2.0 * s_plus / F
-    a = abs(c_plus) ** 2 * s_plus.real
-    b = abs(c_minus) ** 2 * s_minus.real
-    C = c_plus * c_minus.conjugate() * (s_plus + s_minus.conjugate())
-    return a, b, C, 0.5 * F.real, 0.5 * F.imag
-
-
-class _Flux(NamedTuple):
-    """Constants a, b, C, k of ``_flux_coefficients``, with |C|, hypot(k, w)
-    and z = -k + iw as Python rounds them; one entry per row of a table, or
-    per point once gathered with ``at``."""
 
     a: np.ndarray
     b: np.ndarray
@@ -174,15 +181,33 @@ class _Flux(NamedTuple):
     z: np.ndarray
 
     @classmethod
-    def of(cls, coefs) -> "_Flux":
-        """Table of the per-row tuples (a, b, C, k, w)."""
-        coefs = list(coefs)
-        a, b, k, abs_c, speed = np.array(
-            [(a, b, k, abs(C), math.hypot(k, w)) for a, b, C, k, w in coefs],
-            dtype=float).reshape(-1, 5).T
-        C, z = np.array([(C, complex(-k, w)) for _, _, C, k, w in coefs],
-                        dtype=complex).reshape(-1, 2).T
-        return cls(a, b, C, k, abs_c, speed, z)
+    def of(cls, modes, live: np.ndarray) -> "_Flux":
+        """Table of every row, from the rows' ``mode_constants``.
+
+        The root F (Re F >= 0) and the slow rate s+ are those of the kernel
+        (``mode_rates``); s- = -(F + 2M)/4 and the weights c+ = -2 s-/F,
+        c- = 2 s+/F follow.  That s+ is free of the cancellation in
+        -M/2 + F/4 (and so c- of that in (1 - 2M/F)/2) when the coupling is
+        tiny.  Rows outside the mask
+        ``live``, rows with w = 0 (critical or overdamped: M is real, A
+        real, positive and decreasing) and decoupled rows (a = b = C = 0:
+        |A| = 1) get zero constants, so a row has extrema only where w != 0.
+        """
+        live = live & (modes[1].imag != 0.0)
+        M, F, _, s_plus = (col[live] for col in modes)
+        s_minus = -0.25 * (F + 2.0 * M)
+        c_plus, c_minus = _quotient(-2.0 * s_minus, F), _quotient(2.0 * s_plus, F)
+        a = np.hypot(c_plus.real, c_plus.imag) ** 2 * s_plus.real
+        b = np.hypot(c_minus.real, c_minus.imag) ** 2 * s_minus.real
+        C = _product(_product(c_plus, np.conj(c_minus)), s_plus + np.conj(s_minus))
+        k, w = 0.5 * F.real, 0.5 * F.imag
+        coupled = (a != 0.0) | (b != 0.0) | (C != 0.0)
+        rows = np.flatnonzero(live)[coupled]
+        cols = (a, b, C, k, np.hypot(C.real, C.imag), np.hypot(k, w), -k + 1j * w)
+        table = cls(*(np.zeros(live.size, dtype=col.dtype) for col in cols))
+        for out, col in zip(table, cols):
+            out[rows] = col[coupled]
+        return table
 
     def at(self, index) -> "_Flux":
         return _Flux(*(col[index] for col in self))
@@ -333,51 +358,53 @@ def _refine(flux: _Flux, modes, lo, hi, owner, errors: list):
     """Times of the sign changes of h in the brackets, their kinds and |A| there.
 
     G at each bracket's right end gives the direction of its sign change.
-    Newton steps on G, held inside the bracket, estimate the root.  One
-    kernel call then gives h at both ends of every bracket and at the
-    estimate +-0.45 _ROOT_TOL, and |A| at the estimate.  A bracket whose
-    ends show no sign change of h, or one against G's direction, means G and
-    the kernel disagree, and fails its row.  Where h changes sign across the
-    estimate, that narrow bracket is the result.  The other brackets, whose
-    Newton steps had not yet converged, go on with up to _NEWTON_MORE steps
-    on G and are confirmed again in one kernel call; only a bracket that
+    Each round takes Newton steps on G, held inside the bracket, to estimate
+    the root; one kernel call then gives h at both ends of every bracket
+    and at the estimate +-0.45 _ROOT_TOL, and |A| at the estimate.  A
+    bracket whose ends show no sign change of h, or one against G's
+    direction, means G and the kernel disagree, and fails its row.  Where h
+    changes sign across the estimate, that narrow bracket is the result.
+    The first round takes _NEWTON_STEPS steps; the brackets whose steps had
+    not yet converged go on with up to _NEWTON_MORE, and only a bracket that
     still fails is bisected on h.  A failed bracket records its row's error
     in ``errors``.  Returns (times, kinds, |A|).
     """
     c = flux.at(owner)
     rising = _flux_form(c, hi)[0] > 0  # h rising through 0: minimum of |A|
-    left, right, x = _newton(c, lo, hi, 0.5 * (lo + hi), rising, _NEWTON_STEPS)
-    ends, times, amp, bad = _confirm(modes, lo, hi, x, rising, owner)
-    _fail(errors, owner[ends[0] == ends[1]],
-          "extremum bracket shows no sign change of d|A|/dt")
-    _fail(errors, owner[ends[1] != rising],
-          "extremum bracket: the kernel and the two-mode form disagree on the "
-          "direction of d|A|/dt")
-    bad &= ~_failed(errors)[owner]
-    if bad.any():
-        b_own, b_lo, b_hi, b_rising = owner[bad], lo[bad], hi[bad], rising[bad]
-        x = _newton(c.at(bad), left[bad], right[bad], x[bad], b_rising, _NEWTON_MORE)[2]
-        _, b_times, b_amp, still = _confirm(modes, b_lo, b_hi, x, b_rising, b_own)
-        if still.any():
-            s_own = b_own[still]
-            b_times[still], stuck = _bisect(modes, b_lo[still], b_hi[still],
-                                            b_rising[still], s_own)
-            _fail(errors, s_own[stuck], "bracket refinement failed to converge")
-            b_amp[still] = np.abs(_amplitude(modes, b_times[still], s_own)[0])
-        times[bad], amp[bad] = b_times, b_amp
+    times, amp = np.empty(lo.size), np.empty(lo.size)
+    todo = np.arange(lo.size)  # brackets not yet confirmed
+    left, right, x = lo, hi, 0.5 * (lo + hi)
+    for steps in (_NEWTON_STEPS, _NEWTON_MORE):
+        if todo.size == 0:
+            break
+        t_own, t_lo, t_hi, t_rising = owner[todo], lo[todo], hi[todo], rising[todo]
+        left, right, x = _newton(c.at(todo), left, right, x, t_rising, steps)
+        ends, times[todo], amp[todo], bad = _confirm(modes, t_lo, t_hi, x, t_rising, t_own)
+        _fail(errors, t_own[ends[0] == ends[1]],
+              "extremum bracket shows no sign change of d|A|/dt")
+        _fail(errors, t_own[ends[1] != t_rising],
+              "extremum bracket: the kernel and the two-mode form disagree on the "
+              "direction of d|A|/dt")
+        bad &= ~_failed(errors)[t_own]
+        todo, left, right, x = todo[bad], left[bad], right[bad], x[bad]
+    if todo.size:
+        t_own = owner[todo]
+        times[todo], stuck = _bisect(modes, lo[todo], hi[todo], rising[todo], t_own)
+        _fail(errors, t_own[stuck], "bracket refinement failed to converge")
+        amp[todo] = np.abs(_amplitude(modes, times[todo], t_own)[0])
     return times, np.where(rising, 1, -1), amp
 
 
-def _search_horizon(a: float, b: float, C: complex, k: float) -> float:
-    """Time t_h = ln(2 (|b| + |C|)/|a|)/k from which G keeps the sign of a,
+def _search_horizon(c: _Flux) -> np.ndarray:
+    """Times t_h = ln(2 (|b| + |C|)/|a|)/k from which G keeps the sign of a,
     with |G| >= |a|/2 (module docstring); 0 where that log is negative, and
     inf where k = 0 or a = 0."""
-    if k > 0.0 and a != 0.0:
-        return math.log(max(2.0 * (abs(b) + abs(C)) / abs(a), 1.0)) / k
-    return math.inf
+    cut = (c.k > 0.0) & (c.a != 0.0)
+    ratio = 2.0 * (np.abs(c.b) + c.abs_c) / np.where(cut, np.abs(c.a), 1.0)
+    return np.where(cut, np.log(np.maximum(ratio, 1.0)) / np.where(cut, c.k, 1.0), np.inf)
 
 
-def _amp_extrema(dps, t_max: np.ndarray, modes, errors: list):
+def _amp_extrema(t_max: np.ndarray, modes, errors: list):
     """Refined times of the extrema of |A| on (0, t_max) of every row, their
     kinds and |A| there, from the rows' ``mode_constants`` and ``errors``.
 
@@ -397,29 +424,21 @@ def _amp_extrema(dps, t_max: np.ndarray, modes, errors: list):
     amps, owner): the extrema of the other rows in (row, time) order, and
     the row of each.
     """
-    n_rows = len(dps)
+    n_rows = len(errors)
+    flux = _Flux.of(modes, ~_failed(errors))
+    rows = np.flatnonzero(flux.z.imag != 0.0)
+    with np.errstate(over="ignore"):  # inf, over the budget, where it overflows
+        gaps = np.ceil(4.0 * np.abs(flux.z.imag[rows]) * t_max[rows] / math.pi)
+    over = gaps > _MAX_GAPS
+    for r, g in zip(rows[over].tolist(), gaps[over].tolist()):
+        errors[r] = ValidationError(f"the extrema search needs {g:.0f} initial gaps, "
+                                    f"over the budget of {_MAX_GAPS} per row")
+    rows, gaps = rows[~over], gaps[~over]
     counts = np.zeros(n_rows, dtype=int)  # initial gaps per row to t_max
     search = np.zeros(n_rows, dtype=int)  # the first of them, searched
-    coefs = []
-    for i, dp in enumerate(dps):
-        coef = (0.0, 0.0, 0j, 0.0, 0.0)
-        if errors[i] is None and dp.f_const.imag != 0.0:
-            # (else failed, or critical or overdamped: M is real, A real,
-            # positive and decreasing)
-            coef = _flux_coefficients(dp)
-            a, b, C, k, w = coef
-            if a != 0.0 or b != 0.0 or C != 0.0:  # else decoupled: |A| = 1
-                gaps = 4.0 * abs(w) * float(t_max[i]) / math.pi
-                if gaps > _MAX_GAPS:
-                    errors[i] = ValidationError(
-                        f"the extrema search needs {math.ceil(gaps)} initial gaps, "
-                        f"over the budget of {_MAX_GAPS} per row")
-                else:
-                    counts[i] = max(1, math.ceil(gaps))
-                    reach = min(_search_horizon(a, b, C, k) / float(t_max[i]), 1.0)
-                    search[i] = min(counts[i], math.ceil(counts[i] * reach) + 1)
-        coefs.append(coef)
-    flux = _Flux.of(coefs)
+    counts[rows] = np.maximum(gaps, 1.0)
+    reach = np.minimum(_search_horizon(flux.at(rows)) / t_max[rows], 1.0)
+    search[rows] = np.minimum(counts[rows], np.ceil(counts[rows] * reach) + 1.0)
     stop = np.cumsum(search)
     start = stop - search
     parts = [(np.empty(0), np.empty(0, dtype=int), np.empty(0), np.empty(0, dtype=int))]
@@ -445,7 +464,7 @@ def _amp_extrema(dps, t_max: np.ndarray, modes, errors: list):
     return times[keep], kinds[keep], amps[keep], owner[keep]
 
 
-def _interval_data(dps, t_max: np.ndarray, modes, tails: np.ndarray, errors: list):
+def _interval_data(t_max: np.ndarray, modes, tails: np.ndarray, errors: list):
     """Pair-independent interval skeleton of every row, from the rows'
     ``mode_constants``, tails |A(t_max)| and errors (``_row_setup``).
 
@@ -454,10 +473,10 @@ def _interval_data(dps, t_max: np.ndarray, modes, tails: np.ndarray, errors: lis
     row of each.  An interval still open at the horizon is truncated at
     t_max; the missed tail is covered by the truncation bound of the measure.
     """
-    times, _, x, owner = _amp_extrema(dps, t_max, modes, errors)  # min, max, min, ...
+    times, _, x, owner = _amp_extrema(t_max, modes, errors)  # min, max, min, ...
     # a row left rising at the horizon ends at (t_max, |A(t_max)|); sorted
     # stably by row, every row then holds (min, max) pairs
-    open_rows = np.flatnonzero(np.bincount(owner, minlength=len(dps)) % 2)
+    open_rows = np.flatnonzero(np.bincount(owner, minlength=len(errors)) % 2)
     owner = np.concatenate([owner, open_rows])
     order = np.argsort(owner, kind="stable")
     times = np.concatenate([times, t_max[open_rows]])[order]
@@ -480,7 +499,7 @@ def backflow_intervals(dp: DerivedParams, pair, t_max: float) -> BackflowInterva
     """Intervals of growing trace distance for the given antipodal pair."""
     t = np.array([t_max], dtype=float)
     modes, tails, errors = _row_setup([dp], t)
-    data = _interval_data([dp], t, modes, tails, errors)
+    data = _interval_data(t, modes, tails, errors)
     if errors[0] is not None:
         raise errors[0]
     return _intervals(data[:4], _pair_u(pair), t_max)
@@ -589,9 +608,9 @@ def _max_gain(xs: np.ndarray, xe: np.ndarray, owner: np.ndarray, n_rows: int):
         right = tuple(np.concatenate(pair) for pair in zip(at_mid, right))
 
 
-def _alpha(u: float) -> float:
-    """Polar angle alpha of the pair with u = cos^2(alpha)."""
-    return math.atan2(math.sqrt(1.0 - u), math.sqrt(u))
+def _alpha(u: np.ndarray) -> np.ndarray:
+    """Polar angles alpha of the pairs with u = cos^2(alpha)."""
+    return np.arctan2(np.sqrt(1.0 - u), np.sqrt(u))
 
 
 def _row_setup(dps, t_max: np.ndarray):
@@ -625,7 +644,7 @@ def _measures(params_seq, t_maxes):
     short = (tails >= TRUNCATION_EPS) & (t < [100.0 / dp.params.gamma for dp in dps])
     _fail(errors, np.flatnonzero(short),
           "t_max too small: require |A(t_max)| < 1e-4 or t_max >= 100/gamma")
-    starts, ends, xs, xe, owner = _interval_data(dps, t, modes, tails, errors)
+    starts, ends, xs, xe, owner = _interval_data(t, modes, tails, errors)
     gain, u = _max_gain(xs, xe, owner, len(dps))
     failed = _failed(errors)
     gain[failed] = u[failed] = tails[failed] = np.nan
@@ -647,8 +666,7 @@ def blp_measures(params_seq, t_maxes):
     keeps its first error.  Each row's result depends on its own data alone.
     """
     gain, u, tails, _, errors = _measures(params_seq, t_maxes)
-    alpha = np.array([_alpha(v) for v in u.tolist()])
-    return gain, alpha, 2.0 * tails, tails >= TRUNCATION_EPS, errors
+    return gain, _alpha(u), 2.0 * tails, tails >= TRUNCATION_EPS, errors
 
 
 def blp_measure(params: SystemParams, t_max: float = 100.0) -> BlpResult:
@@ -666,8 +684,7 @@ def blp_measure(params: SystemParams, t_max: float = 100.0) -> BlpResult:
     gain, u, tails, data, errors = _measures([params], [t_max])
     if errors[0] is not None:
         raise errors[0]
-    u, tail = float(u[0]), float(tails[0])
-    alpha = _alpha(u)
+    alpha, u, tail = float(_alpha(u)[0]), float(u[0]), float(tails[0])
     return BlpResult(
         n_measure=float(gain[0]),
         best_pair=antipodal_pair(alpha),

@@ -20,7 +20,7 @@ Simpson sums, ``15 s_tol < 16 eps (|S_left| + |S_right|)``, fails its
 integral at once.  Both sides of that test halve with each split, so its
 children would meet the same test, and the differences they are accepted
 on would be rounding noise.  Without the floor, a tolerance below it splits
-each level in two until ``max_depth``: unbounded time depth first,
+each level in two until ``_MAX_DEPTH``: unbounded time depth first,
 unbounded memory level by level; so an interval whose Simpson sums are
 not finite fails its integral at once too.  A failed integral records its
 ``QuadratureError`` and stops splitting; the others go on.
@@ -35,14 +35,14 @@ import numpy as np
 __all__ = ["QuadratureError", "adaptive_simpson", "adaptive_simpson_many"]
 
 _EPS = np.finfo(float).eps
+_MAX_DEPTH = 60  # halvings of an interval before its integral fails
 
 
 class QuadratureError(RuntimeError):
     """Requested tolerance not reached within the subdivision budget."""
 
 
-def _settle(level, owner, mids, f_mids, depth: int, max_depth: int, values, errors,
-            failures):
+def _settle(level, owner, mids, f_mids, depth: int, values, errors, failures):
     """Accept or split every pending interval of one depth.
 
     ``level`` holds one column per interval (x0, xm, x1, f0, fm, f1, whole,
@@ -64,7 +64,7 @@ def _settle(level, owner, mids, f_mids, depth: int, max_depth: int, values, erro
                           + delta[done] / 15.0, n)
     errors += np.bincount(owner[done], np.abs(delta[done]), n) / 15.0
     split = ~done
-    if depth >= max_depth:
+    if depth >= _MAX_DEPTH:
         bad = split
     else:
         floor = 16.0 * _EPS * (np.abs(s_left) + np.abs(s_right))
@@ -73,8 +73,8 @@ def _settle(level, owner, mids, f_mids, depth: int, max_depth: int, values, erro
         # the first offending interval of each integral names its failure
         culprits, first_bad = np.unique(owner[bad], return_index=True)
         for k, i in zip(culprits.tolist(), np.flatnonzero(bad)[first_bad].tolist()):
-            if depth >= max_depth:
-                msg = (f"max depth {max_depth} reached on [{x0[i]}, {x1[i]}] "
+            if depth >= _MAX_DEPTH:
+                msg = (f"max depth {_MAX_DEPTH} reached on [{x0[i]}, {x1[i]}] "
                        f"with residual {abs(delta[i]):.3e}")
             elif not np.isfinite(delta[i]):
                 msg = f"Simpson sums on [{x0[i]}, {x1[i]}] are not finite"
@@ -93,7 +93,7 @@ def _settle(level, owner, mids, f_mids, depth: int, max_depth: int, values, erro
 
 
 def adaptive_simpson_many(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                          a, b, tol, max_depth: int = 60):
+                          a, b, tol):
     """Integrate f over [a_i, b_i] to absolute tolerance tol_i for every i.
 
     f takes an array of abscissae and the array of their integral indices
@@ -124,7 +124,7 @@ def adaptive_simpson_many(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
         both = np.concatenate([owner, owner])
         # only the pending level is held while the integrand runs
         level, owner = _settle(level, owner, mids, np.asarray(f(mids, both), dtype=float),
-                               depth, max_depth, values, errors, failures)
+                               depth, values, errors, failures)
         depth += 1
 
     failed = np.array([e is not None for e in failures], dtype=bool)
@@ -133,7 +133,7 @@ def adaptive_simpson_many(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
 
 
 def adaptive_simpson(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-                     tol: float = 1e-9, max_depth: int = 60):
+                     tol: float = 1e-9):
     """Integrate f over [a, b] to absolute tolerance tol.
 
     f takes an array of abscissae and returns the array of its values.
@@ -147,7 +147,7 @@ def adaptive_simpson(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
         calls.append(x)
         return f(x)
 
-    values, errors, failures = adaptive_simpson_many(recorded, a, b, tol, max_depth)
+    values, errors, failures = adaptive_simpson_many(recorded, a, b, tol)
     if failures[0] is not None:
         raise failures[0]
     return float(values[0]), float(errors[0]), np.concatenate(calls)

@@ -37,6 +37,8 @@ class QubitState:
         rho = np.asarray(self.rho, dtype=complex)
         if rho.shape != (2, 2):
             raise ValidationError(f"rho must be 2x2, got shape {rho.shape}")
+        if not np.isfinite(rho).all():
+            raise ValidationError("rho must be finite")
         if abs(np.trace(rho) - 1.0) > _ATOL:
             raise ValidationError(f"trace must be 1, got {np.trace(rho)}")
         if not np.allclose(rho, rho.conj().T, rtol=0, atol=_ATOL):

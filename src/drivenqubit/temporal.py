@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitude import _check_time, amplitude_closed_form, amplitude_grid
+from .amplitude import _check_grid, _check_time, amplitude_closed_form, amplitude_grid
 from .params import DerivedParams, ValidationError
 
 __all__ = [
@@ -171,8 +171,7 @@ def _monotone(taus: np.ndarray, abs_a: np.ndarray) -> np.ndarray:
     3 points."""
     if taus.ndim != 1 or taus.size < 3:
         raise ValidationError("need a grid of at least 3 points")
-    if taus[0] != 0.0 or np.any(np.diff(taus) <= 0):
-        raise ValidationError("grid must be strictly increasing from 0")
+    _check_grid(taus, "grid")
     half = 0.5 * abs_a
     interior = 1 + np.flatnonzero(
         (half[1:-1] > half[:-2]) & (half[1:-1] >= half[2:])

@@ -16,7 +16,7 @@ from drivenqubit import (AmplitudePole, SystemParams, ValidationError,
                          amplitude_grid, amplitude_oracle_ode,
                          amplitude_trajectory, decay_rate, decay_rate_grid,
                          derive)
-from drivenqubit.amplitude import ORACLE_POINTS
+from drivenqubit.amplitude import ORACLE_POINTS, AmplitudeTrajectory
 from drivenqubit.params import DerivedParams
 from drivenqubit.selfcheck import (ORACLE_DELTAS, ORACLE_LAMBDAS, ORACLE_OMEGAS,
                                    ORACLE_T_MAX)
@@ -283,6 +283,14 @@ def test_decay_rate_where_abs_a_squared_underflows():
         ref = float(-2 * mpmath.re(ratio))
     assert decay_rate(dp, t) == pytest.approx(ref, rel=1e-9)
     assert decay_rate_grid(dp, np.array([t]))[0] == pytest.approx(ref, rel=1e-9)
+
+
+def test_trajectory_rejects_a_nan_time():
+    params = SystemParams(lam=0.1)
+    AmplitudeTrajectory(np.array([0.0, 0.5, 1.0]), np.ones(3), params)
+    for times in ([0.0, math.nan, 1.0], [0.0, 1.0, math.nan], [0.0, 1.0, math.inf]):
+        with pytest.raises(ValidationError, match="strictly increasing from 0"):
+            AmplitudeTrajectory(np.array(times), np.ones(3), params)
 
 
 def test_negative_time_rejected():

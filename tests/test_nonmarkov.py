@@ -20,8 +20,8 @@ from drivenqubit import amplitude
 from drivenqubit.amplitude import (amplitude_closed_form, amplitude_derivative,
                                    amplitude_grid, mode_constants)
 from drivenqubit.nonmarkov import (_amp_extrema, _Flux, _flux_brackets,
-                                   _flux_coefficients, _flux_form, _max_gain,
-                                   _refine, _search_horizon, blp_measures)
+                                   _flux_form, _max_gain, _refine,
+                                   _search_horizon, blp_measures)
 from drivenqubit.sweeps import (SweepAxis, SweepSpec, _params_at, _preset_table,
                                 run_sweep)
 
@@ -30,17 +30,22 @@ def _extrema(dp, t_max):
     """(times, kinds, |A|) of one row from the batched finder; raises the
     row's error."""
     errors = [None]
-    times, kinds, amps, _ = _amp_extrema([dp], np.array([t_max]),
-                                         mode_constants([dp]), errors)
+    times, kinds, amps, _ = _amp_extrema(np.array([t_max]), mode_constants([dp]),
+                                         errors)
     if errors[0] is not None:
         raise errors[0]
     return times, kinds, amps
 
 
-def _refine_row(dp, coef, lo, hi):
+def _flux(dp):
+    """The two-mode table of one row."""
+    return _Flux.of(mode_constants([dp]), np.array([True]))
+
+
+def _refine_row(dp, flux, lo, hi):
     """The batched refinement of brackets of one row; raises the row's error."""
     errors = [None]
-    times, kinds, amps = _refine(_Flux.of([coef]), mode_constants([dp]),
+    times, kinds, amps = _refine(flux, mode_constants([dp]),
                                  lo, hi, np.zeros(lo.size, dtype=int), errors)
     if errors[0] is not None:
         raise errors[0]
@@ -510,7 +515,7 @@ def test_failed_row_leaves_its_neighbours_untouched(monkeypatch):
     # bracket's right end to the next one's left end; the row is found by
     # its constants, so its one-row view fails the same way
     real = nonmarkov._flux_brackets
-    target = _flux_coefficients(derive(sweep[3]))[0]
+    target = _flux(derive(sweep[3])).a[0]
 
     def injected(flux, t, owner):
         lo, hi, own = real(flux, t, owner)
@@ -583,18 +588,49 @@ def test_flux_keeps_the_sign_of_a_past_the_search_horizon():
                                    delta_qc=rng.uniform(0.0, 10.0)))
         t_maxes.append(max(100.0, min(5000.0, 2.0 * math.log(1e4) / lam)))
     cut = []
-    for p, t_max in zip(params, t_maxes):
-        coef = a, b, C, k, w = _flux_coefficients(derive(p))
-        t_h = _search_horizon(a, b, C, k)
+    flux = _Flux.of(mode_constants([derive(p) for p in params]),
+                    np.ones(len(params), dtype=bool))
+    for i, (t_h, t_max) in enumerate(zip(_search_horizon(flux).tolist(), t_maxes)):
+        a, w = flux.a[i], flux.z[i].imag
         cut.append(t_h < t_max)
         if not cut[-1]:
             continue
         t = np.linspace(t_h, t_max, max(1000, math.ceil(8.0 * abs(w) * (t_max - t_h)
                                                         / math.pi)))
-        g = _flux_form(_Flux.of([coef]), t)[0]
+        g = _flux_form(flux.at([i]), t)[0]
         assert np.all(np.sign(g) == np.sign(a))
         assert np.all(np.abs(g - a) <= 0.5 * abs(a))
     assert sum(cut[:584]) == 371 and all(cut[584:])  # rows whose search is cut
+
+
+def test_two_mode_table_reproduces_the_kernel_slope():
+    # d|A|^2/dt = 2 Re(dA conj A) from the kernel equals 2 e^{(k - Re M) t} G(t)
+    # from the table, to 1e-12 of the size of G's terms, on the figure rows
+    # and on seeded rows of the parameter box (detunings of either sign)
+    params, t_maxes = _figure_rows()
+    rng = np.random.default_rng(20)
+    for _ in range(64):
+        params.append(SystemParams(lam=10.0 ** rng.uniform(-2.0, 0.0),
+                                   omega_rabi=rng.uniform(0.0, 2.0),
+                                   delta_qc=rng.uniform(-10.0, 10.0),
+                                   delta_cav=rng.uniform(-1.0, 1.0)))
+        t_maxes.append(100.0)
+    # then a critically damped, an overdamped and a decoupled row: no extrema
+    params += [SystemParams(lam=2.0), SystemParams(lam=5.0),
+               SystemParams(lam=0.01, omega_rabi=0.0, delta_qc=-100.0)]
+    dps = [derive(p) for p in params]
+    flux = _Flux.of(mode_constants(dps), np.ones(len(dps), dtype=bool))
+    assert np.count_nonzero(flux.z.imag) == len(dps) - 3
+    assert not any(col[-3:].any() for col in flux)
+    for i, (dp, t_max) in enumerate(zip(dps[:-3], t_maxes)):
+        t = np.linspace(0.0, t_max, 2001)
+        A, dA = amplitude_grid(dp, t)
+        c = flux.at([i])
+        env = 2.0 * np.exp((c.k - dp.m_const.real) * t)
+        e1 = np.exp(-c.k * t)
+        size = env * (np.abs(c.a) + np.abs(c.b) * e1 * e1 + c.abs_c * e1)
+        err = np.abs(2.0 * (dA * np.conj(A)).real - env * _flux_form(c, t)[0])
+        assert np.all(err <= 1e-12 * size)
 
 
 def test_figure_search_stops_at_the_closed_form_horizon(monkeypatch):
@@ -639,6 +675,17 @@ def test_row_over_the_work_budget_fails_fast():
     _assert_rows_match_one_row_view(params, t_maxes, result, skip={0})
 
 
+def test_row_whose_gap_count_overflows_fails_alone():
+    # 4 |w| t_max / pi overflows while the kernel's |F| t_max does not: the
+    # row reads as over its budget, with no warning, and its neighbour as alone
+    p = SystemParams(lam=0.1, omega_rabi=1e100)
+    params = [p, SystemParams(lam=0.1, omega_rabi=0.5)]
+    t_maxes = [0.6e308 / (0.5 * abs(derive(p).f_const.imag)), 184.2]
+    result = blp_measures(params, t_maxes)
+    assert "needs inf initial gaps" in str(result[4][0])
+    _assert_rows_match_one_row_view(params, t_maxes, result, skip={0})
+
+
 def test_rows_whose_constants_overflow_fail_before_the_kernel():
     params = [SystemParams(lam=0.1, omega_rabi=om) for om in (1e160, 0.5, 1e300)]
     t_maxes = [2.0 * math.log(1e4) / 0.1] * 3
@@ -669,8 +716,9 @@ def test_decoupled_qubit_has_no_extrema():
     assert times.size == 0 and kinds.size == 0 and amps.size == 0
     assert blp_measure(dp.params, t_max=100.0).n_measure == 0.0
     # the finder itself stops on a flux that is zero everywhere
-    lo, hi, _ = _flux_brackets(_Flux.of([(0.0, 0.0, 0j, 0.01, 200.0)]),
-                               np.linspace(0, 100, 101), np.zeros(101, dtype=int))
+    zero = _Flux(*(np.array([v]) for v in (0.0, 0.0, 0j, 0.01, 0.0,
+                                            math.hypot(0.01, 200.0), complex(-0.01, 200.0))))
+    lo, hi, _ = _flux_brackets(zero, np.linspace(0, 100, 101), np.zeros(101, dtype=int))
     assert lo.size == 0 and hi.size == 0
 
 
@@ -678,7 +726,7 @@ def test_bracket_signs_agree_with_mpmath():
     mpmath = pytest.importorskip("mpmath")
     p = SystemParams(lam=0.01, omega_rabi=0.5, delta_qc=-100.0)
     dp = derive(p)
-    flux = _Flux.of([_flux_coefficients(dp)])
+    flux = _flux(dp)
     # the horizon of a sweep row at lam = 0.01; with the textbook forms of c-
     # and s+, 13% of the brackets found here are wrong, all beyond t ~ 800
     t_max = 2.0 * math.log(1e4) / p.lam
@@ -708,14 +756,14 @@ def test_bracket_signs_agree_with_mpmath():
 
 def test_inconsistent_brackets_raise(monkeypatch):
     dp = derive(SystemParams(lam=0.01, omega_rabi=2.0, delta_qc=1.0))
-    coef = _flux_coefficients(dp)
-    lo, hi, _ = _flux_brackets(_Flux.of([coef]), np.linspace(0.0, 100.0, 1001),
+    flux = _flux(dp)
+    lo, hi, _ = _flux_brackets(flux, np.linspace(0.0, 100.0, 1001),
                                np.zeros(1001, dtype=int))
     # a bracket whose ends straddle no sign change of h
     with pytest.raises(ValidationError, match="no sign change"):
-        _refine_row(dp, coef, np.append(lo, hi[0]), np.append(hi, lo[1]))
+        _refine_row(dp, flux, np.append(lo, hi[0]), np.append(hi, lo[1]))
     # a two-mode form of the opposite sign: same roots, every direction wrong
-    flipped = (-coef[0], -coef[1], -coef[2], coef[3], coef[4])
+    flipped = flux._replace(a=-flux.a, b=-flux.b, C=-flux.C)
     with pytest.raises(ValidationError, match="disagree on the direction"):
         _refine_row(dp, flipped, lo, hi)
     # every other bracket lost: two minima in a row

@@ -14,7 +14,7 @@ except ImportError:  # only the property test needs hypothesis (the `test` extra
 from drivenqubit import (SweepAxis, SystemParams, ValidationError, derive,
                          eigensystem, evolve_superposition, geometric_phase,
                          geometric_phase_detailed)
-from drivenqubit import phase
+from drivenqubit import phase, quadrature
 from drivenqubit.amplitude import amplitude_closed_form, amplitude_grid
 from drivenqubit.phase import _cos2_integrand
 from drivenqubit.quadrature import (QuadratureError, adaptive_simpson,
@@ -323,15 +323,17 @@ def test_quadrature_non_finite_values_raise_at_once():
     assert time.perf_counter() - start < 1.0
 
 
-def test_quadrature_max_depth_still_raises():
+def test_quadrature_max_depth_still_raises(monkeypatch):
     def step(x):
         return (x > 1.0 / 3.0).astype(float)
 
+    monkeypatch.setattr(quadrature, "_MAX_DEPTH", 8)
     with pytest.raises(QuadratureError, match="max depth 8"):
-        adaptive_simpson(step, 0.0, 1.0, tol=1e-9, max_depth=8)
+        adaptive_simpson(step, 0.0, 1.0, tol=1e-9)
     with pytest.raises(QuadratureError):
         _depth_first_simpson(step, 0.0, 1.0, 1e-9, max_depth=8)
     # the same step converges once the depth budget allows it
+    monkeypatch.undo()
     val, _, _ = adaptive_simpson(step, 0.0, 1.0, tol=1e-9)
     assert val == pytest.approx(2.0 / 3.0, abs=1e-8)
 
@@ -340,7 +342,7 @@ def _step(x):
     return (x > 1.0 / 3.0).astype(float)
 
 
-def test_many_integrals_keep_failures_to_their_own_integral():
+def test_many_integrals_keep_failures_to_their_own_integral(monkeypatch):
     # smooth integrals that converge within the depth budget of 8, next to
     # one below the rounding floor, one that needs more than 8 halvings, one
     # with no valid tolerance and one of zero width
@@ -362,7 +364,8 @@ def test_many_integrals_keep_failures_to_their_own_integral():
         return np.choose(owner, [g(x) for g, *_ in cases])
 
     a, b, tol = (np.array([c[k] for c in cases]) for k in (1, 2, 3))
-    values, errors, failures = adaptive_simpson_many(f, a, b, tol, max_depth=8)
+    monkeypatch.setattr(quadrature, "_MAX_DEPTH", 8)
+    values, errors, failures = adaptive_simpson_many(f, a, b, tol)
     nodes = _nodes_of(calls, len(cases))
     for (g, lo, hi, eps), want, value, error, x, failure in zip(
             cases, expected, values, errors, nodes, failures):
@@ -371,11 +374,10 @@ def test_many_integrals_keep_failures_to_their_own_integral():
             assert want in str(failure)
             assert math.isnan(value) and math.isnan(error)
             with pytest.raises(QuadratureError, match=want):
-                adaptive_simpson(g, lo, hi, tol=eps, max_depth=8)
+                adaptive_simpson(g, lo, hi, tol=eps)
             continue
         assert failure is None
-        ref_value, ref_error, ref_nodes = adaptive_simpson(g, lo, hi, tol=eps,
-                                                           max_depth=8)
+        ref_value, ref_error, ref_nodes = adaptive_simpson(g, lo, hi, tol=eps)
         assert (value, error) == (ref_value, ref_error)
         assert np.array_equal(x, ref_nodes)
 

@@ -86,6 +86,14 @@ def test_channel_rejects_invalid_input():
         QubitState(np.array([[0.5, 0.9], [0.9, 0.5]], dtype=complex))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.0, math.nan)])
+def test_state_rejects_non_finite_rho(value):
+    rho = np.array([[0.5, 0.0], [0.0, 0.5]], dtype=complex)
+    rho[0, 1] = rho[1, 0] = value
+    with pytest.raises(ValidationError, match="rho must be finite"):
+        QubitState(rho)
+
+
 def test_channel_preserves_state_invariants():
     rng = np.random.default_rng(23)
     for _ in range(100):

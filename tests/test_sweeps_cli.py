@@ -10,6 +10,7 @@ import pytest
 from drivenqubit import (SweepAxis, SweepSpec, SystemParams, ValidationError,
                          amplitude_closed_form, blp_measure, derive,
                          geometric_phase_detailed)
+from drivenqubit import cli
 from drivenqubit.cli import main
 from drivenqubit.sweeps import (AXES, PARAM_COLUMNS, QUANTITIES, SweepBlock, SweepTable,
                                 figure_preset, run_sweep, sweep_columns, write_rows)
@@ -402,6 +403,20 @@ def test_cli_rejects_non_finite_parameter(tmp_path, capsys, flag):
     assert rc == 1
     assert "must be finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_reports_running_out_of_memory(tmp_path, capsys, monkeypatch):
+    # a grid too large to allocate ends in one line and exit code 2
+    def no_memory(spec, **kwargs):
+        raise MemoryError(f"Unable to allocate an array of {spec.axis.count} points")
+
+    monkeypatch.setattr(cli, "run_sweep", no_memory)
+    rc = main(["sweep", "--quantity", "coherence", "--axis", "time",
+               "--points", "100000000000", "--out", str(tmp_path / "c.csv")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == ("drivenqubit: out of memory: Unable to allocate an array of "
+                   "100000000000 points\n")
 
 
 @pytest.mark.parametrize("command", ["sweep", "figure", "config"])

@@ -244,6 +244,14 @@ def test_coherence_monotone_rejects_tiny_or_shifted_grids():
         coherence_monotone(dp, np.array([0.5, 1.0, 1.5]))
 
 
+def test_coherence_monotone_and_witness_reject_a_nan_step():
+    dp = derive(SystemParams(lam=0.1, omega_rabi=1.0))
+    with pytest.raises(ValidationError, match="strictly increasing from 0"):
+        coherence_monotone(dp, np.array([0.0, math.nan, 1.0, 2.0]))
+    with pytest.raises(ValidationError, match="strictly increasing from 0"):
+        witness_series(dp, 0.3, np.array([0.0, 1.0, math.nan, 3.0]))
+
+
 # the validated parameter box: lambda in [0.01, 1] (log scale), omega in
 # [0, 2], delta in [0, 10], theta in [0, pi/2]; steps tau up to 50
 if given is None:
