@@ -31,9 +31,12 @@ give it the constants of each time's own row (``mode_constants``), so one
 call covers one Simpson level, or one slice of brackets, of a whole sweep,
 bit for bit as ``amplitude_grid`` would give each row.
 
-``amplitude_oracle_ode`` is the independent reference that ``drivenqubit
+``amplitude_oracles`` is the independent reference that ``drivenqubit
 check`` and the tests run: the exact propagator of the memory ODE on an even
-grid, built from G alone and sharing no code with the closed form.
+grid, built from G alone and sharing no code with the closed form.  It
+takes many parameter sets as one stack of G, each scaled and squared to its
+own exponent, and gets the powers of the propagator by doubling;
+``amplitude_oracle_ode`` is its one-set view.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ __all__ = [
     "amplitude_derivative",
     "amplitude_grid",
     "amplitude_oracle_ode",
+    "amplitude_oracles",
     "decay_rate",
 ]
 
@@ -200,9 +204,9 @@ def amplitude_trajectory(dp: DerivedParams, times) -> AmplitudeTrajectory:
     return AmplitudeTrajectory(np.asarray(times, float), A, dp.params)
 
 
-def amplitude_oracle_ode(params: SystemParams, t_max: float) -> AmplitudeTrajectory:
-    """Independent A(t) at ``ORACLE_POINTS`` even times from 0 to t_max: the
-    exact propagator of the memory dynamics.
+def amplitude_oracles(params_seq, t_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """Independent A(t) of many parameter sets at ``ORACLE_POINTS`` even times
+    from 0 to t_max: the exact propagator of the memory dynamics.
 
     The integro-differential equation with exponential kernel is equivalent
     to the local pair y = (A, B), y' = G y,
@@ -211,35 +215,56 @@ def amplitude_oracle_ode(params: SystemParams, t_max: float) -> AmplitudeTraject
         dB/dt = (gamma*lam/2) A - M B,  B(0) = 0,
 
     where B is the running convolution of the kernel with A.  G is constant,
-    so y_k = P y_{k-1} with P = exp(G dt), by scaling and squaring (Moler and
+    so y_k = P^k y_0 with P = exp(G dt), by scaling and squaring (Moler and
     Van Loan, SIAM Rev. 45, 3 (2003), method 3): X = G dt is scaled by 2^-s
-    to a 1-norm <= 1/2, 18 Taylor terms are summed and the sum squared s times.
+    to a 1-norm <= 1/2, 18 Taylor terms are summed and the sum squared s
+    times.  All sets go as one (n, 2, 2) stack; each has its own s and is
+    squared exactly s times.  The powers come by doubling: with y_0 .. y_{m-1}
+    known, y_m .. y_{2m-1} = P^m (y_0 .. y_{m-1}) and P^2m = P^m P^m, so 9
+    stacked products give all 301 points.  Each set's values depend on its
+    own G alone: a batch gives each set the numbers it gets alone.
 
     The test oracle of the closed form, it calls none of it and takes only
     eta and M from ``derive``, so ``drivenqubit check`` cannot catch an error
-    in ``derive``.  A horizon that gives no finite, increasing grid raises
-    ValidationError.
+    in ``derive``.  Returns (times, values), values shaped (n, ORACLE_POINTS).
+    A horizon that gives no finite, increasing grid raises ValidationError;
+    a G dt that overflows gives non-finite values, not a warning.
     """
     if not 0.0 < t_max < math.inf:
         raise ValidationError(f"t_max must be finite and > 0, got {t_max}")
-    dp = derive(params)
-    G = np.array([[0.0, -math.cos(dp.eta / 2.0) ** 4],
-                  [0.5 * params.gamma * params.lam, -dp.m_const]])
+    times = np.linspace(0.0, t_max, ORACLE_POINTS)
+    _check_grid(times, "times")
+    dps = [derive(params) for params in params_seq]
+    G = np.zeros((len(dps), 2, 2), dtype=complex)
+    G[:, 0, 1] = [-math.cos(dp.eta / 2.0) ** 4 for dp in dps]
+    G[:, 1, 0] = [0.5 * dp.params.gamma * dp.params.lam for dp in dps]
+    G[:, 1, 1] = [-dp.m_const for dp in dps]
     with np.errstate(over="ignore", invalid="ignore"):
         X = G * (t_max / (ORACLE_POINTS - 1))
-        s = max(0, math.frexp(np.abs(X).sum(axis=0).max())[1] + 1)
-        X = X * 2.0 ** -s
-        P = term = np.eye(2, dtype=complex)
+        norm = np.abs(X).sum(axis=1).max(axis=1)
+        s = np.maximum(np.frexp(norm)[1] + 1, 0)
+        X = X * np.ldexp(1.0, -s)[:, None, None]
+        P = term = np.broadcast_to(np.eye(2, dtype=complex), X.shape)
         for j in range(1, 19):
             term = term @ X / j
             P = P + term
-        for _ in range(s):
+        for k in range(int(s.max(initial=0))):
+            P = np.where((k < s)[:, None, None], P @ P, P)
+        y = np.zeros((len(dps), 1, 2, 1), dtype=complex)
+        y[:, 0, 0, 0] = 1.0
+        while (m := y.shape[1]) < ORACLE_POINTS:
+            y = np.concatenate([y, P[:, None] @ y[:, :ORACLE_POINTS - m]], axis=1)
             P = P @ P
-        y = [np.array([1.0, 0.0], dtype=complex)]
-        for _ in range(ORACLE_POINTS - 1):
-            y.append(P @ y[-1])
-    return AmplitudeTrajectory(np.linspace(0.0, t_max, ORACLE_POINTS),
-                               np.array(y)[:, 0], params)
+    return times, y[:, :, 0, 0]
+
+
+def amplitude_oracle_ode(params: SystemParams, t_max: float) -> AmplitudeTrajectory:
+    """Independent A(t) at ``ORACLE_POINTS`` even times from 0 to t_max: the
+    one-set view of ``amplitude_oracles``, the exact propagator of the
+    memory ODE.  A horizon that gives no finite, increasing grid, or values
+    that are not finite, raise ValidationError."""
+    times, values = amplitude_oracles([params], t_max)
+    return AmplitudeTrajectory(times, values[0], params)
 
 
 def _is_pole(dp: DerivedParams, t, abs_a):

@@ -39,9 +39,8 @@ searches the pairs of all rows.  A row's result depends on its own data
 alone.  One list, made by ``_row_setup``, holds each row's first error:
 every stage records a failure there and skips the rows that have one, so a
 failed row stops while the others go on.  A row whose model constants
-overflow, or whose horizon is not finite and > 0, fails before any kernel
-call, and one whose search would need more than ``_MAX_GAPS`` initial gaps
-before any gap is made.
+overflow, whose horizon is not finite and > 0, or whose search would need
+more than ``_MAX_GAPS`` initial gaps fails before any kernel call.
 """
 
 from __future__ import annotations
@@ -139,25 +138,6 @@ def info_flux(dp: DerivedParams, pair, t: float) -> float:
     return float(((1.0 - u) + 2.0 * u * x * x) * h / d)
 
 
-# The two-mode table's complex products and quotients are written out in
-# real arithmetic, rounded as Python rounds them: numpy's complex loops fuse
-# multiply-adds where the CPU has FMA and divide by another method, and a
-# constant one ulp off moves the refined extrema, and so the measure.
-def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x y elementwise, as Python rounds a complex product."""
-    return (x.real * y.real - x.imag * y.imag) + 1j * (x.real * y.imag + x.imag * y.real)
-
-
-def _quotient(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x / y elementwise (y != 0), by Smith's method as Python rounds it."""
-    flip = np.abs(y.real) < np.abs(y.imag)  # divide through by Im y, else Re y
-    big, small = np.where(flip, y.imag, y.real), np.where(flip, y.real, y.imag)
-    ratio = small / big
-    denom = big + small * ratio
-    return (np.where(flip, x.real * ratio + x.imag, x.real + x.imag * ratio) / denom
-            + 1j * (np.where(flip, x.imag * ratio - x.real, x.imag - x.real * ratio) / denom))
-
-
 class _Flux(NamedTuple):
     """Constants of the two-mode form of the |A|^2 slope, with |C|,
     hypot(k, w) and z = -k + iw; one entry per row of a table (``of``), or
@@ -196,10 +176,10 @@ class _Flux(NamedTuple):
         live = live & (modes[1].imag != 0.0)
         M, F, _, s_plus = (col[live] for col in modes)
         s_minus = -0.25 * (F + 2.0 * M)
-        c_plus, c_minus = _quotient(-2.0 * s_minus, F), _quotient(2.0 * s_plus, F)
-        a = np.hypot(c_plus.real, c_plus.imag) ** 2 * s_plus.real
-        b = np.hypot(c_minus.real, c_minus.imag) ** 2 * s_minus.real
-        C = _product(_product(c_plus, np.conj(c_minus)), s_plus + np.conj(s_minus))
+        c_plus, c_minus = -2.0 * s_minus / F, 2.0 * s_plus / F
+        a = np.abs(c_plus) ** 2 * s_plus.real
+        b = np.abs(c_minus) ** 2 * s_minus.real
+        C = c_plus * np.conj(c_minus) * (s_plus + np.conj(s_minus))
         k, w = 0.5 * F.real, 0.5 * F.imag
         coupled = (a != 0.0) | (b != 0.0) | (C != 0.0)
         rows = np.flatnonzero(live)[coupled]
@@ -404,39 +384,37 @@ def _search_horizon(c: _Flux) -> np.ndarray:
     return np.where(cut, np.log(np.maximum(ratio, 1.0)) / np.where(cut, c.k, 1.0), np.inf)
 
 
-def _amp_extrema(t_max: np.ndarray, modes, errors: list):
+def _gap_counts(c: _Flux, t_max: np.ndarray) -> np.ndarray:
+    """Initial gaps ceil(4|w| t_max/pi) of the search grids to t_max, an
+    eighth of the beat period pi/(4|w|) each; inf where that overflows."""
+    with np.errstate(over="ignore"):
+        return np.ceil(4.0 * np.abs(c.z.imag) * t_max / math.pi)
+
+
+def _amp_extrema(t_max: np.ndarray, modes, flux: _Flux, errors: list):
     """Refined times of the extrema of |A| on (0, t_max) of every row, their
-    kinds and |A| there, from the rows' ``mode_constants`` and ``errors``.
+    kinds and |A| there, from the rows' ``mode_constants``, two-mode table
+    and ``errors`` (``_row_setup``).
 
     Brackets the sign changes of d|A|^2/dt with the certified finder on its
     two-mode form, starting from gaps of an eighth of the beat period
     pi/(4|w|), and refines each bracket on the amplitude kernel; kind +1
-    marks a minimum of |A| and -1 a maximum.  A row that needs more than
-    ``_MAX_GAPS`` initial gaps to t_max fails before any of them is made.
-    Only the gaps up to the horizon t_h of ``_search_horizon`` are searched
-    (plus one; all of them where t_h >= t_max): past t_h, G keeps the sign
-    of a with |G| >= |a|/2, so no extremum lies there.  The grid is still
-    the one to t_max, so every searched node and bracket is that of a
-    search to t_max.  The initial gaps of all rows are taken in (row, time)
-    order, ``_CHUNK`` at a time.  |A| falls from t = 0, so the kinds of a
-    row must alternate starting with a minimum; any other sequence fails
-    the row.  Rows with an error are not searched.  Returns (times, kinds,
-    amps, owner): the extrema of the other rows in (row, time) order, and
-    the row of each.
+    marks a minimum of |A| and -1 a maximum.  Only the gaps up to the
+    horizon t_h of ``_search_horizon`` are searched (plus one; all of them
+    where t_h >= t_max): past t_h, G keeps the sign of a with |G| >= |a|/2,
+    so no extremum lies there.  The grid is still the one to t_max, so
+    every searched node and bracket is that of a search to t_max.  The
+    initial gaps of all rows are taken in (row, time) order, ``_CHUNK`` at
+    a time.  |A| falls from t = 0, so the kinds of a row must alternate
+    starting with a minimum; any other sequence fails the row.  Rows with
+    an error are not searched.  Returns (times, kinds, amps, owner): the
+    extrema of the other rows in (row, time) order, and the row of each.
     """
     n_rows = len(errors)
-    flux = _Flux.of(modes, ~_failed(errors))
-    rows = np.flatnonzero(flux.z.imag != 0.0)
-    with np.errstate(over="ignore"):  # inf, over the budget, where it overflows
-        gaps = np.ceil(4.0 * np.abs(flux.z.imag[rows]) * t_max[rows] / math.pi)
-    over = gaps > _MAX_GAPS
-    for r, g in zip(rows[over].tolist(), gaps[over].tolist()):
-        errors[r] = ValidationError(f"the extrema search needs {g:.0f} initial gaps, "
-                                    f"over the budget of {_MAX_GAPS} per row")
-    rows, gaps = rows[~over], gaps[~over]
+    rows = np.flatnonzero((flux.z.imag != 0.0) & ~_failed(errors))
     counts = np.zeros(n_rows, dtype=int)  # initial gaps per row to t_max
     search = np.zeros(n_rows, dtype=int)  # the first of them, searched
-    counts[rows] = np.maximum(gaps, 1.0)
+    counts[rows] = np.maximum(_gap_counts(flux.at(rows), t_max[rows]), 1.0)
     reach = np.minimum(_search_horizon(flux.at(rows)) / t_max[rows], 1.0)
     search[rows] = np.minimum(counts[rows], np.ceil(counts[rows] * reach) + 1.0)
     stop = np.cumsum(search)
@@ -464,16 +442,18 @@ def _amp_extrema(t_max: np.ndarray, modes, errors: list):
     return times[keep], kinds[keep], amps[keep], owner[keep]
 
 
-def _interval_data(t_max: np.ndarray, modes, tails: np.ndarray, errors: list):
+def _interval_data(t_max: np.ndarray, modes, flux: _Flux, tails: np.ndarray,
+                   errors: list):
     """Pair-independent interval skeleton of every row, from the rows'
-    ``mode_constants``, tails |A(t_max)| and errors (``_row_setup``).
+    ``mode_constants``, two-mode table, tails |A(t_max)| and errors
+    (``_row_setup``).
 
     Returns (starts, ends, xs, xe, owner): the intervals of the rows
     without an error in (row, time) order, with |A| at both ends and the
     row of each.  An interval still open at the horizon is truncated at
     t_max; the missed tail is covered by the truncation bound of the measure.
     """
-    times, _, x, owner = _amp_extrema(t_max, modes, errors)  # min, max, min, ...
+    times, _, x, owner = _amp_extrema(t_max, modes, flux, errors)  # min, max, min, ...
     # a row left rising at the horizon ends at (t_max, |A(t_max)|); sorted
     # stably by row, every row then holds (min, max) pairs
     open_rows = np.flatnonzero(np.bincount(owner, minlength=len(errors)) % 2)
@@ -498,8 +478,8 @@ def _intervals(data, u: float, t_max: float) -> BackflowIntervals:
 def backflow_intervals(dp: DerivedParams, pair, t_max: float) -> BackflowIntervals:
     """Intervals of growing trace distance for the given antipodal pair."""
     t = np.array([t_max], dtype=float)
-    modes, tails, errors = _row_setup([dp], t)
-    data = _interval_data(t, modes, tails, errors)
+    modes, flux, tails, errors = _row_setup([dp], t)
+    data = _interval_data(t, modes, flux, tails, errors)
     if errors[0] is not None:
         raise errors[0]
     return _intervals(data[:4], _pair_u(pair), t_max)
@@ -614,13 +594,16 @@ def _alpha(u: np.ndarray) -> np.ndarray:
 
 
 def _row_setup(dps, t_max: np.ndarray):
-    """(modes, tails, errors): the rows' ``mode_constants``, their tails
-    |A(t_max)| and the pass's one list of row errors (None where a row has
-    none yet), computed once per pass.
+    """(modes, flux, tails, errors): the rows' ``mode_constants``, two-mode
+    table (``_Flux.of``), tails |A(t_max)| and the pass's one list of row
+    errors (None where a row has none yet), computed once per pass.
 
     A row whose model constants overflow (``DerivedParams.overflow``) gets
     an ``OverflowError``, and one whose t_max is not finite and > 0 a
-    ``ValidationError``; neither goes to the kernel, and its tail is NaN.
+    ``ValidationError``; so does a row whose extrema search would need more
+    than ``_MAX_GAPS`` initial gaps (``_gap_counts``).  None of them goes to
+    the kernel, and its tail is NaN; so the kernel phase |w| t_max of a
+    searched row is at most 2^21 pi.
     """
     errors: list = [None] * len(dps)
     for i, dp in enumerate(dps):
@@ -629,10 +612,17 @@ def _row_setup(dps, t_max: np.ndarray):
         elif not 0.0 < t_max[i] < math.inf:
             errors[i] = ValidationError(f"t_max must be finite and > 0, got {t_max[i]}")
     modes = mode_constants(dps)
+    flux = _Flux.of(modes, ~_failed(errors))
+    rows = np.flatnonzero(flux.z.imag != 0.0)
+    gaps = _gap_counts(flux.at(rows), t_max[rows])
+    over = gaps > _MAX_GAPS
+    for r, g in zip(rows[over].tolist(), gaps[over].tolist()):
+        errors[r] = ValidationError(f"the extrema search needs {g:.0f} initial gaps, "
+                                    f"over the budget of {_MAX_GAPS} per row")
     live = np.flatnonzero(~_failed(errors))
     tails = np.full(len(dps), np.nan)
     tails[live] = np.abs(_amplitude(modes, t_max[live], live)[0])
-    return modes, tails, errors
+    return modes, flux, tails, errors
 
 
 def _measures(params_seq, t_maxes):
@@ -640,11 +630,11 @@ def _measures(params_seq, t_maxes):
     ``blp_measures``."""
     dps = [derive(params) for params in params_seq]
     t = np.array(t_maxes, dtype=float)
-    modes, tails, errors = _row_setup(dps, t)
+    modes, flux, tails, errors = _row_setup(dps, t)
     short = (tails >= TRUNCATION_EPS) & (t < [100.0 / dp.params.gamma for dp in dps])
     _fail(errors, np.flatnonzero(short),
           "t_max too small: require |A(t_max)| < 1e-4 or t_max >= 100/gamma")
-    starts, ends, xs, xe, owner = _interval_data(t, modes, tails, errors)
+    starts, ends, xs, xe, owner = _interval_data(t, modes, flux, tails, errors)
     gain, u = _max_gain(xs, xe, owner, len(dps))
     failed = _failed(errors)
     gain[failed] = u[failed] = tails[failed] = np.nan

@@ -2,21 +2,23 @@
 
 Two independent routes exist for the central quantities and this module
 drives them against each other: the closed-form amplitude against the exact
-propagator of the memory dynamics (``amplitude_oracle_ode``), and the
-closed-form witness against the propagator composition.
+propagator of the memory dynamics, and the closed-form witness against the
+propagator composition.  Both are array-shaped: one stacked propagator
+(``amplitude.amplitude_oracles``) covers every oracle set, and one kernel
+call gives A(tau) and A(tau/2) of every witness case, whose two routes are
+then compared as arrays.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import amplitude
-from .amplitude import amplitude_oracle_ode
+from . import amplitude, temporal
 from .params import SystemParams, derive
-from .temporal import quantum_witness, witness_probabilities
 
 ORACLE_LAMBDAS = (0.01, 0.1, 1.0)
 ORACLE_OMEGAS = (0.0, 0.5, 2.0)
@@ -36,50 +38,75 @@ class CheckResult:
 def oracle_grid_check(quick: bool = False) -> list[CheckResult]:
     """Closed form vs the memory ODE's exact propagator on the standard grid.
 
-    The closed-form values are taken from ``amplitude.amplitude_grid`` as
-    they are, unvalidated, so a drifting closed form fails these checks'
-    own gates instead of raising.
+    One batched oracle call covers every set.  The closed-form values are
+    taken from ``amplitude.amplitude_grid`` as they are, one call per set and
+    unvalidated, so a drifting closed form fails these checks' own gates
+    instead of raising.
     """
     lams = ORACLE_LAMBDAS[:1] if quick else ORACLE_LAMBDAS
     omegas = ORACLE_OMEGAS[:2] if quick else ORACLE_OMEGAS
     deltas = ORACLE_DELTAS[:2] if quick else ORACLE_DELTAS
+    sets = list(itertools.product(lams, omegas, deltas))
+    params = [SystemParams(lam=lam, omega_rabi=om, delta_qc=dq) for lam, om, dq in sets]
+    times, odes = amplitude.amplitude_oracles(params, ORACLE_T_MAX)
     results = []
-    for lam in lams:
-        for om in omegas:
-            for dq in deltas:
-                params = SystemParams(lam=lam, omega_rabi=om, delta_qc=dq)
-                ode = amplitude_oracle_ode(params, ORACLE_T_MAX)
-                # looked up on the module, so that a wrapper of it (the
-                # perfbench tracer) counts these grid points too
-                closed, _ = amplitude.amplitude_grid(derive(params), ode.times)
-                err = float(np.max(np.abs(closed - ode.values)))
-                contraction = float(np.max(np.abs(closed)))
-                ok = err <= ORACLE_TOL and contraction <= 1.0 + 1e-12
-                results.append(CheckResult(
-                    name=f"amplitude lam={lam} omega={om} delta={dq}",
-                    passed=ok,
-                    detail=f"max|closed-ode|={err:.2e}, max|A|={contraction:.12f}",
-                ))
+    for (lam, om, dq), p, ode in zip(sets, params, odes):
+        # looked up on the module, so that a wrapper of it (the perfbench
+        # tracer) counts these grid points too
+        closed, _ = amplitude.amplitude_grid(derive(p), times)
+        err = float(np.max(np.abs(closed - ode)))
+        contraction = float(np.max(np.abs(closed)))
+        ok = err <= ORACLE_TOL and contraction <= 1.0 + 1e-12
+        results.append(CheckResult(
+            name=f"amplitude lam={lam} omega={om} delta={dq}",
+            passed=ok,
+            detail=f"max|closed-ode|={err:.2e}, max|A|={contraction:.12f}",
+        ))
     return results
+
+
+def _witness_cases(n: int):
+    """(params, theta, tau) of the n random witness cases.
+
+    Each case draws log10(lam), omega, delta_qc, delta_cav, theta and tau in
+    that order; one (n, 6) draw gives the numbers of n rounds of six scalar
+    draws.
+    """
+    rng = np.random.default_rng(WITNESS_SEED)
+    draws = rng.uniform([-2.0, 0.0, -3.0, -1.0, 0.0, 0.0],
+                        [0.4, 3.0, 3.0, 1.0, math.pi / 2, 30.0], size=(n, 6))
+    params = [SystemParams(lam=10 ** lg, omega_rabi=om, delta_qc=dq, delta_cav=dc)
+              for lg, om, dq, dc in draws[:, :4].tolist()]
+    return params, draws[:, 4], draws[:, 5]
+
+
+def _stacked(P: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """P p for each case of the trailing axis."""
+    return np.einsum("ijn,jn->in", P, p)
+
+
+def _witness_route_errors(n: int) -> np.ndarray:
+    """|route - closed| of each witness case.
+
+    The route composes the stochastic matrices of ``temporal.propagator``
+    (p_plus free, and blind through a nonselective measurement at tau/2);
+    the closed form is ``temporal``'s witness formula.  A(tau) and A(tau/2)
+    of all cases come from one kernel call.
+    """
+    params, theta, tau = _witness_cases(n)
+    M, F, _, s_plus = amplitude.mode_constants([derive(p) for p in params])
+    a1, ah = amplitude._mode_form(M, F, np.stack([tau, tau / 2.0]), s_plus)
+    sin2 = np.sin(2 * theta)
+    p0 = 0.5 * np.array([1.0 + sin2, 1.0 - sin2])
+    p_free = _stacked(temporal._propagator_matrix(a1.real), p0)[0]
+    half = temporal._propagator_matrix(ah.real)
+    p_blind = _stacked(half, _stacked(half, p0))[0]
+    return np.abs(np.abs(p_free - p_blind) - temporal._witness_form(theta, a1, ah))
 
 
 def witness_consistency_check(n: int = 200) -> list[CheckResult]:
     """Closed-form witness vs the propagator composition on n random cases."""
-    rng = np.random.default_rng(WITNESS_SEED)
-    worst = 0.0
-    for _ in range(n):
-        params = SystemParams(
-            lam=float(10 ** rng.uniform(-2, 0.4)),
-            omega_rabi=float(rng.uniform(0, 3)),
-            delta_qc=float(rng.uniform(-3, 3)),
-            delta_cav=float(rng.uniform(-1, 1)),
-        )
-        dp = derive(params)
-        theta = float(rng.uniform(0, math.pi / 2))
-        tau = float(rng.uniform(0, 30))
-        p_free, p_blind = witness_probabilities(dp, theta, tau)
-        closed = quantum_witness(dp, theta, tau).w_q
-        worst = max(worst, abs(abs(p_free - p_blind) - closed))
+    worst = float(np.max(_witness_route_errors(n)))
     return [CheckResult(
         name=f"witness propagator route ({n} random cases)",
         passed=worst <= 1e-12,

@@ -115,7 +115,12 @@ def propagator(dp: DerivedParams, t: float) -> np.ndarray:
     Columns are stochastic: entries in [0, 1], each column summing to 1;
     mixing is controlled by Re A(t).
     """
-    re_a = amplitude_closed_form(dp, t).real
+    return _propagator_matrix(amplitude_closed_form(dp, t).real)
+
+
+def _propagator_matrix(re_a):
+    """The stochastic matrix of ``propagator`` from Re A, shaped (2, 2) plus
+    the shape of ``re_a``: a trailing case axis where Re A is an array."""
     return 0.5 * np.array([[1.0 + re_a, 1.0 - re_a], [1.0 - re_a, 1.0 + re_a]])
 
 
@@ -136,9 +141,15 @@ def witness_probabilities(dp: DerivedParams, theta: float,
 
 def _witness(dp: DerivedParams, theta: float, taus: np.ndarray):
     """(w_q, A(tau)) over an array of delays, A(tau) and A(tau/2) from one
-    kernel call (formula in ``quantum_witness``)."""
+    kernel call."""
     (a1, ah), _ = amplitude_grid(dp, np.stack([taus, taus / 2.0]))
-    return np.abs(math.sin(2 * theta) * (2.0 * a1.real - 2.0 * ah.real**2)) / 4.0, a1
+    return _witness_form(theta, a1, ah), a1
+
+
+def _witness_form(theta, a1, ah):
+    """w_q from theta, A(tau) and A(tau/2), elementwise (formula in
+    ``quantum_witness``)."""
+    return np.abs(np.sin(2 * theta) * (2.0 * a1.real - 2.0 * ah.real**2)) / 4.0
 
 
 def quantum_witness(dp: DerivedParams, theta: float, tau: float) -> WitnessResult:

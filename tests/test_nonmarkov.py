@@ -31,7 +31,7 @@ def _extrema(dp, t_max):
     row's error."""
     errors = [None]
     times, kinds, amps, _ = _amp_extrema(np.array([t_max]), mode_constants([dp]),
-                                         errors)
+                                         _flux(dp), errors)
     if errors[0] is not None:
         raise errors[0]
     return times, kinds, amps

@@ -419,6 +419,21 @@ def test_cli_reports_running_out_of_memory(tmp_path, capsys, monkeypatch):
                    "100000000000 points\n")
 
 
+def test_cli_blp_rows_over_budget_at_a_huge_horizon_fail_without_warnings(tmp_path, capsys):
+    # both rows need more initial gaps than their budget, so each fails
+    # before the kernel sees its horizon: no numpy warning (the suite's
+    # filter would raise it), only the summary line
+    out = tmp_path / "blp.csv"
+    rc = main(["sweep", "--quantity", "blp", "--axis", "omega", "--axis-min", "0",
+               "--axis-max", "1e10", "--points", "2", "--lambda", "0.1",
+               "--tmax", "1e300", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == ""
+    assert captured.out == f"wrote {out}: 2 rows, 2 failed\n"
+    assert [r["status"] for r in read_csv(out)] == ["invalid", "invalid"]
+
+
 @pytest.mark.parametrize("command", ["sweep", "figure", "config"])
 @pytest.mark.parametrize("workers", ["0", "-1"])
 def test_cli_rejects_workers_below_one(tmp_path, capsys, command, workers):
