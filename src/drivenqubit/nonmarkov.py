@@ -391,10 +391,11 @@ def _gap_counts(c: _Flux, t_max: np.ndarray) -> np.ndarray:
         return np.ceil(4.0 * np.abs(c.z.imag) * t_max / math.pi)
 
 
-def _amp_extrema(t_max: np.ndarray, modes, flux: _Flux, errors: list):
+def _amp_extrema(t_max: np.ndarray, modes, flux: _Flux, gaps: np.ndarray,
+                 errors: list):
     """Refined times of the extrema of |A| on (0, t_max) of every row, their
-    kinds and |A| there, from the rows' ``mode_constants``, two-mode table
-    and ``errors`` (``_row_setup``).
+    kinds and |A| there, from the rows' ``mode_constants``, two-mode table,
+    initial gap counts and ``errors`` (``_row_setup``).
 
     Brackets the sign changes of d|A|^2/dt with the certified finder on its
     two-mode form, starting from gaps of an eighth of the beat period
@@ -411,12 +412,10 @@ def _amp_extrema(t_max: np.ndarray, modes, flux: _Flux, errors: list):
     extrema of the other rows in (row, time) order, and the row of each.
     """
     n_rows = len(errors)
-    rows = np.flatnonzero((flux.z.imag != 0.0) & ~_failed(errors))
-    counts = np.zeros(n_rows, dtype=int)  # initial gaps per row to t_max
-    search = np.zeros(n_rows, dtype=int)  # the first of them, searched
-    counts[rows] = np.maximum(_gap_counts(flux.at(rows), t_max[rows]), 1.0)
+    rows = np.flatnonzero((gaps > 0) & ~_failed(errors))
+    search = np.zeros(n_rows, dtype=int)  # the first gaps of each row, searched
     reach = np.minimum(_search_horizon(flux.at(rows)) / t_max[rows], 1.0)
-    search[rows] = np.minimum(counts[rows], np.ceil(counts[rows] * reach) + 1.0)
+    search[rows] = np.minimum(gaps[rows], np.ceil(gaps[rows] * reach) + 1.0)
     stop = np.cumsum(search)
     start = stop - search
     parts = [(np.empty(0), np.empty(0, dtype=int), np.empty(0), np.empty(0, dtype=int))]
@@ -429,7 +428,7 @@ def _amp_extrema(t_max: np.ndarray, modes, flux: _Flux, errors: list):
         owner = np.repeat(rows, size)
         index = (np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
                  + np.repeat(first, size))
-        lo, hi, owner = _flux_brackets(flux, t_max[owner] * (index / counts[owner]),
+        lo, hi, owner = _flux_brackets(flux, t_max[owner] * (index / gaps[owner]),
                                        owner)
         parts.append((*_refine(flux, modes, lo, hi, owner, errors), owner))
         search[_failed(errors)] = 0  # a failed row's later gaps are not searched
@@ -442,18 +441,18 @@ def _amp_extrema(t_max: np.ndarray, modes, flux: _Flux, errors: list):
     return times[keep], kinds[keep], amps[keep], owner[keep]
 
 
-def _interval_data(t_max: np.ndarray, modes, flux: _Flux, tails: np.ndarray,
-                   errors: list):
+def _interval_data(t_max: np.ndarray, modes, flux: _Flux, gaps: np.ndarray,
+                   tails: np.ndarray, errors: list):
     """Pair-independent interval skeleton of every row, from the rows'
-    ``mode_constants``, two-mode table, tails |A(t_max)| and errors
-    (``_row_setup``).
+    ``mode_constants``, two-mode table, initial gap counts, tails
+    |A(t_max)| and errors (``_row_setup``).
 
     Returns (starts, ends, xs, xe, owner): the intervals of the rows
     without an error in (row, time) order, with |A| at both ends and the
     row of each.  An interval still open at the horizon is truncated at
     t_max; the missed tail is covered by the truncation bound of the measure.
     """
-    times, _, x, owner = _amp_extrema(t_max, modes, flux, errors)  # min, max, min, ...
+    times, _, x, owner = _amp_extrema(t_max, modes, flux, gaps, errors)  # min, max, min, ...
     # a row left rising at the horizon ends at (t_max, |A(t_max)|); sorted
     # stably by row, every row then holds (min, max) pairs
     open_rows = np.flatnonzero(np.bincount(owner, minlength=len(errors)) % 2)
@@ -478,8 +477,8 @@ def _intervals(data, u: float, t_max: float) -> BackflowIntervals:
 def backflow_intervals(dp: DerivedParams, pair, t_max: float) -> BackflowIntervals:
     """Intervals of growing trace distance for the given antipodal pair."""
     t = np.array([t_max], dtype=float)
-    modes, flux, tails, errors = _row_setup([dp], t)
-    data = _interval_data(t, modes, flux, tails, errors)
+    modes, flux, gaps, tails, errors = _row_setup([dp], t)
+    data = _interval_data(t, modes, flux, gaps, tails, errors)
     if errors[0] is not None:
         raise errors[0]
     return _intervals(data[:4], _pair_u(pair), t_max)
@@ -594,16 +593,18 @@ def _alpha(u: np.ndarray) -> np.ndarray:
 
 
 def _row_setup(dps, t_max: np.ndarray):
-    """(modes, flux, tails, errors): the rows' ``mode_constants``, two-mode
-    table (``_Flux.of``), tails |A(t_max)| and the pass's one list of row
-    errors (None where a row has none yet), computed once per pass.
+    """(modes, flux, gaps, tails, errors): the rows' ``mode_constants``,
+    two-mode table (``_Flux.of``), initial gaps of their extrema search to
+    t_max, tails |A(t_max)| and the pass's one list of row errors (None
+    where a row has none yet), computed once per pass.
 
     A row whose model constants overflow (``DerivedParams.overflow``) gets
     an ``OverflowError``, and one whose t_max is not finite and > 0 a
     ``ValidationError``; so does a row whose extrema search would need more
     than ``_MAX_GAPS`` initial gaps (``_gap_counts``).  None of them goes to
     the kernel, and its tail is NaN; so the kernel phase |w| t_max of a
-    searched row is at most 2^21 pi.
+    searched row is at most 2^21 pi.  ``gaps`` holds at least 1 for every
+    other oscillating row, and 0 for the rest: the rows to search.
     """
     errors: list = [None] * len(dps)
     for i, dp in enumerate(dps):
@@ -614,15 +615,17 @@ def _row_setup(dps, t_max: np.ndarray):
     modes = mode_constants(dps)
     flux = _Flux.of(modes, ~_failed(errors))
     rows = np.flatnonzero(flux.z.imag != 0.0)
-    gaps = _gap_counts(flux.at(rows), t_max[rows])
-    over = gaps > _MAX_GAPS
-    for r, g in zip(rows[over].tolist(), gaps[over].tolist()):
+    counts = _gap_counts(flux.at(rows), t_max[rows])
+    over = counts > _MAX_GAPS
+    for r, g in zip(rows[over].tolist(), counts[over].tolist()):
         errors[r] = ValidationError(f"the extrema search needs {g:.0f} initial gaps, "
                                     f"over the budget of {_MAX_GAPS} per row")
+    gaps = np.zeros(len(dps), dtype=int)
+    gaps[rows[~over]] = np.maximum(counts[~over], 1.0)
     live = np.flatnonzero(~_failed(errors))
     tails = np.full(len(dps), np.nan)
     tails[live] = np.abs(_amplitude(modes, t_max[live], live)[0])
-    return modes, flux, tails, errors
+    return modes, flux, gaps, tails, errors
 
 
 def _measures(params_seq, t_maxes):
@@ -630,11 +633,11 @@ def _measures(params_seq, t_maxes):
     ``blp_measures``."""
     dps = [derive(params) for params in params_seq]
     t = np.array(t_maxes, dtype=float)
-    modes, flux, tails, errors = _row_setup(dps, t)
+    modes, flux, gaps, tails, errors = _row_setup(dps, t)
     short = (tails >= TRUNCATION_EPS) & (t < [100.0 / dp.params.gamma for dp in dps])
     _fail(errors, np.flatnonzero(short),
           "t_max too small: require |A(t_max)| < 1e-4 or t_max >= 100/gamma")
-    starts, ends, xs, xe, owner = _interval_data(t, modes, flux, tails, errors)
+    starts, ends, xs, xe, owner = _interval_data(t, modes, flux, gaps, tails, errors)
     gain, u = _max_gain(xs, xe, owner, len(dps))
     failed = _failed(errors)
     gain[failed] = u[failed] = tails[failed] = np.nan

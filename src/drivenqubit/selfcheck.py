@@ -3,7 +3,8 @@
 Two independent routes exist for the central quantities and this module
 drives them against each other: the closed-form amplitude against the exact
 propagator of the memory dynamics, and the closed-form witness against the
-propagator composition.  Both are array-shaped: one stacked propagator
+propagator composition (``temporal._witness_route``, the route of
+``witness_probabilities``).  Both are array-shaped: one stacked propagator
 (``amplitude.amplitude_oracles``) covers every oracle set, and one kernel
 call gives A(tau) and A(tau/2) of every witness case, whose two routes are
 then compared as arrays.
@@ -80,27 +81,18 @@ def _witness_cases(n: int):
     return params, draws[:, 4], draws[:, 5]
 
 
-def _stacked(P: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """P p for each case of the trailing axis."""
-    return np.einsum("ijn,jn->in", P, p)
-
-
 def _witness_route_errors(n: int) -> np.ndarray:
     """|route - closed| of each witness case.
 
-    The route composes the stochastic matrices of ``temporal.propagator``
-    (p_plus free, and blind through a nonselective measurement at tau/2);
-    the closed form is ``temporal``'s witness formula.  A(tau) and A(tau/2)
-    of all cases come from one kernel call.
+    The route is ``temporal``'s propagator composition (p_plus free, and
+    blind through a nonselective measurement at tau/2); the closed form is
+    its witness formula.  A(tau) and A(tau/2) of all cases come from one
+    kernel call.
     """
     params, theta, tau = _witness_cases(n)
     M, F, _, s_plus = amplitude.mode_constants([derive(p) for p in params])
     a1, ah = amplitude._mode_form(M, F, np.stack([tau, tau / 2.0]), s_plus)
-    sin2 = np.sin(2 * theta)
-    p0 = 0.5 * np.array([1.0 + sin2, 1.0 - sin2])
-    p_free = _stacked(temporal._propagator_matrix(a1.real), p0)[0]
-    half = temporal._propagator_matrix(ah.real)
-    p_blind = _stacked(half, _stacked(half, p0))[0]
+    p_free, p_blind = temporal._witness_route(theta, a1.real, ah.real)
     return np.abs(np.abs(p_free - p_blind) - temporal._witness_form(theta, a1, ah))
 
 

@@ -130,13 +130,27 @@ def witness_probabilities(dp: DerivedParams, theta: float,
 
     p_plus is the undisturbed probability of the + outcome; p_plus_blind
     inserts a nonselective +/- measurement at tau/2, composing the two
-    half-interval propagators.
+    half-interval propagators.  The one-point view of ``_witness_route``.
     """
-    p0 = 0.5 * np.array([1.0 + math.sin(2 * theta), 1.0 - math.sin(2 * theta)])
-    p_free = propagator(dp, tau) @ p0
-    half = propagator(dp, tau / 2.0)
-    p_blind = half @ (half @ p0)
-    return float(p_free[0]), float(p_blind[0])
+    re_a1 = amplitude_closed_form(dp, tau).real
+    re_ah = amplitude_closed_form(dp, tau / 2.0).real
+    p_free, p_blind = _witness_route(theta, re_a1, re_ah)
+    return float(p_free), float(p_blind)
+
+
+def _witness_route(theta, re_a1, re_ah):
+    """(p_plus, p_plus_blind) from theta, Re A(tau) and Re A(tau/2),
+    elementwise (route of ``witness_probabilities``)."""
+    sin2 = np.sin(2 * theta)
+    p0 = 0.5 * np.array([1.0 + sin2, 1.0 - sin2])
+    half = _propagator_matrix(re_ah)
+    p_blind = _apply(half, _apply(half, p0))
+    return _apply(_propagator_matrix(re_a1), p0)[0], p_blind[0]
+
+
+def _apply(P, p):
+    """P p, case by case along the trailing axes of ``_propagator_matrix``."""
+    return P[:, 0] * p[0] + P[:, 1] * p[1]
 
 
 def _witness(dp: DerivedParams, theta: float, taus: np.ndarray):

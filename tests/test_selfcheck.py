@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from drivenqubit import SystemParams, amplitude, derive, selfcheck, temporal
 from drivenqubit.amplitude import ORACLE_POINTS, amplitude_oracle_ode, amplitude_oracles
@@ -58,12 +59,13 @@ def test_witness_line_matches_the_per_case_public_route():
     assert abs(float(np.max(selfcheck._witness_route_errors(200))) - worst) <= 1e-15
 
 
-def test_drifting_propagator_matrix_fails_only_the_witness_line(monkeypatch):
+@pytest.mark.parametrize("helper", ["_propagator_matrix", "_apply"])
+def test_drifting_propagator_route_fails_only_the_witness_line(monkeypatch, helper):
     # the witness line compares two routes: a drift in the propagator's
-    # matrix moves one of them and fails it, and leaves the oracle lines
-    matrix = temporal._propagator_matrix
-    monkeypatch.setattr(temporal, "_propagator_matrix",
-                        lambda re_a: matrix(re_a) * (1 + 1e-6))
+    # matrix, or in how the route composes it, moves one of them and fails
+    # it, and leaves the oracle lines
+    original = getattr(temporal, helper)
+    monkeypatch.setattr(temporal, helper, lambda *args: original(*args) * (1 + 1e-6))
     results = selfcheck.run_all()
     assert len(results) == 28
     assert all(r.passed for r in results[:-1])
