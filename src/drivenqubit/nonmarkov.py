@@ -32,15 +32,23 @@ The rows of a sweep are evaluated together (``blp_measures``;
 its own rows: the kernel's ``mode_constants``, and the finder's two-mode
 table, work budgets and search horizons, derived from them elementwise.
 The initial gaps of all rows are taken in (row, time) order, each with the
-index of its row: the finder, the Newton steps, the kernel confirmation and
-the bisection fallback run on slices of at most ``_CHUNK`` initial gaps, a
-cap across rows that bounds the peak memory, and one branch and bound
-searches the pairs of all rows.  A row's result depends on its own data
-alone.  One list, made by ``_row_setup``, holds each row's first error:
-every stage records a failure there and skips the rows that have one, so a
-failed row stops while the others go on.  A row whose model constants
-overflow, whose horizon is not finite and > 0, or whose search would need
-more than ``_MAX_GAPS`` initial gaps fails before any kernel call.
+index of its row, in slices of at most ``_CHUNK`` initial gaps, a cap across
+rows that bounds the peak memory.  A slice takes the finder's first round
+and the first Newton round of the brackets it finds, confirmed in one kernel
+call.  The gaps it leaves to split and the brackets it leaves unconfirmed,
+a few per slice, are carried to one batch-wide finish, which runs after the
+last slice (or once the carried entries reach ``_CHUNK``): the gaps are
+split level by level, their brackets take their first round, and all
+unconfirmed brackets one round of more Newton steps and then the bisection
+fallback, each stage once for the whole batch.  The extrema are then sorted
+once by (row, time).  The branch and bound searches the pairs of runs of
+rows with at most ``_CHUNK`` intervals.  Every stage is elementwise in the
+rows, so a row's result depends on its own data alone.  One list, made by
+``_row_setup``, holds each row's first error: every stage records a failure
+there and skips the rows that have one, so a failed row stops while the
+others go on.  A row whose model constants overflow, whose horizon is not
+finite and > 0, or whose search would need more than ``_MAX_GAPS`` initial
+gaps fails before any kernel call.
 """
 
 from __future__ import annotations
@@ -69,7 +77,8 @@ TRUNCATION_EPS = 1e-4
 _PAIR_ATOL = 1e-9
 _ROOT_TOL = 1e-10  # width of a refined extremum bracket
 _ROUNDING = 16 * np.finfo(float).eps
-_CHUNK = 4096  # initial gaps of the bracket finder per pass, across rows
+_CHUNK = 4096  # initial gaps of the bracket finder, or intervals of the pair
+               # search, per pass across rows
 _MAX_GAPS = 2 ** 23  # initial gaps of one row: its work budget
 _NEWTON_STEPS = 6
 _NEWTON_MORE = 24  # for the brackets the first steps leave unconfirmed
@@ -221,50 +230,117 @@ def _node_data(c: _Flux, t: np.ndarray) -> np.ndarray:
     return np.array([g, dg, err_g, err_dg, lip1, lip2])
 
 
-def _flux_brackets(flux: _Flux, t: np.ndarray, owner: np.ndarray):
-    """Gaps of the node grids over which G certifiably changes sign once.
+class _Gaps(NamedTuple):
+    """Gaps of the finder's node grids, one entry per gap: its ends, its
+    row, and the node data (``_node_data``) at its left and right ends."""
 
-    t holds the increasing node grid of each row, one after the other, and
-    ``owner`` the row of each node in the table ``flux``; the gaps are those
-    between consecutive nodes of one row.  Returns (lo, hi, owner) of the
-    brackets in (row, time) order.
+    lo: np.ndarray
+    hi: np.ndarray
+    own: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+
+
+class _Todo(NamedTuple):
+    """Brackets of sign changes of h under refinement, one entry each: the
+    ends, the row, the direction (h rising through 0: a minimum of |A|) and
+    the Newton state, a narrowed bracket [left, right] and an estimate x."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    own: np.ndarray
+    rising: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    x: np.ndarray
+
+    @classmethod
+    def of(cls, lo, hi, own, g) -> "_Todo":
+        """New brackets, from G at their right ends, which has the sign of h
+        past the sign change."""
+        return cls(lo, hi, own, g > 0, lo, hi, 0.5 * (lo + hi))
+
+
+class _Extrema(NamedTuple):
+    """Refined extrema of |A|: times, kinds (+1 a minimum, -1 a maximum),
+    |A| there and the row of each."""
+
+    times: np.ndarray
+    kinds: np.ndarray
+    amps: np.ndarray
+    owner: np.ndarray
+
+
+_NO_BRACKETS = _Todo.of(np.empty(0), np.empty(0), np.empty(0, dtype=int), np.empty(0))
+_NO_EXTREMA = _Extrema(np.empty(0), np.empty(0, dtype=int), np.empty(0),
+                       np.empty(0, dtype=int))
+
+
+def _take(table, index):
+    """The entries ``index`` of a table of per-entry columns (``_Gaps``,
+    ``_Todo``, ``_Extrema``); a column's last axis runs over the entries."""
+    return type(table)(*(col[..., index] for col in table))
+
+
+def _cat(tables):
+    """The entries of like tables, one after the other."""
+    return type(tables[0])(*(np.concatenate(cols, axis=-1) for cols in zip(*tables)))
+
+
+def _judge(gaps: _Gaps, other=False):
+    """One round of the bracket finder: (the brackets it finds, as
+    ``_Todo.of``, and the gaps it must split).
 
     A gap whose end values exceed the Lipschitz bound of G times its width
-    holds no root; a gap on which G' certifiably keeps its sign holds at
-    most one, present iff G changes sign at its ends.  Every other gap is
+    holds no root; so does one marked ``other``, whose ends lie in two rows.
+    A gap on which G' certifiably keeps its sign holds at most one root,
+    present iff G changes sign at its ends.  Every other gap is to be
     halved.  A gap narrower than the refinement tolerance, or on which G
     cannot vary by more than its rounding error, is judged by the signs of
     its ends, so the halving always stops.
     """
+    lo, hi, own, left, right = gaps
+    dt = hi - lo
+    no_root = other | (np.abs(left[0]) + np.abs(right[0]) - left[2] - right[2]
+                       > left[4] * dt)
+    monotone = (np.abs(left[1]) + np.abs(right[1]) - left[3] - right[3]
+                > left[5] * dt)
+    at_floor = (dt <= _ROOT_TOL) | (left[4] * dt <= left[2] + right[2])
+    judged = ~no_root & (monotone | at_floor)
+    hit = judged & ((left[0] > 0) != (right[0] > 0))
+    return (_Todo.of(lo[hit], hi[hit], own[hit], right[0, hit]),
+            _take(gaps, ~no_root & ~judged))
+
+
+def _flux_brackets(flux: _Flux, t: np.ndarray, owner: np.ndarray):
+    """First round of the certified bracket finder on node grids: (the
+    brackets of the sign changes of G it finds, the gaps left to split).
+
+    t holds the increasing node grid of each row, one after the other, and
+    ``owner`` the row of each node in the table ``flux``; the gaps are those
+    between consecutive nodes of one row, judged by ``_judge``.  ``_split``
+    finishes the gaps left to split, for many calls at once.
+    """
     v = _node_data(flux.at(owner), t)
     v[0, t == 0.0] = 0.0  # dA/dt = 0 at t = 0; G turns negative right after it
-    # views: the first pass copies only the gaps it splits
-    lo, hi, own, left, right = t[:-1], t[1:], owner[:-1], v[:, :-1], v[:, 1:]
-    other = owner[1:] != own  # a row's last node and the next row's first
-    found = [(t[:0], t[:0], owner[:0])]
-    while lo.size:
-        dt = hi - lo
-        no_root = other | (np.abs(left[0]) + np.abs(right[0]) - left[2] - right[2]
-                           > left[4] * dt)
-        other = False
-        monotone = (np.abs(left[1]) + np.abs(right[1]) - left[3] - right[3]
-                    > left[5] * dt)
-        at_floor = (dt <= _ROOT_TOL) | (left[4] * dt <= left[2] + right[2])
-        judged = ~no_root & (monotone | at_floor)
-        hit = judged & ((left[0] > 0) != (right[0] > 0))
-        found.append((lo[hit], hi[hit], own[hit]))
-        split = ~no_root & ~judged
-        lo, hi, own = lo[split], hi[split], own[split]
-        left, right = left[:, split], right[:, split]
+    # views: the round copies only the gaps it splits
+    return _judge(_Gaps(t[:-1], t[1:], owner[:-1], v[:, :-1], v[:, 1:]),
+                  owner[1:] != owner[:-1])
+
+
+def _split(flux: _Flux, gaps: _Gaps) -> _Todo:
+    """The brackets in gaps left to split: level by level, every gap is
+    halved at its midpoint, the new nodes evaluated in one call, and the
+    halves judged (``_judge``), until no gap is left."""
+    found = [_NO_BRACKETS]
+    while gaps.lo.size:
+        lo, hi, own, left, right = gaps
         mid = 0.5 * (lo + hi)
         vm = _node_data(flux.at(own), mid)
-        lo, hi, own = (np.concatenate([lo, mid]), np.concatenate([mid, hi]),
-                       np.concatenate([own, own]))
-        left = np.concatenate([left, vm], axis=1)
-        right = np.concatenate([vm, right], axis=1)
-    lo, hi, own = (np.concatenate(col) for col in zip(*found))
-    order = np.lexsort((lo, own))
-    return lo[order], hi[order], own[order]
+        hit, gaps = _judge(_cat([_Gaps(lo, mid, own, left, vm),
+                                 _Gaps(mid, hi, own, vm, right)]))
+        found.append(hit)
+    return _cat(found)
 
 
 def _amplitude(modes, t: np.ndarray, owner: np.ndarray):
@@ -334,45 +410,51 @@ def _fail(errors: list, rows, message: str) -> None:
             errors[r] = ValidationError(message)
 
 
-def _refine(flux: _Flux, modes, lo, hi, owner, errors: list):
-    """Times of the sign changes of h in the brackets, their kinds and |A| there.
+def _newton_round(flux: _Flux, modes, todo: _Todo, steps: int, errors: list):
+    """One refinement round: ``steps`` Newton steps on G for each bracket,
+    held inside it, then one kernel call (``_confirm``).
 
-    G at each bracket's right end gives the direction of its sign change.
-    Each round takes Newton steps on G, held inside the bracket, to estimate
-    the root; one kernel call then gives h at both ends of every bracket
-    and at the estimate +-0.45 _ROOT_TOL, and |A| at the estimate.  A
-    bracket whose ends show no sign change of h, or one against G's
-    direction, means G and the kernel disagree, and fails its row.  Where h
-    changes sign across the estimate, that narrow bracket is the result.
-    The first round takes _NEWTON_STEPS steps; the brackets whose steps had
-    not yet converged go on with up to _NEWTON_MORE, and only a bracket that
-    still fails is bisected on h.  A failed bracket records its row's error
-    in ``errors``.  Returns (times, kinds, |A|).
+    A bracket whose ends show no sign change of h, or one against G's
+    direction, means G and the kernel disagree, and fails its row in
+    ``errors``.  Where h changes sign across the estimate, that narrow
+    bracket is the result.  Returns (the extrema of the brackets done, the
+    brackets left unconfirmed, with their Newton state); the brackets of
+    failed rows count as done.
     """
-    c = flux.at(owner)
-    rising = _flux_form(c, hi)[0] > 0  # h rising through 0: minimum of |A|
-    times, amp = np.empty(lo.size), np.empty(lo.size)
-    todo = np.arange(lo.size)  # brackets not yet confirmed
-    left, right, x = lo, hi, 0.5 * (lo + hi)
-    for steps in (_NEWTON_STEPS, _NEWTON_MORE):
-        if todo.size == 0:
-            break
-        t_own, t_lo, t_hi, t_rising = owner[todo], lo[todo], hi[todo], rising[todo]
-        left, right, x = _newton(c.at(todo), left, right, x, t_rising, steps)
-        ends, times[todo], amp[todo], bad = _confirm(modes, t_lo, t_hi, x, t_rising, t_own)
-        _fail(errors, t_own[ends[0] == ends[1]],
-              "extremum bracket shows no sign change of d|A|/dt")
-        _fail(errors, t_own[ends[1] != t_rising],
-              "extremum bracket: the kernel and the two-mode form disagree on the "
-              "direction of d|A|/dt")
-        bad &= ~_failed(errors)[t_own]
-        todo, left, right, x = todo[bad], left[bad], right[bad], x[bad]
-    if todo.size:
-        t_own = owner[todo]
-        times[todo], stuck = _bisect(modes, lo[todo], hi[todo], rising[todo], t_own)
-        _fail(errors, t_own[stuck], "bracket refinement failed to converge")
-        amp[todo] = np.abs(_amplitude(modes, times[todo], t_own)[0])
-    return times, np.where(rising, 1, -1), amp
+    if todo.lo.size == 0:
+        return _NO_EXTREMA, todo
+    left, right, x = _newton(flux.at(todo.own), todo.left, todo.right, todo.x,
+                             todo.rising, steps)
+    ends, times, amps, bad = _confirm(modes, todo.lo, todo.hi, x, todo.rising, todo.own)
+    _fail(errors, todo.own[ends[0] == ends[1]],
+          "extremum bracket shows no sign change of d|A|/dt")
+    _fail(errors, todo.own[ends[1] != todo.rising],
+          "extremum bracket: the kernel and the two-mode form disagree on the "
+          "direction of d|A|/dt")
+    bad &= ~_failed(errors)[todo.own]
+    done = _Extrema(times, np.where(todo.rising, 1, -1), amps, todo.own)
+    return _take(done, ~bad), _take(todo._replace(left=left, right=right, x=x), bad)
+
+
+def _refine(flux: _Flux, modes, found: _Todo, todo: _Todo, errors: list) -> list:
+    """The extrema in new brackets ``found`` and in brackets ``todo`` that
+    their first round left unconfirmed.
+
+    ``found`` takes its first round (``_newton_round``) of _NEWTON_STEPS
+    steps; the brackets it leaves unconfirmed join ``todo`` for one round
+    of up to _NEWTON_MORE more steps, and only a bracket that still fails
+    is bisected on h.  A failed bracket records its row's error in
+    ``errors``.  Returns the extrema as a list of ``_Extrema``.
+    """
+    done, more = _newton_round(flux, modes, found, _NEWTON_STEPS, errors)
+    late, todo = _newton_round(flux, modes, _cat([todo, more]), _NEWTON_MORE, errors)
+    parts = [done, late]
+    if todo.lo.size:
+        times, stuck = _bisect(modes, todo.lo, todo.hi, todo.rising, todo.own)
+        _fail(errors, todo.own[stuck], "bracket refinement failed to converge")
+        parts.append(_Extrema(times, np.where(todo.rising, 1, -1),
+                              np.abs(_amplitude(modes, times, todo.own)[0]), todo.own))
+    return parts
 
 
 def _search_horizon(c: _Flux) -> np.ndarray:
@@ -404,12 +486,23 @@ def _amp_extrema(t_max: np.ndarray, modes, flux: _Flux, gaps: np.ndarray,
     horizon t_h of ``_search_horizon`` are searched (plus one; all of them
     where t_h >= t_max): past t_h, G keeps the sign of a with |G| >= |a|/2,
     so no extremum lies there.  The grid is still the one to t_max, so
-    every searched node and bracket is that of a search to t_max.  The
-    initial gaps of all rows are taken in (row, time) order, ``_CHUNK`` at
-    a time.  |A| falls from t = 0, so the kinds of a row must alternate
-    starting with a minimum; any other sequence fails the row.  Rows with
-    an error are not searched.  Returns (times, kinds, amps, owner): the
-    extrema of the other rows in (row, time) order, and the row of each.
+    every searched node and bracket is that of a search to t_max.
+
+    The initial gaps of all rows are taken in (row, time) order, ``_CHUNK``
+    at a time.  A slice takes only the first round of the finder
+    (``_flux_brackets``) and the first Newton round of its brackets
+    (``_newton_round``); the gaps it leaves to split and the brackets it
+    leaves unconfirmed are carried.  After the last slice, or once the
+    carried entries reach ``_CHUNK``, one batch-wide finish splits the
+    carried gaps level by level (``_split``) and refines their brackets
+    together with the carried ones (``_refine``): one first round, one
+    round of _NEWTON_MORE steps and one bisection for all of them.  Every
+    stage is elementwise, so the extrema do not depend on how the gaps
+    are sliced; they are sorted once by (row, time).  |A| falls from
+    t = 0, so the kinds of a row must alternate starting with a minimum;
+    any other sequence fails the row.  Rows with an error are not
+    searched, and their carried entries are dropped.  Returns ``_Extrema``:
+    those of the other rows in (row, time) order.
     """
     n_rows = len(errors)
     rows = np.flatnonzero((gaps > 0) & ~_failed(errors))
@@ -418,8 +511,9 @@ def _amp_extrema(t_max: np.ndarray, modes, flux: _Flux, gaps: np.ndarray,
     search[rows] = np.minimum(gaps[rows], np.ceil(gaps[rows] * reach) + 1.0)
     stop = np.cumsum(search)
     start = stop - search
-    parts = [(np.empty(0), np.empty(0, dtype=int), np.empty(0), np.empty(0, dtype=int))]
-    for g0 in range(0, int(stop[-1]) if n_rows else 0, _CHUNK):
+    total = int(stop[-1]) if n_rows else 0
+    parts, split, todo = [_NO_EXTREMA], [], []  # split, todo: carried to the finish
+    for g0 in range(0, total, _CHUNK):
         g1 = g0 + _CHUNK
         rows = np.flatnonzero((start < g1) & (stop > g0) & (search > 0))
         # each row's first gap in the slice, and its nodes there: gaps + 1
@@ -428,17 +522,27 @@ def _amp_extrema(t_max: np.ndarray, modes, flux: _Flux, gaps: np.ndarray,
         owner = np.repeat(rows, size)
         index = (np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
                  + np.repeat(first, size))
-        lo, hi, owner = _flux_brackets(flux, t_max[owner] * (index / gaps[owner]),
-                                       owner)
-        parts.append((*_refine(flux, modes, lo, hi, owner, errors), owner))
+        found, gaps_left = _flux_brackets(flux, t_max[owner] * (index / gaps[owner]),
+                                          owner)
+        done, more = _newton_round(flux, modes, found, _NEWTON_STEPS, errors)
+        parts.append(done)
+        split.append(gaps_left)
+        todo.append(more)
         search[_failed(errors)] = 0  # a failed row's later gaps are not searched
-    times, kinds, amps, owner = (np.concatenate(col) for col in zip(*parts))
-    first = np.ones(owner.size, dtype=bool)
-    first[1:] = owner[1:] != owner[:-1]
-    _fail(errors, owner[np.where(first, kinds != 1, kinds == np.roll(kinds, 1))],
+        if g1 >= total or sum(part.lo.size for part in split + todo) >= _CHUNK:
+            live = ~_failed(errors)
+            split, todo = (_cat([_take(c, live[c.own]) for c in carried])
+                           for carried in (split, todo))
+            parts += _refine(flux, modes, _split(flux, split), todo, errors)
+            split, todo = [], []
+    ext = _cat(parts)
+    ext = _take(ext, np.lexsort((ext.times, ext.owner)))
+    first = np.ones(ext.owner.size, dtype=bool)
+    first[1:] = ext.owner[1:] != ext.owner[:-1]
+    _fail(errors, ext.owner[np.where(first, ext.kinds != 1,
+                                     ext.kinds == np.roll(ext.kinds, 1))],
           "extrema of |A| do not alternate")
-    keep = ~_failed(errors)[owner]
-    return times[keep], kinds[keep], amps[keep], owner[keep]
+    return _take(ext, ~_failed(errors)[ext.owner])
 
 
 def _interval_data(t_max: np.ndarray, modes, flux: _Flux, gaps: np.ndarray,
@@ -533,8 +637,25 @@ def _max_gain(xs: np.ndarray, xe: np.ndarray, owner: np.ndarray, n_rows: int):
     midpoint evaluated, and only a midpoint that beats its row's best by
     more than the allowance replaces it.  A sub-interval with no
     representable midpoint is judged by its ends, so the halving always
-    stops.  Each row's sums and choices run over its own data alone.
+    stops.  Each row's sums and choices run over its own data alone, so
+    the rows are searched in runs of at most ``_CHUNK`` intervals (a row
+    with more is searched alone), which bounds the peak memory.
     """
+    best, best_u = np.zeros(n_rows), np.ones(n_rows)
+    stop = np.cumsum(np.bincount(owner, minlength=n_rows))
+    r0 = 0
+    while r0 < n_rows:
+        i0 = stop[r0 - 1] if r0 else 0
+        r1 = max(int(np.searchsorted(stop, i0 + _CHUNK, side="right")), r0 + 1)
+        i1 = stop[r1 - 1]
+        best[r0:r1], best_u[r0:r1] = _branch_and_bound(xs[i0:i1], xe[i0:i1],
+                                                       owner[i0:i1] - r0, r1 - r0)
+        r0 = r1
+    return best, best_u
+
+
+def _branch_and_bound(xs: np.ndarray, xe: np.ndarray, owner: np.ndarray, n_rows: int):
+    """The search of ``_max_gain`` over the rows of one run."""
     count = np.bincount(owner, minlength=n_rows)
     first = np.cumsum(count) - count
     best, best_u = np.zeros(n_rows), np.ones(n_rows)
@@ -624,7 +745,8 @@ def _row_setup(dps, t_max: np.ndarray):
     gaps[rows[~over]] = np.maximum(counts[~over], 1.0)
     live = np.flatnonzero(~_failed(errors))
     tails = np.full(len(dps), np.nan)
-    tails[live] = np.abs(_amplitude(modes, t_max[live], live)[0])
+    with np.errstate(over="ignore"):  # a decay exponent past -inf: |A| = 0, its limit
+        tails[live] = np.abs(_amplitude(modes, t_max[live], live)[0])
     return modes, flux, gaps, tails, errors
 
 

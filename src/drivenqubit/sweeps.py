@@ -8,7 +8,9 @@ formats the shared cells once per block, each coordinate column once per
 file and the observables per row; ``SweepTable.rows()`` is the row view,
 one dict per row.  A time or tau series takes one kernel call over its
 axis, and a ``gp`` or ``blp`` sweep evaluates all its rows in one batched
-pass, in the calling process.
+pass, in the calling process.  A figure preset's ``blp`` curves share one
+such pass; each ``gp`` curve keeps its own quadrature, whose deepest level
+grows with the rows it holds.
 
 Output files are plain CSV: one leading comment line with the schema tag,
 a header row, then data rows with floats printed at 17 significant digits.
@@ -255,23 +257,31 @@ def _time_series_block(spec: SweepSpec) -> SweepBlock:
     return SweepBlock(asdict(spec.fixed), {spec.axis.name: ts}, cols, status)
 
 
-def _gp_rows(spec: SweepSpec, params: list) -> tuple[dict, list]:
-    """Geometric phases of all rows, integrated in one quadrature."""
-    phi, err, errors = geometric_phases([derive(p) for p in params],
-                                        [p.theta for p in params], spec.quad_tol)
-    # geometric_phases gives a ValidationError only to a row without a period
-    status = ["ok" if exc is None else
-              "undefined-period" if isinstance(exc, ValidationError) else "invalid"
-              for exc in errors]
-    return {"phi_g": phi, "quad_err": err}, status
+def _gp_rows(specs: list, params: list) -> tuple[dict, list]:
+    """Geometric phases of the rows of each sweep, one quadrature per sweep:
+    the level-synchronous quadrature holds the deepest level of all its rows
+    at once, so sweeps do not share one."""
+    cols, status = {"phi_g": [], "quad_err": []}, []
+    for spec, rows in zip(specs, params):
+        phi, err, errors = geometric_phases([derive(p) for p in rows],
+                                            [p.theta for p in rows], spec.quad_tol)
+        cols["phi_g"].append(phi)
+        cols["quad_err"].append(err)
+        # geometric_phases gives a ValidationError only to a row without a period
+        status += ["ok" if exc is None else
+                   "undefined-period" if isinstance(exc, ValidationError) else "invalid"
+                   for exc in errors]
+    return {c: np.concatenate(col) for c, col in cols.items()}, status
 
 
-def _blp_rows(spec: SweepSpec, params: list) -> tuple[dict, list]:
-    """BLP measures of all rows, evaluated in one batched pass."""
+def _blp_rows(specs: list, params: list) -> tuple[dict, list]:
+    """BLP measures of the rows of all sweeps, evaluated in one batched pass."""
     # extend the horizon until the backflow gains (which die off with the
     # amplitude envelope exp(-lam t / 2)) are converged, within a cap
-    t_eff = [max(spec.t_max, min(5000.0, 2.0 * math.log(1e4) / p.lam)) for p in params]
-    n_measure, alpha, residual, truncated, errors = blp_measures(params, t_eff)
+    t_eff = [max(spec.t_max, min(5000.0, 2.0 * math.log(1e4) / p.lam))
+             for spec, rows in zip(specs, params) for p in rows]
+    n_measure, alpha, residual, truncated, errors = blp_measures(
+        [p for rows in params for p in rows], t_eff)
     cols = {"n_measure": n_measure, "alpha_best": alpha,
             "residual_bound": residual, "truncated": truncated.astype(int)}
     return cols, ["ok" if exc is None else "invalid" for exc in errors]
@@ -280,18 +290,35 @@ def _blp_rows(spec: SweepSpec, params: list) -> tuple[dict, list]:
 _ROWS = {"gp": _gp_rows, "blp": _blp_rows}
 
 
+def _param_blocks(specs: list) -> list[SweepBlock]:
+    """Blocks of parameter sweeps of one quantity, one per spec in order.
+
+    In each block the swept parameter and the axis vary.  The quantity's
+    row function evaluates the rows of all the specs at once, giving
+    (columns, status), and each block holds its spec's slice of them.
+    """
+    if not specs:
+        return []
+    values = [spec.axis.values() for spec in specs]
+    params = [[_params_at(spec.fixed, spec.axis.name, v) for v in vals.tolist()]
+              for spec, vals in zip(specs, values)]
+    cols, status = _ROWS[specs[0].quantity](specs, params)
+    blocks, stop = [], 0
+    for spec, vals, rows in zip(specs, values, params):
+        start, stop = stop, stop + len(rows)
+        name = AXES[spec.axis.name][0]
+        const = {k: v for k, v in asdict(spec.fixed).items() if k != name}
+        coords = {name: np.array([getattr(p, name) for p in rows]),
+                  spec.axis.name: vals}
+        blocks.append(SweepBlock(const, coords,
+                                 {c: col[start:stop] for c, col in cols.items()},
+                                 status[start:stop]))
+    return blocks
+
+
 def _param_block(spec: SweepSpec) -> SweepBlock:
-    """Block of a parameter sweep: the swept parameter and the axis vary,
-    and the quantity's row function evaluates all rows at once, giving
-    (columns, status)."""
-    values = spec.axis.values()
-    params = [_params_at(spec.fixed, spec.axis.name, v) for v in values.tolist()]
-    cols, status = _ROWS[spec.quantity](spec, params)
-    name = AXES[spec.axis.name][0]
-    const = {k: v for k, v in asdict(spec.fixed).items() if k != name}
-    coords = {name: np.array([getattr(p, name) for p in params]),
-              spec.axis.name: values}
-    return SweepBlock(const, coords, cols, status)
+    """Block of one parameter sweep: the one-spec view of ``_param_blocks``."""
+    return _param_blocks([spec])[0]
 
 
 def _summary(spec: SweepSpec, block: SweepBlock) -> SweepSummary:
@@ -504,9 +531,11 @@ PRESET_NAMES = tuple(sorted(_preset_table().keys(), key=lambda s: int(s[3:])))
 def figure_preset(name: str, outdir) -> dict:
     """Emit the CSV files and manifest for one figure preset.
 
-    Each curve is one ``run_sweep`` in this process; the panel's curves go
-    to one CSV file.  Returns {"files": [paths...], "manifest": path,
-    "n_failed": int}.
+    The preset's ``blp`` curves share one batched pass (``_param_blocks``),
+    each curve's block a slice of it; every other curve is one
+    ``run_sweep``, so each ``gp`` curve keeps its own quadrature.  All run
+    in this process; the panel's curves go to one CSV file.  Returns
+    {"files": [paths...], "manifest": path, "n_failed": int}.
     """
     presets = _preset_table()
     if name not in presets:
@@ -516,10 +545,16 @@ def figure_preset(name: str, outdir) -> dict:
     files = []
     manifest_entries = []
     n_failed = 0
+    blp = iter(_param_blocks([spec for _, _, specs in presets[name] for spec in specs
+                              if spec.quantity == "blp"]))
     for panel, curve_key, specs in presets[name]:
         blocks = []
         for spec in specs:
-            sweep, summary = run_sweep(spec)
+            if spec.quantity == "blp":
+                sweep = SweepTable([next(blp)])
+                summary = _summary(spec, sweep.blocks[0])
+            else:
+                sweep, summary = run_sweep(spec)
             curve_value = getattr(spec.fixed, curve_key)
             blocks += [replace(b, const=b.const | {"curve": curve_value})
                        for b in sweep.blocks]

@@ -19,11 +19,13 @@ from drivenqubit import nonmarkov
 from drivenqubit import amplitude
 from drivenqubit.amplitude import (amplitude_closed_form, amplitude_derivative,
                                    amplitude_grid, mode_constants)
-from drivenqubit.nonmarkov import (_amp_extrema, _Flux, _flux_brackets,
-                                   _flux_form, _max_gain, _refine, _row_setup,
-                                   _search_horizon, blp_measures)
+from drivenqubit.nonmarkov import (_NO_BRACKETS, _amp_extrema, _cat, _Flux,
+                                   _flux_brackets, _flux_form, _max_gain, _refine,
+                                   _row_setup, _search_horizon, _split, _take,
+                                   _Todo, blp_measures)
+from drivenqubit import sweeps
 from drivenqubit.sweeps import (SweepAxis, SweepSpec, _params_at, _preset_table,
-                                run_sweep)
+                                figure_preset, run_sweep)
 
 
 def _extrema(dp, t_max, setup=None):
@@ -42,11 +44,21 @@ def _flux(dp):
     return _Flux.of(mode_constants([dp]), np.array([True]))
 
 
+def _brackets(flux, t, owner):
+    """Every bracket the finder gives on node grids, in (row, time) order:
+    its first round and the brackets of the gaps that round left to split."""
+    found, gaps = _flux_brackets(flux, t, owner)
+    found = _cat([found, _split(flux, gaps)])
+    return _take(found, np.lexsort((found.lo, found.own)))
+
+
 def _refine_row(dp, flux, lo, hi):
     """The batched refinement of brackets of one row; raises the row's error."""
     errors = [None]
-    times, kinds, amps = _refine(flux, mode_constants([dp]),
-                                 lo, hi, np.zeros(lo.size, dtype=int), errors)
+    own = np.zeros(lo.size, dtype=int)
+    found = _Todo.of(lo, hi, own, _flux_form(flux.at(own), hi)[0])
+    times, kinds, amps, _ = _cat(_refine(flux, mode_constants([dp]), found,
+                                         _NO_BRACKETS, errors))
     if errors[0] is not None:
         raise errors[0]
     return times, kinds, amps
@@ -441,7 +453,9 @@ def test_unconfirmed_bracket_costs_one_more_kernel_call(monkeypatch):
 
     monkeypatch.setattr(nonmarkov, "_mode_form", counted)
     times, kinds, amps = _extrema(dp, t_max, setup)
-    assert len(calls) == 2
+    # the slice's first round, that of the brackets in the gaps it left to
+    # split, and one call of 5 points for the one unconfirmed bracket
+    assert len(calls) == 3 and calls[-1] == 5
     monkeypatch.setattr(nonmarkov, "_NEWTON_MORE", 0)
     calls.clear()
     ref_times, ref_kinds, ref_amps = _extrema(dp, t_max)
@@ -519,12 +533,13 @@ def test_failed_row_leaves_its_neighbours_untouched(monkeypatch):
     target = _flux(derive(sweep[3])).a[0]
 
     def injected(flux, t, owner):
-        lo, hi, own = real(flux, t, owner)
-        k = np.flatnonzero(flux.a[own] == target)[:2]
+        found, gaps = real(flux, t, owner)
+        k = np.flatnonzero(flux.a[found.own] == target)[:2]
         if k.size == 2:
-            lo, hi, own = (np.append(lo, hi[k[0]]), np.append(hi, lo[k[1]]),
-                           np.append(own, own[k[0]]))
-        return lo, hi, own
+            lo, hi, own = found.hi[k[:1]], found.lo[k[1:]], found.own[k[:1]]
+            bogus = _Todo.of(lo, hi, own, _flux_form(flux.at(own), hi)[0])
+            found = _cat([found, bogus])
+        return found, gaps
 
     monkeypatch.setattr(nonmarkov, "_flux_brackets", injected)
     result = blp_measures(params, t_maxes)
@@ -541,11 +556,14 @@ def test_failed_row_leaves_its_neighbours_untouched(monkeypatch):
 
 def test_blp_sweep_kernel_calls_follow_its_slices(monkeypatch):
     # the initial gaps of all rows go to the finder in full slices of
-    # _CHUNK, and each slice confirms its brackets in one kernel call, plus
-    # one for brackets whose Newton steps had not converged; rows evaluated
-    # one at a time would make a slice and a kernel call per row
-    gaps, calls = [], []
-    brackets, mode_form = nonmarkov._flux_brackets, nonmarkov._mode_form
+    # _CHUNK, and each slice confirms its brackets in one kernel call; one
+    # finish for the whole sweep confirms the brackets of the gaps the
+    # slices left to split in one more, and the brackets whose Newton steps
+    # had not converged in one more; the tails |A(t_max)| take one.  Rows
+    # evaluated one at a time would make a slice and kernel calls per row
+    gaps, calls, splits = [], [], []
+    brackets, mode_form, split = (nonmarkov._flux_brackets, nonmarkov._mode_form,
+                                  nonmarkov._split)
 
     def counted_brackets(flux, t, owner):
         gaps.append(np.count_nonzero(owner[1:] == owner[:-1]))
@@ -555,14 +573,20 @@ def test_blp_sweep_kernel_calls_follow_its_slices(monkeypatch):
         calls.append(t.size)
         return mode_form(M, F, t, *args)
 
+    def counted_split(flux, left):
+        splits.append(left.lo.size)
+        return split(flux, left)
+
     monkeypatch.setattr(nonmarkov, "_flux_brackets", counted_brackets)
     monkeypatch.setattr(nonmarkov, "_mode_form", counted_kernel)
+    monkeypatch.setattr(nonmarkov, "_split", counted_split)
     spec = _preset_table()["fig9"][1][2][3]  # 21 rows: omega 1, delta 0.1
     table, summary = run_sweep(spec)
     assert len(table) == 21 and summary.n_failed == 0
     assert max(gaps) <= nonmarkov._CHUNK
     assert len(gaps) == math.ceil(sum(gaps) / nonmarkov._CHUNK) < 21
-    assert len(calls) <= 2 * len(gaps)
+    assert len(splits) == 1 and 0 < splits[0] < nonmarkov._CHUNK
+    assert len(calls) <= len(gaps) + 3
 
 
 def _figure_rows():
@@ -634,21 +658,65 @@ def test_two_mode_table_reproduces_the_kernel_slope():
         assert np.all(err <= 1e-12 * size)
 
 
-def test_figure_search_stops_at_the_closed_form_horizon(monkeypatch):
-    # one fig9 + fig10 pass sends 139,147 initial gaps to the finder, where a
-    # search of every row to its horizon sent 371,491
-    gaps = []
-    brackets = nonmarkov._flux_brackets
+def test_figure_search_stops_at_the_closed_form_horizon(monkeypatch, tmp_path):
+    # fig9 and fig10, one batched pass each over all their rows, send
+    # 139,147 initial gaps to the finder, where a search of every row to its
+    # horizon sent 371,491
+    gaps, passes = [], []
+    brackets, measures = nonmarkov._flux_brackets, sweeps.blp_measures
 
     def counted(flux, t, owner):
         gaps.append(np.count_nonzero(owner[1:] == owner[:-1]))
         return brackets(flux, t, owner)
 
+    def counted_measures(params, t_maxes):
+        passes.append(len(params))
+        return measures(params, t_maxes)
+
     monkeypatch.setattr(nonmarkov, "_flux_brackets", counted)
-    params, t_maxes = _figure_rows()
-    errors = blp_measures(params, t_maxes)[4]
-    assert len(errors) == errors.count(None) == 584
+    monkeypatch.setattr(sweeps, "blp_measures", counted_measures)
+    for name in ("fig9", "fig10"):
+        assert figure_preset(name, tmp_path)["n_failed"] == 0
+    assert passes == [420, 164]
     assert sum(gaps) == 139_147 <= 0.4 * 371_491
+
+
+def test_figure_rows_in_one_pass_read_as_the_per_curve_passes():
+    # the 584 rows of fig9 and fig10 in one call equal the 24 calls of one
+    # curve each bit for bit, on all five outputs
+    table = _preset_table()
+    curves = [_sweep_inputs(spec) for _, _, specs in table["fig9"] + table["fig10"]
+              for spec in specs]
+    batch = blp_measures([p for params, _ in curves for p in params],
+                         [t for _, t_maxes in curves for t in t_maxes])
+    alone = [blp_measures(params, t_maxes) for params, t_maxes in curves]
+    for k in range(4):
+        assert np.concatenate([r[k] for r in alone]).tobytes() == batch[k].tobytes()
+    assert [e for r in alone for e in r[4]] == batch[4] == [None] * 584
+
+
+def test_stragglers_carried_across_small_slices_read_as_the_default_run(monkeypatch):
+    # at _CHUNK 64 the 105 rows of fig9's first panel take over a thousand
+    # slices, and the gaps and brackets they leave reach the cap many times,
+    # each time finished together; every output equals the default run's
+    specs = _preset_table()["fig9"][0][2]
+    params, t_maxes = ([x for spec in specs for x in _sweep_inputs(spec)[k]]
+                       for k in (0, 1))
+    default = blp_measures(params, t_maxes)
+    finishes = []
+    split = nonmarkov._split
+
+    def counted_split(flux, gaps):
+        finishes.append(gaps.lo.size)
+        return split(flux, gaps)
+
+    monkeypatch.setattr(nonmarkov, "_CHUNK", 64)
+    monkeypatch.setattr(nonmarkov, "_split", counted_split)
+    small = blp_measures(params, t_maxes)
+    assert len(finishes) > 10
+    for k in range(4):
+        assert small[k].tobytes() == default[k].tobytes()
+    assert small[4] == default[4] == [None] * 105
 
 
 def test_strong_drive_backflow_falls_as_one_over_omega():
@@ -719,8 +787,8 @@ def test_decoupled_qubit_has_no_extrema():
     # the finder itself stops on a flux that is zero everywhere
     zero = _Flux(*(np.array([v]) for v in (0.0, 0.0, 0j, 0.01, 0.0,
                                             math.hypot(0.01, 200.0), complex(-0.01, 200.0))))
-    lo, hi, _ = _flux_brackets(zero, np.linspace(0, 100, 101), np.zeros(101, dtype=int))
-    assert lo.size == 0 and hi.size == 0
+    found = _brackets(zero, np.linspace(0, 100, 101), np.zeros(101, dtype=int))
+    assert found.lo.size == 0 and found.hi.size == 0
 
 
 def test_bracket_signs_agree_with_mpmath():
@@ -731,8 +799,8 @@ def test_bracket_signs_agree_with_mpmath():
     # the horizon of a sweep row at lam = 0.01; with the textbook forms of c-
     # and s+, 13% of the brackets found here are wrong, all beyond t ~ 800
     t_max = 2.0 * math.log(1e4) / p.lam
-    lo, hi, _ = _flux_brackets(flux, np.linspace(0.0, t_max, 400_001),
-                               np.zeros(400_001, dtype=int))
+    lo, hi = _brackets(flux, np.linspace(0.0, t_max, 400_001),
+                       np.zeros(400_001, dtype=int))[:2]
     assert lo.size == 63_048
     with mpmath.workdps(50):
         mpf = mpmath.mpf
@@ -758,8 +826,8 @@ def test_bracket_signs_agree_with_mpmath():
 def test_inconsistent_brackets_raise(monkeypatch):
     dp = derive(SystemParams(lam=0.01, omega_rabi=2.0, delta_qc=1.0))
     flux = _flux(dp)
-    lo, hi, _ = _flux_brackets(flux, np.linspace(0.0, 100.0, 1001),
-                               np.zeros(1001, dtype=int))
+    lo, hi = _brackets(flux, np.linspace(0.0, 100.0, 1001),
+                       np.zeros(1001, dtype=int))[:2]
     # a bracket whose ends straddle no sign change of h
     with pytest.raises(ValidationError, match="no sign change"):
         _refine_row(dp, flux, np.append(lo, hi[0]), np.append(hi, lo[1]))
@@ -767,9 +835,14 @@ def test_inconsistent_brackets_raise(monkeypatch):
     flipped = flux._replace(a=-flux.a, b=-flux.b, C=-flux.C)
     with pytest.raises(ValidationError, match="disagree on the direction"):
         _refine_row(dp, flipped, lo, hi)
-    # every other bracket lost: two minima in a row
-    monkeypatch.setattr(nonmarkov, "_flux_brackets",
-                        lambda f, t, owner: (lo[::2], hi[::2], np.zeros(lo[::2].size, int)))
+    # every other bracket of the finder's first round lost: two minima in a row
+    real = nonmarkov._flux_brackets
+
+    def every_other(f, t, owner):
+        found, gaps = real(f, t, owner)
+        return _take(found, slice(None, None, 2)), gaps
+
+    monkeypatch.setattr(nonmarkov, "_flux_brackets", every_other)
     with pytest.raises(ValidationError, match="do not alternate"):
         _extrema(dp, 100.0)
 

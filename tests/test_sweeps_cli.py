@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -302,6 +303,21 @@ def test_figure_preset_fig5_and_manifest_round_trip(tmp_path):
         assert spec.to_dict() == entry["spec"]
 
 
+@pytest.mark.parametrize("name,bound_mb", [("fig9", 3.2), ("fig10", 2.0)])
+def test_figure_preset_blp_pass_heap_stays_bounded(tmp_path, name, bound_mb):
+    # the peak heap of a figure's one batched blp pass (measured 2.67 and
+    # 1.65 MB; 1.44 and 1.52 MB with one pass per curve): a batching change
+    # that grows it shows here
+    figure_preset(name, tmp_path)  # imports and first-call caches
+    tracemalloc.start()
+    try:
+        figure_preset(name, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mb * 1e6
+
+
 def test_figure_preset_deterministic(tmp_path):
     r1 = figure_preset("fig2", tmp_path / "a")
     r2 = figure_preset("fig2", tmp_path / "b")
@@ -432,6 +448,25 @@ def test_cli_blp_rows_over_budget_at_a_huge_horizon_fail_without_warnings(tmp_pa
     assert captured.err == ""
     assert captured.out == f"wrote {out}: 2 rows, 2 failed\n"
     assert [r["status"] for r in read_csv(out)] == ["invalid", "invalid"]
+
+
+def test_cli_blp_overdamped_row_at_a_huge_horizon_reads_without_warnings(tmp_path, capsys):
+    # the omega 0 row has no oscillation, so no work budget applies, and its
+    # tail |A(t_max)| takes a decay exponent that overflows to -inf: its
+    # limit 0 is right, with no numpy warning (the suite's filter would raise
+    # it); the omega 1e-3 row is over its budget
+    out = tmp_path / "blp.csv"
+    rc = main(["sweep", "--quantity", "blp", "--axis", "omega", "--axis-min", "0",
+               "--axis-max", "1e-3", "--points", "2", "--lambda", "1e9",
+               "--tmax", "1e300", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == ""
+    assert captured.out == (f"wrote {out}: 2 rows, 1 failed\n"
+                            "blp: min=0 max=0 argmax=0\n")
+    rows = read_csv(out)
+    assert [r["status"] for r in rows] == ["ok", "invalid"]
+    assert rows[0]["n_measure"] == rows[0]["residual_bound"] == "0"
 
 
 @pytest.mark.parametrize("command", ["sweep", "figure", "config"])
