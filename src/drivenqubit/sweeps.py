@@ -4,13 +4,14 @@ Results stay columnar from the kernels to the file.  ``run_sweep`` returns
 a ``SweepTable`` of ``SweepBlock``s: a block holds the cells its rows share
 once (the parameters not swept and, in a figure panel, ``curve``), its
 varying columns as numeric arrays and a status column.  ``write_rows``
-formats the shared cells once per block, each coordinate column once per
-file and the observables per row; ``SweepTable.rows()`` is the row view,
-one dict per row.  A time or tau series takes one kernel call over its
-axis, and a ``gp`` or ``blp`` sweep evaluates all its rows in one batched
-pass, in the calling process.  A figure preset's ``blp`` curves share one
-such pass; each ``gp`` curve keeps its own quadrature, whose deepest level
-grows with the rows it holds.
+makes one format call per block, one line template per status label: the
+shared cells and the label are formatted into the template once, each
+coordinate column once per file, and the observables fill its slots;
+``SweepTable.rows()`` is the row view, one dict per row.  A time or tau
+series takes one kernel call over its axis, and a ``gp`` or ``blp`` sweep
+evaluates all its rows in one batched pass, in the calling process.  A
+figure preset's ``blp`` curves share one such pass; each ``gp`` curve
+keeps its own quadrature, whose deepest level grows with its rows.
 
 Output files are plain CSV: one leading comment line with the schema tag,
 a header row, then data rows with floats printed at 17 significant digits.
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, replace
@@ -375,15 +377,16 @@ def _csv_line(cells) -> str:
 
 
 def _write_block(fh, block: SweepBlock, columns: list[str], axes: dict) -> None:
-    """Rows of one block, each through the block's one line template: its
-    constant cells are formatted into the template once, its varying cells
-    fill the %s slots.  ``axes`` holds the coordinate columns already
-    formatted for this file, by dtype and bytes."""
-    status = block.status.tolist()
-    failed = [i for i, st in enumerate(status) if st != "ok"]
+    """Rows of one block in one format call, one line template per status
+    label present: its constant cells and the label are formatted in once,
+    the coordinate cells fill %s slots (``axes`` holds the coordinate
+    columns already formatted for this file, by dtype and bytes), and the
+    observables fill %.17g or %d slots in the ``ok`` template and %s slots,
+    given the empty cell, in the others."""
+    failed = np.flatnonzero(block.status != "ok").tolist()
     # csv quotes a lone empty cell: an empty line would read as no row
     empty = '""' if len(columns) == 1 else ""
-    template, cols = [], []
+    cols = []
     for c in columns:
         if c in block.coords:
             col = block.coords[c]
@@ -392,18 +395,23 @@ def _write_block(fh, block: SweepBlock, columns: list[str], axes: dict) -> None:
                 axes[key] = _cells(col)
             cols.append(axes[key])
         elif c in block.values:
-            cells = _cells(block.values[c])
+            cells = block.values[c].tolist()
             for i in failed:
                 cells[i] = empty
             cols.append(cells)
-        elif c == "status":
-            cols.append(status)  # status labels are plain words: nothing to quote
-        else:  # constant, or empty where the block lacks the column
-            template.append(_fmt(block.const.get(c)).replace("%", "%%"))
-            continue
-        template.append("%s")
-    line = _csv_line(template)
-    fh.writelines(map(line.__mod__, zip(*cols) if cols else [()] * len(block)))
+
+    def cell(c, label):
+        if c in block.coords or (c in block.values and label != "ok"):
+            return "%s"
+        if c in block.values:
+            return "%d" if block.values[c].dtype.kind in "biu" else "%.17g"
+        return (label if c == "status" else _fmt(block.const.get(c))).replace("%", "%%")
+
+    lines = {label: _csv_line([cell(c, label) for c in columns])
+             for label in {"ok", *block.status[failed].tolist()}}
+    template = ("".join(map(lines.__getitem__, block.status.tolist())) if failed
+                else lines["ok"] * len(block))
+    fh.write(template % tuple(itertools.chain.from_iterable(zip(*cols))))
 
 
 def make_outdir(path: Path) -> None:
@@ -422,9 +430,11 @@ def write_rows(path, table: SweepTable, columns: list[str]) -> None:
     The bytes are those of ``csv.writer`` given every cell formatted alone
     (``%.17g`` floats, integers and bools as integers, strings, empty for
     the observables of a row that is not ok or a column the block lacks).
-    Each coordinate column is formatted once per file, so the curves of a
-    panel share their formatted axis.  The parent directory is made with
-    ``make_outdir``, so a parent that cannot be one is a ValidationError.
+    Each block is one format call, one line template per status label
+    (``_write_block``), and one write; each coordinate column is formatted
+    once per file, so the curves of a panel share their formatted axis.
+    The parent directory is made with ``make_outdir``, so a parent that
+    cannot be one is a ValidationError.
     """
     path = Path(path)
     make_outdir(path.parent)

@@ -8,6 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # only the property test needs hypothesis (the `test` extra)
+    given = None
+
 from drivenqubit import (SweepAxis, SweepSpec, SystemParams, ValidationError,
                          amplitude_closed_form, blp_measure, derive,
                          geometric_phase_detailed)
@@ -222,6 +228,100 @@ def test_write_rows_matches_per_cell_writer_on_a_panel(tmp_path):
     panel = SweepTable(blocks)
     assert len(panel) == 47
     _assert_writes_as_reference(tmp_path, panel, sweep_columns(specs[0], ("curve",)))
+
+
+def test_write_rows_quotes_status_labels(tmp_path):
+    # a label is a cell like any other: csv quotes its comma and quotes
+    block = SweepBlock({}, {"tau": np.array([1.0, 1.0])}, {"c3": np.array([1.0, 2.0])},
+                       ["ok", 'bad, "label" 100%'])
+    out = tmp_path / "labels.csv"
+    write_rows(out, SweepTable([block]), ["tau", "c3", "curve", "status"])
+    rows = list(csv.reader(out.read_text().splitlines()[1:]))
+    assert rows == [["tau", "c3", "curve", "status"], ["1", "1", "", "ok"],
+                    ["1", "", "", 'bad, "label" 100%']]
+
+
+def test_write_rows_writes_once_per_block(tmp_path, monkeypatch):
+    import drivenqubit.sweeps as sweeps
+
+    writes = []
+
+    class Counting:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            writes.append(text)
+            return self.fh.write(text)
+
+    monkeypatch.setattr(sweeps, "open", lambda *a, **k: Counting(open(*a, **k)),
+                        raising=False)
+    tau = np.linspace(0.0, 4.0, 50)
+    blocks = [SweepBlock({"curve": c}, {"tau": tau}, {"c3": tau * c},
+                         ["ok"] * 49 + [status]) for c, status in ((0.5, "ok"), (1.0, "pole"))]
+    blocks.append(SweepBlock({"curve": 2.0}, {"tau": tau[:0]}, {"c3": tau[:0]}, []))
+    write_rows(tmp_path / "c3.csv", SweepTable(blocks), ["curve", "tau", "c3", "status"])
+    assert len(writes) == 1 + len(blocks)
+    assert len(read_csv(tmp_path / "c3.csv")) == 100
+
+
+if given is None:
+    def test_write_rows_matches_per_cell_writer_on_random_tables():
+        pytest.skip("needs hypothesis (the test extra)")
+else:
+    _LABELS = ["ok", "pole", "undefined-period", "invalid", 'bad, "label" 100%',
+               "%s%%", ""]
+    _INTS = {np.int64: (-2 ** 63, 2 ** 63 - 1), np.uint8: (0, 255),
+             np.uint64: (0, 2 ** 64 - 1)}
+
+    def _random_column(draw, n):
+        dtype = draw(st.sampled_from([np.float64, bool, *_INTS]))
+        if dtype is np.float64:
+            cells = st.floats()  # NaN and inf included
+        elif dtype is bool:
+            cells = st.booleans()
+        else:
+            cells = st.integers(*_INTS[dtype])
+        return np.array(draw(st.lists(cells, min_size=n, max_size=n)), dtype=dtype)
+
+    @st.composite
+    def _random_tables(draw):
+        """Blocks over columns a-e: each column a constant, coordinate,
+        observable or absent per block; rows all ok, all failed or mixed."""
+        constants = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                              st.text(',"%a \n', max_size=4))
+        blocks = []
+        for _ in range(draw(st.integers(0, 3))):
+            n = draw(st.integers(0, 6))
+            mode = draw(st.sampled_from(["ok", "failed", "mixed"]))
+            labels = {"ok": ["ok"], "failed": _LABELS[1:], "mixed": _LABELS}[mode]
+            const, coords, values = {}, {}, {}
+            for c in "abcde":
+                role = draw(st.sampled_from(["const", "coord", "value", "absent"]))
+                if role == "const":
+                    const[c] = draw(constants)
+                elif role != "absent":
+                    (coords if role == "coord" else values)[c] = _random_column(draw, n)
+            status = draw(st.lists(st.sampled_from(labels), min_size=n, max_size=n))
+            blocks.append(SweepBlock(const, coords, values, status))
+        columns = draw(st.lists(st.sampled_from([*"abcde", "status"]), unique=True))
+        return SweepTable(blocks), columns
+
+    @settings(max_examples=150)
+    @given(_random_tables())
+    def test_write_rows_matches_per_cell_writer_on_random_tables(tmp_path_factory,
+                                                                 table_columns):
+        table, columns = table_columns
+        tmp = tmp_path_factory.getbasetemp() / "random_tables"
+        # the drawn columns, then each column alone (a lone empty cell is "")
+        for cols in (columns, *([c] for c in [*"abcde", "status"])):
+            _assert_writes_as_reference(tmp, table, cols)
 
 
 def test_block_columns_must_match_status_length():
