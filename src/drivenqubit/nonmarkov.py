@@ -34,16 +34,18 @@ table, work budgets and search horizons, derived from them elementwise.
 The initial gaps of all rows are taken in (row, time) order, each with the
 index of its row, in slices of at most ``_CHUNK`` initial gaps, a cap across
 rows that bounds the peak memory.  A slice takes the finder's first round
-and the first Newton round of the brackets it finds, confirmed in one kernel
-call.  The gaps it leaves to split and the brackets it leaves unconfirmed,
-a few per slice, are carried to one batch-wide finish, which runs after the
-last slice (or once the carried entries reach ``_CHUNK``): the gaps are
-split level by level, their brackets take their first round, and all
-unconfirmed brackets one round of more Newton steps and then the bisection
-fallback, each stage once for the whole batch.  The extrema are then sorted
-once by (row, time).  The branch and bound searches the pairs of runs of
-rows with at most ``_CHUNK`` intervals.  Every stage is elementwise in the
-rows, so a row's result depends on its own data alone.  One list, made by
+and one refinement round of the brackets it finds: Newton steps from each
+bracket's midpoint, confirmed in one kernel call.  The gaps it leaves to
+split and the brackets it leaves unconfirmed (their ends, row and direction
+alone), a few per slice, are carried to one batch-wide finish, which runs
+after the last slice (or once the carried entries reach ``_CHUNK``): the
+gaps are split level by level and their brackets take the same round; all
+unconfirmed brackets then take one longer round from their midpoints, whose
+first steps are the short round's own, and then the bisection fallback,
+each stage once for the whole batch.  The extrema are then sorted once by
+(row, time).  The branch and bound searches the pairs of runs of rows with
+at most ``_CHUNK`` intervals.  Every stage is elementwise in the rows, so a
+row's result depends on its own data alone.  One list, made by
 ``_row_setup``, holds each row's first error: every stage records a failure
 there and skips the rows that have one, so a failed row stops while the
 others go on.  A row whose model constants overflow, whose horizon is not
@@ -243,22 +245,12 @@ class _Gaps(NamedTuple):
 
 class _Todo(NamedTuple):
     """Brackets of sign changes of h under refinement, one entry each: the
-    ends, the row, the direction (h rising through 0: a minimum of |A|) and
-    the Newton state, a narrowed bracket [left, right] and an estimate x."""
+    ends, the row and the direction (h rising through 0: a minimum of |A|)."""
 
     lo: np.ndarray
     hi: np.ndarray
     own: np.ndarray
     rising: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    x: np.ndarray
-
-    @classmethod
-    def of(cls, lo, hi, own, g) -> "_Todo":
-        """New brackets, from G at their right ends, which has the sign of h
-        past the sign change."""
-        return cls(lo, hi, own, g > 0, lo, hi, 0.5 * (lo + hi))
 
 
 class _Extrema(NamedTuple):
@@ -271,7 +263,8 @@ class _Extrema(NamedTuple):
     owner: np.ndarray
 
 
-_NO_BRACKETS = _Todo.of(np.empty(0), np.empty(0), np.empty(0, dtype=int), np.empty(0))
+_NO_BRACKETS = _Todo(np.empty(0), np.empty(0), np.empty(0, dtype=int),
+                     np.empty(0, dtype=bool))
 _NO_EXTREMA = _Extrema(np.empty(0), np.empty(0, dtype=int), np.empty(0),
                        np.empty(0, dtype=int))
 
@@ -288,16 +281,17 @@ def _cat(tables):
 
 
 def _judge(gaps: _Gaps, other=False):
-    """One round of the bracket finder: (the brackets it finds, as
-    ``_Todo.of``, and the gaps it must split).
+    """One round of the bracket finder: (the brackets it finds and the gaps
+    it must split).
 
     A gap whose end values exceed the Lipschitz bound of G times its width
     holds no root; so does one marked ``other``, whose ends lie in two rows.
     A gap on which G' certifiably keeps its sign holds at most one root,
-    present iff G changes sign at its ends.  Every other gap is to be
-    halved.  A gap narrower than the refinement tolerance, or on which G
-    cannot vary by more than its rounding error, is judged by the signs of
-    its ends, so the halving always stops.
+    present iff G changes sign at its ends, rising where G > 0 at its right
+    end.  Every other gap is to be halved.  A gap narrower than the
+    refinement tolerance, or on which G cannot vary by more than its
+    rounding error, is judged by the signs of its ends, so the halving
+    always stops.
     """
     lo, hi, own, left, right = gaps
     dt = hi - lo
@@ -308,7 +302,7 @@ def _judge(gaps: _Gaps, other=False):
     at_floor = (dt <= _ROOT_TOL) | (left[4] * dt <= left[2] + right[2])
     judged = ~no_root & (monotone | at_floor)
     hit = judged & ((left[0] > 0) != (right[0] > 0))
-    return (_Todo.of(lo[hit], hi[hit], own[hit], right[0, hit]),
+    return (_Todo(lo[hit], hi[hit], own[hit], right[0, hit] > 0),
             _take(gaps, ~no_root & ~judged))
 
 
@@ -350,36 +344,42 @@ def _amplitude(modes, t: np.ndarray, owner: np.ndarray):
     return _mode_form(M, F, t, s_plus, pref)
 
 
-def _bisect(modes, lo, hi, rising, owner):
-    """Halve each bracket of a sign change of h (upwards where ``rising``)
-    until it is narrower than _ROOT_TOL.
-
-    Returns the midpoints and where 64 halvings did not get there.
-    """
-    lo, hi = lo.copy(), hi.copy()
+def _bisect(modes, todo: _Todo, errors: list) -> _Extrema:
+    """The extrema of brackets of sign changes of h, each halved on the
+    kernel until it is narrower than _ROOT_TOL; a bracket that 64 halvings
+    do not get there fails its row in ``errors``."""
+    if todo.lo.size == 0:
+        return _NO_EXTREMA
+    lo, hi = todo.lo.copy(), todo.hi.copy()
     for _ in range(64):
         i = np.flatnonzero(hi - lo >= _ROOT_TOL)
         if i.size == 0:
             break
         mid = 0.5 * (lo[i] + hi[i])
-        A, dA = _amplitude(modes, mid, owner[i])
-        past = ((dA * np.conj(A)).real > 0) == rising[i]
+        A, dA = _amplitude(modes, mid, todo.own[i])
+        past = ((dA * np.conj(A)).real > 0) == todo.rising[i]
         lo[i] = np.where(past, lo[i], mid)
         hi[i] = np.where(past, mid, hi[i])
-    return 0.5 * (lo + hi), hi - lo >= _ROOT_TOL
+    _fail(errors, todo.own[hi - lo >= _ROOT_TOL], "bracket refinement failed to converge")
+    times = 0.5 * (lo + hi)
+    return _Extrema(times, np.where(todo.rising, 1, -1),
+                    np.abs(_amplitude(modes, times, todo.own)[0]), todo.own)
 
 
-def _newton(c: _Flux, left, right, x, rising, steps: int):
-    """Newton steps on G from x, held inside the brackets [left, right] of
-    its sign change; each step also narrows the bracket to x's side."""
+def _newton(c: _Flux, todo: _Todo, steps: int) -> np.ndarray:
+    """Estimates of the sign changes of G: ``steps`` Newton steps from each
+    bracket's midpoint, held inside the bracket, which each step narrows to
+    the estimate's side."""
+    left, right = todo.lo, todo.hi
+    x = 0.5 * (left + right)
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(steps):
             g, dg, _ = _flux_form(c, x)
-            past = (g > 0) == rising
+            past = (g > 0) == todo.rising
             left, right = np.where(past, left, x), np.where(past, x, right)
             x = x - g / dg
             x = np.where((x >= left) & (x <= right), x, 0.5 * (left + right))
-    return left, right, x
+    return x
 
 
 def _confirm(modes, lo, hi, x, rising, owner):
@@ -410,21 +410,19 @@ def _fail(errors: list, rows, message: str) -> None:
             errors[r] = ValidationError(message)
 
 
-def _newton_round(flux: _Flux, modes, todo: _Todo, steps: int, errors: list):
-    """One refinement round: ``steps`` Newton steps on G for each bracket,
-    held inside it, then one kernel call (``_confirm``).
+def _refine(flux: _Flux, modes, todo: _Todo, steps: int, errors: list):
+    """One refinement round: ``steps`` Newton steps on G for each bracket
+    (``_newton``), then one kernel call (``_confirm``).
 
     A bracket whose ends show no sign change of h, or one against G's
     direction, means G and the kernel disagree, and fails its row in
     ``errors``.  Where h changes sign across the estimate, that narrow
     bracket is the result.  Returns (the extrema of the brackets done, the
-    brackets left unconfirmed, with their Newton state); the brackets of
-    failed rows count as done.
+    brackets left unconfirmed); the brackets of failed rows count as done.
     """
     if todo.lo.size == 0:
         return _NO_EXTREMA, todo
-    left, right, x = _newton(flux.at(todo.own), todo.left, todo.right, todo.x,
-                             todo.rising, steps)
+    x = _newton(flux.at(todo.own), todo, steps)
     ends, times, amps, bad = _confirm(modes, todo.lo, todo.hi, x, todo.rising, todo.own)
     _fail(errors, todo.own[ends[0] == ends[1]],
           "extremum bracket shows no sign change of d|A|/dt")
@@ -433,28 +431,7 @@ def _newton_round(flux: _Flux, modes, todo: _Todo, steps: int, errors: list):
           "direction of d|A|/dt")
     bad &= ~_failed(errors)[todo.own]
     done = _Extrema(times, np.where(todo.rising, 1, -1), amps, todo.own)
-    return _take(done, ~bad), _take(todo._replace(left=left, right=right, x=x), bad)
-
-
-def _refine(flux: _Flux, modes, found: _Todo, todo: _Todo, errors: list) -> list:
-    """The extrema in new brackets ``found`` and in brackets ``todo`` that
-    their first round left unconfirmed.
-
-    ``found`` takes its first round (``_newton_round``) of _NEWTON_STEPS
-    steps; the brackets it leaves unconfirmed join ``todo`` for one round
-    of up to _NEWTON_MORE more steps, and only a bracket that still fails
-    is bisected on h.  A failed bracket records its row's error in
-    ``errors``.  Returns the extrema as a list of ``_Extrema``.
-    """
-    done, more = _newton_round(flux, modes, found, _NEWTON_STEPS, errors)
-    late, todo = _newton_round(flux, modes, _cat([todo, more]), _NEWTON_MORE, errors)
-    parts = [done, late]
-    if todo.lo.size:
-        times, stuck = _bisect(modes, todo.lo, todo.hi, todo.rising, todo.own)
-        _fail(errors, todo.own[stuck], "bracket refinement failed to converge")
-        parts.append(_Extrema(times, np.where(todo.rising, 1, -1),
-                              np.abs(_amplitude(modes, times, todo.own)[0]), todo.own))
-    return parts
+    return _take(done, ~bad), _take(todo, bad)
 
 
 def _search_horizon(c: _Flux) -> np.ndarray:
@@ -490,13 +467,14 @@ def _amp_extrema(t_max: np.ndarray, modes, flux: _Flux, gaps: np.ndarray,
 
     The initial gaps of all rows are taken in (row, time) order, ``_CHUNK``
     at a time.  A slice takes only the first round of the finder
-    (``_flux_brackets``) and the first Newton round of its brackets
-    (``_newton_round``); the gaps it leaves to split and the brackets it
-    leaves unconfirmed are carried.  After the last slice, or once the
-    carried entries reach ``_CHUNK``, one batch-wide finish splits the
-    carried gaps level by level (``_split``) and refines their brackets
-    together with the carried ones (``_refine``): one first round, one
-    round of _NEWTON_MORE steps and one bisection for all of them.  Every
+    (``_flux_brackets``) and one refinement round of _NEWTON_STEPS steps
+    for its brackets (``_refine``); the gaps it leaves to split and the
+    brackets it leaves unconfirmed are carried.  After the last slice, or
+    once the carried entries reach ``_CHUNK``, one batch-wide finish splits
+    the carried gaps level by level (``_split``) and gives their brackets a
+    round of _NEWTON_STEPS steps; the brackets still unconfirmed, carried
+    or new, take one round of _NEWTON_STEPS + _NEWTON_MORE steps, and those
+    left after it one bisection (``_bisect``), for all of them.  Every
     stage is elementwise, so the extrema do not depend on how the gaps
     are sliced; they are sorted once by (row, time).  |A| falls from
     t = 0, so the kinds of a row must alternate starting with a minimum;
@@ -524,7 +502,7 @@ def _amp_extrema(t_max: np.ndarray, modes, flux: _Flux, gaps: np.ndarray,
                  + np.repeat(first, size))
         found, gaps_left = _flux_brackets(flux, t_max[owner] * (index / gaps[owner]),
                                           owner)
-        done, more = _newton_round(flux, modes, found, _NEWTON_STEPS, errors)
+        done, more = _refine(flux, modes, found, _NEWTON_STEPS, errors)
         parts.append(done)
         split.append(gaps_left)
         todo.append(more)
@@ -533,7 +511,11 @@ def _amp_extrema(t_max: np.ndarray, modes, flux: _Flux, gaps: np.ndarray,
             live = ~_failed(errors)
             split, todo = (_cat([_take(c, live[c.own]) for c in carried])
                            for carried in (split, todo))
-            parts += _refine(flux, modes, _split(flux, split), todo, errors)
+            done, more = _refine(flux, modes, _split(flux, split), _NEWTON_STEPS,
+                                 errors)
+            late, todo = _refine(flux, modes, _cat([todo, more]),
+                                 _NEWTON_STEPS + _NEWTON_MORE, errors)
+            parts += [done, late, _bisect(modes, todo, errors)]
             split, todo = [], []
     ext = _cat(parts)
     ext = _take(ext, np.lexsort((ext.times, ext.owner)))

@@ -7,11 +7,11 @@ varying columns as numeric arrays and a status column.  ``write_rows``
 makes one format call per block, one line template per status label: the
 shared cells and the label are formatted into the template once, each
 coordinate column once per file, and the observables fill its slots;
-``SweepTable.rows()`` is the row view, one dict per row.  A time or tau
-series takes one kernel call over its axis, and a ``gp`` or ``blp`` sweep
-evaluates all its rows in one batched pass, in the calling process.  A
-figure preset's ``blp`` curves share one such pass; each ``gp`` curve
-keeps its own quadrature, whose deepest level grows with its rows.
+``SweepTable.rows()`` is the row view, one dict per row.  Every block of a
+sweep or a figure comes from ``_blocks``, in the calling process: a time or
+tau series takes one kernel call over its axis, the ``blp`` rows of all the
+sweeps given share one batched pass, and each ``gp`` sweep takes one
+quadrature, whose deepest level grows with its rows.
 
 Output files are plain CSV: one leading comment line with the schema tag,
 a header row, then data rows with floats printed at 17 significant digits.
@@ -299,8 +299,6 @@ def _param_blocks(specs: list) -> list[SweepBlock]:
     row function evaluates the rows of all the specs at once, giving
     (columns, status), and each block holds its spec's slice of them.
     """
-    if not specs:
-        return []
     values = [spec.axis.values() for spec in specs]
     params = [[_params_at(spec.fixed, spec.axis.name, v) for v in vals.tolist()]
               for spec, vals in zip(specs, values)]
@@ -318,9 +316,20 @@ def _param_blocks(specs: list) -> list[SweepBlock]:
     return blocks
 
 
-def _param_block(spec: SweepSpec) -> SweepBlock:
-    """Block of one parameter sweep: the one-spec view of ``_param_blocks``."""
-    return _param_blocks([spec])[0]
+def _blocks(specs: list):
+    """The block of each spec, in order.
+
+    The ``gp`` specs go to one ``_param_blocks`` call and so do the ``blp``
+    specs, at the first block asked for; each time or tau series is built
+    (``_time_series_block``) when its turn comes.
+    """
+    batched = {q: iter(_param_blocks([s for s in specs if s.quantity == q]))
+               for q in _ROWS if any(s.quantity == q for s in specs)}
+    for spec in specs:
+        if spec.quantity in batched:
+            yield next(batched[spec.quantity])
+        else:
+            yield _time_series_block(spec)
 
 
 def _summary(spec: SweepSpec, block: SweepBlock) -> SweepSummary:
@@ -339,15 +348,11 @@ def _summary(spec: SweepSpec, block: SweepBlock) -> SweepSummary:
 def run_sweep(spec: SweepSpec):
     """Evaluate the sweep; returns (table, summary).
 
-    The table holds one ``SweepBlock``, its rows in axis order: the fixed
-    parameters as constant cells, the axis (and the swept parameter) and
-    the observables as columns, built in the calling process: a parameter
-    axis by ``_param_block``, which evaluates all rows in one batched pass,
-    a time or tau axis by ``_time_series_block``, which takes one kernel
-    call over the axis.
+    The table holds one ``SweepBlock`` (``_blocks``), its rows in axis
+    order: the fixed parameters as constant cells, the axis (and the swept
+    parameter) and the observables as columns.
     """
-    build = _param_block if AXES[spec.axis.name][0] else _time_series_block
-    block = build(spec)
+    block, = _blocks([spec])
     return SweepTable([block]), _summary(spec, block)
 
 
@@ -541,10 +546,9 @@ PRESET_NAMES = tuple(sorted(_preset_table().keys(), key=lambda s: int(s[3:])))
 def figure_preset(name: str, outdir) -> dict:
     """Emit the CSV files and manifest for one figure preset.
 
-    The preset's ``blp`` curves share one batched pass (``_param_blocks``),
-    each curve's block a slice of it; every other curve is one
-    ``run_sweep``, so each ``gp`` curve keeps its own quadrature.  All run
-    in this process; the panel's curves go to one CSV file.  Returns
+    The blocks of all the preset's curves come from one ``_blocks``, so
+    its ``blp`` curves share one batched pass and each ``gp`` curve keeps
+    its own quadrature; a panel's curves go to one CSV file.  Returns
     {"files": [paths...], "manifest": path, "n_failed": int}.
     """
     presets = _preset_table()
@@ -555,20 +559,13 @@ def figure_preset(name: str, outdir) -> dict:
     files = []
     manifest_entries = []
     n_failed = 0
-    blp = iter(_param_blocks([spec for _, _, specs in presets[name] for spec in specs
-                              if spec.quantity == "blp"]))
+    blocks = _blocks([spec for _, _, specs in presets[name] for spec in specs])
     for panel, curve_key, specs in presets[name]:
-        blocks = []
-        for spec in specs:
-            if spec.quantity == "blp":
-                sweep = SweepTable([next(blp)])
-                summary = _summary(spec, sweep.blocks[0])
-            else:
-                sweep, summary = run_sweep(spec)
+        curves = []
+        for spec, block in zip(specs, blocks):  # zip takes no block past the panel
             curve_value = getattr(spec.fixed, curve_key)
-            blocks += [replace(b, const=b.const | {"curve": curve_value})
-                       for b in sweep.blocks]
-            n_failed += summary.n_failed
+            curves.append(replace(block, const=block.const | {"curve": curve_value}))
+            n_failed += int(np.count_nonzero(block.status != "ok"))
             manifest_entries.append({
                 "panel": panel,
                 "curve_key": curve_key,
@@ -576,7 +573,7 @@ def figure_preset(name: str, outdir) -> dict:
                 "spec": spec.to_dict(),
             })
         path = outdir / f"{name}_{panel}.csv"
-        write_rows(path, SweepTable(blocks), sweep_columns(specs[0], extra=("curve",)))
+        write_rows(path, SweepTable(curves), sweep_columns(specs[0], extra=("curve",)))
         files.append(str(path))
     manifest_path = outdir / f"{name}_manifest.json"
     with open(manifest_path, "w") as fh:

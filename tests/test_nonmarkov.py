@@ -19,7 +19,7 @@ from drivenqubit import nonmarkov
 from drivenqubit import amplitude
 from drivenqubit.amplitude import (amplitude_closed_form, amplitude_derivative,
                                    amplitude_grid, mode_constants)
-from drivenqubit.nonmarkov import (_NO_BRACKETS, _amp_extrema, _cat, _Flux,
+from drivenqubit.nonmarkov import (_amp_extrema, _bisect, _cat, _Flux,
                                    _flux_brackets, _flux_form, _max_gain, _refine,
                                    _row_setup, _search_horizon, _split, _take,
                                    _Todo, blp_measures)
@@ -53,12 +53,17 @@ def _brackets(flux, t, owner):
 
 
 def _refine_row(dp, flux, lo, hi):
-    """The batched refinement of brackets of one row; raises the row's error."""
-    errors = [None]
+    """The batched refinement of brackets of one row, as the finder's finish
+    runs it: a first round, a longer round for the brackets it leaves
+    unconfirmed, and bisection for any left after that; raises the row's
+    error."""
+    errors, modes = [None], mode_constants([dp])
     own = np.zeros(lo.size, dtype=int)
-    found = _Todo.of(lo, hi, own, _flux_form(flux.at(own), hi)[0])
-    times, kinds, amps, _ = _cat(_refine(flux, mode_constants([dp]), found,
-                                         _NO_BRACKETS, errors))
+    todo = _Todo(lo, hi, own, _flux_form(flux.at(own), hi)[0] > 0)
+    done, todo = _refine(flux, modes, todo, nonmarkov._NEWTON_STEPS, errors)
+    late, todo = _refine(flux, modes, todo,
+                         nonmarkov._NEWTON_STEPS + nonmarkov._NEWTON_MORE, errors)
+    times, kinds, amps, _ = _cat([done, late, _bisect(modes, todo, errors)])
     if errors[0] is not None:
         raise errors[0]
     return times, kinds, amps
@@ -537,7 +542,7 @@ def test_failed_row_leaves_its_neighbours_untouched(monkeypatch):
         k = np.flatnonzero(flux.a[found.own] == target)[:2]
         if k.size == 2:
             lo, hi, own = found.hi[k[:1]], found.lo[k[1:]], found.own[k[:1]]
-            bogus = _Todo.of(lo, hi, own, _flux_form(flux.at(own), hi)[0])
+            bogus = _Todo(lo, hi, own, _flux_form(flux.at(own), hi)[0] > 0)
             found = _cat([found, bogus])
         return found, gaps
 

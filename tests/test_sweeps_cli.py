@@ -19,8 +19,9 @@ from drivenqubit import (SweepAxis, SweepSpec, SystemParams, ValidationError,
                          geometric_phase_detailed)
 from drivenqubit import cli
 from drivenqubit.cli import main
-from drivenqubit.sweeps import (AXES, PARAM_COLUMNS, QUANTITIES, SweepBlock, SweepTable,
-                                figure_preset, run_sweep, sweep_columns, write_rows)
+from drivenqubit.sweeps import (AXES, PARAM_COLUMNS, PRESET_NAMES, QUANTITIES, SweepBlock,
+                                SweepTable, figure_preset, run_sweep, sweep_columns,
+                                write_rows)
 
 
 def read_csv(path):
@@ -401,6 +402,30 @@ def test_figure_preset_fig5_and_manifest_round_trip(tmp_path):
     for entry in manifest["sweeps"]:
         spec = SweepSpec.from_dict(entry["spec"])
         assert spec.to_dict() == entry["spec"]
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_figure_manifest_reproduces_the_figure(tmp_path, name):
+    # each manifest entry, rebuilt and run alone, writes its curve's rows of
+    # the panel file byte for byte, apart from the curve column: the figure's
+    # batched blocks come in manifest order, each the slice of its own curve
+    result = figure_preset(name, tmp_path / "figure")
+    panels = {}
+    for path in map(Path, result["files"]):
+        _, *lines = path.read_text().splitlines()
+        panels[path.name] = [line.split(",", 1) for line in lines]
+    manifest = json.loads(Path(result["manifest"]).read_text())
+    for k, entry in enumerate(manifest["sweeps"]):
+        spec = SweepSpec.from_dict(entry["spec"])
+        out = tmp_path / f"curve{k}.csv"
+        write_rows(out, run_sweep(spec)[0], sweep_columns(spec))
+        _, header, *rows = out.read_text().splitlines()
+        panel = panels[f"{name}_{entry['panel']}.csv"]
+        assert panel[0] == ["curve", header]
+        curve, panel[1:] = panel[1:1 + len(rows)], panel[1 + len(rows):]
+        assert [cells for _, cells in curve] == rows
+        assert {float(value) for value, _ in curve} == {entry["curve_value"]}
+    assert all(len(panel) == 1 for panel in panels.values())  # every row is a curve's
 
 
 @pytest.mark.parametrize("name,bound_mb", [("fig9", 3.2), ("fig10", 2.0)])
