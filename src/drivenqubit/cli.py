@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 usage error, 2 numerical failure or out of memory.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -92,7 +93,11 @@ def _params_from(args) -> SystemParams:
                         delta_cav=args.delta_cav, theta=args.theta)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI's parser, built once per process: it depends only on module
+    constants, and parsing leaves it as it was (each parse starts from the
+    defaults, and ``--config`` appends to a fresh list)."""
     parser = _Parser(prog="drivenqubit",
                      description="Driven qubit in a lossy cavity: dynamics, "
                                  "quantumness and memory diagnostics")
@@ -213,6 +218,8 @@ def _cmd_check(args) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one command; returns its exit code.  Calls in one process share
+    one parser (``build_parser``)."""
     argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
     try:

@@ -6,12 +6,14 @@ once (the parameters not swept and, in a figure panel, ``curve``), its
 varying columns as numeric arrays and a status column.  ``write_rows``
 makes one format call per block, one line template per status label: the
 shared cells and the label are formatted into the template once, each
-coordinate column once per file, and the observables fill its slots;
-``SweepTable.rows()`` is the row view, one dict per row.  Every block of a
-sweep or a figure comes from ``_blocks``, in the calling process: a time or
-tau series takes one kernel call over its axis, the ``blp`` rows of all the
-sweeps given share one batched pass, and each ``gp`` sweep takes one
-quadrature, whose deepest level grows with its rows.
+coordinate column once per figure (once per file from ``write_rows``), and
+the observables fill its slots; ``SweepTable.rows()`` is the row view, one
+dict per row.  Every block of a sweep or a figure comes from ``_blocks``,
+in the calling process: a time or tau series takes one kernel call over
+its axis, shared by the curves read from it (``lgi3`` and ``lgi4`` of one
+parameter set, say), the ``blp`` rows of all the sweeps given share one
+batched pass, and each ``gp`` sweep takes one quadrature, whose deepest
+level grows with its rows.
 
 Output files are plain CSV: one leading comment line with the schema tag,
 a header row, then data rows with floats printed at 17 significant digits.
@@ -221,35 +223,54 @@ def _params_at(fixed: SystemParams, axis_name: str, value: float) -> SystemParam
     return replace(fixed, **{AXES[axis_name][0]: value})
 
 
-def _time_series_block(spec: SweepSpec) -> SweepBlock:
-    dp = derive(spec.fixed)
-    ts = spec.axis.values()
-    theta = spec.fixed.theta
+# time or tau quantity -> the series its columns are read from
+_SERIES = {"amplitude": "amplitude", "coherence": "amplitude",
+           "trace_distance": "amplitude", "decay_rate": "decay_rate",
+           "lgi3": "lgi", "lgi4": "lgi", "witness": "witness"}
+
+
+def _series(kind: str, fixed: SystemParams, axis: SweepAxis) -> tuple:
+    """(derived constants, axis values, kernel output) of one series; the
+    output is (A, |A|), (decay rate,), (c3, c4) or (w_q, envelope)."""
+    dp = derive(fixed)
+    ts = axis.values()
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if kind == "amplitude":
+            A, _ = amplitude_grid(dp, ts)
+            # |A| by libm hypot, as abs() of a single complex; np.abs rounds otherwise
+            out = (A, np.hypot(A.real, A.imag))
+        elif kind == "decay_rate":
+            out = (decay_rate_grid(dp, ts),)
+        elif kind == "lgi":
+            out = lgi_series(dp, fixed.theta, ts)
+        else:
+            out = witness_series(dp, fixed.theta, ts)
+    return dp, ts, out
+
+
+def _time_series_block(spec: SweepSpec, series: tuple) -> SweepBlock:
+    """The block of a time or tau sweep, its columns read from its
+    ``_series``."""
+    dp, ts, out = series
     # steps large enough to overflow give non-finite cells, which the block
     # turns into invalid rows; numpy's warnings about them are noise
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if spec.quantity in ("amplitude", "coherence", "trace_distance"):
-            A, _ = amplitude_grid(dp, ts)
-            # |A| by libm hypot, as abs() of a single complex; np.abs rounds otherwise
-            abs_a = np.hypot(A.real, A.imag)
         if spec.quantity == "amplitude":
+            A, abs_a = out
             cols = {"re_a": A.real, "im_a": A.imag, "abs_a": abs_a}
         elif spec.quantity == "decay_rate":
-            cols = {"decay_rate": decay_rate_grid(dp, ts)}
+            cols = {"decay_rate": out[0]}
         elif spec.quantity == "coherence":
-            cols = {"c_l1": abs(math.sin(2.0 * theta)) * abs_a}
+            cols = {"c_l1": abs(math.sin(2.0 * spec.fixed.theta)) * out[1]}
         elif spec.quantity == "trace_distance":
             # evolved distance of the equatorial antipodal pair: |A(t)|
-            cols = {"d_trace": abs_a}
+            cols = {"d_trace": out[1]}
         elif spec.quantity == "lgi3":
-            c3, _ = lgi_series(dp, theta, ts)
-            cols = {"c3": c3, "violated3": (c3 > 1.0).astype(int)}
+            cols = {"c3": out[0], "violated3": (out[0] > 1.0).astype(int)}
         elif spec.quantity == "lgi4":
-            _, c4 = lgi_series(dp, theta, ts)
-            cols = {"c4": c4, "violated4": (c4 > 2.0).astype(int)}
+            cols = {"c4": out[1], "violated4": (out[1] > 2.0).astype(int)}
         else:  # witness
-            w, env = witness_series(dp, theta, ts)
-            cols = {"w_q": w, "envelope": env}
+            cols = {"w_q": out[0], "envelope": out[1]}
     # constants that overflow make every row invalid (DerivedParams.overflow)
     status = np.full(len(ts), "ok" if dp.overflow() is None else "invalid")
     if spec.quantity == "decay_rate":
@@ -320,16 +341,23 @@ def _blocks(specs: list):
     """The block of each spec, in order.
 
     The ``gp`` specs go to one ``_param_blocks`` call and so do the ``blp``
-    specs, at the first block asked for; each time or tau series is built
-    (``_time_series_block``) when its turn comes.
+    specs, at the first block asked for; each time or tau block is built
+    (``_time_series_block``) when its turn comes, from a series evaluated
+    once per (series, fixed parameters, axis) in this call: the ``lgi3``
+    and ``lgi4`` curves of one parameter set share one ``lgi_series``, and
+    equal witness or amplitude-family curves one kernel call.
     """
     batched = {q: iter(_param_blocks([s for s in specs if s.quantity == q]))
                for q in _ROWS if any(s.quantity == q for s in specs)}
+    series = {}
     for spec in specs:
         if spec.quantity in batched:
             yield next(batched[spec.quantity])
-        else:
-            yield _time_series_block(spec)
+            continue
+        key = (_SERIES[spec.quantity], spec.fixed, spec.axis)
+        if key not in series:
+            series[key] = _series(*key)
+        yield _time_series_block(spec, series[key])
 
 
 def _summary(spec: SweepSpec, block: SweepBlock) -> SweepSummary:
@@ -437,13 +465,19 @@ def write_rows(path, table: SweepTable, columns: list[str]) -> None:
     the observables of a row that is not ok or a column the block lacks).
     Each block is one format call, one line template per status label
     (``_write_block``), and one write; each coordinate column is formatted
-    once per file, so the curves of a panel share their formatted axis.
+    once per call, so the curves of a panel share their formatted axis
+    (``figure_preset`` shares it across all the files of a figure).
     The parent directory is made with ``make_outdir``, so a parent that
     cannot be one is a ValidationError.
     """
+    _write_table(path, table, columns, {})
+
+
+def _write_table(path, table: SweepTable, columns: list[str], axes: dict) -> None:
+    """``write_rows``, with the coordinate columns already formatted (by
+    dtype and bytes) in ``axes``, which gains the ones formatted here."""
     path = Path(path)
     make_outdir(path.parent)
-    axes: dict = {}
     with open(path, "w", newline="") as fh:
         fh.write(SCHEMA_TAG + "\n" + _csv_line(columns))
         for block in table.blocks:
@@ -476,7 +510,8 @@ def _p(lam=0.01, omega=0.0, delta=0.0, theta=0.0):
 
 
 def _preset_table() -> dict:
-    """Panel layout per figure preset.
+    """Panel layout per figure preset, as tuples: figure name ->
+    ((panel, curve key, (spec, ...)), ...).  Built once, as ``_PRESETS``.
 
     Families not fully enumerated in the source material use the values
     named in its discussion; the emitted manifest records the full
@@ -537,30 +572,36 @@ def _preset_table() -> dict:
          [SweepSpec("blp", _p(omega=om), _DELTA_AXIS)
           for om in (0.01, 0.1, 0.5, 1.0)]),
     ]
-    return presets
+    # tuples all the way down: the one table of the process is shared
+    return {name: tuple((panel, key, tuple(specs)) for panel, key, specs in panels)
+            for name, panels in presets.items()}
 
 
-PRESET_NAMES = tuple(sorted(_preset_table().keys(), key=lambda s: int(s[3:])))
+_PRESETS = _preset_table()
+PRESET_NAMES = tuple(sorted(_PRESETS, key=lambda s: int(s[3:])))
 
 
 def figure_preset(name: str, outdir) -> dict:
     """Emit the CSV files and manifest for one figure preset.
 
+    The panels are read from ``_PRESETS``, the table built once at import.
     The blocks of all the preset's curves come from one ``_blocks``, so
-    its ``blp`` curves share one batched pass and each ``gp`` curve keeps
-    its own quadrature; a panel's curves go to one CSV file.  Returns
+    its ``blp`` curves share one batched pass, each ``gp`` curve keeps
+    its own quadrature and curves with one series share it; a panel's
+    curves go to one CSV file, and each coordinate column is formatted
+    once per figure.  Returns
     {"files": [paths...], "manifest": path, "n_failed": int}.
     """
-    presets = _preset_table()
-    if name not in presets:
+    if name not in _PRESETS:
         raise ValidationError(f"unknown preset {name!r}; known: {', '.join(PRESET_NAMES)}")
     outdir = Path(outdir)
     make_outdir(outdir)
     files = []
     manifest_entries = []
     n_failed = 0
-    blocks = _blocks([spec for _, _, specs in presets[name] for spec in specs])
-    for panel, curve_key, specs in presets[name]:
+    blocks = _blocks([spec for _, _, specs in _PRESETS[name] for spec in specs])
+    axes: dict = {}
+    for panel, curve_key, specs in _PRESETS[name]:
         curves = []
         for spec, block in zip(specs, blocks):  # zip takes no block past the panel
             curve_value = getattr(spec.fixed, curve_key)
@@ -573,11 +614,11 @@ def figure_preset(name: str, outdir) -> dict:
                 "spec": spec.to_dict(),
             })
         path = outdir / f"{name}_{panel}.csv"
-        write_rows(path, SweepTable(curves), sweep_columns(specs[0], extra=("curve",)))
+        _write_table(path, SweepTable(curves), sweep_columns(specs[0], extra=("curve",)),
+                     axes)
         files.append(str(path))
     manifest_path = outdir / f"{name}_manifest.json"
-    with open(manifest_path, "w") as fh:
-        json.dump({"figure": name, "schema": 1, "sweeps": manifest_entries},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with open(manifest_path, "w") as fh:  # one write, not one per json token
+        fh.write(json.dumps({"figure": name, "schema": 1, "sweeps": manifest_entries},
+                            indent=2, sort_keys=True) + "\n")
     return {"files": files, "manifest": str(manifest_path), "n_failed": n_failed}

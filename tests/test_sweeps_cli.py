@@ -450,6 +450,39 @@ def test_figure_preset_deterministic(tmp_path):
         assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
+@pytest.mark.parametrize("name,calls", [("fig2", 4), ("fig3", 4), ("fig5", 7)])
+def test_figure_evaluates_each_distinct_series_once(tmp_path, monkeypatch, name, calls):
+    # the lgi3 and lgi4 curves of one parameter set share one lgi_series,
+    # and fig5's omega 0.1 and delta 0 witness curves are one series
+    import drivenqubit.sweeps as sweeps
+
+    made = []
+    for kernel in ("lgi_series", "witness_series"):
+        def counted(*args, real=getattr(sweeps, kernel)):
+            made.append(args)
+            return real(*args)
+        monkeypatch.setattr(sweeps, kernel, counted)
+    figure_preset(name, tmp_path)
+    assert len(made) == calls
+
+
+def test_figure_preset_reads_the_table_built_at_import(tmp_path, monkeypatch):
+    import drivenqubit.sweeps as sweeps
+
+    assert sweeps._PRESETS == sweeps._preset_table()
+    for panels in sweeps._PRESETS.values():
+        assert isinstance(panels, tuple)
+        assert all(isinstance(specs, tuple) for _, _, specs in panels)
+
+    def rebuilt():
+        raise AssertionError("the preset table is built once per process")
+
+    monkeypatch.setattr(sweeps, "_preset_table", rebuilt)
+    result = figure_preset("fig2", tmp_path)
+    assert [Path(p).name for p in result["files"]] == ["fig2_c3.csv", "fig2_c4.csv"]
+    assert all(Path(p).stat().st_size > 0 for p in result["files"])
+
+
 def test_cli_params(capsys):
     assert main(["params", "--lambda", "0.01", "--omega", "0.1"]) == 0
     out = capsys.readouterr().out
@@ -782,6 +815,42 @@ def test_cli_config_file_with_flag_override(tmp_path, capsys):
         cfg.write_text(text)
         assert main(["params", "--config", str(cfg)]) == 0
         assert line in capsys.readouterr().out.splitlines()
+
+
+def test_cli_parser_is_built_once_and_reused_cleanly(tmp_path, capsys):
+    # each command run on the one parser of the process gives what it gives
+    # on a parser of its own: exit code, output and CSV bytes, no flag value
+    # carried over from an earlier (config) command
+    assert cli.build_parser() is cli.build_parser()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("omega = 1.0\npoints = 11\naxis-max = 2\n")
+    sweep = ["sweep", "--quantity", "lgi3"]
+    commands = {
+        "usage": [*sweep, "--out", str(tmp_path / "usage.csv")],
+        "config": [*sweep, "--axis", "tau", "--config", str(cfg),
+                   "--out", str(tmp_path / "config.csv")],
+        "plain": [*sweep, "--axis", "tau", "--out", str(tmp_path / "plain.csv")],
+    }
+
+    def run(key):
+        out = tmp_path / f"{key}.csv"
+        out.unlink(missing_ok=True)
+        rc = main(commands[key])
+        return rc, capsys.readouterr(), out.read_bytes() if out.exists() else None
+
+    alone = {}
+    for key in commands:
+        cli.build_parser.cache_clear()
+        alone[key] = run(key)
+    assert [rc for rc, _, _ in alone.values()] == [1, 0, 0]
+    assert "--axis is required" in alone["usage"][1].err
+    assert len(alone["config"][2].splitlines()) == 2 + 11
+    assert len(alone["plain"][2].splitlines()) == 2 + 201
+    parser = cli.build_parser()
+    for _ in range(2):
+        for key in commands:
+            assert run(key) == alone[key]
+    assert cli.build_parser() is parser
 
 
 def test_cli_config_rejects_unknown_key(tmp_path, capsys):
