@@ -22,21 +22,22 @@ s+ = -M/2 + F/4 and phi = -expm1(-z)/z,
 exp(s+ t), 1 + expm1(-z)/2 and phi lie in the unit disc (Re s+ <= 0,
 Re z >= 0) and nothing large cancels, so one form holds from t = 0 through
 critical damping (F = 0, where phi = 1) to late times: no series switch.
-``_mode_form`` is elementwise in its constants and times.
-``amplitude_grid`` gives it the constants of one parameter set: time grids,
-the Leggett-Garg series, the witness and the decay-rate grid;
-``amplitude_closed_form``, ``amplitude_derivative`` and ``decay_rate`` are
-its one-point views.  The geometric-phase quadrature and the BLP measure
-give it the constants of each time's own row (``mode_constants``), so one
-call covers one Simpson level, or one slice of brackets, of a whole sweep,
-bit for bit as ``amplitude_grid`` would give each row.
+``_mode_form``, elementwise in its constants and times, is the envelope
+exp(s+ t) times the pieces before it (``_mode_pieces``), which the BLP
+finder reads alone for the sign of Re(dA/dt conj A).  ``amplitude_grid``
+gives it one parameter set: time grids, the Leggett-Garg series, the
+witness and the decay-rate grid; ``amplitude_closed_form``,
+``amplitude_derivative`` and ``decay_rate`` are its one-point views.  The
+quadrature, the BLP measure and ``check`` give it the columns of their rows
+(``DerivedColumns``) indexed per time, bit for bit as ``amplitude_grid``
+would give each row.
 
 ``amplitude_oracles`` is the independent reference that ``drivenqubit
 check`` and the tests run: the exact propagator of the memory ODE on an even
 grid, built from G alone and sharing no code with the closed form.  It
-takes many parameter sets as one stack of G, each scaled and squared to its
-own exponent, and gets the powers of the propagator by doubling;
-``amplitude_oracle_ode`` is its one-set view.
+takes the columns of many parameter sets as one stack of G, each scaled and
+squared to its own exponent, and gets the powers of the propagator by
+doubling; ``amplitude_oracle_ode`` is its one-set view.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import DerivedParams, SystemParams, ValidationError, derive
+from .params import DerivedColumns, DerivedParams, SystemParams, ValidationError, derive
 
 __all__ = [
     "AmplitudePole",
@@ -101,17 +102,12 @@ def _check_grid(t: np.ndarray, name: str) -> None:
         raise ValidationError(f"{name} must be finite and strictly increasing from 0")
 
 
-def _mode_form(M, F, t, s_plus, pref=None):
-    """A(t), and dA/dt when ``pref`` is given, elementwise in (M, F, t, s+, pref).
-
-    t is an array of times; M, F, s+ (complex) and ``pref`` (the
-    ``coupling_prefactor``) are scalars for one parameter set or arrays of
-    t's shape, one value per time; F is the root with Re F >= 0 and s+ the
-    slow rate, both from ``mode_rates``.  With z = F t / 2, em1 = expm1(-z)
-    and phi = -em1 / z,
-
-        A = exp(s+ t) (1 + em1/2 + (M/2) t phi),
-        dA/dt = (pref/4) t phi exp(s+ t).
+def _mode_pieces(M, F, t):
+    """(B, t phi), elementwise in (M, F, t): A = B exp(s+ t) and
+    dA/dt = (pref/4) t phi exp(s+ t).  t is an array of times; M and F
+    (Re F >= 0) are scalars for one parameter set or arrays of t's shape,
+    one value per time.  With z = F t / 2, em1 = expm1(-z) and
+    phi = -em1 / z, B = 1 + em1/2 + (M/2) t phi.
 
     em1 is built from real functions of -z = a + 2ih (a <= 0):
     expm1(a) - 2 sin^2(h) e^a + 2i sin(h) cos(h) e^a, whose real part adds
@@ -131,42 +127,16 @@ def _mode_form(M, F, t, s_plus, pref=None):
     em1.real, em1.imag = np.expm1(a) - sin_h * u, np.cos(h) * u
     tiny = np.abs(F) * t < 2.0 * _EPS  # |z| < eps
     t_phi = np.where(tiny, t, em1 / np.where(tiny, 1.0, -0.5 * F))
+    return 1.0 + 0.5 * (em1 + t_phi * M), t_phi
+
+
+def _mode_form(M, F, t, s_plus, pref=None):
+    """A(t), and dA/dt when ``pref`` (``coupling_prefactor``) is given:
+    ``_mode_pieces`` times the envelope exp(s+ t), elementwise like them."""
+    B, t_phi = _mode_pieces(M, F, t)
     e = np.exp(s_plus * t)
-    A = (1.0 + 0.5 * (em1 + t_phi * M)) * e
+    A = B * e
     return A if pref is None else (A, 0.25 * pref * (t_phi * e))
-
-
-def mode_rates(dp: DerivedParams) -> tuple[complex, complex]:
-    """Rate s+ of the slow mode of A = c+ exp(s+ t) + c- exp(s- t), and the
-    root F it is taken with.
-
-    A is even in F; F is the root with Re F >= 0, so s+- = -M/2 +- F/4 has
-    Re s+ >= Re s-: s+ is the slow mode.  With q = gamma*lam*(1+cos eta)^2
-    and D = F + 2M (Re D >= 2 lam, so D never cancels), s+ = -q/(2D) is the
-    cancellation-free form of -M/2 + F/4, which loses every digit when the
-    coupling q is tiny; s- = -D/4.
-    """
-    F = dp.f_const if dp.f_const.real >= 0.0 else -dp.f_const
-    q = -2.0 * dp.coupling_prefactor
-    return -q / (2.0 * (F + 2.0 * dp.m_const)), F
-
-
-def _row_constants(dp: DerivedParams):
-    """(M, F, pref, s+) of one parameter set, as ``_mode_form`` takes them."""
-    s_plus, F = mode_rates(dp)
-    return dp.m_const, F, dp.coupling_prefactor, s_plus
-
-
-def mode_constants(dps) -> tuple[np.ndarray, ...]:
-    """Arrays (M, F, pref, s+), one value per parameter set.
-
-    Indexed per time, they give ``_mode_form`` the constants of each time's
-    own parameter set, the numbers ``amplitude_grid`` gives it, so a batched
-    evaluation matches ``amplitude_grid`` bit for bit.
-    """
-    M, F, pref, s_plus = np.array([_row_constants(dp) for dp in dps],
-                                  dtype=complex).reshape(-1, 4).T
-    return M, F, pref.real, s_plus
 
 
 def amplitude_grid(dp: DerivedParams, times) -> tuple[np.ndarray, np.ndarray]:
@@ -175,8 +145,8 @@ def amplitude_grid(dp: DerivedParams, times) -> tuple[np.ndarray, np.ndarray]:
     times = np.asarray(times, dtype=float)
     if (times < 0).any():
         raise ValidationError("times must be >= 0")
-    M, F, pref, s_plus = _row_constants(dp)
-    A, dA = _mode_form(M, F, np.atleast_1d(times), s_plus, pref)
+    A, dA = _mode_form(dp.m_const, dp.f_const, np.atleast_1d(times), dp.s_plus,
+                       dp.coupling_prefactor)
     return A.reshape(times.shape), dA.reshape(times.shape)
 
 
@@ -204,9 +174,10 @@ def amplitude_trajectory(dp: DerivedParams, times) -> AmplitudeTrajectory:
     return AmplitudeTrajectory(np.asarray(times, float), A, dp.params)
 
 
-def amplitude_oracles(params_seq, t_max: float) -> tuple[np.ndarray, np.ndarray]:
-    """Independent A(t) of many parameter sets at ``ORACLE_POINTS`` even times
-    from 0 to t_max: the exact propagator of the memory dynamics.
+def amplitude_oracles(rows: DerivedColumns, t_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """Independent A(t) of many parameter sets, given by their columns, at
+    ``ORACLE_POINTS`` even times from 0 to t_max: the exact propagator of the
+    memory dynamics.
 
     The integro-differential equation with exponential kernel is equivalent
     to the local pair y = (A, B), y' = G y,
@@ -225,8 +196,8 @@ def amplitude_oracles(params_seq, t_max: float) -> tuple[np.ndarray, np.ndarray]
     own G alone: a batch gives each set the numbers it gets alone.
 
     The test oracle of the closed form, it calls none of it and takes only
-    eta and M from ``derive``, so ``drivenqubit check`` cannot catch an error
-    in ``derive``.  Returns (times, values), values shaped (n, ORACLE_POINTS).
+    eta and M from ``derive_columns``, so ``drivenqubit check`` cannot catch
+    an error there.  Returns (times, values), values shaped (n, ORACLE_POINTS).
     A horizon that gives no finite, increasing grid raises ValidationError;
     a G dt that overflows gives non-finite values, not a warning.
     """
@@ -234,11 +205,10 @@ def amplitude_oracles(params_seq, t_max: float) -> tuple[np.ndarray, np.ndarray]
         raise ValidationError(f"t_max must be finite and > 0, got {t_max}")
     times = np.linspace(0.0, t_max, ORACLE_POINTS)
     _check_grid(times, "times")
-    dps = [derive(params) for params in params_seq]
-    G = np.zeros((len(dps), 2, 2), dtype=complex)
-    G[:, 0, 1] = [-math.cos(dp.eta / 2.0) ** 4 for dp in dps]
-    G[:, 1, 0] = [0.5 * dp.params.gamma * dp.params.lam for dp in dps]
-    G[:, 1, 1] = [-dp.m_const for dp in dps]
+    G = np.zeros((len(rows.eta), 2, 2), dtype=complex)
+    G[:, 0, 1] = -np.cos(rows.eta / 2.0) ** 4
+    G[:, 1, 0] = 0.5 * rows.gamma * rows.lam
+    G[:, 1, 1] = -rows.m_const
     with np.errstate(over="ignore", invalid="ignore"):
         X = G * (t_max / (ORACLE_POINTS - 1))
         norm = np.abs(X).sum(axis=1).max(axis=1)
@@ -250,7 +220,7 @@ def amplitude_oracles(params_seq, t_max: float) -> tuple[np.ndarray, np.ndarray]
             P = P + term
         for k in range(int(s.max(initial=0))):
             P = np.where((k < s)[:, None, None], P @ P, P)
-        y = np.zeros((len(dps), 1, 2, 1), dtype=complex)
+        y = np.zeros((len(rows.eta), 1, 2, 1), dtype=complex)
         y[:, 0, 0, 0] = 1.0
         while (m := y.shape[1]) < ORACLE_POINTS:
             y = np.concatenate([y, P[:, None] @ y[:, :ORACLE_POINTS - m]], axis=1)
@@ -263,7 +233,7 @@ def amplitude_oracle_ode(params: SystemParams, t_max: float) -> AmplitudeTraject
     one-set view of ``amplitude_oracles``, the exact propagator of the
     memory ODE.  A horizon that gives no finite, increasing grid, or values
     that are not finite, raise ValidationError."""
-    times, values = amplitude_oracles([params], t_max)
+    times, values = amplitude_oracles(DerivedColumns.of([derive(params)]), t_max)
     return AmplitudeTrajectory(times, values[0], params)
 
 
@@ -273,7 +243,7 @@ def _is_pole(dp: DerivedParams, t, abs_a):
     Relative to the envelope, so late-time decay is not mistaken for a zero;
     |A| = 0 is a pole even where the envelope underflows.
     """
-    return np.logical_not(abs_a > POLE_EPS * np.exp(mode_rates(dp)[0].real * t))
+    return np.logical_not(abs_a > POLE_EPS * np.exp(dp.s_plus.real * t))
 
 
 def decay_rate(dp: DerivedParams, t: float) -> float:

@@ -18,7 +18,8 @@ Re(C e^{iwt}), whose derivatives have closed-form bounds.  A bracket finder
 uses them to certify every gap of its grid (no root, at most one root, or
 split it), so no sign change can hide between grid points whatever their
 spacing; each bracket is then refined to 1e-10 and confirmed on the
-amplitude kernel, in one kernel call that also gives |A| at the extrema.
+amplitude kernel, whose sign of d|A|/dt is read without the envelope
+exp(s+ t) (``_rising``), so it holds where |A| underflows at long horizons.
 A bracket the kernel does not confirm, or extrema that do not alternate,
 fail the row with a ValidationError rather than pass a wrong interval list
 on.  Divided by e^{kt}, the slope's sign is G = a + b e^{-2kt} +
@@ -27,30 +28,15 @@ ln(2 (|b| + |C|)/|a|)/k on (k > 0, a != 0), G keeps the sign of a with
 |G| >= |a|/2, a margin far above its rounding error.  So no extremum lies
 past t_h, and the search stops there.
 
-The rows of a sweep are evaluated together (``blp_measures``;
-``blp_measure`` is its one-row view).  Every array carries the constants of
-its own rows: the kernel's ``mode_constants``, and the finder's two-mode
-table, work budgets and search horizons, derived from them elementwise.
-The initial gaps of all rows are taken in (row, time) order, each with the
-index of its row, in slices of at most ``_CHUNK`` initial gaps, a cap across
-rows that bounds the peak memory.  A slice takes the finder's first round
-and one refinement round of the brackets it finds: Newton steps from each
-bracket's midpoint, confirmed in one kernel call.  The gaps it leaves to
-split and the brackets it leaves unconfirmed (their ends, row and direction
-alone), a few per slice, are carried to one batch-wide finish, which runs
-after the last slice (or once the carried entries reach ``_CHUNK``): the
-gaps are split level by level and their brackets take the same round; all
-unconfirmed brackets then take one longer round from their midpoints, whose
-first steps are the short round's own, and then the bisection fallback,
-each stage once for the whole batch.  The extrema are then sorted once by
-(row, time).  The branch and bound searches the pairs of runs of rows with
-at most ``_CHUNK`` intervals.  Every stage is elementwise in the rows, so a
-row's result depends on its own data alone.  One list, made by
-``_row_setup``, holds each row's first error: every stage records a failure
-there and skips the rows that have one, so a failed row stops while the
-others go on.  A row whose model constants overflow, whose horizon is not
-finite and > 0, or whose search would need more than ``_MAX_GAPS`` initial
-gaps fails before any kernel call.
+The rows of a sweep are evaluated together, from their columns
+(``blp_measures`` takes their ``DerivedColumns``; ``blp_measure`` is its
+one-row view).  Every array carries the constants of its own rows, and
+every stage is elementwise in the rows, so a row's result depends on its
+own data alone: the finder takes the initial gaps of all rows in slices
+(``_amp_extrema``), and the branch and bound the pairs of runs of rows
+(``_max_gain``).  One list, made by ``_row_setup``, holds each row's first
+error: every stage records a failure there and skips the rows that have
+one, so a failed row stops while the others go on.
 """
 
 from __future__ import annotations
@@ -61,8 +47,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .amplitude import _check_time, _mode_form, amplitude_grid, mode_constants
-from .params import DerivedParams, SystemParams, ValidationError, derive
+from .amplitude import _check_time, _mode_form, _mode_pieces, amplitude_grid
+from .params import DerivedColumns, DerivedParams, SystemParams, ValidationError, derive
 from .states import BlochVector
 
 __all__ = [
@@ -172,20 +158,17 @@ class _Flux(NamedTuple):
     z: np.ndarray
 
     @classmethod
-    def of(cls, modes, live: np.ndarray) -> "_Flux":
-        """Table of every row, from the rows' ``mode_constants``.
+    def of(cls, rows: DerivedColumns, live: np.ndarray) -> "_Flux":
+        """Table of every row, from the rows' columns.
 
-        The root F (Re F >= 0) and the slow rate s+ are those of the kernel
-        (``mode_rates``); s- = -(F + 2M)/4 and the weights c+ = -2 s-/F,
-        c- = 2 s+/F follow.  That s+ is free of the cancellation in
-        -M/2 + F/4 (and so c- of that in (1 - 2M/F)/2) when the coupling is
-        tiny.  Rows outside the mask
-        ``live``, rows with w = 0 (critical or overdamped: M is real, A
-        real, positive and decreasing) and decoupled rows (a = b = C = 0:
-        |A| = 1) get zero constants, so a row has extrema only where w != 0.
+        F (Re F >= 0) and the slow rate s+ are the kernel's; s- = -(F + 2M)/4
+        and the weights c+ = -2 s-/F, c- = 2 s+/F follow.  Rows outside the
+        mask ``live``, rows with w = 0 (critical or overdamped: A is real,
+        positive and decreasing) and decoupled rows (a = b = C = 0: |A| = 1)
+        get zero constants, so only rows with w != 0 have extrema.
         """
-        live = live & (modes[1].imag != 0.0)
-        M, F, _, s_plus = (col[live] for col in modes)
+        live = live & (rows.f_const.imag != 0.0)
+        M, F, s_plus = rows.m_const[live], rows.f_const[live], rows.s_plus[live]
         s_minus = -0.25 * (F + 2.0 * M)
         c_plus, c_minus = -2.0 * s_minus / F, 2.0 * s_plus / F
         a = np.abs(c_plus) ** 2 * s_plus.real
@@ -337,14 +320,22 @@ def _split(flux: _Flux, gaps: _Gaps) -> _Todo:
     return _cat(found)
 
 
-def _amplitude(modes, t: np.ndarray, owner: np.ndarray):
-    """(A, dA/dt) at times t, each with the constants of its own row
-    (``modes`` from ``mode_constants``)."""
-    M, F, pref, s_plus = (col[owner] for col in modes)
-    return _mode_form(M, F, t, s_plus, pref)
+def _abs_amplitude(rows: DerivedColumns, t: np.ndarray, owner: np.ndarray):
+    """|A| at times t, each with the constants of its own row."""
+    return np.abs(_mode_form(rows.m_const[owner], rows.f_const[owner], t,
+                             rows.s_plus[owner]))
 
 
-def _bisect(modes, todo: _Todo, errors: list) -> _Extrema:
+def _rising(rows: DerivedColumns, t: np.ndarray, owner: np.ndarray):
+    """Where h = Re(dA/dt conj A) > 0 at times t, each with the constants of
+    its own row: h = (|e|^2/4) pref Re(t phi conj B) with e = exp(s+ t) and
+    B, t phi of ``_mode_pieces``, so the product without e has h's sign and
+    does not underflow where |A| does."""
+    B, t_phi = _mode_pieces(rows.m_const[owner], rows.f_const[owner], t)
+    return rows.pref[owner] * (t_phi * np.conj(B)).real > 0
+
+
+def _bisect(rows: DerivedColumns, todo: _Todo, errors: list) -> _Extrema:
     """The extrema of brackets of sign changes of h, each halved on the
     kernel until it is narrower than _ROOT_TOL; a bracket that 64 halvings
     do not get there fails its row in ``errors``."""
@@ -356,14 +347,13 @@ def _bisect(modes, todo: _Todo, errors: list) -> _Extrema:
         if i.size == 0:
             break
         mid = 0.5 * (lo[i] + hi[i])
-        A, dA = _amplitude(modes, mid, todo.own[i])
-        past = ((dA * np.conj(A)).real > 0) == todo.rising[i]
+        past = _rising(rows, mid, todo.own[i]) == todo.rising[i]
         lo[i] = np.where(past, lo[i], mid)
         hi[i] = np.where(past, mid, hi[i])
     _fail(errors, todo.own[hi - lo >= _ROOT_TOL], "bracket refinement failed to converge")
     times = 0.5 * (lo + hi)
     return _Extrema(times, np.where(todo.rising, 1, -1),
-                    np.abs(_amplitude(modes, times, todo.own)[0]), todo.own)
+                    _abs_amplitude(rows, times, todo.own), todo.own)
 
 
 def _newton(c: _Flux, todo: _Todo, steps: int) -> np.ndarray:
@@ -382,20 +372,18 @@ def _newton(c: _Flux, todo: _Todo, steps: int) -> np.ndarray:
     return x
 
 
-def _confirm(modes, lo, hi, x, rising, owner):
-    """One kernel call: h at the bracket ends and at x +- 0.45 _ROOT_TOL, |A| at x.
-
-    Returns (h at the ends, the narrow bracket's midpoints, |A| there, and
-    where h fails to change sign across the narrow bracket).
-    """
+def _confirm(rows: DerivedColumns, lo, hi, x, rising, owner):
+    """The kernel's check of the brackets (lo, hi) and estimates x: (h > 0
+    at the ends, the midpoints of the narrow brackets x +- 0.45 _ROOT_TOL,
+    |A| there, and where h fails to change sign across a narrow bracket)."""
     n = lo.size
     left = np.maximum(x - 0.45 * _ROOT_TOL, lo)
     right = np.minimum(x + 0.45 * _ROOT_TOL, hi)
     times = 0.5 * (left + right)
-    A, dA = _amplitude(modes, np.concatenate([lo, hi, left, right, times]),
-                       np.tile(owner, 5))
-    pos = (dA[:4 * n] * np.conj(A[:4 * n])).real.reshape(4, n) > 0
-    return pos[:2], times, np.abs(A[4 * n:]), (pos[2] == rising) | (pos[3] != rising)
+    pos = _rising(rows, np.concatenate([lo, hi, left, right]),
+                  np.tile(owner, 4)).reshape(4, n)
+    return (pos[:2], times, _abs_amplitude(rows, times, owner),
+            (pos[2] == rising) | (pos[3] != rising))
 
 
 def _failed(errors: list) -> np.ndarray:
@@ -410,9 +398,9 @@ def _fail(errors: list, rows, message: str) -> None:
             errors[r] = ValidationError(message)
 
 
-def _refine(flux: _Flux, modes, todo: _Todo, steps: int, errors: list):
+def _refine(flux: _Flux, rows: DerivedColumns, todo: _Todo, steps: int, errors: list):
     """One refinement round: ``steps`` Newton steps on G for each bracket
-    (``_newton``), then one kernel call (``_confirm``).
+    (``_newton``), then the kernel's check (``_confirm``).
 
     A bracket whose ends show no sign change of h, or one against G's
     direction, means G and the kernel disagree, and fails its row in
@@ -423,7 +411,7 @@ def _refine(flux: _Flux, modes, todo: _Todo, steps: int, errors: list):
     if todo.lo.size == 0:
         return _NO_EXTREMA, todo
     x = _newton(flux.at(todo.own), todo, steps)
-    ends, times, amps, bad = _confirm(modes, todo.lo, todo.hi, x, todo.rising, todo.own)
+    ends, times, amps, bad = _confirm(rows, todo.lo, todo.hi, x, todo.rising, todo.own)
     _fail(errors, todo.own[ends[0] == ends[1]],
           "extremum bracket shows no sign change of d|A|/dt")
     _fail(errors, todo.own[ends[1] != todo.rising],
@@ -450,11 +438,11 @@ def _gap_counts(c: _Flux, t_max: np.ndarray) -> np.ndarray:
         return np.ceil(4.0 * np.abs(c.z.imag) * t_max / math.pi)
 
 
-def _amp_extrema(t_max: np.ndarray, modes, flux: _Flux, gaps: np.ndarray,
-                 errors: list):
+def _amp_extrema(t_max: np.ndarray, rows: DerivedColumns, flux: _Flux,
+                 gaps: np.ndarray, errors: list):
     """Refined times of the extrema of |A| on (0, t_max) of every row, their
-    kinds and |A| there, from the rows' ``mode_constants``, two-mode table,
-    initial gap counts and ``errors`` (``_row_setup``).
+    kinds and |A| there, from the rows' columns, two-mode table, initial gap
+    counts and ``errors`` (``_row_setup``).
 
     Brackets the sign changes of d|A|^2/dt with the certified finder on its
     two-mode form, starting from gaps of an eighth of the beat period
@@ -465,44 +453,42 @@ def _amp_extrema(t_max: np.ndarray, modes, flux: _Flux, gaps: np.ndarray,
     so no extremum lies there.  The grid is still the one to t_max, so
     every searched node and bracket is that of a search to t_max.
 
-    The initial gaps of all rows are taken in (row, time) order, ``_CHUNK``
-    at a time.  A slice takes only the first round of the finder
-    (``_flux_brackets``) and one refinement round of _NEWTON_STEPS steps
-    for its brackets (``_refine``); the gaps it leaves to split and the
-    brackets it leaves unconfirmed are carried.  After the last slice, or
-    once the carried entries reach ``_CHUNK``, one batch-wide finish splits
-    the carried gaps level by level (``_split``) and gives their brackets a
-    round of _NEWTON_STEPS steps; the brackets still unconfirmed, carried
-    or new, take one round of _NEWTON_STEPS + _NEWTON_MORE steps, and those
-    left after it one bisection (``_bisect``), for all of them.  Every
-    stage is elementwise, so the extrema do not depend on how the gaps
-    are sliced; they are sorted once by (row, time).  |A| falls from
-    t = 0, so the kinds of a row must alternate starting with a minimum;
-    any other sequence fails the row.  Rows with an error are not
-    searched, and their carried entries are dropped.  Returns ``_Extrema``:
-    those of the other rows in (row, time) order.
+    The initial gaps of all rows are taken in (row, time) order, in slices
+    of ``_CHUNK``, a cap across rows that bounds the peak memory.  A slice
+    takes the finder's first round (``_flux_brackets``) and one refinement
+    round of _NEWTON_STEPS steps (``_refine``); the gaps it leaves to split
+    and the brackets it leaves unconfirmed are carried to one batch-wide
+    finish, after the last slice or once they reach ``_CHUNK``: the gaps
+    are split level by level (``_split``) and their brackets take the same
+    round; all unconfirmed brackets then take one round of _NEWTON_STEPS +
+    _NEWTON_MORE steps, and those left one bisection (``_bisect``).  Every
+    stage is elementwise, so the extrema do not depend on the slicing;
+    they are sorted once by (row, time).  |A| falls from t = 0, so the
+    kinds of a row must alternate starting with a minimum, or the row
+    fails.  Rows with an error are not searched, and their carried entries
+    are dropped.  Returns ``_Extrema``: those of the other rows.
     """
     n_rows = len(errors)
-    rows = np.flatnonzero((gaps > 0) & ~_failed(errors))
+    live = np.flatnonzero((gaps > 0) & ~_failed(errors))
     search = np.zeros(n_rows, dtype=int)  # the first gaps of each row, searched
-    reach = np.minimum(_search_horizon(flux.at(rows)) / t_max[rows], 1.0)
-    search[rows] = np.minimum(gaps[rows], np.ceil(gaps[rows] * reach) + 1.0)
+    reach = np.minimum(_search_horizon(flux.at(live)) / t_max[live], 1.0)
+    search[live] = np.minimum(gaps[live], np.ceil(gaps[live] * reach) + 1.0)
     stop = np.cumsum(search)
     start = stop - search
     total = int(stop[-1]) if n_rows else 0
     parts, split, todo = [_NO_EXTREMA], [], []  # split, todo: carried to the finish
     for g0 in range(0, total, _CHUNK):
         g1 = g0 + _CHUNK
-        rows = np.flatnonzero((start < g1) & (stop > g0) & (search > 0))
+        live = np.flatnonzero((start < g1) & (stop > g0) & (search > 0))
         # each row's first gap in the slice, and its nodes there: gaps + 1
-        first = np.maximum(g0 - start[rows], 0)
-        size = np.minimum(g1 - start[rows], search[rows]) - first + 1
-        owner = np.repeat(rows, size)
+        first = np.maximum(g0 - start[live], 0)
+        size = np.minimum(g1 - start[live], search[live]) - first + 1
+        owner = np.repeat(live, size)
         index = (np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
                  + np.repeat(first, size))
         found, gaps_left = _flux_brackets(flux, t_max[owner] * (index / gaps[owner]),
                                           owner)
-        done, more = _refine(flux, modes, found, _NEWTON_STEPS, errors)
+        done, more = _refine(flux, rows, found, _NEWTON_STEPS, errors)
         parts.append(done)
         split.append(gaps_left)
         todo.append(more)
@@ -511,11 +497,11 @@ def _amp_extrema(t_max: np.ndarray, modes, flux: _Flux, gaps: np.ndarray,
             live = ~_failed(errors)
             split, todo = (_cat([_take(c, live[c.own]) for c in carried])
                            for carried in (split, todo))
-            done, more = _refine(flux, modes, _split(flux, split), _NEWTON_STEPS,
+            done, more = _refine(flux, rows, _split(flux, split), _NEWTON_STEPS,
                                  errors)
-            late, todo = _refine(flux, modes, _cat([todo, more]),
+            late, todo = _refine(flux, rows, _cat([todo, more]),
                                  _NEWTON_STEPS + _NEWTON_MORE, errors)
-            parts += [done, late, _bisect(modes, todo, errors)]
+            parts += [done, late, _bisect(rows, todo, errors)]
             split, todo = [], []
     ext = _cat(parts)
     ext = _take(ext, np.lexsort((ext.times, ext.owner)))
@@ -527,18 +513,15 @@ def _amp_extrema(t_max: np.ndarray, modes, flux: _Flux, gaps: np.ndarray,
     return _take(ext, ~_failed(errors)[ext.owner])
 
 
-def _interval_data(t_max: np.ndarray, modes, flux: _Flux, gaps: np.ndarray,
-                   tails: np.ndarray, errors: list):
-    """Pair-independent interval skeleton of every row, from the rows'
-    ``mode_constants``, two-mode table, initial gap counts, tails
-    |A(t_max)| and errors (``_row_setup``).
-
-    Returns (starts, ends, xs, xe, owner): the intervals of the rows
-    without an error in (row, time) order, with |A| at both ends and the
-    row of each.  An interval still open at the horizon is truncated at
+def _interval_data(t_max: np.ndarray, rows: DerivedColumns, flux: _Flux,
+                   gaps: np.ndarray, tails: np.ndarray, errors: list):
+    """Pair-independent interval skeleton of every row (its data as in
+    ``_amp_extrema``, and its tail |A(t_max)|): (starts, ends, xs, xe,
+    owner), the intervals of the rows without an error in (row, time)
+    order, with |A| at both ends and the row of each.  An interval still open at the horizon is truncated at
     t_max; the missed tail is covered by the truncation bound of the measure.
     """
-    times, _, x, owner = _amp_extrema(t_max, modes, flux, gaps, errors)  # min, max, min, ...
+    times, _, x, owner = _amp_extrema(t_max, rows, flux, gaps, errors)  # min, max, min, ...
     # a row left rising at the horizon ends at (t_max, |A(t_max)|); sorted
     # stably by row, every row then holds (min, max) pairs
     open_rows = np.flatnonzero(np.bincount(owner, minlength=len(errors)) % 2)
@@ -562,9 +545,9 @@ def _intervals(data, u: float, t_max: float) -> BackflowIntervals:
 
 def backflow_intervals(dp: DerivedParams, pair, t_max: float) -> BackflowIntervals:
     """Intervals of growing trace distance for the given antipodal pair."""
-    t = np.array([t_max], dtype=float)
-    modes, flux, gaps, tails, errors = _row_setup([dp], t)
-    data = _interval_data(t, modes, flux, gaps, tails, errors)
+    t, rows = np.array([t_max], dtype=float), DerivedColumns.of([dp])
+    flux, gaps, tails, errors = _row_setup(rows, t)
+    data = _interval_data(t, rows, flux, gaps, tails, errors)
     if errors[0] is not None:
         raise errors[0]
     return _intervals(data[:4], _pair_u(pair), t_max)
@@ -695,90 +678,81 @@ def _alpha(u: np.ndarray) -> np.ndarray:
     return np.arctan2(np.sqrt(1.0 - u), np.sqrt(u))
 
 
-def _row_setup(dps, t_max: np.ndarray):
-    """(modes, flux, gaps, tails, errors): the rows' ``mode_constants``,
-    two-mode table (``_Flux.of``), initial gaps of their extrema search to
-    t_max, tails |A(t_max)| and the pass's one list of row errors (None
-    where a row has none yet), computed once per pass.
+def _row_setup(rows: DerivedColumns, t_max: np.ndarray):
+    """(flux, gaps, tails, errors) of the rows: their two-mode table
+    (``_Flux.of``), initial gaps of their extrema search to t_max, tails
+    |A(t_max)| and the pass's one list of row errors (None where a row has
+    none yet).
 
-    A row whose model constants overflow (``DerivedParams.overflow``) gets
-    an ``OverflowError``, and one whose t_max is not finite and > 0 a
-    ``ValidationError``; so does a row whose extrema search would need more
-    than ``_MAX_GAPS`` initial gaps (``_gap_counts``).  None of them goes to
-    the kernel, and its tail is NaN; so the kernel phase |w| t_max of a
-    searched row is at most 2^21 pi.  ``gaps`` holds at least 1 for every
-    other oscillating row, and 0 for the rest: the rows to search.
+    A row whose model constants overflow gets an ``OverflowError``, and one
+    whose t_max is not finite and > 0, or whose search would need more than
+    ``_MAX_GAPS`` initial gaps (``_gap_counts``), a ``ValidationError``.
+    None of them goes to the kernel, and its tail is NaN; so the kernel
+    phase |w| t_max of a searched row is at most 2^21 pi.  ``gaps`` is 0
+    for the rows not to search.
     """
-    errors: list = [None] * len(dps)
-    for i, dp in enumerate(dps):
-        if (reason := dp.overflow()) is not None:
-            errors[i] = OverflowError(reason)
-        elif not 0.0 < t_max[i] < math.inf:
-            errors[i] = ValidationError(f"t_max must be finite and > 0, got {t_max[i]}")
-    modes = mode_constants(dps)
-    flux = _Flux.of(modes, ~_failed(errors))
-    rows = np.flatnonzero(flux.z.imag != 0.0)
-    counts = _gap_counts(flux.at(rows), t_max[rows])
+    errors = rows.errors()
+    for i in np.flatnonzero(~((0.0 < t_max) & (t_max < math.inf)) & ~rows.overflow).tolist():
+        errors[i] = ValidationError(f"t_max must be finite and > 0, got {t_max[i]}")
+    flux = _Flux.of(rows, ~_failed(errors))
+    search = np.flatnonzero(flux.z.imag != 0.0)
+    counts = _gap_counts(flux.at(search), t_max[search])
     over = counts > _MAX_GAPS
-    for r, g in zip(rows[over].tolist(), counts[over].tolist()):
+    for r, g in zip(search[over].tolist(), counts[over].tolist()):
         errors[r] = ValidationError(f"the extrema search needs {g:.0f} initial gaps, "
                                     f"over the budget of {_MAX_GAPS} per row")
-    gaps = np.zeros(len(dps), dtype=int)
-    gaps[rows[~over]] = np.maximum(counts[~over], 1.0)
+    gaps = np.zeros(t_max.size, dtype=int)
+    gaps[search[~over]] = np.maximum(counts[~over], 1.0)
     live = np.flatnonzero(~_failed(errors))
-    tails = np.full(len(dps), np.nan)
+    tails = np.full(t_max.size, np.nan)
     with np.errstate(over="ignore"):  # a decay exponent past -inf: |A| = 0, its limit
-        tails[live] = np.abs(_amplitude(modes, t_max[live], live)[0])
-    return modes, flux, gaps, tails, errors
+        tails[live] = _abs_amplitude(rows, t_max[live], live)
+    return flux, gaps, tails, errors
 
 
-def _measures(params_seq, t_maxes):
+def _measures(rows: DerivedColumns, t_maxes):
     """(gain, u, |A(t_max)|, interval skeleton, errors) of every row; see
     ``blp_measures``."""
-    dps = [derive(params) for params in params_seq]
     t = np.array(t_maxes, dtype=float)
-    modes, flux, gaps, tails, errors = _row_setup(dps, t)
-    short = (tails >= TRUNCATION_EPS) & (t < [100.0 / dp.params.gamma for dp in dps])
+    flux, gaps, tails, errors = _row_setup(rows, t)
+    short = (tails >= TRUNCATION_EPS) & (t < 100.0 / rows.gamma)
     _fail(errors, np.flatnonzero(short),
           "t_max too small: require |A(t_max)| < 1e-4 or t_max >= 100/gamma")
-    starts, ends, xs, xe, owner = _interval_data(t, modes, flux, gaps, tails, errors)
-    gain, u = _max_gain(xs, xe, owner, len(dps))
+    starts, ends, xs, xe, owner = _interval_data(t, rows, flux, gaps, tails, errors)
+    gain, u = _max_gain(xs, xe, owner, t.size)
     failed = _failed(errors)
     gain[failed] = u[failed] = tails[failed] = np.nan
     return gain, u, tails, (starts, ends, xs, xe, owner), errors
 
 
-def blp_measures(params_seq, t_maxes):
-    """Backflow measures of many parameter sets in one batched pass.
+def blp_measures(rows: DerivedColumns, t_maxes):
+    """Backflow measures of many parameter sets, given by their columns
+    (``derive_columns``), in one batched pass.
 
     Row i integrates to the horizon t_maxes[i].  Returns (n_measure, alpha,
     residual_bound, truncated, errors): per row the measure, the polar
     angle of the best pair, the residual bound 2|A(t_max)|, whether
     |A(t_max)| >= 1e-4 (see ``blp_measure``), and the error that stopped
     the row or None; a failed row reads NaN and not truncated.  The error
-    is an ``OverflowError`` for a row whose model constants overflow
-    (``DerivedParams.overflow``), else a ValidationError: a horizon that is
-    not finite and > 0 or too short, a search over its work budget of
-    ``_MAX_GAPS`` initial gaps, or extrema that fail their checks; a row
-    keeps its first error.  Each row's result depends on its own data alone.
+    is an ``OverflowError`` for a row whose model constants overflow, else a
+    ValidationError: a horizon that is not finite and > 0 or too short, a
+    search over its work budget of ``_MAX_GAPS`` initial gaps, or extrema
+    that fail their checks.  Each row's result depends on its own data alone.
     """
-    gain, u, tails, _, errors = _measures(params_seq, t_maxes)
+    gain, u, tails, _, errors = _measures(rows, t_maxes)
     return gain, _alpha(u), 2.0 * tails, tails >= TRUNCATION_EPS, errors
 
 
 def blp_measure(params: SystemParams, t_max: float = 100.0) -> BlpResult:
     """Backflow measure maximized over antipodal pure pairs; the one-row view
-    of ``blp_measures``, raising the row's error.
-
-    The azimuth never enters the distance, so the best pair is reported at
-    azimuth 0; its polar angle alpha comes from the certified maximum over
-    u = cos^2(alpha) in [0, 1] (``_max_gain``), exact at the ends alpha = 0
-    and pi/2.  The measure integrates to the horizon t_max; the residual
-    beyond it is bounded by 2|A(t_max)| and reported, with ``truncated``
-    set when |A(t_max)| >= 1e-4.  A horizon that leaves |A(t_max)| >= 1e-4
-    must reach 100/gamma.
+    of ``blp_measures``, raising the row's error.  The azimuth never enters
+    the distance, so the best pair is reported at azimuth 0; its polar angle
+    alpha comes from the certified maximum over u = cos^2(alpha) in [0, 1]
+    (``_max_gain``).  The measure integrates to the horizon t_max; the
+    residual beyond it is bounded by 2|A(t_max)|, and ``truncated`` is set
+    when |A(t_max)| >= 1e-4, where t_max must reach 100/gamma.
     """
-    gain, u, tails, data, errors = _measures([params], [t_max])
+    gain, u, tails, data, errors = _measures(DerivedColumns.of([derive(params)]), [t_max])
     if errors[0] is not None:
         raise errors[0]
     alpha, u, tail = float(_alpha(u)[0]), float(u[0]), float(tails[0])

@@ -3,6 +3,11 @@
 Every rate is expressed in units of the qubit decay scale ``gamma`` (usually
 left at 1.0) and times in units of ``1/gamma``, matching the dimensionless
 axes used throughout the package.
+
+The dressed constants are computed by column (``derive_columns``), which
+the batched passes take; ``derive`` is its one-row view, equal to a batch
+row bit for bit.  ``check_column`` validates a swept column in one array
+test, with the message ``SystemParams`` gives its first bad value.
 """
 
 from __future__ import annotations
@@ -10,13 +15,19 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
+
+import numpy as np
 
 __all__ = [
     "ValidationError",
     "SystemParams",
     "DerivedParams",
+    "DerivedColumns",
     "SpectralDensity",
+    "check_column",
     "derive",
+    "derive_columns",
     "spectral_density",
     "kernel",
 ]
@@ -24,6 +35,20 @@ __all__ = [
 
 class ValidationError(ValueError):
     """Raised when parameters or states violate their domain constraints."""
+
+
+# field -> (elementwise test of a finite value, the rule as the error states it)
+_DOMAINS = {
+    "gamma": (lambda v: v > 0, "must be > 0"),
+    "lam": (lambda v: v > 0, "must be > 0"),
+    "omega_rabi": (lambda v: v >= 0, "must be >= 0"),
+    "theta": (lambda v: (0.0 <= v) & (v <= math.pi / 2 + 1e-12), "must lie in [0, pi/2]"),
+}
+
+
+def _invalid(name: str, value: float) -> ValidationError:
+    rule = "must be finite" if not math.isfinite(value) else _DOMAINS[name][1]
+    return ValidationError(f"{name} {rule}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -58,15 +83,10 @@ class SystemParams:
         for f in fields(self):
             value = getattr(self, f.name)
             if not math.isfinite(value):
-                raise ValidationError(f"{f.name} must be finite, got {value}")
-        if not (self.gamma > 0):
-            raise ValidationError(f"gamma must be > 0, got {self.gamma}")
-        if not (self.lam > 0):
-            raise ValidationError(f"lam must be > 0, got {self.lam}")
-        if self.omega_rabi < 0:
-            raise ValidationError(f"omega_rabi must be >= 0, got {self.omega_rabi}")
-        if not (0.0 <= self.theta <= math.pi / 2 + 1e-12):
-            raise ValidationError(f"theta must lie in [0, pi/2], got {self.theta}")
+                raise _invalid(f.name, value)
+        for name, (valid, _) in _DOMAINS.items():
+            if not valid(value := getattr(self, name)):
+                raise _invalid(name, value)
 
     def warnings(self) -> tuple[str, ...]:
         """Regime warnings (informational; nothing is enforced numerically).
@@ -89,27 +109,23 @@ class SystemParams:
 
 @dataclass(frozen=True)
 class DerivedParams:
-    """Dressed-state constants of the closed-form solution.
-
-    ``m_const`` and ``f_const`` are the two complex constants governing the
-    excited-amplitude evolution; ``eta`` the dressed mixing angle,
-    ``omega_d`` the dressed frequency, ``tau_r``/``tau_q`` the reservoir
-    correlation and qubit relaxation times.
+    """Dressed-state constants of the closed-form solution, one row of
+    ``DerivedColumns``: ``m_const`` and ``f_const`` govern the
+    excited-amplitude evolution, ``coupling_prefactor`` and ``s_plus`` are
+    the prefactor of its derivative and the rate of its slow mode; ``eta``
+    the dressed mixing angle, ``omega_d`` the dressed frequency,
+    ``tau_r``/``tau_q`` the reservoir correlation and qubit relaxation times.
     """
 
     eta: float
     omega_d: float
     m_const: complex
     f_const: complex
+    coupling_prefactor: float
+    s_plus: complex
     tau_r: float
     tau_q: float
     params: SystemParams = field(repr=False)
-
-    @property
-    def coupling_prefactor(self) -> complex:
-        """Prefactor of the amplitude derivative: -gamma*lam*(1+cos(eta))^2/2."""
-        p = self.params
-        return -p.gamma * p.lam * (1.0 + math.cos(self.eta)) ** 2 / 2.0
 
     def no_period(self) -> str | None:
         """Why there is no finite dressed period 2 pi / omega_d (omega_d = 0,
@@ -135,11 +151,57 @@ class DerivedParams:
                 f"f_const = {self.f_const:.3g})")
 
     def flags(self) -> tuple[str, ...]:
-        out = list(self.params.warnings())
-        for reason in (self.overflow(), self.no_period()):
-            if reason is not None:
-                out.append(reason)
-        return tuple(out)
+        return self.params.warnings() + tuple(
+            reason for reason in (self.overflow(), self.no_period()) if reason is not None)
+
+
+class DerivedColumns(NamedTuple):
+    """Dressed constants of many parameter sets, one array entry per set
+    (``derive_columns``): gamma, lam and the constants of ``DerivedParams``
+    in its order, ``pref`` its ``coupling_prefactor``."""
+
+    gamma: np.ndarray
+    lam: np.ndarray
+    eta: np.ndarray
+    omega_d: np.ndarray
+    m_const: np.ndarray
+    f_const: np.ndarray
+    pref: np.ndarray
+    s_plus: np.ndarray
+
+    @classmethod
+    def of(cls, dps) -> "DerivedColumns":
+        """The constants of ``DerivedParams``, stacked as they are."""
+        return cls(*map(np.array, zip(*[
+            (dp.params.gamma, dp.params.lam, dp.eta, dp.omega_d, dp.m_const,
+             dp.f_const, dp.coupling_prefactor, dp.s_plus) for dp in dps])))
+
+    @property
+    def overflow(self) -> np.ndarray:  # rows of DerivedParams.overflow
+        return ~np.isfinite(self.f_const)
+
+    @property
+    def no_period(self) -> np.ndarray:  # rows of DerivedParams.no_period
+        with np.errstate(divide="ignore", over="ignore"):
+            return np.isinf(2.0 * math.pi / self.omega_d)
+
+    def errors(self, period: bool = False) -> list:
+        """Per row, an ``OverflowError`` where its constants overflow, else,
+        with ``period``, a ``ValidationError`` where it has no period, or None."""
+        errors: list = [None] * self.eta.size
+        for i in np.flatnonzero(self.overflow | (period & self.no_period)).tolist():
+            dp = self.row(i, None)
+            errors[i] = (OverflowError(dp.overflow()) if dp.overflow()
+                         else ValidationError(dp.no_period()))
+        return errors
+
+    def at(self, index) -> "DerivedColumns":
+        return DerivedColumns(*(col[index] for col in self))
+
+    def row(self, i: int, params: SystemParams | None) -> DerivedParams:
+        """Row i, that of parameter set ``params``."""
+        return DerivedParams(*(col.item(i) for col in self[2:]),
+                             1.0 / self.lam.item(i), 1.0 / self.gamma.item(i), params)
 
 
 @dataclass(frozen=True)
@@ -171,30 +233,45 @@ class SpectralDensity:
         return self.strength * self.width / 2.0
 
 
-def derive(params: SystemParams) -> DerivedParams:
-    """Compute the dressed-state constants from the physical parameters.
+def derive_columns(lam, omega_rabi, delta_qc, delta_cav, gamma) -> DerivedColumns:
+    """Dressed-state constants of many parameter sets, elementwise in the
+    arrays of their fields, all of one shape.
 
-    The mixing angle uses the two-argument arctangent on (2*omega_rabi,
-    delta_qc), so the resonant limit delta_qc -> 0+ is continuous and gives
-    eta = pi/2 whenever the drive is on.  f_const takes the principal square
-    root; the amplitude is even in it, so the branch never matters.
+    eta takes the two-argument arctangent on (2*omega_rabi, delta_qc), so
+    the resonant limit delta_qc -> 0+ gives eta = pi/2 whenever the drive is
+    on.  F is the principal root, Re F >= 0 (A is even in F), so s+ = -M/2 +
+    F/4 is the slow mode; with q = gamma*lam*(1+cos eta)^2 = -2 pref and
+    D = F + 2M (Re D >= 2 lam), s+ = -q/(2D) is its cancellation-free form.
+    Constants that overflow come out inf or NaN, unwarned (``overflow``).
     """
-    eta = math.atan2(2.0 * params.omega_rabi, params.delta_qc)
-    omega_d = math.hypot(params.delta_qc, 2.0 * params.omega_rabi)
-    m_const = complex(params.lam, -(omega_d + params.delta_cav - params.delta_qc))
-    f_const = cmath.sqrt(
-        4.0 * m_const * m_const
-        - 2.0 * params.gamma * params.lam * (1.0 + math.cos(eta)) ** 2
-    )
-    return DerivedParams(
-        eta=eta,
-        omega_d=omega_d,
-        m_const=m_const,
-        f_const=f_const,
-        tau_r=1.0 / params.lam,
-        tau_q=1.0 / params.gamma,
-        params=params,
-    )
+    lam, omega_rabi, delta_qc, delta_cav, gamma = np.array(
+        (lam, omega_rabi, delta_qc, delta_cav, gamma), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        two_omega = 2.0 * omega_rabi
+        eta, omega_d = np.arctan2(two_omega, delta_qc), np.hypot(delta_qc, two_omega)
+        m_const = np.empty(eta.shape, dtype=complex)
+        m_const.real, m_const.imag = lam, -(omega_d + delta_cav - delta_qc)
+        c2 = (1.0 + np.cos(eta)) ** 2
+        f_const = np.sqrt(4.0 * m_const * m_const - 2.0 * gamma * lam * c2)
+        pref = -gamma * lam * c2 / 2.0
+        s_plus = 2.0 * pref / (2.0 * (f_const + 2.0 * m_const))
+    return DerivedColumns(gamma, lam, eta, omega_d, m_const, f_const, pref, s_plus)
+
+
+def derive(params: SystemParams) -> DerivedParams:
+    """The dressed-state constants of one parameter set (``derive_columns``)."""
+    return derive_columns([params.lam], [params.omega_rabi], [params.delta_qc],
+                          [params.delta_cav], [params.gamma]).row(0, params)
+
+
+def check_column(name: str, values: np.ndarray) -> None:
+    """Raise the ``ValidationError`` of ``SystemParams`` for the first value
+    of a column of field ``name`` that is not finite or not in its domain."""
+    valid = np.isfinite(values)
+    if name in _DOMAINS:
+        valid &= _DOMAINS[name][0](values)
+    if not valid.all():
+        raise _invalid(name, values[np.argmin(valid)].item())
 
 
 def spectral_density(sd: SpectralDensity, omega_offset: float) -> float:

@@ -13,17 +13,14 @@ needed.
 The spectral formulas are written once, elementwise in x = |A|^2 and theta
 (``_spectrum``).  ``eigensystem`` applies them to one time through the
 one-point amplitude.  ``geometric_phases`` integrates the rows of a whole
-sweep in one adaptive Simpson run: each level of every row goes to the
-integrand in one array call, where each node carries the constants
-(M, F, s+, theta) of its own row into ``amplitude._mode_form`` and
-``_spectrum``.  Each row is still accepted or split on its own data, so its
-nodes and phase do not depend on the other rows; ``geometric_phase`` is
-its one-row view.  ``geometric_phase_detailed`` integrates one row alone
-with ``adaptive_simpson`` and also returns the nodes, the same ones.
-A row whose model constants overflow gets an ``OverflowError`` and one
-without a finite dressed period a ``ValidationError``, both before any
-integrand call; a row whose tolerance lies below the rounding floor of its
-integral gets a ``QuadratureError``.  None of them stops the other rows.
+sweep, given by their columns (``DerivedColumns``) and thetas, in one
+adaptive Simpson run: each level of every row goes to the integrand in one
+array call, where each node carries the constants (M, F, s+, theta) of its
+own row into ``amplitude._mode_form`` and ``_spectrum``.  Each row is still
+accepted or split on its own data, so its nodes and phase do not depend on
+the other rows; ``geometric_phase`` is its one-row view.
+``geometric_phase_detailed`` integrates one row alone with
+``adaptive_simpson`` and also returns the nodes, the same ones.
 """
 
 from __future__ import annotations
@@ -33,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitude import _mode_form, amplitude_closed_form, mode_constants
-from .params import DerivedParams, ValidationError
+from .amplitude import _mode_form, amplitude_closed_form
+from .params import DerivedColumns, DerivedParams
 from .quadrature import adaptive_simpson, adaptive_simpson_many
 
 __all__ = ["EigenSystem", "eigensystem", "geometric_phase", "geometric_phase_detailed",
@@ -124,15 +121,14 @@ def eigensystem(dp: DerivedParams, theta: float, t: float) -> EigenSystem:
     )
 
 
-def _cos2_rows(dps, thetas):
+def _cos2_rows(rows: DerivedColumns, thetas):
     """cos^2(Theta(t)) of many rows as f(t, row): one kernel call per array,
-    each time with the constants of its own row (``mode_constants``, so |A|
-    matches ``amplitude_grid`` bit for bit)."""
-    M, F, _, s_plus = mode_constants(dps)
+    each time with the constants of its own row (so |A| matches
+    ``amplitude_grid`` bit for bit)."""
     theta = np.array(thetas, dtype=float)
 
     def f(t, row):
-        A = _mode_form(M[row], F[row], t, s_plus[row])
+        A = _mode_form(rows.m_const[row], rows.f_const[row], t, rows.s_plus[row])
         return _spectrum(np.abs(A) ** 2, theta[row])[1] ** 2
 
     return f
@@ -140,47 +136,36 @@ def _cos2_rows(dps, thetas):
 
 def _cos2_integrand(dp: DerivedParams, theta: float):
     """cos^2(Theta(t)) of one row over an array of times."""
-    f = _cos2_rows([dp], [theta])
+    f = _cos2_rows(DerivedColumns.of([dp]), [theta])
     return lambda t: f(np.asarray(t, dtype=float), np.zeros(np.shape(t), dtype=int))
 
 
-def _no_phase(dp: DerivedParams):
-    """The error of a row that has no phase to integrate, or None: an
-    ``OverflowError`` where its model constants overflow
-    (``DerivedParams.overflow``), else a ``ValidationError`` where it has no
-    finite dressed period (``DerivedParams.no_period``)."""
-    if (reason := dp.overflow()) is not None:
-        return OverflowError(reason)
-    if (reason := dp.no_period()) is not None:
-        return ValidationError(reason)
-    return None
-
-
-def geometric_phases(dps, thetas, quad_tol: float = 1e-9):
-    """Phases of many rows in one quadrature, one integrand call per level.
+def geometric_phases(rows: DerivedColumns, thetas, quad_tol: float = 1e-9):
+    """Phases of many rows, given by their columns and thetas, in one
+    quadrature, one integrand call per level.
 
     Returns (phi_g, quad_err, errors): per row the phase and its error
     estimate (NaN for a failed row), and the error that stopped the row or
-    None.  A row of ``_no_phase`` gets its error and no quadrature; a row
-    whose quadrature fails gets its ``QuadratureError``.  Every other row is
-    integrated over [0, 2 pi / omega_d] to the tolerance quad_tol / omega_d,
-    and its result does not depend on the other rows.
+    None.  A row whose constants overflow or that has no finite dressed
+    period (``DerivedColumns.errors``) gets no quadrature; one whose
+    quadrature fails gets its ``QuadratureError``.  The others are
+    integrated over [0, 2 pi / omega_d] to quad_tol / omega_d, each
+    independent of the other rows.
     """
-    omega_d = np.array([dp.omega_d for dp in dps], dtype=float)
-    errors = [_no_phase(dp) for dp in dps]
+    errors = rows.errors(period=True)
     # a row without a phase gets tolerance 0: no quadrature, no integrand call
-    w = np.where([e is not None for e in errors], np.inf, omega_d)
+    w = np.where(rows.overflow | rows.no_period, np.inf, rows.omega_d)
     val, err, failures = adaptive_simpson_many(
-        _cos2_rows(dps, thetas), np.zeros_like(w), 2.0 * math.pi / w, quad_tol / w)
+        _cos2_rows(rows, thetas), np.zeros_like(w), 2.0 * math.pi / w, quad_tol / w)
     errors = [e or failure for e, failure in zip(errors, failures)]
-    return omega_d * val, omega_d * err, errors
+    return rows.omega_d * val, rows.omega_d * err, errors
 
 
 def geometric_phase(dp: DerivedParams, theta: float, quad_tol: float = 1e-9) -> float:
     """Kinematic phase over one dressed period, in radians (raw, in [0, 2 pi]
     up to quad_tol): the one-row view of ``geometric_phases``, raising the
     row's error."""
-    phi, _, errors = geometric_phases([dp], [theta], quad_tol)
+    phi, _, errors = geometric_phases(DerivedColumns.of([dp]), [theta], quad_tol)
     if errors[0] is not None:
         raise errors[0]
     return float(phi[0])
@@ -192,7 +177,7 @@ def geometric_phase_detailed(dp: DerivedParams, theta: float,
     ``adaptive_simpson``, equal to ``geometric_phase``'s bit for bit.  The
     quadrature nodes are exposed so the spectral decomposition can be
     re-verified at every point the integral actually touched."""
-    if (exc := _no_phase(dp)) is not None:
+    if (exc := DerivedColumns.of([dp]).errors(period=True)[0]) is not None:
         raise exc
     value, err, nodes = adaptive_simpson(_cos2_integrand(dp, theta), 0.0,
                                          2.0 * math.pi / dp.omega_d,

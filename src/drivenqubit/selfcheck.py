@@ -4,10 +4,11 @@ Two independent routes exist for the central quantities and this module
 drives them against each other: the closed-form amplitude against the exact
 propagator of the memory dynamics, and the closed-form witness against the
 propagator composition (``temporal._witness_route``, the route of
-``witness_probabilities``).  Both are array-shaped: one stacked propagator
-(``amplitude.amplitude_oracles``) covers every oracle set, and one kernel
-call gives A(tau) and A(tau/2) of every witness case, whose two routes are
-then compared as arrays.
+``witness_probabilities``).  Both take their parameter sets as columns,
+derived in one call (``derive_columns``): one stacked propagator
+(``amplitude.amplitude_oracles``) and one kernel call cover every oracle
+set, and one kernel call gives A(tau) and A(tau/2) of every witness case,
+whose two routes are then compared as arrays.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import amplitude, temporal
-from .params import SystemParams, derive
+from .params import derive_columns
 
 ORACLE_LAMBDAS = (0.01, 0.1, 1.0)
 ORACLE_OMEGAS = (0.0, 0.5, 2.0)
@@ -39,8 +40,8 @@ class CheckResult:
 def oracle_grid_check(quick: bool = False) -> list[CheckResult]:
     """Closed form vs the memory ODE's exact propagator on the standard grid.
 
-    One batched oracle call covers every set.  The closed-form values are
-    taken from ``amplitude.amplitude_grid`` as they are, one call per set and
+    One batched oracle call and one kernel call (``amplitude._mode_form``)
+    cover every set.  The closed-form values are taken as they are,
     unvalidated, so a drifting closed form fails these checks' own gates
     instead of raising.
     """
@@ -48,15 +49,14 @@ def oracle_grid_check(quick: bool = False) -> list[CheckResult]:
     omegas = ORACLE_OMEGAS[:2] if quick else ORACLE_OMEGAS
     deltas = ORACLE_DELTAS[:2] if quick else ORACLE_DELTAS
     sets = list(itertools.product(lams, omegas, deltas))
-    params = [SystemParams(lam=lam, omega_rabi=om, delta_qc=dq) for lam, om, dq in sets]
-    times, odes = amplitude.amplitude_oracles(params, ORACLE_T_MAX)
+    rows = derive_columns(*np.array([(*s, 0.0, 1.0) for s in sets]).T)
+    times, odes = amplitude.amplitude_oracles(rows, ORACLE_T_MAX)
+    closed = amplitude._mode_form(rows.m_const[:, None], rows.f_const[:, None],
+                                  times, rows.s_plus[:, None])
     results = []
-    for (lam, om, dq), p, ode in zip(sets, params, odes):
-        # looked up on the module, so that a wrapper of it (the perfbench
-        # tracer) counts these grid points too
-        closed, _ = amplitude.amplitude_grid(derive(p), times)
-        err = float(np.max(np.abs(closed - ode)))
-        contraction = float(np.max(np.abs(closed)))
+    for (lam, om, dq), a, ode in zip(sets, closed, odes):
+        err = float(np.max(np.abs(a - ode)))
+        contraction = float(np.max(np.abs(a)))
         ok = err <= ORACLE_TOL and contraction <= 1.0 + 1e-12
         results.append(CheckResult(
             name=f"amplitude lam={lam} omega={om} delta={dq}",
@@ -67,18 +67,13 @@ def oracle_grid_check(quick: bool = False) -> list[CheckResult]:
 
 
 def _witness_cases(n: int):
-    """(params, theta, tau) of the n random witness cases.
-
-    Each case draws log10(lam), omega, delta_qc, delta_cav, theta and tau in
-    that order; one (n, 6) draw gives the numbers of n rounds of six scalar
-    draws.
-    """
+    """Columns (lam, omega_rabi, delta_qc, delta_cav, theta, tau) of the n
+    random witness cases: one (n, 6) draw of log10(lam), omega, delta_qc,
+    delta_cav, theta and tau, the numbers of n rounds of six scalar draws."""
     rng = np.random.default_rng(WITNESS_SEED)
-    draws = rng.uniform([-2.0, 0.0, -3.0, -1.0, 0.0, 0.0],
-                        [0.4, 3.0, 3.0, 1.0, math.pi / 2, 30.0], size=(n, 6))
-    params = [SystemParams(lam=10 ** lg, omega_rabi=om, delta_qc=dq, delta_cav=dc)
-              for lg, om, dq, dc in draws[:, :4].tolist()]
-    return params, draws[:, 4], draws[:, 5]
+    log_lam, *cols = rng.uniform([-2.0, 0.0, -3.0, -1.0, 0.0, 0.0],
+                                 [0.4, 3.0, 3.0, 1.0, math.pi / 2, 30.0], size=(n, 6)).T
+    return (10.0 ** log_lam, *cols)
 
 
 def _witness_route_errors(n: int) -> np.ndarray:
@@ -89,9 +84,10 @@ def _witness_route_errors(n: int) -> np.ndarray:
     its witness formula.  A(tau) and A(tau/2) of all cases come from one
     kernel call.
     """
-    params, theta, tau = _witness_cases(n)
-    M, F, _, s_plus = amplitude.mode_constants([derive(p) for p in params])
-    a1, ah = amplitude._mode_form(M, F, np.stack([tau, tau / 2.0]), s_plus)
+    *params, theta, tau = _witness_cases(n)
+    rows = derive_columns(*params, np.ones(n))
+    a1, ah = amplitude._mode_form(rows.m_const, rows.f_const, np.stack([tau, tau / 2.0]),
+                                  rows.s_plus)
     p_free, p_blind = temporal._witness_route(theta, a1.real, ah.real)
     return np.abs(np.abs(p_free - p_blind) - temporal._witness_form(theta, a1, ah))
 

@@ -9,11 +9,8 @@ shared cells and the label are formatted into the template once, each
 coordinate column once per figure (once per file from ``write_rows``), and
 the observables fill its slots; ``SweepTable.rows()`` is the row view, one
 dict per row.  Every block of a sweep or a figure comes from ``_blocks``,
-in the calling process: a time or tau series takes one kernel call over
-its axis, shared by the curves read from it (``lgi3`` and ``lgi4`` of one
-parameter set, say), the ``blp`` rows of all the sweeps given share one
-batched pass, and each ``gp`` sweep takes one quadrature, whose deepest
-level grows with its rows.
+in the calling process, which keeps the parameters as columns too: one
+``derive_columns`` call covers every row of its specs.
 
 Output files are plain CSV: one leading comment line with the schema tag,
 a header row, then data rows with floats printed at 17 significant digits.
@@ -28,14 +25,15 @@ import io
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .amplitude import amplitude_grid, decay_rate_grid
 from .nonmarkov import blp_measures
-from .params import SystemParams, ValidationError, derive
+from .params import (DerivedColumns, DerivedParams, SystemParams, ValidationError,
+                     check_column, derive_columns)
 from .phase import geometric_phases
 from .temporal import lgi_series, witness_series
 
@@ -70,6 +68,8 @@ QUANTITIES = {
 }
 
 PARAM_COLUMNS = ("gamma", "lam", "omega_rabi", "delta_qc", "delta_cav", "theta")
+# the rows of a parameter table: the arguments of ``derive_columns``, then theta
+_TABLE_ROWS = ("lam", "omega_rabi", "delta_qc", "delta_cav", "gamma", "theta")
 
 
 @dataclass(frozen=True)
@@ -129,7 +129,8 @@ class SweepSpec:
                 raise ValidationError(f"{name} must be finite and > 0, got {value}")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # shallow copies: the fields are numbers and strings
+        return vars(self) | {"fixed": dict(vars(self.fixed)), "axis": dict(vars(self.axis))}
 
     @classmethod
     def from_dict(cls, d: dict) -> "SweepSpec":
@@ -215,24 +216,15 @@ class SweepTable:
         return [b.row(i) for b in self.blocks for i in range(len(b))]
 
 
-def _params_at(fixed: SystemParams, axis_name: str, value: float) -> SystemParams:
-    """The fixed parameters with the axis's parameter set to ``value``
-    (lambda_ratio in units of gamma)."""
-    if axis_name == "lambda_ratio":
-        value *= fixed.gamma
-    return replace(fixed, **{AXES[axis_name][0]: value})
-
-
 # time or tau quantity -> the series its columns are read from
 _SERIES = {"amplitude": "amplitude", "coherence": "amplitude",
            "trace_distance": "amplitude", "decay_rate": "decay_rate",
            "lgi3": "lgi", "lgi4": "lgi", "witness": "witness"}
 
 
-def _series(kind: str, fixed: SystemParams, axis: SweepAxis) -> tuple:
+def _series(kind: str, dp: DerivedParams, axis: SweepAxis) -> tuple:
     """(derived constants, axis values, kernel output) of one series; the
     output is (A, |A|), (decay rate,), (c3, c4) or (w_q, envelope)."""
-    dp = derive(fixed)
     ts = axis.values()
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if kind == "amplitude":
@@ -242,9 +234,9 @@ def _series(kind: str, fixed: SystemParams, axis: SweepAxis) -> tuple:
         elif kind == "decay_rate":
             out = (decay_rate_grid(dp, ts),)
         elif kind == "lgi":
-            out = lgi_series(dp, fixed.theta, ts)
+            out = lgi_series(dp, dp.params.theta, ts)
         else:
-            out = witness_series(dp, fixed.theta, ts)
+            out = witness_series(dp, dp.params.theta, ts)
     return dp, ts, out
 
 
@@ -277,86 +269,90 @@ def _time_series_block(spec: SweepSpec, series: tuple) -> SweepBlock:
         # decay_rate_grid marks the zeros of A with NaN
         status = np.where(np.isnan(cols["decay_rate"]) & (status == "ok"), "pole",
                           status)
-    return SweepBlock(asdict(spec.fixed), {spec.axis.name: ts}, cols, status)
+    return SweepBlock(dict(vars(spec.fixed)), {spec.axis.name: ts}, cols, status)
 
 
-def _gp_rows(specs: list, params: list) -> tuple[dict, list]:
-    """Geometric phases of the rows of each sweep, one quadrature per sweep:
-    the level-synchronous quadrature holds the deepest level of all its rows
-    at once, so sweeps do not share one."""
-    cols, status = {"phi_g": [], "quad_err": []}, []
-    for spec, rows in zip(specs, params):
-        phi, err, errors = geometric_phases([derive(p) for p in rows],
-                                            [p.theta for p in rows], spec.quad_tol)
-        cols["phi_g"].append(phi)
-        cols["quad_err"].append(err)
-        # geometric_phases gives a ValidationError only to a row without a period
-        status += ["ok" if exc is None else
-                   "undefined-period" if isinstance(exc, ValidationError) else "invalid"
-                   for exc in errors]
-    return {c: np.concatenate(col) for c, col in cols.items()}, status
+def _sweep_table(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(parameter table, axis values) of a parameter sweep: a row per field
+    of ``_TABLE_ROWS``, a column per sweep row, the swept field set to the
+    axis values (lambda_ratio in units of gamma) and checked."""
+    name, values = AXES[spec.axis.name][0], spec.axis.values()
+    with np.errstate(over="ignore"):  # a lam that overflows fails the check
+        column = values * spec.fixed.gamma if name == "lam" else values
+    check_column(name, column)
+    table = np.repeat([[getattr(spec.fixed, f)] for f in _TABLE_ROWS], values.size, axis=1)
+    table[_TABLE_ROWS.index(name)] = column
+    return table, values
 
 
-def _blp_rows(specs: list, params: list) -> tuple[dict, list]:
-    """BLP measures of the rows of all sweeps, evaluated in one batched pass."""
+def _gp_rows(sweeps: list, table: np.ndarray, rows: DerivedColumns):
+    """(observables, status) of each gp sweep (spec, its columns of the table
+    and ``rows``), one quadrature each, as it holds its deepest level at
+    once.  A failed row reads NaN, which its block labels invalid, unless it
+    has no period: ``undefined-period``."""
+    for spec, part in sweeps:
+        phi, err, _ = geometric_phases(rows.at(part), table[-1, part], spec.quad_tol)
+        period = rows.no_period[part] & ~rows.overflow[part]
+        yield {"phi_g": phi, "quad_err": err}, np.where(period, "undefined-period", "ok")
+
+
+def _blp_rows(sweeps: list, table: np.ndarray, rows: DerivedColumns):
+    """(observables, status) of each blp sweep, all in one batched pass; a
+    failed row reads NaN, which its block labels invalid."""
+    sizes = [part.stop - part.start for _, part in sweeps]
+    rows = rows.at(np.r_[tuple(part for _, part in sweeps)])
     # extend the horizon until the backflow gains (which die off with the
     # amplitude envelope exp(-lam t / 2)) are converged, within a cap
-    t_eff = [max(spec.t_max, min(5000.0, 2.0 * math.log(1e4) / p.lam))
-             for spec, rows in zip(specs, params) for p in rows]
-    n_measure, alpha, residual, truncated, errors = blp_measures(
-        [p for rows in params for p in rows], t_eff)
-    cols = {"n_measure": n_measure, "alpha_best": alpha,
-            "residual_bound": residual, "truncated": truncated.astype(int)}
-    return cols, ["ok" if exc is None else "invalid" for exc in errors]
+    t_max = np.repeat([spec.t_max for spec, _ in sweeps], sizes)
+    t_eff = np.maximum(t_max, np.minimum(5000.0, 2.0 * math.log(1e4) / rows.lam))
+    n_measure, alpha, residual, truncated, _ = blp_measures(rows, t_eff)
+    for cols in zip(*(np.split(col, np.cumsum(sizes)[:-1]) for col in (
+            n_measure, alpha, residual, truncated.astype(int)))):
+        yield dict(zip(QUANTITIES["blp"][1], cols)), np.full(cols[0].size, "ok")
 
 
 _ROWS = {"gp": _gp_rows, "blp": _blp_rows}
 
 
-def _param_blocks(specs: list) -> list[SweepBlock]:
-    """Blocks of parameter sweeps of one quantity, one per spec in order.
-
-    In each block the swept parameter and the axis vary.  The quantity's
-    row function evaluates the rows of all the specs at once, giving
-    (columns, status), and each block holds its spec's slice of them.
-    """
-    values = [spec.axis.values() for spec in specs]
-    params = [[_params_at(spec.fixed, spec.axis.name, v) for v in vals.tolist()]
-              for spec, vals in zip(specs, values)]
-    cols, status = _ROWS[specs[0].quantity](specs, params)
-    blocks, stop = [], 0
-    for spec, vals, rows in zip(specs, values, params):
-        start, stop = stop, stop + len(rows)
-        name = AXES[spec.axis.name][0]
-        const = {k: v for k, v in asdict(spec.fixed).items() if k != name}
-        coords = {name: np.array([getattr(p, name) for p in rows]),
-                  spec.axis.name: vals}
-        blocks.append(SweepBlock(const, coords,
-                                 {c: col[start:stop] for c, col in cols.items()},
-                                 status[start:stop]))
-    return blocks
-
-
 def _blocks(specs: list):
     """The block of each spec, in order.
 
-    The ``gp`` specs go to one ``_param_blocks`` call and so do the ``blp``
-    specs, at the first block asked for; each time or tau block is built
-    (``_time_series_block``) when its turn comes, from a series evaluated
-    once per (series, fixed parameters, axis) in this call: the ``lgi3``
-    and ``lgi4`` curves of one parameter set share one ``lgi_series``, and
-    equal witness or amplitude-family curves one kernel call.
+    One ``derive_columns`` call gives the constants of every row: those of
+    the parameter sweeps (``_sweep_table``, in spec order, so the first bad
+    swept value raises), then one per (series, fixed parameters, axis) of
+    the time and tau specs.  At the first block asked for, the sweeps of
+    each quantity of ``_ROWS`` take one call of its row function; a time or
+    tau block reads a series evaluated once in this call (the ``lgi3`` and
+    ``lgi4`` curves of one parameter set share one ``lgi_series``).
     """
-    batched = {q: iter(_param_blocks([s for s in specs if s.quantity == q]))
-               for q in _ROWS if any(s.quantity == q for s in specs)}
-    series = {}
+    swept = [(spec, *_sweep_table(spec)) for spec in specs if spec.quantity in _ROWS]
+    keys = list(dict.fromkeys((_SERIES[spec.quantity], spec.fixed, spec.axis)
+                              for spec in specs if spec.quantity not in _ROWS))
+    fixed = np.array([[getattr(key[1], f) for key in keys] for f in _TABLE_ROWS])
+    table = np.concatenate([t for _, t, _ in swept] + [fixed], axis=1)
+    rows = derive_columns(*table[:-1])
+    stop = list(itertools.accumulate((values.size for _, _, values in swept), initial=0))
+    parts = [slice(a, b) for a, b in zip(stop[:-1], stop[1:])]
+    done = {}
+    for q, evaluate in _ROWS.items():
+        mine = [i for i, (spec, _, _) in enumerate(swept) if spec.quantity == q]
+        if mine:
+            done.update(zip(mine, evaluate([(swept[i][0], parts[i]) for i in mine],
+                                           table, rows)))
+    order, series = iter(range(len(swept))), {}
     for spec in specs:
-        if spec.quantity in batched:
-            yield next(batched[spec.quantity])
+        if spec.quantity in _ROWS:
+            i = next(order)
+            name = AXES[spec.axis.name][0]
+            const = {k: v for k, v in vars(spec.fixed).items() if k != name}
+            coords = {name: table[_TABLE_ROWS.index(name), parts[i]],
+                      spec.axis.name: swept[i][2]}
+            yield SweepBlock(const, coords, *done[i])
             continue
         key = (_SERIES[spec.quantity], spec.fixed, spec.axis)
-        if key not in series:
-            series[key] = _series(*key)
+        if key not in series:  # the series' rows follow the sweeps' rows
+            series[key] = _series(key[0], rows.row(stop[-1] + keys.index(key), key[1]),
+                                  key[2])
         yield _time_series_block(spec, series[key])
 
 

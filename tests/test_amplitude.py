@@ -23,9 +23,12 @@ from drivenqubit.selfcheck import (ORACLE_DELTAS, ORACLE_LAMBDAS, ORACLE_OMEGAS,
 
 
 def _flip_branch(dp: DerivedParams) -> DerivedParams:
+    """The constants with the other root -F, and with it the rate
+    -M/2 + (-F)/4 = s- in the place of s+."""
     return DerivedParams(eta=dp.eta, omega_d=dp.omega_d, m_const=dp.m_const,
-                         f_const=-dp.f_const, tau_r=dp.tau_r, tau_q=dp.tau_q,
-                         params=dp.params)
+                         f_const=-dp.f_const, coupling_prefactor=dp.coupling_prefactor,
+                         s_plus=-0.25 * (dp.f_const + 2.0 * dp.m_const),
+                         tau_r=dp.tau_r, tau_q=dp.tau_q, params=dp.params)
 
 
 def test_initial_value():

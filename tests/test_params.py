@@ -1,11 +1,19 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from drivenqubit import (SpectralDensity, SystemParams, ValidationError,
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # only the property test needs hypothesis (the `test` extra)
+    given = None
+
+from drivenqubit import (DerivedParams, SpectralDensity, SystemParams, ValidationError,
                          derive, kernel, spectral_density)
+from drivenqubit.params import derive_columns
 from drivenqubit.quadrature import adaptive_simpson
 
 
@@ -123,3 +131,30 @@ def test_kernel_decay_and_monotonicity():
     assert all(b <= a + 1e-15 for a, b in zip(mags, mags[1:]))
     with pytest.raises(ValidationError):
         kernel(dp, -0.1)
+
+
+if given is None:
+    def test_batch_rows_are_the_one_row_derive_bit_for_bit():
+        pytest.skip("needs hypothesis (the test extra)")
+else:
+    _FINITE = {"allow_nan": False, "allow_infinity": False}
+
+    @settings(max_examples=60)
+    @given(st.lists(st.tuples(
+        st.floats(1e-3, 1e3), st.one_of(st.floats(0.0, 10.0), st.floats(1e150, 1e300)),
+        st.floats(-1e3, 1e3, **_FINITE), st.floats(-1e3, 1e3, **_FINITE),
+        st.floats(1e-3, 1e3)), min_size=1, max_size=40))
+    def test_batch_rows_are_the_one_row_derive_bit_for_bit(sets):
+        # every field of every row of one array derive, overflowing rows
+        # included, has the bits of derive on that row alone, and the
+        # masks read as the one-row checks
+        rows = derive_columns(*np.array(sets).T)
+        for i, (lam, omega, delta_qc, delta_cav, gamma) in enumerate(sets):
+            p = SystemParams(lam=lam, omega_rabi=omega, delta_qc=delta_qc,
+                             delta_cav=delta_cav, gamma=gamma)
+            one, row = derive(p), rows.row(i, p)
+            for f in fields(DerivedParams)[:-1]:
+                a, b = getattr(one, f.name), getattr(row, f.name)
+                assert np.array([a]).tobytes() == np.array([b]).tobytes(), f.name
+            assert rows.overflow[i] == (one.overflow() is not None)
+            assert rows.no_period[i] == (one.no_period() is not None)

@@ -14,12 +14,13 @@ except ImportError:  # only the property test needs hypothesis (the `test` extra
 from drivenqubit import (SweepAxis, SystemParams, ValidationError, derive,
                          eigensystem, evolve_superposition, geometric_phase,
                          geometric_phase_detailed)
-from drivenqubit import phase, quadrature
+from drivenqubit import phase, quadrature, sweeps
 from drivenqubit.amplitude import amplitude_closed_form, amplitude_grid
+from drivenqubit.params import DerivedColumns
 from drivenqubit.phase import _cos2_integrand
 from drivenqubit.quadrature import (QuadratureError, adaptive_simpson,
                                     adaptive_simpson_many)
-from drivenqubit.sweeps import SweepSpec, _params_at, run_sweep
+from drivenqubit.sweeps import SweepSpec, run_sweep
 
 
 def _depth_first_simpson(f, a, b, tol, max_depth=60):
@@ -67,9 +68,9 @@ def _nodes_of(calls, n):
 
 
 def geometric_phases(dps, thetas, quad_tol=1e-9):
-    """``phase.geometric_phases`` with each row's nodes: (phi_g, quad_err,
-    nodes, errors), the nodes recorded from the integrand calls of the
-    batched pass."""
+    """``phase.geometric_phases`` of the rows ``dps`` (their columns, stacked)
+    with each row's nodes: (phi_g, quad_err, nodes, errors), the nodes
+    recorded from the integrand calls of the batched pass."""
     calls, rows = [], phase._cos2_rows
 
     def recording(dps, thetas):
@@ -83,7 +84,7 @@ def geometric_phases(dps, thetas, quad_tol=1e-9):
 
     phase._cos2_rows = recording
     try:
-        phi, err, errors = phase.geometric_phases(dps, thetas, quad_tol)
+        phi, err, errors = phase.geometric_phases(DerivedColumns.of(dps), thetas, quad_tol)
     finally:
         phase._cos2_rows = rows
     return phi, err, _nodes_of(calls, len(dps)), errors
@@ -400,7 +401,9 @@ def _sweep_cases():
                              delta_qc=float(rng.uniform(0, 10)),
                              theta=float(rng.uniform(0, math.pi / 2)))
         axis = SweepAxis(name, *box[name], 7, "log" if name == "lambda_ratio" else "linear")
-        cases.append(([_params_at(fixed, name, float(v)) for v in axis.values()],
+        table, _ = sweeps._sweep_table(SweepSpec("gp", fixed, axis))
+        cases.append(([SystemParams(**dict(zip(sweeps._TABLE_ROWS, col)))
+                       for col in table.T.tolist()],
                       float(10 ** rng.uniform(-12, -7))))
     return cases
 
@@ -411,7 +414,7 @@ def test_batched_rows_match_depth_first_and_one_row_view(case):
     dps = [derive(p) for p in rows]
     phi, err, nodes, errors = geometric_phases(dps, [p.theta for p in rows], quad_tol)
     # recording the nodes leaves the quadrature as sweeps call it
-    bare = phase.geometric_phases(dps, [p.theta for p in rows], quad_tol)
+    bare = phase.geometric_phases(DerivedColumns.of(dps), [p.theta for p in rows], quad_tol)
     assert np.array_equal(bare[0], phi) and np.array_equal(bare[1], err)
     assert bare[2] == errors
     for p, dp, phi_i, err_i, x, error in zip(rows, dps, phi, err, nodes, errors):
@@ -436,7 +439,8 @@ def test_batched_rows_keep_undefined_period_and_failed_rows_apart():
     for i in (1, 2):
         assert errors[i] is None
         assert (phi[i], err[i]) == geometric_phase_detailed(dps[i], 0.5)[:2]
-    _, _, errors = phase.geometric_phases(dps[1:], [0.5] * 2, quad_tol=1e-300)
+    _, _, errors = phase.geometric_phases(DerivedColumns.of(dps[1:]), [0.5] * 2,
+                                          quad_tol=1e-300)
     assert all("rounding floor" in str(e) for e in errors)
 
 
@@ -482,7 +486,7 @@ def test_integrand_amplitude_matches_amplitude_grid(monkeypatch):
     monkeypatch.setattr(phase, "_mode_form", recorded)
     row = np.repeat(np.arange(len(dps)), 200)
     t = rng.uniform(0.0, 50.0, row.size)
-    phase._cos2_rows(dps, rng.uniform(0, math.pi / 2, len(dps)))(t, row)
+    phase._cos2_rows(DerivedColumns.of(dps), rng.uniform(0, math.pi / 2, len(dps)))(t, row)
     (A,) = seen
     for i, dp in enumerate(dps):
         at = row == i

@@ -5,6 +5,7 @@ import pytest
 
 from drivenqubit import SystemParams, amplitude, derive, selfcheck, temporal
 from drivenqubit.amplitude import ORACLE_POINTS, amplitude_oracle_ode, amplitude_oracles
+from drivenqubit.params import derive_columns
 from drivenqubit.selfcheck import ORACLE_T_MAX, WITNESS_SEED
 from drivenqubit.temporal import quantum_witness, witness_probabilities
 
@@ -21,7 +22,8 @@ def test_batched_oracle_is_its_one_set_view_bit_for_bit():
         norm = max(0.5 * p.gamma * p.lam, math.cos(dp.eta / 2.0) ** 4 + abs(dp.m_const))
         exponents.add(math.frexp(norm * dt)[1])
     assert len(exponents) >= 3
-    times, values = amplitude_oracles(params, ORACLE_T_MAX)
+    columns = [[p.lam, p.omega_rabi, p.delta_qc, p.delta_cav, p.gamma] for p in params]
+    times, values = amplitude_oracles(derive_columns(*np.array(columns).T), ORACLE_T_MAX)
     assert values.shape == (len(params), ORACLE_POINTS)
     for p, row in zip(params, values):
         one = amplitude_oracle_ode(p, ORACLE_T_MAX)
@@ -30,25 +32,22 @@ def test_batched_oracle_is_its_one_set_view_bit_for_bit():
 
 
 def _public_route_cases(n):
-    """The witness cases drawn one scalar at a time, as six draws per case."""
+    """The witness cases drawn one scalar at a time, as six draws per case;
+    lam is 10 to the first, raised as the columns raise it."""
     rng = np.random.default_rng(WITNESS_SEED)
-    cases = []
-    for _ in range(n):
-        params = SystemParams(
-            lam=float(10 ** rng.uniform(-2, 0.4)),
-            omega_rabi=float(rng.uniform(0, 3)),
-            delta_qc=float(rng.uniform(-3, 3)),
-            delta_cav=float(rng.uniform(-1, 1)),
-        )
-        cases.append((params, float(rng.uniform(0, math.pi / 2)),
-                      float(rng.uniform(0, 30))))
-    return cases
+    draws = [[rng.uniform(lo, hi) for lo, hi in ((-2, 0.4), (0, 3), (-3, 3), (-1, 1),
+                                                 (0, math.pi / 2), (0, 30))]
+             for _ in range(n)]
+    lams = (10.0 ** np.array([d[0] for d in draws])).tolist()
+    return [(SystemParams(lam=lam, omega_rabi=om, delta_qc=dq, delta_cav=dc), th, t)
+            for lam, (_, om, dq, dc, th, t) in zip(lams, draws)]
 
 
 def test_witness_line_matches_the_per_case_public_route():
     cases = _public_route_cases(200)
-    params, theta, tau = selfcheck._witness_cases(200)
-    assert params == [p for p, _, _ in cases]
+    *columns, theta, tau = selfcheck._witness_cases(200)
+    assert [SystemParams(*row) for row in zip(*(c.tolist() for c in columns))] == [
+        p for p, _, _ in cases]
     assert theta.tolist() == [t for _, t, _ in cases]
     assert tau.tolist() == [t for _, _, t in cases]
     worst = 0.0

@@ -718,6 +718,78 @@ def test_cli_gp_rows_whose_constants_overflow_are_invalid(tmp_path):
     assert (float(rows[0]["phi_g"]), float(rows[0]["quad_err"])) == alone[:2]
 
 
+@pytest.mark.parametrize("quantity", ["gp", "blp", "amplitude"])
+def test_rows_at_the_overflow_of_the_constants_are_invalid_and_unwarned(quantity):
+    # omega 1e154: 4 M^2 overflows in the one array derive of the sweep, which
+    # warns of nothing (pytest turns RuntimeWarnings into errors)
+    if quantity == "amplitude":
+        spec = SweepSpec(quantity, SystemParams(lam=0.1, omega_rabi=1e154),
+                         SweepAxis("time", 0.0, 10.0, 3))
+    else:
+        spec = SweepSpec(quantity, SystemParams(lam=0.1, theta=0.5),
+                         SweepAxis("omega", 1e154, 2e154, 3))
+    table, summary = run_sweep(spec)
+    assert summary.n_failed == 3
+    assert [r["status"] for r in table.rows()] == ["invalid"] * 3
+
+
+@pytest.mark.parametrize("axis,fixed", [
+    (SweepAxis("lambda_ratio", -0.5, 0.5, 5), SystemParams(lam=0.1, gamma=2.0)),
+    (SweepAxis("lambda_ratio", -1.0, 1.0, 3), SystemParams(lam=0.1)),
+    (SweepAxis("omega", -2.0, 2.0, 5), SystemParams(lam=0.1)),
+    (SweepAxis("theta", 0.0, 2.0, 9), SystemParams(lam=0.1)),
+    (SweepAxis("lambda_ratio", 1e300, 1e308, 3), SystemParams(lam=0.1, gamma=1e10)),
+])
+@pytest.mark.parametrize("quantity", ["gp", "blp"])
+def test_bad_swept_value_raises_the_message_of_its_parameter_set(quantity, axis, fixed):
+    # the swept column is checked in one array test; its first bad value, in
+    # axis order, raises what SystemParams raises for that row
+    column = AXES[axis.name][0]
+    expected = None
+    for v in axis.values().tolist():
+        try:
+            replace(fixed, **{column: v * fixed.gamma if column == "lam" else v})
+        except ValidationError as exc:
+            expected = str(exc)
+            break
+    assert expected is not None
+    with pytest.raises(ValidationError) as raised:
+        run_sweep(SweepSpec(quantity, fixed, axis))
+    assert str(raised.value) == expected
+
+
+def test_mixed_specs_share_one_derive_and_read_as_alone():
+    # one array derive covers the rows of every spec of a _blocks call, gp,
+    # blp and series specs interleaved: each block is its spec's sweep alone
+    from drivenqubit.sweeps import _blocks
+
+    p = SystemParams(lam=0.05, omega_rabi=0.3, delta_qc=0.5, theta=0.4)
+    specs = [SweepSpec("gp", p, SweepAxis("omega", 0.0, 1.0, 4)),
+             SweepSpec("amplitude", p, SweepAxis("time", 0.0, 5.0, 5)),
+             SweepSpec("blp", p, SweepAxis("lambda_ratio", 0.05, 0.5, 3, "log")),
+             SweepSpec("lgi3", p, SweepAxis("tau", 0.0, 4.0, 5)),
+             SweepSpec("gp", p, SweepAxis("theta", 0.0, 1.5, 3)),
+             SweepSpec("blp", p, SweepAxis("delta", 0.0, 2.0, 3)),
+             SweepSpec("lgi4", p, SweepAxis("tau", 0.0, 4.0, 5))]
+    for spec, block in zip(specs, _blocks(specs), strict=True):
+        assert [block.row(i) for i in range(len(block))] == run_sweep(spec)[0].rows()
+
+
+def test_cli_blp_long_horizon_rows_are_ok(tmp_path):
+    # |A| underflows long before t_max 2000; the kernel's sign of d|A|/dt
+    # is read without the envelope, so every row is ok
+    out = tmp_path / "blp.csv"
+    rc = main(["sweep", "--quantity", "blp", "--axis", "lambda_ratio", "--axis-min", "0.4",
+               "--axis-max", "0.6", "--points", "3", "--omega", "0", "--tmax", "2000",
+               "--out", str(out)])
+    assert rc == 0
+    rows = read_csv(out)
+    assert [r["status"] for r in rows] == ["ok"] * 3
+    for row in rows:
+        at_1000 = blp_measure(SystemParams(lam=float(row["lam"])), t_max=1000.0)
+        assert float(row["n_measure"]) == pytest.approx(at_1000.n_measure, rel=1e-11)
+
+
 def test_cli_blp_rows_whose_constants_overflow_are_invalid(tmp_path):
     # the gap count of rows 2 and 3 was infinite and aborted the whole sweep
     out = tmp_path / "blp.csv"
@@ -779,9 +851,9 @@ def test_cli_non_finite_blp_row_is_invalid(tmp_path, monkeypatch, field, value):
     measures = sweeps.blp_measures
     position = {"n_measure": 0, "alpha": 1}[field]
 
-    def broken(params_seq, t_maxes):
-        result = list(measures(params_seq, t_maxes))
-        result[position] = np.full(len(params_seq), value)
+    def broken(rows, t_maxes):
+        result = list(measures(rows, t_maxes))
+        result[position] = np.full(len(t_maxes), value)
         return tuple(result)
 
     monkeypatch.setattr(sweeps, "blp_measures", broken)
@@ -928,9 +1000,9 @@ def test_cli_check_reports_a_drifting_closed_form_as_failed_checks(monkeypatch, 
 
     assert main(["check", "--quick"]) == 0
     names = [line.split(": ")[0][7:] for line in capsys.readouterr().out.splitlines()[:-1]]
-    grid = amplitude.amplitude_grid
-    monkeypatch.setattr(amplitude, "amplitude_grid",
-                        lambda dp, times: tuple(v * (1 + 1e-6) for v in grid(dp, times)))
+    mode_form = amplitude._mode_form
+    monkeypatch.setattr(amplitude, "_mode_form",
+                        lambda *args: mode_form(*args) * (1 + 1e-6))
     assert main(["check", "--quick"]) == 2
     captured = capsys.readouterr()
     lines = captured.out.splitlines()
