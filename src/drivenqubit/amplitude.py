@@ -25,12 +25,14 @@ critical damping (F = 0, where phi = 1) to late times: no series switch.
 ``_mode_form``, elementwise in its constants and times, is the envelope
 exp(s+ t) times the pieces before it (``_mode_pieces``), which the BLP
 finder reads alone for the sign of Re(dA/dt conj A).  ``amplitude_grid``
-gives it one parameter set: time grids, the Leggett-Garg series, the
-witness and the decay-rate grid; ``amplitude_closed_form``,
-``amplitude_derivative`` and ``decay_rate`` are its one-point views.  The
-quadrature, the BLP measure and ``check`` give it the columns of their rows
-(``DerivedColumns``) indexed per time, bit for bit as ``amplitude_grid``
-would give each row.
+gives it one parameter set: time grids, the witness and the decay-rate
+grid; ``amplitude_closed_form``, ``amplitude_derivative`` and
+``decay_rate`` are its one-point views.  Times enter there, and every one
+must be finite and >= 0 (``_as_times``).  The Leggett-Garg series checks
+its steps so and gives ``_mode_form`` their multiples, which may overflow.
+The quadrature, the BLP measure and ``check`` give it the columns of their
+rows (``DerivedColumns``) indexed per time, bit for bit as
+``amplitude_grid`` would give each row.
 
 ``amplitude_oracles`` is the independent reference that ``drivenqubit
 check`` and the tests run: the exact propagator of the memory ODE on an even
@@ -139,32 +141,32 @@ def _mode_form(M, F, t, s_plus, pref=None):
     return A if pref is None else (A, 0.25 * pref * (t_phi * e))
 
 
-def amplitude_grid(dp: DerivedParams, times) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized (A, dA/dt) over an array of times, shaped like ``times``
-    (formulas in ``_mode_form``)."""
+def _as_times(times) -> np.ndarray:
+    """``times`` as a float array; raise ValidationError, naming the first
+    bad entry, unless every one is finite and >= 0."""
     times = np.asarray(times, dtype=float)
-    if (times < 0).any():
-        raise ValidationError("times must be >= 0")
+    ok = (times >= 0.0) & (times < math.inf)
+    if not ok.all():
+        raise ValidationError(f"times must be finite and >= 0, got {times[~ok][0]}")
+    return times
+
+
+def amplitude_grid(dp: DerivedParams, times) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized (A, dA/dt) over an array of finite times >= 0, shaped like
+    ``times`` (formulas in ``_mode_form``)."""
+    times = _as_times(times)
     A, dA = _mode_form(dp.m_const, dp.f_const, np.atleast_1d(times), dp.s_plus,
                        dp.coupling_prefactor)
     return A.reshape(times.shape), dA.reshape(times.shape)
 
 
-def _check_time(t: float) -> None:
-    """Raise ValidationError unless the single time t is finite and >= 0."""
-    if not 0.0 <= t < math.inf:
-        raise ValidationError(f"time must be finite and >= 0, got {t}")
-
-
 def amplitude_closed_form(dp: DerivedParams, t: float) -> complex:
     """A(t) at one finite time t >= 0: the one-point view of ``amplitude_grid``."""
-    _check_time(t)
     return complex(amplitude_grid(dp, t)[0])
 
 
 def amplitude_derivative(dp: DerivedParams, t: float) -> complex:
     """dA/dt at one finite time t >= 0: the one-point view of ``amplitude_grid``."""
-    _check_time(t)
     return complex(amplitude_grid(dp, t)[1])
 
 
@@ -250,7 +252,6 @@ def decay_rate(dp: DerivedParams, t: float) -> float:
     """Effective instantaneous decay rate -2 Re(dA/dt / A) at one time t: the
     one-point view of ``decay_rate_grid``, raising AmplitudePole at a zero
     of A (``_is_pole``), where the rate diverges."""
-    _check_time(t)
     rate = float(decay_rate_grid(dp, t))
     if math.isnan(rate):
         raise AmplitudePole(f"A(t) vanishes at t={t}; decay rate diverges")

@@ -133,9 +133,7 @@ def build_parser() -> _Parser:
                        help="accepted for compatibility; no effect (must be >= 1)")
     _add_config_flag(p_fig)
 
-    p_check = sub.add_parser("check", help="run the dual-route consistency suite")
-    p_check.add_argument("--quick", action="store_true",
-                         help="reduced parameter grid")
+    sub.add_parser("check", help="run the dual-route consistency suite")
     return parser
 
 
@@ -207,7 +205,7 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    results = run_all(quick=args.quick)
+    results = run_all()
     failed = 0
     for r in results:
         tag = "PASS" if r.passed else "FAIL"

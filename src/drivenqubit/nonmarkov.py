@@ -17,13 +17,15 @@ of A that slope is a positive envelope times a e^{kt} + b e^{-kt} +
 Re(C e^{iwt}), whose derivatives have closed-form bounds.  A bracket finder
 uses them to certify every gap of its grid (no root, at most one root, or
 split it), so no sign change can hide between grid points whatever their
-spacing; each bracket is then refined to 1e-10 and confirmed on the
-amplitude kernel, whose sign of d|A|/dt is read without the envelope
-exp(s+ t) (``_rising``), so it holds where |A| underflows at long horizons.
-A bracket the kernel does not confirm, or extrema that do not alternate,
-fail the row with a ValidationError rather than pass a wrong interval list
-on.  Divided by e^{kt}, the slope's sign is G = a + b e^{-2kt} +
-Re(C e^{(iw-k)t}), and |G - a| <= (|b| + |C|) e^{-kt}: from t_h =
+spacing.  Each bracket is then refined to 1e-10 in two stages: Newton
+steps on the two-mode form, whose estimate the amplitude kernel confirms,
+and bisection on the kernel for the brackets it leaves unconfirmed.  The
+kernel's sign of d|A|/dt is read without the envelope exp(s+ t)
+(``_rising``), so it holds where |A| underflows at long horizons.  A
+bracket whose ends the kernel does not confirm, or extrema that do not
+alternate, fail the row with a ValidationError rather than pass a wrong
+interval list on.  Divided by e^{kt}, the slope's sign is
+G = a + b e^{-2kt} + Re(C e^{(iw-k)t}), and |G - a| <= (|b| + |C|) e^{-kt}: from t_h =
 ln(2 (|b| + |C|)/|a|)/k on (k > 0, a != 0), G keeps the sign of a with
 |G| >= |a|/2, a margin far above its rounding error.  So no extremum lies
 past t_h, and the search stops there.
@@ -47,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .amplitude import _check_time, _mode_form, _mode_pieces, amplitude_grid
+from .amplitude import _mode_form, _mode_pieces, amplitude_grid
 from .params import DerivedColumns, DerivedParams, SystemParams, ValidationError, derive
 from .states import BlochVector
 
@@ -69,7 +71,6 @@ _CHUNK = 4096  # initial gaps of the bracket finder, or intervals of the pair
                # search, per pass across rows
 _MAX_GAPS = 2 ** 23  # initial gaps of one row: its work budget
 _NEWTON_STEPS = 6
-_NEWTON_MORE = 24  # for the brackets the first steps leave unconfirmed
 
 
 @dataclass(frozen=True)
@@ -123,7 +124,6 @@ def info_flux(dp: DerivedParams, pair, t: float) -> float:
     Positive values mark information flowing back from the cavity.  At
     isolated zeros of A the distance has a kink; NaN is returned there.
     """
-    _check_time(t)
     u = _pair_u(pair)
     A, dA = amplitude_grid(dp, t)
     amp = complex(A)
@@ -356,14 +356,14 @@ def _bisect(rows: DerivedColumns, todo: _Todo, errors: list) -> _Extrema:
                     _abs_amplitude(rows, times, todo.own), todo.own)
 
 
-def _newton(c: _Flux, todo: _Todo, steps: int) -> np.ndarray:
-    """Estimates of the sign changes of G: ``steps`` Newton steps from each
+def _newton(c: _Flux, todo: _Todo) -> np.ndarray:
+    """Estimates of the sign changes of G: _NEWTON_STEPS Newton steps from each
     bracket's midpoint, held inside the bracket, which each step narrows to
     the estimate's side."""
     left, right = todo.lo, todo.hi
     x = 0.5 * (left + right)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(steps):
+        for _ in range(_NEWTON_STEPS):
             g, dg, _ = _flux_form(c, x)
             past = (g > 0) == todo.rising
             left, right = np.where(past, left, x), np.where(past, x, right)
@@ -398,8 +398,8 @@ def _fail(errors: list, rows, message: str) -> None:
             errors[r] = ValidationError(message)
 
 
-def _refine(flux: _Flux, rows: DerivedColumns, todo: _Todo, steps: int, errors: list):
-    """One refinement round: ``steps`` Newton steps on G for each bracket
+def _refine(flux: _Flux, rows: DerivedColumns, todo: _Todo, errors: list):
+    """One refinement round: _NEWTON_STEPS Newton steps on G for each bracket
     (``_newton``), then the kernel's check (``_confirm``).
 
     A bracket whose ends show no sign change of h, or one against G's
@@ -410,7 +410,7 @@ def _refine(flux: _Flux, rows: DerivedColumns, todo: _Todo, steps: int, errors: 
     """
     if todo.lo.size == 0:
         return _NO_EXTREMA, todo
-    x = _newton(flux.at(todo.own), todo, steps)
+    x = _newton(flux.at(todo.own), todo)
     ends, times, amps, bad = _confirm(rows, todo.lo, todo.hi, x, todo.rising, todo.own)
     _fail(errors, todo.own[ends[0] == ends[1]],
           "extremum bracket shows no sign change of d|A|/dt")
@@ -456,13 +456,12 @@ def _amp_extrema(t_max: np.ndarray, rows: DerivedColumns, flux: _Flux,
     The initial gaps of all rows are taken in (row, time) order, in slices
     of ``_CHUNK``, a cap across rows that bounds the peak memory.  A slice
     takes the finder's first round (``_flux_brackets``) and one refinement
-    round of _NEWTON_STEPS steps (``_refine``); the gaps it leaves to split
-    and the brackets it leaves unconfirmed are carried to one batch-wide
-    finish, after the last slice or once they reach ``_CHUNK``: the gaps
-    are split level by level (``_split``) and their brackets take the same
-    round; all unconfirmed brackets then take one round of _NEWTON_STEPS +
-    _NEWTON_MORE steps, and those left one bisection (``_bisect``).  Every
-    stage is elementwise, so the extrema do not depend on the slicing;
+    round (``_refine``); the gaps it leaves to split and the brackets it
+    leaves unconfirmed are carried to one batch-wide finish, after the last
+    slice or once they reach ``_CHUNK``: the gaps are split level by level
+    (``_split``) and their brackets take the same round, and every bracket
+    left unconfirmed is bisected on the kernel (``_bisect``).  Every stage
+    is elementwise, so the extrema do not depend on the slicing;
     they are sorted once by (row, time).  |A| falls from t = 0, so the
     kinds of a row must alternate starting with a minimum, or the row
     fails.  Rows with an error are not searched, and their carried entries
@@ -488,7 +487,7 @@ def _amp_extrema(t_max: np.ndarray, rows: DerivedColumns, flux: _Flux,
                  + np.repeat(first, size))
         found, gaps_left = _flux_brackets(flux, t_max[owner] * (index / gaps[owner]),
                                           owner)
-        done, more = _refine(flux, rows, found, _NEWTON_STEPS, errors)
+        done, more = _refine(flux, rows, found, errors)
         parts.append(done)
         split.append(gaps_left)
         todo.append(more)
@@ -497,11 +496,8 @@ def _amp_extrema(t_max: np.ndarray, rows: DerivedColumns, flux: _Flux,
             live = ~_failed(errors)
             split, todo = (_cat([_take(c, live[c.own]) for c in carried])
                            for carried in (split, todo))
-            done, more = _refine(flux, rows, _split(flux, split), _NEWTON_STEPS,
-                                 errors)
-            late, todo = _refine(flux, rows, _cat([todo, more]),
-                                 _NEWTON_STEPS + _NEWTON_MORE, errors)
-            parts += [done, late, _bisect(rows, todo, errors)]
+            done, more = _refine(flux, rows, _split(flux, split), errors)
+            parts += [done, _bisect(rows, _cat([todo, more]), errors)]
             split, todo = [], []
     ext = _cat(parts)
     ext = _take(ext, np.lexsort((ext.times, ext.owner)))
@@ -553,14 +549,14 @@ def backflow_intervals(dp: DerivedParams, pair, t_max: float) -> BackflowInterva
     return _intervals(data[:4], _pair_u(pair), t_max)
 
 
-def _gain_nodes(xs: np.ndarray, xe: np.ndarray, u: np.ndarray, node: np.ndarray,
+def _gain_nodes(xs: np.ndarray, xe: np.ndarray, u, node: np.ndarray,
                 n_nodes: int):
     """Gain and P' at each node, and s(xs, u) at each of its pairs; see
     ``_max_gain``.
 
-    xs, xe and u are given per pair (one node, one interval of the node's
-    row); ``node`` is the node of each pair, and each node's sums run over
-    its pairs in order.  Each interval's term is written without
+    xs and xe are given per pair (one node, one interval of the node's row),
+    u per pair or once for all; ``node`` is the node of each pair, and each
+    node's sums run over its pairs in order.  Each interval's term is written without
     cancellation, f(xe, u) - f(xs, u) = (xe - xs)(xe + xs)(1 - u(1 - xe^2 -
     xs^2)) / (f(xe, u) + f(xs, u)).  f(x, u) = x s(x, u) with
     s = sqrt(1 - u(1 - x^2)), and P' = -sum xe (1 - xe^2) / (2 s(xe, u)).
@@ -628,16 +624,12 @@ def _branch_and_bound(xs: np.ndarray, xe: np.ndarray, owner: np.ndarray, n_rows:
     if own.size == 0:
         return best, best_u
     cs = xs * (1.0 - xs * xs)
-    node, iv = _pairs(np.tile(count[own], 2), np.tile(first[own], 2))
-    g, p, s = _gain_nodes(xs[iv], xe[iv], (node >= own.size).astype(float), node,
-                          2 * own.size)
-    polar = g[own.size:] >= g[:own.size]
-    best[own] = np.where(polar, g[own.size:], g[:own.size])
+    node, iv = _pairs(count[own], first[own])
+    left, right = (_gain_nodes(xs[iv], xe[iv], u, node, own.size) for u in (0.0, 1.0))
+    polar = right[0] >= left[0]
+    best[own] = np.where(polar, right[0], left[0])
     best_u[own] = polar
     lo, hi = np.zeros(own.size), np.ones(own.size)
-    half = node < own.size
-    left = (g[:own.size], p[:own.size], s[half])
-    right = (g[own.size:], p[own.size:], s[~half])
     while True:
         (g0, p0, s0), (g1, p1, s1) = left, right
         node, iv = _pairs(count[own], first[own])

@@ -28,6 +28,7 @@ ORACLE_DELTAS = (0.0, 1.0, 10.0)
 ORACLE_TOL = 1e-8  # largest |closed - ode| an oracle check passes with
 ORACLE_T_MAX = 30.0  # horizon of each oracle trajectory
 WITNESS_SEED = 20260810  # seed of the random cases of the witness check
+WITNESS_CASES = 200  # random cases of the witness check
 
 
 @dataclass(frozen=True)
@@ -37,7 +38,7 @@ class CheckResult:
     detail: str
 
 
-def oracle_grid_check(quick: bool = False) -> list[CheckResult]:
+def oracle_grid_check() -> list[CheckResult]:
     """Closed form vs the memory ODE's exact propagator on the standard grid.
 
     One batched oracle call and one kernel call (``amplitude._mode_form``)
@@ -45,10 +46,7 @@ def oracle_grid_check(quick: bool = False) -> list[CheckResult]:
     unvalidated, so a drifting closed form fails these checks' own gates
     instead of raising.
     """
-    lams = ORACLE_LAMBDAS[:1] if quick else ORACLE_LAMBDAS
-    omegas = ORACLE_OMEGAS[:2] if quick else ORACLE_OMEGAS
-    deltas = ORACLE_DELTAS[:2] if quick else ORACLE_DELTAS
-    sets = list(itertools.product(lams, omegas, deltas))
+    sets = list(itertools.product(ORACLE_LAMBDAS, ORACLE_OMEGAS, ORACLE_DELTAS))
     rows = derive_columns(*np.array([(*s, 0.0, 1.0) for s in sets]).T)
     times, odes = amplitude.amplitude_oracles(rows, ORACLE_T_MAX)
     closed = amplitude._mode_form(rows.m_const[:, None], rows.f_const[:, None],
@@ -92,17 +90,16 @@ def _witness_route_errors(n: int) -> np.ndarray:
     return np.abs(np.abs(p_free - p_blind) - temporal._witness_form(theta, a1, ah))
 
 
-def witness_consistency_check(n: int = 200) -> list[CheckResult]:
-    """Closed-form witness vs the propagator composition on n random cases."""
-    worst = float(np.max(_witness_route_errors(n)))
+def witness_consistency_check() -> list[CheckResult]:
+    """Closed-form witness vs the propagator composition on WITNESS_CASES
+    random cases."""
+    worst = float(np.max(_witness_route_errors(WITNESS_CASES)))
     return [CheckResult(
-        name=f"witness propagator route ({n} random cases)",
+        name=f"witness propagator route ({WITNESS_CASES} random cases)",
         passed=worst <= 1e-12,
         detail=f"max |route - closed| = {worst:.2e}",
     )]
 
 
-def run_all(quick: bool = False) -> list[CheckResult]:
-    out = oracle_grid_check(quick=quick)
-    out.extend(witness_consistency_check(n=50 if quick else 200))
-    return out
+def run_all() -> list[CheckResult]:
+    return oracle_grid_check() + witness_consistency_check()

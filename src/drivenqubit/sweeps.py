@@ -88,6 +88,9 @@ class SweepAxis:
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise ValidationError(f"axis bounds must be finite, got "
                                   f"{self.start}, {self.stop}")
+        if not math.isfinite(self.stop - self.start):  # linspace would overflow
+            raise ValidationError(f"axis span must be finite, got "
+                                  f"{self.start}, {self.stop}")
         if self.count < 2:
             raise ValidationError("axis count must be >= 2")
         if not self.start < self.stop:

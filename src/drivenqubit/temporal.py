@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitude import _check_grid, _check_time, amplitude_closed_form, amplitude_grid
+from .amplitude import (_as_times, _check_grid, _mode_form, amplitude_closed_form,
+                        amplitude_grid)
 from .params import DerivedParams, ValidationError
 
 __all__ = [
@@ -57,8 +58,7 @@ def two_time_correlation(dp: DerivedParams, theta: float, t_i: float,
 
     Re[(cos^2(theta) A(t_j)A*(t_i) + sin^2(theta) A(t_j - t_i)) e^{-i w_D (t_j - t_i)}].
     """
-    _check_time(t_i)
-    _check_time(t_j)
+    _as_times((t_i, t_j))
     if t_j < t_i:
         raise ValidationError("require t_i <= t_j (earlier measurement first)")
     s = t_j - t_i
@@ -79,16 +79,16 @@ def lgi_series(dp: DerivedParams, theta: float, taus) -> tuple[np.ndarray, np.nd
     - C(0,3t) share their correlators, which need A only at tau, 2 tau,
     3 tau and 3 tau - 2 tau (A(0) = 1): one kernel call for the whole
     array.  Each correlator is the formula of ``two_time_correlation``,
-    elementwise.  Returns (c3, c4), shaped like ``taus``.
+    elementwise.  The steps must be finite and >= 0; a derived step that
+    overflows gives non-finite values.  Returns (c3, c4), shaped like
+    ``taus``.
     """
-    taus = np.asarray(taus, dtype=float)
-    if np.any(taus < 0):
-        raise ValidationError("tau must be >= 0")
+    taus = _as_times(taus)
     cos2, sin2 = math.cos(theta) ** 2, math.sin(theta) ** 2
     # 3 tau - 2 tau rounds away from tau; C(2t, 3t) is taken at that step
     t3 = 3 * taus
     times = np.stack([taus, 2 * taus, t3, t3 - 2 * taus])
-    (A1, A2, A3, A23), _ = amplitude_grid(dp, times)
+    A1, A2, A3, A23 = _mode_form(dp.m_const, dp.f_const, times, dp.s_plus)
     P1, P2, P3, P23 = np.exp(-1j * dp.omega_d * times)
 
     def corr(a_j, a_i, a_s, phase):
@@ -104,7 +104,6 @@ def lgi_series(dp: DerivedParams, theta: float, taus) -> tuple[np.ndarray, np.nd
 
 def lgi_c3(dp: DerivedParams, theta: float, tau: float) -> LgiResult:
     """Both Leggett-Garg combinations at one step tau (see ``lgi_series``)."""
-    _check_time(tau)
     c3, c4 = (float(c[0]) for c in lgi_series(dp, theta, [tau]))
     return LgiResult(tau=tau, c3=c3, c4=c4, violated3=c3 > 1.0, violated4=c4 > 2.0)
 
@@ -173,7 +172,6 @@ def quantum_witness(dp: DerivedParams, theta: float, tau: float) -> WitnessResul
     positive values certify coherence at the intermediate time.  The
     one-point view of ``witness_series``.
     """
-    _check_time(tau)
     w, _ = _witness(dp, theta, np.array([tau], dtype=float))
     return WitnessResult(tau=tau, w_q=float(w[0]))
 
@@ -186,17 +184,23 @@ def coherence_monotone(dp: DerivedParams, taus) -> np.ndarray:
     curve itself so the envelope never dips under it.  Without interior
     maxima (monotone decay) the envelope degenerates to the curve.
     """
-    taus = np.asarray(taus, dtype=float)
+    taus = _envelope_grid(taus)
     return _monotone(taus, np.abs(amplitude_grid(dp, taus)[0]))
+
+
+def _envelope_grid(taus) -> np.ndarray:
+    """``taus`` as a float grid of the envelope, checked before any kernel
+    call: it must rise strictly from 0 over at least 3 finite points."""
+    taus = np.asarray(taus, dtype=float)
+    if taus.ndim != 1 or taus.size < 3:
+        raise ValidationError("need a grid of at least 3 points")
+    _check_grid(taus, "grid")
+    return taus
 
 
 def _monotone(taus: np.ndarray, abs_a: np.ndarray) -> np.ndarray:
     """Upper envelope of abs_a / 2 on the grid taus (see
-    ``coherence_monotone``), which must rise strictly from 0 over at least
-    3 points."""
-    if taus.ndim != 1 or taus.size < 3:
-        raise ValidationError("need a grid of at least 3 points")
-    _check_grid(taus, "grid")
+    ``coherence_monotone``, and ``_envelope_grid`` for the grid)."""
     half = 0.5 * abs_a
     interior = 1 + np.flatnonzero(
         (half[1:-1] > half[:-2]) & (half[1:-1] >= half[2:])
@@ -211,6 +215,6 @@ def _monotone(taus: np.ndarray, abs_a: np.ndarray) -> np.ndarray:
 def witness_series(dp: DerivedParams, theta: float, taus):
     """(w_q, envelope) arrays over a tau grid, from one kernel call; the
     envelope is the coherence monotone on the same grid."""
-    taus = np.asarray(taus, dtype=float)
+    taus = _envelope_grid(taus)
     w, a1 = _witness(dp, theta, taus)
     return w, _monotone(taus, np.abs(a1))

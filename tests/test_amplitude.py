@@ -15,7 +15,7 @@ from drivenqubit import (AmplitudePole, SystemParams, ValidationError,
                          amplitude_closed_form, amplitude_derivative,
                          amplitude_grid, amplitude_oracle_ode,
                          amplitude_trajectory, decay_rate, decay_rate_grid,
-                         derive)
+                         derive, lgi_series)
 from drivenqubit.amplitude import ORACLE_POINTS, AmplitudeTrajectory
 from drivenqubit.params import DerivedParams
 from drivenqubit.selfcheck import (ORACLE_DELTAS, ORACLE_LAMBDAS, ORACLE_OMEGAS,
@@ -302,11 +302,17 @@ def test_negative_time_rejected():
         amplitude_closed_form(dp, -1.0)
     with pytest.raises(ValidationError):
         amplitude_grid(dp, np.array([0.0, -0.5]))
-    # a single time must also be finite: no NaN value, pole or warning
-    for t in (math.nan, math.inf, -math.inf):
-        for one_point in (amplitude_closed_form, amplitude_derivative, decay_rate):
-            with pytest.raises(ValidationError, match="finite and >= 0"):
-                one_point(dp, t)
+    # every time must be finite and >= 0: no NaN value, pole or warning
+    grids = (amplitude_grid, decay_rate_grid, lambda dp, t: lgi_series(dp, 0.3, t))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (math.nan, math.inf, -math.inf, -1.0):
+            for one_point in (amplitude_closed_form, amplitude_derivative, decay_rate):
+                with pytest.raises(ValidationError, match="finite and >= 0"):
+                    one_point(dp, t)
+            for grid in grids:
+                with pytest.raises(ValidationError, match=f"finite and >= 0, got {t}"):
+                    grid(dp, np.array([0.0, 1.0, t, 2.0]))
 
 
 if given is None:

@@ -35,11 +35,11 @@ def _rows(params):
                                      for p in params]).reshape(-1, 5).T)
 
 
-def _extrema(dp, t_max, setup=None):
+def _extrema(dp, t_max):
     """(times, kinds, |A|) of one row from the batched finder; raises the
-    row's error.  ``setup`` is the row's ``_row_setup``, where made before."""
+    row's error."""
     t, rows = np.array([t_max]), DerivedColumns.of([dp])
-    flux, gaps, _, errors = setup or _row_setup(rows, t)
+    flux, gaps, _, errors = _row_setup(rows, t)
     times, kinds, amps, _ = _amp_extrema(t, rows, flux, gaps, errors)
     if errors[0] is not None:
         raise errors[0]
@@ -61,16 +61,13 @@ def _brackets(flux, t, owner):
 
 def _refine_row(dp, flux, lo, hi):
     """The batched refinement of brackets of one row, as the finder's finish
-    runs it: a first round, a longer round for the brackets it leaves
-    unconfirmed, and bisection for any left after that; raises the row's
-    error."""
+    runs it: a Newton round, and bisection for the brackets it leaves
+    unconfirmed; raises the row's error."""
     errors, rows = [None], DerivedColumns.of([dp])
     own = np.zeros(lo.size, dtype=int)
     todo = _Todo(lo, hi, own, _flux_form(flux.at(own), hi)[0] > 0)
-    done, todo = _refine(flux, rows, todo, nonmarkov._NEWTON_STEPS, errors)
-    late, todo = _refine(flux, rows, todo,
-                         nonmarkov._NEWTON_STEPS + nonmarkov._NEWTON_MORE, errors)
-    times, kinds, amps, _ = _cat([done, late, _bisect(rows, todo, errors)])
+    done, todo = _refine(flux, rows, todo, errors)
+    times, kinds, amps, _ = _cat([done, _bisect(rows, todo, errors)])
     if errors[0] is not None:
         raise errors[0]
     return times, kinds, amps
@@ -432,7 +429,6 @@ def test_extrema_match_dense_scan(lam, omega, delta_qc, t_max, coarse_misses):
 
 
 @pytest.mark.parametrize("name,value", [
-    ("_NEWTON_STEPS", 0),  # every bracket goes to the continued Newton steps
     ("_CHUNK", 64),  # the grid is searched in many passes
 ])
 def test_refinement_paths_match_dense_scan(monkeypatch, name, value):
@@ -444,7 +440,6 @@ def test_refinement_paths_match_dense_scan(monkeypatch, name, value):
 def test_bisection_fallback_matches_dense_scan(monkeypatch):
     # no Newton step at all: every bracket is bisected on the kernel
     monkeypatch.setattr(nonmarkov, "_NEWTON_STEPS", 0)
-    monkeypatch.setattr(nonmarkov, "_NEWTON_MORE", 0)
     dp = derive(SystemParams(lam=0.01, omega_rabi=2.0, delta_qc=1.0))
     _assert_same_extrema(dp, 600.0)
 
@@ -458,29 +453,6 @@ def _count_kernel_calls(monkeypatch, calls):
             return kernel(M, F, t, *args)
 
         monkeypatch.setattr(nonmarkov, name, counted)
-
-
-def test_unconfirmed_bracket_costs_one_more_kernel_call(monkeypatch):
-    # a fig9 row with a bracket 5.6 wide that six Newton steps leave
-    # unconfirmed: the continued steps and one more kernel check settle it,
-    # within the refinement tolerance of bisection on the kernel
-    dp = derive(SystemParams(lam=0.01, omega_rabi=1.0, delta_qc=1.0))
-    t_max = 2.0 * math.log(1e4) / 0.01
-    calls = []
-    setup = _row_setup(DerivedColumns.of([dp]), np.array([t_max]))  # its tail call is not counted
-    _count_kernel_calls(monkeypatch, calls)
-    times, kinds, amps = _extrema(dp, t_max, setup)
-    # the slice's first round, that of the brackets in the gaps it left to
-    # split, and one for the one unconfirmed bracket: the signs of h at its
-    # ends and around its estimate, then |A| at the extremum
-    assert len(calls) == 6 and calls[-2:] == [4, 1]
-    monkeypatch.setattr(nonmarkov, "_NEWTON_MORE", 0)
-    calls.clear()
-    ref_times, ref_kinds, ref_amps = _extrema(dp, t_max)
-    assert len(calls) > 10
-    assert np.array_equal(kinds, ref_kinds)
-    assert np.max(np.abs(times - ref_times)) < 1e-10
-    assert np.max(np.abs(amps - ref_amps)) < 1e-12
 
 
 def _sweep_inputs(spec):
@@ -578,11 +550,12 @@ def test_blp_sweep_kernel_calls_follow_its_slices(monkeypatch):
     # _CHUNK, and each slice confirms its brackets in one kernel check (the
     # signs of h, then |A| at the extrema); one finish for the whole sweep
     # confirms the brackets of the gaps the slices left to split in one
-    # more, and the brackets whose Newton steps had not converged in one
-    # more; the tails |A(t_max)| take one call.  Rows evaluated one at a
-    # time would make a slice and kernel calls per row
-    gaps, calls, splits = [], [], []
-    brackets, split = nonmarkov._flux_brackets, nonmarkov._split
+    # more, and bisects the brackets whose Newton steps had not converged
+    # in at most 64 halvings and one |A| call, whatever the number of rows;
+    # the tails |A(t_max)| take one call.  Rows evaluated one at a time
+    # would make a slice and kernel calls per row
+    gaps, calls, splits, bisected = [], [], [], []
+    brackets, split, bisect = nonmarkov._flux_brackets, nonmarkov._split, nonmarkov._bisect
 
     def counted_brackets(flux, t, owner):
         gaps.append(np.count_nonzero(owner[1:] == owner[:-1]))
@@ -592,9 +565,17 @@ def test_blp_sweep_kernel_calls_follow_its_slices(monkeypatch):
         splits.append(left.lo.size)
         return split(flux, left)
 
+    def counted_bisect(rows, todo, errors):
+        start = len(calls)
+        out = bisect(rows, todo, errors)
+        bisected.append(calls[start:])
+        del calls[start:]
+        return out
+
     monkeypatch.setattr(nonmarkov, "_flux_brackets", counted_brackets)
     _count_kernel_calls(monkeypatch, calls)
     monkeypatch.setattr(nonmarkov, "_split", counted_split)
+    monkeypatch.setattr(nonmarkov, "_bisect", counted_bisect)
     spec = _preset_table()["fig9"][1][2][3]  # 21 rows: omega 1, delta 0.1
     table, summary = run_sweep(spec)
     assert len(table) == 21 and summary.n_failed == 0
@@ -602,6 +583,7 @@ def test_blp_sweep_kernel_calls_follow_its_slices(monkeypatch):
     assert len(gaps) == math.ceil(sum(gaps) / nonmarkov._CHUNK) < 21
     assert len(splits) == 1 and 0 < splits[0] < nonmarkov._CHUNK
     assert len(calls) <= 2 * (len(gaps) + 2) + 1
+    assert len(bisected) == 1 and len(bisected[0]) <= 64 + 1
 
 
 def _figure_rows():
@@ -918,7 +900,6 @@ def test_bisection_reads_the_envelope_free_sign(monkeypatch):
 
     monkeypatch.setattr(nonmarkov, "_bisect", counted)
     monkeypatch.setattr(nonmarkov, "_NEWTON_STEPS", 0)
-    monkeypatch.setattr(nonmarkov, "_NEWTON_MORE", 0)
     slow_times, slow_kinds, slow_amps = _extrema(dp, 3000.0)
     assert halvings == [times.size]
     assert np.array_equal(kinds, slow_kinds)

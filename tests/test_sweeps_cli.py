@@ -42,6 +42,9 @@ def test_axis_validation():
         SweepAxis("lambda_ratio", 0.0, 1.0, 10, "log")
     with pytest.raises(ValidationError):
         SweepAxis("bogus", 0.0, 1.0, 10)
+    # finite bounds whose span overflows: an error, not a numpy warning
+    with pytest.raises(ValidationError, match="span must be finite"):
+        SweepAxis("delta", -1e308, 1e308, 3)
     with pytest.raises(ValidationError):
         SweepSpec("lgi3", SystemParams(lam=0.01), SweepAxis("time", 0, 4, 10))
 
@@ -988,9 +991,13 @@ def test_cli_figure_unknown_preset(tmp_path):
 
 
 def test_cli_check_quick(capsys):
-    assert main(["check", "--quick"]) == 0
+    # check has one grid: --quick is a usage error, and the full check passes
+    assert main(["check", "--quick"]) == 1
+    assert "unrecognized arguments: --quick" in capsys.readouterr().err
+    assert main(["check"]) == 0
     out = capsys.readouterr().out
     assert "[PASS]" in out and "[FAIL]" not in out
+    assert out.splitlines()[-1] == "28/28 checks passed"
 
 
 def test_cli_check_reports_a_drifting_closed_form_as_failed_checks(monkeypatch, capsys):
@@ -998,17 +1005,17 @@ def test_cli_check_reports_a_drifting_closed_form_as_failed_checks(monkeypatch, 
     # (exit 2, one line per check), it is not a usage error
     from drivenqubit import amplitude
 
-    assert main(["check", "--quick"]) == 0
+    assert main(["check"]) == 0
     names = [line.split(": ")[0][7:] for line in capsys.readouterr().out.splitlines()[:-1]]
     mode_form = amplitude._mode_form
     monkeypatch.setattr(amplitude, "_mode_form",
                         lambda *args: mode_form(*args) * (1 + 1e-6))
-    assert main(["check", "--quick"]) == 2
+    assert main(["check"]) == 2
     captured = capsys.readouterr()
     lines = captured.out.splitlines()
     assert [line.split(": ")[0][7:] for line in lines[:-1]] == names
     oracle = [line for line in lines if line.startswith("[FAIL] amplitude ")]
-    assert len(oracle) == 4 and "max|A|=1.0000010" in oracle[0]
+    assert len(oracle) == 27 and "max|A|=1.0000010" in oracle[0]
     assert captured.err == ""
 
 
@@ -1066,7 +1073,7 @@ def test_cli_imports_no_scipy(tmp_path):
         "assert main(['sweep', '--quantity', 'blp', '--axis', 'omega', '--axis-min', '0',",
         f"             '--axis-max', '1', '--points', '2', '--out', {str(out)!r}]) == 0",
         "print('loaded:', loaded())",
-        "assert main(['check', '--quick']) == 0",
+        "assert main(['check']) == 0",
         "print('loaded:', loaded())",
     ])
     env = os.environ | {"PYTHONPATH": os.pathsep.join(sys.path)}
