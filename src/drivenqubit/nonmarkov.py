@@ -36,7 +36,7 @@ one-row view).  Every array carries the constants of its own rows, and
 every stage is elementwise in the rows, so a row's result depends on its
 own data alone: the finder takes the initial gaps of all rows in slices
 (``_amp_extrema``), and the branch and bound the pairs of runs of rows
-(``_max_gain``).  One list, made by ``_row_setup``, holds each row's first
+(``_max_gain``).  One list, made by ``_searched``, holds each row's first
 error: every stage records a failure there and skips the rows that have
 one, so a failed row stops while the others go on.
 """
@@ -168,9 +168,8 @@ class _Flux(NamedTuple):
         get zero constants, so only rows with w != 0 have extrema.
         """
         live = live & (rows.f_const.imag != 0.0)
-        M, F, s_plus = rows.m_const[live], rows.f_const[live], rows.s_plus[live]
-        s_minus = -0.25 * (F + 2.0 * M)
-        c_plus, c_minus = -2.0 * s_minus / F, 2.0 * s_plus / F
+        F, s_plus = rows.f_const[live], rows.s_plus[live]
+        c_plus, c_minus, s_minus = _modes(rows.m_const[live], F, s_plus)
         a = np.abs(c_plus) ** 2 * s_plus.real
         b = np.abs(c_minus) ** 2 * s_minus.real
         C = c_plus * np.conj(c_minus) * (s_plus + np.conj(s_minus))
@@ -185,6 +184,23 @@ class _Flux(NamedTuple):
 
     def at(self, index) -> "_Flux":
         return _Flux(*(col[index] for col in self))
+
+
+def _modes(M, F, s_plus):
+    """(c+, c-, s-) of the two-mode form A = c+ exp(s+ t) + c- exp(s- t):
+    s- = -(F + 2M)/4, c+ = -2 s-/F and c- = 2 s+/F (infinite at F = 0)."""
+    s_minus = -0.25 * (F + 2.0 * M)
+    return -2.0 * s_minus / F, 2.0 * s_plus / F, s_minus
+
+
+def envelope_time(rows: DerivedColumns, level) -> np.ndarray:
+    """Per row, the time from which |A| < level for sure: where the envelope
+    (|c+| + |c-|) exp(Re s+ t) >= |A| falls below it (Re s- <= Re s+ < 0).
+    Infinite where the weights are (F = 0) or Re s+ rounds to 0."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        c_plus, c_minus, _ = _modes(rows.m_const, rows.f_const, rows.s_plus)
+        t = np.log(level / (np.abs(c_plus) + np.abs(c_minus))) / rows.s_plus.real
+    return np.where(t >= 0.0, t, np.inf)
 
 
 def _flux_form(c: _Flux, t: np.ndarray):
@@ -404,17 +420,28 @@ def _refine(flux: _Flux, rows: DerivedColumns, todo: _Todo, errors: list):
 
     A bracket whose ends show no sign change of h, or one against G's
     direction, means G and the kernel disagree, and fails its row in
-    ``errors``.  Where h changes sign across the estimate, that narrow
-    bracket is the result.  Returns (the extrema of the brackets done, the
-    brackets left unconfirmed); the brackets of failed rows count as done.
+    ``errors``.  An end where |G| lies within its rounding bound is a root
+    within rounding, a grid node that landed on one: the sign of h there is
+    noise, so it is taken from the bracket and only the other end is
+    checked.  Where h changes sign across the estimate, that narrow bracket
+    is the result.  Returns (the extrema of the brackets done, the brackets
+    left unconfirmed); the brackets of failed rows count as done.
     """
     if todo.lo.size == 0:
         return _NO_EXTREMA, todo
     x = _newton(flux.at(todo.own), todo)
     ends, times, amps, bad = _confirm(rows, todo.lo, todo.hi, x, todo.rising, todo.own)
-    _fail(errors, todo.own[ends[0] == ends[1]],
-          "extremum bracket shows no sign change of d|A|/dt")
-    _fail(errors, todo.own[ends[1] != todo.rising],
+    flat, backward = ends[0] == ends[1], ends[1] != todo.rising
+    unsure = np.flatnonzero(flat | backward)
+    if unsure.size:
+        v = _node_data(flux.at(np.tile(todo.own[unsure], 2)),
+                       np.concatenate([todo.lo[unsure], todo.hi[unsure]]))
+        at_root = (np.abs(v[0]) <= v[2]).reshape(2, -1)
+        rising = todo.rising[unsure]
+        ends[:, unsure] = np.where(at_root, [~rising, rising], ends[:, unsure])
+        flat, backward = ends[0] == ends[1], ends[1] != todo.rising
+    _fail(errors, todo.own[flat], "extremum bracket shows no sign change of d|A|/dt")
+    _fail(errors, todo.own[backward],
           "extremum bracket: the kernel and the two-mode form disagree on the "
           "direction of d|A|/dt")
     bad &= ~_failed(errors)[todo.own]
@@ -442,7 +469,7 @@ def _amp_extrema(t_max: np.ndarray, rows: DerivedColumns, flux: _Flux,
                  gaps: np.ndarray, errors: list):
     """Refined times of the extrema of |A| on (0, t_max) of every row, their
     kinds and |A| there, from the rows' columns, two-mode table, initial gap
-    counts and ``errors`` (``_row_setup``).
+    counts and ``errors`` (``amplitude_extrema``).
 
     Brackets the sign changes of d|A|^2/dt with the certified finder on its
     two-mode form, starting from gaps of an eighth of the beat period
@@ -509,15 +536,16 @@ def _amp_extrema(t_max: np.ndarray, rows: DerivedColumns, flux: _Flux,
     return _take(ext, ~_failed(errors)[ext.owner])
 
 
-def _interval_data(t_max: np.ndarray, rows: DerivedColumns, flux: _Flux,
-                   gaps: np.ndarray, tails: np.ndarray, errors: list):
-    """Pair-independent interval skeleton of every row (its data as in
-    ``_amp_extrema``, and its tail |A(t_max)|): (starts, ends, xs, xe,
-    owner), the intervals of the rows without an error in (row, time)
-    order, with |A| at both ends and the row of each.  An interval still open at the horizon is truncated at
-    t_max; the missed tail is covered by the truncation bound of the measure.
+def _interval_data(t_max: np.ndarray, ext: _Extrema, tails: np.ndarray, errors: list):
+    """Pair-independent interval skeleton of every row (its horizon,
+    extrema, tail |A(t_max)| and ``errors`` as in ``_searched``; ``ext``
+    holds the extrema of the rows without an error): (starts, ends, xs, xe,
+    owner), their intervals in (row, time) order, with |A| at both ends and
+    the row of each.  An interval still open at the horizon is truncated at
+    t_max; the missed tail is covered by the truncation bound of the
+    measure.
     """
-    times, _, x, owner = _amp_extrema(t_max, rows, flux, gaps, errors)  # min, max, min, ...
+    times, _, x, owner = ext  # min, max, min, ...
     # a row left rising at the horizon ends at (t_max, |A(t_max)|); sorted
     # stably by row, every row then holds (min, max) pairs
     open_rows = np.flatnonzero(np.bincount(owner, minlength=len(errors)) % 2)
@@ -542,8 +570,8 @@ def _intervals(data, u: float, t_max: float) -> BackflowIntervals:
 def backflow_intervals(dp: DerivedParams, pair, t_max: float) -> BackflowIntervals:
     """Intervals of growing trace distance for the given antipodal pair."""
     t, rows = np.array([t_max], dtype=float), DerivedColumns.of([dp])
-    flux, gaps, tails, errors = _row_setup(rows, t)
-    data = _interval_data(t, rows, flux, gaps, tails, errors)
+    ext, tails, errors = _searched(rows, t)
+    data = _interval_data(t, ext, tails, errors)
     if errors[0] is not None:
         raise errors[0]
     return _intervals(data[:4], _pair_u(pair), t_max)
@@ -670,22 +698,43 @@ def _alpha(u: np.ndarray) -> np.ndarray:
     return np.arctan2(np.sqrt(1.0 - u), np.sqrt(u))
 
 
-def _row_setup(rows: DerivedColumns, t_max: np.ndarray):
-    """(flux, gaps, tails, errors) of the rows: their two-mode table
-    (``_Flux.of``), initial gaps of their extrema search to t_max, tails
-    |A(t_max)| and the pass's one list of row errors (None where a row has
-    none yet).
+def _searched(rows: DerivedColumns, t_max: np.ndarray):
+    """(extrema, tails, errors) of the rows: their certified extrema of |A|
+    on (0, t_max) (``amplitude_extrema``), their tails |A(t_max)| and the
+    pass's one list of row errors (None where a row has none yet).
 
     A row whose model constants overflow gets an ``OverflowError``, and one
-    whose t_max is not finite and > 0, or whose search would need more than
-    ``_MAX_GAPS`` initial gaps (``_gap_counts``), a ``ValidationError``.
-    None of them goes to the kernel, and its tail is NaN; so the kernel
-    phase |w| t_max of a searched row is at most 2^21 pi.  ``gaps`` is 0
-    for the rows not to search.
+    whose t_max is not finite and > 0, or whose search is over its budget, a
+    ``ValidationError``; none of them goes to the kernel, and its tail is
+    NaN.
     """
     errors = rows.errors()
     for i in np.flatnonzero(~((0.0 < t_max) & (t_max < math.inf)) & ~rows.overflow).tolist():
         errors[i] = ValidationError(f"t_max must be finite and > 0, got {t_max[i]}")
+    ext = amplitude_extrema(rows, t_max, errors)
+    live = np.flatnonzero(~_failed(errors))
+    tails = np.full(t_max.size, np.nan)
+    with np.errstate(over="ignore"):  # a decay exponent past -inf: |A| = 0, its limit
+        tails[live] = _abs_amplitude(rows, t_max[live], live)
+    return ext, tails, errors
+
+
+def amplitude_extrema(rows: DerivedColumns, t_max, errors: list) -> _Extrema:
+    """The certified extrema of |A| on (0, t_max[i]) of every row i that has
+    no error in ``errors``: the one entry point of the finder, for the BLP
+    pass and the geometric phase.
+
+    Each t_max of a row without an error must be finite and > 0
+    (``_searched`` checks the BLP horizons).  Builds the rows' two-mode
+    table (``_Flux.of``) and initial gaps (``_gap_counts``) and runs
+    ``_amp_extrema``.  A row whose search would need more than
+    ``_MAX_GAPS`` initial gaps gets a ``ValidationError`` in ``errors``
+    before any gap is made (so the kernel phase |w| t_max of a searched row
+    is at most 2^21 pi), and so does a row whose extrema fail their checks.
+    Returns ``_Extrema``: those of the rows left without an error, in (row,
+    time) order.
+    """
+    t_max = np.asarray(t_max, dtype=float)
     flux = _Flux.of(rows, ~_failed(errors))
     search = np.flatnonzero(flux.z.imag != 0.0)
     counts = _gap_counts(flux.at(search), t_max[search])
@@ -695,22 +744,21 @@ def _row_setup(rows: DerivedColumns, t_max: np.ndarray):
                                     f"over the budget of {_MAX_GAPS} per row")
     gaps = np.zeros(t_max.size, dtype=int)
     gaps[search[~over]] = np.maximum(counts[~over], 1.0)
-    live = np.flatnonzero(~_failed(errors))
-    tails = np.full(t_max.size, np.nan)
-    with np.errstate(over="ignore"):  # a decay exponent past -inf: |A| = 0, its limit
-        tails[live] = _abs_amplitude(rows, t_max[live], live)
-    return flux, gaps, tails, errors
+    return _amp_extrema(t_max, rows, flux, gaps, errors)
 
 
 def _measures(rows: DerivedColumns, t_maxes):
     """(gain, u, |A(t_max)|, interval skeleton, errors) of every row; see
     ``blp_measures``."""
     t = np.array(t_maxes, dtype=float)
-    flux, gaps, tails, errors = _row_setup(rows, t)
+    ext, tails, errors = _searched(rows, t)
     short = (tails >= TRUNCATION_EPS) & (t < 100.0 / rows.gamma)
-    _fail(errors, np.flatnonzero(short),
-          "t_max too small: require |A(t_max)| < 1e-4 or t_max >= 100/gamma")
-    starts, ends, xs, xe, owner = _interval_data(t, rows, flux, gaps, tails, errors)
+    if short.any():
+        _fail(errors, np.flatnonzero(short),
+              "t_max too small: require |A(t_max)| < 1e-4 or t_max >= 100/gamma")
+        ext = _take(ext, ~short[ext.owner])
+    starts, ends, xs, xe, owner = _interval_data(t, ext, tails, errors)
+    del ext  # the skeleton holds what the pair search needs
     gain, u = _max_gain(xs, xe, owner, t.size)
     failed = _failed(errors)
     gain[failed] = u[failed] = tails[failed] = np.nan

@@ -11,16 +11,21 @@ density matrix.  The integrand lies in [0, 1], so the raw value lies in
 needed.
 
 The spectral formulas are written once, elementwise in x = |A|^2 and theta
-(``_spectrum``).  ``eigensystem`` applies them to one time through the
-one-point amplitude.  ``geometric_phases`` integrates the rows of a whole
-sweep, given by their columns (``DerivedColumns``) and thetas, in one
-adaptive Simpson run: each level of every row goes to the integrand in one
-array call, where each node carries the constants (M, F, s+, theta) of its
-own row into ``amplitude._mode_form`` and ``_spectrum``.  Each row is still
-accepted or split on its own data, so its nodes and phase do not depend on
-the other rows; ``geometric_phase`` is its one-row view.
-``geometric_phase_detailed`` integrates one row alone with
-``adaptive_simpson`` and also returns the nodes, the same ones.
+(``_spectrum``): cos^2(Theta) = 1/2 + d / (2 gap).  ``eigensystem`` applies
+them to one time through the one-point amplitude.  ``geometric_phases``
+integrates the rows of a whole sweep, given by their columns
+(``DerivedColumns``) and thetas.  It first breaks each row's period into
+pieces on which the integrand is smooth (``_pieces``: the crossings of
+|A|^2 through 1 / (2 cos^2 theta), where it steps for small theta, graded
+around them and from t = 0, and the beats of |A|), with one batched
+extrema search for all rows, then integrates all pieces in one adaptive
+Gauss-Kronrod run (``quadrature.gauss_kronrod_many``): each slice of each
+level goes to the integrand in one array call, where each node carries the
+constants (M, F, s+, theta) of its own row into ``amplitude._mode_form``
+and ``_spectrum``, with a bound on its rounding.  Every stage is
+elementwise in the rows, so a row's pieces, nodes and phase do not depend
+on the other rows; ``geometric_phase`` and ``geometric_phase_detailed``
+(which also returns the nodes) are its one-row views.
 """
 
 from __future__ import annotations
@@ -31,13 +36,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .amplitude import _mode_form, amplitude_closed_form
-from .params import DerivedColumns, DerivedParams
-from .quadrature import adaptive_simpson, adaptive_simpson_many
+from .nonmarkov import _modes, amplitude_extrema, envelope_time
+from .params import DerivedColumns, DerivedParams, ValidationError
+from .quadrature import gauss_kronrod_many
 
 __all__ = ["EigenSystem", "eigensystem", "geometric_phase", "geometric_phase_detailed",
            "geometric_phases"]
 
 DEGENERACY_GAP = 1e-10
+_ROUNDING = 16 * np.finfo(float).eps
+_NEWTON_STEPS = 200  # cap on the steps of one crossing (bisection alone takes < 120)
+_NEGLIGIBLE = 1e-8  # |A| below which the integrand is within 1e-16 of its limit 0
+_MAX_BEATS = 2 ** 16  # pieces of one beat period of one row: its work budget
 
 
 @dataclass(frozen=True)
@@ -77,44 +87,46 @@ class EigenSystem:
 
 
 def _spectrum(x, theta):
-    """(gap, cos_theta_big) of the evolved state for x = |A|^2, elementwise
-    in (x, theta).
+    """(gap, cos^2(Theta), x d cos^2(Theta)/dx) of the evolved state for
+    x = |A|^2, elementwise in (x, theta).
 
-    With p = x cos^2(theta), d = 2p - 1 and the coherence
-    r = |sin(2 theta)| sqrt(x) / 2:
+    With d = 2 x cos^2(theta) - 1 and the squared coherence
+    c = x sin^2(2 theta) (4 r^2, r the coherence):
 
-        eps_+- = (1 +- gap) / 2,   gap = sqrt(4 r^2 + d^2),
-        cos(Theta) = q / sqrt(r^2 + q^2),   q = p - eps_- = (d + gap) / 2.
+        eps_+- = (1 +- gap) / 2,   gap = sqrt(c + d^2),
+        cos^2(Theta) = 1/2 + d / (2 gap) = (gap + d) / (2 gap),
 
-    For d < 0, q is evaluated as 2 r^2 / (gap - d), free of the cancellation
-    in d + gap, so it vanishes exactly with the coherence.  That 0/0 case
-    (r = q = 0, p <= 1/2: theta = 0 below |A|^2 = 1/2, zeros of A) is
-    resolved by continuity of the eigenprojector: the dominant eigenvector
-    is |B>, cos(Theta) = 0.  For d > 0, q >= d > 0 and no 0/0 arises.  A
-    NaN x (an amplitude that overflowed) gives NaN, not that limit.
+    for the dominant eigenvector cos(Theta)|A> + ...  For d < 0, gap + d is
+    evaluated as c / (gap - d), free of the cancellation, so cos^2(Theta)
+    vanishes exactly with the coherence.  Where gap = 0 (theta = 0 at
+    |A|^2 = 1/2, the one degenerate point) the eigenprojector is taken by
+    continuity from below: cos^2(Theta) = 0, so at theta = 0 the integrand
+    is the step 1[|A|^2 > 1/2].  A NaN x (an amplitude that overflowed)
+    gives NaN.  The sensitivity to x is
+    x d cos^2(Theta)/dx = (c / gap^2) (d + 2) / (4 gap), 0 where gap = 0.
     """
     x = np.asarray(x, dtype=float)
     s2 = np.sin(2.0 * theta)
     d = 2.0 * np.cos(theta) ** 2 * x - 1.0
-    r = 0.5 * np.abs(s2) * np.sqrt(x)
-    gap = np.sqrt(x * s2 * s2 + d * d)
+    c = x * s2 * s2
+    gap = np.sqrt(c + d * d)
     below = d < 0.0
-    q = np.where(below, 2.0 * r * r / np.where(below, gap - d, 1.0), 0.5 * (d + gap))
-    den = np.hypot(r, q)
-    live = ~(den <= 1e-150)
-    cos_big = np.where(live, q / np.where(live, den, 1.0), 0.0)
-    return gap, cos_big
+    flat = gap == 0.0
+    safe = np.where(flat, 1.0, gap)
+    cos2 = np.where(flat, 0.0, np.where(below, c / np.where(below, gap - d, 1.0), gap + d)
+                    / (2.0 * safe))
+    return gap, cos2, np.where(flat, 0.0, c / (safe * safe) * (d + 2.0) / (4.0 * safe))
 
 
 def eigensystem(dp: DerivedParams, theta: float, t: float) -> EigenSystem:
     """Eigendecomposition of the evolved superposition state at time t
     (formulas in ``_spectrum``)."""
     a = amplitude_closed_form(dp, t)
-    gap, cos_big = (float(v) for v in _spectrum(abs(a) ** 2, theta))
+    gap, cos2, _ = (float(v) for v in _spectrum(abs(a) ** 2, theta))
     return EigenSystem(
         eps_plus=0.5 * (1.0 + gap),
         eps_minus=0.5 * (1.0 - gap),
-        cos_theta_big=cos_big,
+        cos_theta_big=math.sqrt(cos2),
         offdiag_phase=(math.atan2(a.imag, a.real) if math.sin(2.0 * theta) >= 0
                        else math.atan2(-a.imag, -a.real)),
         degenerate=gap < DEGENERACY_GAP,
@@ -122,14 +134,17 @@ def eigensystem(dp: DerivedParams, theta: float, t: float) -> EigenSystem:
 
 
 def _cos2_rows(rows: DerivedColumns, thetas):
-    """cos^2(Theta(t)) of many rows as f(t, row): one kernel call per array,
-    each time with the constants of its own row (so |A| matches
-    ``amplitude_grid`` bit for bit)."""
+    """cos^2(Theta(t)) of many rows as f(t, row) -> (values, rounding bounds):
+    one kernel call per array, each time with the constants of its own row
+    (so |A| matches ``amplitude_grid`` bit for bit).  A value is bounded
+    within 16 eps (x |d cos^2(Theta)/dx| + 1) of the exact integrand at the
+    node, x = |A|^2 taken to 16 eps relative (``_spectrum``)."""
     theta = np.array(thetas, dtype=float)
 
     def f(t, row):
         A = _mode_form(rows.m_const[row], rows.f_const[row], t, rows.s_plus[row])
-        return _spectrum(np.abs(A) ** 2, theta[row])[1] ** 2
+        _, cos2, slope = _spectrum(np.abs(A) ** 2, theta[row])
+        return cos2, _ROUNDING * (slope + 1.0)
 
     return f
 
@@ -137,28 +152,189 @@ def _cos2_rows(rows: DerivedColumns, thetas):
 def _cos2_integrand(dp: DerivedParams, theta: float):
     """cos^2(Theta(t)) of one row over an array of times."""
     f = _cos2_rows(DerivedColumns.of([dp]), [theta])
-    return lambda t: f(np.asarray(t, dtype=float), np.zeros(np.shape(t), dtype=int))
+    return lambda t: f(np.asarray(t, dtype=float), np.zeros(np.shape(t), dtype=int))[0]
 
 
-def geometric_phases(rows: DerivedColumns, thetas, quad_tol: float = 1e-9):
-    """Phases of many rows, given by their columns and thetas, in one
-    quadrature, one integrand call per level.
+def _crossings(rows: DerivedColumns, lo, hi, own, level, above):
+    """Per bracket (lo, hi) of row ``own``, the time where x = |A|^2 crosses
+    ``level`` (falling through it where ``above``: x(lo) > level), and dx/dt
+    there.
 
-    Returns (phi_g, quad_err, errors): per row the phase and its error
-    estimate (NaN for a failed row), and the error that stopped the row or
-    None.  A row whose constants overflow or that has no finite dressed
-    period (``DerivedColumns.errors``) gets no quadrature; one whose
-    quadrature fails gets its ``QuadratureError``.  The others are
-    integrated over [0, 2 pi / omega_d] to quad_tol / omega_d, each
-    independent of the other rows.
+    Guarded Newton steps on x - level: each step narrows the bracket to the
+    side of the estimate, and a step that leaves the bracket is replaced by
+    its midpoint.  An estimate stops once a step moves it by at most 2 ulp,
+    each on its own data, so a crossing does not depend on the batch.
     """
+    t, slope = 0.5 * (lo + hi), np.zeros(lo.size)
+    active = np.arange(lo.size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            if active.size == 0:
+                break
+            r, ta = own[active], t[active]
+            A, dA = _mode_form(rows.m_const[r], rows.f_const[r], ta, rows.s_plus[r],
+                               rows.pref[r])
+            g = np.abs(A) ** 2 - level[active]
+            slope[active] = dx = 2.0 * (dA * np.conj(A)).real
+            past = (g > 0.0) != above[active]
+            a = lo[active] = np.where(past, lo[active], ta)
+            b = hi[active] = np.where(past, ta, hi[active])
+            step = ta - g / dx
+            step = np.where((step >= a) & (step <= b), step, 0.5 * (a + b))
+            t[active] = step
+            active = active[np.abs(step - ta) > 2.0 * np.spacing(ta)]
+    return t, slope
+
+
+def _runs(owner, start, step, count, doubling: bool):
+    """The points start + step 2^j (``doubling``) or start + step (j + 1),
+    j < count, of every run, and the owner of each."""
+    j = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    k = np.ldexp(1.0, j) if doubling else j + 1.0
+    return np.repeat(start, count) + np.repeat(step, count) * k, np.repeat(owner, count)
+
+
+def _doublings(room, width):
+    """How many of width, 2 width, 4 width, ... fit in room (0 where width
+    is not finite and > 0)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = room / width
+    ok = (ratio >= 1.0) & (ratio < math.inf)
+    return np.where(ok, np.floor(np.log2(np.where(ok, ratio, 1.0))) + 1.0, 0.0).astype(int)
+
+
+def _level_crossings(rows: DerivedColumns, theta, level, errors: list):
+    """(row, time, dx/dt) of every crossing of x = |A|^2 through ``level``
+    within the dressed period, in (row, time) order.
+
+    Only rows with theta < pi/4 have level < 1 = x(0).  Between two certified
+    extrema of |A| (``amplitude_extrema``), x is monotone, so each crossing
+    has a bracket of its own, which ``_crossings`` refines.  The search stops
+    at the period, or where the envelope of |A| falls below sqrt(level)
+    (``envelope_time``), past which no crossing lies.  A row whose extrema
+    search fails gets its error in ``errors``.
+    """
+    search = np.flatnonzero(theta < 0.25 * math.pi)
+    rows = rows.at(search)
+    horizon = np.minimum(2.0 * math.pi / rows.omega_d,
+                         envelope_time(rows, np.sqrt(level[search])))
+    found: list = [None] * search.size
+    ext = amplitude_extrema(rows, horizon, found)
+    for j in np.flatnonzero([e is not None for e in found]).tolist():
+        errors[search[j]] = found[j]
+    # the ends of the monotone pieces of |A|: 0, the extrema and the horizon
+    m = search.size
+    t = np.concatenate([np.zeros(m), ext.times, horizon])
+    own = np.concatenate([np.arange(m), ext.owner, np.arange(m)])
+    x = np.concatenate([np.ones(m), ext.amps ** 2, np.abs(_mode_form(
+        rows.m_const, rows.f_const, horizon, rows.s_plus)) ** 2])
+    order = np.lexsort((t, own))
+    order = order[[found[i] is None for i in own[order].tolist()]]
+    t, own, x = t[order], own[order], x[order]
+    above = x > level[search][own]
+    b = np.flatnonzero((own[1:] == own[:-1]) & (above[1:] != above[:-1]))
+    cross, slope = _crossings(rows, t[b], t[b + 1], own[b], level[search][own[b]], above[b])
+    return search[own[b]], cross, slope
+
+
+def _pieces(rows: DerivedColumns, theta: np.ndarray, errors: list):
+    """(lo, hi, owner): the pieces of [0, 2 pi / omega_d] of every row
+    without an error in ``errors``, in (row, time) order.
+
+    The integrand is analytic in t except near a crossing c of
+    x = |A|^2 = K = 1 / (2 cos^2 theta) (``_level_crossings``), where d
+    changes sign and, for small theta, cos^2(Theta) steps from 1 to 0 over a
+    time eps = |sin 2 theta| sqrt(K) / |d'| (d' = 2 cos^2(theta) dx/dt): a
+    true step at theta = 0.  So the pieces break at
+
+    - every crossing c, and c +- eps 2^j around it (eps at least 4 ulp of c;
+      none at theta = 0, where the step is exact), out to half the way to
+      its neighbours;
+    - tau 2^j from t = 0, tau = 1 / max(|s+|, |s-|) the fastest time scale
+      of A, out to half the way to the first crossing or the period, so that
+      a transient short against the period meets nodes;
+    - every beat period 2 pi / |w| of |A| (w = Im F / 2), until the envelope
+      of |A| falls below 1e-8 (``envelope_time``), where the integrand is
+      within 1e-16 of its limit 0: a piece over many beats can fool the
+      error estimate.  A row that needs more than ``_MAX_BEATS`` of them
+      gets a ``ValidationError`` in ``errors``.
+
+    A row whose crossings cannot be found gets that error and no pieces.
+    """
+    live = np.flatnonzero([e is None for e in errors])
+    rows, theta = rows.at(live), theta[live]
+    n, found = live.size, [None] * live.size
+    period = 2.0 * math.pi / rows.omega_d
+    c2 = np.cos(theta) ** 2
+    level = 0.5 / c2
+    own, cross, slope = _level_crossings(rows, theta, level, found)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        eps = np.abs(np.sin(2.0 * theta[own])) * np.sqrt(level[own]) / np.abs(
+            2.0 * c2[own] * slope)
+        _, _, s_minus = _modes(rows.m_const, rows.f_const, rows.s_plus)
+        beat = 2.0 * math.pi / np.abs(0.5 * rows.f_const.imag)
+    eps = np.where(eps > 0.0, np.maximum(eps, 4.0 * np.spacing(cross)), np.nan)
+    tau = 1.0 / np.maximum(np.abs(rows.s_plus), np.abs(s_minus))
+    beats = np.floor(np.minimum(period, envelope_time(rows, _NEGLIGIBLE)) / beat)
+    for i in np.flatnonzero(beats > _MAX_BEATS).tolist():
+        found[i] = ValidationError(f"the phase needs {beats[i]:.0f} pieces of one beat "
+                                   f"period, over the budget of {_MAX_BEATS} per row")
+    beats = np.where(beats > _MAX_BEATS, 0, beats).astype(int)
+    # each crossing's neighbours: the crossings next to it, 0 and the period
+    # (the crossings come in (row, time) order, which the sort keeps)
+    t = np.concatenate([np.zeros(n), cross, period])
+    o = np.concatenate([np.arange(n), own, np.arange(n)])
+    order = np.lexsort((t, o))
+    at = np.flatnonzero((order >= n) & (order < n + cross.size))
+    ends = t[order]
+    left = _doublings(0.5 * (ends[at] - ends[at - 1]), eps)
+    right = _doublings(0.5 * (ends[at + 1] - ends[at]), eps)
+    head = _doublings(0.5 * ends[np.searchsorted(o[order], np.arange(n)) + 1], tau)
+    every, zero = np.arange(n), np.zeros(n)
+    t, o = (np.concatenate(col) for col in zip(
+        (t, o), _runs(own, cross, -eps, left, True), _runs(own, cross, eps, right, True),
+        _runs(every, zero, tau, head, True), _runs(every, zero, beat, beats, False)))
+    order = np.lexsort((t, o))
+    order = order[t[order] <= period[o[order]]]  # an even point may round past the period
+    t, o = t[order], o[order]
+    for i in np.flatnonzero([e is not None for e in found]).tolist():
+        errors[live[i]] = found[i]
+    ok = np.array([e is None for e in found], dtype=bool)[o]
+    piece = np.flatnonzero((o[1:] == o[:-1]) & (t[1:] > t[:-1]) & ok[:-1])
+    return t[piece], t[piece + 1], live[o[piece]]
+
+
+def _phases(rows: DerivedColumns, thetas, quad_tol, integrand):
+    """(phi_g, quad_err, errors) of the rows by ``gauss_kronrod_many`` on
+    their pieces (``_pieces``), with ``integrand`` as f; see
+    ``geometric_phases``."""
+    theta = np.array(thetas, dtype=float)
     errors = rows.errors(period=True)
-    # a row without a phase gets tolerance 0: no quadrature, no integrand call
-    w = np.where(rows.overflow | rows.no_period, np.inf, rows.omega_d)
-    val, err, failures = adaptive_simpson_many(
-        _cos2_rows(rows, thetas), np.zeros_like(w), 2.0 * math.pi / w, quad_tol / w)
+    lo, hi, owner = _pieces(rows, theta, errors)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        tol = np.broadcast_to(np.asarray(quad_tol, dtype=float) / rows.omega_d, theta.shape)
+    val, err, failures = gauss_kronrod_many(integrand, lo, hi, owner, tol)
     errors = [e or failure for e, failure in zip(errors, failures)]
+    failed = np.array([e is not None for e in errors], dtype=bool)
+    val[failed] = err[failed] = np.nan
     return rows.omega_d * val, rows.omega_d * err, errors
+
+
+def geometric_phases(rows: DerivedColumns, thetas, quad_tol=1e-9):
+    """Phases of many rows, given by their columns and thetas, in one
+    quadrature on the pieces of their periods (``_pieces``).
+
+    ``quad_tol`` is one tolerance for all rows or one per row, in units of
+    the phase.  Returns (phi_g, quad_err, errors): per row the phase and its
+    error estimate (NaN for a failed row), and the error that stopped the
+    row or None.  A row whose constants overflow or that has no finite
+    dressed period (``DerivedColumns.errors``) gets no quadrature; one whose
+    extrema search fails gets its ``ValidationError``, and one whose
+    quadrature fails its ``QuadratureError``.  The others are integrated
+    over [0, 2 pi / omega_d] to quad_tol / omega_d, each independent of the
+    other rows.
+    """
+    return _phases(rows, thetas, quad_tol, _cos2_rows(rows, thetas))
 
 
 def geometric_phase(dp: DerivedParams, theta: float, quad_tol: float = 1e-9) -> float:
@@ -173,13 +349,19 @@ def geometric_phase(dp: DerivedParams, theta: float, quad_tol: float = 1e-9) -> 
 
 def geometric_phase_detailed(dp: DerivedParams, theta: float,
                              quad_tol: float = 1e-9):
-    """(value, error_estimate, nodes): the phase of one row by
-    ``adaptive_simpson``, equal to ``geometric_phase``'s bit for bit.  The
-    quadrature nodes are exposed so the spectral decomposition can be
-    re-verified at every point the integral actually touched."""
-    if (exc := DerivedColumns.of([dp]).errors(period=True)[0]) is not None:
-        raise exc
-    value, err, nodes = adaptive_simpson(_cos2_integrand(dp, theta), 0.0,
-                                         2.0 * math.pi / dp.omega_d,
-                                         quad_tol / dp.omega_d)
-    return dp.omega_d * value, dp.omega_d * err, nodes
+    """(value, error_estimate, nodes): the one-row view of
+    ``geometric_phases``, equal to ``geometric_phase`` bit for bit, raising
+    the row's error.  The quadrature nodes are exposed so the spectral
+    decomposition can be re-verified at every point the integral actually
+    touched."""
+    rows = DerivedColumns.of([dp])
+    f, calls = _cos2_rows(rows, [theta]), [np.empty(0)]
+
+    def recorded(t, row):
+        calls.append(t)
+        return f(t, row)
+
+    phi, err, errors = _phases(rows, [theta], quad_tol, recorded)
+    if errors[0] is not None:
+        raise errors[0]
+    return float(phi[0]), float(err[0]), np.concatenate(calls)

@@ -1,29 +1,31 @@
-"""Adaptive Simpson quadrature of many integrals at once.
+"""Adaptive Gauss-Kronrod quadrature of many integrals at once, on given pieces.
 
 Used for the geometric phase, where a whole sweep of rows is integrated
-together.  Cross-checked against scipy.integrate.quad in the tests.
+together, each row on its own pieces.  Cross-checked against
+scipy.integrate.quad in the tests.
 
-``adaptive_simpson_many`` integrates f over [a_i, b_i] to tol_i for every i.
-The intervals are processed level by level: every interval pending at one
-depth, across all integrals, goes to the integrand in one array call
-``f(x, owner)``, where ``owner`` holds the index of the integral each
-abscissa belongs to.  An interval at depth k of integral i has the
-tolerance ``tol_i / 2^k``, and each interval is accepted or split on its
-own data alone, so every integral's nodes are those of the classic
-depth-first recursion; only the order of summation differs.
-``adaptive_simpson`` is the one-integral view; it also returns the
-abscissae its integrand was called with, so a caller can re-verify the
-integrand at every node (the tests do, for the geometric phase).
+``gauss_kronrod_many`` integrates f over the pieces of every integral.  Each
+interval takes the 15-point Kronrod sum K and the 7-point Gauss sum G on its
+nodes (QUADPACK's ``qk15``: Piessens et al., QUADPACK (1983)).  The
+intervals are processed level by level: every interval pending at one depth,
+across all integrals, goes to the integrand in slices of at most ``_SLICE``
+intervals, one array call ``f(x, owner)`` per slice, where ``owner`` holds
+the index of the integral each abscissa belongs to.  f returns its values
+and a bound on the rounding error of each.  An interval of width w of
+integral i is accepted when |K - G| is at most its share ``tol_i w / L_i``
+of the tolerance (L_i the total width of the integral's pieces), or at most
+the rounding of K - G that the bounds allow; otherwise it is halved.  Each
+interval is judged on its own data alone, and each integral's accepted
+sums are added once, in the order the levels produced them, so an integral's
+value, nodes and failure do not depend on the other integrals or on the
+slicing.  ``gauss_kronrod`` is the one-integral view; it also returns the
+abscissae its integrand was called with.
 
-A rejected interval whose tolerance lies below the rounding of its own
-Simpson sums, ``15 s_tol < 16 eps (|S_left| + |S_right|)``, fails its
-integral at once.  Both sides of that test halve with each split, so its
-children would meet the same test, and the differences they are accepted
-on would be rounding noise.  Without the floor, a tolerance below it splits
-each level in two until ``_MAX_DEPTH``: unbounded time depth first,
-unbounded memory level by level; so an interval whose Simpson sums are
-not finite fails its integral at once too.  A failed integral records its
-``QuadratureError`` and stops splitting; the others go on.
+An integral fails, records its ``QuadratureError`` and stops splitting,
+while the others go on, when one of its intervals has sums that are not
+finite, when one is still rejected after ``_MAX_DEPTH`` halvings, or when
+the |K - G| of its intervals accepted on rounding alone add up to more than
+its tolerance: the tolerance lies below the rounding floor of its sums.
 """
 
 from __future__ import annotations
@@ -32,122 +34,139 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["QuadratureError", "adaptive_simpson", "adaptive_simpson_many"]
+__all__ = ["QuadratureError", "gauss_kronrod", "gauss_kronrod_many"]
 
 _EPS = np.finfo(float).eps
 _MAX_DEPTH = 60  # halvings of an interval before its integral fails
+_SLICE = 420  # intervals per integrand call: 6,300 nodes
+
+# the 15 Kronrod nodes on [-1, 1], their weights, and the weights of the
+# 7-point Gauss rule on the odd ones (0 on the others)
+_XK = np.array([0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+                0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+                0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+                0.207784955007898467600689403773245, 0.0])
+_WK = np.array([0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+                0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+                0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+                0.204432940075298892414161999234649, 0.209482141084727828012999174891714])
+_WG = np.array([0.0, 0.129484966168869693270611432679082, 0.0,
+                0.279705391489276667901467771423780, 0.0,
+                0.381830050505118944950369775488975, 0.0,
+                0.417959183673469387755102040816327])
+_X = np.concatenate([-_XK[:-1], _XK[::-1]])
+_W_K = np.concatenate([_WK[:-1], _WK[::-1]])
+_W_G = np.concatenate([_WG[:-1], _WG[::-1]])
 
 
 class QuadratureError(RuntimeError):
     """Requested tolerance not reached within the subdivision budget."""
 
 
-def _settle(level, owner, mids, f_mids, depth: int, values, errors, failures):
-    """Accept or split every pending interval of one depth.
-
-    ``level`` holds one column per interval (x0, xm, x1, f0, fm, f1, whole,
-    s_tol), ``mids`` and ``f_mids`` the midpoints of the left halves, then
-    of the right halves, and f there.  Adds the accepted intervals to
-    ``values`` and ``errors``, records the failures of this depth, and
-    returns the next level and its owners.
-    """
-    n = values.size
-    x0, xm, x1, f0, fm, f1, whole, s_tol = level
-    lm, rm = mids.reshape(2, -1)
-    flm, frm = f_mids.reshape(2, -1)
-    # each half keeps its own width: a shared one is off by an ulp of x
-    s_left = (xm - x0) / 6.0 * (f0 + 4.0 * flm + fm)
-    s_right = (x1 - xm) / 6.0 * (fm + 4.0 * frm + f1)
-    delta = s_left + s_right - whole
-    done = np.abs(delta) <= 15.0 * s_tol
-    values += np.bincount(owner[done], s_left[done] + s_right[done]
-                          + delta[done] / 15.0, n)
-    errors += np.bincount(owner[done], np.abs(delta[done]), n) / 15.0
-    split = ~done
-    if depth >= _MAX_DEPTH:
-        bad = split
-    else:
-        floor = 16.0 * _EPS * (np.abs(s_left) + np.abs(s_right))
-        bad = split & ((15.0 * s_tol < floor) | ~np.isfinite(delta))
-    if bad.any():
-        # the first offending interval of each integral names its failure
-        culprits, first_bad = np.unique(owner[bad], return_index=True)
-        for k, i in zip(culprits.tolist(), np.flatnonzero(bad)[first_bad].tolist()):
-            if depth >= _MAX_DEPTH:
-                msg = (f"max depth {_MAX_DEPTH} reached on [{x0[i]}, {x1[i]}] "
-                       f"with residual {abs(delta[i]):.3e}")
-            elif not np.isfinite(delta[i]):
-                msg = f"Simpson sums on [{x0[i]}, {x1[i]}] are not finite"
-            else:
-                msg = (f"tolerance {s_tol[i]:.3e} on [{x0[i]}, {x1[i]}] is below "
-                       f"the rounding floor {floor[i] / 15.0:.3e} of its "
-                       f"Simpson sums")
-            failures[k] = QuadratureError(msg)
-        split &= ~np.isin(owner, culprits)
-    # the left halves of the split intervals, then their right halves
-    keep = np.flatnonzero(split)
-    level = np.array([np.concatenate([u[keep], v[keep]]) for u, v in (
-        (x0, xm), (lm, rm), (xm, x1), (f0, fm), (flm, frm), (fm, f1),
-        (s_left, s_right), (0.5 * s_tol, 0.5 * s_tol))])
-    return level, np.concatenate([owner[keep], owner[keep]])
+def _sums(lo, hi, fx, bar):
+    """(K, G, rounding) of intervals, fx and bar shaped (15, intervals):
+    the Kronrod and Gauss sums and the bound on the rounding of K - G.
+    Each is accumulated node by node, elementwise in the intervals."""
+    h = 0.5 * (hi - lo)
+    k = g = r = 0.0
+    for j in range(15):
+        k = k + _W_K[j] * fx[j]
+        g = g + _W_G[j] * fx[j]
+        r = r + abs(_W_K[j] - _W_G[j]) * bar[j]
+    return h * k, h * g, h * r
 
 
-def adaptive_simpson_many(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                          a, b, tol):
-    """Integrate f over [a_i, b_i] to absolute tolerance tol_i for every i.
+def _failures(failures, owner, bad, message):
+    """Record ``message(i)`` for the owner of each interval i in ``bad``
+    whose integral has no failure yet (its first such interval names it)."""
+    for i in np.flatnonzero(bad).tolist():
+        if failures[owner[i]] is None:
+            failures[owner[i]] = QuadratureError(message(i))
+
+
+def gauss_kronrod_many(f: Callable, lo, hi, owner, tol):
+    """Integrate f over the pieces (lo_j, hi_j) of integral owner_j, to the
+    absolute tolerance tol_i of each integral i.
 
     f takes an array of abscissae and the array of their integral indices
-    and returns the array of its values.  Returns (values, error_estimates,
-    failures): float arrays with NaN for a failed integral, and per
-    integral the ``QuadratureError`` that stopped it, or None.
+    and returns (values, bounds on their rounding errors), arrays of their
+    shape.  Returns (values, error_estimates, failures): float arrays with
+    NaN for a failed integral, and per integral the ``QuadratureError`` that
+    stopped it, or None.  An error estimate is the sum over its intervals of
+    |K - G| plus the rounding of K - G: an estimate, not a bound.
     """
-    a, b, tol = (np.array(v, dtype=float, ndmin=1) for v in (a, b, tol))
-    n = a.size
-    values, errors = np.zeros(n), np.zeros(n)
+    lo, hi, tol = (np.array(v, dtype=float, ndmin=1) for v in (lo, hi, tol))
+    owner = np.array(owner, dtype=int, ndmin=1)
+    n = tol.size
     failures: list[QuadratureError | None] = [None] * n
     for i in np.flatnonzero(~(tol > 0)).tolist():
         failures[i] = QuadratureError(f"tol must be > 0, got {tol[i]}")
-    owner = np.flatnonzero((tol > 0) & (a != b))
-    if owner.size:
-        x0, x1 = a[owner], b[owner]
-        xm = 0.5 * (x0 + x1)
-        f0, fm, f1 = np.asarray(f(np.concatenate([x0, xm, x1]), np.tile(owner, 3)),
-                                dtype=float).reshape(3, -1)
-        # one column per pending interval: x0, xm, x1, f0, fm, f1, whole, s_tol
-        level = np.array([x0, xm, x1, f0, fm, f1,
-                          (x1 - x0) / 6.0 * (f0 + 4.0 * fm + f1), tol[owner]])
-
+    with np.errstate(divide="ignore", invalid="ignore"):  # integrals without pieces
+        share = tol / np.bincount(owner, hi - lo, n)  # tolerance per unit width
+    keep = (tol > 0)[owner] & (hi > lo)
+    level = [lo[keep], hi[keep], owner[keep]]
+    accepted = []  # (owner, value, estimate, rounding-only estimate) per slice
     depth = 0
-    while owner.size:
-        x0, xm, x1 = level[:3]
-        mids = np.concatenate([0.5 * (x0 + xm), 0.5 * (xm + x1)])
-        both = np.concatenate([owner, owner])
-        # only the pending level is held while the integrand runs
-        level, owner = _settle(level, owner, mids, np.asarray(f(mids, both), dtype=float),
-                               depth, values, errors, failures)
+    while level[0].size:
+        split = []
+        for s in range(0, level[0].size, _SLICE):
+            a, b, own = (col[s:s + _SLICE] for col in level)
+            mid, half = 0.5 * (a + b), 0.5 * (b - a)
+            x = mid + half * _X[:, None]
+            fx, bar = (np.asarray(v, dtype=float).reshape(15, -1)
+                       for v in f(x.ravel(), np.tile(own, 15)))
+            k, g, rounding = _sums(a, b, fx, bar)
+            diff = np.abs(k - g)
+            by_tol = diff <= share[own] * (b - a)
+            done = by_tol | (diff <= rounding)
+            if depth >= _MAX_DEPTH:
+                _failures(failures, own, ~done, lambda i: (
+                    f"max depth {_MAX_DEPTH} reached on [{a[i]}, {b[i]}] "
+                    f"with residual {diff[i]:.3e}"))
+            _failures(failures, own, ~np.isfinite(diff), lambda i: (
+                f"Gauss-Kronrod sums on [{a[i]}, {b[i]}] are not finite"))
+            accepted.append((own[done], k[done], (diff + rounding)[done],
+                             np.where(by_tol, 0.0, diff)[done]))
+            more = ~done & np.isfinite(diff)
+            split.append((a[more], mid[more], b[more], own[more]))
+        # the left halves of the split intervals, then their right halves
+        a, mid, b, own = (np.concatenate(col) for col in zip(*split))
+        live = np.array([e is None for e in failures], dtype=bool)[own]
+        level = [np.concatenate([a[live], mid[live]]), np.concatenate([mid[live], b[live]]),
+                 np.concatenate([own[live], own[live]])]
         depth += 1
 
+    own, k, est, floor = (np.concatenate(col) for col in zip(
+        (np.empty(0, dtype=int), np.empty(0), np.empty(0), np.empty(0)), *accepted))
+    values, errors, floors = (np.bincount(own, col, n).astype(float) for col in (k, est, floor))
+    for i in np.flatnonzero(floors > tol).tolist():
+        if failures[i] is None:
+            failures[i] = QuadratureError(
+                f"tolerance {tol[i]:.3e} is below the rounding floor {floors[i]:.3e} "
+                f"of its Gauss-Kronrod sums")
     failed = np.array([e is not None for e in failures], dtype=bool)
     values[failed] = errors[failed] = np.nan
     return values, errors, failures
 
 
-def adaptive_simpson(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-                     tol: float = 1e-9):
+def gauss_kronrod(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
+                  tol: float = 1e-9):
     """Integrate f over [a, b] to absolute tolerance tol.
 
-    f takes an array of abscissae and returns the array of its values.
-    Returns (value, error_estimate, nodes) where nodes is the array of all
-    abscissae at which f was evaluated, in evaluation order.  Raises
-    ``QuadratureError`` where ``adaptive_simpson_many`` records one.
+    f takes an array of abscissae and returns the array of its values, each
+    taken to be exact to 16 eps relative.  Returns (value, error_estimate,
+    nodes) where nodes is the array of all abscissae at which f was
+    evaluated, in evaluation order.  Raises ``QuadratureError`` where
+    ``gauss_kronrod_many`` records one.
     """
     calls = [np.empty(0)]
 
     def recorded(x, _):
         calls.append(x)
-        return f(x)
+        fx = np.asarray(f(x), dtype=float)
+        return fx, 16.0 * _EPS * np.abs(fx)
 
-    values, errors, failures = adaptive_simpson_many(recorded, a, b, tol)
+    values, errors, failures = gauss_kronrod_many(recorded, [a], [b], [0], [tol])
     if failures[0] is not None:
         raise failures[0]
     return float(values[0]), float(errors[0]), np.concatenate(calls)

@@ -290,13 +290,17 @@ def _sweep_table(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray]:
 
 def _gp_rows(sweeps: list, table: np.ndarray, rows: DerivedColumns):
     """(observables, status) of each gp sweep (spec, its columns of the table
-    and ``rows``), one quadrature each, as it holds its deepest level at
-    once.  A failed row reads NaN, which its block labels invalid, unless it
-    has no period: ``undefined-period``."""
-    for spec, part in sweeps:
-        phi, err, _ = geometric_phases(rows.at(part), table[-1, part], spec.quad_tol)
-        period = rows.no_period[part] & ~rows.overflow[part]
-        yield {"phi_g": phi, "quad_err": err}, np.where(period, "undefined-period", "ok")
+    and ``rows``), all in one quadrature, each row to its sweep's tolerance.
+    A failed row reads NaN, which its block labels invalid, unless it has no
+    period: ``undefined-period``."""
+    sizes = [part.stop - part.start for _, part in sweeps]
+    index = np.r_[tuple(part for _, part in sweeps)]
+    tol = np.repeat([spec.quad_tol for spec, _ in sweeps], sizes)
+    phi, err, _ = geometric_phases(rows.at(index), table[-1, index], tol)
+    period = rows.no_period[index] & ~rows.overflow[index]
+    status = np.where(period, "undefined-period", "ok")
+    for cols in zip(*(np.split(col, np.cumsum(sizes)[:-1]) for col in (phi, err, status))):
+        yield {"phi_g": cols[0], "quad_err": cols[1]}, cols[2]
 
 
 def _blp_rows(sweeps: list, table: np.ndarray, rows: DerivedColumns):
@@ -585,8 +589,8 @@ def figure_preset(name: str, outdir) -> dict:
 
     The panels are read from ``_PRESETS``, the table built once at import.
     The blocks of all the preset's curves come from one ``_blocks``, so
-    its ``blp`` curves share one batched pass, each ``gp`` curve keeps
-    its own quadrature and curves with one series share it; a panel's
+    its ``blp`` curves share one batched pass, its ``gp`` curves one
+    quadrature, and curves with one series share it; a panel's
     curves go to one CSV file, and each coordinate column is formatted
     once per figure.  Returns
     {"files": [paths...], "manifest": path, "n_failed": int}.

@@ -80,26 +80,27 @@ def lgi_series(dp: DerivedParams, theta: float, taus) -> tuple[np.ndarray, np.nd
     3 tau and 3 tau - 2 tau (A(0) = 1): one kernel call for the whole
     array.  Each correlator is the formula of ``two_time_correlation``,
     elementwise.  The steps must be finite and >= 0; a derived step that
-    overflows gives non-finite values.  Returns (c3, c4), shaped like
-    ``taus``.
+    overflows gives NaN cells, with no numpy warning.  Returns (c3, c4),
+    shaped like ``taus``.
     """
     taus = _as_times(taus)
     cos2, sin2 = math.cos(theta) ** 2, math.sin(theta) ** 2
     # 3 tau - 2 tau rounds away from tau; C(2t, 3t) is taken at that step
-    t3 = 3 * taus
-    times = np.stack([taus, 2 * taus, t3, t3 - 2 * taus])
-    A1, A2, A3, A23 = _mode_form(dp.m_const, dp.f_const, times, dp.s_plus)
-    P1, P2, P3, P23 = np.exp(-1j * dp.omega_d * times)
+    with np.errstate(over="ignore", invalid="ignore"):
+        t3 = 3 * taus
+        times = np.stack([taus, 2 * taus, t3, t3 - 2 * taus])
+        A1, A2, A3, A23 = _mode_form(dp.m_const, dp.f_const, times, dp.s_plus)
+        P1, P2, P3, P23 = np.exp(-1j * dp.omega_d * times)
 
-    def corr(a_j, a_i, a_s, phase):
-        return ((cos2 * a_j * np.conj(a_i) + sin2 * a_s) * phase).real
+        def corr(a_j, a_i, a_s, phase):
+            return ((cos2 * a_j * np.conj(a_i) + sin2 * a_s) * phase).real
 
-    c01 = corr(A1, 1.0, A1, P1)
-    c12 = corr(A2, A1, A1, P1)
-    c02 = corr(A2, 1.0, A2, P2)
-    c23 = corr(A3, A2, A23, P23)
-    c03 = corr(A3, 1.0, A3, P3)
-    return c01 + c12 - c02, c01 + c12 + c23 - c03
+        c01 = corr(A1, 1.0, A1, P1)
+        c12 = corr(A2, A1, A1, P1)
+        c02 = corr(A2, 1.0, A2, P2)
+        c23 = corr(A3, A2, A23, P23)
+        c03 = corr(A3, 1.0, A3, P3)
+        return c01 + c12 - c02, c01 + c12 + c23 - c03
 
 
 def lgi_c3(dp: DerivedParams, theta: float, tau: float) -> LgiResult:

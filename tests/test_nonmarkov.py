@@ -19,10 +19,9 @@ from drivenqubit import nonmarkov
 from drivenqubit import amplitude
 from drivenqubit.amplitude import (amplitude_closed_form, amplitude_derivative,
                                    amplitude_grid)
-from drivenqubit.nonmarkov import (_amp_extrema, _bisect, _cat, _Flux,
-                                   _flux_brackets, _flux_form, _max_gain, _refine,
-                                   _row_setup, _search_horizon, _split, _take,
-                                   _Todo, blp_measures)
+from drivenqubit.nonmarkov import (_bisect, _cat, _Flux, _flux_brackets, _flux_form,
+                                   _max_gain, _refine, _search_horizon, _split, _take,
+                                   _Todo, amplitude_extrema, blp_measures)
 from drivenqubit.params import DerivedColumns, derive_columns
 from drivenqubit import sweeps
 from drivenqubit.sweeps import (SweepAxis, SweepSpec, _preset_table, _sweep_table,
@@ -39,8 +38,8 @@ def _extrema(dp, t_max):
     """(times, kinds, |A|) of one row from the batched finder; raises the
     row's error."""
     t, rows = np.array([t_max]), DerivedColumns.of([dp])
-    flux, gaps, _, errors = _row_setup(rows, t)
-    times, kinds, amps, _ = _amp_extrema(t, rows, flux, gaps, errors)
+    errors = rows.errors()
+    times, kinds, amps, _ = amplitude_extrema(rows, t, errors)
     if errors[0] is not None:
         raise errors[0]
     return times, kinds, amps
@@ -785,6 +784,19 @@ def test_decoupled_qubit_has_no_extrema():
                                             math.hypot(0.01, 200.0), complex(-0.01, 200.0))))
     found = _brackets(zero, np.linspace(0, 100, 101), np.zeros(101, dtype=int))
     assert found.lo.size == 0 and found.hi.size == 0
+
+
+def test_grid_nodes_on_roots_of_the_slope_do_not_fail_the_row():
+    # undriven resonant lam = 1: w = 1 and G = -1/2 + (cos t - sin t)/2, whose
+    # roots 2 pi m and 3 pi/2 + 2 pi m are nodes of the eighth-of-a-beat grid
+    # to t_max 8 pi; the sign of G there is rounding noise.  A hair longer
+    # horizon moves the nodes off the roots and gives the same measure
+    p = SystemParams(lam=1.0)
+    on_nodes = blp_measure(p, 8.0 * math.pi)
+    off_nodes = blp_measure(p, 8.0 * math.pi * (1.0 + 1e-12))
+    assert abs(on_nodes.n_measure - off_nodes.n_measure) <= 1e-11
+    assert abs(on_nodes.n_measure - 0.0451655478555) <= 1e-11
+    assert len(on_nodes.intervals.intervals) == len(off_nodes.intervals.intervals) == 4
 
 
 def _mp_constants(mpmath, p):

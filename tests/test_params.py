@@ -14,7 +14,7 @@ except ImportError:  # only the property test needs hypothesis (the `test` extra
 from drivenqubit import (DerivedParams, SpectralDensity, SystemParams, ValidationError,
                          derive, kernel, spectral_density)
 from drivenqubit.params import derive_columns
-from drivenqubit.quadrature import adaptive_simpson
+from drivenqubit.quadrature import gauss_kronrod
 
 
 def test_derive_resonant_drive():
@@ -115,7 +115,7 @@ def test_spectral_weight_matches_kernel_at_zero_delay():
     p = SystemParams(lam=0.25, omega_rabi=0.7, delta_qc=0.4, delta_cav=0.1)
     dp = derive(p)
     sd = SpectralDensity.from_params(p)
-    val, _, _ = adaptive_simpson(
+    val, _, _ = gauss_kronrod(
         lambda w: spectral_density(sd, w), -400 * p.lam, 400 * p.lam, tol=1e-12)
     # the missing Lorentzian tails are ~1/(200 pi) of the total
     assert val == pytest.approx(kernel(dp, 0.0).real, rel=2e-3)

@@ -77,17 +77,18 @@ def test_blp_sweep_monotone_in_width():
 
 
 def test_gp_failed_row_leaves_its_neighbours_untouched():
-    # at theta = 0 the integrand is 1 throughout, so even tol 1e-300 is met;
-    # the other rows fall below the rounding floor of their integrals
+    # at theta = pi/2 the integrand is below 1e-31 throughout, so even tol
+    # 1e-30 is met; the other rows fall below the rounding floor of their
+    # integrals, some 1e-15
     spec = SweepSpec("gp", SystemParams(lam=0.1, omega_rabi=0.3),
-                     SweepAxis("theta", 0.0, math.pi / 2, 3), quad_tol=1e-300)
+                     SweepAxis("theta", 0.0, math.pi / 2, 3), quad_tol=1e-30)
     table, summary = run_sweep(spec)
     rows = table.rows()
-    assert [r["status"] for r in rows] == ["ok", "invalid", "invalid"]
+    assert [r["status"] for r in rows] == ["invalid", "invalid", "ok"]
     dp = derive(SystemParams(lam=0.1, omega_rabi=0.3))
-    phi, err, _ = geometric_phase_detailed(dp, 0.0, 1e-300)
-    assert (rows[0]["phi_g"], rows[0]["quad_err"]) == (phi, err)
-    assert all(r["phi_g"] is r["quad_err"] is None for r in rows[1:])
+    phi, err, _ = geometric_phase_detailed(dp, math.pi / 2, 1e-30)
+    assert (rows[2]["phi_g"], rows[2]["quad_err"]) == (phi, err)
+    assert all(r["phi_g"] is r["quad_err"] is None for r in rows[:2])
     assert summary.n_failed == 2
 
 
@@ -791,6 +792,17 @@ def test_cli_blp_long_horizon_rows_are_ok(tmp_path):
     for row in rows:
         at_1000 = blp_measure(SystemParams(lam=float(row["lam"])), t_max=1000.0)
         assert float(row["n_measure"]) == pytest.approx(at_1000.n_measure, rel=1e-11)
+
+
+def test_cli_blp_rows_whose_grid_nodes_land_on_roots_are_ok(tmp_path):
+    # t_max 10 pi puts nodes of the undriven lam 1 row's search grid on the
+    # roots of its slope (tests/test_nonmarkov.py); both rows read ok
+    out = tmp_path / "blp.csv"
+    rc = main(["sweep", "--quantity", "blp", "--axis", "delta", "--axis-min", "0",
+               "--axis-max", "0.5", "--points", "2", "--lambda", "1",
+               "--tmax", "31.415926535897931", "--out", str(out)])
+    assert rc == 0
+    assert [r["status"] for r in read_csv(out)] == ["ok", "ok"]
 
 
 def test_cli_blp_rows_whose_constants_overflow_are_invalid(tmp_path):

@@ -147,6 +147,15 @@ def test_lgi_series_at_zero_step_is_exact():
         assert (r.c3, r.c4) == (c3[0], c4[0])
 
 
+def test_lgi_series_step_whose_multiples_overflow_gives_nan_unwarned():
+    # 2 tau and 3 tau overflow: those cells are NaN, with no numpy warning
+    # (the suite's filter would raise it); the finite step keeps its cells
+    dp = derive(SystemParams(lam=0.1))
+    c3, c4 = lgi_series(dp, 0.3, [1e308, 1.0])
+    assert np.isnan(c3[0]) and np.isnan(c4[0])
+    assert (c3[1], c4[1]) == tuple(float(c[0]) for c in lgi_series(dp, 0.3, [1.0]))
+
+
 def test_lgi_rejects_negative_step():
     dp = derive(SystemParams(lam=0.1))
     with pytest.raises(ValidationError):
