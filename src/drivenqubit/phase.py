@@ -54,21 +54,20 @@ _MAX_BEATS = 2 ** 16  # pieces of one beat period of one row: its work budget
 class EigenSystem:
     """Spectral data of the evolved 2x2 state.
 
-    eps_plus/eps_minus are the eigenvalues (summing to 1); cos_theta_big is
-    the |A>-component of the dominant eigenvector; offdiag_phase carries the
-    complex phase of the coherence so the eigenvectors reconstruct the full
-    matrix; degenerate flags a gap below 1e-10.
+    eps_plus/eps_minus are the eigenvalues (summing to 1); cos_theta_big and
+    sin_theta_big are the |A>- and |B>-components of the dominant
+    eigenvector, each taken from the spectrum without cancellation;
+    offdiag_phase carries the complex phase of the coherence so the
+    eigenvectors reconstruct the full matrix; degenerate flags a gap below
+    1e-10.
     """
 
     eps_plus: float
     eps_minus: float
     cos_theta_big: float
+    sin_theta_big: float
     offdiag_phase: float
     degenerate: bool
-
-    @property
-    def sin_theta_big(self) -> float:
-        return math.sqrt(max(0.0, 1.0 - self.cos_theta_big**2))
 
     def vector_plus(self) -> np.ndarray:
         ph = np.exp(-1j * self.offdiag_phase)
@@ -84,6 +83,14 @@ class EigenSystem:
         return self.eps_plus * np.outer(vp, vp.conj()) + self.eps_minus * np.outer(
             vm, vm.conj()
         )
+
+
+def _terms(x, theta):
+    """(d, c, gap) of ``_spectrum``, elementwise in (x, theta)."""
+    s2 = np.sin(2.0 * theta)
+    d = 2.0 * np.cos(theta) ** 2 * x - 1.0
+    c = x * s2 * s2
+    return d, c, np.sqrt(c + d * d)
 
 
 def _spectrum(x, theta):
@@ -105,11 +112,7 @@ def _spectrum(x, theta):
     gives NaN.  The sensitivity to x is
     x d cos^2(Theta)/dx = (c / gap^2) (d + 2) / (4 gap), 0 where gap = 0.
     """
-    x = np.asarray(x, dtype=float)
-    s2 = np.sin(2.0 * theta)
-    d = 2.0 * np.cos(theta) ** 2 * x - 1.0
-    c = x * s2 * s2
-    gap = np.sqrt(c + d * d)
+    d, c, gap = _terms(np.asarray(x, dtype=float), theta)
     below = d < 0.0
     flat = gap == 0.0
     safe = np.where(flat, 1.0, gap)
@@ -120,13 +123,20 @@ def _spectrum(x, theta):
 
 def eigensystem(dp: DerivedParams, theta: float, t: float) -> EigenSystem:
     """Eigendecomposition of the evolved superposition state at time t
-    (formulas in ``_spectrum``)."""
+    (formulas in ``_spectrum``).  sin^2(Theta) = (gap - d) / (2 gap) is
+    taken as c / (2 gap (gap + d)) for d >= 0, free of the cancellation, and
+    is 1 where gap = 0 (cos^2(Theta) = 0 there)."""
     a = amplitude_closed_form(dp, t)
-    gap, cos2, _ = (float(v) for v in _spectrum(abs(a) ** 2, theta))
+    x = abs(a) ** 2
+    gap, cos2, _ = (float(v) for v in _spectrum(x, theta))
+    d, c, _ = (float(v) for v in _terms(x, theta))
+    sin2 = (1.0 if gap == 0.0 else c / (2.0 * gap * (gap + d)) if d >= 0.0
+            else (gap - d) / (2.0 * gap))
     return EigenSystem(
         eps_plus=0.5 * (1.0 + gap),
         eps_minus=0.5 * (1.0 - gap),
         cos_theta_big=math.sqrt(cos2),
+        sin_theta_big=math.sqrt(sin2),
         offdiag_phase=(math.atan2(a.imag, a.real) if math.sin(2.0 * theta) >= 0
                        else math.atan2(-a.imag, -a.real)),
         degenerate=gap < DEGENERACY_GAP,

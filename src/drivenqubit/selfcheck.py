@@ -8,7 +8,10 @@ propagator composition (``temporal._witness_route``, the route of
 derived in one call (``derive_columns``): one stacked propagator
 (``amplitude.amplitude_oracles``) and one kernel call cover every oracle
 set, and one kernel call gives A(tau) and A(tau/2) of every witness case,
-whose two routes are then compared as arrays.
+whose two routes are then compared as arrays.  The witness cases are the
+first points of a Kronecker (quasi-random) sequence mapped onto a parameter
+box: deterministic, spread evenly over the box, and drawn without
+``numpy.random``, which ``check`` would otherwise import for them alone.
 """
 
 from __future__ import annotations
@@ -27,8 +30,14 @@ ORACLE_OMEGAS = (0.0, 0.5, 2.0)
 ORACLE_DELTAS = (0.0, 1.0, 10.0)
 ORACLE_TOL = 1e-8  # largest |closed - ode| an oracle check passes with
 ORACLE_T_MAX = 30.0  # horizon of each oracle trajectory
-WITNESS_SEED = 20260810  # seed of the random cases of the witness check
-WITNESS_CASES = 200  # random cases of the witness check
+WITNESS_CASES = 200  # quasi-random cases of the witness check
+# Box of a witness case: log10(lam), omega, delta_qc, delta_cav, theta, tau.
+WITNESS_LOW = (-2.0, 0.0, -3.0, -1.0, 0.0, 0.0)
+WITNESS_HIGH = (0.4, 3.0, 3.0, 1.0, math.pi / 2, 30.0)
+# The real root of x^7 = x + 1, whose powers 1/phi .. 1/phi^6 step the R6
+# sequence (M. Roberts, "The unreasonable effectiveness of quasirandom
+# sequences", 2018).
+R6_PHI = 1.1127756842787055
 
 
 @dataclass(frozen=True)
@@ -66,24 +75,25 @@ def oracle_grid_check() -> list[CheckResult]:
 
 def _witness_cases(n: int):
     """Columns (lam, omega_rabi, delta_qc, delta_cav, theta, tau) of the n
-    random witness cases: one (n, 6) draw of log10(lam), omega, delta_qc,
-    delta_cav, theta and tau, the numbers of n rounds of six scalar draws."""
-    rng = np.random.default_rng(WITNESS_SEED)
-    log_lam, *cols = rng.uniform([-2.0, 0.0, -3.0, -1.0, 0.0, 0.0],
-                                 [0.4, 3.0, 3.0, 1.0, math.pi / 2, 30.0], size=(n, 6)).T
+    witness cases.  Case i = 1..n is the point u_i = frac(0.5 + i (1/phi,
+    1/phi^2, ..., 1/phi^6)) of the R6 Kronecker sequence (phi = R6_PHI),
+    mapped coordinate by coordinate onto the box WITNESS_LOW..WITNESS_HIGH
+    as low + (high - low) u; lam is 10 to the first coordinate."""
+    low, high = np.array(WITNESS_LOW), np.array(WITNESS_HIGH)
+    u = (0.5 + np.arange(1, n + 1)[:, None] * R6_PHI ** -np.arange(1.0, 7.0)) % 1.0
+    log_lam, *cols = (low + (high - low) * u).T
     return (10.0 ** log_lam, *cols)
 
 
-def _witness_route_errors(n: int) -> np.ndarray:
-    """|route - closed| of each witness case.
+def _witness_route_errors(lam, omega_rabi, delta_qc, delta_cav, theta, tau) -> np.ndarray:
+    """|route - closed| of each witness case, given by its columns.
 
     The route is ``temporal``'s propagator composition (p_plus free, and
     blind through a nonselective measurement at tau/2); the closed form is
     its witness formula.  A(tau) and A(tau/2) of all cases come from one
     kernel call.
     """
-    *params, theta, tau = _witness_cases(n)
-    rows = derive_columns(*params, np.ones(n))
+    rows = derive_columns(lam, omega_rabi, delta_qc, delta_cav, np.ones(len(tau)))
     a1, ah = amplitude._mode_form(rows.m_const, rows.f_const, np.stack([tau, tau / 2.0]),
                                   rows.s_plus)
     p_free, p_blind = temporal._witness_route(theta, a1.real, ah.real)
@@ -92,9 +102,10 @@ def _witness_route_errors(n: int) -> np.ndarray:
 
 def witness_consistency_check() -> list[CheckResult]:
     """Closed-form witness vs the propagator composition on WITNESS_CASES
-    random cases."""
-    worst = float(np.max(_witness_route_errors(WITNESS_CASES)))
+    quasi-random cases."""
+    worst = float(np.max(_witness_route_errors(*_witness_cases(WITNESS_CASES))))
     return [CheckResult(
+        # the name keeps "random": stored references match check lines by name
         name=f"witness propagator route ({WITNESS_CASES} random cases)",
         passed=worst <= 1e-12,
         detail=f"max |route - closed| = {worst:.2e}",

@@ -170,13 +170,18 @@ def test_eigensystem_sum_and_positivity():
 
 def test_spectral_reconstruction_random():
     rng = np.random.default_rng(53)
+    cases = []
     for _ in range(60):
         p = SystemParams(lam=float(10 ** rng.uniform(-2, 0.3)),
                          omega_rabi=float(rng.uniform(0, 2)),
                          delta_qc=float(rng.uniform(-5, 5)))
+        cases.append((p, float(rng.uniform(0, math.pi / 2)), float(rng.uniform(0, 30))))
+    # small theta at |A|^2 > 1/2: the dominant eigenvector is nearly |A>, and
+    # sqrt(1 - cos^2) for its |B>-component missed rho by up to 1.0e-9
+    cases += [(SystemParams(lam=0.1, omega_rabi=0.3), theta, 0.5)
+              for theta in (1e-9, 1e-6, 1e-4)]
+    for p, theta, t in cases:
         dp = derive(p)
-        theta = float(rng.uniform(0, math.pi / 2))
-        t = float(rng.uniform(0, 30))
         es = eigensystem(dp, theta, t)
         rho = evolve_superposition(dp, theta, t).rho
         assert np.max(np.abs(es.reconstruct() - rho)) <= 1e-12

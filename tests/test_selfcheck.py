@@ -6,7 +6,8 @@ import pytest
 from drivenqubit import SystemParams, amplitude, derive, selfcheck, temporal
 from drivenqubit.amplitude import ORACLE_POINTS, amplitude_oracle_ode, amplitude_oracles
 from drivenqubit.params import derive_columns
-from drivenqubit.selfcheck import ORACLE_T_MAX, WITNESS_SEED
+from drivenqubit.selfcheck import (ORACLE_T_MAX, R6_PHI, WITNESS_CASES, WITNESS_HIGH,
+                                   WITNESS_LOW)
 from drivenqubit.temporal import quantum_witness, witness_probabilities
 
 
@@ -32,15 +33,15 @@ def test_batched_oracle_is_its_one_set_view_bit_for_bit():
 
 
 def _public_route_cases(n):
-    """The witness cases drawn one scalar at a time, as six draws per case;
-    lam is 10 to the first, raised as the columns raise it."""
-    rng = np.random.default_rng(WITNESS_SEED)
-    draws = [[rng.uniform(lo, hi) for lo, hi in ((-2, 0.4), (0, 3), (-3, 3), (-1, 1),
-                                                 (0, math.pi / 2), (0, 30))]
-             for _ in range(n)]
-    lams = (10.0 ** np.array([d[0] for d in draws])).tolist()
+    """The witness cases built one scalar at a time: coordinate k of case i
+    is frac(0.5 + i / phi^k), mapped onto its side of the box; lam is 10 to
+    the first, raised as the columns raise it."""
+    points = [[lo + (hi - lo) * ((0.5 + i * R6_PHI ** -float(k)) % 1.0)
+               for k, lo, hi in zip(range(1, 7), WITNESS_LOW, WITNESS_HIGH)]
+              for i in range(1, n + 1)]
+    lams = (10.0 ** np.array([p[0] for p in points])).tolist()
     return [(SystemParams(lam=lam, omega_rabi=om, delta_qc=dq, delta_cav=dc), th, t)
-            for lam, (_, om, dq, dc, th, t) in zip(lams, draws)]
+            for lam, (_, om, dq, dc, th, t) in zip(lams, points)]
 
 
 def test_witness_line_matches_the_per_case_public_route():
@@ -55,7 +56,26 @@ def test_witness_line_matches_the_per_case_public_route():
         dp = derive(p)
         p_free, p_blind = witness_probabilities(dp, th, t)
         worst = max(worst, abs(abs(p_free - p_blind) - quantum_witness(dp, th, t).w_q))
-    assert abs(float(np.max(selfcheck._witness_route_errors(200))) - worst) <= 1e-15
+    errors = selfcheck._witness_route_errors(*columns, theta, tau)
+    assert abs(float(np.max(errors)) - worst) <= 1e-15
+
+
+def test_witness_cases_reach_both_ends_of_each_side_of_the_box():
+    *columns, theta, tau = selfcheck._witness_cases(WITNESS_CASES)
+    coords = [np.log10(columns[0]), *columns[1:], theta, tau]
+    for col, lo, hi in zip(coords, WITNESS_LOW, WITNESS_HIGH):
+        margin = 0.05 * (hi - lo)
+        assert lo - 1e-12 <= col.min() <= lo + margin
+        assert hi - margin <= col.max() <= hi + 1e-12
+
+
+def test_seeded_witness_cases_still_agree_between_the_routes():
+    # the 200 pseudo-random cases that the check drew before it took a
+    # Kronecker sequence: six uniform draws per case over the same box
+    rng = np.random.default_rng(20260810)
+    log_lam, *cols = rng.uniform(WITNESS_LOW, WITNESS_HIGH, size=(WITNESS_CASES, 6)).T
+    errors = selfcheck._witness_route_errors(10.0 ** log_lam, *cols)
+    assert float(np.max(errors)) <= 1e-12
 
 
 @pytest.mark.parametrize("helper", ["_propagator_matrix", "_apply"])

@@ -1079,7 +1079,8 @@ def test_cli_imports_no_scipy(tmp_path):
         "from drivenqubit.cli import main",
         "def loaded():",
         "    return sorted(m for m in sys.modules",
-        "                  if m.split('.')[0] in ('scipy', 'multiprocessing', 'concurrent'))",
+        "                  if m.split('.')[0] in ('scipy', 'multiprocessing', 'concurrent')",
+        "                  or m.split('.')[:2] == ['numpy', 'random'])",
         "assert main(['params', '--lambda', '0.1']) == 0",
         "print('loaded:', loaded())",
         "assert main(['sweep', '--quantity', 'blp', '--axis', 'omega', '--axis-min', '0',",
