@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -31,6 +32,13 @@ NUMERIC_EXIT = 2
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a negative float literal is a value, "-1e-3" included: argparse's
+        # own pattern has no exponent, so it would read that as a flag
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):  # argparse would exit with code 2
         self.print_usage(sys.stderr)
         raise ValidationError(message)

@@ -35,10 +35,11 @@ The rows of a sweep are evaluated together, from their columns
 one-row view).  Every array carries the constants of its own rows, and
 every stage is elementwise in the rows, so a row's result depends on its
 own data alone: the finder takes the initial gaps of all rows in slices
-(``_amp_extrema``), and the branch and bound the pairs of runs of rows
-(``_max_gain``).  One list, made by ``_searched``, holds each row's first
-error: every stage records a failure there and skips the rows that have
-one, so a failed row stops while the others go on.
+and refines their brackets in batches (``_amp_extrema``), and the branch
+and bound the pairs of runs of rows (``_max_gain``).  One list, made by
+``_searched``, holds each row's first error: every stage records a failure
+there and skips the rows that have one, so a failed row stops while the
+others go on.
 """
 
 from __future__ import annotations
@@ -391,15 +392,21 @@ def _newton(c: _Flux, todo: _Todo) -> np.ndarray:
 def _confirm(rows: DerivedColumns, lo, hi, x, rising, owner):
     """The kernel's check of the brackets (lo, hi) and estimates x: (h > 0
     at the ends, the midpoints of the narrow brackets x +- 0.45 _ROOT_TOL,
-    |A| there, and where h fails to change sign across a narrow bracket)."""
-    n = lo.size
+    |A| there, and where h fails to change sign across a narrow bracket).
+    The signs of h take four kernel calls, one per set of points, so no
+    call is larger than the batch."""
     left = np.maximum(x - 0.45 * _ROOT_TOL, lo)
     right = np.minimum(x + 0.45 * _ROOT_TOL, hi)
     times = 0.5 * (left + right)
-    pos = _rising(rows, np.concatenate([lo, hi, left, right]),
-                  np.tile(owner, 4)).reshape(4, n)
-    return (pos[:2], times, _abs_amplitude(rows, times, owner),
+    pos = [_rising(rows, t, owner) for t in (lo, hi, left, right)]
+    return (np.array(pos[:2]), times, _abs_amplitude(rows, times, owner),
             (pos[2] == rising) | (pos[3] != rising))
+
+
+def _live(table, errors: list):
+    """The entries of a table with an ``own`` column (``_Gaps``, ``_Todo``)
+    whose rows have no error in ``errors``."""
+    return _take(table, ~_failed(errors)[table.own])
 
 
 def _failed(errors: list) -> np.ndarray:
@@ -482,17 +489,20 @@ def _amp_extrema(t_max: np.ndarray, rows: DerivedColumns, flux: _Flux,
 
     The initial gaps of all rows are taken in (row, time) order, in slices
     of ``_CHUNK``, a cap across rows that bounds the peak memory.  A slice
-    takes the finder's first round (``_flux_brackets``) and one refinement
-    round (``_refine``); the gaps it leaves to split and the brackets it
-    leaves unconfirmed are carried to one batch-wide finish, after the last
-    slice or once they reach ``_CHUNK``: the gaps are split level by level
-    (``_split``) and their brackets take the same round, and every bracket
-    left unconfirmed is bisected on the kernel (``_bisect``).  Every stage
-    is elementwise, so the extrema do not depend on the slicing;
-    they are sorted once by (row, time).  |A| falls from t = 0, so the
-    kinds of a row must alternate starting with a minimum, or the row
-    fails.  Rows with an error are not searched, and their carried entries
-    are dropped.  Returns ``_Extrema``: those of the other rows.
+    takes only the finder's first round (``_flux_brackets``), and two lists
+    carry what it leaves: the gaps to split, split level by level
+    (``_split``) once they reach ``_CHUNK`` or after the last slice, and the
+    brackets, its own and those of the split gaps, which take one
+    refinement round (``_refine``) in batches of about ``_CHUNK`` (once
+    they reach it, or after the last slice).  Every bracket that a batch
+    leaves unconfirmed is bisected on the kernel (``_bisect``) in one call
+    at the end.  So each bracket takes one refinement round and at most
+    one bisection; every stage is elementwise, so the extrema do not
+    depend on the slicing or the batches; they are sorted once by (row,
+    time).  |A| falls from t = 0, so the kinds of a row must alternate
+    starting with a minimum, or the row fails.  Rows with an error are not
+    searched, and their carried entries are dropped.  Returns
+    ``_Extrema``: those of the other rows.
     """
     n_rows = len(errors)
     live = np.flatnonzero((gaps > 0) & ~_failed(errors))
@@ -502,7 +512,9 @@ def _amp_extrema(t_max: np.ndarray, rows: DerivedColumns, flux: _Flux,
     stop = np.cumsum(search)
     start = stop - search
     total = int(stop[-1]) if n_rows else 0
-    parts, split, todo = [_NO_EXTREMA], [], []  # split, todo: carried to the finish
+    # carried: the gaps left to split, the brackets awaiting refinement and
+    # the brackets that refinement leaves unconfirmed
+    parts, split, todo, unsure = [_NO_EXTREMA], [], [], [_NO_BRACKETS]
     for g0 in range(0, total, _CHUNK):
         g1 = g0 + _CHUNK
         live = np.flatnonzero((start < g1) & (stop > g0) & (search > 0))
@@ -514,18 +526,19 @@ def _amp_extrema(t_max: np.ndarray, rows: DerivedColumns, flux: _Flux,
                  + np.repeat(first, size))
         found, gaps_left = _flux_brackets(flux, t_max[owner] * (index / gaps[owner]),
                                           owner)
-        done, more = _refine(flux, rows, found, errors)
-        parts.append(done)
+        todo.append(found)
         split.append(gaps_left)
-        todo.append(more)
-        search[_failed(errors)] = 0  # a failed row's later gaps are not searched
-        if g1 >= total or sum(part.lo.size for part in split + todo) >= _CHUNK:
-            live = ~_failed(errors)
-            split, todo = (_cat([_take(c, live[c.own]) for c in carried])
-                           for carried in (split, todo))
-            done, more = _refine(flux, rows, _split(flux, split), errors)
-            parts += [done, _bisect(rows, _cat([todo, more]), errors)]
-            split, todo = [], []
+        last = g1 >= total
+        if last or sum(c.lo.size for c in split) >= _CHUNK:
+            todo.append(_split(flux, _live(_cat(split), errors)))
+            split = []
+        if last or sum(c.lo.size for c in todo) >= _CHUNK:
+            done, more = _refine(flux, rows, _live(_cat(todo), errors), errors)
+            parts.append(done)
+            unsure.append(more)
+            todo = []
+            search[_failed(errors)] = 0  # a failed row's later gaps are not searched
+    parts.append(_bisect(rows, _live(_cat(unsure), errors), errors))
     ext = _cat(parts)
     ext = _take(ext, np.lexsort((ext.times, ext.owner)))
     first = np.ones(ext.owner.size, dtype=bool)

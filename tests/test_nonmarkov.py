@@ -443,10 +443,11 @@ def test_bisection_fallback_matches_dense_scan(monkeypatch):
     _assert_same_extrema(dp, 600.0)
 
 
-def _count_kernel_calls(monkeypatch, calls):
+def _count_kernel_calls(monkeypatch, calls, names=("_mode_pieces", "_mode_form")):
     """Record the size of every kernel call of the finder in ``calls``: the
-    signs of h (``_mode_pieces``) and |A| (``_mode_form``)."""
-    for name in ("_mode_pieces", "_mode_form"):
+    signs of h (``_mode_pieces``) and |A| (``_mode_form``), or those of
+    ``names`` alone."""
+    for name in names:
         def counted(M, F, t, *args, kernel=getattr(nonmarkov, name)):
             calls.append(t.size)
             return kernel(M, F, t, *args)
@@ -546,15 +547,17 @@ def test_failed_row_leaves_its_neighbours_untouched(monkeypatch):
 
 def test_blp_sweep_kernel_calls_follow_its_slices(monkeypatch):
     # the initial gaps of all rows go to the finder in full slices of
-    # _CHUNK, and each slice confirms its brackets in one kernel check (the
-    # signs of h, then |A| at the extrema); one finish for the whole sweep
-    # confirms the brackets of the gaps the slices left to split in one
-    # more, and bisects the brackets whose Newton steps had not converged
-    # in at most 64 halvings and one |A| call, whatever the number of rows;
-    # the tails |A(t_max)| take one call.  Rows evaluated one at a time
-    # would make a slice and kernel calls per row
-    gaps, calls, splits, bisected = [], [], [], []
-    brackets, split, bisect = nonmarkov._flux_brackets, nonmarkov._split, nonmarkov._bisect
+    # _CHUNK; the brackets the slices find are refined in batches of about
+    # _CHUNK, each confirmed in four kernel calls of the signs of h (the
+    # ends, then both sides of the estimate) and one of |A| at the extrema;
+    # the gaps left to split are carried in batches of _CHUNK too, and
+    # their brackets join the next refinement batch; the brackets left
+    # unconfirmed are bisected once for the whole search, in at most 64
+    # halvings and one |A| call; the tails |A(t_max)| take one call.  Rows
+    # evaluated one at a time would make a slice and kernel calls per row
+    gaps, calls, splits, refined, bisected, searches, signs = [], [], [], [], [], [], []
+    brackets, split, refine = nonmarkov._flux_brackets, nonmarkov._split, nonmarkov._refine
+    bisect, extrema = nonmarkov._bisect, nonmarkov.amplitude_extrema
 
     def counted_brackets(flux, t, owner):
         gaps.append(np.count_nonzero(owner[1:] == owner[:-1]))
@@ -564,6 +567,10 @@ def test_blp_sweep_kernel_calls_follow_its_slices(monkeypatch):
         splits.append(left.lo.size)
         return split(flux, left)
 
+    def counted_refine(flux, rows, todo, errors):
+        refined.append(todo.lo.size)
+        return refine(flux, rows, todo, errors)
+
     def counted_bisect(rows, todo, errors):
         start = len(calls)
         out = bisect(rows, todo, errors)
@@ -571,18 +578,46 @@ def test_blp_sweep_kernel_calls_follow_its_slices(monkeypatch):
         del calls[start:]
         return out
 
+    def counted_extrema(rows, t_max, errors):
+        searches.append(len(errors))
+        return extrema(rows, t_max, errors)
+
     monkeypatch.setattr(nonmarkov, "_flux_brackets", counted_brackets)
     _count_kernel_calls(monkeypatch, calls)
+    _count_kernel_calls(monkeypatch, signs, ("_mode_pieces",))
     monkeypatch.setattr(nonmarkov, "_split", counted_split)
+    monkeypatch.setattr(nonmarkov, "_refine", counted_refine)
     monkeypatch.setattr(nonmarkov, "_bisect", counted_bisect)
+    monkeypatch.setattr(nonmarkov, "amplitude_extrema", counted_extrema)
     spec = _preset_table()["fig9"][1][2][3]  # 21 rows: omega 1, delta 0.1
     table, summary = run_sweep(spec)
     assert len(table) == 21 and summary.n_failed == 0
     assert max(gaps) <= nonmarkov._CHUNK
     assert len(gaps) == math.ceil(sum(gaps) / nonmarkov._CHUNK) < 21
     assert len(splits) == 1 and 0 < splits[0] < nonmarkov._CHUNK
-    assert len(calls) <= 2 * (len(gaps) + 2) + 1
-    assert len(bisected) == 1 and len(bisected[0]) <= 64 + 1
+    assert len(refined) == math.ceil(sum(refined) / nonmarkov._CHUNK) == 1
+    assert len(calls) <= 5 * len(refined) + 1
+    assert len(bisected) == len(searches) == 1 and len(bisected[0]) <= 64 + 1
+    # fig9's first panel at _CHUNK 64 takes 427 slices and finds 5,946
+    # brackets: they are refined in at most 94 batches (a refinement per
+    # slice and per finish made 439) and bisected once, and no kernel call
+    # of the signs of h takes more than 2 _CHUNK points, so the batches
+    # bound the peak memory as the slices do
+    monkeypatch.setattr(nonmarkov, "_CHUNK", 64)
+    params, t_maxes = _panel_inputs()
+    for record in (refined, bisected, searches, signs):
+        record.clear()
+    assert blp_measures(_rows(params), t_maxes)[4] == [None] * 105
+    assert sum(refined) == 5946
+    assert len(refined) <= math.ceil(sum(refined) / 64) + 1 == 94
+    assert len(bisected) == len(searches) == 1
+    assert max(signs) <= 2 * 64
+
+
+def _panel_inputs():
+    """Parameter sets and horizons of the 105 rows of fig9's first panel."""
+    specs = _preset_table()["fig9"][0][2]
+    return ([x for spec in specs for x in _sweep_inputs(spec)[k]] for k in (0, 1))
 
 
 def _figure_rows():
@@ -691,12 +726,11 @@ def test_figure_rows_in_one_pass_read_as_the_per_curve_passes():
 
 
 def test_stragglers_carried_across_small_slices_read_as_the_default_run(monkeypatch):
-    # at _CHUNK 64 the 105 rows of fig9's first panel take over a thousand
-    # slices, and the gaps and brackets they leave reach the cap many times,
-    # each time finished together; every output equals the default run's
-    specs = _preset_table()["fig9"][0][2]
-    params, t_maxes = ([x for spec in specs for x in _sweep_inputs(spec)[k]]
-                       for k in (0, 1))
+    # at _CHUNK 64 the 105 rows of fig9's first panel take 427 slices; the
+    # gaps they leave to split reach the cap many times, each time split
+    # together, and their brackets and the slices' are refined in many
+    # batches; every output equals the default run's
+    params, t_maxes = _panel_inputs()
     default = blp_measures(_rows(params), t_maxes)
     finishes = []
     split = nonmarkov._split

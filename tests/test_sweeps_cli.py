@@ -513,6 +513,19 @@ def test_cli_params_without_period_warns(capsys, delta, warning):
     assert f"warning: {warning}\n" in out
 
 
+def test_cli_negative_values_in_scientific_notation_are_values(tmp_path, capsys):
+    # argparse's own negative-number pattern has no exponent, so "-1e-3"
+    # read as a flag and "--delta" as missing its argument
+    assert main(["params", "--delta", "-1e-3", "--delta-cav", "-2E+1"]) == 0
+    out = capsys.readouterr().out
+    assert "delta      = -0.001\n" in out and "delta_cav  = -20\n" in out
+    csv_path = tmp_path / "blp.csv"
+    assert main(["sweep", "--quantity", "blp", "--axis", "delta", "--axis-min", "-1e-1",
+                 "--axis-max", "1e-1", "--points", "3", "--omega", "0.1",
+                 "--out", str(csv_path)]) == 0
+    assert [float(r["delta"]) for r in read_csv(csv_path)] == [-0.1, 0.0, 0.1]
+
+
 def test_cli_sweep_writes_csv(tmp_path, capsys):
     out = tmp_path / "c3.csv"
     rc = main(["sweep", "--quantity", "lgi3", "--axis", "tau",
