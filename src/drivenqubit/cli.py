@@ -34,10 +34,13 @@ NUMERIC_EXIT = 2
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # a negative float literal is a value, "-1e-3" included: argparse's
-        # own pattern has no exponent, so it would read that as a flag
+        # a negative float literal is a value, as float() reads it: "-1e-3",
+        # "-1_000", "-inf", "-infinity" and "-nan" included; argparse's own
+        # pattern has no exponent, separator or word, so it would read them
+        # as flags
         self._negative_number_matcher = re.compile(
-            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+            r"^-((\d[\d_]*\.?[\d_]*|\.\d[\d_]*)(e[-+]?\d[\d_]*)?|inf|infinity|nan)$",
+            re.IGNORECASE)
 
     def error(self, message):  # argparse would exit with code 2
         self.print_usage(sys.stderr)

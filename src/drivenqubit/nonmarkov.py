@@ -13,29 +13,49 @@ optimal pairs are antipodal and pure: Wissmann et al., PRA 86, 062108
 (2012)).
 
 The extrema of |A| are the sign changes of d|A|^2/dt.  In the two-mode form
-of A that slope is a positive envelope times a e^{kt} + b e^{-kt} +
-Re(C e^{iwt}), whose derivatives have closed-form bounds.  A bracket finder
-uses them to certify every gap of its grid (no root, at most one root, or
-split it), so no sign change can hide between grid points whatever their
-spacing.  Each bracket is then refined to 1e-10 in two stages: Newton
-steps on the two-mode form, whose estimate the amplitude kernel confirms,
-and bisection on the kernel for the brackets it leaves unconfirmed.  The
-kernel's sign of d|A|/dt is read without the envelope exp(s+ t)
-(``_rising``), so it holds where |A| underflows at long horizons.  A
-bracket whose ends the kernel does not confirm, or extrema that do not
+of A that slope is a positive envelope times g = a e^{kt} + b e^{-kt} +
+Re(C e^{iwt}), k >= 0 (``_Flux``).  Taking w > 0 (C conjugated otherwise)
+and phi = arg C, g/|C| = h = cos(wt + phi) + p with p = (a e^{kt} +
+b e^{-kt})/|C|; p'' = k^2 p, so p is convex where positive and concave
+where negative.  The finder cuts [0, t_max] where wt + phi is a multiple of
+pi/2 (``_phase``).  On each piece cos keeps one sign, concave where positive
+and convex where negative (``_pieces``):
+
+- where cos and p share a sign, h has no root;
+- elsewhere h is concave or convex, so it has at most two roots: exactly
+  one if the piece's ends differ in sign, and none or two if they share
+  one.  Then h' is monotone, and the sign of h at its one extremum decides
+  (``_turns``); if the ends have the sign of cos, h keeps it between them
+  (a concave h lies above its chord, a convex one below);
+- a piece that holds p's zero (a b < 0) needs no cut there: on one side
+  of it cos and p share a sign, and on the other h is concave or convex
+  with h = cos of the piece's sign at the zero, so the ends decide;
+- at k = 0, p is constant and h monotone on every piece: the ends decide
+  (the roots solve cos(wt + phi) = -p);
+- no root lies where |p| > 1.  {|p| <= 1} is one interval; its right end
+  t2 = ln x/k, x = (|C| + sqrt(|C|^2 - 4ab))/(2|a|), solves a quadratic in
+  e^{kt} (``_horizon``; inf where k = 0 or a = 0).  The search takes the
+  pieces up to the one that holds t2, and one more.
+
+dA/dt = 0 at t = 0 and h < 0 right after it, so G = e^{-kt} g (``_flux_form``)
+is read there as 0, and negative.  Every value of G at a cut or at an
+extremum carries a rounding bar (``_bars``), the rounding of the cut
+included (|w| t eps); a piece whose extremum lies within its bar is judged
+by the signs of its ends.  Each bracket is then refined to 1e-10 in two
+stages: Newton steps on the two-mode form, whose estimate the amplitude
+kernel confirms, and bisection on the kernel for the brackets it leaves
+unconfirmed.  The kernel's sign of d|A|/dt is read without the envelope
+exp(s+ t) (``_rising``), so it holds where |A| underflows at long horizons.
+A bracket whose ends the kernel does not confirm, or extrema that do not
 alternate, fail the row with a ValidationError rather than pass a wrong
-interval list on.  Divided by e^{kt}, the slope's sign is
-G = a + b e^{-2kt} + Re(C e^{(iw-k)t}), and |G - a| <= (|b| + |C|) e^{-kt}: from t_h =
-ln(2 (|b| + |C|)/|a|)/k on (k > 0, a != 0), G keeps the sign of a with
-|G| >= |a|/2, a margin far above its rounding error.  So no extremum lies
-past t_h, and the search stops there.
+interval list on.
 
 The rows of a sweep are evaluated together, from their columns
 (``blp_measures`` takes their ``DerivedColumns``; ``blp_measure`` is its
 one-row view).  Every array carries the constants of its own rows, and
 every stage is elementwise in the rows, so a row's result depends on its
-own data alone: the finder takes the initial gaps of all rows in slices
-and refines their brackets in batches (``_amp_extrema``), and the branch
+own data alone: the finder takes the pieces of all rows in slices and
+refines their brackets in batches (``amplitude_extrema``), and the branch
 and bound the pairs of runs of rows (``_max_gain``).  One list, made by
 ``_searched``, holds each row's first error: every stage records a failure
 there and skips the rows that have one, so a failed row stops while the
@@ -68,9 +88,10 @@ TRUNCATION_EPS = 1e-4
 _PAIR_ATOL = 1e-9
 _ROOT_TOL = 1e-10  # width of a refined extremum bracket
 _ROUNDING = 16 * np.finfo(float).eps
-_CHUNK = 4096  # initial gaps of the bracket finder, or intervals of the pair
-               # search, per pass across rows
-_MAX_GAPS = 2 ** 23  # initial gaps of one row: its work budget
+_CHUNK = 4096  # pieces of the bracket finder, or intervals of the pair search,
+               # per pass across rows
+_QUARTER = 0.5 * math.pi
+_MAX_PIECES = 2 ** 22  # quarter periods of one row to its t_max: its work budget
 _NEWTON_STEPS = 6
 
 
@@ -204,45 +225,6 @@ def envelope_time(rows: DerivedColumns, level) -> np.ndarray:
     return np.where(t >= 0.0, t, np.inf)
 
 
-def _flux_form(c: _Flux, t: np.ndarray):
-    """G = exp(-kt) g = a + b exp(-2kt) + Re(C exp((iw - k) t)), G' and exp(-2kt).
-
-    G has the sign of d|A|^2/dt and never overflows (k >= 0).  ``c`` holds
-    the constants of each point of t.
-    """
-    e2 = np.exp(-2.0 * c.k * t)
-    ce = c.C * np.exp(c.z * t)
-    return c.a + c.b * e2 + ce.real, -2.0 * c.k * c.b * e2 + (c.z * ce).real, e2
-
-
-def _node_data(c: _Flux, t: np.ndarray) -> np.ndarray:
-    """Rows G, G', their rounding bounds, and bounds on |G'|, |G''| from t on.
-
-    Both exponentials of G decay, so the derivative bounds taken at a gap's
-    left end hold across the gap.
-    """
-    g, dg, e2 = _flux_form(c, t)
-    env = c.abs_c * np.sqrt(e2)
-    abs_b = np.abs(c.b)
-    lip1 = 2.0 * c.k * abs_b * e2 + c.speed * env
-    lip2 = 4.0 * c.k * c.k * abs_b * e2 + c.speed * c.speed * env
-    # evaluation error, including that of the rounded exponent arguments
-    err_g = _ROUNDING * (np.abs(c.a) + abs_b * e2 + env + t * lip1)
-    err_dg = _ROUNDING * (lip1 + t * lip2)
-    return np.array([g, dg, err_g, err_dg, lip1, lip2])
-
-
-class _Gaps(NamedTuple):
-    """Gaps of the finder's node grids, one entry per gap: its ends, its
-    row, and the node data (``_node_data``) at its left and right ends."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-    own: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-
-
 class _Todo(NamedTuple):
     """Brackets of sign changes of h under refinement, one entry each: the
     ends, the row and the direction (h rising through 0: a minimum of |A|)."""
@@ -270,71 +252,129 @@ _NO_EXTREMA = _Extrema(np.empty(0), np.empty(0, dtype=int), np.empty(0),
 
 
 def _take(table, index):
-    """The entries ``index`` of a table of per-entry columns (``_Gaps``,
-    ``_Todo``, ``_Extrema``); a column's last axis runs over the entries."""
-    return type(table)(*(col[..., index] for col in table))
+    """The entries ``index`` of a table of per-entry columns (``_Todo``,
+    ``_Extrema``)."""
+    return type(table)(*(col[index] for col in table))
 
 
 def _cat(tables):
     """The entries of like tables, one after the other."""
-    return type(tables[0])(*(np.concatenate(cols, axis=-1) for cols in zip(*tables)))
+    return type(tables[0])(*(np.concatenate(cols) for cols in zip(*tables)))
 
 
-def _judge(gaps: _Gaps, other=False):
-    """One round of the bracket finder: (the brackets it finds and the gaps
-    it must split).
+def _flux_form(c: _Flux, t: np.ndarray):
+    """G = exp(-kt) g = a + b exp(-2kt) + Re(C exp((iw - k) t)), G' and exp(-2kt).
 
-    A gap whose end values exceed the Lipschitz bound of G times its width
-    holds no root; so does one marked ``other``, whose ends lie in two rows.
-    A gap on which G' certifiably keeps its sign holds at most one root,
-    present iff G changes sign at its ends, rising where G > 0 at its right
-    end.  Every other gap is to be halved.  A gap narrower than the
-    refinement tolerance, or on which G cannot vary by more than its
-    rounding error, is judged by the signs of its ends, so the halving
-    always stops.
+    G has the sign of d|A|^2/dt and never overflows (k >= 0).  ``c`` holds
+    the constants of each point of t.
     """
-    lo, hi, own, left, right = gaps
-    dt = hi - lo
-    no_root = other | (np.abs(left[0]) + np.abs(right[0]) - left[2] - right[2]
-                       > left[4] * dt)
-    monotone = (np.abs(left[1]) + np.abs(right[1]) - left[3] - right[3]
-                > left[5] * dt)
-    at_floor = (dt <= _ROOT_TOL) | (left[4] * dt <= left[2] + right[2])
-    judged = ~no_root & (monotone | at_floor)
-    hit = judged & ((left[0] > 0) != (right[0] > 0))
-    return (_Todo(lo[hit], hi[hit], own[hit], right[0, hit] > 0),
-            _take(gaps, ~no_root & ~judged))
+    e2 = np.exp(-2.0 * c.k * t)
+    ce = c.C * np.exp(c.z * t)
+    return c.a + c.b * e2 + ce.real, -2.0 * c.k * c.b * e2 + (c.z * ce).real, e2
 
 
-def _flux_brackets(flux: _Flux, t: np.ndarray, owner: np.ndarray):
-    """First round of the certified bracket finder on node grids: (the
-    brackets of the sign changes of G it finds, the gaps left to split).
+def _bars(c: _Flux, t: np.ndarray, e2: np.ndarray):
+    """Rounding bars of G and G' at t (e2 = exp(-2kt) from ``_flux_form``),
+    the rounding of the exponents' arguments included."""
+    env = c.abs_c * np.sqrt(e2)
+    abs_b = np.abs(c.b)
+    lip1 = 2.0 * c.k * abs_b * e2 + c.speed * env
+    lip2 = 4.0 * c.k * c.k * abs_b * e2 + c.speed * c.speed * env
+    return (_ROUNDING * (np.abs(c.a) + abs_b * e2 + env + t * lip1),
+            _ROUNDING * (lip1 + t * lip2))
 
-    t holds the increasing node grid of each row, one after the other, and
-    ``owner`` the row of each node in the table ``flux``; the gaps are those
-    between consecutive nodes of one row, judged by ``_judge``.  ``_split``
-    finishes the gaps left to split, for many calls at once.
+
+def _phase(c: _Flux):
+    """|w| and phi = arg C (of conj C where w < 0): the oscillating term of G
+    is |C| e^{-kt} cos(|w| t + phi), and the cuts lie where its phase is a
+    multiple of pi/2."""
+    return np.abs(c.z.imag), np.angle(np.where(c.z.imag > 0.0, c.C, np.conj(c.C)))
+
+
+def _counts(c: _Flux, t_max: np.ndarray) -> np.ndarray:
+    """Pieces searched per row (w != 0): those up to the one that holds t_max,
+    or the horizon t2 (``_horizon``) if it comes first, and one more, so that
+    the last cut, clipped to t_max, ends the search there."""
+    w, phi = _phase(c)
+    with np.errstate(invalid="ignore", over="ignore"):
+        n, m = (np.floor((w * t + phi) / _QUARTER) - np.floor(phi / _QUARTER)
+                for t in (t_max, _horizon(c)))
+    return np.fmin(n, m).clip(0.0).astype(int) + 2  # t2 is NaN where C = a = 0
+
+
+def _horizon(c: _Flux) -> np.ndarray:
+    """t2: the right end of {|p| <= 1}, past which G keeps the sign of a
+    (module docstring); inf where k = 0 or a = 0."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        root = np.sqrt(np.maximum(c.abs_c * c.abs_c - 4.0 * c.a * c.b, 0.0))
+        span = np.log(c.abs_c + root) - np.log(2.0 * np.abs(c.a))
+        return np.where(c.k > 0.0, span / np.where(c.k > 0.0, c.k, 1.0), np.inf)
+
+
+def _pieces(flux: _Flux, t_max: np.ndarray, owner: np.ndarray, q: np.ndarray) -> _Todo:
+    """The brackets of the sign changes of G on the pieces of rows ``owner``
+    from their nodes q to q + 1: node 0 at t = 0, node q at the row's q-th
+    cut, clipped to its t_max.  The rules of the module docstring; where
+    the ends share a sign against that of cos, p has it too (or h would
+    keep the sign of cos), so the piece goes to the extremum test
+    (``_turns``) unless k = 0."""
+    c = flux.at(owner)
+    w, phi = _phase(c)
+    j = np.floor(phi / _QUARTER) + q  # the quarter of the piece right of each node
+    t = np.where(q > 0, np.clip((j * _QUARTER - phi) / w, 0.0, t_max[owner]), 0.0)
+    g, dg, _ = _flux_form(c, t)
+    up = (g > 0.0) & (t > 0.0)  # dA/dt = 0 at t = 0; G turns negative right after it
+    left = np.flatnonzero(owner[1:] == owner[:-1])  # the left node of each piece
+    hit = left[up[left] != up[left + 1]]
+    cos_up = (j[left] + 1.0) % 4.0 < 2.0
+    same = left[(up[left] == up[left + 1]) & (cos_up != up[left + 1]) & (c.k[left] > 0.0)]
+    # h' turns against the ends' sign s inside: s H < 0 at the left end, > 0 at the right
+    s, hd = np.where(up[same], 1.0, -1.0), dg + c.k * g  # H = G' + kG = exp(-kt) |C| h'
+    inside = (s * hd[same] < 0.0) & (s * hd[same + 1] > 0.0)
+    same = same[inside]
+    two, x = _turns(c.at(same), t[same], t[same + 1], s[inside], hd[same], hd[same + 1])
+    two = same[two]
+    return _cat([_Todo(t[hit], t[hit + 1], owner[hit], up[hit + 1]),
+                 _Todo(t[two], x, owner[two], ~up[two + 1]),
+                 _Todo(x, t[two + 1], owner[two], up[two + 1])])
+
+
+def _turns(c: _Flux, lo, hi, s, hd_lo, hd_hi):
+    """The pieces (lo, hi) whose ends share the sign s and that hold two sign
+    changes of G: (their index, a point x between the two, where G has the
+    other sign).
+
+    h is concave (s < 0) or convex (s > 0) on each piece, so h' is
+    monotone, and H = G' + kG = exp(-kt) |C| h' (``hd_lo``, ``hd_hi`` at
+    the ends) turns against s once, inside the piece: at the extremum of h.
+    Secant steps on H, each held in the bracket of that turn that the last
+    one leaves, approach it.  A point x where G has the sign -s beyond its
+    bar proves the two roots; the tangent of h at x bounds h on the bracket
+    from the side of s, so s G(x) - |H(x)| (hi - lo) above the bars of G
+    and H proves there is none.  A piece that proves neither within 64
+    steps, or by a bracket narrower than _ROOT_TOL, has its extremum within
+    its bar, and is judged by its ends: no root.
     """
-    v = _node_data(flux.at(owner), t)
-    v[0, t == 0.0] = 0.0  # dA/dt = 0 at t = 0; G turns negative right after it
-    # views: the round copies only the gaps it splits
-    return _judge(_Gaps(t[:-1], t[1:], owner[:-1], v[:, :-1], v[:, 1:]),
-                  owner[1:] != owner[:-1])
-
-
-def _split(flux: _Flux, gaps: _Gaps) -> _Todo:
-    """The brackets in gaps left to split: level by level, every gap is
-    halved at its midpoint, the new nodes evaluated in one call, and the
-    halves judged (``_judge``), until no gap is left."""
-    found = [_NO_BRACKETS]
-    while gaps.lo.size:
-        lo, hi, own, left, right = gaps
-        mid = 0.5 * (lo + hi)
-        vm = _node_data(flux.at(own), mid)
-        hit, gaps = _judge(_cat([_Gaps(lo, mid, own, left, vm),
-                                 _Gaps(mid, hi, own, vm, right)]))
-        found.append(hit)
-    return _cat(found)
+    live = np.arange(lo.size)
+    found = [(np.empty(0, dtype=int), np.empty(0))]
+    for _ in range(64):
+        x = (lo * hd_hi - hi * hd_lo) / (hd_hi - hd_lo)
+        e2, ce = np.exp(-2.0 * c.k * x), c.C * np.exp(c.z * x)
+        g = c.a + c.b * e2 + ce.real
+        hd = c.k * (c.a - c.b * e2) - c.z.imag * ce.imag
+        bar_g, bar_dg = _bars(c, x, e2)
+        past = s * hd < 0.0  # the turn lies right of x
+        lo, hi = np.where(past, x, lo), np.where(past, hi, x)
+        hd_lo, hd_hi = np.where(past, hd, hd_lo), np.where(past, hd_hi, hd)
+        two = -s * g > bar_g
+        none = s * g - np.abs(hd) * (hi - lo) > bar_g + (bar_dg + c.k * bar_g) * (hi - lo)
+        found.append((live[two], x[two]))
+        keep = ~(two | none) & (hi - lo > _ROOT_TOL)
+        if not keep.any():
+            break
+        c, lo, hi, s, live = c.at(keep), lo[keep], hi[keep], s[keep], live[keep]
+        hd_lo, hd_hi = hd_lo[keep], hd_hi[keep]
+    return tuple(np.concatenate(col) for col in zip(*found))
 
 
 def _abs_amplitude(rows: DerivedColumns, t: np.ndarray, owner: np.ndarray):
@@ -404,8 +444,7 @@ def _confirm(rows: DerivedColumns, lo, hi, x, rising, owner):
 
 
 def _live(table, errors: list):
-    """The entries of a table with an ``own`` column (``_Gaps``, ``_Todo``)
-    whose rows have no error in ``errors``."""
+    """The entries of a ``_Todo`` whose rows have no error in ``errors``."""
     return _take(table, ~_failed(errors)[table.own])
 
 
@@ -428,7 +467,7 @@ def _refine(flux: _Flux, rows: DerivedColumns, todo: _Todo, errors: list):
     A bracket whose ends show no sign change of h, or one against G's
     direction, means G and the kernel disagree, and fails its row in
     ``errors``.  An end where |G| lies within its rounding bound is a root
-    within rounding, a grid node that landed on one: the sign of h there is
+    within rounding, a cut that landed on one: the sign of h there is
     noise, so it is taken from the bracket and only the other end is
     checked.  Where h changes sign across the estimate, that narrow bracket
     is the result.  Returns (the extrema of the brackets done, the brackets
@@ -441,9 +480,10 @@ def _refine(flux: _Flux, rows: DerivedColumns, todo: _Todo, errors: list):
     flat, backward = ends[0] == ends[1], ends[1] != todo.rising
     unsure = np.flatnonzero(flat | backward)
     if unsure.size:
-        v = _node_data(flux.at(np.tile(todo.own[unsure], 2)),
-                       np.concatenate([todo.lo[unsure], todo.hi[unsure]]))
-        at_root = (np.abs(v[0]) <= v[2]).reshape(2, -1)
+        c = flux.at(np.tile(todo.own[unsure], 2))
+        t = np.concatenate([todo.lo[unsure], todo.hi[unsure]])
+        g, _, e2 = _flux_form(c, t)
+        at_root = (np.abs(g) <= _bars(c, t, e2)[0]).reshape(2, -1)
         rising = todo.rising[unsure]
         ends[:, unsure] = np.where(at_root, [~rising, rising], ends[:, unsure])
         flat, backward = ends[0] == ends[1], ends[1] != todo.rising
@@ -454,99 +494,6 @@ def _refine(flux: _Flux, rows: DerivedColumns, todo: _Todo, errors: list):
     bad &= ~_failed(errors)[todo.own]
     done = _Extrema(times, np.where(todo.rising, 1, -1), amps, todo.own)
     return _take(done, ~bad), _take(todo, bad)
-
-
-def _search_horizon(c: _Flux) -> np.ndarray:
-    """Times t_h = ln(2 (|b| + |C|)/|a|)/k from which G keeps the sign of a,
-    with |G| >= |a|/2 (module docstring); 0 where that log is negative, and
-    inf where k = 0 or a = 0."""
-    cut = (c.k > 0.0) & (c.a != 0.0)
-    ratio = 2.0 * (np.abs(c.b) + c.abs_c) / np.where(cut, np.abs(c.a), 1.0)
-    return np.where(cut, np.log(np.maximum(ratio, 1.0)) / np.where(cut, c.k, 1.0), np.inf)
-
-
-def _gap_counts(c: _Flux, t_max: np.ndarray) -> np.ndarray:
-    """Initial gaps ceil(4|w| t_max/pi) of the search grids to t_max, an
-    eighth of the beat period pi/(4|w|) each; inf where that overflows."""
-    with np.errstate(over="ignore"):
-        return np.ceil(4.0 * np.abs(c.z.imag) * t_max / math.pi)
-
-
-def _amp_extrema(t_max: np.ndarray, rows: DerivedColumns, flux: _Flux,
-                 gaps: np.ndarray, errors: list):
-    """Refined times of the extrema of |A| on (0, t_max) of every row, their
-    kinds and |A| there, from the rows' columns, two-mode table, initial gap
-    counts and ``errors`` (``amplitude_extrema``).
-
-    Brackets the sign changes of d|A|^2/dt with the certified finder on its
-    two-mode form, starting from gaps of an eighth of the beat period
-    pi/(4|w|), and refines each bracket on the amplitude kernel; kind +1
-    marks a minimum of |A| and -1 a maximum.  Only the gaps up to the
-    horizon t_h of ``_search_horizon`` are searched (plus one; all of them
-    where t_h >= t_max): past t_h, G keeps the sign of a with |G| >= |a|/2,
-    so no extremum lies there.  The grid is still the one to t_max, so
-    every searched node and bracket is that of a search to t_max.
-
-    The initial gaps of all rows are taken in (row, time) order, in slices
-    of ``_CHUNK``, a cap across rows that bounds the peak memory.  A slice
-    takes only the finder's first round (``_flux_brackets``), and two lists
-    carry what it leaves: the gaps to split, split level by level
-    (``_split``) once they reach ``_CHUNK`` or after the last slice, and the
-    brackets, its own and those of the split gaps, which take one
-    refinement round (``_refine``) in batches of about ``_CHUNK`` (once
-    they reach it, or after the last slice).  Every bracket that a batch
-    leaves unconfirmed is bisected on the kernel (``_bisect``) in one call
-    at the end.  So each bracket takes one refinement round and at most
-    one bisection; every stage is elementwise, so the extrema do not
-    depend on the slicing or the batches; they are sorted once by (row,
-    time).  |A| falls from t = 0, so the kinds of a row must alternate
-    starting with a minimum, or the row fails.  Rows with an error are not
-    searched, and their carried entries are dropped.  Returns
-    ``_Extrema``: those of the other rows.
-    """
-    n_rows = len(errors)
-    live = np.flatnonzero((gaps > 0) & ~_failed(errors))
-    search = np.zeros(n_rows, dtype=int)  # the first gaps of each row, searched
-    reach = np.minimum(_search_horizon(flux.at(live)) / t_max[live], 1.0)
-    search[live] = np.minimum(gaps[live], np.ceil(gaps[live] * reach) + 1.0)
-    stop = np.cumsum(search)
-    start = stop - search
-    total = int(stop[-1]) if n_rows else 0
-    # carried: the gaps left to split, the brackets awaiting refinement and
-    # the brackets that refinement leaves unconfirmed
-    parts, split, todo, unsure = [_NO_EXTREMA], [], [], [_NO_BRACKETS]
-    for g0 in range(0, total, _CHUNK):
-        g1 = g0 + _CHUNK
-        live = np.flatnonzero((start < g1) & (stop > g0) & (search > 0))
-        # each row's first gap in the slice, and its nodes there: gaps + 1
-        first = np.maximum(g0 - start[live], 0)
-        size = np.minimum(g1 - start[live], search[live]) - first + 1
-        owner = np.repeat(live, size)
-        index = (np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
-                 + np.repeat(first, size))
-        found, gaps_left = _flux_brackets(flux, t_max[owner] * (index / gaps[owner]),
-                                          owner)
-        todo.append(found)
-        split.append(gaps_left)
-        last = g1 >= total
-        if last or sum(c.lo.size for c in split) >= _CHUNK:
-            todo.append(_split(flux, _live(_cat(split), errors)))
-            split = []
-        if last or sum(c.lo.size for c in todo) >= _CHUNK:
-            done, more = _refine(flux, rows, _live(_cat(todo), errors), errors)
-            parts.append(done)
-            unsure.append(more)
-            todo = []
-            search[_failed(errors)] = 0  # a failed row's later gaps are not searched
-    parts.append(_bisect(rows, _live(_cat(unsure), errors), errors))
-    ext = _cat(parts)
-    ext = _take(ext, np.lexsort((ext.times, ext.owner)))
-    first = np.ones(ext.owner.size, dtype=bool)
-    first[1:] = ext.owner[1:] != ext.owner[:-1]
-    _fail(errors, ext.owner[np.where(first, ext.kinds != 1,
-                                     ext.kinds == np.roll(ext.kinds, 1))],
-          "extrema of |A| do not alternate")
-    return _take(ext, ~_failed(errors)[ext.owner])
 
 
 def _interval_data(t_max: np.ndarray, ext: _Extrema, tails: np.ndarray, errors: list):
@@ -734,30 +681,67 @@ def _searched(rows: DerivedColumns, t_max: np.ndarray):
 
 def amplitude_extrema(rows: DerivedColumns, t_max, errors: list) -> _Extrema:
     """The certified extrema of |A| on (0, t_max[i]) of every row i that has
-    no error in ``errors``: the one entry point of the finder, for the BLP
-    pass and the geometric phase.
+    no error in ``errors``, in (row, time) order, with their kinds (+1 a
+    minimum of |A|, -1 a maximum) and |A| there: the one entry point of the
+    finder, for the BLP pass and the geometric phase.
 
     Each t_max of a row without an error must be finite and > 0
-    (``_searched`` checks the BLP horizons).  Builds the rows' two-mode
-    table (``_Flux.of``) and initial gaps (``_gap_counts``) and runs
-    ``_amp_extrema``.  A row whose search would need more than
-    ``_MAX_GAPS`` initial gaps gets a ``ValidationError`` in ``errors``
-    before any gap is made (so the kernel phase |w| t_max of a searched row
-    is at most 2^21 pi), and so does a row whose extrema fail their checks.
-    Returns ``_Extrema``: those of the rows left without an error, in (row,
-    time) order.
+    (``_searched`` checks the BLP horizons).  A row whose kernel phase
+    |w| t_max spans more than ``_MAX_PIECES`` quarter periods gets a
+    ``ValidationError`` in ``errors`` before any piece is made (so |w| t_max
+    is at most 2^21 pi for a searched row).  The pieces of the other rows
+    (``_counts``) are taken in (row, time) order, in slices of
+    ``_CHUNK``, a cap across rows that bounds the peak memory, and
+    bracketed (``_pieces``).  The brackets are carried and take one
+    refinement round (``_refine``) in batches of about ``_CHUNK`` (once they
+    reach it, or after the last slice), and every bracket that a batch
+    leaves unconfirmed is bisected on the kernel (``_bisect``) in one call
+    at the end.  Every stage is elementwise, so the extrema do not depend on
+    the slicing or the batches.  |A| falls from t = 0, so the kinds of a
+    row must alternate starting with a minimum, or the row fails.  A failed
+    row is searched no further, and its carried brackets are dropped.
     """
     t_max = np.asarray(t_max, dtype=float)
     flux = _Flux.of(rows, ~_failed(errors))
     search = np.flatnonzero(flux.z.imag != 0.0)
-    counts = _gap_counts(flux.at(search), t_max[search])
-    over = counts > _MAX_GAPS
-    for r, g in zip(search[over].tolist(), counts[over].tolist()):
-        errors[r] = ValidationError(f"the extrema search needs {g:.0f} initial gaps, "
-                                    f"over the budget of {_MAX_GAPS} per row")
-    gaps = np.zeros(t_max.size, dtype=int)
-    gaps[search[~over]] = np.maximum(counts[~over], 1.0)
-    return _amp_extrema(t_max, rows, flux, gaps, errors)
+    with np.errstate(over="ignore"):
+        quarters = np.ceil(np.abs(flux.z.imag[search]) * t_max[search] / _QUARTER)
+    over = quarters > _MAX_PIECES
+    for r, n in zip(search[over].tolist(), quarters[over].tolist()):
+        errors[r] = ValidationError(f"the extrema search needs {n:.0f} quarter-period "
+                                    f"pieces, over the budget of {_MAX_PIECES} per row")
+    search = search[~over]
+    count = np.zeros(t_max.size, dtype=int)
+    count[search] = _counts(flux.at(search), t_max[search])
+    stop = np.cumsum(count)
+    start = stop - count
+    total = int(stop[-1]) if count.size else 0
+    # carried: the brackets awaiting refinement and those it leaves unconfirmed
+    parts, todo, unsure = [_NO_EXTREMA], [], [_NO_BRACKETS]
+    for p0 in range(0, total, _CHUNK):
+        p1 = p0 + _CHUNK
+        live = np.flatnonzero((start < p1) & (stop > p0) & (count > 0))
+        # each row's first piece in the slice, and its nodes there: pieces + 1
+        first = np.maximum(p0 - start[live], 0)
+        size = np.minimum(p1 - start[live], count[live]) - first + 1
+        owner = np.repeat(live, size)
+        q = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size - first, size)
+        todo.append(_pieces(flux, t_max, owner, q))
+        if p1 >= total or sum(c.lo.size for c in todo) >= _CHUNK:
+            done, more = _refine(flux, rows, _live(_cat(todo), errors), errors)
+            parts.append(done)
+            unsure.append(more)
+            todo = []
+            count[_failed(errors)] = 0  # a failed row's later pieces are not searched
+    parts.append(_bisect(rows, _live(_cat(unsure), errors), errors))
+    ext = _cat(parts)
+    ext = _take(ext, np.lexsort((ext.times, ext.owner)))
+    first = np.ones(ext.owner.size, dtype=bool)
+    first[1:] = ext.owner[1:] != ext.owner[:-1]
+    _fail(errors, ext.owner[np.where(first, ext.kinds != 1,
+                                     ext.kinds == np.roll(ext.kinds, 1))],
+          "extrema of |A| do not alternate")
+    return _take(ext, ~_failed(errors)[ext.owner])
 
 
 def _measures(rows: DerivedColumns, t_maxes):
@@ -789,7 +773,7 @@ def blp_measures(rows: DerivedColumns, t_maxes):
     the row or None; a failed row reads NaN and not truncated.  The error
     is an ``OverflowError`` for a row whose model constants overflow, else a
     ValidationError: a horizon that is not finite and > 0 or too short, a
-    search over its work budget of ``_MAX_GAPS`` initial gaps, or extrema
+    search over its work budget of ``_MAX_PIECES`` quarter periods, or extrema
     that fail their checks.  Each row's result depends on its own data alone.
     """
     gain, u, tails, _, errors = _measures(rows, t_maxes)

@@ -19,9 +19,9 @@ from drivenqubit import nonmarkov
 from drivenqubit import amplitude
 from drivenqubit.amplitude import (amplitude_closed_form, amplitude_derivative,
                                    amplitude_grid)
-from drivenqubit.nonmarkov import (_bisect, _cat, _Flux, _flux_brackets, _flux_form,
-                                   _max_gain, _refine, _search_horizon, _split, _take,
-                                   _Todo, amplitude_extrema, blp_measures)
+from drivenqubit.nonmarkov import (_bisect, _cat, _counts, _Flux, _flux_form, _horizon,
+                                   _max_gain, _pieces, _refine, _take, _Todo,
+                                   amplitude_extrema, blp_measures)
 from drivenqubit.params import DerivedColumns, derive_columns
 from drivenqubit import sweeps
 from drivenqubit.sweeps import (SweepAxis, SweepSpec, _preset_table, _sweep_table,
@@ -50,11 +50,15 @@ def _flux(dp):
     return _Flux.of(DerivedColumns.of([dp]), np.array([True]))
 
 
-def _brackets(flux, t, owner):
-    """Every bracket the finder gives on node grids, in (row, time) order:
-    its first round and the brackets of the gaps that round left to split."""
-    found, gaps = _flux_brackets(flux, t, owner)
-    found = _cat([found, _split(flux, gaps)])
+def _brackets(flux, t_max):
+    """Every bracket the piece builder gives on (0, t_max) of each row of a
+    two-mode table (w != 0), in (row, time) order, from one call over all
+    the pieces the search takes."""
+    t_max = np.full(flux.a.size, t_max, dtype=float)
+    nodes = _counts(flux, t_max) + 1
+    owner = np.repeat(np.arange(nodes.size), nodes)
+    q = np.arange(owner.size) - np.repeat(np.cumsum(nodes) - nodes, nodes)
+    found = _pieces(flux, t_max, owner, q)
     return _take(found, np.lexsort((found.lo, found.own)))
 
 
@@ -82,7 +86,7 @@ def _dense_extrema(dp, t_max, per_cycle=1024, chunk=1_000_000):
     """Reference extrema of |A|: a uniform scan for sign changes of
     h = Re(dA/dt conj A) at ``per_cycle`` points per cycle of the fastest
     mode frequency, uncapped and evaluated ``chunk`` points at a time, each
-    bracket bisected below 1e-10.  Returns (times, kinds) like _amp_extrema.
+    bracket bisected below 1e-10.  Returns (times, kinds) like the finder.
     """
     rate = max(dp.params.gamma, dp.params.lam,
                abs(dp.m_const.imag) / 2.0 + abs(dp.f_const.imag) / 4.0)
@@ -515,24 +519,24 @@ def test_failed_row_leaves_its_neighbours_untouched(monkeypatch):
                 3: (ValidationError, "t_max must be finite and > 0, got inf"),
                 4: (ValidationError, "t_max must be finite and > 0, got nan"),
                 5: (ValidationError, "t_max too small"),
-                6: (ValidationError, "initial gaps, over the budget"),
+                6: (ValidationError, "quarter-period pieces, over the budget"),
                 7: (ValidationError, "no sign change")}
     # a bracket of row 7 that straddles no sign change of h, from one
     # bracket's right end to the next one's left end; the row is found by
     # its constants, so its one-row view fails the same way
-    real = nonmarkov._flux_brackets
+    real = nonmarkov._pieces
     target = _flux(derive(sweep[3])).a[0]
 
-    def injected(flux, t, owner):
-        found, gaps = real(flux, t, owner)
+    def injected(flux, t_max, owner, q):
+        found = real(flux, t_max, owner, q)
         k = np.flatnonzero(flux.a[found.own] == target)[:2]
         if k.size == 2:
             lo, hi, own = found.hi[k[:1]], found.lo[k[1:]], found.own[k[:1]]
             bogus = _Todo(lo, hi, own, _flux_form(flux.at(own), hi)[0] > 0)
             found = _cat([found, bogus])
-        return found, gaps
+        return found
 
-    monkeypatch.setattr(nonmarkov, "_flux_brackets", injected)
+    monkeypatch.setattr(nonmarkov, "_pieces", injected)
     result = blp_measures(_rows(params), t_maxes)
     for i, (kind, message) in expected.items():
         assert type(result[4][i]) is kind and message in str(result[4][i])
@@ -546,26 +550,22 @@ def test_failed_row_leaves_its_neighbours_untouched(monkeypatch):
 
 
 def test_blp_sweep_kernel_calls_follow_its_slices(monkeypatch):
-    # the initial gaps of all rows go to the finder in full slices of
+    # the pieces of all rows go to the piece builder in full slices of
     # _CHUNK; the brackets the slices find are refined in batches of about
     # _CHUNK, each confirmed in four kernel calls of the signs of h (the
     # ends, then both sides of the estimate) and one of |A| at the extrema;
-    # the gaps left to split are carried in batches of _CHUNK too, and
-    # their brackets join the next refinement batch; the brackets left
-    # unconfirmed are bisected once for the whole search, in at most 64
-    # halvings and one |A| call; the tails |A(t_max)| take one call.  Rows
-    # evaluated one at a time would make a slice and kernel calls per row
-    gaps, calls, splits, refined, bisected, searches, signs = [], [], [], [], [], [], []
-    brackets, split, refine = nonmarkov._flux_brackets, nonmarkov._split, nonmarkov._refine
+    # the brackets left unconfirmed are bisected once for the whole search,
+    # in at most 64 halvings and one |A| call; the tails |A(t_max)| take one
+    # call.  Rows evaluated one at a time would make a slice and kernel
+    # calls per row
+    pieces, nodes, calls, refined, bisected, searches, signs = [], [], [], [], [], [], []
+    build, refine = nonmarkov._pieces, nonmarkov._refine
     bisect, extrema = nonmarkov._bisect, nonmarkov.amplitude_extrema
 
-    def counted_brackets(flux, t, owner):
-        gaps.append(np.count_nonzero(owner[1:] == owner[:-1]))
-        return brackets(flux, t, owner)
-
-    def counted_split(flux, left):
-        splits.append(left.lo.size)
-        return split(flux, left)
+    def counted_pieces(flux, t_max, owner, q):
+        pieces.append(np.count_nonzero(owner[1:] == owner[:-1]))
+        nodes.append(owner.size)
+        return build(flux, t_max, owner, q)
 
     def counted_refine(flux, rows, todo, errors):
         refined.append(todo.lo.size)
@@ -582,35 +582,34 @@ def test_blp_sweep_kernel_calls_follow_its_slices(monkeypatch):
         searches.append(len(errors))
         return extrema(rows, t_max, errors)
 
-    monkeypatch.setattr(nonmarkov, "_flux_brackets", counted_brackets)
+    monkeypatch.setattr(nonmarkov, "_pieces", counted_pieces)
     _count_kernel_calls(monkeypatch, calls)
     _count_kernel_calls(monkeypatch, signs, ("_mode_pieces",))
-    monkeypatch.setattr(nonmarkov, "_split", counted_split)
     monkeypatch.setattr(nonmarkov, "_refine", counted_refine)
     monkeypatch.setattr(nonmarkov, "_bisect", counted_bisect)
     monkeypatch.setattr(nonmarkov, "amplitude_extrema", counted_extrema)
     spec = _preset_table()["fig9"][1][2][3]  # 21 rows: omega 1, delta 0.1
     table, summary = run_sweep(spec)
     assert len(table) == 21 and summary.n_failed == 0
-    assert max(gaps) <= nonmarkov._CHUNK
-    assert len(gaps) == math.ceil(sum(gaps) / nonmarkov._CHUNK) < 21
-    assert len(splits) == 1 and 0 < splits[0] < nonmarkov._CHUNK
+    assert max(pieces) <= nonmarkov._CHUNK
+    assert len(pieces) == math.ceil(sum(pieces) / nonmarkov._CHUNK) < 21
     assert len(refined) == math.ceil(sum(refined) / nonmarkov._CHUNK) == 1
     assert len(calls) <= 5 * len(refined) + 1
     assert len(bisected) == len(searches) == 1 and len(bisected[0]) <= 64 + 1
-    # fig9's first panel at _CHUNK 64 takes 427 slices and finds 5,946
-    # brackets: they are refined in at most 94 batches (a refinement per
-    # slice and per finish made 439) and bisected once, and no kernel call
-    # of the signs of h takes more than 2 _CHUNK points, so the batches
+    # fig9's first panel at _CHUNK 64 finds 5,946 brackets: they are refined
+    # in at most 94 batches and bisected once; a slice evaluates the
+    # two-mode form at its nodes, its pieces plus one per row, and no kernel
+    # call of the signs of h takes more than 2 _CHUNK points, so the batches
     # bound the peak memory as the slices do
     monkeypatch.setattr(nonmarkov, "_CHUNK", 64)
     params, t_maxes = _panel_inputs()
-    for record in (refined, bisected, searches, signs):
+    for record in (pieces, nodes, refined, bisected, searches, signs):
         record.clear()
     assert blp_measures(_rows(params), t_maxes)[4] == [None] * 105
     assert sum(refined) == 5946
     assert len(refined) <= math.ceil(sum(refined) / 64) + 1 == 94
     assert len(bisected) == len(searches) == 1
+    assert max(pieces) <= 64 and max(nodes) <= 2 * 64
     assert max(signs) <= 2 * 64
 
 
@@ -633,9 +632,11 @@ def _figure_rows():
 
 
 def test_flux_keeps_the_sign_of_a_past_the_search_horizon():
-    # the bound the search horizon rests on: from t_h on, G = a + b e^{-2kt}
-    # + Re(C e^{(iw-k)t}) stays within |a|/2 of a, on the figure rows and on
-    # strongly driven rows, at twice the density of the finder's initial grid
+    # the horizon t2 of the search, the right end of {|p| <= 1}: past it G =
+    # a + b e^{-2kt} + Re(C e^{(iw-k)t}) keeps the sign of a, on the figure
+    # rows and on strongly driven rows, at 16 points per period of w; on
+    # the figure rows t2 is no later than t_h = ln(2 (|b| + |C|)/|a|)/k,
+    # from which |G - a| <= |a|/2
     params, t_maxes = _figure_rows()
     rng = np.random.default_rng(18)
     for _ in range(16):
@@ -643,19 +644,22 @@ def test_flux_keeps_the_sign_of_a_past_the_search_horizon():
         params.append(SystemParams(lam=lam, omega_rabi=rng.uniform(0.0, 1e3),
                                    delta_qc=rng.uniform(0.0, 10.0)))
         t_maxes.append(max(100.0, min(5000.0, 2.0 * math.log(1e4) / lam)))
-    cut = []
     flux = _Flux.of(_rows(params), np.ones(len(params), dtype=bool))
-    for i, (t_h, t_max) in enumerate(zip(_search_horizon(flux).tolist(), t_maxes)):
+    t2 = _horizon(flux)
+    figure = flux.at(np.flatnonzero(flux.k[:584] > 0.0))
+    t_h = np.log(2.0 * (np.abs(figure.b) + figure.abs_c) / np.abs(figure.a)) / figure.k
+    assert np.all(_horizon(figure) <= t_h)
+    assert np.count_nonzero(t2[:584] == np.inf) == 584 - t_h.size == 84  # k = 0
+    cut = []
+    for i, t_max in enumerate(t_maxes):
         a, w = flux.a[i], flux.z[i].imag
-        cut.append(t_h < t_max)
+        cut.append(t2[i] < t_max)
         if not cut[-1]:
             continue
-        t = np.linspace(t_h, t_max, max(1000, math.ceil(8.0 * abs(w) * (t_max - t_h)
-                                                        / math.pi)))
-        g = _flux_form(flux.at([i]), t)[0]
-        assert np.all(np.sign(g) == np.sign(a))
-        assert np.all(np.abs(g - a) <= 0.5 * abs(a))
-    assert sum(cut[:584]) == 371 and all(cut[584:])  # rows whose search is cut
+        t = np.linspace(t2[i], t_max, max(1000, math.ceil(8.0 * abs(w) * (t_max - t2[i])
+                                                          / math.pi)))
+        assert np.all(np.sign(_flux_form(flux.at([i]), t)[0]) == np.sign(a))
+    assert sum(cut[:584]) == 381 and all(cut[584:])  # rows whose search is cut
 
 
 def test_two_mode_table_reproduces_the_kernel_slope():
@@ -690,25 +694,25 @@ def test_two_mode_table_reproduces_the_kernel_slope():
 
 def test_figure_search_stops_at_the_closed_form_horizon(monkeypatch, tmp_path):
     # fig9 and fig10, one batched pass each over all their rows, send
-    # 139,147 initial gaps to the finder, where a search of every row to its
-    # horizon sent 371,491
-    gaps, passes = [], []
-    brackets, measures = nonmarkov._flux_brackets, sweeps.blp_measures
+    # 63,907 pieces to the piece builder, where a search of every row to its
+    # horizon would send 187,006
+    pieces, passes = [], []
+    build, measures = nonmarkov._pieces, sweeps.blp_measures
 
-    def counted(flux, t, owner):
-        gaps.append(np.count_nonzero(owner[1:] == owner[:-1]))
-        return brackets(flux, t, owner)
+    def counted(flux, t_max, owner, q):
+        pieces.append(np.count_nonzero(owner[1:] == owner[:-1]))
+        return build(flux, t_max, owner, q)
 
     def counted_measures(rows, t_maxes):
         passes.append(len(rows.eta))
         return measures(rows, t_maxes)
 
-    monkeypatch.setattr(nonmarkov, "_flux_brackets", counted)
+    monkeypatch.setattr(nonmarkov, "_pieces", counted)
     monkeypatch.setattr(sweeps, "blp_measures", counted_measures)
     for name in ("fig9", "fig10"):
         assert figure_preset(name, tmp_path)["n_failed"] == 0
     assert passes == [420, 164]
-    assert sum(gaps) == 139_147 <= 0.4 * 371_491
+    assert sum(pieces) == 63_907 <= 0.35 * 187_006
 
 
 def test_figure_rows_in_one_pass_read_as_the_per_curve_passes():
@@ -726,23 +730,27 @@ def test_figure_rows_in_one_pass_read_as_the_per_curve_passes():
 
 
 def test_stragglers_carried_across_small_slices_read_as_the_default_run(monkeypatch):
-    # at _CHUNK 64 the 105 rows of fig9's first panel take 427 slices; the
-    # gaps they leave to split reach the cap many times, each time split
-    # together, and their brackets and the slices' are refined in many
-    # batches; every output equals the default run's
+    # at _CHUNK 64 the 105 rows of fig9's first panel take many slices, and
+    # the brackets carried across them many refinement batches; every
+    # output equals the default run's
     params, t_maxes = _panel_inputs()
     default = blp_measures(_rows(params), t_maxes)
-    finishes = []
-    split = nonmarkov._split
+    slices, batches = [], []
+    build, refine = nonmarkov._pieces, nonmarkov._refine
 
-    def counted_split(flux, gaps):
-        finishes.append(gaps.lo.size)
-        return split(flux, gaps)
+    def counted_pieces(flux, t_max, owner, q):
+        slices.append(owner.size)
+        return build(flux, t_max, owner, q)
+
+    def counted_refine(flux, rows, todo, errors):
+        batches.append(todo.lo.size)
+        return refine(flux, rows, todo, errors)
 
     monkeypatch.setattr(nonmarkov, "_CHUNK", 64)
-    monkeypatch.setattr(nonmarkov, "_split", counted_split)
+    monkeypatch.setattr(nonmarkov, "_pieces", counted_pieces)
+    monkeypatch.setattr(nonmarkov, "_refine", counted_refine)
     small = blp_measures(_rows(params), t_maxes)
-    assert len(finishes) > 10
+    assert len(slices) > len(batches) > 10
     for k in range(4):
         assert small[k].tobytes() == default[k].tobytes()
     assert small[4] == default[4] == [None] * 105
@@ -761,26 +769,27 @@ def test_strong_drive_backflow_falls_as_one_over_omega():
 
 
 def test_row_over_the_work_budget_fails_fast():
-    # omega 1e6 at lam 0.1 would need 469,078,784 initial gaps: the row fails
-    # before any is made, and its neighbour reads as that row alone
+    # omega 1e6 at lam 0.1 spans 234,539,392 quarter periods of w to its
+    # horizon, over the budget of 2^22: the row fails before any piece is
+    # made, and its neighbour reads as that row alone
     params = [SystemParams(lam=0.1, omega_rabi=om) for om in (1e6, 0.5)]
     t_maxes = [2.0 * math.log(1e4) / 0.1] * 2
     start = time.perf_counter()
     result = blp_measures(_rows(params), t_maxes)
     assert time.perf_counter() - start < 1.0
-    assert "needs 469078784 initial gaps" in str(result[4][0])
+    assert "needs 234539392 quarter-period pieces" in str(result[4][0])
     assert math.isnan(result[0][0]) and not result[3][0]
     _assert_rows_match_one_row_view(params, t_maxes, result, skip={0})
 
 
-def test_row_whose_gap_count_overflows_fails_alone():
-    # 4 |w| t_max / pi overflows while the kernel's |F| t_max does not: the
-    # row reads as over its budget, with no warning, and its neighbour as alone
+def test_row_whose_piece_count_overflows_fails_alone():
+    # |w| t_max overflows at a finite t_max: the row reads as over its
+    # budget, with no warning, and its neighbour as alone
     p = SystemParams(lam=0.1, omega_rabi=1e100)
     params = [p, SystemParams(lam=0.1, omega_rabi=0.5)]
-    t_maxes = [0.6e308 / (0.5 * abs(derive(p).f_const.imag)), 184.2]
+    t_maxes = [1e208, 184.2]  # |w| = 2e100
     result = blp_measures(_rows(params), t_maxes)
-    assert "needs inf initial gaps" in str(result[4][0])
+    assert "needs inf quarter-period pieces" in str(result[4][0])
     _assert_rows_match_one_row_view(params, t_maxes, result, skip={0})
 
 
@@ -802,8 +811,10 @@ def test_formerly_capped_row_keeps_its_measure():
     assert _extrema(dp, t_max)[0].size == 5050
     res = blp_measure(dp.params, t_max=t_max)
     # pinned; the same sum over these extrema in 40-digit mpmath is
-    # 1.94667688552e-05, the rounding of ~5000 |A| values away
-    assert res.n_measure == pytest.approx(1.9466768821e-05, abs=1e-15)
+    # 1.94667688552e-05, the rounding of ~5000 |A| values away: |A| stays
+    # within 1.3e-7 of 1, so an extremum time moved within its bracket can
+    # round |A| there to the neighbouring double
+    assert res.n_measure == pytest.approx(1.9466768816e-05, abs=1e-15)
 
 
 def test_decoupled_qubit_has_no_extrema():
@@ -816,15 +827,16 @@ def test_decoupled_qubit_has_no_extrema():
     # the finder itself stops on a flux that is zero everywhere
     zero = _Flux(*(np.array([v]) for v in (0.0, 0.0, 0j, 0.01, 0.0,
                                             math.hypot(0.01, 200.0), complex(-0.01, 200.0))))
-    found = _brackets(zero, np.linspace(0, 100, 101), np.zeros(101, dtype=int))
+    found = _brackets(zero, 100.0)
     assert found.lo.size == 0 and found.hi.size == 0
 
 
 def test_grid_nodes_on_roots_of_the_slope_do_not_fail_the_row():
     # undriven resonant lam = 1: w = 1 and G = -1/2 + (cos t - sin t)/2, whose
-    # roots 2 pi m and 3 pi/2 + 2 pi m are nodes of the eighth-of-a-beat grid
-    # to t_max 8 pi; the sign of G there is rounding noise.  A hair longer
-    # horizon moves the nodes off the roots and gives the same measure
+    # roots are 2 pi m and 3 pi/2 + 2 pi m; the root 8 pi is the end node of
+    # the last piece to t_max 8 pi, where the sign of G is rounding noise.  A
+    # hair longer horizon moves the node off the root and gives the same
+    # measure
     p = SystemParams(lam=1.0)
     on_nodes = blp_measure(p, 8.0 * math.pi)
     off_nodes = blp_measure(p, 8.0 * math.pi * (1.0 + 1e-12))
@@ -886,8 +898,7 @@ def test_bracket_signs_agree_with_mpmath():
     # the horizon of a sweep row at lam = 0.01; with the textbook forms of c-
     # and s+, 13% of the brackets found here are wrong, all beyond t ~ 800
     t_max = 2.0 * math.log(1e4) / p.lam
-    lo, hi = _brackets(flux, np.linspace(0.0, t_max, 400_001),
-                       np.zeros(400_001, dtype=int))[:2]
+    lo, hi = _brackets(flux, t_max)[:2]
     assert lo.size == 63_048
     with mpmath.workdps(50):
         mpf = mpmath.mpf
@@ -904,6 +915,140 @@ def test_bracket_signs_agree_with_mpmath():
             s_lo, s_hi = h_sign(lo[i]), h_sign(hi[i])
             assert s_lo == -s_hi != 0
             assert s_lo == np.sign(_flux_form(flux, np.array([lo[i]]))[0][0])
+
+
+def _table(a, b, C, k, w):
+    """A one-row two-mode table with the given constants."""
+    return _Flux(*(np.array([v]) for v in (a, b, complex(C), k, abs(C), math.hypot(k, w),
+                                          complex(-k, w))))
+
+
+def _near_double(eps, k=0.5, w=1.0, t_e=3.0, theta=0.3):
+    """A table whose h = cos(wt + phi) + p has its one extremum on the piece
+    around t_e, a maximum of eps: h'(t_e) = 0 and h(t_e) = eps at
+    wt_e + phi = theta, with |C| = 1 (a, b < 0 like a row's, g(0) < 0)."""
+    x = math.exp(k * t_e)
+    s, d = eps - math.cos(theta), w * math.sin(theta) / k
+    return _table((s + d) / (2.0 * x), x * (s - d) / 2.0, complex(math.cos(theta - w * t_e),
+                                                               math.sin(theta - w * t_e)), k, w)
+
+
+def _mp_sign_changes(mpmath, flux, t_max, per_period=64):
+    """The sign changes of g = a e^{kt} + b e^{-kt} + Re(C e^{iwt}) on
+    (0, t_max] of a one-row table, in 50-digit arithmetic from its exact
+    constants: the changes between the points of a grid of ``per_period``
+    points per period of w, and the pairs around each zero of g' between
+    grid points where g there has the other sign.  g(0+) < 0.  Returns
+    (root, g' there) pairs in time order."""
+    mpf = mpmath.mpf
+    a, b, k, w = (mpf(float(v[0])) for v in (flux.a, flux.b, flux.k, flux.z.imag))
+    C = mpmath.mpc(complex(flux.C[0]))
+
+    def g(t):
+        return a * mpmath.exp(k * t) + b * mpmath.exp(-k * t) + mpmath.re(C * mpmath.expj(w * t))
+
+    def dg(t):
+        return (k * a * mpmath.exp(k * t) - k * b * mpmath.exp(-k * t)
+                + mpmath.re(1j * w * C * mpmath.expj(w * t)))
+
+    def root(f, lo, hi):
+        return mpmath.findroot(f, (lo, hi), solver="illinois")
+
+    n = math.ceil(per_period * abs(float(w)) * t_max / (2.0 * math.pi)) + 8
+    grid = [mpf(t_max) * i / n for i in range(1, n + 1)]
+    roots, lo, g_lo, d_lo = [], mpf(0), mpf(-1), dg(mpf(0))
+    for hi in grid:
+        g_hi, d_hi = g(hi), dg(hi)
+        if g_lo * g_hi < 0:
+            roots.append(root(g, lo, hi))
+        elif d_lo * d_hi < 0:
+            top = root(dg, lo, hi)
+            if g(top) * g_hi < 0:
+                roots += [root(g, lo, top), root(g, top, hi)]
+        lo, g_lo, d_lo = hi, g_hi, d_hi
+    return [(r, dg(r)) for r in roots]
+
+
+@pytest.mark.parametrize("case", ["near double", "within rounding", "on a cut", "k = 0",
+                                  "p's zero", "C = 0", "w < 0"])
+def test_piece_builder_finds_every_sign_change_of_the_slope(case):
+    # the brackets of the piece builder against an independent 50-digit
+    # count of the sign changes of g on two-mode tables built for each case
+    # of the lemma: one bracket per sign change, holding it (to the rounding
+    # of a root on a cut), in its direction, and none elsewhere
+    mpmath = pytest.importorskip("mpmath")
+    t_max = 20.0
+    if case == "near double":  # h's maximum 1e-9 on a piece: two roots 8e-5 apart
+        flux = _near_double(1e-9)
+    elif case == "within rounding":  # a maximum of 1e-20, below its bar: no root
+        flux = _near_double(1e-20)
+    elif case == "on a cut":  # cos = 1 and p = -1 at the cut t = 2: a simple root there
+        b = -0.3
+        flux = _table((-1.0 - b * math.exp(-0.6)) / math.exp(0.6), b,
+                      complex(math.cos(-2.0), math.sin(-2.0)), 0.3, 1.0)
+    elif case == "k = 0":  # p constant: the roots solve cos(wt + phi) = -p
+        flux = _table(-0.3, -0.2, complex(math.cos(1.3), math.sin(1.3)), 0.0, 1.3)
+    elif case == "p's zero":  # a > 0 > b: p changes sign at t = ln 25 / 0.1
+        flux, t_max = _table(0.02, -0.5, complex(math.cos(2.0), math.sin(2.0)), 0.05, 2.0), 100.0
+    elif case == "C = 0":  # g = -0.2 sinh(0.2 t) < 0
+        flux = _table(-0.1, 0.1, 0j, 0.2, 1.0)
+    else:  # the p's-zero table with w < 0 and C conjugated: the same g
+        flux, t_max = _table(0.02, -0.5, complex(math.cos(2.0), -math.sin(2.0)), 0.05, -2.0), 100.0
+    found = _brackets(flux, t_max)
+    with mpmath.workdps(50):
+        roots = _mp_sign_changes(mpmath, flux, t_max)
+    if case == "within rounding":
+        # the constants' rounding leaves a maximum of 7.5e-16, whose two roots
+        # lie 3.9e-8 apart; the builder judges that piece by its ends
+        assert len(roots) == 2 and abs(roots[0][0] - roots[1][0]) < 1e-7
+        roots = []
+    assert found.lo.size == len(roots) == {"near double": 2, "within rounding": 0,
+                                           "C = 0": 0}.get(case, len(roots))
+    assert roots or case in ("within rounding", "C = 0")
+    tol = 1e-14 * t_max if case == "on a cut" else 0.0
+    for lo, hi, rising, (r, slope) in zip(found.lo, found.hi, found.rising, roots):
+        assert lo - tol <= r <= hi + tol and rising == (slope > 0)
+    if case == "near double":  # split at a point of the piece where h > 0
+        assert found.hi[0] == found.lo[1] and abs(found.hi[0] - 3.0) < 1e-4
+    if case == "on a cut":
+        assert min(abs(float(r) - 2.0) for r, _ in roots) < 1e-14
+    if case == "p's zero":
+        assert math.log(25.0) / 0.1 < _horizon(flux)[0] < t_max
+    if case == "w < 0":
+        twin = _brackets(_table(0.02, -0.5, complex(math.cos(2.0), math.sin(2.0)), 0.05, 2.0),
+                         t_max)
+        assert all(np.array_equal(x, y) for x, y in zip(found, twin))
+
+
+def test_piece_builder_matches_the_kernel_on_long_horizons():
+    # a row whose k is below 1e-5, so its horizon t2 lies far past t_max:
+    # every piece to t_max 20,000 is searched; the 898 extrema equal a dense
+    # kernel scan's, and the signs of h at the ends of sampled brackets agree
+    # with 50-digit arithmetic on the row's exact inputs
+    mpmath = pytest.importorskip("mpmath")
+    p = SystemParams(lam=0.01, omega_rabi=0.01, delta_qc=10.0)
+    dp, t_max = derive(p), 20_000.0
+    flux = _flux(dp)
+    assert flux.k[0] < 1e-5 and _horizon(flux)[0] > 1e5
+    times, kinds, _ = _extrema(dp, t_max)
+    ref_times, ref_kinds = _dense_extrema(dp, t_max, per_cycle=64)
+    assert np.array_equal(kinds, ref_kinds) and times.size == 898
+    np.testing.assert_allclose(times, ref_times, rtol=0, atol=1e-10)
+    lo, hi = _brackets(flux, t_max)[:2]
+    assert lo.size == times.size
+    with mpmath.workdps(50):
+        mpf = mpmath.mpf
+        _, _, M, q, F = _mp_constants(mpmath, p)
+
+        def h_sign(t):
+            t = mpf(float(t))
+            e = mpmath.exp(-M * t / 2)
+            A = e * (mpmath.cosh(F * t / 4) + 2 * M / F * mpmath.sinh(F * t / 4))
+            dA = -q / (2 * F) * e * mpmath.sinh(F * t / 4)
+            return mpmath.sign(mpmath.re(dA * mpmath.conj(A)))
+
+        for i in np.random.default_rng(31).choice(lo.size, 30, replace=False):
+            assert h_sign(lo[i]) == -h_sign(hi[i]) != 0
 
 
 # rows whose |A| underflows before their horizon, so that Re(dA conj A)
@@ -957,8 +1102,7 @@ def test_bisection_reads_the_envelope_free_sign(monkeypatch):
 def test_inconsistent_brackets_raise(monkeypatch):
     dp = derive(SystemParams(lam=0.01, omega_rabi=2.0, delta_qc=1.0))
     flux = _flux(dp)
-    lo, hi = _brackets(flux, np.linspace(0.0, 100.0, 1001),
-                       np.zeros(1001, dtype=int))[:2]
+    lo, hi = _brackets(flux, 100.0)[:2]
     # a bracket whose ends straddle no sign change of h
     with pytest.raises(ValidationError, match="no sign change"):
         _refine_row(dp, flux, np.append(lo, hi[0]), np.append(hi, lo[1]))
@@ -966,14 +1110,14 @@ def test_inconsistent_brackets_raise(monkeypatch):
     flipped = flux._replace(a=-flux.a, b=-flux.b, C=-flux.C)
     with pytest.raises(ValidationError, match="disagree on the direction"):
         _refine_row(dp, flipped, lo, hi)
-    # every other bracket of the finder's first round lost: two minima in a row
-    real = nonmarkov._flux_brackets
+    # every other bracket of the piece builder lost: two minima in a row
+    real = nonmarkov._pieces
 
-    def every_other(f, t, owner):
-        found, gaps = real(f, t, owner)
-        return _take(found, slice(None, None, 2)), gaps
+    def every_other(f, t_max, owner, q):
+        found = real(f, t_max, owner, q)
+        return _take(found, np.argsort(found.lo)[::2])
 
-    monkeypatch.setattr(nonmarkov, "_flux_brackets", every_other)
+    monkeypatch.setattr(nonmarkov, "_pieces", every_other)
     with pytest.raises(ValidationError, match="do not alternate"):
         _extrema(dp, 100.0)
 

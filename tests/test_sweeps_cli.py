@@ -526,6 +526,19 @@ def test_cli_negative_values_in_scientific_notation_are_values(tmp_path, capsys)
     assert [float(r["delta"]) for r in read_csv(csv_path)] == [-0.1, 0.0, 0.1]
 
 
+@pytest.mark.parametrize("literal", ["-inf", "-INF", "-Infinity", "-nan", "-NaN", "-1_000",
+                                     "-1_000.5e-1_0"])
+def test_cli_negative_literals_read_as_with_an_equals_sign(capsys, literal):
+    # every negative literal that float() reads is a value: "--delta -inf"
+    # reaches the finiteness check and its precise message, as "--delta=-inf"
+    # does, instead of reading as a flag ("expected one argument")
+    spaced = (main(["params", "--delta", literal]), capsys.readouterr())
+    joined = (main(["params", f"--delta={literal}"]), capsys.readouterr())
+    assert spaced == joined
+    if "_" not in literal:
+        assert spaced[0] == 1 and "delta_qc must be finite" in spaced[1].err
+
+
 def test_cli_sweep_writes_csv(tmp_path, capsys):
     out = tmp_path / "c3.csv"
     rc = main(["sweep", "--quantity", "lgi3", "--axis", "tau",
@@ -611,7 +624,7 @@ def test_cli_reports_running_out_of_memory(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_blp_rows_over_budget_at_a_huge_horizon_fail_without_warnings(tmp_path, capsys):
-    # both rows need more initial gaps than their budget, so each fails
+    # both rows span more quarter periods than their budget, so each fails
     # before the kernel sees its horizon: no numpy warning (the suite's
     # filter would raise it), only the summary line
     out = tmp_path / "blp.csv"
