@@ -56,10 +56,12 @@ one-row view).  Every array carries the constants of its own rows, and
 every stage is elementwise in the rows, so a row's result depends on its
 own data alone: the finder takes the pieces of all rows in slices and
 refines their brackets in batches (``amplitude_extrema``), and the branch
-and bound the pairs of runs of rows (``_max_gain``).  One list, made by
-``_searched``, holds each row's first error: every stage records a failure
-there and skips the rows that have one, so a failed row stops while the
-others go on.
+and bound the pairs of runs of rows (``_max_gain``).  The finder hands each
+row over as the ends of the monotone segments of |A| on [0, t_max]: t = 0,
+the extrema and t_max, so its consumers only compare consecutive points.
+One list holds each row's first error: every stage records a failure there
+and skips the rows that have one, so a failed row stops while the others
+go on.
 """
 
 from __future__ import annotations
@@ -236,8 +238,8 @@ class _Todo(NamedTuple):
 
 
 class _Extrema(NamedTuple):
-    """Refined extrema of |A|: times, kinds (+1 a minimum, -1 a maximum),
-    |A| there and the row of each."""
+    """Points of |A|: times, kinds (+1 a minimum, -1 a maximum, 0 an end of
+    [0, t_max]), |A| there and the row of each."""
 
     times: np.ndarray
     kinds: np.ndarray
@@ -496,24 +498,16 @@ def _refine(flux: _Flux, rows: DerivedColumns, todo: _Todo, errors: list):
     return _take(done, ~bad), _take(todo, bad)
 
 
-def _interval_data(t_max: np.ndarray, ext: _Extrema, tails: np.ndarray, errors: list):
-    """Pair-independent interval skeleton of every row (its horizon,
-    extrema, tail |A(t_max)| and ``errors`` as in ``_searched``; ``ext``
-    holds the extrema of the rows without an error): (starts, ends, xs, xe,
-    owner), their intervals in (row, time) order, with |A| at both ends and
-    the row of each.  An interval still open at the horizon is truncated at
-    t_max; the missed tail is covered by the truncation bound of the
-    measure.
+def _interval_data(ext: _Extrema):
+    """Pair-independent interval skeleton of every row, from its monotone
+    segments (``amplitude_extrema``): (starts, ends, xs, xe, owner), the
+    segments that start at a minimum, where |A| rises, in (row, time)
+    order, with |A| at both ends and the row of each.  An interval still
+    open at the horizon ends at t_max; the missed tail is covered by the
+    truncation bound of the measure.
     """
-    times, _, x, owner = ext  # min, max, min, ...
-    # a row left rising at the horizon ends at (t_max, |A(t_max)|); sorted
-    # stably by row, every row then holds (min, max) pairs
-    open_rows = np.flatnonzero(np.bincount(owner, minlength=len(errors)) % 2)
-    owner = np.concatenate([owner, open_rows])
-    order = np.argsort(owner, kind="stable")
-    times = np.concatenate([times, t_max[open_rows]])[order]
-    x = np.concatenate([x, tails[open_rows]])[order]
-    return times[0::2], times[1::2], x[0::2], x[1::2], owner[order][0::2]
+    i = np.flatnonzero(ext.kinds == 1)
+    return ext.times[i], ext.times[i + 1], ext.amps[i], ext.amps[i + 1], ext.owner[i]
 
 
 def _intervals(data, u: float, t_max: float) -> BackflowIntervals:
@@ -529,12 +523,12 @@ def _intervals(data, u: float, t_max: float) -> BackflowIntervals:
 
 def backflow_intervals(dp: DerivedParams, pair, t_max: float) -> BackflowIntervals:
     """Intervals of growing trace distance for the given antipodal pair."""
-    t, rows = np.array([t_max], dtype=float), DerivedColumns.of([dp])
-    ext, tails, errors = _searched(rows, t)
-    data = _interval_data(t, ext, tails, errors)
+    rows = DerivedColumns.of([dp])
+    errors = rows.errors()
+    ext = amplitude_extrema(rows, np.array([t_max], dtype=float), errors)
     if errors[0] is not None:
         raise errors[0]
-    return _intervals(data[:4], _pair_u(pair), t_max)
+    return _intervals(_interval_data(ext)[:4], _pair_u(pair), t_max)
 
 
 def _gain_nodes(xs: np.ndarray, xe: np.ndarray, u, node: np.ndarray,
@@ -658,37 +652,17 @@ def _alpha(u: np.ndarray) -> np.ndarray:
     return np.arctan2(np.sqrt(1.0 - u), np.sqrt(u))
 
 
-def _searched(rows: DerivedColumns, t_max: np.ndarray):
-    """(extrema, tails, errors) of the rows: their certified extrema of |A|
-    on (0, t_max) (``amplitude_extrema``), their tails |A(t_max)| and the
-    pass's one list of row errors (None where a row has none yet).
-
-    A row whose model constants overflow gets an ``OverflowError``, and one
-    whose t_max is not finite and > 0, or whose search is over its budget, a
-    ``ValidationError``; none of them goes to the kernel, and its tail is
-    NaN.
-    """
-    errors = rows.errors()
-    for i in np.flatnonzero(~((0.0 < t_max) & (t_max < math.inf)) & ~rows.overflow).tolist():
-        errors[i] = ValidationError(f"t_max must be finite and > 0, got {t_max[i]}")
-    ext = amplitude_extrema(rows, t_max, errors)
-    live = np.flatnonzero(~_failed(errors))
-    tails = np.full(t_max.size, np.nan)
-    with np.errstate(over="ignore"):  # a decay exponent past -inf: |A| = 0, its limit
-        tails[live] = _abs_amplitude(rows, t_max[live], live)
-    return ext, tails, errors
-
-
 def amplitude_extrema(rows: DerivedColumns, t_max, errors: list) -> _Extrema:
-    """The certified extrema of |A| on (0, t_max[i]) of every row i that has
-    no error in ``errors``, in (row, time) order, with their kinds (+1 a
-    minimum of |A|, -1 a maximum) and |A| there: the one entry point of the
-    finder, for the BLP pass and the geometric phase.
+    """The ends of the monotone segments of |A| on [0, t_max[i]] of every
+    row i that has no error in ``errors``, in (row, time) order: the one
+    entry point of the finder, for the BLP pass and the geometric phase.
+    Each such row gets (0, |A| = 1), then its certified extrema (kind +1 a
+    minimum of |A|, -1 a maximum), then (t_max, |A(t_max)|); the two ends
+    have kind 0.
 
-    Each t_max of a row without an error must be finite and > 0
-    (``_searched`` checks the BLP horizons).  A row whose kernel phase
-    |w| t_max spans more than ``_MAX_PIECES`` quarter periods gets a
-    ``ValidationError`` in ``errors`` before any piece is made (so |w| t_max
+    A row whose t_max is not finite and > 0 gets a ``ValidationError`` in
+    ``errors``, and so does one whose kernel phase |w| t_max spans more than
+    ``_MAX_PIECES`` quarter periods, before any piece is made (so |w| t_max
     is at most 2^21 pi for a searched row).  The pieces of the other rows
     (``_counts``) are taken in (row, time) order, in slices of
     ``_CHUNK``, a cap across rows that bounds the peak memory, and
@@ -699,9 +673,12 @@ def amplitude_extrema(rows: DerivedColumns, t_max, errors: list) -> _Extrema:
     at the end.  Every stage is elementwise, so the extrema do not depend on
     the slicing or the batches.  |A| falls from t = 0, so the kinds of a
     row must alternate starting with a minimum, or the row fails.  A failed
-    row is searched no further, and its carried brackets are dropped.
+    row is searched no further, its carried brackets are dropped, and it
+    gets no points.
     """
     t_max = np.asarray(t_max, dtype=float)
+    for i in np.flatnonzero(~((0.0 < t_max) & (t_max < math.inf)) & ~_failed(errors)).tolist():
+        errors[i] = ValidationError(f"t_max must be finite and > 0, got {t_max[i]}")
     flux = _Flux.of(rows, ~_failed(errors))
     search = np.flatnonzero(flux.z.imag != 0.0)
     with np.errstate(over="ignore"):
@@ -734,27 +711,37 @@ def amplitude_extrema(rows: DerivedColumns, t_max, errors: list) -> _Extrema:
             todo = []
             count[_failed(errors)] = 0  # a failed row's later pieces are not searched
     parts.append(_bisect(rows, _live(_cat(unsure), errors), errors))
-    ext = _cat(parts)
+    live = np.flatnonzero(~_failed(errors))
+    with np.errstate(over="ignore"):  # a decay exponent past -inf: |A| = 0, its limit
+        tails = _abs_amplitude(rows, t_max[live], live)
+    ends = np.zeros(live.size, dtype=int)
+    ext = _cat([_Extrema(np.zeros(live.size), ends, np.ones(live.size), live), *parts,
+                _Extrema(t_max[live], ends, tails, live)])
     ext = _take(ext, np.lexsort((ext.times, ext.owner)))
-    first = np.ones(ext.owner.size, dtype=bool)
-    first[1:] = ext.owner[1:] != ext.owner[:-1]
-    _fail(errors, ext.owner[np.where(first, ext.kinds != 1,
-                                     ext.kinds == np.roll(ext.kinds, 1))],
+    # each row's first extremum follows its start, of kind 0, and is a minimum
+    prev = np.roll(ext.kinds, 1)
+    _fail(errors, ext.owner[(ext.kinds != 0) & (ext.kinds != np.where(prev == 0, 1, -prev))],
           "extrema of |A| do not alternate")
     return _take(ext, ~_failed(errors)[ext.owner])
 
 
 def _measures(rows: DerivedColumns, t_maxes):
     """(gain, u, |A(t_max)|, interval skeleton, errors) of every row; see
-    ``blp_measures``."""
+    ``blp_measures``.  A row's tail |A(t_max)| is its last point from the
+    finder (NaN for a failed row), and its intervals its rising segments
+    (``_interval_data``)."""
     t = np.array(t_maxes, dtype=float)
-    ext, tails, errors = _searched(rows, t)
+    errors = rows.errors()
+    ext = amplitude_extrema(rows, t, errors)
+    last = np.flatnonzero(ext.kinds == 0)[1::2]  # each row's (t_max, |A(t_max)|)
+    tails = np.full(t.size, np.nan)
+    tails[ext.owner[last]] = ext.amps[last]
     short = (tails >= TRUNCATION_EPS) & (t < 100.0 / rows.gamma)
     if short.any():
         _fail(errors, np.flatnonzero(short),
               "t_max too small: require |A(t_max)| < 1e-4 or t_max >= 100/gamma")
         ext = _take(ext, ~short[ext.owner])
-    starts, ends, xs, xe, owner = _interval_data(t, ext, tails, errors)
+    starts, ends, xs, xe, owner = _interval_data(ext)
     del ext  # the skeleton holds what the pair search needs
     gain, u = _max_gain(xs, xe, owner, t.size)
     failed = _failed(errors)

@@ -217,33 +217,24 @@ def _level_crossings(rows: DerivedColumns, theta, level, errors: list):
     """(row, time, dx/dt) of every crossing of x = |A|^2 through ``level``
     within the dressed period, in (row, time) order.
 
-    Only rows with theta < pi/4 have level < 1 = x(0).  Between two certified
-    extrema of |A| (``amplitude_extrema``), x is monotone, so each crossing
-    has a bracket of its own, which ``_crossings`` refines.  The search stops
-    at the period, or where the envelope of |A| falls below sqrt(level)
-    (``envelope_time``), past which no crossing lies.  A row whose extrema
-    search fails gets its error in ``errors``.
+    Only rows with theta < pi/4 have level < 1 = x(0).  x is monotone
+    between consecutive points of a row from ``amplitude_extrema``, the ends
+    of the monotone segments of |A|, so each crossing has a bracket of its
+    own, which ``_crossings`` refines.  The search stops at the period, or
+    where the envelope of |A| falls below sqrt(level) (``envelope_time``),
+    past which no crossing lies.  A row whose extrema search fails gets its
+    error in ``errors``.
     """
     search = np.flatnonzero(theta < 0.25 * math.pi)
-    rows = rows.at(search)
-    horizon = np.minimum(2.0 * math.pi / rows.omega_d,
-                         envelope_time(rows, np.sqrt(level[search])))
+    rows, level = rows.at(search), level[search]
+    horizon = np.minimum(2.0 * math.pi / rows.omega_d, envelope_time(rows, np.sqrt(level)))
     found: list = [None] * search.size
-    ext = amplitude_extrema(rows, horizon, found)
+    t, _, amps, own = amplitude_extrema(rows, horizon, found)
     for j in np.flatnonzero([e is not None for e in found]).tolist():
         errors[search[j]] = found[j]
-    # the ends of the monotone pieces of |A|: 0, the extrema and the horizon
-    m = search.size
-    t = np.concatenate([np.zeros(m), ext.times, horizon])
-    own = np.concatenate([np.arange(m), ext.owner, np.arange(m)])
-    x = np.concatenate([np.ones(m), ext.amps ** 2, np.abs(_mode_form(
-        rows.m_const, rows.f_const, horizon, rows.s_plus)) ** 2])
-    order = np.lexsort((t, own))
-    order = order[[found[i] is None for i in own[order].tolist()]]
-    t, own, x = t[order], own[order], x[order]
-    above = x > level[search][own]
+    above = amps ** 2 > level[own]
     b = np.flatnonzero((own[1:] == own[:-1]) & (above[1:] != above[:-1]))
-    cross, slope = _crossings(rows, t[b], t[b + 1], own[b], level[search][own[b]], above[b])
+    cross, slope = _crossings(rows, t[b], t[b + 1], own[b], level[own[b]], above[b])
     return search[own[b]], cross, slope
 
 

@@ -17,9 +17,11 @@ from drivenqubit import (BlochVector, QubitState, SystemParams,
                          trace_distance)
 from drivenqubit import nonmarkov
 from drivenqubit import amplitude
+from drivenqubit import phase
 from drivenqubit.amplitude import (amplitude_closed_form, amplitude_derivative,
                                    amplitude_grid)
-from drivenqubit.nonmarkov import (_bisect, _cat, _counts, _Flux, _flux_form, _horizon,
+from drivenqubit.nonmarkov import (_abs_amplitude, _bisect, _cat, _counts, _Flux, _flux_form,
+                                   _horizon,
                                    _max_gain, _pieces, _refine, _take, _Todo,
                                    amplitude_extrema, blp_measures)
 from drivenqubit.params import DerivedColumns, derive_columns
@@ -35,14 +37,15 @@ def _rows(params):
 
 
 def _extrema(dp, t_max):
-    """(times, kinds, |A|) of one row from the batched finder; raises the
-    row's error."""
+    """(times, kinds, |A|) of the extrema of one row from the batched
+    finder, without the ends of [0, t_max]; raises the row's error."""
     t, rows = np.array([t_max]), DerivedColumns.of([dp])
     errors = rows.errors()
     times, kinds, amps, _ = amplitude_extrema(rows, t, errors)
     if errors[0] is not None:
         raise errors[0]
-    return times, kinds, amps
+    inner = kinds != 0
+    return times[inner], kinds[inner], amps[inner]
 
 
 def _flux(dp):
@@ -629,6 +632,88 @@ def _figure_rows():
             params += p
             t_maxes += t
     return params, t_maxes
+
+
+def _assert_segments(rows, t_max, errors, ext):
+    """The finder's contract on one call: a row without an error holds
+    (0, kind 0, |A| = 1), its extrema, alternating from a minimum, and
+    (t_max, kind 0, |A(t_max)|), |A| there bit-equal to the kernel's, in
+    (row, time) order; a failed row holds no points."""
+    times, kinds, amps, owner = ext
+    live = np.flatnonzero([e is None for e in errors])
+    assert np.array_equal(np.unique(owner), live) and np.all(np.diff(owner) >= 0)
+    tails = _abs_amplitude(rows, t_max[live], live)
+    first, stop = np.searchsorted(owner, live), np.searchsorted(owner, live, side="right")
+    for r, i, j, tail in zip(live.tolist(), first.tolist(), stop.tolist(), tails.tolist()):
+        assert (times[i], kinds[i], amps[i]) == (0.0, 0, 1.0)
+        assert (times[j - 1], kinds[j - 1], amps[j - 1]) == (t_max[r], 0, tail)
+        assert np.array_equal(kinds[i + 1:j - 1], np.resize([1, -1], j - i - 2))
+        assert np.all(np.diff(times[i:j]) >= 0.0)
+
+
+def test_finder_returns_the_monotone_segments_of_every_row(monkeypatch):
+    # on the 584 rows of fig9 and fig10 to their horizons, and on the rows
+    # of one gp sweep to the phase's horizons (the period or the envelope)
+    params, t_maxes = _figure_rows()
+    rows, t = _rows(params), np.array(t_maxes)
+    errors = rows.errors()
+    _assert_segments(rows, t, errors, amplitude_extrema(rows, t, errors))
+    assert errors == [None] * 584
+    calls, extrema = [], nonmarkov.amplitude_extrema
+
+    def recorded(rows, t_max, errors):
+        ext = extrema(rows, t_max, errors)
+        calls.append((rows, t_max, list(errors), ext))
+        return ext
+
+    monkeypatch.setattr(phase, "amplitude_extrema", recorded)
+    table, summary = run_sweep(_preset_table()["fig7"][0][2][0])  # theta pi/6, 41 rows
+    assert len(table) == 41 and summary.n_failed == 0
+    assert len(calls) == 1 and calls[0][0].lam.size == 41
+    _assert_segments(*calls[0])
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+def test_finder_checks_its_own_horizons(bad):
+    # a horizon that is not finite and > 0 fails its row alone, whoever calls
+    params = [SystemParams(lam=0.1, omega_rabi=om) for om in (0.5, 0.3, 1.0)]
+    rows, t = _rows(params), np.full(3, 184.2)
+    alone = amplitude_extrema(rows, t, [None] * 3)
+    t[1], errors = bad, [None] * 3
+    ext = amplitude_extrema(rows, t, errors)
+    assert errors[0] is None and errors[2] is None
+    assert type(errors[1]) is ValidationError
+    assert str(errors[1]) == f"t_max must be finite and > 0, got {bad}"
+    _assert_segments(rows, t, errors, ext)
+    for got, want in zip(ext, alone):
+        assert np.array_equal(got, want[alone.owner != 1])
+
+
+def test_backflow_intervals_read_the_segments():
+    # pinned: lam 1 undriven, still rising at t_max, ends its last interval
+    # at (t_max, |A(t_max)|); lam 2.5 > 2 gamma undriven is overdamped (w =
+    # 0), with no extrema and no intervals; omega 1e6 is over the budget
+    pair, t_max = antipodal_pair(0.5), 8.0 * math.pi - 0.2
+    rising = backflow_intervals(derive(SystemParams(lam=1.0)), pair, t_max)
+    assert rising.intervals == (
+        (4.71238898038469, 6.283185307179586), (10.995574287564276, 12.566370614359172),
+        (17.278759594743864, 18.84955592153876), (23.56194490192345, t_max))
+    assert rising.amp_values == (
+        (1.0522718789890956e-17, 0.04321391826377225),
+        (1.2861647541718112e-18, 0.0018674427317079889),
+        (1.3895054640131335e-19, 8.06995175703046e-05),
+        (4.513444733777876e-21, 3.450085955239339e-06))
+    assert rising.d_values == (
+        (5.044860123424038e-18, 0.020782572977883235),
+        (6.166202300025629e-19, 0.0008953049682291186),
+        (6.661644054779794e-20, 3.8689410098364266e-05),
+        (2.1638606724517613e-21, 1.654059317354401e-06))
+    assert rising.t_max == t_max
+    overdamped = backflow_intervals(derive(SystemParams(lam=2.5)), pair, 100.0)
+    assert overdamped.intervals == overdamped.amp_values == overdamped.d_values == ()
+    with pytest.raises(ValidationError, match="needs 234530725 quarter-period pieces, "
+                                              "over the budget of 4194304 per row"):
+        backflow_intervals(derive(SystemParams(lam=0.1, omega_rabi=1e6)), pair, 184.2)
 
 
 def test_flux_keeps_the_sign_of_a_past_the_search_horizon():

@@ -641,6 +641,45 @@ def test_hard_rows_match_the_independent_reference(lam, delta_qc, theta, exact):
     assert phi == pytest.approx(exact, rel=1e-6) and err <= 1e-9
 
 
+@pytest.mark.parametrize("params,theta,exact", [
+    # a transient of |A| (rate ~0.14) at the start of the period 31,416:
+    # without the pieces graded from t = 0, no node meets it and the phase
+    # reads 1.9e-18 and 2.5e-20
+    (SystemParams(lam=1.5, omega_rabi=1e-4), 0.9, 2.90810666892965e-4),
+    (SystemParams(lam=1.0, omega_rabi=1e-4), 1.4, 2.57006320867243e-5),
+    # 149 beats of |A| (period 2.107) in the period 314.16: without a break
+    # at every beat the error estimate passes a value 2.2e-8 off
+    (SystemParams(lam=0.02, omega_rabi=0.01, delta_cav=-3.0), 0.3, 5.7311489836776)])
+def test_graded_and_beat_pieces_match_the_independent_reference(params, theta, exact):
+    phi, err, _ = geometric_phase_detailed(derive(params), theta)
+    assert abs(phi - _reference_phase(params, theta)) <= 1e-12
+    assert phi == pytest.approx(exact, rel=1e-12) and err <= 1e-9
+
+
+def test_row_over_the_beat_budget_fails_alone(monkeypatch):
+    # delta 0, 1 and 2 at lam 0.02, omega 0.01, delta_cav -3 need 149, 3 and
+    # 1 pieces of one beat period; under a budget of 100 the first row
+    # fails, and its neighbours read as without the budget
+    fixed = SystemParams(lam=0.02, omega_rabi=0.01, delta_cav=-3.0, theta=0.3)
+    spec = SweepSpec("gp", fixed, SweepAxis("delta", 0.0, 2.0, 3))
+    dps = [derive(SystemParams(lam=0.02, omega_rabi=0.01, delta_qc=d, delta_cav=-3.0))
+           for d in (1.0, 0.0, 2.0)]
+    before = phase.geometric_phases(DerivedColumns.of(dps), [0.3] * 3)
+    table, _ = run_sweep(spec)
+    monkeypatch.setattr(phase, "_MAX_BEATS", 100)
+    phi, err, errors = phase.geometric_phases(DerivedColumns.of(dps), [0.3] * 3)
+    assert type(errors[1]) is ValidationError
+    assert str(errors[1]) == ("the phase needs 149 pieces of one beat period, "
+                              "over the budget of 100 per row")
+    assert math.isnan(phi[1]) and math.isnan(err[1])
+    assert errors[0] is errors[2] is None
+    assert (phi[0], phi[2], err[0], err[2]) == (before[0][0], before[0][2],
+                                                before[1][0], before[1][2])
+    capped, summary = run_sweep(spec)
+    assert [r["status"] for r in capped.rows()] == ["invalid", "ok", "ok"]
+    assert summary.n_failed == 1 and capped.rows()[1:] == table.rows()[1:]
+
+
 def test_critically_damped_row_has_its_limit_and_no_warning():
     # F = 0: the two-mode weights are infinite and |A| is monotone, so the
     # crossing search and the envelope have nothing to go on; the phase is
