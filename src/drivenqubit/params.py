@@ -241,8 +241,12 @@ def derive_columns(lam, omega_rabi, delta_qc, delta_cav, gamma) -> DerivedColumn
     the resonant limit delta_qc -> 0+ gives eta = pi/2 whenever the drive is
     on.  F is the principal root, Re F >= 0 (A is even in F), so s+ = -M/2 +
     F/4 is the slow mode; with q = gamma*lam*(1+cos eta)^2 = -2 pref and
-    D = F + 2M (Re D >= 2 lam), s+ = -q/(2D) is its cancellation-free form.
-    Constants that overflow come out inf or NaN, unwarned (``overflow``).
+    D = F + 2M (Re D >= 2 lam), s+ = -q/(2D) = pref/D is its
+    cancellation-free form, taken as (pref/|D|) (conj D/|D|) with |D| from
+    ``hypot``: no intermediate leaves the normal range before s+ does (a
+    complex quotient forms |D|^2, which underflows below lam ~ 1e-154 and
+    flushes Re s+ to 0 below lam ~ 1e-220).  Constants that overflow come
+    out inf or NaN, unwarned (``overflow``).
     """
     lam, omega_rabi, delta_qc, delta_cav, gamma = np.array(
         (lam, omega_rabi, delta_qc, delta_cav, gamma), dtype=float)
@@ -254,7 +258,9 @@ def derive_columns(lam, omega_rabi, delta_qc, delta_cav, gamma) -> DerivedColumn
         c2 = (1.0 + np.cos(eta)) ** 2
         f_const = np.sqrt(4.0 * m_const * m_const - 2.0 * gamma * lam * c2)
         pref = -gamma * lam * c2 / 2.0
-        s_plus = 2.0 * pref / (2.0 * (f_const + 2.0 * m_const))
+        d_const = f_const + 2.0 * m_const
+        abs_d = np.hypot(d_const.real, d_const.imag)
+        s_plus = (pref / abs_d) * (np.conj(d_const) / abs_d)
     return DerivedColumns(gamma, lam, eta, omega_d, m_const, f_const, pref, s_plus)
 
 

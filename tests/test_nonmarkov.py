@@ -1,3 +1,4 @@
+import csv
 import math
 import time
 
@@ -24,6 +25,7 @@ from drivenqubit.nonmarkov import (_abs_amplitude, _bisect, _cat, _counts, _Flux
                                    _horizon,
                                    _max_gain, _pieces, _refine, _take, _Todo,
                                    amplitude_extrema, blp_measures)
+from drivenqubit.cli import main as sweeps_main
 from drivenqubit.params import DerivedColumns, derive_columns
 from drivenqubit import sweeps
 from drivenqubit.sweeps import (SweepAxis, SweepSpec, _preset_table, _sweep_table,
@@ -692,23 +694,26 @@ def test_finder_checks_its_own_horizons(bad):
 def test_backflow_intervals_read_the_segments():
     # pinned: lam 1 undriven, still rising at t_max, ends its last interval
     # at (t_max, |A(t_max)|); lam 2.5 > 2 gamma undriven is overdamped (w =
-    # 0), with no extrema and no intervals; omega 1e6 is over the budget
+    # 0), with no extrema and no intervals; omega 1e6 is over the budget.
+    # The times are exact; |A| and D to the rounding of the constants
     pair, t_max = antipodal_pair(0.5), 8.0 * math.pi - 0.2
-    rising = backflow_intervals(derive(SystemParams(lam=1.0)), pair, t_max)
+    dp = derive(SystemParams(lam=1.0))
+    rising = backflow_intervals(dp, pair, t_max)
     assert rising.intervals == (
         (4.71238898038469, 6.283185307179586), (10.995574287564276, 12.566370614359172),
         (17.278759594743864, 18.84955592153876), (23.56194490192345, t_max))
-    assert rising.amp_values == (
-        (1.0522718789890956e-17, 0.04321391826377225),
-        (1.2861647541718112e-18, 0.0018674427317079889),
-        (1.3895054640131335e-19, 8.06995175703046e-05),
-        (4.513444733777876e-21, 3.450085955239339e-06))
-    assert rising.d_values == (
-        (5.044860123424038e-18, 0.020782572977883235),
-        (6.166202300025629e-19, 0.0008953049682291186),
-        (6.661644054779794e-20, 3.8689410098364266e-05),
-        (2.1638606724517613e-21, 1.654059317354401e-06))
     assert rising.t_max == t_max
+    assert rising.amp_values[-1][1] == _abs_amplitude(DerivedColumns.of([dp]),
+                                                      np.array([t_max]), np.array([0]))[0]
+    for got, want in ((rising.amp_values, ((1.0522718789890956e-17, 0.04321391826377225),
+                                           (1.2861647541718112e-18, 0.0018674427317079889),
+                                           (1.3895054640131335e-19, 8.06995175703046e-05),
+                                           (4.513444733777876e-21, 3.450085955239339e-06))),
+                      (rising.d_values, ((5.044860123424038e-18, 0.020782572977883235),
+                                         (6.166202300025629e-19, 0.0008953049682291186),
+                                         (6.661644054779794e-20, 3.8689410098364266e-05),
+                                         (2.1638606724517613e-21, 1.654059317354401e-06)))):
+        assert np.allclose(got, want, rtol=1e-13, atol=0.0)
     overdamped = backflow_intervals(derive(SystemParams(lam=2.5)), pair, 100.0)
     assert overdamped.intervals == overdamped.amp_values == overdamped.d_values == ()
     with pytest.raises(ValidationError, match="needs 234530725 quarter-period pieces, "
@@ -973,6 +978,52 @@ def test_derived_columns_match_mpmath():
             s_plus = -Mf / 2 + F / 4
             assert abs(mpmath.mpc(complex(rows.s_plus[i])) - s_plus) <= (
                 (q_tol + 16 * eps) * abs(s_plus))
+
+
+def test_slow_rate_keeps_its_real_part_at_tiny_coupling():
+    # s+ = pref/D, D = F + 2M, against 50-digit arithmetic down to lam
+    # 1e-300.  Where Im M = 0 (undriven, or the cavity on the dressed line)
+    # Re s+ = -lam/2: a complex quotient forms |D|^2, which left it 6.4e-10
+    # off at lam 1e-210, 5.7e-3 off at 1e-215 and 0 below 1e-220.  Elsewhere
+    # Re s+ ~ lam^2 leaves the normal range with lam, and rounds to 0 there
+    mpmath = pytest.importorskip("mpmath")
+    lams = [1e-150, 1e-210, 1e-215, 1e-220, 1e-300, 0.01]
+    cases = [(0.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.5, 0.0, -1.0), (0.5, 0.0, 0.0),
+             (0.5, -2.0, 0.0)]
+    params = [SystemParams(lam=lam, omega_rabi=om, delta_qc=d, delta_cav=dc)
+              for lam in lams for om, d, dc in cases]
+    rows = _rows(params)
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    with mpmath.workdps(50):
+        for p, got in zip(params, rows.s_plus.tolist()):
+            _, _, M, q, F = _mp_constants(mpmath, p)
+            exact = -q / (2 * (F + 2 * M))
+            if mpmath.im(M) == 0:
+                assert mpmath.re(exact) == pytest.approx(-p.lam / 2, rel=1e-12)
+            assert abs(got.real - mpmath.re(exact)) <= 16 * eps * abs(mpmath.re(exact)) + tiny
+            assert abs(mpmath.mpc(got) - exact) <= 16 * eps * abs(exact)
+
+
+def test_amplitude_at_tiny_coupling_stays_below_its_envelope(tmp_path):
+    # lam 1e-300 at t = 1e300: |A| <= (|c+| + |c-|) exp(Re s+ t) ~ 0.607, the
+    # constants from 50-digit arithmetic; with Re s+ flushed to 0 the row
+    # read 0.747 as ok
+    mpmath = pytest.importorskip("mpmath")
+    out = tmp_path / "amp.csv"
+    assert sweeps_main(["sweep", "--quantity", "amplitude", "--axis", "time",
+                        "--axis-max", "1e300", "--points", "3", "--lambda", "1e-300",
+                        "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    last = list(csv.DictReader(lines[1:]))[-1]
+    assert last["status"] == "ok" and float(last["time"]) == 1e300
+    with mpmath.workdps(50):
+        _, _, M, q, F = _mp_constants(mpmath, SystemParams(lam=1e-300))
+        s_plus = -q / (2 * (F + 2 * M))
+        s_minus = -(F + 2 * M) / 4
+        weights = abs(-2 * s_minus / F) + abs(2 * s_plus / F)
+        envelope = float(weights * mpmath.exp(mpmath.re(s_plus) * mpmath.mpf(1e300)))
+    assert envelope == pytest.approx(math.exp(-0.5), rel=1e-12)
+    assert float(last["abs_a"]) <= envelope * (1.0 + 1e-12)
 
 
 def test_bracket_signs_agree_with_mpmath():
