@@ -73,7 +73,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .amplitude import _mode_form, _mode_pieces, amplitude_grid
-from .params import DerivedColumns, DerivedParams, SystemParams, ValidationError, derive
+from .params import (DerivedColumns, DerivedParams, SystemParams, ValidationError, derive,
+                     fail, failed)
 from .states import BlochVector
 
 __all__ = [
@@ -350,10 +351,12 @@ def _turns(c: _Flux, lo, hi, s, hd_lo, hd_hi):
     monotone, and H = G' + kG = exp(-kt) |C| h' (``hd_lo``, ``hd_hi`` at
     the ends) turns against s once, inside the piece: at the extremum of h.
     Secant steps on H, each held in the bracket of that turn that the last
-    one leaves, approach it.  A point x where G has the sign -s beyond its
-    bar proves the two roots; the tangent of h at x bounds h on the bracket
-    from the side of s, so s G(x) - |H(x)| (hi - lo) above the bars of G
-    and H proves there is none.  A piece that proves neither within 64
+    one leaves, approach it; G, G' and so H at each step come from
+    ``_flux_form``, as in ``_pieces``, so H's bar is G's bar times k plus
+    that of G'.  A point x where G has the sign -s beyond its bar proves
+    the two roots; the tangent of h at x bounds h on the bracket from the
+    side of s, so s G(x) - |H(x)| (hi - lo) above the bars of G and H
+    proves there is none.  A piece that proves neither within 64
     steps, or by a bracket narrower than _ROOT_TOL, has its extremum within
     its bar, and is judged by its ends: no root.
     """
@@ -361,9 +364,8 @@ def _turns(c: _Flux, lo, hi, s, hd_lo, hd_hi):
     found = [(np.empty(0, dtype=int), np.empty(0))]
     for _ in range(64):
         x = (lo * hd_hi - hi * hd_lo) / (hd_hi - hd_lo)
-        e2, ce = np.exp(-2.0 * c.k * x), c.C * np.exp(c.z * x)
-        g = c.a + c.b * e2 + ce.real
-        hd = c.k * (c.a - c.b * e2) - c.z.imag * ce.imag
+        g, dg, e2 = _flux_form(c, x)
+        hd = dg + c.k * g
         bar_g, bar_dg = _bars(c, x, e2)
         past = s * hd < 0.0  # the turn lies right of x
         lo, hi = np.where(past, x, lo), np.where(past, hi, x)
@@ -409,7 +411,8 @@ def _bisect(rows: DerivedColumns, todo: _Todo, errors: list) -> _Extrema:
         past = _rising(rows, mid, todo.own[i]) == todo.rising[i]
         lo[i] = np.where(past, lo[i], mid)
         hi[i] = np.where(past, mid, hi[i])
-    _fail(errors, todo.own[hi - lo >= _ROOT_TOL], "bracket refinement failed to converge")
+    fail(errors, todo.own, hi - lo >= _ROOT_TOL,
+         lambda _: ValidationError("bracket refinement failed to converge"))
     times = 0.5 * (lo + hi)
     return _Extrema(times, np.where(todo.rising, 1, -1),
                     _abs_amplitude(rows, times, todo.own), todo.own)
@@ -447,19 +450,7 @@ def _confirm(rows: DerivedColumns, lo, hi, x, rising, owner):
 
 def _live(table, errors: list):
     """The entries of a ``_Todo`` whose rows have no error in ``errors``."""
-    return _take(table, ~_failed(errors)[table.own])
-
-
-def _failed(errors: list) -> np.ndarray:
-    """Where the per-row ``errors`` list holds an error."""
-    return np.array([e is not None for e in errors], dtype=bool)
-
-
-def _fail(errors: list, rows, message: str) -> None:
-    """Record a ValidationError for each row in ``rows`` that has no error yet."""
-    for r in set(rows.tolist()):
-        if errors[r] is None:
-            errors[r] = ValidationError(message)
+    return _take(table, ~failed(errors)[table.own])
 
 
 def _refine(flux: _Flux, rows: DerivedColumns, todo: _Todo, errors: list):
@@ -489,11 +480,12 @@ def _refine(flux: _Flux, rows: DerivedColumns, todo: _Todo, errors: list):
         rising = todo.rising[unsure]
         ends[:, unsure] = np.where(at_root, [~rising, rising], ends[:, unsure])
         flat, backward = ends[0] == ends[1], ends[1] != todo.rising
-    _fail(errors, todo.own[flat], "extremum bracket shows no sign change of d|A|/dt")
-    _fail(errors, todo.own[backward],
-          "extremum bracket: the kernel and the two-mode form disagree on the "
-          "direction of d|A|/dt")
-    bad &= ~_failed(errors)[todo.own]
+    fail(errors, todo.own, flat, lambda _: ValidationError(
+        "extremum bracket shows no sign change of d|A|/dt"))
+    fail(errors, todo.own, backward, lambda _: ValidationError(
+        "extremum bracket: the kernel and the two-mode form disagree on the "
+        "direction of d|A|/dt"))
+    bad &= ~failed(errors)[todo.own]
     done = _Extrema(times, np.where(todo.rising, 1, -1), amps, todo.own)
     return _take(done, ~bad), _take(todo, bad)
 
@@ -677,16 +669,16 @@ def amplitude_extrema(rows: DerivedColumns, t_max, errors: list) -> _Extrema:
     gets no points.
     """
     t_max = np.asarray(t_max, dtype=float)
-    for i in np.flatnonzero(~((0.0 < t_max) & (t_max < math.inf)) & ~_failed(errors)).tolist():
-        errors[i] = ValidationError(f"t_max must be finite and > 0, got {t_max[i]}")
-    flux = _Flux.of(rows, ~_failed(errors))
+    fail(errors, np.arange(t_max.size), ~((0.0 < t_max) & (t_max < math.inf)),
+         lambda i: ValidationError(f"t_max must be finite and > 0, got {t_max[i]}"))
+    flux = _Flux.of(rows, ~failed(errors))
     search = np.flatnonzero(flux.z.imag != 0.0)
     with np.errstate(over="ignore"):
         quarters = np.ceil(np.abs(flux.z.imag[search]) * t_max[search] / _QUARTER)
     over = quarters > _MAX_PIECES
-    for r, n in zip(search[over].tolist(), quarters[over].tolist()):
-        errors[r] = ValidationError(f"the extrema search needs {n:.0f} quarter-period "
-                                    f"pieces, over the budget of {_MAX_PIECES} per row")
+    fail(errors, search, over, lambda i: ValidationError(
+        f"the extrema search needs {quarters[i]:.0f} quarter-period "
+        f"pieces, over the budget of {_MAX_PIECES} per row"))
     search = search[~over]
     count = np.zeros(t_max.size, dtype=int)
     count[search] = _counts(flux.at(search), t_max[search])
@@ -709,9 +701,9 @@ def amplitude_extrema(rows: DerivedColumns, t_max, errors: list) -> _Extrema:
             parts.append(done)
             unsure.append(more)
             todo = []
-            count[_failed(errors)] = 0  # a failed row's later pieces are not searched
+            count[failed(errors)] = 0  # a failed row's later pieces are not searched
     parts.append(_bisect(rows, _live(_cat(unsure), errors), errors))
-    live = np.flatnonzero(~_failed(errors))
+    live = np.flatnonzero(~failed(errors))
     with np.errstate(over="ignore"):  # a decay exponent past -inf: |A| = 0, its limit
         tails = _abs_amplitude(rows, t_max[live], live)
     ends = np.zeros(live.size, dtype=int)
@@ -720,9 +712,9 @@ def amplitude_extrema(rows: DerivedColumns, t_max, errors: list) -> _Extrema:
     ext = _take(ext, np.lexsort((ext.times, ext.owner)))
     # each row's first extremum follows its start, of kind 0, and is a minimum
     prev = np.roll(ext.kinds, 1)
-    _fail(errors, ext.owner[(ext.kinds != 0) & (ext.kinds != np.where(prev == 0, 1, -prev))],
-          "extrema of |A| do not alternate")
-    return _take(ext, ~_failed(errors)[ext.owner])
+    fail(errors, ext.owner, (ext.kinds != 0) & (ext.kinds != np.where(prev == 0, 1, -prev)),
+         lambda _: ValidationError("extrema of |A| do not alternate"))
+    return _take(ext, ~failed(errors)[ext.owner])
 
 
 def _measures(rows: DerivedColumns, t_maxes):
@@ -738,14 +730,14 @@ def _measures(rows: DerivedColumns, t_maxes):
     tails[ext.owner[last]] = ext.amps[last]
     short = (tails >= TRUNCATION_EPS) & (t < 100.0 / rows.gamma)
     if short.any():
-        _fail(errors, np.flatnonzero(short),
-              "t_max too small: require |A(t_max)| < 1e-4 or t_max >= 100/gamma")
+        fail(errors, np.arange(t.size), short, lambda _: ValidationError(
+            "t_max too small: require |A(t_max)| < 1e-4 or t_max >= 100/gamma"))
         ext = _take(ext, ~short[ext.owner])
     starts, ends, xs, xe, owner = _interval_data(ext)
     del ext  # the skeleton holds what the pair search needs
     gain, u = _max_gain(xs, xe, owner, t.size)
-    failed = _failed(errors)
-    gain[failed] = u[failed] = tails[failed] = np.nan
+    bad = failed(errors)
+    gain[bad] = u[bad] = tails[bad] = np.nan
     return gain, u, tails, (starts, ends, xs, xe, owner), errors
 
 

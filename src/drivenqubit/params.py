@@ -187,7 +187,8 @@ class DerivedColumns(NamedTuple):
 
     def errors(self, period: bool = False) -> list:
         """Per row, an ``OverflowError`` where its constants overflow, else,
-        with ``period``, a ``ValidationError`` where it has no period, or None."""
+        with ``period``, a ``ValidationError`` where it has no period, or None:
+        the record of the rows' first errors that ``fail`` adds to."""
         errors: list = [None] * self.eta.size
         for i in np.flatnonzero(self.overflow | (period & self.no_period)).tolist():
             dp = self.row(i, None)
@@ -202,6 +203,20 @@ class DerivedColumns(NamedTuple):
         """Row i, that of parameter set ``params``."""
         return DerivedParams(*(col.item(i) for col in self[2:]),
                              1.0 / self.lam.item(i), 1.0 / self.gamma.item(i), params)
+
+
+def failed(errors: list) -> np.ndarray:
+    """Where a per-row record of errors (``DerivedColumns.errors``) holds one."""
+    return np.array([e is not None for e in errors], dtype=bool)
+
+
+def fail(errors: list, owner, bad, error) -> None:
+    """Record ``error(i)`` for the row ``owner[i]`` of each entry i where
+    ``bad`` is set, unless that row has an error already: a row keeps its
+    first error, which its first bad entry names."""
+    for i in np.flatnonzero(bad).tolist():
+        if errors[owner[i]] is None:
+            errors[owner[i]] = error(i)
 
 
 @dataclass(frozen=True)

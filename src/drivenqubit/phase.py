@@ -24,8 +24,8 @@ level goes to the integrand in one array call, where each node carries the
 constants (M, F, s+, theta) of its own row into ``amplitude._mode_form``
 and ``_spectrum``, with a bound on its rounding.  Every stage is
 elementwise in the rows, so a row's pieces, nodes and phase do not depend
-on the other rows; ``geometric_phase`` and ``geometric_phase_detailed``
-(which also returns the nodes) are its one-row views.
+on the other rows; ``geometric_phase_detailed`` (which also returns the
+nodes) is its one-row view, and ``geometric_phase`` its value.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import numpy as np
 
 from .amplitude import _mode_form, amplitude_closed_form
 from .nonmarkov import _modes, amplitude_extrema, envelope_time
-from .params import DerivedColumns, DerivedParams, ValidationError
+from .params import DerivedColumns, DerivedParams, ValidationError, fail, failed
 from .quadrature import gauss_kronrod_many
 
 __all__ = ["EigenSystem", "eigensystem", "geometric_phase", "geometric_phase_detailed",
@@ -230,8 +230,7 @@ def _level_crossings(rows: DerivedColumns, theta, level, errors: list):
     horizon = np.minimum(2.0 * math.pi / rows.omega_d, envelope_time(rows, np.sqrt(level)))
     found: list = [None] * search.size
     t, _, amps, own = amplitude_extrema(rows, horizon, found)
-    for j in np.flatnonzero([e is not None for e in found]).tolist():
-        errors[search[j]] = found[j]
+    fail(errors, search, failed(found), found.__getitem__)
     above = amps ** 2 > level[own]
     b = np.flatnonzero((own[1:] == own[:-1]) & (above[1:] != above[:-1]))
     cross, slope = _crossings(rows, t[b], t[b + 1], own[b], level[own[b]], above[b])
@@ -248,12 +247,12 @@ def _pieces(rows: DerivedColumns, theta: np.ndarray, errors: list):
     time eps = |sin 2 theta| sqrt(K) / |d'| (d' = 2 cos^2(theta) dx/dt): a
     true step at theta = 0.  So the pieces break at
 
-    - every crossing c, and c +- eps 2^j around it (eps at least 4 ulp of c;
-      none at theta = 0, where the step is exact), out to half the way to
-      its neighbours;
-    - tau 2^j from t = 0, tau = 1 / max(|s+|, |s-|) the fastest time scale
-      of A, out to half the way to the first crossing or the period, so that
-      a transient short against the period meets nodes;
+    - every crossing c and at t = 0, and at p +- w 2^j around each such
+      point p, out to half the way to its neighbours (the points of its row
+      and the period): w = eps at a crossing (at least 4 ulp of c; none at
+      theta = 0, where the step is exact), and w = tau = 1 / max(|s+|, |s-|)
+      at t = 0, the fastest time scale of A, so that a transient short
+      against the period meets nodes;
     - every beat period 2 pi / |w| of |A| (w = Im F / 2), until the envelope
       of |A| falls below 1e-8 (``envelope_time``), where the integrand is
       within 1e-16 of its limit 0: a piece over many beats can fool the
@@ -262,45 +261,43 @@ def _pieces(rows: DerivedColumns, theta: np.ndarray, errors: list):
 
     A row whose crossings cannot be found gets that error and no pieces.
     """
-    live = np.flatnonzero([e is None for e in errors])
+    live = np.flatnonzero(~failed(errors))
     rows, theta = rows.at(live), theta[live]
     n, found = live.size, [None] * live.size
+    every = np.arange(n)
     period = 2.0 * math.pi / rows.omega_d
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _, _, s_minus = _modes(rows.m_const, rows.f_const, rows.s_plus)
+        beat = 2.0 * math.pi / np.abs(0.5 * rows.f_const.imag)
+    beats = np.floor(np.minimum(period, envelope_time(rows, _NEGLIGIBLE)) / beat)
+    fail(found, every, beats > _MAX_BEATS, lambda i: ValidationError(
+        f"the phase needs {beats[i]:.0f} pieces of one beat period, over the budget "
+        f"of {_MAX_BEATS} per row"))
+    beats = np.where(beats > _MAX_BEATS, 0, beats).astype(int)
     c2 = np.cos(theta) ** 2
     level = 0.5 / c2
     own, cross, slope = _level_crossings(rows, theta, level, found)
     with np.errstate(divide="ignore", invalid="ignore"):
         eps = np.abs(np.sin(2.0 * theta[own])) * np.sqrt(level[own]) / np.abs(
             2.0 * c2[own] * slope)
-        _, _, s_minus = _modes(rows.m_const, rows.f_const, rows.s_plus)
-        beat = 2.0 * math.pi / np.abs(0.5 * rows.f_const.imag)
     eps = np.where(eps > 0.0, np.maximum(eps, 4.0 * np.spacing(cross)), np.nan)
     tau = 1.0 / np.maximum(np.abs(rows.s_plus), np.abs(s_minus))
-    beats = np.floor(np.minimum(period, envelope_time(rows, _NEGLIGIBLE)) / beat)
-    for i in np.flatnonzero(beats > _MAX_BEATS).tolist():
-        found[i] = ValidationError(f"the phase needs {beats[i]:.0f} pieces of one beat "
-                                   f"period, over the budget of {_MAX_BEATS} per row")
-    beats = np.where(beats > _MAX_BEATS, 0, beats).astype(int)
-    # each crossing's neighbours: the crossings next to it, 0 and the period
-    # (the crossings come in (row, time) order, which the sort keeps)
-    t = np.concatenate([np.zeros(n), cross, period])
-    o = np.concatenate([np.arange(n), own, np.arange(n)])
+    # each row's points in time order, 0, its crossings, then its period (which
+    # gets no width); a gap across two rows is negative, so it grades nothing
+    t, o, width = (np.concatenate(col) for col in zip(
+        (np.zeros(n), every, tau), (cross, own, eps), (period, every, np.full(n, np.nan))))
     order = np.lexsort((t, o))
-    at = np.flatnonzero((order >= n) & (order < n + cross.size))
-    ends = t[order]
-    left = _doublings(0.5 * (ends[at] - ends[at - 1]), eps)
-    right = _doublings(0.5 * (ends[at + 1] - ends[at]), eps)
-    head = _doublings(0.5 * ends[np.searchsorted(o[order], np.arange(n)) + 1], tau)
-    every, zero = np.arange(n), np.zeros(n)
+    t, o, width = t[order], o[order], width[order]
+    gap = 0.5 * np.diff(t)
     t, o = (np.concatenate(col) for col in zip(
-        (t, o), _runs(own, cross, -eps, left, True), _runs(own, cross, eps, right, True),
-        _runs(every, zero, tau, head, True), _runs(every, zero, beat, beats, False)))
+        (t, o), _runs(o[1:], t[1:], -width[1:], _doublings(gap, width[1:]), True),
+        _runs(o[:-1], t[:-1], width[:-1], _doublings(gap, width[:-1]), True),
+        _runs(every, np.zeros(n), beat, beats, False)))
     order = np.lexsort((t, o))
     order = order[t[order] <= period[o[order]]]  # an even point may round past the period
     t, o = t[order], o[order]
-    for i in np.flatnonzero([e is not None for e in found]).tolist():
-        errors[live[i]] = found[i]
-    ok = np.array([e is None for e in found], dtype=bool)[o]
+    fail(errors, live, failed(found), found.__getitem__)
+    ok = ~failed(found)[o]
     piece = np.flatnonzero((o[1:] == o[:-1]) & (t[1:] > t[:-1]) & ok[:-1])
     return t[piece], t[piece + 1], live[o[piece]]
 
@@ -315,9 +312,9 @@ def _phases(rows: DerivedColumns, thetas, quad_tol, integrand):
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         tol = np.broadcast_to(np.asarray(quad_tol, dtype=float) / rows.omega_d, theta.shape)
     val, err, failures = gauss_kronrod_many(integrand, lo, hi, owner, tol)
-    errors = [e or failure for e, failure in zip(errors, failures)]
-    failed = np.array([e is not None for e in errors], dtype=bool)
-    val[failed] = err[failed] = np.nan
+    fail(errors, np.arange(theta.size), failed(failures), failures.__getitem__)
+    bad = failed(errors)
+    val[bad] = err[bad] = np.nan
     return rows.omega_d * val, rows.omega_d * err, errors
 
 
@@ -340,12 +337,8 @@ def geometric_phases(rows: DerivedColumns, thetas, quad_tol=1e-9):
 
 def geometric_phase(dp: DerivedParams, theta: float, quad_tol: float = 1e-9) -> float:
     """Kinematic phase over one dressed period, in radians (raw, in [0, 2 pi]
-    up to quad_tol): the one-row view of ``geometric_phases``, raising the
-    row's error."""
-    phi, _, errors = geometric_phases(DerivedColumns.of([dp]), [theta], quad_tol)
-    if errors[0] is not None:
-        raise errors[0]
-    return float(phi[0])
+    up to quad_tol): the value of ``geometric_phase_detailed``."""
+    return geometric_phase_detailed(dp, theta, quad_tol)[0]
 
 
 def geometric_phase_detailed(dp: DerivedParams, theta: float,

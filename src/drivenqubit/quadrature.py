@@ -34,6 +34,8 @@ from typing import Callable
 
 import numpy as np
 
+from .params import fail, failed
+
 __all__ = ["QuadratureError", "gauss_kronrod", "gauss_kronrod_many"]
 
 _EPS = np.finfo(float).eps
@@ -76,14 +78,6 @@ def _sums(lo, hi, fx, bar):
     return h * k, h * g, h * r
 
 
-def _failures(failures, owner, bad, message):
-    """Record ``message(i)`` for the owner of each interval i in ``bad``
-    whose integral has no failure yet (its first such interval names it)."""
-    for i in np.flatnonzero(bad).tolist():
-        if failures[owner[i]] is None:
-            failures[owner[i]] = QuadratureError(message(i))
-
-
 def gauss_kronrod_many(f: Callable, lo, hi, owner, tol):
     """Integrate f over the pieces (lo_j, hi_j) of integral owner_j, to the
     absolute tolerance tol_i of each integral i.
@@ -99,8 +93,9 @@ def gauss_kronrod_many(f: Callable, lo, hi, owner, tol):
     owner = np.array(owner, dtype=int, ndmin=1)
     n = tol.size
     failures: list[QuadratureError | None] = [None] * n
-    for i in np.flatnonzero(~(tol > 0)).tolist():
-        failures[i] = QuadratureError(f"tol must be > 0, got {tol[i]}")
+    every = np.arange(n)
+    fail(failures, every, ~(tol > 0),
+         lambda i: QuadratureError(f"tol must be > 0, got {tol[i]}"))
     with np.errstate(divide="ignore", invalid="ignore"):  # integrals without pieces
         share = tol / np.bincount(owner, hi - lo, n)  # tolerance per unit width
     keep = (tol > 0)[owner] & (hi > lo)
@@ -120,10 +115,10 @@ def gauss_kronrod_many(f: Callable, lo, hi, owner, tol):
             by_tol = diff <= share[own] * (b - a)
             done = by_tol | (diff <= rounding)
             if depth >= _MAX_DEPTH:
-                _failures(failures, own, ~done, lambda i: (
+                fail(failures, own, ~done, lambda i: QuadratureError(
                     f"max depth {_MAX_DEPTH} reached on [{a[i]}, {b[i]}] "
                     f"with residual {diff[i]:.3e}"))
-            _failures(failures, own, ~np.isfinite(diff), lambda i: (
+            fail(failures, own, ~np.isfinite(diff), lambda i: QuadratureError(
                 f"Gauss-Kronrod sums on [{a[i]}, {b[i]}] are not finite"))
             accepted.append((own[done], k[done], (diff + rounding)[done],
                              np.where(by_tol, 0.0, diff)[done]))
@@ -131,7 +126,7 @@ def gauss_kronrod_many(f: Callable, lo, hi, owner, tol):
             split.append((a[more], mid[more], b[more], own[more]))
         # the left halves of the split intervals, then their right halves
         a, mid, b, own = (np.concatenate(col) for col in zip(*split))
-        live = np.array([e is None for e in failures], dtype=bool)[own]
+        live = ~failed(failures)[own]
         level = [np.concatenate([a[live], mid[live]]), np.concatenate([mid[live], b[live]]),
                  np.concatenate([own[live], own[live]])]
         depth += 1
@@ -139,13 +134,11 @@ def gauss_kronrod_many(f: Callable, lo, hi, owner, tol):
     own, k, est, floor = (np.concatenate(col) for col in zip(
         (np.empty(0, dtype=int), np.empty(0), np.empty(0), np.empty(0)), *accepted))
     values, errors, floors = (np.bincount(own, col, n).astype(float) for col in (k, est, floor))
-    for i in np.flatnonzero(floors > tol).tolist():
-        if failures[i] is None:
-            failures[i] = QuadratureError(
-                f"tolerance {tol[i]:.3e} is below the rounding floor {floors[i]:.3e} "
-                f"of its Gauss-Kronrod sums")
-    failed = np.array([e is not None for e in failures], dtype=bool)
-    values[failed] = errors[failed] = np.nan
+    fail(failures, every, floors > tol, lambda i: QuadratureError(
+        f"tolerance {tol[i]:.3e} is below the rounding floor {floors[i]:.3e} "
+        f"of its Gauss-Kronrod sums"))
+    bad = failed(failures)
+    values[bad] = errors[bad] = np.nan
     return values, errors, failures
 
 

@@ -9,8 +9,10 @@ shared cells and the label are formatted into the template once, each
 coordinate column once per figure (once per file from ``write_rows``), and
 the observables fill its slots; ``SweepTable.rows()`` is the row view, one
 dict per row.  Every block of a sweep or a figure comes from ``_blocks``,
-in the calling process, which keeps the parameters as columns too: one
-``derive_columns`` call covers every row of its specs.
+in the calling process, which keeps the parameters of the ``gp`` and
+``blp`` rows as columns too: one ``derive_columns`` call covers them all,
+and each time or tau series takes the one-row ``derive`` of its fixed
+parameters.
 
 Output files are plain CSV: one leading comment line with the schema tag,
 a header row, then data rows with floats printed at 17 significant digits.
@@ -33,7 +35,7 @@ import numpy as np
 from .amplitude import amplitude_grid, decay_rate_grid
 from .nonmarkov import blp_measures
 from .params import (DerivedColumns, DerivedParams, SystemParams, ValidationError,
-                     check_column, derive_columns)
+                     check_column, derive, derive_columns)
 from .phase import geometric_phases
 from .temporal import lgi_series, witness_series
 
@@ -68,8 +70,6 @@ QUANTITIES = {
 }
 
 PARAM_COLUMNS = ("gamma", "lam", "omega_rabi", "delta_qc", "delta_cav", "theta")
-# the rows of a parameter table: the arguments of ``derive_columns``, then theta
-_TABLE_ROWS = ("lam", "omega_rabi", "delta_qc", "delta_cav", "gamma", "theta")
 
 
 @dataclass(frozen=True)
@@ -277,14 +277,15 @@ def _time_series_block(spec: SweepSpec, series: tuple) -> SweepBlock:
 
 def _sweep_table(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray]:
     """(parameter table, axis values) of a parameter sweep: a row per field
-    of ``_TABLE_ROWS``, a column per sweep row, the swept field set to the
-    axis values (lambda_ratio in units of gamma) and checked."""
+    of ``PARAM_COLUMNS``, in its order (theta last), a column per sweep row,
+    the swept field set to the axis values (lambda_ratio in units of gamma)
+    and checked."""
     name, values = AXES[spec.axis.name][0], spec.axis.values()
     with np.errstate(over="ignore"):  # a lam that overflows fails the check
         column = values * spec.fixed.gamma if name == "lam" else values
     check_column(name, column)
-    table = np.repeat([[getattr(spec.fixed, f)] for f in _TABLE_ROWS], values.size, axis=1)
-    table[_TABLE_ROWS.index(name)] = column
+    table = np.repeat([[getattr(spec.fixed, f)] for f in PARAM_COLUMNS], values.size, axis=1)
+    table[PARAM_COLUMNS.index(name)] = column
     return table, values
 
 
@@ -324,20 +325,18 @@ _ROWS = {"gp": _gp_rows, "blp": _blp_rows}
 def _blocks(specs: list):
     """The block of each spec, in order.
 
-    One ``derive_columns`` call gives the constants of every row: those of
-    the parameter sweeps (``_sweep_table``, in spec order, so the first bad
-    swept value raises), then one per (series, fixed parameters, axis) of
-    the time and tau specs.  At the first block asked for, the sweeps of
-    each quantity of ``_ROWS`` take one call of its row function; a time or
-    tau block reads a series evaluated once in this call (the ``lgi3`` and
-    ``lgi4`` curves of one parameter set share one ``lgi_series``).
+    One ``derive_columns`` call gives the constants of every row of the
+    parameter sweeps (``_sweep_table``, in spec order, so the first bad
+    swept value raises).  At the first block asked for, the sweeps of each
+    quantity of ``_ROWS`` take one call of its row function.  A time or tau
+    block reads a series evaluated once in this call, from the ``derive``
+    of its fixed parameters (the ``lgi3`` and ``lgi4`` curves of one
+    parameter set share one ``lgi_series``).
     """
     swept = [(spec, *_sweep_table(spec)) for spec in specs if spec.quantity in _ROWS]
-    keys = list(dict.fromkeys((_SERIES[spec.quantity], spec.fixed, spec.axis)
-                              for spec in specs if spec.quantity not in _ROWS))
-    fixed = np.array([[getattr(key[1], f) for key in keys] for f in _TABLE_ROWS])
-    table = np.concatenate([t for _, t, _ in swept] + [fixed], axis=1)
-    rows = derive_columns(*table[:-1])
+    table = np.concatenate([np.empty((len(PARAM_COLUMNS), 0))] + [t for _, t, _ in swept],
+                           axis=1)
+    rows = derive_columns(**dict(zip(PARAM_COLUMNS, table[:-1])))
     stop = list(itertools.accumulate((values.size for _, _, values in swept), initial=0))
     parts = [slice(a, b) for a, b in zip(stop[:-1], stop[1:])]
     done = {}
@@ -352,14 +351,13 @@ def _blocks(specs: list):
             i = next(order)
             name = AXES[spec.axis.name][0]
             const = {k: v for k, v in vars(spec.fixed).items() if k != name}
-            coords = {name: table[_TABLE_ROWS.index(name), parts[i]],
+            coords = {name: table[PARAM_COLUMNS.index(name), parts[i]],
                       spec.axis.name: swept[i][2]}
             yield SweepBlock(const, coords, *done[i])
             continue
         key = (_SERIES[spec.quantity], spec.fixed, spec.axis)
-        if key not in series:  # the series' rows follow the sweeps' rows
-            series[key] = _series(key[0], rows.row(stop[-1] + keys.index(key), key[1]),
-                                  key[2])
+        if key not in series:
+            series[key] = _series(key[0], derive(spec.fixed), spec.axis)
         yield _time_series_block(spec, series[key])
 
 

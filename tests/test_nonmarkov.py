@@ -468,7 +468,8 @@ def _sweep_inputs(spec):
     """Parameter sets and horizons of the rows of a blp sweep, as the sweep
     builds them."""
     table, _ = _sweep_table(spec)
-    params = [SystemParams(**dict(zip(sweeps._TABLE_ROWS, col))) for col in table.T.tolist()]
+    params = [SystemParams(**dict(zip(sweeps.PARAM_COLUMNS, col)))
+              for col in table.T.tolist()]
     return params, [max(spec.t_max, min(5000.0, 2.0 * math.log(1e4) / p.lam))
                     for p in params]
 

@@ -13,7 +13,7 @@ except ImportError:  # only the property test needs hypothesis (the `test` extra
 
 from drivenqubit import (DerivedParams, SpectralDensity, SystemParams, ValidationError,
                          derive, kernel, spectral_density)
-from drivenqubit.params import derive_columns
+from drivenqubit.params import derive_columns, fail, failed
 from drivenqubit.quadrature import gauss_kronrod
 
 
@@ -131,6 +131,19 @@ def test_kernel_decay_and_monotonicity():
     assert all(b <= a + 1e-15 for a, b in zip(mags, mags[1:]))
     with pytest.raises(ValidationError):
         kernel(dp, -0.1)
+
+
+def test_fail_keeps_each_rows_first_error_named_by_its_first_bad_entry():
+    errors = [None, ValidationError("earlier"), None, None]
+    owner = np.array([0, 0, 1, 2, 0, 2])
+    bad = np.array([False, True, True, True, True, True])
+    fail(errors, owner, bad, lambda i: ValidationError(f"entry {i}"))
+    # row 0's first bad entry is 1, row 1 keeps its error, row 3 has none
+    assert [str(e) if e else None for e in errors] == ["entry 1", "earlier", "entry 3", None]
+    fail(errors, owner, np.ones(6, dtype=bool), lambda i: ValidationError("later"))
+    assert [str(e) if e else None for e in errors] == ["entry 1", "earlier", "entry 3", None]
+    assert failed(errors).tolist() == [True, True, True, False]
+    assert failed([]).dtype == bool and failed([]).size == 0
 
 
 if given is None:

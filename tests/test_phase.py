@@ -450,7 +450,7 @@ def _sweep_cases():
                              theta=float(rng.uniform(0, math.pi / 2)))
         axis = SweepAxis(name, *box[name], 7, "log" if name == "lambda_ratio" else "linear")
         table, _ = sweeps._sweep_table(SweepSpec("gp", fixed, axis))
-        cases.append(([SystemParams(**dict(zip(sweeps._TABLE_ROWS, col)))
+        cases.append(([SystemParams(**dict(zip(sweeps.PARAM_COLUMNS, col)))
                        for col in table.T.tolist()],
                       float(10 ** rng.uniform(-12, -7))))
     return cases

@@ -789,8 +789,9 @@ def test_bad_swept_value_raises_the_message_of_its_parameter_set(quantity, axis,
 
 
 def test_mixed_specs_share_one_derive_and_read_as_alone():
-    # one array derive covers the rows of every spec of a _blocks call, gp,
-    # blp and series specs interleaved: each block is its spec's sweep alone
+    # one array derive covers the rows of the gp and blp specs of a _blocks
+    # call, and each series derives its fixed parameters alone; with gp, blp
+    # and series specs interleaved, each block is its spec's sweep alone
     from drivenqubit.sweeps import _blocks
 
     p = SystemParams(lam=0.05, omega_rabi=0.3, delta_qc=0.5, theta=0.4)
