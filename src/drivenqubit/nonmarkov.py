@@ -704,7 +704,10 @@ def amplitude_extrema(rows: DerivedColumns, t_max, errors: list) -> _Extrema:
             count[failed(errors)] = 0  # a failed row's later pieces are not searched
     parts.append(_bisect(rows, _live(_cat(unsure), errors), errors))
     live = np.flatnonzero(~failed(errors))
-    with np.errstate(over="ignore"):  # a decay exponent past -inf: |A| = 0, its limit
+    # a decay exponent past -inf gives |A| = 0, its limit; a kernel phase past
+    # inf (on decoupled rows alone: the piece budget stops the others) gives
+    # NaN, and the row reads invalid (the phase's is over its beat budget)
+    with np.errstate(over="ignore", invalid="ignore"):
         tails = _abs_amplitude(rows, t_max[live], live)
     ends = np.zeros(live.size, dtype=int)
     ext = _cat([_Extrema(np.zeros(live.size), ends, np.ones(live.size), live), *parts,

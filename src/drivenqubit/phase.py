@@ -152,8 +152,11 @@ def _cos2_rows(rows: DerivedColumns, thetas):
     theta = np.array(thetas, dtype=float)
 
     def f(t, row):
-        A = _mode_form(rows.m_const[row], rows.f_const[row], t, rows.s_plus[row])
-        _, cos2, slope = _spectrum(np.abs(A) ** 2, theta[row])
+        # a kernel exponent past -inf gives |A| = 0, its limit; any other
+        # value that is not finite fails the row's quadrature
+        with np.errstate(over="ignore", invalid="ignore"):
+            A = _mode_form(rows.m_const[row], rows.f_const[row], t, rows.s_plus[row])
+            _, cos2, slope = _spectrum(np.abs(A) ** 2, theta[row])
         return cos2, _ROUNDING * (slope + 1.0)
 
     return f
@@ -177,7 +180,7 @@ def _crossings(rows: DerivedColumns, lo, hi, own, level, above):
     """
     t, slope = 0.5 * (lo + hi), np.zeros(lo.size)
     active = np.arange(lo.size)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for _ in range(_NEWTON_STEPS):
             if active.size == 0:
                 break
@@ -200,14 +203,17 @@ def _runs(owner, start, step, count, doubling: bool):
     """The points start + step 2^j (``doubling``) or start + step (j + 1),
     j < count, of every run, and the owner of each."""
     j = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
-    k = np.ldexp(1.0, j) if doubling else j + 1.0
+    # a room just below 2^1024 widths can count 1025 doublings (log2 rounds
+    # up): 2^1024 overflows, and its point, inf, lies past the period
+    with np.errstate(over="ignore"):
+        k = np.ldexp(1.0, j) if doubling else j + 1.0
     return np.repeat(start, count) + np.repeat(step, count) * k, np.repeat(owner, count)
 
 
 def _doublings(room, width):
     """How many of width, 2 width, 4 width, ... fit in room (0 where width
-    is not finite and > 0)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    is not finite and > 0, or where the ratio overflows)."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ratio = room / width
     ok = (ratio >= 1.0) & (ratio < math.inf)
     return np.where(ok, np.floor(np.log2(np.where(ok, ratio, 1.0))) + 1.0, 0.0).astype(int)
@@ -266,10 +272,11 @@ def _pieces(rows: DerivedColumns, theta: np.ndarray, errors: list):
     n, found = live.size, [None] * live.size
     every = np.arange(n)
     period = 2.0 * math.pi / rows.omega_d
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         _, _, s_minus = _modes(rows.m_const, rows.f_const, rows.s_plus)
         beat = 2.0 * math.pi / np.abs(0.5 * rows.f_const.imag)
-    beats = np.floor(np.minimum(period, envelope_time(rows, _NEGLIGIBLE)) / beat)
+        # a count that overflows is over the budget
+        beats = np.floor(np.minimum(period, envelope_time(rows, _NEGLIGIBLE)) / beat)
     fail(found, every, beats > _MAX_BEATS, lambda i: ValidationError(
         f"the phase needs {beats[i]:.0f} pieces of one beat period, over the budget "
         f"of {_MAX_BEATS} per row"))

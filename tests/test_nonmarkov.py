@@ -406,6 +406,37 @@ def test_winning_end_agrees_with_mpmath(lam, omega, delta_qc, t_max):
             assert gain(u) <= winner
 
 
+def test_tiny_measure_is_real_backflow_within_rounding_of_40_digits():
+    # |A| stays near 1 and rises by ~2e-17 on each of 562 intervals: at 40
+    # digits every rise is real, so the row is non-Markovian, and the cell
+    # is off by the rounding of |A| near 1 (about 0.43 eps per interval)
+    mpmath = pytest.importorskip("mpmath")
+    params = SystemParams(lam=0.0266, omega_rabi=0.00496, delta_qc=-7.43)
+    t_max = 2.0 * math.log(1e4) / params.lam  # its sweep horizon, 692.5067948854273
+    res = blp_measure(params, t_max=t_max)
+    dp = derive(params)
+    with mpmath.workdps(40):
+        M, pref = mpmath.mpc(dp.m_const), mpmath.mpf(dp.coupling_prefactor)
+        F = mpmath.sqrt(4 * M * M + 4 * pref)
+
+        def abs_a(t):
+            t = mpmath.mpf(t)
+            return abs(mpmath.exp(-M * t / 2) * (mpmath.cosh(F * t / 4)
+                                                 + 2 * M / F * mpmath.sinh(F * t / 4)))
+
+        xs, xe = ([abs_a(t) for t in ends] for ends in zip(*res.intervals.intervals))
+        assert all(e > s for s, e in zip(xs, xe))
+
+        def gain(u):
+            return mpmath.fsum(e * mpmath.sqrt(1 - u * (1 - e * e))
+                               - s * mpmath.sqrt(1 - u * (1 - s * s)) for s, e in zip(xs, xe))
+
+        exact = max(gain(mpmath.mpf(u)) for u in (0, 0.25, 0.5, 0.75, 1))
+        assert exact > 0
+        eps = np.finfo(float).eps
+        assert abs(res.n_measure - exact) <= 2 * eps * len(xs)
+
+
 def test_blp_truncation_rule():
     with pytest.raises(ValidationError):
         blp_measure(SystemParams(lam=0.01, omega_rabi=0.0), t_max=50.0)

@@ -539,6 +539,45 @@ def test_cli_negative_literals_read_as_with_an_equals_sign(capsys, literal):
         assert spaced[0] == 1 and "delta_qc must be finite" in spaced[1].err
 
 
+# gp sweeps at the extremes of the accepted box, where the kernel's exponents,
+# the beat count and the grading ratios overflow: (flags, exit code, statuses)
+_EXTREME_GP = [
+    ("--axis delta --axis-min 0 --axis-max 5.61188700831667e-131 "
+     "--lambda 3.849214578112751e+135 --omega 2.6872997664600827e-230 "
+     "--delta 6.246288464082639e-38 --delta-cav 9.236738376703408e-26 "
+     "--theta 0.3474812014060169", 0, ["ok", "ok", "ok"]),
+    ("--axis omega --axis-min 0 --axis-max 6.521019913937361e-20 "
+     "--lambda 5.133702615881189e+41 --omega 728429206904.4314 "
+     "--delta 1.2129060032021605e-268 --delta-cav -8.066791769949584e-59 "
+     "--theta 0.7815533174212724", 0, ["ok", "ok", "ok"]),
+    ("--axis theta --axis-min 0.47073673787485765 --axis-max 1.5013412153033328 "
+     "--lambda 0.07762421609759736 --omega 0 --delta 8.94429570814818e-261 "
+     "--delta-cav 9.689811556958475e+147 --theta 0.909358696287282",
+     2, ["invalid", "invalid", "invalid"]),
+    ("--axis theta --axis-min 0.5025666695226031 --axis-max 1.4688841367671939 "
+     "--scale log --lambda 7.855281199148848e+52 --omega 0 "
+     "--delta -5.69083126290234e-284 --delta-cav 3.263600668103957e+34 --theta 0.5",
+     2, ["invalid", "invalid", "invalid"]),
+    ("--axis delta --axis-min -3.9817320704876354e-297 --axis-max 6.732675840529181e+79 "
+     "--lambda 8.097998078176366e-176 --omega 0 --delta 3.1880484006551076e-142 "
+     "--delta-cav -1.0501909697151306e-257 --theta 0.6658120469563867",
+     2, ["invalid", "ok", "ok"]),
+]
+
+
+@pytest.mark.parametrize("flags, code, statuses", _EXTREME_GP,
+                         ids=["delta", "omega", "theta", "theta-log", "delta-wide"])
+def test_cli_gp_sweeps_at_extreme_inputs_print_no_numpy_warning(tmp_path, capsys, flags,
+                                                                code, statuses):
+    # the suite turns a RuntimeWarning into an error, so any numpy warning
+    # that reaches the caller fails the sweep here
+    out = tmp_path / "gp.csv"
+    assert main(["sweep", "--quantity", "gp", "--points", "3", *flags.split(),
+                 "--out", str(out)]) == code
+    assert [r["status"] for r in read_csv(out)] == statuses
+    assert capsys.readouterr().err == ""
+
+
 def test_cli_sweep_writes_csv(tmp_path, capsys):
     out = tmp_path / "c3.csv"
     rc = main(["sweep", "--quantity", "lgi3", "--axis", "tau",
