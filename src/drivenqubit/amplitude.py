@@ -134,11 +134,19 @@ def _mode_pieces(M, F, t):
 
 def _mode_form(M, F, t, s_plus, pref=None):
     """A(t), and dA/dt when ``pref`` (``coupling_prefactor``) is given:
-    ``_mode_pieces`` times the envelope exp(s+ t), elementwise like them."""
+    ``_mode_pieces`` times the envelope exp(s+ t), elementwise like them.
+
+    Where the envelope is 0, a piece may be NaN (sin and cos of an infinite
+    phase), and the product with it; A and dA/dt are 0 there, their limit.
+    Every other cell keeps its bits, and a call whose envelope has no zero
+    pays one test."""
     B, t_phi = _mode_pieces(M, F, t)
     e = np.exp(s_plus * t)
     A = B * e
-    return A if pref is None else (A, 0.25 * pref * (t_phi * e))
+    out = (A,) if pref is None else (A, 0.25 * pref * (t_phi * e))
+    if not e.all():
+        out = tuple(np.where((e == 0.0) & ~np.isfinite(x), 0.0, x) for x in out)
+    return out[0] if pref is None else out
 
 
 def _as_times(times) -> np.ndarray:

@@ -73,8 +73,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .amplitude import _mode_form, _mode_pieces, amplitude_grid
-from .params import (DerivedColumns, DerivedParams, SystemParams, ValidationError, derive,
-                     fail, failed)
+from .params import (DerivedColumns, DerivedParams, SystemParams, ValidationError, _cat,
+                     _take, derive, fail, failed)
 from .states import BlochVector
 
 __all__ = [
@@ -163,7 +163,7 @@ def info_flux(dp: DerivedParams, pair, t: float) -> float:
 class _Flux(NamedTuple):
     """Constants of the two-mode form of the |A|^2 slope, with |C|,
     hypot(k, w) and z = -k + iw; one entry per row of a table (``of``), or
-    per point once gathered with ``at``.
+    per point once gathered with ``_take``.
 
     With A = c+ exp(s+ t) + c- exp(s- t) and s+- = -M/2 +- F/4,
 
@@ -207,9 +207,6 @@ class _Flux(NamedTuple):
             out[rows] = col[coupled]
         return table
 
-    def at(self, index) -> "_Flux":
-        return _Flux(*(col[index] for col in self))
-
 
 def _modes(M, F, s_plus):
     """(c+, c-, s-) of the two-mode form A = c+ exp(s+ t) + c- exp(s- t):
@@ -252,17 +249,6 @@ _NO_BRACKETS = _Todo(np.empty(0), np.empty(0), np.empty(0, dtype=int),
                      np.empty(0, dtype=bool))
 _NO_EXTREMA = _Extrema(np.empty(0), np.empty(0, dtype=int), np.empty(0),
                        np.empty(0, dtype=int))
-
-
-def _take(table, index):
-    """The entries ``index`` of a table of per-entry columns (``_Todo``,
-    ``_Extrema``)."""
-    return type(table)(*(col[index] for col in table))
-
-
-def _cat(tables):
-    """The entries of like tables, one after the other."""
-    return type(tables[0])(*(np.concatenate(cols) for cols in zip(*tables)))
 
 
 def _flux_form(c: _Flux, t: np.ndarray):
@@ -321,7 +307,7 @@ def _pieces(flux: _Flux, t_max: np.ndarray, owner: np.ndarray, q: np.ndarray) ->
     the ends share a sign against that of cos, p has it too (or h would
     keep the sign of cos), so the piece goes to the extremum test
     (``_turns``) unless k = 0."""
-    c = flux.at(owner)
+    c = _take(flux, owner)
     w, phi = _phase(c)
     j = np.floor(phi / _QUARTER) + q  # the quarter of the piece right of each node
     t = np.where(q > 0, np.clip((j * _QUARTER - phi) / w, 0.0, t_max[owner]), 0.0)
@@ -335,7 +321,7 @@ def _pieces(flux: _Flux, t_max: np.ndarray, owner: np.ndarray, q: np.ndarray) ->
     s, hd = np.where(up[same], 1.0, -1.0), dg + c.k * g  # H = G' + kG = exp(-kt) |C| h'
     inside = (s * hd[same] < 0.0) & (s * hd[same + 1] > 0.0)
     same = same[inside]
-    two, x = _turns(c.at(same), t[same], t[same + 1], s[inside], hd[same], hd[same + 1])
+    two, x = _turns(_take(c, same), t[same], t[same + 1], s[inside], hd[same], hd[same + 1])
     two = same[two]
     return _cat([_Todo(t[hit], t[hit + 1], owner[hit], up[hit + 1]),
                  _Todo(t[two], x, owner[two], ~up[two + 1]),
@@ -376,7 +362,7 @@ def _turns(c: _Flux, lo, hi, s, hd_lo, hd_hi):
         keep = ~(two | none) & (hi - lo > _ROOT_TOL)
         if not keep.any():
             break
-        c, lo, hi, s, live = c.at(keep), lo[keep], hi[keep], s[keep], live[keep]
+        c, lo, hi, s, live = _take(c, keep), lo[keep], hi[keep], s[keep], live[keep]
         hd_lo, hd_hi = hd_lo[keep], hd_hi[keep]
     return tuple(np.concatenate(col) for col in zip(*found))
 
@@ -468,12 +454,12 @@ def _refine(flux: _Flux, rows: DerivedColumns, todo: _Todo, errors: list):
     """
     if todo.lo.size == 0:
         return _NO_EXTREMA, todo
-    x = _newton(flux.at(todo.own), todo)
+    x = _newton(_take(flux, todo.own), todo)
     ends, times, amps, bad = _confirm(rows, todo.lo, todo.hi, x, todo.rising, todo.own)
     flat, backward = ends[0] == ends[1], ends[1] != todo.rising
     unsure = np.flatnonzero(flat | backward)
     if unsure.size:
-        c = flux.at(np.tile(todo.own[unsure], 2))
+        c = _take(flux, np.tile(todo.own[unsure], 2))
         t = np.concatenate([todo.lo[unsure], todo.hi[unsure]])
         g, _, e2 = _flux_form(c, t)
         at_root = (np.abs(g) <= _bars(c, t, e2)[0]).reshape(2, -1)
@@ -681,7 +667,7 @@ def amplitude_extrema(rows: DerivedColumns, t_max, errors: list) -> _Extrema:
         f"pieces, over the budget of {_MAX_PIECES} per row"))
     search = search[~over]
     count = np.zeros(t_max.size, dtype=int)
-    count[search] = _counts(flux.at(search), t_max[search])
+    count[search] = _counts(_take(flux, search), t_max[search])
     stop = np.cumsum(count)
     start = stop - count
     total = int(stop[-1]) if count.size else 0

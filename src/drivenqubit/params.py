@@ -196,13 +196,21 @@ class DerivedColumns(NamedTuple):
                          else ValidationError(dp.no_period()))
         return errors
 
-    def at(self, index) -> "DerivedColumns":
-        return DerivedColumns(*(col[index] for col in self))
-
     def row(self, i: int, params: SystemParams | None) -> DerivedParams:
         """Row i, that of parameter set ``params``."""
         return DerivedParams(*(col.item(i) for col in self[2:]),
                              1.0 / self.lam.item(i), 1.0 / self.gamma.item(i), params)
+
+
+def _take(table, index):
+    """The entries ``index`` of a table of per-entry columns, a NamedTuple of
+    arrays (``DerivedColumns`` and the tables of the batched passes)."""
+    return type(table)(*(col[index] for col in table))
+
+
+def _cat(tables):
+    """The entries of like tables, one after the other."""
+    return type(tables[0])(*(np.concatenate(cols) for cols in zip(*tables)))
 
 
 def failed(errors: list) -> np.ndarray:

@@ -37,7 +37,7 @@ import numpy as np
 
 from .amplitude import _mode_form, amplitude_closed_form
 from .nonmarkov import _modes, amplitude_extrema, envelope_time
-from .params import DerivedColumns, DerivedParams, ValidationError, fail, failed
+from .params import DerivedColumns, DerivedParams, ValidationError, _take, fail, failed
 from .quadrature import gauss_kronrod_many
 
 __all__ = ["EigenSystem", "eigensystem", "geometric_phase", "geometric_phase_detailed",
@@ -232,7 +232,7 @@ def _level_crossings(rows: DerivedColumns, theta, level, errors: list):
     error in ``errors``.
     """
     search = np.flatnonzero(theta < 0.25 * math.pi)
-    rows, level = rows.at(search), level[search]
+    rows, level = _take(rows, search), level[search]
     horizon = np.minimum(2.0 * math.pi / rows.omega_d, envelope_time(rows, np.sqrt(level)))
     found: list = [None] * search.size
     t, _, amps, own = amplitude_extrema(rows, horizon, found)
@@ -268,7 +268,7 @@ def _pieces(rows: DerivedColumns, theta: np.ndarray, errors: list):
     A row whose crossings cannot be found gets that error and no pieces.
     """
     live = np.flatnonzero(~failed(errors))
-    rows, theta = rows.at(live), theta[live]
+    rows, theta = _take(rows, live), theta[live]
     n, found = live.size, [None] * live.size
     every = np.arange(n)
     period = 2.0 * math.pi / rows.omega_d

@@ -14,6 +14,18 @@ in the calling process, which keeps the parameters of the ``gp`` and
 and each time or tau series takes the one-row ``derive`` of its fixed
 parameters.
 
+What is particular to a quantity is written once, in its entry of one of
+three tables.  ``QUANTITIES`` gives the axes it sweeps and its observable
+columns; it is the one place their names are written.  ``_SERIES`` gives
+a time or tau quantity the series it reads (the amplitude with its modulus,
+the decay-rate grid, ``lgi_series`` or ``witness_series``) and a function
+that returns its observables from that series, in ``QUANTITIES`` order;
+the quantities that read one series (``lgi3`` and ``lgi4``; ``amplitude``,
+``coherence`` and ``trace_distance``) share its evaluation.  ``_ROWS``
+gives a parameter quantity (``gp``, ``blp``) its row function, which takes
+the quantity's rows gathered from every sweep of the call and returns
+whole columns, in ``QUANTITIES`` order, and a status.
+
 Output files are plain CSV: one leading comment line with the schema tag,
 a header row, then data rows with floats printed at 17 significant digits.
 Failed rows are never silent NaNs; they carry a status label and empty
@@ -34,7 +46,7 @@ import numpy as np
 
 from .amplitude import amplitude_grid, decay_rate_grid
 from .nonmarkov import blp_measures
-from .params import (DerivedColumns, DerivedParams, SystemParams, ValidationError,
+from .params import (DerivedColumns, DerivedParams, SystemParams, ValidationError, _take,
                      check_column, derive, derive_columns)
 from .phase import geometric_phases
 from .temporal import lgi_series, witness_series
@@ -219,53 +231,54 @@ class SweepTable:
         return [b.row(i) for b in self.blocks for i in range(len(b))]
 
 
-# time or tau quantity -> the series its columns are read from
-_SERIES = {"amplitude": "amplitude", "coherence": "amplitude",
-           "trace_distance": "amplitude", "decay_rate": "decay_rate",
-           "lgi3": "lgi", "lgi4": "lgi", "witness": "witness"}
+def _amplitude(dp: DerivedParams, ts: np.ndarray) -> tuple:
+    A, _ = amplitude_grid(dp, ts)
+    # |A| by libm hypot, as abs() of a single complex; np.abs rounds otherwise
+    return A, np.hypot(A.real, A.imag)
 
 
-def _series(kind: str, dp: DerivedParams, axis: SweepAxis) -> tuple:
-    """(derived constants, axis values, kernel output) of one series; the
-    output is (A, |A|), (decay rate,), (c3, c4) or (w_q, envelope)."""
-    ts = axis.values()
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if kind == "amplitude":
-            A, _ = amplitude_grid(dp, ts)
-            # |A| by libm hypot, as abs() of a single complex; np.abs rounds otherwise
-            out = (A, np.hypot(A.real, A.imag))
-        elif kind == "decay_rate":
-            out = (decay_rate_grid(dp, ts),)
-        elif kind == "lgi":
-            out = lgi_series(dp, dp.params.theta, ts)
-        else:
-            out = witness_series(dp, dp.params.theta, ts)
-    return dp, ts, out
+def _decay_rate(dp: DerivedParams, ts: np.ndarray) -> tuple:
+    return (decay_rate_grid(dp, ts),)
 
 
-def _time_series_block(spec: SweepSpec, series: tuple) -> SweepBlock:
-    """The block of a time or tau sweep, its columns read from its
-    ``_series``."""
-    dp, ts, out = series
+def _lgi(dp: DerivedParams, ts: np.ndarray) -> tuple:
+    return lgi_series(dp, dp.params.theta, ts)
+
+
+def _witness(dp: DerivedParams, ts: np.ndarray) -> tuple:
+    return witness_series(dp, dp.params.theta, ts)
+
+
+# time or tau quantity -> (the series it reads: a function of the derived
+# constants and the axis values; its observables: a function of the fixed
+# parameters and the series' outputs, in the order of QUANTITIES)
+_SERIES = {
+    "amplitude": (_amplitude, lambda p, A, abs_a: (A.real, A.imag, abs_a)),
+    "decay_rate": (_decay_rate, lambda p, rate: (rate,)),
+    "coherence": (_amplitude, lambda p, A, abs_a: (abs(math.sin(2.0 * p.theta)) * abs_a,)),
+    # evolved distance of the equatorial antipodal pair: |A(t)|
+    "trace_distance": (_amplitude, lambda p, A, abs_a: (abs_a,)),
+    "lgi3": (_lgi, lambda p, c3, c4: (c3, (c3 > 1.0).astype(int))),
+    "lgi4": (_lgi, lambda p, c3, c4: (c4, (c4 > 2.0).astype(int))),
+    "witness": (_witness, lambda p, w_q, envelope: (w_q, envelope)),
+}
+
+
+def _time_series_block(spec: SweepSpec, series: dict) -> SweepBlock:
+    """The block of a time or tau sweep, its observables read from its
+    ``_SERIES`` series, which ``series`` holds by (series, fixed, axis):
+    the sweeps of one call that read one series share one evaluation."""
+    read, observe = _SERIES[spec.quantity]
+    key = (read, spec.fixed, spec.axis)
+    if key not in series:
+        dp, ts = derive(spec.fixed), spec.axis.values()
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            series[key] = dp, ts, read(dp, ts)
+    dp, ts, out = series[key]
     # steps large enough to overflow give non-finite cells, which the block
     # turns into invalid rows; numpy's warnings about them are noise
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if spec.quantity == "amplitude":
-            A, abs_a = out
-            cols = {"re_a": A.real, "im_a": A.imag, "abs_a": abs_a}
-        elif spec.quantity == "decay_rate":
-            cols = {"decay_rate": out[0]}
-        elif spec.quantity == "coherence":
-            cols = {"c_l1": abs(math.sin(2.0 * spec.fixed.theta)) * out[1]}
-        elif spec.quantity == "trace_distance":
-            # evolved distance of the equatorial antipodal pair: |A(t)|
-            cols = {"d_trace": out[1]}
-        elif spec.quantity == "lgi3":
-            cols = {"c3": out[0], "violated3": (out[0] > 1.0).astype(int)}
-        elif spec.quantity == "lgi4":
-            cols = {"c4": out[1], "violated4": (out[1] > 2.0).astype(int)}
-        else:  # witness
-            cols = {"w_q": out[0], "envelope": out[1]}
+        cols = dict(zip(QUANTITIES[spec.quantity][1], observe(spec.fixed, *out)))
     # constants that overflow make every row invalid (DerivedParams.overflow)
     status = np.full(len(ts), "ok" if dp.overflow() is None else "invalid")
     if spec.quantity == "decay_rate":
@@ -289,36 +302,28 @@ def _sweep_table(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray]:
     return table, values
 
 
-def _gp_rows(sweeps: list, table: np.ndarray, rows: DerivedColumns):
-    """(observables, status) of each gp sweep (spec, its columns of the table
-    and ``rows``), all in one quadrature, each row to its sweep's tolerance.
-    A failed row reads NaN, which its block labels invalid, unless it has no
-    period: ``undefined-period``."""
-    sizes = [part.stop - part.start for _, part in sweeps]
-    index = np.r_[tuple(part for _, part in sweeps)]
-    tol = np.repeat([spec.quad_tol for spec, _ in sweeps], sizes)
-    phi, err, _ = geometric_phases(rows.at(index), table[-1, index], tol)
-    period = rows.no_period[index] & ~rows.overflow[index]
-    status = np.where(period, "undefined-period", "ok")
-    for cols in zip(*(np.split(col, np.cumsum(sizes)[:-1]) for col in (phi, err, status))):
-        yield {"phi_g": cols[0], "quad_err": cols[1]}, cols[2]
+def _gp_rows(rows: DerivedColumns, theta, quad_tol, t_max):
+    """(phi_g, quad_err) of gp rows, all in one quadrature, each row to its
+    own tolerance, and their status.  A failed row reads NaN, which its
+    block labels invalid, unless it has no period: ``undefined-period``."""
+    phi, err, _ = geometric_phases(rows, theta, quad_tol)
+    return (phi, err), np.where(rows.no_period & ~rows.overflow, "undefined-period", "ok")
 
 
-def _blp_rows(sweeps: list, table: np.ndarray, rows: DerivedColumns):
-    """(observables, status) of each blp sweep, all in one batched pass; a
-    failed row reads NaN, which its block labels invalid."""
-    sizes = [part.stop - part.start for _, part in sweeps]
-    rows = rows.at(np.r_[tuple(part for _, part in sweeps)])
+def _blp_rows(rows: DerivedColumns, theta, quad_tol, t_max):
+    """(n_measure, alpha_best, residual_bound, truncated) of blp rows, all in
+    one batched pass, and their status; a failed row reads NaN, which its
+    block labels invalid."""
     # extend the horizon until the backflow gains (which die off with the
     # amplitude envelope exp(-lam t / 2)) are converged, within a cap
-    t_max = np.repeat([spec.t_max for spec, _ in sweeps], sizes)
     t_eff = np.maximum(t_max, np.minimum(5000.0, 2.0 * math.log(1e4) / rows.lam))
     n_measure, alpha, residual, truncated, _ = blp_measures(rows, t_eff)
-    for cols in zip(*(np.split(col, np.cumsum(sizes)[:-1]) for col in (
-            n_measure, alpha, residual, truncated.astype(int)))):
-        yield dict(zip(QUANTITIES["blp"][1], cols)), np.full(cols[0].size, "ok")
+    return (n_measure, alpha, residual, truncated.astype(int)), np.full(t_eff.size, "ok")
 
 
+# parameter quantity -> its row function: of the quantity's rows gathered
+# (their constants, theta, quad_tol and t_max), its columns in the order of
+# QUANTITIES and a status
 _ROWS = {"gp": _gp_rows, "blp": _blp_rows}
 
 
@@ -327,38 +332,39 @@ def _blocks(specs: list):
 
     One ``derive_columns`` call gives the constants of every row of the
     parameter sweeps (``_sweep_table``, in spec order, so the first bad
-    swept value raises).  At the first block asked for, the sweeps of each
-    quantity of ``_ROWS`` take one call of its row function.  A time or tau
-    block reads a series evaluated once in this call, from the ``derive``
-    of its fixed parameters (the ``lgi3`` and ``lgi4`` curves of one
-    parameter set share one ``lgi_series``).
+    swept value raises).  At the first block asked for, each quantity of
+    ``_ROWS`` gathers its rows and takes one call of its row function, and
+    each of its sweeps reads its own rows of the result.  A time or tau
+    block reads a series evaluated once in this call (``_time_series_block``:
+    the ``lgi3`` and ``lgi4`` curves of one parameter set share one
+    ``lgi_series``).
     """
-    swept = [(spec, *_sweep_table(spec)) for spec in specs if spec.quantity in _ROWS]
-    table = np.concatenate([np.empty((len(PARAM_COLUMNS), 0))] + [t for _, t, _ in swept],
-                           axis=1)
+    swept = {i: _sweep_table(spec) for i, spec in enumerate(specs) if spec.quantity in _ROWS}
+    table = np.concatenate([np.empty((len(PARAM_COLUMNS), 0))]
+                           + [t for t, _ in swept.values()], axis=1)
     rows = derive_columns(**dict(zip(PARAM_COLUMNS, table[:-1])))
-    stop = list(itertools.accumulate((values.size for _, _, values in swept), initial=0))
-    parts = [slice(a, b) for a, b in zip(stop[:-1], stop[1:])]
-    done = {}
+    # per row: the index of its spec, and the spec fields the row functions read
+    owner = np.repeat(np.fromiter(swept, int), [values.size for _, values in swept.values()])
+    quantity, quad_tol, t_max = (np.array([getattr(spec, f) for spec in specs])[owner]
+                                 for f in ("quantity", "quad_tol", "t_max"))
+    evaluated = {}
     for q, evaluate in _ROWS.items():
-        mine = [i for i, (spec, _, _) in enumerate(swept) if spec.quantity == q]
-        if mine:
-            done.update(zip(mine, evaluate([(swept[i][0], parts[i]) for i in mine],
-                                           table, rows)))
-    order, series = iter(range(len(swept))), {}
-    for spec in specs:
-        if spec.quantity in _ROWS:
-            i = next(order)
-            name = AXES[spec.axis.name][0]
-            const = {k: v for k, v in vars(spec.fixed).items() if k != name}
-            coords = {name: table[PARAM_COLUMNS.index(name), parts[i]],
-                      spec.axis.name: swept[i][2]}
-            yield SweepBlock(const, coords, *done[i])
+        mine = quantity == q
+        if mine.any():
+            evaluated[q] = owner[mine], evaluate(_take(rows, mine), table[-1, mine],
+                                                 quad_tol[mine], t_max[mine])
+    series = {}
+    for i, spec in enumerate(specs):
+        if i not in swept:
+            yield _time_series_block(spec, series)
             continue
-        key = (_SERIES[spec.quantity], spec.fixed, spec.axis)
-        if key not in series:
-            series[key] = _series(key[0], derive(spec.fixed), spec.axis)
-        yield _time_series_block(spec, series[key])
+        own, (cols, status) = evaluated[spec.quantity]
+        name, mine = AXES[spec.axis.name][0], own == i
+        const = {k: v for k, v in vars(spec.fixed).items() if k != name}
+        coords = {name: table[PARAM_COLUMNS.index(name), owner == i],
+                  spec.axis.name: swept[i][1]}
+        yield SweepBlock(const, coords, dict(zip(QUANTITIES[spec.quantity][1],
+                                                 (col[mine] for col in cols))), status[mine])
 
 
 def _summary(spec: SweepSpec, block: SweepBlock) -> SweepSummary:

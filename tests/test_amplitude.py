@@ -16,7 +16,7 @@ from drivenqubit import (AmplitudePole, SystemParams, ValidationError,
                          amplitude_grid, amplitude_oracle_ode,
                          amplitude_trajectory, decay_rate, decay_rate_grid,
                          derive, lgi_series)
-from drivenqubit.amplitude import ORACLE_POINTS, AmplitudeTrajectory
+from drivenqubit.amplitude import ORACLE_POINTS, AmplitudeTrajectory, _mode_pieces
 from drivenqubit.params import DerivedParams
 from drivenqubit.selfcheck import (ORACLE_DELTAS, ORACLE_LAMBDAS, ORACLE_OMEGAS,
                                    ORACLE_T_MAX)
@@ -286,6 +286,29 @@ def test_decay_rate_where_abs_a_squared_underflows():
         ref = float(-2 * mpmath.re(ratio))
     assert decay_rate(dp, t) == pytest.approx(ref, rel=1e-9)
     assert decay_rate_grid(dp, np.array([t]))[0] == pytest.approx(ref, rel=1e-9)
+
+
+def test_amplitude_is_zero_where_the_envelope_underflows_at_an_infinite_phase():
+    # lam = omega = 1e10: exp(s+ t) is 0 from t ~ 1e-8 on, and from
+    # t ~ 1e299 the phase Im F t/4 is infinite, so sin and cos of it are NaN;
+    # there A and dA/dt read 0, and every other cell is the plain product,
+    # bit for bit (signed zeros included)
+    dp = derive(SystemParams(lam=1e10, omega_rabi=1e10))
+    t = np.array([0.0, 1e-9, 1.0, 1e290, 5e299, 1e300])
+    with np.errstate(invalid="ignore", over="ignore"):
+        A, dA = amplitude_grid(dp, t)
+        B, t_phi = _mode_pieces(dp.m_const, dp.f_const, t)
+        e = np.exp(dp.s_plus * t)
+        products = (B * e, 0.25 * dp.coupling_prefactor * (t_phi * e))
+    for got, product in zip((A, dA), products):
+        finite = np.isfinite(product)
+        assert finite.tolist() == [True] * 4 + [False] * 2
+        assert got[finite].view(np.int64).tolist() == product[finite].view(np.int64).tolist()
+        assert got[~finite].view(np.int64).tolist() == [0] * 4  # +0 + 0j
+    assert A[0] == 1.0 and e[3] == 0.0
+    with np.errstate(invalid="ignore", over="ignore"):
+        rate = decay_rate_grid(dp, t[4:])
+    assert np.isnan(rate).all()  # the zeros of A are poles of the decay rate
 
 
 def test_trajectory_rejects_a_nan_time():

@@ -73,7 +73,7 @@ def _refine_row(dp, flux, lo, hi):
     unconfirmed; raises the row's error."""
     errors, rows = [None], DerivedColumns.of([dp])
     own = np.zeros(lo.size, dtype=int)
-    todo = _Todo(lo, hi, own, _flux_form(flux.at(own), hi)[0] > 0)
+    todo = _Todo(lo, hi, own, _flux_form(_take(flux, own), hi)[0] > 0)
     done, todo = _refine(flux, rows, todo, errors)
     times, kinds, amps, _ = _cat([done, _bisect(rows, todo, errors)])
     if errors[0] is not None:
@@ -569,7 +569,7 @@ def test_failed_row_leaves_its_neighbours_untouched(monkeypatch):
         k = np.flatnonzero(flux.a[found.own] == target)[:2]
         if k.size == 2:
             lo, hi, own = found.hi[k[:1]], found.lo[k[1:]], found.own[k[:1]]
-            bogus = _Todo(lo, hi, own, _flux_form(flux.at(own), hi)[0] > 0)
+            bogus = _Todo(lo, hi, own, _flux_form(_take(flux, own), hi)[0] > 0)
             found = _cat([found, bogus])
         return found
 
@@ -768,7 +768,7 @@ def test_flux_keeps_the_sign_of_a_past_the_search_horizon():
         t_maxes.append(max(100.0, min(5000.0, 2.0 * math.log(1e4) / lam)))
     flux = _Flux.of(_rows(params), np.ones(len(params), dtype=bool))
     t2 = _horizon(flux)
-    figure = flux.at(np.flatnonzero(flux.k[:584] > 0.0))
+    figure = _take(flux, np.flatnonzero(flux.k[:584] > 0.0))
     t_h = np.log(2.0 * (np.abs(figure.b) + figure.abs_c) / np.abs(figure.a)) / figure.k
     assert np.all(_horizon(figure) <= t_h)
     assert np.count_nonzero(t2[:584] == np.inf) == 584 - t_h.size == 84  # k = 0
@@ -780,7 +780,7 @@ def test_flux_keeps_the_sign_of_a_past_the_search_horizon():
             continue
         t = np.linspace(t2[i], t_max, max(1000, math.ceil(8.0 * abs(w) * (t_max - t2[i])
                                                           / math.pi)))
-        assert np.all(np.sign(_flux_form(flux.at([i]), t)[0]) == np.sign(a))
+        assert np.all(np.sign(_flux_form(_take(flux, [i]), t)[0]) == np.sign(a))
     assert sum(cut[:584]) == 381 and all(cut[584:])  # rows whose search is cut
 
 
@@ -806,7 +806,7 @@ def test_two_mode_table_reproduces_the_kernel_slope():
     for i, (dp, t_max) in enumerate(zip(dps[:-3], t_maxes)):
         t = np.linspace(0.0, t_max, 2001)
         A, dA = amplitude_grid(dp, t)
-        c = flux.at([i])
+        c = _take(flux, [i])
         env = 2.0 * np.exp((c.k - dp.m_const.real) * t)
         e1 = np.exp(-c.k * t)
         size = env * (np.abs(c.a) + np.abs(c.b) * e1 * e1 + c.abs_c * e1)

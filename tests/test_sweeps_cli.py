@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -457,15 +458,21 @@ def test_figure_preset_deterministic(tmp_path):
 @pytest.mark.parametrize("name,calls", [("fig2", 4), ("fig3", 4), ("fig5", 7)])
 def test_figure_evaluates_each_distinct_series_once(tmp_path, monkeypatch, name, calls):
     # the lgi3 and lgi4 curves of one parameter set share one lgi_series,
-    # and fig5's omega 0.1 and delta 0 witness curves are one series
+    # and fig5's omega 0.1 and delta 0 witness curves are one series; every
+    # series function of the quantity table is counted
     import drivenqubit.sweeps as sweeps
 
     made = []
-    for kernel in ("lgi_series", "witness_series"):
-        def counted(*args, real=getattr(sweeps, kernel)):
+
+    def counted(real):
+        def read(*args):
             made.append(args)
             return real(*args)
-        monkeypatch.setattr(sweeps, kernel, counted)
+        return read
+
+    wrapped = {read: counted(read) for read, _ in sweeps._SERIES.values()}
+    for quantity, (read, observe) in list(sweeps._SERIES.items()):
+        monkeypatch.setitem(sweeps._SERIES, quantity, (wrapped[read], observe))
     figure_preset(name, tmp_path)
     assert len(made) == calls
 
@@ -576,6 +583,43 @@ def test_cli_gp_sweeps_at_extreme_inputs_print_no_numpy_warning(tmp_path, capsys
                  "--out", str(out)]) == code
     assert [r["status"] for r in read_csv(out)] == statuses
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("quantity, axis, code, statuses", [
+    ("amplitude", "time", 0, ["ok", "ok", "ok"]),
+    ("witness", "tau", 0, ["ok", "ok", "ok"]),
+    ("decay_rate", "time", 2, ["ok", "pole", "pole"]),
+])
+def test_cli_rows_past_the_underflow_of_the_envelope_read_zero(tmp_path, capsys, quantity,
+                                                               axis, code, statuses):
+    # at t = 5e299 and 1e300 the envelope exp(Re s+ t) is 0 and the phase
+    # Im F t/4 is infinite: A is 0 there, so its rows are ok with cells 0,
+    # and decay_rate labels the zeros of A as poles; no numpy warning (the
+    # suite makes a RuntimeWarning an error) and nothing on stderr
+    out = tmp_path / f"{quantity}.csv"
+    assert main(["sweep", "--quantity", quantity, "--axis", axis, "--axis-max", "1e300",
+                 "--points", "3", "--lambda", "1e10", "--omega", "1e10",
+                 "--out", str(out)]) == code
+    rows = read_csv(out)
+    assert [r["status"] for r in rows] == statuses
+    if code == 0:
+        assert all(r[c] == "0" for r in rows[1:] for c in QUANTITIES[quantity][1])
+    assert capsys.readouterr().err == ""
+
+
+def test_formats_documents_the_columns_of_every_quantity():
+    # FORMATS.md's table of observable columns is QUANTITIES: the same
+    # quantities, column names and order, and the same kind of axis
+    text = (Path(__file__).parents[1] / "FORMATS.md").read_text()
+    table = text.split("### Observable columns per quantity\n\n")[1].split("\n\n")[0]
+    documented = {}
+    for line in table.splitlines()[2:]:
+        quantity, axis, columns = (cell.strip() for cell in line.strip("|").split("|"))
+        documented[quantity] = (axis.split()[0], tuple(re.findall(r"`(\w+)`", columns)))
+    kinds = {("time",): "time", ("tau",): "tau",
+             tuple(name for name, (column, _) in AXES.items() if column): "parameter"}
+    assert list(documented) == list(QUANTITIES)
+    assert documented == {q: (kinds[axes], columns) for q, (axes, columns) in QUANTITIES.items()}
 
 
 def test_cli_sweep_writes_csv(tmp_path, capsys):
