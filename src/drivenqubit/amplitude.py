@@ -23,16 +23,18 @@ exp(s+ t), 1 + expm1(-z)/2 and phi lie in the unit disc (Re s+ <= 0,
 Re z >= 0) and nothing large cancels, so one form holds from t = 0 through
 critical damping (F = 0, where phi = 1) to late times: no series switch.
 ``_mode_form``, elementwise in its constants and times, is the envelope
-exp(s+ t) times the pieces before it (``_mode_pieces``), which the BLP
-finder reads alone for the sign of Re(dA/dt conj A).  ``amplitude_grid``
-gives it one parameter set: time grids, the witness and the decay-rate
-grid; ``amplitude_closed_form``, ``amplitude_derivative`` and
-``decay_rate`` are its one-point views.  Times enter there, and every one
-must be finite and >= 0 (``_as_times``).  The Leggett-Garg series checks
-its steps so and gives ``_mode_form`` their multiples, which may overflow.
-The quadrature, the BLP measure and ``check`` give it the columns of their
-rows (``DerivedColumns``) indexed per time, bit for bit as
-``amplitude_grid`` would give each row.
+exp(s+ t) times the pieces before it (``_mode_pieces``).  It has two
+entries.  ``amplitude_grid`` gives it one parameter set: time grids, the
+witness and the decay-rate grid; ``amplitude_closed_form``,
+``amplitude_derivative`` and ``decay_rate`` are its one-point views.
+Times enter there, and every one must be finite and >= 0 (``_as_times``).
+``_rows_form`` gives it the columns of many rows (``DerivedColumns``),
+each time with the constants of its own row, bit for bit as
+``amplitude_grid`` gives that row: the quadrature, the BLP measure and
+``check`` call it, and the BLP finder reads the sign of Re(dA/dt conj A)
+from the pieces alone (``_rows_rising``).  The one-row Leggett-Garg series
+checks its steps itself and gives ``_mode_form`` their multiples, which
+may overflow.
 
 ``amplitude_oracles`` is the independent reference that ``drivenqubit
 check`` and the tests run: the exact propagator of the memory ODE on an even
@@ -147,6 +149,27 @@ def _mode_form(M, F, t, s_plus, pref=None):
     if not e.all():
         out = tuple(np.where((e == 0.0) & ~np.isfinite(x), 0.0, x) for x in out)
     return out[0] if pref is None else out
+
+
+def _rows_form(rows: DerivedColumns, t, owner, derivative: bool = False):
+    """``_mode_form`` of many rows, given by their columns: the times t take
+    the constants of the rows ``rows.<col>[owner]``, so every value is what
+    ``amplitude_grid`` gives its row, bit for bit.  ``owner`` is the row of
+    each time (an index array shaped like t), ``slice(None)`` for one time
+    per row along t's last axis, or ``(slice(None), None)`` for a grid t
+    of every row (values shaped (rows, times)).  Returns A, or (A, dA/dt)
+    with ``derivative``."""
+    return _mode_form(rows.m_const[owner], rows.f_const[owner], t, rows.s_plus[owner],
+                      rows.pref[owner] if derivative else None)
+
+
+def _rows_rising(rows: DerivedColumns, t, owner):
+    """Where h = Re(dA/dt conj A) > 0, rows and times as in ``_rows_form``:
+    h = (|e|^2/4) pref Re(t phi conj B) with e = exp(s+ t) and B, t phi of
+    ``_mode_pieces``, so the product without e has h's sign and does not
+    underflow where |A| does."""
+    B, t_phi = _mode_pieces(rows.m_const[owner], rows.f_const[owner], t)
+    return rows.pref[owner] * (t_phi * np.conj(B)).real > 0
 
 
 def _as_times(times) -> np.ndarray:

@@ -45,7 +45,8 @@ by the signs of its ends.  Each bracket is then refined to 1e-10 in two
 stages: Newton steps on the two-mode form, whose estimate the amplitude
 kernel confirms, and bisection on the kernel for the brackets it leaves
 unconfirmed.  The kernel's sign of d|A|/dt is read without the envelope
-exp(s+ t) (``_rising``), so it holds where |A| underflows at long horizons.
+exp(s+ t) (``amplitude._rows_rising``), so it holds where |A| underflows at
+long horizons.
 A bracket whose ends the kernel does not confirm, or extrema that do not
 alternate, fail the row with a ValidationError rather than pass a wrong
 interval list on.
@@ -72,7 +73,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .amplitude import _mode_form, _mode_pieces, amplitude_grid
+from .amplitude import _rows_form, _rows_rising, amplitude_grid
 from .params import (DerivedColumns, DerivedParams, SystemParams, ValidationError, _cat,
                      _take, derive, fail, failed)
 from .states import BlochVector
@@ -138,9 +139,14 @@ def _pair_u(pair) -> float:
     return min(v1.z * v1.z, 1.0)
 
 
+def _s(x, u):
+    """s(x, u) = sqrt(1 - u(1 - x^2)), so that the trace distance is x s(x, u)."""
+    return np.sqrt((1.0 - u) + u * (x * x))
+
+
 def _distance(x, u):
-    """Trace distance f(x, u) = x sqrt(1 - u(1 - x^2)) at x = |A|, u = cos^2(alpha)."""
-    return x * np.sqrt((1.0 - u) + u * (x * x))
+    """Trace distance f(x, u) = x s(x, u) at x = |A|, u = cos^2(alpha)."""
+    return x * _s(x, u)
 
 
 def info_flux(dp: DerivedParams, pair, t: float) -> float:
@@ -367,19 +373,10 @@ def _turns(c: _Flux, lo, hi, s, hd_lo, hd_hi):
     return tuple(np.concatenate(col) for col in zip(*found))
 
 
-def _abs_amplitude(rows: DerivedColumns, t: np.ndarray, owner: np.ndarray):
-    """|A| at times t, each with the constants of its own row."""
-    return np.abs(_mode_form(rows.m_const[owner], rows.f_const[owner], t,
-                             rows.s_plus[owner]))
-
-
-def _rising(rows: DerivedColumns, t: np.ndarray, owner: np.ndarray):
-    """Where h = Re(dA/dt conj A) > 0 at times t, each with the constants of
-    its own row: h = (|e|^2/4) pref Re(t phi conj B) with e = exp(s+ t) and
-    B, t phi of ``_mode_pieces``, so the product without e has h's sign and
-    does not underflow where |A| does."""
-    B, t_phi = _mode_pieces(rows.m_const[owner], rows.f_const[owner], t)
-    return rows.pref[owner] * (t_phi * np.conj(B)).real > 0
+def _extrema(rows: DerivedColumns, times: np.ndarray, todo: _Todo) -> _Extrema:
+    """The extrema of refined brackets ``todo`` at ``times``, with |A| there."""
+    return _Extrema(times, np.where(todo.rising, 1, -1),
+                    np.abs(_rows_form(rows, times, todo.own)), todo.own)
 
 
 def _bisect(rows: DerivedColumns, todo: _Todo, errors: list) -> _Extrema:
@@ -394,14 +391,12 @@ def _bisect(rows: DerivedColumns, todo: _Todo, errors: list) -> _Extrema:
         if i.size == 0:
             break
         mid = 0.5 * (lo[i] + hi[i])
-        past = _rising(rows, mid, todo.own[i]) == todo.rising[i]
+        past = _rows_rising(rows, mid, todo.own[i]) == todo.rising[i]
         lo[i] = np.where(past, lo[i], mid)
         hi[i] = np.where(past, mid, hi[i])
     fail(errors, todo.own, hi - lo >= _ROOT_TOL,
          lambda _: ValidationError("bracket refinement failed to converge"))
-    times = 0.5 * (lo + hi)
-    return _Extrema(times, np.where(todo.rising, 1, -1),
-                    _abs_amplitude(rows, times, todo.own), todo.own)
+    return _extrema(rows, 0.5 * (lo + hi), todo)
 
 
 def _newton(c: _Flux, todo: _Todo) -> np.ndarray:
@@ -423,15 +418,13 @@ def _newton(c: _Flux, todo: _Todo) -> np.ndarray:
 def _confirm(rows: DerivedColumns, lo, hi, x, rising, owner):
     """The kernel's check of the brackets (lo, hi) and estimates x: (h > 0
     at the ends, the midpoints of the narrow brackets x +- 0.45 _ROOT_TOL,
-    |A| there, and where h fails to change sign across a narrow bracket).
-    The signs of h take four kernel calls, one per set of points, so no
-    call is larger than the batch."""
+    and where h fails to change sign across a narrow bracket).  The signs
+    of h take four kernel calls, one per set of points, so no call is
+    larger than the batch."""
     left = np.maximum(x - 0.45 * _ROOT_TOL, lo)
     right = np.minimum(x + 0.45 * _ROOT_TOL, hi)
-    times = 0.5 * (left + right)
-    pos = [_rising(rows, t, owner) for t in (lo, hi, left, right)]
-    return (np.array(pos[:2]), times, _abs_amplitude(rows, times, owner),
-            (pos[2] == rising) | (pos[3] != rising))
+    pos = [_rows_rising(rows, t, owner) for t in (lo, hi, left, right)]
+    return np.array(pos[:2]), 0.5 * (left + right), (pos[2] == rising) | (pos[3] != rising)
 
 
 def _live(table, errors: list):
@@ -455,7 +448,7 @@ def _refine(flux: _Flux, rows: DerivedColumns, todo: _Todo, errors: list):
     if todo.lo.size == 0:
         return _NO_EXTREMA, todo
     x = _newton(_take(flux, todo.own), todo)
-    ends, times, amps, bad = _confirm(rows, todo.lo, todo.hi, x, todo.rising, todo.own)
+    ends, times, bad = _confirm(rows, todo.lo, todo.hi, x, todo.rising, todo.own)
     flat, backward = ends[0] == ends[1], ends[1] != todo.rising
     unsure = np.flatnonzero(flat | backward)
     if unsure.size:
@@ -472,8 +465,7 @@ def _refine(flux: _Flux, rows: DerivedColumns, todo: _Todo, errors: list):
         "extremum bracket: the kernel and the two-mode form disagree on the "
         "direction of d|A|/dt"))
     bad &= ~failed(errors)[todo.own]
-    done = _Extrema(times, np.where(todo.rising, 1, -1), amps, todo.own)
-    return _take(done, ~bad), _take(todo, bad)
+    return _extrema(rows, times[~bad], _take(todo, ~bad)), _take(todo, bad)
 
 
 def _interval_data(ext: _Extrema):
@@ -511,26 +503,22 @@ def backflow_intervals(dp: DerivedParams, pair, t_max: float) -> BackflowInterva
 
 def _gain_nodes(xs: np.ndarray, xe: np.ndarray, u, node: np.ndarray,
                 n_nodes: int):
-    """Gain and P' at each node, and s(xs, u) at each of its pairs; see
-    ``_max_gain``.
+    """Gain and P' at each node; see ``_max_gain``.
 
     xs and xe are given per pair (one node, one interval of the node's row),
     u per pair or once for all; ``node`` is the node of each pair, and each
-    node's sums run over its pairs in order.  Each interval's term is written without
-    cancellation, f(xe, u) - f(xs, u) = (xe - xs)(xe + xs)(1 - u(1 - xe^2 -
-    xs^2)) / (f(xe, u) + f(xs, u)).  f(x, u) = x s(x, u) with
-    s = sqrt(1 - u(1 - x^2)), and P' = -sum xe (1 - xe^2) / (2 s(xe, u)).
-    Where a denominator vanishes (x = 0 at u = 1) the term is 0.
+    node's sums run over its pairs in order.  Each interval's term is
+    written without cancellation, f(xe, u) - f(xs, u) = (xe - xs)(xe + xs)
+    (1 - u(1 - xe^2 - xs^2)) / (f(xe, u) + f(xs, u)), f(x, u) = x s(x, u)
+    (``_s``), and P' = -sum xe (1 - xe^2) / (2 s(xe, u)).  Where a
+    denominator vanishes (x = 0 at u = 1) the term is 0.
     """
-    v = 1.0 - u
-    se = np.sqrt(v + u * (xe * xe))
-    ss = np.sqrt(v + u * (xs * xs))
-    den = xe * se + xs * ss
-    num = (xe - xs) * (xe + xs) * (v + u * (xe * xe + xs * xs))
+    se = _s(xe, u)
+    den = xe * se + xs * _s(xs, u)
+    num = (xe - xs) * (xe + xs) * ((1.0 - u) + u * (xe * xe + xs * xs))
     term = np.divide(num, den, out=np.zeros_like(den), where=den > 0)
     slope = np.divide(xe * (1.0 - xe * xe), se, out=np.zeros_like(se), where=se > 0)
-    return (np.bincount(node, term, n_nodes), -0.5 * np.bincount(node, slope, n_nodes),
-            ss)
+    return np.bincount(node, term, n_nodes), -0.5 * np.bincount(node, slope, n_nodes)
 
 
 def _pairs(count: np.ndarray, first: np.ndarray):
@@ -585,16 +573,17 @@ def _branch_and_bound(xs: np.ndarray, xe: np.ndarray, owner: np.ndarray, n_rows:
         return best, best_u
     cs = xs * (1.0 - xs * xs)
     node, iv = _pairs(count[own], first[own])
-    left, right = (_gain_nodes(xs[iv], xe[iv], u, node, own.size) for u in (0.0, 1.0))
-    polar = right[0] >= left[0]
-    best[own] = np.where(polar, right[0], left[0])
+    # the gain and P' at each sub-interval's ends
+    (g0, p0), (g1, p1) = (_gain_nodes(xs[iv], xe[iv], u, node, own.size) for u in (0.0, 1.0))
+    polar = g1 >= g0
+    best[own] = np.where(polar, g1, g0)
     best_u[own] = polar
     lo, hi = np.zeros(own.size), np.ones(own.size)
     while True:
-        (g0, p0, s0), (g1, p1, s1) = left, right
         node, iv = _pairs(count[own], first[own])
         width = hi - lo
-        chord = -np.bincount(node, cs[iv] / (s0 + s1), own.size)
+        x = xs[iv]
+        chord = -np.bincount(node, cs[iv] / (_s(x, lo[node]) + _s(x, hi[node])), own.size)
         a0, a1 = p0 - chord, p1 - chord  # slopes of the two bounding lines
         inner = (a0 > 0.0) & (a1 < 0.0)
         cross = np.divide(g1 - g0 - a1 * width, a0 - a1, out=np.zeros_like(width),
@@ -607,22 +596,19 @@ def _branch_and_bound(xs: np.ndarray, xe: np.ndarray, owner: np.ndarray, n_rows:
         if not live.any():
             return best, best_u
         lo, hi, mid, own, target = lo[live], hi[live], mid[live], own[live], target[live]
-        kept = live[node]
-        left = (g0[live], p0[live], s0[kept])
-        right = (g1[live], p1[live], s1[kept])
+        g0, p0, g1, p1 = g0[live], p0[live], g1[live], p1[live]
         node, iv = _pairs(count[own], first[own])
-        at_mid = _gain_nodes(xs[iv], xe[iv], mid[node], node, own.size)
+        gm, pm = _gain_nodes(xs[iv], xe[iv], mid[node], node, own.size)
         # each row's first midpoint of greatest gain
         top = np.full(n_rows, -np.inf)
-        np.maximum.at(top, own, at_mid[0])
-        cand = np.flatnonzero(at_mid[0] == top[own])
+        np.maximum.at(top, own, gm)
+        cand = np.flatnonzero(gm == top[own])
         j = cand[np.unique(own[cand], return_index=True)[1]]
-        j = j[at_mid[0][j] > target[j]]
-        best[own[j]], best_u[own[j]] = at_mid[0][j], mid[j]
-        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
-        own = np.concatenate([own, own])
-        left = tuple(np.concatenate(pair) for pair in zip(left, at_mid))
-        right = tuple(np.concatenate(pair) for pair in zip(at_mid, right))
+        j = j[gm[j] > target[j]]
+        best[own[j]], best_u[own[j]] = gm[j], mid[j]
+        lo, hi, own = np.concatenate([lo, mid]), np.concatenate([mid, hi]), np.tile(own, 2)
+        g0, p0 = np.concatenate([g0, gm]), np.concatenate([p0, pm])
+        g1, p1 = np.concatenate([gm, g1]), np.concatenate([pm, p1])
 
 
 def _alpha(u: np.ndarray) -> np.ndarray:
@@ -694,7 +680,7 @@ def amplitude_extrema(rows: DerivedColumns, t_max, errors: list) -> _Extrema:
     # inf (on decoupled rows alone: the piece budget stops the others) gives
     # NaN, and the row reads invalid (the phase's is over its beat budget)
     with np.errstate(over="ignore", invalid="ignore"):
-        tails = _abs_amplitude(rows, t_max[live], live)
+        tails = np.abs(_rows_form(rows, t_max[live], live))
     ends = np.zeros(live.size, dtype=int)
     ext = _cat([_Extrema(np.zeros(live.size), ends, np.ones(live.size), live), *parts,
                 _Extrema(t_max[live], ends, tails, live)])

@@ -21,8 +21,8 @@ around them and from t = 0, and the beats of |A|), with one batched
 extrema search for all rows, then integrates all pieces in one adaptive
 Gauss-Kronrod run (``quadrature.gauss_kronrod_many``): each slice of each
 level goes to the integrand in one array call, where each node carries the
-constants (M, F, s+, theta) of its own row into ``amplitude._mode_form``
-and ``_spectrum``, with a bound on its rounding.  Every stage is
+constants of its own row into ``amplitude._rows_form`` and its theta into
+``_spectrum``, with a bound on its rounding.  Every stage is
 elementwise in the rows, so a row's pieces, nodes and phase do not depend
 on the other rows; ``geometric_phase_detailed`` (which also returns the
 nodes) is its one-row view, and ``geometric_phase`` its value.
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitude import _mode_form, amplitude_closed_form
+from .amplitude import _rows_form, amplitude_closed_form
 from .nonmarkov import _modes, amplitude_extrema, envelope_time
 from .params import DerivedColumns, DerivedParams, ValidationError, _take, fail, failed
 from .quadrature import gauss_kronrod_many
@@ -155,17 +155,11 @@ def _cos2_rows(rows: DerivedColumns, thetas):
         # a kernel exponent past -inf gives |A| = 0, its limit; any other
         # value that is not finite fails the row's quadrature
         with np.errstate(over="ignore", invalid="ignore"):
-            A = _mode_form(rows.m_const[row], rows.f_const[row], t, rows.s_plus[row])
+            A = _rows_form(rows, t, row)
             _, cos2, slope = _spectrum(np.abs(A) ** 2, theta[row])
         return cos2, _ROUNDING * (slope + 1.0)
 
     return f
-
-
-def _cos2_integrand(dp: DerivedParams, theta: float):
-    """cos^2(Theta(t)) of one row over an array of times."""
-    f = _cos2_rows(DerivedColumns.of([dp]), [theta])
-    return lambda t: f(np.asarray(t, dtype=float), np.zeros(np.shape(t), dtype=int))[0]
 
 
 def _crossings(rows: DerivedColumns, lo, hi, own, level, above):
@@ -185,8 +179,7 @@ def _crossings(rows: DerivedColumns, lo, hi, own, level, above):
             if active.size == 0:
                 break
             r, ta = own[active], t[active]
-            A, dA = _mode_form(rows.m_const[r], rows.f_const[r], ta, rows.s_plus[r],
-                               rows.pref[r])
+            A, dA = _rows_form(rows, ta, r, derivative=True)
             g = np.abs(A) ** 2 - level[active]
             slope[active] = dx = 2.0 * (dA * np.conj(A)).real
             past = (g > 0.0) != above[active]

@@ -50,7 +50,7 @@ class CheckResult:
 def oracle_grid_check() -> list[CheckResult]:
     """Closed form vs the memory ODE's exact propagator on the standard grid.
 
-    One batched oracle call and one kernel call (``amplitude._mode_form``)
+    One batched oracle call and one kernel call (``amplitude._rows_form``)
     cover every set.  The closed-form values are taken as they are,
     unvalidated, so a drifting closed form fails these checks' own gates
     instead of raising.
@@ -58,8 +58,7 @@ def oracle_grid_check() -> list[CheckResult]:
     sets = list(itertools.product(ORACLE_LAMBDAS, ORACLE_OMEGAS, ORACLE_DELTAS))
     rows = derive_columns(*np.array([(*s, 0.0, 1.0) for s in sets]).T)
     times, odes = amplitude.amplitude_oracles(rows, ORACLE_T_MAX)
-    closed = amplitude._mode_form(rows.m_const[:, None], rows.f_const[:, None],
-                                  times, rows.s_plus[:, None])
+    closed = amplitude._rows_form(rows, times, (slice(None), None))
     results = []
     for (lam, om, dq), a, ode in zip(sets, closed, odes):
         err = float(np.max(np.abs(a - ode)))
@@ -94,8 +93,7 @@ def _witness_route_errors(lam, omega_rabi, delta_qc, delta_cav, theta, tau) -> n
     kernel call.
     """
     rows = derive_columns(lam, omega_rabi, delta_qc, delta_cav, np.ones(len(tau)))
-    a1, ah = amplitude._mode_form(rows.m_const, rows.f_const, np.stack([tau, tau / 2.0]),
-                                  rows.s_plus)
+    a1, ah = amplitude._rows_form(rows, np.stack([tau, tau / 2.0]), slice(None))
     p_free, p_blind = temporal._witness_route(theta, a1.real, ah.real)
     return np.abs(np.abs(p_free - p_blind) - temporal._witness_form(theta, a1, ah))
 

@@ -104,7 +104,9 @@ def lgi_series(dp: DerivedParams, theta: float, taus) -> tuple[np.ndarray, np.nd
 
 
 def lgi_c3(dp: DerivedParams, theta: float, tau: float) -> LgiResult:
-    """Both Leggett-Garg combinations at one step tau (see ``lgi_series``)."""
+    """Both Leggett-Garg combinations, c3 and c4, at one step tau, from one
+    ``lgi_series`` call.  The name stays, though it says c3 alone, because
+    ``tests/test_acceptance.py`` imports it."""
     c3, c4 = (float(c[0]) for c in lgi_series(dp, theta, [tau]))
     return LgiResult(tau=tau, c3=c3, c4=c4, violated3=c3 > 1.0, violated4=c4 > 2.0)
 

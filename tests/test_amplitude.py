@@ -16,8 +16,9 @@ from drivenqubit import (AmplitudePole, SystemParams, ValidationError,
                          amplitude_grid, amplitude_oracle_ode,
                          amplitude_trajectory, decay_rate, decay_rate_grid,
                          derive, lgi_series)
-from drivenqubit.amplitude import ORACLE_POINTS, AmplitudeTrajectory, _mode_pieces
-from drivenqubit.params import DerivedParams
+from drivenqubit.amplitude import (ORACLE_POINTS, AmplitudeTrajectory, _mode_pieces,
+                                   _rows_form, _rows_rising)
+from drivenqubit.params import DerivedParams, derive_columns
 from drivenqubit.selfcheck import (ORACLE_DELTAS, ORACLE_LAMBDAS, ORACLE_OMEGAS,
                                    ORACLE_T_MAX)
 
@@ -309,6 +310,40 @@ def test_amplitude_is_zero_where_the_envelope_underflows_at_an_infinite_phase():
     with np.errstate(invalid="ignore", over="ignore"):
         rate = decay_rate_grid(dp, t[4:])
     assert np.isnan(rate).all()  # the zeros of A are poles of the decay rate
+
+
+def test_row_entries_give_each_time_what_amplitude_grid_gives_its_row():
+    # the kernel's row contract: A and dA/dt of _rows_form are those of
+    # amplitude_grid at each time's own row, bit for bit, for every kind of
+    # owner; _rows_rising is the sign of Re(dA/dt conj A) wherever |A|^2 is
+    # normal (elsewhere only the envelope-free form still has a sign)
+    rng = np.random.default_rng(35)
+    n = 40
+    rows = derive_columns(10.0 ** rng.uniform(-3.0, 0.5, n), rng.uniform(0.0, 3.0, n),
+                          rng.uniform(-10.0, 10.0, n), rng.uniform(-1.0, 1.0, n),
+                          rng.uniform(0.5, 2.0, n))
+    owner = rng.integers(0, n, 2000)
+    times = np.concatenate([np.zeros(20), 10.0 ** rng.uniform(-3.0, 3.5, 1980)])
+    cases = ((times, owner, lambda i: owner == i),
+             (10.0 ** rng.uniform(-3.0, 2.0, (2, n)), slice(None), lambda i: (slice(None), i)),
+             (np.linspace(0.0, 30.0, 31), (slice(None), None), lambda i: i))
+    for t, own, at in cases:
+        for derivative in (False, True):
+            got = _rows_form(rows, t, own, derivative)
+            got = got if derivative else (got,)
+            t_of = np.broadcast_to(t, got[0].shape)
+            for i in range(n):
+                want = amplitude_grid(rows.row(i, None), t_of[at(i)])
+                for g, w in zip(got, want):
+                    assert g[at(i)].tobytes() == w.tobytes()
+    rising, compared = _rows_rising(rows, times, owner), 0
+    for i in range(n):
+        at = owner == i
+        A, dA = amplitude_grid(rows.row(i, None), times[at])
+        normal = np.abs(A) ** 2 >= np.finfo(float).tiny
+        assert np.array_equal(rising[at][normal], ((dA * np.conj(A)).real > 0)[normal])
+        compared += normal.sum()
+    assert 0 < compared < times.size and 0 < rising.sum() < times.size
 
 
 def test_trajectory_rejects_a_nan_time():

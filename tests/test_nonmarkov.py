@@ -19,9 +19,9 @@ from drivenqubit import (BlochVector, QubitState, SystemParams,
 from drivenqubit import nonmarkov
 from drivenqubit import amplitude
 from drivenqubit import phase
-from drivenqubit.amplitude import (amplitude_closed_form, amplitude_derivative,
+from drivenqubit.amplitude import (_rows_form, amplitude_closed_form, amplitude_derivative,
                                    amplitude_grid)
-from drivenqubit.nonmarkov import (_abs_amplitude, _bisect, _cat, _counts, _Flux, _flux_form,
+from drivenqubit.nonmarkov import (_bisect, _cat, _counts, _Flux, _flux_form,
                                    _horizon,
                                    _max_gain, _pieces, _refine, _take, _Todo,
                                    amplitude_extrema, blp_measures)
@@ -483,14 +483,14 @@ def test_bisection_fallback_matches_dense_scan(monkeypatch):
     _assert_same_extrema(dp, 600.0)
 
 
-def _count_kernel_calls(monkeypatch, calls, names=("_mode_pieces", "_mode_form")):
+def _count_kernel_calls(monkeypatch, calls, names=("_rows_rising", "_rows_form")):
     """Record the size of every kernel call of the finder in ``calls``: the
-    signs of h (``_mode_pieces``) and |A| (``_mode_form``), or those of
+    signs of h (``_rows_rising``) and |A| (``_rows_form``), or those of
     ``names`` alone."""
     for name in names:
-        def counted(M, F, t, *args, kernel=getattr(nonmarkov, name)):
+        def counted(rows, t, owner, *args, kernel=getattr(nonmarkov, name)):
             calls.append(t.size)
-            return kernel(M, F, t, *args)
+            return kernel(rows, t, owner, *args)
 
         monkeypatch.setattr(nonmarkov, name, counted)
 
@@ -621,7 +621,7 @@ def test_blp_sweep_kernel_calls_follow_its_slices(monkeypatch):
 
     monkeypatch.setattr(nonmarkov, "_pieces", counted_pieces)
     _count_kernel_calls(monkeypatch, calls)
-    _count_kernel_calls(monkeypatch, signs, ("_mode_pieces",))
+    _count_kernel_calls(monkeypatch, signs, ("_rows_rising",))
     monkeypatch.setattr(nonmarkov, "_refine", counted_refine)
     monkeypatch.setattr(nonmarkov, "_bisect", counted_bisect)
     monkeypatch.setattr(nonmarkov, "amplitude_extrema", counted_extrema)
@@ -676,7 +676,7 @@ def _assert_segments(rows, t_max, errors, ext):
     times, kinds, amps, owner = ext
     live = np.flatnonzero([e is None for e in errors])
     assert np.array_equal(np.unique(owner), live) and np.all(np.diff(owner) >= 0)
-    tails = _abs_amplitude(rows, t_max[live], live)
+    tails = np.abs(_rows_form(rows, t_max[live], live))
     first, stop = np.searchsorted(owner, live), np.searchsorted(owner, live, side="right")
     for r, i, j, tail in zip(live.tolist(), first.tolist(), stop.tolist(), tails.tolist()):
         assert (times[i], kinds[i], amps[i]) == (0.0, 0, 1.0)
@@ -735,8 +735,8 @@ def test_backflow_intervals_read_the_segments():
         (4.71238898038469, 6.283185307179586), (10.995574287564276, 12.566370614359172),
         (17.278759594743864, 18.84955592153876), (23.56194490192345, t_max))
     assert rising.t_max == t_max
-    assert rising.amp_values[-1][1] == _abs_amplitude(DerivedColumns.of([dp]),
-                                                      np.array([t_max]), np.array([0]))[0]
+    assert rising.amp_values[-1][1] == np.abs(_rows_form(DerivedColumns.of([dp]),
+                                                        np.array([t_max]), np.array([0])))[0]
     for got, want in ((rising.amp_values, ((1.0522718789890956e-17, 0.04321391826377225),
                                            (1.2861647541718112e-18, 0.0018674427317079889),
                                            (1.3895054640131335e-19, 8.06995175703046e-05),

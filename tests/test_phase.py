@@ -22,7 +22,6 @@ from drivenqubit import (SweepAxis, SystemParams, ValidationError, derive,
 from drivenqubit import phase, quadrature, sweeps
 from drivenqubit.amplitude import amplitude_closed_form, amplitude_grid
 from drivenqubit.params import DerivedColumns
-from drivenqubit.phase import _cos2_integrand
 from drivenqubit.quadrature import QuadratureError, gauss_kronrod, gauss_kronrod_many
 from drivenqubit.sweeps import SweepSpec, run_sweep
 
@@ -63,6 +62,13 @@ def _depth_first_gk(f, pieces, tol, max_depth=60):
     if floor > tol:
         raise QuadratureError("rounding floor")
     return total, err_total, np.array(nodes)
+
+
+def _cos2_integrand(dp, theta):
+    """cos^2(Theta(t)) of one row over an array of times: the values of
+    ``phase._cos2_rows``."""
+    f = phase._cos2_rows(DerivedColumns.of([dp]), [theta])
+    return lambda t: f(np.asarray(t, dtype=float), np.zeros(np.shape(t), dtype=int))[0]
 
 
 def _relative(f):
@@ -520,13 +526,13 @@ def test_integrand_amplitude_matches_amplitude_grid(monkeypatch):
                                delta_qc=rng.uniform(0, 10)))
            for _ in range(300)]
     seen = []
-    mode_form = phase._mode_form
+    rows_form = phase._rows_form
 
     def recorded(*args):
-        seen.append(mode_form(*args))
+        seen.append(rows_form(*args))
         return seen[-1]
 
-    monkeypatch.setattr(phase, "_mode_form", recorded)
+    monkeypatch.setattr(phase, "_rows_form", recorded)
     row = np.repeat(np.arange(len(dps)), 200)
     t = rng.uniform(0.0, 50.0, row.size)
     phase._cos2_rows(DerivedColumns.of(dps), rng.uniform(0, math.pi / 2, len(dps)))(t, row)

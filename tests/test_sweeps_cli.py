@@ -455,6 +455,26 @@ def test_figure_preset_deterministic(tmp_path):
         assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
+def test_output_digest_lists_every_preset_output_and_check(tmp_path, capsys):
+    # tools/output_digest.py hashes each file that fig2-fig10 write, and
+    # check's output, one sorted "sha256 path" line each
+    import hashlib
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "tools" / "output_digest.py"
+    spec = importlib.util.spec_from_file_location("output_digest", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    lines = tool.digests(tmp_path)
+    digests, names = zip(*(line.split(" ") for line in lines))
+    assert list(names) == sorted(names) == sorted(p.name for p in tmp_path.iterdir())
+    assert {f"{name}_manifest.json" for name in PRESET_NAMES} < set(names)
+    assert all(re.fullmatch("[0-9a-f]{64}", d) for d in digests)
+    assert main(["check"]) == 0
+    check = capsys.readouterr().out.encode()
+    assert dict(zip(names, digests))["check.txt"] == hashlib.sha256(check).hexdigest()
+
+
 @pytest.mark.parametrize("name,calls", [("fig2", 4), ("fig3", 4), ("fig5", 7)])
 def test_figure_evaluates_each_distinct_series_once(tmp_path, monkeypatch, name, calls):
     # the lgi3 and lgi4 curves of one parameter set share one lgi_series,
