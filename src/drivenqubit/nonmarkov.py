@@ -95,7 +95,7 @@ _ROUNDING = 16 * np.finfo(float).eps
 _CHUNK = 4096  # pieces of the bracket finder, or intervals of the pair search,
                # per pass across rows
 _QUARTER = 0.5 * math.pi
-_MAX_PIECES = 2 ** 22  # quarter periods of one row to its t_max: its work budget
+_MAX_PIECES = 2 ** 22  # pieces of one row's search (``_counts``): its work budget
 _NEWTON_STEPS = 6
 
 
@@ -287,14 +287,14 @@ def _phase(c: _Flux):
 
 
 def _counts(c: _Flux, t_max: np.ndarray) -> np.ndarray:
-    """Pieces searched per row (w != 0): those up to the one that holds t_max,
-    or the horizon t2 (``_horizon``) if it comes first, and one more, so that
-    the last cut, clipped to t_max, ends the search there."""
+    """Pieces searched per row (w != 0), as floats: those up to the one that
+    holds t_max, or the horizon t2 (``_horizon``) if it comes first, and one
+    more, so that the last cut, clipped to t_max, ends the search there."""
     w, phi = _phase(c)
     with np.errstate(invalid="ignore", over="ignore"):
         n, m = (np.floor((w * t + phi) / _QUARTER) - np.floor(phi / _QUARTER)
                 for t in (t_max, _horizon(c)))
-    return np.fmin(n, m).clip(0.0).astype(int) + 2  # t2 is NaN where C = a = 0
+    return np.fmin(n, m).clip(0.0) + 2.0  # t2 is NaN where C = a = 0
 
 
 def _horizon(c: _Flux) -> np.ndarray:
@@ -625,10 +625,11 @@ def amplitude_extrema(rows: DerivedColumns, t_max, errors: list) -> _Extrema:
     have kind 0.
 
     A row whose t_max is not finite and > 0 gets a ``ValidationError`` in
-    ``errors``, and so does one whose kernel phase |w| t_max spans more than
-    ``_MAX_PIECES`` quarter periods, before any piece is made (so |w| t_max
-    is at most 2^21 pi for a searched row).  The pieces of the other rows
-    (``_counts``) are taken in (row, time) order, in slices of
+    ``errors``, and so does one whose search takes more than ``_MAX_PIECES``
+    pieces (``_counts``: those to min(t_max, t2), and one more), before any
+    piece is made.  A searched row's t_max may lie far past its t2, where
+    the envelope is 0, so its tail |A(t_max)| reads 0 (``_mode_form``).  The
+    pieces of the other rows are taken in (row, time) order, in slices of
     ``_CHUNK``, a cap across rows that bounds the peak memory, and
     bracketed (``_pieces``).  The brackets are carried and take one
     refinement round (``_refine``) in batches of about ``_CHUNK`` (once they
@@ -645,15 +646,13 @@ def amplitude_extrema(rows: DerivedColumns, t_max, errors: list) -> _Extrema:
          lambda i: ValidationError(f"t_max must be finite and > 0, got {t_max[i]}"))
     flux = _Flux.of(rows, ~failed(errors))
     search = np.flatnonzero(flux.z.imag != 0.0)
-    with np.errstate(over="ignore"):
-        quarters = np.ceil(np.abs(flux.z.imag[search]) * t_max[search] / _QUARTER)
-    over = quarters > _MAX_PIECES
+    pieces = _counts(_take(flux, search), t_max[search])
+    over = pieces > _MAX_PIECES
     fail(errors, search, over, lambda i: ValidationError(
-        f"the extrema search needs {quarters[i]:.0f} quarter-period "
+        f"the extrema search needs {pieces[i]:.15g} quarter-period "
         f"pieces, over the budget of {_MAX_PIECES} per row"))
-    search = search[~over]
     count = np.zeros(t_max.size, dtype=int)
-    count[search] = _counts(_take(flux, search), t_max[search])
+    count[search[~over]] = pieces[~over]
     stop = np.cumsum(count)
     start = stop - count
     total = int(stop[-1]) if count.size else 0
@@ -676,9 +675,9 @@ def amplitude_extrema(rows: DerivedColumns, t_max, errors: list) -> _Extrema:
             count[failed(errors)] = 0  # a failed row's later pieces are not searched
     parts.append(_bisect(rows, _live(_cat(unsure), errors), errors))
     live = np.flatnonzero(~failed(errors))
-    # a decay exponent past -inf gives |A| = 0, its limit; a kernel phase past
-    # inf (on decoupled rows alone: the piece budget stops the others) gives
-    # NaN, and the row reads invalid (the phase's is over its beat budget)
+    # a decay exponent past -inf gives |A| = 0, its limit, also where the kernel
+    # phase is past inf (a searched row far past its t2); a phase past inf under
+    # an envelope above 0 (a decoupled row) gives NaN, and the row reads invalid
     with np.errstate(over="ignore", invalid="ignore"):
         tails = np.abs(_rows_form(rows, t_max[live], live))
     ends = np.zeros(live.size, dtype=int)
@@ -727,7 +726,7 @@ def blp_measures(rows: DerivedColumns, t_maxes):
     the row or None; a failed row reads NaN and not truncated.  The error
     is an ``OverflowError`` for a row whose model constants overflow, else a
     ValidationError: a horizon that is not finite and > 0 or too short, a
-    search over its work budget of ``_MAX_PIECES`` quarter periods, or extrema
+    search over its work budget of ``_MAX_PIECES`` pieces, or extrema
     that fail their checks.  Each row's result depends on its own data alone.
     """
     gain, u, tails, _, errors = _measures(rows, t_maxes)

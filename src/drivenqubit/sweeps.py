@@ -315,8 +315,10 @@ def _blp_rows(rows: DerivedColumns, theta, quad_tol, t_max):
     one batched pass, and their status; a failed row reads NaN, which its
     block labels invalid."""
     # extend the horizon until the backflow gains (which die off with the
-    # amplitude envelope exp(-lam t / 2)) are converged, within a cap
-    t_eff = np.maximum(t_max, np.minimum(5000.0, 2.0 * math.log(1e4) / rows.lam))
+    # amplitude envelope exp(-lam t / 2)) are converged, within a cap; below
+    # lam ~ 1e-307 the quotient overflows to inf, and the cap holds
+    with np.errstate(over="ignore"):
+        t_eff = np.maximum(t_max, np.minimum(5000.0, 2.0 * math.log(1e4) / rows.lam))
     n_measure, alpha, residual, truncated, _ = blp_measures(rows, t_eff)
     return (n_measure, alpha, residual, truncated.astype(int)), np.full(t_eff.size, "ok")
 
@@ -391,23 +393,25 @@ def run_sweep(spec: SweepSpec):
     return SweepTable([block]), _summary(spec, block)
 
 
+def _number_format(col: np.ndarray) -> str:
+    """The format of a numeric column's cells, or of a number as a 0-d array:
+    floats by %.17g, integers and bools by %d (Python ints past int64 give
+    an array of objects)."""
+    return "%.17g" if col.dtype.kind == "f" else "%d"
+
+
 def _fmt(v) -> str:
-    """A constant cell: empty for None, integers as such, floats at 17
-    significant digits."""
+    """A constant cell: empty for None, a string as such, a number as a cell
+    of its kind (``_number_format``)."""
     if v is None:
         return ""
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, str):
-        return v
-    return format(float(v), ".17g")
+    return v if isinstance(v, str) else _number_format(np.asarray(v)) % v
 
 
 def _cells(col: np.ndarray) -> list[str]:
-    """The cells of a numeric column: integers and bools by %d, floats by
-    %.17g, all in one format call."""
-    fmt = "%d\n" if col.dtype.kind in "biu" else "%.17g\n"
-    return (fmt * len(col) % tuple(col.tolist())).split("\n")[:-1]
+    """The cells of a numeric column (``_number_format``), all in one format
+    call."""
+    return ((_number_format(col) + "\n") * len(col) % tuple(col.tolist())).split("\n")[:-1]
 
 
 def _csv_line(cells) -> str:
@@ -444,7 +448,7 @@ def _write_block(fh, block: SweepBlock, columns: list[str], axes: dict) -> None:
         if c in block.coords or (c in block.values and label != "ok"):
             return "%s"
         if c in block.values:
-            return "%d" if block.values[c].dtype.kind in "biu" else "%.17g"
+            return _number_format(block.values[c])
         return (label if c == "status" else _fmt(block.const.get(c))).replace("%", "%%")
 
     lines = {label: _csv_line([cell(c, label) for c in columns])

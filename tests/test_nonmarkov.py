@@ -60,7 +60,7 @@ def _brackets(flux, t_max):
     two-mode table (w != 0), in (row, time) order, from one call over all
     the pieces the search takes."""
     t_max = np.full(flux.a.size, t_max, dtype=float)
-    nodes = _counts(flux, t_max) + 1
+    nodes = _counts(flux, t_max).astype(int) + 1
     owner = np.repeat(np.arange(nodes.size), nodes)
     q = np.arange(owner.size) - np.repeat(np.cumsum(nodes) - nodes, nodes)
     found = _pieces(flux, t_max, owner, q)
@@ -726,7 +726,8 @@ def test_finder_checks_its_own_horizons(bad):
 def test_backflow_intervals_read_the_segments():
     # pinned: lam 1 undriven, still rising at t_max, ends its last interval
     # at (t_max, |A(t_max)|); lam 2.5 > 2 gamma undriven is overdamped (w =
-    # 0), with no extrema and no intervals; omega 1e6 is over the budget.
+    # 0), with no extrema and no intervals; omega 1e6 is over the budget
+    # with the pieces to its t2 = 168 alone.
     # The times are exact; |A| and D to the rounding of the constants
     pair, t_max = antipodal_pair(0.5), 8.0 * math.pi - 0.2
     dp = derive(SystemParams(lam=1.0))
@@ -748,7 +749,7 @@ def test_backflow_intervals_read_the_segments():
         assert np.allclose(got, want, rtol=1e-13, atol=0.0)
     overdamped = backflow_intervals(derive(SystemParams(lam=2.5)), pair, 100.0)
     assert overdamped.intervals == overdamped.amp_values == overdamped.d_values == ()
-    with pytest.raises(ValidationError, match="needs 234530725 quarter-period pieces, "
+    with pytest.raises(ValidationError, match="needs 214047394 quarter-period pieces, "
                                               "over the budget of 4194304 per row"):
         backflow_intervals(derive(SystemParams(lam=0.1, omega_rabi=1e6)), pair, 184.2)
 
@@ -891,27 +892,28 @@ def test_strong_drive_backflow_falls_as_one_over_omega():
 
 
 def test_row_over_the_work_budget_fails_fast():
-    # omega 1e6 at lam 0.1 spans 234,539,392 quarter periods of w to its
-    # horizon, over the budget of 2^22: the row fails before any piece is
-    # made, and its neighbour reads as that row alone
+    # omega 1e6 at lam 0.1 takes 214,047,394 pieces to its t2 = 168, before
+    # its horizon 184, over the budget of 2^22: the row fails before any
+    # piece is made, and its neighbour reads as that row alone
     params = [SystemParams(lam=0.1, omega_rabi=om) for om in (1e6, 0.5)]
     t_maxes = [2.0 * math.log(1e4) / 0.1] * 2
     start = time.perf_counter()
     result = blp_measures(_rows(params), t_maxes)
     assert time.perf_counter() - start < 1.0
-    assert "needs 234539392 quarter-period pieces" in str(result[4][0])
+    assert "needs 214047394 quarter-period pieces" in str(result[4][0])
     assert math.isnan(result[0][0]) and not result[3][0]
     _assert_rows_match_one_row_view(params, t_maxes, result, skip={0})
 
 
 def test_row_whose_piece_count_overflows_fails_alone():
     # |w| t_max overflows at a finite t_max: the row reads as over its
-    # budget, with no warning, and its neighbour as alone
+    # budget by its finite count to t2 = 2333, with no warning, and its
+    # neighbour as alone
     p = SystemParams(lam=0.1, omega_rabi=1e100)
     params = [p, SystemParams(lam=0.1, omega_rabi=0.5)]
     t_maxes = [1e208, 184.2]  # |w| = 2e100
     result = blp_measures(_rows(params), t_maxes)
-    assert "needs inf quarter-period pieces" in str(result[4][0])
+    assert "needs 2.96988524347899e+103 quarter-period pieces" in str(result[4][0])
     _assert_rows_match_one_row_view(params, t_maxes, result, skip={0})
 
 

@@ -727,9 +727,10 @@ def test_cli_reports_running_out_of_memory(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_blp_rows_over_budget_at_a_huge_horizon_fail_without_warnings(tmp_path, capsys):
-    # both rows span more quarter periods than their budget, so each fails
-    # before the kernel sees its horizon: no numpy warning (the suite's
-    # filter would raise it), only the summary line
+    # both rows need more pieces than their budget, to t_max (omega 0: k =
+    # 0, so no t2) or to t2, so each fails before the kernel sees its
+    # horizon: no numpy warning (the suite's filter would raise it), only
+    # the summary line
     out = tmp_path / "blp.csv"
     rc = main(["sweep", "--quantity", "blp", "--axis", "omega", "--axis-min", "0",
                "--axis-max", "1e10", "--points", "2", "--lambda", "0.1",
@@ -745,19 +746,56 @@ def test_cli_blp_overdamped_row_at_a_huge_horizon_reads_without_warnings(tmp_pat
     # the omega 0 row has no oscillation, so no work budget applies, and its
     # tail |A(t_max)| takes a decay exponent that overflows to -inf: its
     # limit 0 is right, with no numpy warning (the suite's filter would raise
-    # it); the omega 1e-3 row is over its budget
+    # it); the omega 1e-3 row is searched to its t2 alone, within its
+    # budget, and its tail past the underflow of the envelope reads 0 too
     out = tmp_path / "blp.csv"
     rc = main(["sweep", "--quantity", "blp", "--axis", "omega", "--axis-min", "0",
                "--axis-max", "1e-3", "--points", "2", "--lambda", "1e9",
                "--tmax", "1e300", "--out", str(out)])
     captured = capsys.readouterr()
-    assert rc == 2
+    assert rc == 0
     assert captured.err == ""
-    assert captured.out == (f"wrote {out}: 2 rows, 1 failed\n"
+    assert captured.out == (f"wrote {out}: 2 rows, 0 failed\n"
                             "blp: min=0 max=0 argmax=0\n")
     rows = read_csv(out)
-    assert [r["status"] for r in rows] == ["ok", "invalid"]
-    assert rows[0]["n_measure"] == rows[0]["residual_bound"] == "0"
+    assert [r["status"] for r in rows] == ["ok", "ok"]
+    for row in rows:
+        assert row["n_measure"] == row["residual_bound"] == "0"
+
+
+_FOUND = ["--axis-min", "1.9", "--axis-max", "2", "--points", "2", "--lambda", "0.01"]
+
+
+@pytest.mark.parametrize("flags, reference", [
+    ([*_FOUND, "--tmax", "1e7"], [*_FOUND, "--tmax", "1000"]),
+    (["--axis-min", "0", "--axis-max", "2", "--points", "3", "--lambda", "5e-324"], None)],
+    ids=["searched to t2", "subnormal lambda"])
+def test_cli_blp_rows_read_at_their_horizon_without_warnings(tmp_path, capsys, flags,
+                                                             reference):
+    # lam 0.01: no extremum of |A| lies past t2 = 599 (omega 2), so the search
+    # stops there, and its budget counts the pieces to t2: at --tmax 1e7 the
+    # rows are searched, and read the measure of --tmax 1000 bit for bit.
+    # lam 5e-324: the capped horizon 2 ln(1e4)/lam overflows to inf, and
+    # the cap 5000 holds; every row reads 0, with the tail 1 undecayed
+    def run(flags):
+        out = tmp_path / "blp.csv"
+        rc = main(["sweep", "--quantity", "blp", "--axis", "omega", *flags,
+                   "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert captured.err == ""
+        rows = read_csv(out)
+        assert captured.out.startswith(f"wrote {out}: {len(rows)} rows, 0 failed\n")
+        assert {r["status"] for r in rows} == {"ok"}
+        return rows
+
+    rows = run(flags)
+    if reference is None:
+        assert [(r["n_measure"], r["residual_bound"], r["truncated"]) for r in rows] == \
+            [("0", "2", "1")] * 3
+    else:
+        assert ([r["n_measure"] for r in rows] == [r["n_measure"] for r in run(reference)]
+                == ["0.020310973285367347", "0.019321490905737475"])
 
 
 @pytest.mark.parametrize("command", ["sweep", "figure", "config"])
