@@ -12,8 +12,7 @@ from .amplitude import (AmplitudePole, AmplitudeTrajectory,
                         amplitude_trajectory, decay_rate, decay_rate_grid)
 from .nonmarkov import (BackflowIntervals, BlpResult, antipodal_pair,
                         backflow_intervals, blp_measure, info_flux)
-from .params import (DerivedParams, SpectralDensity, SystemParams,
-                     ValidationError, derive, kernel, spectral_density)
+from .params import DerivedParams, SystemParams, ValidationError, derive
 from .phase import (EigenSystem, eigensystem, geometric_phase,
                     geometric_phase_detailed, geometric_phases)
 from .states import (BlochVector, QubitState, apply_channel, coherence_l1,
@@ -39,10 +38,7 @@ __all__ = [
     "ValidationError",
     "SystemParams",
     "DerivedParams",
-    "SpectralDensity",
     "derive",
-    "spectral_density",
-    "kernel",
     "AmplitudeTrajectory",
     "AmplitudePole",
     "amplitude_closed_form",

@@ -316,7 +316,8 @@ def _pieces(flux: _Flux, t_max: np.ndarray, owner: np.ndarray, q: np.ndarray) ->
     c = _take(flux, owner)
     w, phi = _phase(c)
     j = np.floor(phi / _QUARTER) + q  # the quarter of the piece right of each node
-    t = np.where(q > 0, np.clip((j * _QUARTER - phi) / w, 0.0, t_max[owner]), 0.0)
+    with np.errstate(over="ignore"):  # a cut past the largest float is past t_max
+        t = np.where(q > 0, np.clip((j * _QUARTER - phi) / w, 0.0, t_max[owner]), 0.0)
     g, dg, _ = _flux_form(c, t)
     up = (g > 0.0) & (t > 0.0)  # dA/dt = 0 at t = 0; G turns negative right after it
     left = np.flatnonzero(owner[1:] == owner[:-1])  # the left node of each piece

@@ -1,4 +1,4 @@
-"""Physical parameters, dressed-state constants and the Lorentzian reservoir.
+"""Physical parameters and dressed-state constants.
 
 Every rate is expressed in units of the qubit decay scale ``gamma`` (usually
 left at 1.0) and times in units of ``1/gamma``, matching the dimensionless
@@ -24,12 +24,9 @@ __all__ = [
     "SystemParams",
     "DerivedParams",
     "DerivedColumns",
-    "SpectralDensity",
     "check_column",
     "derive",
     "derive_columns",
-    "spectral_density",
-    "kernel",
 ]
 
 
@@ -227,58 +224,36 @@ def fail(errors: list, owner, bad, error) -> None:
             errors[owner[i]] = error(i)
 
 
-@dataclass(frozen=True)
-class SpectralDensity:
-    """Lorentzian reservoir profile in offset coordinates (omega0 - omega_k).
-
-    Documents the model: the package computes only with the exponential
-    memory ``kernel`` it implies, through M; the tests check they agree.
-    """
-
-    center_offset: float
-    width: float
-    strength: float
-
-    def __post_init__(self):
-        if not (self.width > 0):
-            raise ValidationError(f"width must be > 0, got {self.width}")
-        if not (self.strength > 0):
-            raise ValidationError(f"strength must be > 0, got {self.strength}")
-
-    @classmethod
-    def from_params(cls, params: SystemParams) -> "SpectralDensity":
-        return cls(center_offset=params.delta_cav, width=params.lam,
-                   strength=params.gamma)
-
-    @property
-    def total_weight(self) -> float:
-        """Integral of the profile over the whole real axis: gamma*lam/2."""
-        return self.strength * self.width / 2.0
-
-
 def derive_columns(lam, omega_rabi, delta_qc, delta_cav, gamma) -> DerivedColumns:
     """Dressed-state constants of many parameter sets, elementwise in the
     arrays of their fields, all of one shape.
 
     eta takes the two-argument arctangent on (2*omega_rabi, delta_qc), so
     the resonant limit delta_qc -> 0+ gives eta = pi/2 whenever the drive is
-    on.  F is the principal root, Re F >= 0 (A is even in F), so s+ = -M/2 +
-    F/4 is the slow mode; with q = gamma*lam*(1+cos eta)^2 = -2 pref and
-    D = F + 2M (Re D >= 2 lam), s+ = -q/(2D) = pref/D is its
-    cancellation-free form, taken as (pref/|D|) (conj D/|D|) with |D| from
-    ``hypot``: no intermediate leaves the normal range before s+ does (a
-    complex quotient forms |D|^2, which underflows below lam ~ 1e-154 and
-    flushes Re s+ to 0 below lam ~ 1e-220).  Constants that overflow come
-    out inf or NaN, unwarned (``overflow``).
+    on, and a signed zero delta_qc reads as 0.  1 + cos eta = 1 +
+    delta_qc/omega_d cancels for delta_qc < 0 at weak drive, so there it is
+    taken as (2 omega/omega_d) (2 omega/(omega_d - delta_qc)), which does
+    not; for delta_qc >= 0 it is 1 + cos(eta).  F is the principal root,
+    Re F >= 0 (A is even in F), so s+ = -M/2 + F/4 is the slow mode; with
+    q = gamma*lam*(1+cos eta)^2 = -2 pref and D = F + 2M (Re D >= 2 lam),
+    s+ = -q/(2D) = pref/D is its cancellation-free form, taken as
+    (pref/|D|) (conj D/|D|) with |D| from ``hypot``: no intermediate leaves
+    the normal range before s+ does (a complex quotient forms |D|^2, which
+    underflows below lam ~ 1e-154 and flushes Re s+ to 0 below lam ~
+    1e-220).  Constants that overflow come out inf or NaN, unwarned
+    (``overflow``).
     """
     lam, omega_rabi, delta_qc, delta_cav, gamma = np.array(
         (lam, omega_rabi, delta_qc, delta_cav, gamma), dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
+    delta_qc = delta_qc + 0.0  # -0 reads as 0: arctan2 would put eta at pi
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         two_omega = 2.0 * omega_rabi
         eta, omega_d = np.arctan2(two_omega, delta_qc), np.hypot(delta_qc, two_omega)
         m_const = np.empty(eta.shape, dtype=complex)
         m_const.real, m_const.imag = lam, -(omega_d + delta_cav - delta_qc)
-        c2 = (1.0 + np.cos(eta)) ** 2
+        c2 = np.where(delta_qc < 0.0,
+                      (two_omega / omega_d) * (two_omega / (omega_d - delta_qc)),
+                      1.0 + np.cos(eta)) ** 2
         f_const = np.sqrt(4.0 * m_const * m_const - 2.0 * gamma * lam * c2)
         pref = -gamma * lam * c2 / 2.0
         d_const = f_const + 2.0 * m_const
@@ -301,27 +276,3 @@ def check_column(name: str, values: np.ndarray) -> None:
         valid &= _DOMAINS[name][0](values)
     if not valid.all():
         raise _invalid(name, values[np.argmin(valid)].item())
-
-
-def spectral_density(sd: SpectralDensity, omega_offset: float) -> float:
-    """Spectral weight at a mode offset omega_offset = omega0 - omega_k.
-
-    J = gamma*lam^2 / (2*pi*((omega_offset - delta)^2 + lam^2)); the peak
-    value gamma/(2*pi) sits at omega_offset = delta.  Documents the model
-    (see ``SpectralDensity``).
-    """
-    d = omega_offset - sd.center_offset
-    return sd.strength * sd.width**2 / (2.0 * math.pi * (d * d + sd.width**2))
-
-
-def kernel(dp: DerivedParams, dt: float) -> complex:
-    """Two-time reservoir correlation function at delay dt >= 0.
-
-    Exponential form (gamma*lam/2) * exp(-m_const*dt); its dt = 0 value
-    equals the total spectral weight gamma*lam/2.  Documents the memory
-    kernel that the closed form and the ODE oracle solve; nothing calls it.
-    """
-    if dt < 0:
-        raise ValidationError(f"kernel delay must be >= 0, got {dt}")
-    p = dp.params
-    return (p.gamma * p.lam / 2.0) * cmath.exp(-dp.m_const * dt)

@@ -98,19 +98,16 @@ class BlochVector:
 
 
 def evolve_superposition(dp: DerivedParams, theta: float, t: float) -> QubitState:
-    """Evolved state of the initial superposition cos(theta)|A> + sin(theta)|B>."""
-    a = amplitude_closed_form(dp, t)
-    paa = math.cos(theta) ** 2 * abs(a) ** 2
-    off = 0.5 * math.sin(2.0 * theta) * a
-    return QubitState(np.array([[paa, off], [off.conjugate(), 1.0 - paa]]))
+    """Evolved state of the initial superposition cos(theta)|A> + sin(theta)|B>:
+    ``apply_channel`` of that state."""
+    return apply_channel(dp, QubitState.from_superposition(theta), t)
 
 
 def apply_channel(dp: DerivedParams, initial: QubitState, t: float) -> QubitState:
     """Linear extension of the evolution to an arbitrary initial state.
 
     Populations scale as |A(t)|^2 and coherences as A(t), with the trace
-    completed into the dark state; on superposition inputs this reduces
-    exactly to evolve_superposition.
+    completed into the dark state.
     """
     a = amplitude_closed_form(dp, t)
     r = initial.rho

@@ -114,7 +114,10 @@ class SweepAxis:
 
     def values(self) -> np.ndarray:
         if self.scale == "log":
-            return np.geomspace(self.start, self.stop, self.count)
+            # 10**log10(stop) may round past the largest float; geomspace
+            # then sets the ends to start and stop, so no value overflows
+            with np.errstate(over="ignore"):
+                return np.geomspace(self.start, self.stop, self.count)
         return np.linspace(self.start, self.stop, self.count)
 
 

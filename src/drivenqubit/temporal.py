@@ -9,7 +9,6 @@ C(t_i, t_j) uses A(t_later) A*(t_earlier) and A(t_later - t_earlier).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -52,24 +51,28 @@ class WitnessResult:
     w_q: float
 
 
+def _correlation(cos2, sin2, a_j, a_i, a_s, phase):
+    """C(t_i, t_j) from cos^2(theta), sin^2(theta), A(t_j), A(t_i),
+    A(t_j - t_i) and e^{-i w_D (t_j - t_i)}, elementwise (formula in
+    ``two_time_correlation``)."""
+    return ((cos2 * a_j * np.conj(a_i) + sin2 * a_s) * phase).real
+
+
 def two_time_correlation(dp: DerivedParams, theta: float, t_i: float,
                          t_j: float) -> float:
     """Symmetrized sigma_x correlator between times t_i <= t_j.
 
-    Re[(cos^2(theta) A(t_j)A*(t_i) + sin^2(theta) A(t_j - t_i)) e^{-i w_D (t_j - t_i)}].
+    Re[(cos^2(theta) A(t_j)A*(t_i) + sin^2(theta) A(t_j - t_i)) e^{-i w_D (t_j - t_i)}],
+    the one-point view of ``_correlation``, A at the three times from one
+    kernel call.
     """
     _as_times((t_i, t_j))
     if t_j < t_i:
         raise ValidationError("require t_i <= t_j (earlier measurement first)")
     s = t_j - t_i
-    phase = cmath.exp(-1j * dp.omega_d * s)
-    val = (
-        math.cos(theta) ** 2
-        * amplitude_closed_form(dp, t_j)
-        * amplitude_closed_form(dp, t_i).conjugate()
-        + math.sin(theta) ** 2 * amplitude_closed_form(dp, s)
-    ) * phase
-    return val.real
+    (a_j, a_i, a_s), _ = amplitude_grid(dp, [t_j, t_i, s])
+    return float(_correlation(math.cos(theta) ** 2, math.sin(theta) ** 2, a_j, a_i, a_s,
+                              np.exp(-1j * dp.omega_d * s)))
 
 
 def lgi_series(dp: DerivedParams, theta: float, taus) -> tuple[np.ndarray, np.ndarray]:
@@ -78,10 +81,9 @@ def lgi_series(dp: DerivedParams, theta: float, taus) -> tuple[np.ndarray, np.nd
     c3 = C(0,t) + C(t,2t) - C(0,2t) and c4 = C(0,t) + C(t,2t) + C(2t,3t)
     - C(0,3t) share their correlators, which need A only at tau, 2 tau,
     3 tau and 3 tau - 2 tau (A(0) = 1): one kernel call for the whole
-    array.  Each correlator is the formula of ``two_time_correlation``,
-    elementwise.  The steps must be finite and >= 0; a derived step that
-    overflows gives NaN cells, with no numpy warning.  Returns (c3, c4),
-    shaped like ``taus``.
+    array.  Each correlator is ``_correlation``, elementwise.  The steps
+    must be finite and >= 0; a derived step that overflows gives NaN
+    cells, with no numpy warning.  Returns (c3, c4), shaped like ``taus``.
     """
     taus = _as_times(taus)
     cos2, sin2 = math.cos(theta) ** 2, math.sin(theta) ** 2
@@ -91,15 +93,11 @@ def lgi_series(dp: DerivedParams, theta: float, taus) -> tuple[np.ndarray, np.nd
         times = np.stack([taus, 2 * taus, t3, t3 - 2 * taus])
         A1, A2, A3, A23 = _mode_form(dp.m_const, dp.f_const, times, dp.s_plus)
         P1, P2, P3, P23 = np.exp(-1j * dp.omega_d * times)
-
-        def corr(a_j, a_i, a_s, phase):
-            return ((cos2 * a_j * np.conj(a_i) + sin2 * a_s) * phase).real
-
-        c01 = corr(A1, 1.0, A1, P1)
-        c12 = corr(A2, A1, A1, P1)
-        c02 = corr(A2, 1.0, A2, P2)
-        c23 = corr(A3, A2, A23, P23)
-        c03 = corr(A3, 1.0, A3, P3)
+        c01 = _correlation(cos2, sin2, A1, 1.0, A1, P1)
+        c12 = _correlation(cos2, sin2, A2, A1, A1, P1)
+        c02 = _correlation(cos2, sin2, A2, 1.0, A2, P2)
+        c23 = _correlation(cos2, sin2, A3, A2, A23, P23)
+        c03 = _correlation(cos2, sin2, A3, 1.0, A3, P3)
         return c01 + c12 - c02, c01 + c12 + c23 - c03
 
 

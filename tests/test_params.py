@@ -1,5 +1,6 @@
+import cmath
 import math
-from dataclasses import fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
@@ -11,8 +12,7 @@ try:
 except ImportError:  # only the property test needs hypothesis (the `test` extra)
     given = None
 
-from drivenqubit import (DerivedParams, SpectralDensity, SystemParams, ValidationError,
-                         derive, kernel, spectral_density)
+from drivenqubit import DerivedParams, SystemParams, ValidationError, derive
 from drivenqubit.params import derive_columns, fail, failed
 from drivenqubit.quadrature import gauss_kronrod
 
@@ -87,6 +87,59 @@ def test_regime_warnings():
     assert any("delta" in w for w in SystemParams(lam=0.01, delta_qc=-20.0).warnings())
 
 
+@dataclass(frozen=True)
+class SpectralDensity:
+    """Lorentzian reservoir profile in offset coordinates (omega0 - omega_k).
+
+    Documents the model: the package computes only with the exponential
+    memory ``kernel`` it implies, through M; the tests below check they
+    agree.
+    """
+
+    center_offset: float
+    width: float
+    strength: float
+
+    def __post_init__(self):
+        if not (self.width > 0):
+            raise ValidationError(f"width must be > 0, got {self.width}")
+        if not (self.strength > 0):
+            raise ValidationError(f"strength must be > 0, got {self.strength}")
+
+    @classmethod
+    def from_params(cls, params: SystemParams) -> "SpectralDensity":
+        return cls(center_offset=params.delta_cav, width=params.lam,
+                   strength=params.gamma)
+
+    @property
+    def total_weight(self) -> float:
+        """Integral of the profile over the whole real axis: gamma*lam/2."""
+        return self.strength * self.width / 2.0
+
+
+def spectral_density(sd: SpectralDensity, omega_offset: float) -> float:
+    """Spectral weight at a mode offset omega_offset = omega0 - omega_k.
+
+    J = gamma*lam^2 / (2*pi*((omega_offset - delta)^2 + lam^2)); the peak
+    value gamma/(2*pi) sits at omega_offset = delta.
+    """
+    d = omega_offset - sd.center_offset
+    return sd.strength * sd.width**2 / (2.0 * math.pi * (d * d + sd.width**2))
+
+
+def kernel(dp: DerivedParams, dt: float) -> complex:
+    """Two-time reservoir correlation function at delay dt >= 0.
+
+    Exponential form (gamma*lam/2) * exp(-m_const*dt); its dt = 0 value
+    equals the total spectral weight gamma*lam/2.  The memory kernel that
+    the closed form and the ODE oracle solve.
+    """
+    if dt < 0:
+        raise ValidationError(f"kernel delay must be >= 0, got {dt}")
+    p = dp.params
+    return (p.gamma * p.lam / 2.0) * cmath.exp(-dp.m_const * dt)
+
+
 def test_spectral_density_peak_and_halfwidth():
     sd = SpectralDensity(center_offset=0.0, width=0.5, strength=1.0)
     assert spectral_density(sd, 0.0) == pytest.approx(1.0 / (2 * math.pi), rel=1e-14)
@@ -131,6 +184,33 @@ def test_kernel_decay_and_monotonicity():
     assert all(b <= a + 1e-15 for a, b in zip(mags, mags[1:]))
     with pytest.raises(ValidationError):
         kernel(dp, -0.1)
+
+
+def _mpmath_s_plus(lam, omega, delta_qc, delta_cav=0.0, gamma=1.0):
+    """s+ at 50 digits from the fields alone, as -q/(2(F + 2M)) with q =
+    gamma lam (1 + cos eta)^2: nothing large cancels there."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        lam, omega, delta_qc, delta_cav, gamma = map(
+            mpmath.mpf, (lam, omega, delta_qc, delta_cav, gamma))
+        omega_d = mpmath.sqrt(delta_qc ** 2 + 4 * omega ** 2)
+        q = gamma * lam * (1 + mpmath.cos(mpmath.atan2(2 * omega, delta_qc))) ** 2
+        M = mpmath.mpc(lam, -(omega_d + delta_cav - delta_qc))
+        F = mpmath.sqrt(4 * M * M - 2 * q)
+        return -q / (2 * (F + 2 * M))
+
+
+@pytest.mark.parametrize("lam,omega,delta_qc", [
+    (0.01, 0.01, -10.0), (0.01, 1e-9, -1.0), (0.01, 0.1, -1.0), (1e-3, 1e-5, -3.0),
+    (5.52, 1e8, -4.178e11), (0.3, 2.0, -0.5)])
+def test_negative_detuning_keeps_the_coupling_at_weak_drive(lam, omega, delta_qc):
+    # 1 + cos eta = 1 + delta_qc/omega_d cancels for delta_qc < 0 when the
+    # drive is weak: at omega 1e-9, delta -1 it rounded to 0, a decoupled row
+    # where Re s+ is -1.25e-41
+    ref = float(_mpmath_s_plus(lam, omega, delta_qc).real)
+    s_plus = derive(SystemParams(lam=lam, omega_rabi=omega, delta_qc=delta_qc)).s_plus
+    assert ref < 0.0
+    assert s_plus.real == pytest.approx(ref, rel=1e-14, abs=0)
 
 
 def test_fail_keeps_each_rows_first_error_named_by_its_first_bad_entry():

@@ -57,7 +57,7 @@ def test_channel_consistent_with_superposition():
     init = QubitState.from_superposition(math.pi / 6)
     direct = evolve_superposition(dp, math.pi / 6, 2.0)
     via_channel = apply_channel(dp, init, 2.0)
-    assert np.max(np.abs(direct.rho - via_channel.rho)) < 1e-14
+    assert direct.rho.tobytes() == via_channel.rho.tobytes()
 
 
 def test_channel_dark_state_fixed_point():

@@ -1,7 +1,10 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import re
+import tempfile
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -625,6 +628,143 @@ def test_cli_rows_past_the_underflow_of_the_envelope_read_zero(tmp_path, capsys,
     if code == 0:
         assert all(r[c] == "0" for r in rows[1:] for c in QUANTITIES[quantity][1])
     assert capsys.readouterr().err == ""
+
+
+def test_cli_negative_detuning_at_weak_drive_keeps_the_coupling(tmp_path, capsys):
+    # 1 + cos eta rounded to 0 at omega 1e-9, delta -1, so the row was
+    # decoupled and read |A| = 1 at every time; the model gives |c+| e^{Re
+    # s+ t} at t = 1e43 (e^{s- t} is 0 there), with s+ = -q/(2(F + 2M)) and
+    # c+ = (1 + 2M/F)/2 at 50 digits
+    mpmath = pytest.importorskip("mpmath")
+    out = tmp_path / "amplitude.csv"
+    assert main(["sweep", "--quantity", "amplitude", "--axis", "time", "--axis-min", "0",
+                 "--axis-max", "1e43", "--points", "2", "--omega", "1e-9", "--delta", "-1",
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    with mpmath.workdps(50):
+        lam, omega, delta = mpmath.mpf(0.01), mpmath.mpf(1e-9), mpmath.mpf(-1)
+        omega_d = mpmath.sqrt(delta ** 2 + 4 * omega ** 2)
+        q = lam * (1 + mpmath.cos(mpmath.atan2(2 * omega, delta))) ** 2
+        M = mpmath.mpc(lam, -(omega_d - delta))
+        F = mpmath.sqrt(4 * M * M - 2 * q)
+        s_plus = -q / (2 * (F + 2 * M))
+        ref = float(abs((1 + 2 * M / F) / 2) * mpmath.exp(s_plus.real * mpmath.mpf(1e43)))
+    row = read_csv(out)[1]
+    assert (row["time"], row["status"]) == ("1e+43", "ok")
+    assert float(row["abs_a"]) == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("quantity, flags", [
+    ("amplitude", ["--axis", "time", "--axis-max", "1000"]),
+    ("blp", ["--axis", "lambda_ratio", "--axis-min", "0.01", "--axis-max", "0.02"])])
+def test_cli_signed_zero_detuning_reads_as_zero(tmp_path, capsys, quantity, flags):
+    # arctan2(0, -0) is pi, which made the undriven --delta -0 row decoupled
+    # (|A(1000)| = 1, n_measure 0); every cell but the delta_qc echo, the
+    # exit code and the summary are those of --delta 0
+    def run(delta):
+        out = tmp_path / f"{quantity}{delta}.csv"
+        rc = main(["sweep", "--quantity", quantity, *flags, "--points", "2", "--omega", "0",
+                   "--delta", delta, "--out", str(out)])
+        captured = capsys.readouterr()
+        rows = read_csv(out)
+        for row in rows:
+            assert row.pop("delta_qc") == delta
+        return rc, captured.err, captured.out.split("\n", 1)[1], rows
+
+    signed, plain = run("-0"), run("0")
+    assert signed == plain
+    assert plain[:2] == (0, "")
+    assert {r["status"] for r in plain[3]} == {"ok"}
+
+
+if given is None:
+    def test_cli_sweeps_over_the_whole_box_exit_cleanly():
+        pytest.skip("needs hypothesis (the test extra)")
+else:
+    _PAIRS = [(q, a) for q, (axes, _) in QUANTITIES.items() for a in axes]
+    _SPECIAL = [0.0, -0.0, 5e-324, 1e300]  # values that broke rows before
+
+    def _box(lo=None, hi=None):
+        """Finite floats in [lo, hi], the special values in it reachable."""
+        special = [v for v in _SPECIAL if (lo is None or lo <= v) and (hi is None or v <= hi)]
+        return st.one_of(st.sampled_from(special),
+                         st.floats(lo, hi, allow_nan=False, allow_infinity=False))
+
+    # each flag's domain; one drawn flag, if any, takes any finite float
+    _FLAGS = {"--lambda": _box(5e-324), "--omega": _box(0.0), "--delta": _box(),
+              "--delta-cav": _box(), "--theta": _box(0.0, math.pi / 2), "--tmax": _box(5e-324)}
+    _ENDS = {"time": _box(0.0), "tau": _box(0.0), "lambda_ratio": _box(5e-324),
+             "omega": _box(0.0), "delta": _box(), "theta": _box(0.0, math.pi / 2)}
+    _FAILURES = {"pole", "undefined-period", "invalid"}
+
+    @st.composite
+    def _sweeps(draw):
+        quantity, axis = draw(st.sampled_from(_PAIRS))
+        flags = {f: draw(domain) for f, domain in _FLAGS.items()}
+        ends = sorted(draw(st.lists(_ENDS[axis], min_size=2, max_size=2, unique=True)))
+        anywhere = draw(st.sampled_from([None, None, None, *_FLAGS, "--axis-min"]))
+        if anywhere == "--axis-min":
+            ends[0] = draw(_box())
+        elif anywhere is not None:
+            flags[anywhere] = draw(_box())
+        return (quantity, ["sweep", "--quantity", quantity, "--axis", axis,
+                           "--points", str(draw(st.integers(2, 3))),
+                           "--scale", draw(st.sampled_from(["linear", "linear", "log"])),
+                           *(f"{f}={v!r}" for f, v in flags.items()),
+                           f"--axis-min={ends[0]!r}", f"--axis-max={ends[1]!r}"])
+
+    @settings(max_examples=60)
+    @given(_sweeps())
+    def test_cli_sweeps_over_the_whole_box_exit_cleanly(sweep):
+        # every sweep the parser accepts: nothing escapes main (the suite's
+        # filter makes a numpy warning an error), the exit code is 0, 1 or 2,
+        # a usage error writes no CSV, and the CSV keeps FORMATS.md's rules
+        quantity, argv = sweep
+        columns = QUANTITIES[quantity][1]
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "sweep.csv"
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                rc = main([*argv, "--out", str(out)])
+            assert rc in (0, 1, 2)
+            assert "Traceback" not in err.getvalue()
+            if rc == 1:
+                assert not out.exists()
+                return
+            rows = read_csv(out)
+        for row in rows:
+            if row["status"] == "ok":
+                assert all(math.isfinite(float(row[c])) for c in columns)
+                if quantity == "amplitude":
+                    assert float(row["abs_a"]) <= 1.0 + 1e-12
+            else:
+                assert row["status"] in _FAILURES
+                assert all(row[c] == "" for c in columns)
+        assert (rc == 2) == any(row["status"] != "ok" for row in rows)
+
+
+@pytest.mark.parametrize("quantity, flags, column, cells", [
+    ("amplitude", ["--axis", "time", "--scale", "log", "--axis-min", "5e-324",
+                   "--axis-max", "1.7976931348622103e+308"], "time",
+     ["4.9406564584124654e-324", "1.7976931348622103e+308"]),
+    ("blp", ["--axis", "omega", "--axis-min", "0", "--axis-max", "1", "--lambda", "3",
+             "--delta-cav", "5e-324"], "n_measure", ["0", "0"])],
+    ids=["log axis to the largest float", "subnormal beat"])
+def test_cli_values_that_round_past_the_largest_float_read_without_warnings(
+        tmp_path, capsys, quantity, flags, column, cells):
+    # found by test_cli_sweeps_over_the_whole_box_exit_cleanly run with more
+    # examples: 10**log10(stop) of a log axis rounds past the largest float,
+    # and at delta_cav 5e-324 the beat w of an overdamped row is subnormal,
+    # so its first cut past t = 0 overflows; geomspace sets the axis ends,
+    # and the cut is clipped to t_max, so the cells were right, but numpy
+    # warned (an error under the suite's filter)
+    out = tmp_path / f"{quantity}.csv"
+    assert main(["sweep", "--quantity", quantity, "--points", "2", *flags,
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = read_csv(out)
+    assert [r["status"] for r in rows] == ["ok", "ok"]
+    assert [r[column] for r in rows] == cells
 
 
 def test_formats_documents_the_columns_of_every_quantity():

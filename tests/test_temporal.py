@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -100,10 +101,36 @@ def test_lgi_four_time_respects_algebraic_quantum_bound():
         assert c4.max() <= 2 * math.sqrt(2) + 1e-9
 
 
+def _reference_correlation(dp, theta, t_i, t_j):
+    """C(t_i, t_j) in complex scalars (cmath), one pair of times: the
+    reference that ``lgi_series`` and ``two_time_correlation`` are held to."""
+    s = t_j - t_i
+    val = (
+        math.cos(theta) ** 2
+        * amplitude_closed_form(dp, t_j)
+        * amplitude_closed_form(dp, t_i).conjugate()
+        + math.sin(theta) ** 2 * amplitude_closed_form(dp, s)
+    ) * cmath.exp(-1j * dp.omega_d * s)
+    return val.real
+
+
+def test_correlation_matches_the_reference_correlator():
+    rng = np.random.default_rng(37)
+    for _ in range(30):
+        dp = derive(SystemParams(lam=float(10 ** rng.uniform(-2, 0)),
+                                 omega_rabi=float(rng.uniform(0, 2)),
+                                 delta_qc=float(rng.uniform(-10, 10)),
+                                 delta_cav=float(rng.uniform(-5, 5))))
+        theta = float(rng.uniform(0, math.pi / 2))
+        t_i, t_j = sorted(rng.uniform(0, 50, 2).tolist())
+        assert two_time_correlation(dp, theta, t_i, t_j) == pytest.approx(
+            _reference_correlation(dp, theta, t_i, t_j), rel=0, abs=1e-15)
+
+
 def _lgi_by_composition(dp, theta, tau):
-    """(c3, c4) composed from the scalar two-time correlator."""
+    """(c3, c4) composed from the reference two-time correlator."""
     def corr(t_i, t_j):
-        return two_time_correlation(dp, theta, t_i, t_j)
+        return _reference_correlation(dp, theta, t_i, t_j)
 
     c01, c12, c02 = corr(0.0, tau), corr(tau, 2 * tau), corr(0.0, 2 * tau)
     c23, c03 = corr(2 * tau, 3 * tau), corr(0.0, 3 * tau)
