@@ -4,25 +4,20 @@ geometric phase, BLP backflow measure, effective decay rate).
 
 Everything rests on the closed-form amplitude in ``drivenqubit.amplitude``:
 one bounded numpy formula for time grids, single times and batched sweeps.
+
+Each module's ``__all__`` is the one list of its public names; the package
+exports every one of them.
 """
 
-from .amplitude import (AmplitudePole, AmplitudeTrajectory,
-                        amplitude_closed_form, amplitude_derivative,
-                        amplitude_grid, amplitude_oracle_ode,
-                        amplitude_trajectory, decay_rate, decay_rate_grid)
-from .nonmarkov import (BackflowIntervals, BlpResult, antipodal_pair,
-                        backflow_intervals, blp_measure, info_flux)
-from .params import DerivedParams, SystemParams, ValidationError, derive
-from .phase import (EigenSystem, eigensystem, geometric_phase,
-                    geometric_phase_detailed, geometric_phases)
-from .states import (BlochVector, QubitState, apply_channel, coherence_l1,
-                     evolve_superposition, trace_distance)
-from .sweeps import (PRESET_NAMES, SweepAxis, SweepSpec, figure_preset,
-                     run_sweep)
-from .temporal import (LgiResult, WitnessResult, coherence_monotone, lgi_c3,
-                       lgi_series, propagator, quantum_witness,
-                       two_time_correlation, witness_probabilities,
-                       witness_series)
+from . import amplitude, nonmarkov, params, phase, quadrature, states, sweeps, temporal
+from .amplitude import *
+from .nonmarkov import *
+from .params import *
+from .phase import *
+from .quadrature import *
+from .states import *
+from .sweeps import *
+from .temporal import *
 
 __version__ = "0.1.0"
 
@@ -32,52 +27,6 @@ def backend_name() -> str:
     return "python"
 
 
-__all__ = [
-    "__version__",
-    "backend_name",
-    "ValidationError",
-    "SystemParams",
-    "DerivedParams",
-    "derive",
-    "AmplitudeTrajectory",
-    "AmplitudePole",
-    "amplitude_closed_form",
-    "amplitude_derivative",
-    "amplitude_grid",
-    "amplitude_trajectory",
-    "amplitude_oracle_ode",
-    "decay_rate",
-    "decay_rate_grid",
-    "QubitState",
-    "BlochVector",
-    "evolve_superposition",
-    "apply_channel",
-    "coherence_l1",
-    "trace_distance",
-    "LgiResult",
-    "WitnessResult",
-    "two_time_correlation",
-    "lgi_c3",
-    "lgi_series",
-    "propagator",
-    "quantum_witness",
-    "witness_probabilities",
-    "witness_series",
-    "coherence_monotone",
-    "EigenSystem",
-    "eigensystem",
-    "geometric_phase",
-    "geometric_phase_detailed",
-    "geometric_phases",
-    "BackflowIntervals",
-    "BlpResult",
-    "antipodal_pair",
-    "info_flux",
-    "backflow_intervals",
-    "blp_measure",
-    "SweepAxis",
-    "SweepSpec",
-    "run_sweep",
-    "figure_preset",
-    "PRESET_NAMES",
-]
+__all__ = ["__version__", "backend_name", *amplitude.__all__, *nonmarkov.__all__,
+           *params.__all__, *phase.__all__, *quadrature.__all__, *states.__all__,
+           *sweeps.__all__, *temporal.__all__]

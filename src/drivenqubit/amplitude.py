@@ -61,7 +61,9 @@ __all__ = [
     "amplitude_grid",
     "amplitude_oracle_ode",
     "amplitude_oracles",
+    "amplitude_trajectory",
     "decay_rate",
+    "decay_rate_grid",
 ]
 
 _EPS = np.finfo(float).eps

@@ -18,8 +18,8 @@ Re(C e^{iwt}), k >= 0 (``_Flux``).  Taking w > 0 (C conjugated otherwise)
 and phi = arg C, g/|C| = h = cos(wt + phi) + p with p = (a e^{kt} +
 b e^{-kt})/|C|; p'' = k^2 p, so p is convex where positive and concave
 where negative.  The finder cuts [0, t_max] where wt + phi is a multiple of
-pi/2 (``_phase``).  On each piece cos keeps one sign, concave where positive
-and convex where negative (``_pieces``):
+pi/2 (``_Flux`` holds |w| and phi per row).  On each piece cos keeps one
+sign, concave where positive and convex where negative (``_pieces``):
 
 - where cos and p share a sign, h has no root;
 - elsewhere h is concave or convex, so it has at most two roots: exactly
@@ -168,8 +168,10 @@ def info_flux(dp: DerivedParams, pair, t: float) -> float:
 
 class _Flux(NamedTuple):
     """Constants of the two-mode form of the |A|^2 slope, with |C|,
-    hypot(k, w) and z = -k + iw; one entry per row of a table (``of``), or
-    per point once gathered with ``_take``.
+    hypot(k, w), z = -k + iw, the beat |w| and phi = arg C (of conj C where
+    w < 0), so that the oscillating term of G is |C| e^{-kt} cos(|w| t +
+    phi); one entry per row of a table (``of``), or per point once gathered
+    with ``_take``.
 
     With A = c+ exp(s+ t) + c- exp(s- t) and s+- = -M/2 +- F/4,
 
@@ -177,7 +179,10 @@ class _Flux(NamedTuple):
         g(t) = a exp(kt) + b exp(-kt) + Re(C exp(iwt)),
 
     a = |c+|^2 Re s+, b = |c-|^2 Re s-, C = c+ conj(c-) (s+ + conj s-),
-    k = Re F/2, w = Im F/2.
+    k = Re F/2, w = Im F/2.  G's sign is that of g/|c+|^2, which holds no
+    power of 1/F: a, b and C are taken with c+- divided by the power of two
+    at |c+|, which scales them exactly and keeps |c+|^2 from overflowing
+    near critical damping (F -> 0).
     """
 
     a: np.ndarray
@@ -187,6 +192,8 @@ class _Flux(NamedTuple):
     abs_c: np.ndarray
     speed: np.ndarray
     z: np.ndarray
+    beat: np.ndarray
+    phi: np.ndarray
 
     @classmethod
     def of(cls, rows: DerivedColumns, live: np.ndarray) -> "_Flux":
@@ -201,13 +208,16 @@ class _Flux(NamedTuple):
         live = live & (rows.f_const.imag != 0.0)
         F, s_plus = rows.f_const[live], rows.s_plus[live]
         c_plus, c_minus, s_minus = _modes(rows.m_const[live], F, s_plus)
+        scale = np.ldexp(1.0, -np.frexp(np.abs(c_plus))[1])
+        c_plus, c_minus = c_plus * scale, c_minus * scale
         a = np.abs(c_plus) ** 2 * s_plus.real
         b = np.abs(c_minus) ** 2 * s_minus.real
         C = c_plus * np.conj(c_minus) * (s_plus + np.conj(s_minus))
         k, w = 0.5 * F.real, 0.5 * F.imag
         coupled = (a != 0.0) | (b != 0.0) | (C != 0.0)
         rows = np.flatnonzero(live)[coupled]
-        cols = (a, b, C, k, np.hypot(C.real, C.imag), np.hypot(k, w), -k + 1j * w)
+        cols = (a, b, C, k, np.hypot(C.real, C.imag), np.hypot(k, w), -k + 1j * w,
+                np.abs(w), np.angle(np.where(w > 0.0, C, np.conj(C))))
         table = cls(*(np.zeros(live.size, dtype=col.dtype) for col in cols))
         for out, col in zip(table, cols):
             out[rows] = col[coupled]
@@ -263,8 +273,9 @@ def _flux_form(c: _Flux, t: np.ndarray):
     G has the sign of d|A|^2/dt and never overflows (k >= 0).  ``c`` holds
     the constants of each point of t.
     """
-    e2 = np.exp(-2.0 * c.k * t)
-    ce = c.C * np.exp(c.z * t)
+    with np.errstate(over="ignore"):  # a decay exponent past -inf: exp gives 0, its limit
+        e2 = np.exp(-2.0 * c.k * t)
+        ce = c.C * np.exp(c.z * t)
     return c.a + c.b * e2 + ce.real, -2.0 * c.k * c.b * e2 + (c.z * ce).real, e2
 
 
@@ -279,20 +290,12 @@ def _bars(c: _Flux, t: np.ndarray, e2: np.ndarray):
             _ROUNDING * (lip1 + t * lip2))
 
 
-def _phase(c: _Flux):
-    """|w| and phi = arg C (of conj C where w < 0): the oscillating term of G
-    is |C| e^{-kt} cos(|w| t + phi), and the cuts lie where its phase is a
-    multiple of pi/2."""
-    return np.abs(c.z.imag), np.angle(np.where(c.z.imag > 0.0, c.C, np.conj(c.C)))
-
-
 def _counts(c: _Flux, t_max: np.ndarray) -> np.ndarray:
     """Pieces searched per row (w != 0), as floats: those up to the one that
     holds t_max, or the horizon t2 (``_horizon``) if it comes first, and one
     more, so that the last cut, clipped to t_max, ends the search there."""
-    w, phi = _phase(c)
     with np.errstate(invalid="ignore", over="ignore"):
-        n, m = (np.floor((w * t + phi) / _QUARTER) - np.floor(phi / _QUARTER)
+        n, m = (np.floor((c.beat * t + c.phi) / _QUARTER) - np.floor(c.phi / _QUARTER)
                 for t in (t_max, _horizon(c)))
     return np.fmin(n, m).clip(0.0) + 2.0  # t2 is NaN where C = a = 0
 
@@ -314,10 +317,9 @@ def _pieces(flux: _Flux, t_max: np.ndarray, owner: np.ndarray, q: np.ndarray) ->
     keep the sign of cos), so the piece goes to the extremum test
     (``_turns``) unless k = 0."""
     c = _take(flux, owner)
-    w, phi = _phase(c)
-    j = np.floor(phi / _QUARTER) + q  # the quarter of the piece right of each node
+    j = np.floor(c.phi / _QUARTER) + q  # the quarter of the piece right of each node
     with np.errstate(over="ignore"):  # a cut past the largest float is past t_max
-        t = np.where(q > 0, np.clip((j * _QUARTER - phi) / w, 0.0, t_max[owner]), 0.0)
+        t = np.where(q > 0, np.clip((j * _QUARTER - c.phi) / c.beat, 0.0, t_max[owner]), 0.0)
     g, dg, _ = _flux_form(c, t)
     up = (g > 0.0) & (t > 0.0)  # dA/dt = 0 at t = 0; G turns negative right after it
     left = np.flatnonzero(owner[1:] == owner[:-1])  # the left node of each piece
@@ -646,7 +648,7 @@ def amplitude_extrema(rows: DerivedColumns, t_max, errors: list) -> _Extrema:
     fail(errors, np.arange(t_max.size), ~((0.0 < t_max) & (t_max < math.inf)),
          lambda i: ValidationError(f"t_max must be finite and > 0, got {t_max[i]}"))
     flux = _Flux.of(rows, ~failed(errors))
-    search = np.flatnonzero(flux.z.imag != 0.0)
+    search = np.flatnonzero(flux.beat != 0.0)
     pieces = _counts(_take(flux, search), t_max[search])
     over = pieces > _MAX_PIECES
     fail(errors, search, over, lambda i: ValidationError(

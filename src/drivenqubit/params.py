@@ -230,10 +230,12 @@ def derive_columns(lam, omega_rabi, delta_qc, delta_cav, gamma) -> DerivedColumn
 
     eta takes the two-argument arctangent on (2*omega_rabi, delta_qc), so
     the resonant limit delta_qc -> 0+ gives eta = pi/2 whenever the drive is
-    on, and a signed zero delta_qc reads as 0.  1 + cos eta = 1 +
-    delta_qc/omega_d cancels for delta_qc < 0 at weak drive, so there it is
-    taken as (2 omega/omega_d) (2 omega/(omega_d - delta_qc)), which does
-    not; for delta_qc >= 0 it is 1 + cos(eta).  F is the principal root,
+    on, and a signed zero delta_qc reads as 0.  The gap omega_d - |delta_qc|
+    cancels at weak drive, so it is taken once as 2 omega (2 omega /
+    (omega_d + |delta_qc|)), which does not; Im M = -(omega_d + delta_cav -
+    delta_qc) is -(gap + delta_cav) for delta_qc > 0, and 1 + cos eta = 1 +
+    delta_qc/omega_d is gap/omega_d for delta_qc < 0 (1 + cos(eta) for
+    delta_qc >= 0).  F is the principal root,
     Re F >= 0 (A is even in F), so s+ = -M/2 + F/4 is the slow mode; with
     q = gamma*lam*(1+cos eta)^2 = -2 pref and D = F + 2M (Re D >= 2 lam),
     s+ = -q/(2D) = pref/D is its cancellation-free form, taken as
@@ -249,11 +251,12 @@ def derive_columns(lam, omega_rabi, delta_qc, delta_cav, gamma) -> DerivedColumn
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         two_omega = 2.0 * omega_rabi
         eta, omega_d = np.arctan2(two_omega, delta_qc), np.hypot(delta_qc, two_omega)
+        # the quotient is at most 1, and its limit 1 where both terms overflow
+        gap = two_omega * np.fmin(two_omega / (omega_d + np.abs(delta_qc)), 1.0)
         m_const = np.empty(eta.shape, dtype=complex)
-        m_const.real, m_const.imag = lam, -(omega_d + delta_cav - delta_qc)
-        c2 = np.where(delta_qc < 0.0,
-                      (two_omega / omega_d) * (two_omega / (omega_d - delta_qc)),
-                      1.0 + np.cos(eta)) ** 2
+        m_const.real, m_const.imag = lam, np.where(delta_qc > 0.0, -(gap + delta_cav),
+                                                   -(omega_d + delta_cav - delta_qc))
+        c2 = np.where(delta_qc < 0.0, gap / omega_d, 1.0 + np.cos(eta)) ** 2
         f_const = np.sqrt(4.0 * m_const * m_const - 2.0 * gamma * lam * c2)
         pref = -gamma * lam * c2 / 2.0
         d_const = f_const + 2.0 * m_const

@@ -22,7 +22,7 @@ from drivenqubit import phase
 from drivenqubit.amplitude import (_rows_form, amplitude_closed_form, amplitude_derivative,
                                    amplitude_grid)
 from drivenqubit.nonmarkov import (_bisect, _cat, _counts, _Flux, _flux_form,
-                                   _horizon,
+                                   _horizon, _modes,
                                    _max_gain, _pieces, _refine, _take, _Todo,
                                    amplitude_extrema, blp_measures)
 from drivenqubit.cli import main as sweeps_main
@@ -787,8 +787,10 @@ def test_flux_keeps_the_sign_of_a_past_the_search_horizon():
 
 def test_two_mode_table_reproduces_the_kernel_slope():
     # d|A|^2/dt = 2 Re(dA conj A) from the kernel equals 2 e^{(k - Re M) t} G(t)
-    # from the table, to 1e-12 of the size of G's terms, on the figure rows
-    # and on seeded rows of the parameter box (detunings of either sign)
+    # from the table times 4^e, |c+| = m 2^e with m in [0.5, 1) (the table
+    # takes c+- divided by 2^e), to 1e-12 of the size of G's terms, on the
+    # figure rows and on seeded rows of the parameter box (detunings of
+    # either sign)
     params, t_maxes = _figure_rows()
     rng = np.random.default_rng(20)
     for _ in range(64):
@@ -808,7 +810,8 @@ def test_two_mode_table_reproduces_the_kernel_slope():
         t = np.linspace(0.0, t_max, 2001)
         A, dA = amplitude_grid(dp, t)
         c = _take(flux, [i])
-        env = 2.0 * np.exp((c.k - dp.m_const.real) * t)
+        unit = 4.0 ** np.frexp(abs(_modes(dp.m_const, dp.f_const, dp.s_plus)[0]))[1]
+        env = 2.0 * unit * np.exp((c.k - dp.m_const.real) * t)
         e1 = np.exp(-c.k * t)
         size = env * (np.abs(c.a) + np.abs(c.b) * e1 * e1 + c.abs_c * e1)
         err = np.abs(2.0 * (dA * np.conj(A)).real - env * _flux_form(c, t)[0])
@@ -949,8 +952,8 @@ def test_decoupled_qubit_has_no_extrema():
     assert times.size == 0 and kinds.size == 0 and amps.size == 0
     assert blp_measure(dp.params, t_max=100.0).n_measure == 0.0
     # the finder itself stops on a flux that is zero everywhere
-    zero = _Flux(*(np.array([v]) for v in (0.0, 0.0, 0j, 0.01, 0.0,
-                                            math.hypot(0.01, 200.0), complex(-0.01, 200.0))))
+    zero = _Flux(*(np.array([v]) for v in (0.0, 0.0, 0j, 0.01, 0.0, math.hypot(0.01, 200.0),
+                                            complex(-0.01, 200.0), 200.0, 0.0)))
     found = _brackets(zero, 100.0)
     assert found.lo.size == 0 and found.hi.size == 0
 
@@ -1089,8 +1092,9 @@ def test_bracket_signs_agree_with_mpmath():
 
 def _table(a, b, C, k, w):
     """A one-row two-mode table with the given constants."""
+    beat = complex(C) if w > 0 else complex(C).conjugate()
     return _Flux(*(np.array([v]) for v in (a, b, complex(C), k, abs(C), math.hypot(k, w),
-                                          complex(-k, w))))
+                                          complex(-k, w), abs(w), np.angle(beat))))
 
 
 def _near_double(eps, k=0.5, w=1.0, t_e=3.0, theta=0.3):

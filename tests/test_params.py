@@ -186,9 +186,9 @@ def test_kernel_decay_and_monotonicity():
         kernel(dp, -0.1)
 
 
-def _mpmath_s_plus(lam, omega, delta_qc, delta_cav=0.0, gamma=1.0):
-    """s+ at 50 digits from the fields alone, as -q/(2(F + 2M)) with q =
-    gamma lam (1 + cos eta)^2: nothing large cancels there."""
+def _mpmath_constants(lam, omega, delta_qc, delta_cav=0.0, gamma=1.0):
+    """(M, s+) at 50 digits from the fields alone, s+ as -q/(2(F + 2M)) with
+    q = gamma lam (1 + cos eta)^2: nothing large cancels there."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(50):
         lam, omega, delta_qc, delta_cav, gamma = map(
@@ -197,7 +197,7 @@ def _mpmath_s_plus(lam, omega, delta_qc, delta_cav=0.0, gamma=1.0):
         q = gamma * lam * (1 + mpmath.cos(mpmath.atan2(2 * omega, delta_qc))) ** 2
         M = mpmath.mpc(lam, -(omega_d + delta_cav - delta_qc))
         F = mpmath.sqrt(4 * M * M - 2 * q)
-        return -q / (2 * (F + 2 * M))
+        return M, -q / (2 * (F + 2 * M))
 
 
 @pytest.mark.parametrize("lam,omega,delta_qc", [
@@ -207,10 +207,21 @@ def test_negative_detuning_keeps_the_coupling_at_weak_drive(lam, omega, delta_qc
     # 1 + cos eta = 1 + delta_qc/omega_d cancels for delta_qc < 0 when the
     # drive is weak: at omega 1e-9, delta -1 it rounded to 0, a decoupled row
     # where Re s+ is -1.25e-41
-    ref = float(_mpmath_s_plus(lam, omega, delta_qc).real)
+    ref = float(_mpmath_constants(lam, omega, delta_qc)[1].real)
     s_plus = derive(SystemParams(lam=lam, omega_rabi=omega, delta_qc=delta_qc)).s_plus
     assert ref < 0.0
     assert s_plus.real == pytest.approx(ref, rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("lam,omega,delta_qc", [(0.01, 0.01, 10.0), (5.52, 1e8, 4.178e11)])
+def test_positive_detuning_keeps_im_m_at_weak_drive(lam, omega, delta_qc):
+    # Im M = -(omega_d + delta_cav - delta_qc), and omega_d - delta_qc
+    # cancels for delta_qc > 0 when the drive is weak: Im M was off by
+    # 4.0e-11 and 5.3e-10 relative, and Re s+ by 5.3e-15 and 1.1e-9
+    M, s_plus = _mpmath_constants(lam, omega, delta_qc)
+    dp = derive(SystemParams(lam=lam, omega_rabi=omega, delta_qc=delta_qc))
+    assert dp.m_const.imag == pytest.approx(float(M.imag), rel=1e-14, abs=0)
+    assert dp.s_plus.real == pytest.approx(float(s_plus.real), rel=1e-14, abs=0)
 
 
 def test_fail_keeps_each_rows_first_error_named_by_its_first_bad_entry():

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 try:
-    from hypothesis import given, settings
+    from hypothesis import example, given, settings
     from hypothesis import strategies as st
 except ImportError:  # only the property test needs hypothesis (the `test` extra)
     given = None
@@ -697,6 +697,31 @@ else:
              "omega": _box(0.0), "delta": _box(), "theta": _box(0.0, math.pi / 2)}
     _FAILURES = {"pole", "undefined-period", "invalid"}
 
+    def _envelope(mpmath, row):
+        """(|c+| + |c-|) e^{Re s+ t} >= |A(t)| (Re s- <= Re s+ <= 0) at 50
+        digits from an amplitude row's cells, with s+ = -q/(2(F + 2M)) and
+        c+- = (1 +- 2M/F)/2; inf at F = 0, where the weights are.  omega_d -
+        |delta_qc| is taken as 4 omega^2/(omega_d + |delta_qc|): at 50 digits
+        the difference loses every digit once the drive is below 1e-25 times
+        the detuning."""
+        with mpmath.workdps(50):
+            gamma, lam, omega, delta, delta_cav, t = (mpmath.mpf(row[c]) for c in (
+                "gamma", "lam", "omega_rabi", "delta_qc", "delta_cav", "time"))
+            omega_d = mpmath.hypot(delta, 2 * omega)
+            if omega_d == 0:  # eta = 0
+                gap, coupling = 0, 2
+            else:
+                gap = 4 * omega ** 2 / (omega_d + abs(delta))
+                coupling = gap / omega_d if delta < 0 else 1 + delta / omega_d
+            M = mpmath.mpc(lam, -((gap if delta > 0 else omega_d - delta) + delta_cav))
+            q = gamma * lam * coupling ** 2
+            F = mpmath.sqrt(4 * M * M - 2 * q)
+            if F == 0:
+                return mpmath.inf
+            s_plus = -q / (2 * (F + 2 * M))
+            weights = abs((1 + 2 * M / F) / 2) + abs((1 - 2 * M / F) / 2)
+            return weights * mpmath.exp(s_plus.real * t)
+
     @st.composite
     def _sweeps(draw):
         quantity, axis = draw(st.sampled_from(_PAIRS))
@@ -715,10 +740,16 @@ else:
 
     @settings(max_examples=60)
     @given(_sweeps())
+    # |A| exceeded its envelope by 5.4e-7 relative here while Im M lost digits
+    @example(("amplitude", ["sweep", "--quantity", "amplitude", "--axis", "time",
+                            "--axis-min", "7.679e10", "--axis-max", "7.68e10", "--points", "2",
+                            "--lambda", "5.52", "--omega", "1e8", "--delta", "4.178e11"]))
     def test_cli_sweeps_over_the_whole_box_exit_cleanly(sweep):
         # every sweep the parser accepts: nothing escapes main (the suite's
         # filter makes a numpy warning an error), the exit code is 0, 1 or 2,
-        # a usage error writes no CSV, and the CSV keeps FORMATS.md's rules
+        # a usage error writes no CSV, the CSV keeps FORMATS.md's rules, and
+        # |A| keeps within 1 and within its envelope
+        mpmath = pytest.importorskip("mpmath")
         quantity, argv = sweep
         columns = QUANTITIES[quantity][1]
         err = io.StringIO()
@@ -737,34 +768,46 @@ else:
                 assert all(math.isfinite(float(row[c])) for c in columns)
                 if quantity == "amplitude":
                     assert float(row["abs_a"]) <= 1.0 + 1e-12
+                    assert float(row["abs_a"]) <= _envelope(mpmath, row) * (1 + 1e-12)
             else:
                 assert row["status"] in _FAILURES
                 assert all(row[c] == "" for c in columns)
         assert (rc == 2) == any(row["status"] != "ok" for row in rows)
 
 
-@pytest.mark.parametrize("quantity, flags, column, cells", [
+@pytest.mark.parametrize("quantity, flags, cells", [
     ("amplitude", ["--axis", "time", "--scale", "log", "--axis-min", "5e-324",
-                   "--axis-max", "1.7976931348622103e+308"], "time",
-     ["4.9406564584124654e-324", "1.7976931348622103e+308"]),
+                   "--axis-max", "1.7976931348622103e+308"],
+     {"time": ["4.9406564584124654e-324", "1.7976931348622103e+308"]}),
     ("blp", ["--axis", "omega", "--axis-min", "0", "--axis-max", "1", "--lambda", "3",
-             "--delta-cav", "5e-324"], "n_measure", ["0", "0"])],
-    ids=["log axis to the largest float", "subnormal beat"])
+             "--delta-cav", "5e-324"], {"n_measure": ["0", "0"]}),
+    ("blp", ["--axis", "omega", "--axis-min", "0", "--axis-max", "1", "--lambda", "2",
+             "--delta-cav", "5e-324"],
+     {"n_measure": ["0", "0"], "residual_bound": ["7.5145534715620885e-42",
+                                                  "0.0047349629394054845"],
+      "truncated": ["0", "1"]}),
+    ("blp", ["--axis", "omega", "--axis-min", "0", "--axis-max", "5e-324", "--lambda",
+             "89884657", "--tmax", "1e300"],
+     {"n_measure": ["0", "0"], "residual_bound": ["0", "0"], "truncated": ["0", "0"]})],
+    ids=["log axis to the largest float", "subnormal beat", "|c+|^2 past the largest float",
+         "decay exponent past -inf"])
 def test_cli_values_that_round_past_the_largest_float_read_without_warnings(
-        tmp_path, capsys, quantity, flags, column, cells):
+        tmp_path, capsys, quantity, flags, cells):
     # found by test_cli_sweeps_over_the_whole_box_exit_cleanly run with more
-    # examples: 10**log10(stop) of a log axis rounds past the largest float,
-    # and at delta_cav 5e-324 the beat w of an overdamped row is subnormal,
-    # so its first cut past t = 0 overflows; geomspace sets the axis ends,
-    # and the cut is clipped to t_max, so the cells were right, but numpy
-    # warned (an error under the suite's filter)
+    # examples: 10**log10(stop) of a log axis rounds past the largest float;
+    # at delta_cav 5e-324 the beat w of an overdamped row is subnormal, so
+    # its first cut past t = 0 overflows, and near critical damping (lam 2)
+    # |c+| is about 1/|F|, so |c+|^2 overflowed; at lam ~ 9e7 and t_max
+    # 1e300 the exponent -2 k t did.  geomspace sets the axis ends, the cut
+    # is clipped to t_max, and exp(-inf) is 0, so the cells were right, but
+    # numpy warned (an error under the suite's filter)
     out = tmp_path / f"{quantity}.csv"
     assert main(["sweep", "--quantity", quantity, "--points", "2", *flags,
                  "--out", str(out)]) == 0
     assert capsys.readouterr().err == ""
     rows = read_csv(out)
     assert [r["status"] for r in rows] == ["ok", "ok"]
-    assert [r[column] for r in rows] == cells
+    assert {column: [r[column] for r in rows] for column in cells} == cells
 
 
 def test_formats_documents_the_columns_of_every_quantity():

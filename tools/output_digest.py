@@ -1,8 +1,8 @@
 """Print the SHA-256 of every output of the figure presets and of ``check``.
 
-Runs ``drivenqubit figure`` for fig2-fig10 and ``drivenqubit check`` through
-``drivenqubit.cli.main``, in one process, into a temporary directory that is
-removed afterwards.  ``check``'s standard output is hashed as ``check.txt``.
+Runs ``drivenqubit figure`` for every preset (``sweeps.PRESET_NAMES``) and
+``drivenqubit check`` through ``drivenqubit.cli.main``, in one process, into
+a temporary directory that is removed afterwards.  ``check``'s standard output is hashed as ``check.txt``.
 Prints one ``sha256 path`` line per output file, sorted by path, with
 paths relative to that directory, so two checkouts are byte-identical in
 their outputs when their listings are::
@@ -21,14 +21,13 @@ import tempfile
 from pathlib import Path
 
 from drivenqubit.cli import main
-
-PRESETS = [f"fig{k}" for k in range(2, 11)]
+from drivenqubit.sweeps import PRESET_NAMES
 
 
 def digests(outdir: Path) -> list[str]:
     """Run every preset and ``check`` into ``outdir``; the sorted
     ``sha256 path`` lines of what they wrote."""
-    for name in PRESETS:
+    for name in PRESET_NAMES:
         with contextlib.redirect_stdout(io.StringIO()):
             code = main(["figure", "--preset", name, "--out", str(outdir)])
         if code != 0:
