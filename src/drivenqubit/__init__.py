@@ -9,7 +9,6 @@ Each module's ``__all__`` is the one list of its public names; the package
 exports every one of them.
 """
 
-from . import amplitude, nonmarkov, params, phase, quadrature, states, sweeps, temporal
 from .amplitude import *
 from .nonmarkov import *
 from .params import *

@@ -231,9 +231,11 @@ def derive_columns(lam, omega_rabi, delta_qc, delta_cav, gamma) -> DerivedColumn
     eta takes the two-argument arctangent on (2*omega_rabi, delta_qc), so
     the resonant limit delta_qc -> 0+ gives eta = pi/2 whenever the drive is
     on, and a signed zero delta_qc reads as 0.  The gap omega_d - |delta_qc|
-    cancels at weak drive, so it is taken once as 2 omega (2 omega /
-    (omega_d + |delta_qc|)), which does not; Im M = -(omega_d + delta_cav -
-    delta_qc) is -(gap + delta_cav) for delta_qc > 0, and 1 + cos eta = 1 +
+    cancels at weak drive, so it is taken once as 2 omega (2 omega/omega_d)
+    / (1 + |delta_qc|/omega_d), which neither cancels nor overflows (where
+    omega_d overflows, the gap is omega_d).  Im M =
+    -(omega_d + delta_cav - delta_qc) is -(gap + (|delta_qc| - delta_qc) +
+    delta_cav), whose terms are all >= 0, and 1 + cos eta = 1 +
     delta_qc/omega_d is gap/omega_d for delta_qc < 0 (1 + cos(eta) for
     delta_qc >= 0).  F is the principal root,
     Re F >= 0 (A is even in F), so s+ = -M/2 + F/4 is the slow mode; with
@@ -251,11 +253,12 @@ def derive_columns(lam, omega_rabi, delta_qc, delta_cav, gamma) -> DerivedColumn
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         two_omega = 2.0 * omega_rabi
         eta, omega_d = np.arctan2(two_omega, delta_qc), np.hypot(delta_qc, two_omega)
-        # the quotient is at most 1, and its limit 1 where both terms overflow
-        gap = two_omega * np.fmin(two_omega / (omega_d + np.abs(delta_qc)), 1.0)
+        # the quotient is at most 1, and its limit 1 where omega_rabi = delta_qc = 0
+        gap = np.where(np.isinf(omega_d), omega_d, two_omega * np.fmin(
+            (two_omega / omega_d) / (1.0 + np.abs(delta_qc) / omega_d), 1.0))
         m_const = np.empty(eta.shape, dtype=complex)
-        m_const.real, m_const.imag = lam, np.where(delta_qc > 0.0, -(gap + delta_cav),
-                                                   -(omega_d + delta_cav - delta_qc))
+        m_const.real = lam
+        m_const.imag = -(gap + (np.abs(delta_qc) - delta_qc) + delta_cav)
         c2 = np.where(delta_qc < 0.0, gap / omega_d, 1.0 + np.cos(eta)) ** 2
         f_const = np.sqrt(4.0 * m_const * m_const - 2.0 * gamma * lam * c2)
         pref = -gamma * lam * c2 / 2.0

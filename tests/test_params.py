@@ -80,6 +80,17 @@ def test_overflow_rule_at_resonance():
         assert dp.overflow() in dp.flags()
 
 
+@pytest.mark.parametrize("omega,delta_qc", [
+    (1e307, 1.5e308), (1e307, -1.5e308), (5e307, 1.7e308), (5e307, -1.7e308)])
+def test_overflow_rule_far_off_resonance(omega, delta_qc):
+    # |Im M| >= omega_d - |delta_qc| ~ 1.3e306 here, and omega_d + |delta_qc|
+    # overflows (omega_d too in the last two): the gap must not read as 0,
+    # which made a finite resonant-looking row of the first
+    dp = derive(SystemParams(lam=1.0, omega_rabi=omega, delta_qc=delta_qc))
+    assert dp.overflow().startswith("the model constants overflow")
+    assert abs(dp.m_const.imag) > 1e306
+
+
 def test_regime_warnings():
     assert SystemParams(lam=0.01).warnings() == ()
     assert any("lam" in w for w in SystemParams(lam=2.0).warnings())
