@@ -191,7 +191,11 @@ def _cmd_sweep(args) -> int:
                      t_max=args.tmax, quad_tol=args.tol)
     out = Path(args.out)
     # an unwritable --out fails before any row is computed
-    if out.is_dir():
+    try:
+        is_dir = out.is_dir()
+    except OSError as exc:  # a name the system refuses: too long, say
+        raise ValidationError(f"cannot write {args.out!r}: {exc.strerror}") from None
+    if is_dir:
         raise ValidationError(f"--out {args.out!r} is a directory")
     make_outdir(out.parent)
     table, summary = run_sweep(spec)

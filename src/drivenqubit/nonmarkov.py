@@ -56,10 +56,11 @@ The rows of a sweep are evaluated together, from their columns
 one-row view).  Every array carries the constants of its own rows, and
 every stage is elementwise in the rows, so a row's result depends on its
 own data alone: the finder takes the pieces of all rows in slices and
-refines their brackets in batches (``amplitude_extrema``), and the branch
-and bound the pairs of runs of rows (``_max_gain``).  The finder hands each
-row over as the ends of the monotone segments of |A| on [0, t_max]: t = 0,
-the extrema and t_max, so its consumers only compare consecutive points.
+refines each slice's brackets as it is built (``amplitude_extrema``), and
+one branch and bound searches the pairs of all rows (``_max_gain``).  The
+finder hands each row over as the ends of the monotone segments of |A| on
+[0, t_max]: t = 0, the extrema and t_max, so its consumers only compare
+consecutive points.
 One list holds each row's first error: every stage records a failure there
 and skips the rows that have one, so a failed row stops while the others
 go on.
@@ -92,8 +93,7 @@ TRUNCATION_EPS = 1e-4
 _PAIR_ATOL = 1e-9
 _ROOT_TOL = 1e-10  # width of a refined extremum bracket
 _ROUNDING = 16 * np.finfo(float).eps
-_CHUNK = 4096  # pieces of the bracket finder, or intervals of the pair search,
-               # per pass across rows
+_CHUNK = 8192  # pieces of the bracket finder per slice across rows
 _QUARTER = 0.5 * math.pi
 _MAX_PIECES = 2 ** 22  # pieces of one row's search (``_counts``): its work budget
 _NEWTON_STEPS = 6
@@ -422,17 +422,12 @@ def _confirm(rows: DerivedColumns, lo, hi, x, rising, owner):
     """The kernel's check of the brackets (lo, hi) and estimates x: (h > 0
     at the ends, the midpoints of the narrow brackets x +- 0.45 _ROOT_TOL,
     and where h fails to change sign across a narrow bracket).  The signs
-    of h take four kernel calls, one per set of points, so no call is
-    larger than the batch."""
+    of h take four kernel calls, one per set of points, so no call takes
+    more points than the slice has brackets."""
     left = np.maximum(x - 0.45 * _ROOT_TOL, lo)
     right = np.minimum(x + 0.45 * _ROOT_TOL, hi)
     pos = [_rows_rising(rows, t, owner) for t in (lo, hi, left, right)]
     return np.array(pos[:2]), 0.5 * (left + right), (pos[2] == rising) | (pos[3] != rising)
-
-
-def _live(table, errors: list):
-    """The entries of a ``_Todo`` whose rows have no error in ``errors``."""
-    return _take(table, ~failed(errors)[table.own])
 
 
 def _refine(flux: _Flux, rows: DerivedColumns, todo: _Todo, errors: list):
@@ -549,25 +544,8 @@ def _max_gain(xs: np.ndarray, xe: np.ndarray, owner: np.ndarray, n_rows: int):
     midpoint evaluated, and only a midpoint that beats its row's best by
     more than the allowance replaces it.  A sub-interval with no
     representable midpoint is judged by its ends, so the halving always
-    stops.  Each row's sums and choices run over its own data alone, so
-    the rows are searched in runs of at most ``_CHUNK`` intervals (a row
-    with more is searched alone), which bounds the peak memory.
+    stops.  Each row's sums and choices run over its own data alone.
     """
-    best, best_u = np.zeros(n_rows), np.ones(n_rows)
-    stop = np.cumsum(np.bincount(owner, minlength=n_rows))
-    r0 = 0
-    while r0 < n_rows:
-        i0 = stop[r0 - 1] if r0 else 0
-        r1 = max(int(np.searchsorted(stop, i0 + _CHUNK, side="right")), r0 + 1)
-        i1 = stop[r1 - 1]
-        best[r0:r1], best_u[r0:r1] = _branch_and_bound(xs[i0:i1], xe[i0:i1],
-                                                       owner[i0:i1] - r0, r1 - r0)
-        r0 = r1
-    return best, best_u
-
-
-def _branch_and_bound(xs: np.ndarray, xe: np.ndarray, owner: np.ndarray, n_rows: int):
-    """The search of ``_max_gain`` over the rows of one run."""
     count = np.bincount(owner, minlength=n_rows)
     first = np.cumsum(count) - count
     best, best_u = np.zeros(n_rows), np.ones(n_rows)
@@ -633,16 +611,14 @@ def amplitude_extrema(rows: DerivedColumns, t_max, errors: list) -> _Extrema:
     piece is made.  A searched row's t_max may lie far past its t2, where
     the envelope is 0, so its tail |A(t_max)| reads 0 (``_mode_form``).  The
     pieces of the other rows are taken in (row, time) order, in slices of
-    ``_CHUNK``, a cap across rows that bounds the peak memory, and
-    bracketed (``_pieces``).  The brackets are carried and take one
-    refinement round (``_refine``) in batches of about ``_CHUNK`` (once they
-    reach it, or after the last slice), and every bracket that a batch
-    leaves unconfirmed is bisected on the kernel (``_bisect``) in one call
-    at the end.  Every stage is elementwise, so the extrema do not depend on
-    the slicing or the batches.  |A| falls from t = 0, so the kinds of a
-    row must alternate starting with a minimum, or the row fails.  A failed
-    row is searched no further, its carried brackets are dropped, and it
-    gets no points.
+    ``_CHUNK``, a cap across rows that bounds the peak memory.  Each slice
+    is bracketed (``_pieces``) and its brackets take one refinement round
+    (``_refine``) at once; every bracket that a slice leaves unconfirmed is
+    bisected on the kernel (``_bisect``) in one call at the end.  Every
+    stage is elementwise, so the extrema do not depend on the slicing.  |A|
+    falls from t = 0, so the kinds of a row must alternate starting with a
+    minimum, or the row fails.  A failed row is searched no further, its
+    unconfirmed brackets are dropped, and it gets no points.
     """
     t_max = np.asarray(t_max, dtype=float)
     fail(errors, np.arange(t_max.size), ~((0.0 < t_max) & (t_max < math.inf)),
@@ -659,8 +635,7 @@ def amplitude_extrema(rows: DerivedColumns, t_max, errors: list) -> _Extrema:
     stop = np.cumsum(count)
     start = stop - count
     total = int(stop[-1]) if count.size else 0
-    # carried: the brackets awaiting refinement and those it leaves unconfirmed
-    parts, todo, unsure = [_NO_EXTREMA], [], [_NO_BRACKETS]
+    parts, unsure = [_NO_EXTREMA], [_NO_BRACKETS]  # unsure: brackets left unconfirmed
     for p0 in range(0, total, _CHUNK):
         p1 = p0 + _CHUNK
         live = np.flatnonzero((start < p1) & (stop > p0) & (count > 0))
@@ -669,14 +644,12 @@ def amplitude_extrema(rows: DerivedColumns, t_max, errors: list) -> _Extrema:
         size = np.minimum(p1 - start[live], count[live]) - first + 1
         owner = np.repeat(live, size)
         q = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size - first, size)
-        todo.append(_pieces(flux, t_max, owner, q))
-        if p1 >= total or sum(c.lo.size for c in todo) >= _CHUNK:
-            done, more = _refine(flux, rows, _live(_cat(todo), errors), errors)
-            parts.append(done)
-            unsure.append(more)
-            todo = []
-            count[failed(errors)] = 0  # a failed row's later pieces are not searched
-    parts.append(_bisect(rows, _live(_cat(unsure), errors), errors))
+        done, more = _refine(flux, rows, _pieces(flux, t_max, owner, q), errors)
+        parts.append(done)
+        unsure.append(more)
+        count[failed(errors)] = 0  # a failed row's later pieces are not searched
+    unsure = _cat(unsure)
+    parts.append(_bisect(rows, _take(unsure, ~failed(errors)[unsure.own]), errors))
     live = np.flatnonzero(~failed(errors))
     # a decay exponent past -inf gives |A| = 0, its limit, also where the kernel
     # phase is past inf (a searched row far past its t2); a phase past inf under

@@ -126,9 +126,12 @@ class DerivedParams:
 
     def no_period(self) -> str | None:
         """Why there is no finite dressed period 2 pi / omega_d (omega_d = 0,
-        or so small that the period overflows), or None when there is one."""
+        so small that the period overflows, or not finite), or None when
+        there is one."""
         if self.omega_d == 0.0:
             return "omega_d = 0 (undriven, resonant): the dressed period is undefined"
+        if not math.isfinite(self.omega_d):
+            return f"omega_d = {self.omega_d:.3g}: the dressed period is undefined"
         if math.isinf(2.0 * math.pi / self.omega_d):
             return (f"omega_d = {self.omega_d:.3g}: the dressed period "
                     "2 pi / omega_d overflows")
@@ -180,7 +183,7 @@ class DerivedColumns(NamedTuple):
     @property
     def no_period(self) -> np.ndarray:  # rows of DerivedParams.no_period
         with np.errstate(divide="ignore", over="ignore"):
-            return np.isinf(2.0 * math.pi / self.omega_d)
+            return np.isinf(2.0 * math.pi / self.omega_d) | ~np.isfinite(self.omega_d)
 
     def errors(self, period: bool = False) -> list:
         """Per row, an ``OverflowError`` where its constants overflow, else,

@@ -482,7 +482,8 @@ def write_rows(path, table: SweepTable, columns: list[str]) -> None:
     once per call, so the curves of a panel share their formatted axis
     (``figure_preset`` shares it across all the files of a figure).
     The parent directory is made with ``make_outdir``, so a parent that
-    cannot be one is a ValidationError.
+    cannot be one is a ValidationError, and so is a file the system will
+    not open for writing (a name too long, say).
     """
     _write_table(path, table, columns, {})
 
@@ -492,7 +493,11 @@ def _write_table(path, table: SweepTable, columns: list[str], axes: dict) -> Non
     dtype and bytes) in ``axes``, which gains the ones formatted here."""
     path = Path(path)
     make_outdir(path.parent)
-    with open(path, "w", newline="") as fh:
+    try:
+        fh = open(path, "w", newline="")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {str(path)!r}: {exc.strerror}") from None
+    with fh:
         fh.write(SCHEMA_TAG + "\n" + _csv_line(columns))
         for block in table.blocks:
             _write_block(fh, block, columns, axes)

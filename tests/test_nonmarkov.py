@@ -588,9 +588,9 @@ def test_failed_row_leaves_its_neighbours_untouched(monkeypatch):
 
 def test_blp_sweep_kernel_calls_follow_its_slices(monkeypatch):
     # the pieces of all rows go to the piece builder in full slices of
-    # _CHUNK; the brackets the slices find are refined in batches of about
-    # _CHUNK, each confirmed in four kernel calls of the signs of h (the
-    # ends, then both sides of the estimate) and one of |A| at the extrema;
+    # _CHUNK; the brackets each slice finds are refined as it is built,
+    # confirmed in four kernel calls of the signs of h (the ends, then both
+    # sides of the estimate) and one of |A| at the extrema;
     # the brackets left unconfirmed are bisected once for the whole search,
     # in at most 64 halvings and one |A| call; the tails |A(t_max)| take one
     # call.  Rows evaluated one at a time would make a slice and kernel
@@ -634,17 +634,17 @@ def test_blp_sweep_kernel_calls_follow_its_slices(monkeypatch):
     assert len(calls) <= 5 * len(refined) + 1
     assert len(bisected) == len(searches) == 1 and len(bisected[0]) <= 64 + 1
     # fig9's first panel at _CHUNK 64 finds 5,946 brackets: they are refined
-    # in at most 94 batches and bisected once; a slice evaluates the
-    # two-mode form at its nodes, its pieces plus one per row, and no kernel
-    # call of the signs of h takes more than 2 _CHUNK points, so the batches
-    # bound the peak memory as the slices do
+    # once per slice and bisected once; a slice evaluates the two-mode form
+    # at its nodes, its pieces plus one per row, and no kernel call of the
+    # signs of h takes more than 2 _CHUNK points, so the slices bound the
+    # peak memory
     monkeypatch.setattr(nonmarkov, "_CHUNK", 64)
     params, t_maxes = _panel_inputs()
     for record in (pieces, nodes, refined, bisected, searches, signs):
         record.clear()
     assert blp_measures(_rows(params), t_maxes)[4] == [None] * 105
     assert sum(refined) == 5946
-    assert len(refined) <= math.ceil(sum(refined) / 64) + 1 == 94
+    assert len(refined) == len(pieces) == 192
     assert len(bisected) == len(searches) == 1
     assert max(pieces) <= 64 and max(nodes) <= 2 * 64
     assert max(signs) <= 2 * 64
@@ -856,9 +856,8 @@ def test_figure_rows_in_one_pass_read_as_the_per_curve_passes():
 
 
 def test_stragglers_carried_across_small_slices_read_as_the_default_run(monkeypatch):
-    # at _CHUNK 64 the 105 rows of fig9's first panel take many slices, and
-    # the brackets carried across them many refinement batches; every
-    # output equals the default run's
+    # at _CHUNK 64 the 105 rows of fig9's first panel take many slices, each
+    # refined as it is built; every output equals the default run's
     params, t_maxes = _panel_inputs()
     default = blp_measures(_rows(params), t_maxes)
     slices, batches = [], []
@@ -876,7 +875,7 @@ def test_stragglers_carried_across_small_slices_read_as_the_default_run(monkeypa
     monkeypatch.setattr(nonmarkov, "_pieces", counted_pieces)
     monkeypatch.setattr(nonmarkov, "_refine", counted_refine)
     small = blp_measures(_rows(params), t_maxes)
-    assert len(slices) > len(batches) > 10
+    assert len(slices) == len(batches) > 10
     for k in range(4):
         assert small[k].tobytes() == default[k].tobytes()
     assert small[4] == default[4] == [None] * 105

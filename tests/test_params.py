@@ -71,6 +71,16 @@ def test_omega_d_zero_iff_undriven_resonant():
     assert derive(SystemParams(lam=0.1, delta_qc=1e-9)).omega_d > 0
 
 
+def test_infinite_dressed_frequency_has_no_period():
+    # omega 1e308 overflows omega_d to inf, where 2 pi / omega_d reads 0
+    p = SystemParams(lam=0.1, omega_rabi=1e308)
+    dp = derive(p)
+    assert dp.omega_d == math.inf
+    assert dp.no_period() == "omega_d = inf: the dressed period is undefined"
+    rows = derive_columns(*np.array([[0.1, 1e308, 0.0, 0.0, 1.0]]).T)
+    assert rows.no_period.tolist() == [True]
+
+
 def test_overflow_rule_at_resonance():
     # F = sqrt(4 M^2 - ...) with |M| ~ 2 omega: 4 M^2 overflows near 3.35e153
     assert derive(SystemParams(lam=0.1, omega_rabi=3.3e153)).overflow() is None

@@ -534,14 +534,18 @@ def test_cli_params_warns_outside_regime(capsys):
     assert "warning" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("delta,warning", [
-    ("0", "omega_d = 0 (undriven, resonant): the dressed period is undefined"),
-    ("1e-310", "omega_d = 1e-310: the dressed period 2 pi / omega_d overflows"),
-    ("5e-324", "omega_d = 4.94e-324: the dressed period 2 pi / omega_d overflows")],
-    ids=["0", "1e-310", "5e-324"])
-def test_cli_params_without_period_warns(capsys, delta, warning):
-    # omega_d = delta: 0 has no period, and below ~3.5e-308 2 pi / omega_d overflows
-    assert main(["params", "--delta", delta]) == 0
+@pytest.mark.parametrize("flags,warning", [
+    (["--delta", "0"], "omega_d = 0 (undriven, resonant): the dressed period is undefined"),
+    (["--delta", "1e-310"], "omega_d = 1e-310: the dressed period 2 pi / omega_d overflows"),
+    (["--delta", "5e-324"],
+     "omega_d = 4.94e-324: the dressed period 2 pi / omega_d overflows"),
+    (["--lambda", "0.1", "--omega", "1e308"], "omega_d = inf: the dressed period is undefined")],
+    ids=["0", "1e-310", "5e-324", "omega-1e308"])
+def test_cli_params_without_period_warns(capsys, flags, warning):
+    # omega_d = delta: 0 has no period, and below ~3.5e-308 2 pi / omega_d
+    # overflows; omega 1e308 overflows omega_d to inf, where 2 pi / omega_d
+    # read as a period of 0
+    assert main(["params", *flags]) == 0
     out = capsys.readouterr().out
     assert "period     =" not in out
     assert f"warning: {warning}\n" in out
@@ -1364,6 +1368,26 @@ def test_cli_unwritable_out_is_usage_error(tmp_path, monkeypatch, capsys, comman
         with pytest.raises(ValidationError, match="cannot create directory"):
             write_rows(blocker / "c3.csv", SweepTable([]), ["status"])
     assert blocker.read_text() == ""
+
+
+def test_cli_out_name_too_long_is_usage_error(tmp_path, monkeypatch, capsys):
+    # a file name the system refuses (300 characters, over the 255 of a
+    # name) is a one-line usage error before any row is computed, and the
+    # library writer's open fails the same way
+    import drivenqubit.sweeps as sweeps
+
+    def no_rows(*args, **kwargs):
+        raise AssertionError("no row is computed for an unwritable --out")
+
+    monkeypatch.setattr(sweeps, "_time_series_block", no_rows)
+    out = tmp_path / ("a" * 296 + ".csv")
+    assert main(["sweep", "--quantity", "amplitude", "--axis", "time",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"drivenqubit: cannot write {str(out)!r}: File name too long\n"
+    with pytest.raises(ValidationError, match="cannot write .*: File name too long"):
+        write_rows(out, SweepTable([]), ["status"])
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_figure_unknown_preset(tmp_path):
